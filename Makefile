@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-baseline bench-compare scale-report fmt vet lint profile
+.PHONY: build test race bench bench-baseline bench-compare fmt vet lint profile
 
 build:
 	$(GO) build ./...
@@ -34,13 +34,6 @@ bench:
 # commit bench/baseline.txt together with the change that moved the numbers.
 bench-baseline:
 	scripts/bench.sh bench/baseline.txt
-
-# Service-level scaling study: sims/sec vs worker-pool size for the quick
-# sweep workload.  Regenerates the committed throughput trajectory; run on a
-# quiet machine and commit BENCH_10.json together with the change that moved
-# the curve.  SCALE_WORKERS / SCALE_REPEAT / SCALE_EFFORT override defaults.
-scale-report:
-	scripts/scale-report.sh BENCH_10.json
 
 # Capture a CPU profile from a running server started with
 # -debug-addr $(DEBUG_ADDR) and drop it under bench/ for go tool pprof:

@@ -7,27 +7,26 @@
 //	metricname  — /metrics families are well-named and HELP/TYPE registered
 //	atomicfield — fields touched via sync/atomic are never accessed bare
 //
-// The binary speaks the unitchecker protocol, so the go command does the
-// package loading and drives it exactly like go vet's own checks:
+// The binary speaks the go vet -vettool protocol, so the go command does
+// the package loading and drives it exactly like go vet's own checks:
 //
 //	go build -o bin/refrint-lint ./cmd/refrint-lint
 //	go vet -vettool=bin/refrint-lint ./...
 //
-// or simply `make lint`.  Run with -help for per-analyzer flags; findings
-// can be waived case-by-case with `//refrint:allow <analyzer> -- reason`.
+// or simply `make lint`.  Findings can be waived case-by-case with
+// `//refrint:allow <analyzer> -- reason`.
 package main
 
 import (
-	"golang.org/x/tools/go/analysis/unitchecker"
-
 	"refrint/internal/analysis/allocfree"
 	"refrint/internal/analysis/atomicfield"
+	"refrint/internal/analysis/lint"
 	"refrint/internal/analysis/lockcheck"
 	"refrint/internal/analysis/metricname"
 )
 
 func main() {
-	unitchecker.Main(
+	lint.Main(
 		lockcheck.Analyzer,
 		allocfree.Analyzer,
 		metricname.Analyzer,

@@ -31,20 +31,19 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-
 	"refrint/internal/analysis/directives"
+	"refrint/internal/analysis/lint"
 )
 
 const name = "allocfree"
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lint.Analyzer{
 	Name: name,
 	Doc:  "reject allocating constructs in functions annotated //refrint:alloc-free",
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *lint.Pass) {
 	for _, file := range pass.Files {
 		dirs := directives.Parse(pass.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -61,12 +60,11 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // check walks one annotated body, skipping nested function literals (their
 // construction is judged here, their own body only if annotated itself).
-func check(pass *analysis.Pass, dirs *directives.Map, fname string, body *ast.BlockStmt, _ *ast.FuncType) {
+func check(pass *lint.Pass, dirs *directives.Map, fname string, body *ast.BlockStmt, _ *ast.FuncType) {
 	report := func(pos token.Pos, format string, args ...any) {
 		if dirs.Allowed(name, pos) {
 			return
@@ -129,7 +127,7 @@ func check(pass *analysis.Pass, dirs *directives.Map, fname string, body *ast.Bl
 }
 
 // checkCall classifies one call inside an annotated body.
-func checkCall(pass *analysis.Pass, report func(token.Pos, string, ...any), call *ast.CallExpr) {
+func checkCall(pass *lint.Pass, report func(token.Pos, string, ...any), call *ast.CallExpr) {
 	info := pass.TypesInfo
 
 	// Conversion T(x)?
@@ -174,7 +172,7 @@ func checkCall(pass *analysis.Pass, report func(token.Pos, string, ...any), call
 // capturesLocals reports whether lit references a variable declared in an
 // enclosing function (true closure capture; package-level and
 // literal-internal references are free).
-func capturesLocals(pass *analysis.Pass, lit *ast.FuncLit) bool {
+func capturesLocals(pass *lint.Pass, lit *ast.FuncLit) bool {
 	captured := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)

@@ -26,51 +26,27 @@ import (
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"refrint/internal/analysis/directives"
+	"refrint/internal/analysis/lint"
 )
 
 const name = "atomicfield"
 
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      "check that fields accessed via sync/atomic are never read or written non-atomically in the package",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lint.Analyzer{
+	Name: name,
+	Doc:  "check that fields accessed via sync/atomic are never read or written non-atomically in the package",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	dirs := make(map[*ast.File]*directives.Map, len(pass.Files))
-	for _, f := range pass.Files {
-		dirs[f] = directives.Parse(pass.Fset, f)
-	}
-	fileOf := func(pos token.Pos) *directives.Map {
-		for _, f := range pass.Files {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return dirs[f]
-			}
-		}
-		return nil
-	}
-	report := func(pos token.Pos, format string, args ...any) {
-		if d := fileOf(pos); d != nil && d.Allowed(name, pos) {
-			return
-		}
-		pass.Reportf(pos, format, args...)
-	}
+func run(pass *lint.Pass) {
+	report := directives.Reporter(pass, name)
 
 	// Pass 1: find fields whose address flows into a sync/atomic call,
 	// and remember the sanctioned &x.f nodes themselves.
 	atomicFields := map[*types.Var]token.Pos{} // field -> first atomic use
 	sanctioned := map[ast.Node]bool{}          // the &x.f (and x.f) nodes inside atomic calls
 
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
+	lint.Preorder(pass.Files, func(call *ast.CallExpr) {
 		fn := atomicCallee(pass, call)
 		if fn == nil {
 			return
@@ -100,8 +76,7 @@ func run(pass *analysis.Pass) (any, error) {
 		msg string
 	}
 	var findings []finding
-	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
-		sel := n.(*ast.SelectorExpr)
+	lint.Preorder(pass.Files, func(sel *ast.SelectorExpr) {
 		if sanctioned[sel] {
 			return
 		}
@@ -116,17 +91,10 @@ func run(pass *analysis.Pass) (any, error) {
 	})
 
 	// Pass 2b: typed atomics may not be copied.
-	ins.WithStack([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
-		}
-		sel := n.(*ast.SelectorExpr)
+	lint.WithStack(pass.Files, func(sel *ast.SelectorExpr, stack []ast.Node) {
 		v := fieldOf(pass, sel)
 		if v == nil || !isTypedAtomic(v.Type()) {
-			return true
-		}
-		if len(stack) < 2 {
-			return true
+			return
 		}
 		switch parent := stack[len(stack)-2].(type) {
 		case *ast.SelectorExpr:
@@ -134,29 +102,27 @@ func run(pass *analysis.Pass) (any, error) {
 			// selector.  (Typed atomics have no exported fields, so
 			// any deeper selection is a method.)
 			if parent.X == sel {
-				return true
+				return
 			}
 		case *ast.UnaryExpr:
 			// &x.f keeps pointer semantics.
 			if parent.Op == token.AND {
-				return true
+				return
 			}
 		}
 		findings = append(findings, finding{sel.Pos(),
 			"atomic value " + v.Name() + " (" + v.Type().String() + ") must not be copied or reassigned; call its methods or take its address"})
-		return true
 	})
 
 	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
 	for _, f := range findings {
 		report(f.pos, "%s", f.msg)
 	}
-	return nil, nil
 }
 
 // atomicCallee returns the called sync/atomic package function taking an
 // address argument, or nil.
-func atomicCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+func atomicCallee(pass *lint.Pass, call *ast.CallExpr) *types.Func {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
@@ -174,7 +140,7 @@ func atomicCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 }
 
 // fieldOf resolves sel to the struct field it selects, or nil.
-func fieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Var {
+func fieldOf(pass *lint.Pass, sel *ast.SelectorExpr) *types.Var {
 	s, ok := pass.TypesInfo.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return nil
@@ -197,6 +163,6 @@ func isTypedAtomic(t types.Type) bool {
 
 // posf formats a message with a secondary position rendered relative to
 // the pass's fileset.
-func posf(pass *analysis.Pass, format string, name string, at token.Pos) string {
+func posf(pass *lint.Pass, format string, name string, at token.Pos) string {
 	return fmt.Sprintf(format, name, pass.Fset.Position(at).String())
 }

@@ -20,6 +20,8 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
+
+	"refrint/internal/analysis/lint"
 )
 
 // prefix is the common directive namespace.
@@ -71,6 +73,24 @@ func Parse(fset *token.FileSet, file *ast.File) *Map {
 		}
 	}
 	return m
+}
+
+// Reporter returns pass.Reportf filtered through the //refrint:allow
+// directives of the pass's files: findings of the named analyzer that a
+// directive suppresses are dropped.
+func Reporter(pass *lint.Pass, analyzer string) func(pos token.Pos, format string, args ...any) {
+	dirs := make([]*Map, len(pass.Files))
+	for i, f := range pass.Files {
+		dirs[i] = Parse(pass.Fset, f)
+	}
+	return func(pos token.Pos, format string, args ...any) {
+		for i, f := range pass.Files {
+			if f.FileStart <= pos && pos < f.FileEnd && dirs[i].Allowed(analyzer, pos) {
+				return
+			}
+		}
+		pass.Reportf(pos, format, args...)
+	}
 }
 
 // Allowed reports whether findings of the named analyzer are suppressed at

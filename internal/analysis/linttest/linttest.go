@@ -1,12 +1,9 @@
-// Package linttest is the project's analyzer test harness — the same
-// fixture contract as golang.org/x/tools/go/analysis/analysistest (a
+// Package linttest is the project's analyzer test harness.  A fixture is a
 // `testdata/src/<pkg>` tree whose sources carry `// want "regexp"`
-// comments on the lines expected to be flagged), reimplemented on the
-// standard library.  The real analysistest sits on go/packages, which the
-// toolchain does not vendor (the build must stay offline, see
-// third_party/golang.org/x/tools/README.md); fixtures here are
-// single-package and import only the standard library, so parsing with
-// go/parser and type-checking with the GOROOT source importer is enough.
+// comments on the lines expected to be flagged (the convention of the Go
+// analysis framework's analysistest).  Fixtures are single-package and
+// import only the standard library, so parsing with go/parser and
+// type-checking with the GOROOT source importer is enough.
 package linttest
 
 import (
@@ -23,15 +20,13 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"refrint/internal/analysis/lint"
 )
 
 // Run loads the fixture package at testdata/src/<pkg> (relative to the
 // test's working directory), runs a on it, and asserts that the reported
 // diagnostics exactly match the fixture's // want comments.
-func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
+func Run(t *testing.T, a *lint.Analyzer, pkg string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", pkg)
 	entries, err := os.ReadDir(dir)
@@ -55,66 +50,16 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 		t.Fatalf("linttest: no Go files under %s", dir)
 	}
 
-	conf := types.Config{
+	conf := &types.Config{
 		Importer: importer.ForCompiler(fset, "source", nil),
 		Error:    func(err error) { t.Errorf("linttest: type error: %v", err) },
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	tpkg, err := conf.Check(files[0].Name.Name, fset, files, info)
+	diags, err := lint.Check(fset, files, files[0].Name.Name, conf, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("linttest: type-check: %v", err)
 	}
 
-	var diags []analysis.Diagnostic
-	runWithDeps(t, a, fset, files, tpkg, info, &diags, map[*analysis.Analyzer]any{})
-
 	checkWants(t, fset, files, diags)
-}
-
-// runWithDeps executes a's requirements, then a itself, memoizing results.
-func runWithDeps(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, diags *[]analysis.Diagnostic, results map[*analysis.Analyzer]any) {
-	t.Helper()
-	if _, done := results[a]; done {
-		return
-	}
-	resultOf := make(map[*analysis.Analyzer]any, len(a.Requires))
-	for _, req := range a.Requires {
-		runWithDeps(t, req, fset, files, pkg, info, diags, results)
-		resultOf[req] = results[req]
-	}
-	// The inspect pass is special-cased: building the inspector directly
-	// avoids relying on its Run signature internals.
-	if a == inspect.Analyzer {
-		results[a] = inspector.New(files)
-		return
-	}
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		TypesInfo:  info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   resultOf,
-		Report: func(d analysis.Diagnostic) {
-			// Only the analyzer under test contributes diagnostics.
-			*diags = append(*diags, d)
-		},
-		ReadFile: os.ReadFile,
-	}
-	res, err := a.Run(pass)
-	if err != nil {
-		t.Fatalf("linttest: analyzer %s: %v", a.Name, err)
-	}
-	results[a] = res
 }
 
 // wantRe extracts the quoted regexps of one // want comment.
@@ -123,7 +68,7 @@ var wantRe = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"|` + "`([^`]*)`")
 // checkWants compares diagnostics against // want comments, analysistest
 // style: every diagnostic must be expected on its line, every expectation
 // must fire exactly once.
-func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.Diagnostic) {
 	t.Helper()
 	type key struct {
 		file string

@@ -26,21 +26,16 @@ import (
 	"sort"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"refrint/internal/analysis/directives"
+	"refrint/internal/analysis/lint"
 )
 
 const name = "lockcheck"
 
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      "check that *Locked functions are called under the mutex and never block",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lint.Analyzer{
+	Name: name,
+	Doc:  "check that *Locked functions are called under the mutex and never block",
+	Run:  run,
 }
 
 // blockingPkgs are packages whose calls block (I/O, network) or do heavy
@@ -72,30 +67,9 @@ var nonBlockingFuncs = map[string]bool{
 	"os.Getpid":       true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	dirs := make(map[*ast.File]*directives.Map, len(pass.Files))
-	for _, f := range pass.Files {
-		dirs[f] = directives.Parse(pass.Fset, f)
-	}
-	fileOf := func(pos token.Pos) *directives.Map {
-		for _, f := range pass.Files {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return dirs[f]
-			}
-		}
-		return nil
-	}
-	report := func(pos token.Pos, format string, args ...any) {
-		if d := fileOf(pos); d != nil && d.Allowed(name, pos) {
-			return
-		}
-		pass.Reportf(pos, format, args...)
-	}
-
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		decl := n.(*ast.FuncDecl)
+func run(pass *lint.Pass) {
+	report := directives.Reporter(pass, name)
+	lint.Preorder(pass.Files, func(decl *ast.FuncDecl) {
 		if decl.Body == nil {
 			return
 		}
@@ -119,7 +93,6 @@ func run(pass *analysis.Pass) (any, error) {
 			checkBlocking(pass, report, scopeBody(decl.Body))
 		}
 	})
-	return nil, nil
 }
 
 func isLockedName(name string) bool {
@@ -128,7 +101,7 @@ func isLockedName(name string) bool {
 
 // isTestFunc reports whether decl is a Test/Benchmark/Fuzz/Example function
 // in a _test.go file.
-func isTestFunc(pass *analysis.Pass, decl *ast.FuncDecl) bool {
+func isTestFunc(pass *lint.Pass, decl *ast.FuncDecl) bool {
 	if decl.Recv != nil {
 		return false
 	}
@@ -239,7 +212,7 @@ func innermostEnd(extents [][2]token.Pos, pos token.Pos) token.Pos {
 }
 
 // checkLockedCalls enforces rule 1 within one scope.
-func checkLockedCalls(pass *analysis.Pass, report func(token.Pos, string, ...any), s scope, inheritsLock bool) {
+func checkLockedCalls(pass *lint.Pass, report func(token.Pos, string, ...any), s scope, inheritsLock bool) {
 	type lockedCall struct {
 		pos  token.Pos
 		name string
@@ -304,7 +277,7 @@ func calleeName(call *ast.CallExpr) string {
 }
 
 // checkBlocking enforces rule 2 over one *Locked body.
-func checkBlocking(pass *analysis.Pass, report func(token.Pos, string, ...any), s scope) {
+func checkBlocking(pass *lint.Pass, report func(token.Pos, string, ...any), s scope) {
 	s.walk(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
@@ -322,7 +295,7 @@ func checkBlocking(pass *analysis.Pass, report func(token.Pos, string, ...any), 
 				}
 			}
 		case *ast.CallExpr:
-			fn := typeutil.StaticCallee(pass.TypesInfo, n)
+			fn := lint.StaticCallee(pass.TypesInfo, n)
 			if fn == nil {
 				// Interface method: resolve through Uses so e.g.
 				// http.ResponseWriter.Write is still attributed.

@@ -30,14 +30,13 @@ import (
 	"strconv"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-
 	"refrint/internal/analysis/directives"
+	"refrint/internal/analysis/lint"
 )
 
 const name = "metricname"
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lint.Analyzer{
 	Name: name,
 	Doc:  "check refrint_ metric-name charset and HELP/TYPE registration in the exposition renderer",
 	Run:  run,
@@ -64,26 +63,8 @@ func nameToken(s string) string {
 	return s[:i]
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	dirs := make(map[*ast.File]*directives.Map, len(pass.Files))
-	for _, f := range pass.Files {
-		dirs[f] = directives.Parse(pass.Fset, f)
-	}
-	fileOf := func(pos token.Pos) *directives.Map {
-		for _, f := range pass.Files {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return dirs[f]
-			}
-		}
-		return nil
-	}
-	report := func(pos token.Pos, format string, args ...any) {
-		if d := fileOf(pos); d != nil && d.Allowed(name, pos) {
-			return
-		}
-		pass.Reportf(pos, format, args...)
-	}
-
+func run(pass *lint.Pass) {
+	report := directives.Reporter(pass, name)
 	registrars := findRegistrars(pass)
 
 	// declared[name] is where "# HELP name" / "# TYPE name" appear;
@@ -213,12 +194,11 @@ func run(pass *analysis.Pass) (any, error) {
 			report(pos, "metric %s has # TYPE but no # HELP declaration", n)
 		}
 	}
-	return nil, nil
 }
 
 // isFprint reports whether call is an fmt Fprint-family call (the renderer
 // writes the exposition exclusively through these).
-func isFprint(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isFprint(pass *lint.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
@@ -232,7 +212,7 @@ func isFprint(pass *analysis.Pass, call *ast.CallExpr) bool {
 
 // calleeObj resolves the called object (function or closure-bound
 // variable), or nil.
-func calleeObj(pass *analysis.Pass, call *ast.CallExpr) types.Object {
+func calleeObj(pass *lint.Pass, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return pass.TypesInfo.Uses[fun]
@@ -245,7 +225,7 @@ func calleeObj(pass *analysis.Pass, call *ast.CallExpr) types.Object {
 // findRegistrars returns the set of objects (declared functions or
 // variables bound to closures) whose body renders both "# HELP %s" and
 // "# TYPE %s" — calling one with a name literal registers that family.
-func findRegistrars(pass *analysis.Pass) map[types.Object]bool {
+func findRegistrars(pass *lint.Pass) map[types.Object]bool {
 	regs := map[types.Object]bool{}
 	bodyRegisters := func(body *ast.BlockStmt) bool {
 		help, typ := false, false

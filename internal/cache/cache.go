@@ -336,7 +336,7 @@ func (c *Cache) DirtyCount() int {
 
 // FlushInto invalidates every line, appends copies of the dirty lines that
 // were present to dst (the caller writes them back) and returns the
-// extended buffer.  Like event.Wheel.PopDueInto, the caller owns the buffer:
+// extended buffer.  Like event.FrameWheel.PopDueInto, the caller owns the buffer:
 // passing a recycled dst[:0] makes the end-of-run flush allocation-free once
 // the buffer has grown to the bank's dirty high-water mark.
 func (c *Cache) FlushInto(dst []mem.Line) []mem.Line {

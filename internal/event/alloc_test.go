@@ -6,31 +6,31 @@ package event
 
 import "testing"
 
-// TestWheelScheduleAndDrainZeroAllocs asserts the ring wheel's steady state:
-// once the slot slices have grown to the working-set size, scheduling and
-// draining through PopDueInto perform no heap allocations.
+// TestWheelScheduleAndDrainZeroAllocs asserts the steady state of the
+// refresh machinery's access pattern: moving live deadlines, cancelling
+// them and draining a few at a time through PopDueInto perform no heap
+// allocations once the ring covers the schedule-ahead horizon.
 func TestWheelScheduleAndDrainZeroAllocs(t *testing.T) {
-	w := NewWheelHorizon(64, 40_000)
-	buf := make([]WheelEntry, 0, 256)
+	const ids = 128
+	w := NewFrameWheel(64, ids, 40_000)
+	buf := make([]WheelEntry, 0, ids)
 	now := int64(0)
-	fill := func() {
-		for i := int64(0); i < 128; i++ {
-			w.Schedule(now+1000+i*64, i)
+	cycle := func() {
+		for id := 0; id < ids; id++ {
+			w.Schedule(now+1000+int64(id)*64, id)
+			w.Schedule(now+2000+int64(id)*64, id) // move the live node
+		}
+		for id := 0; id < ids; id += 8 {
+			w.Cancel(id)
+		}
+		now += 40_000
+		for w.Len() > 0 {
+			buf = w.PopDueInto(now, 16, buf[:0])
 		}
 	}
-	drain := func() {
-		now += 40_000
-		buf = w.PopDueInto(now, -1, buf[:0])
-	}
-	// Warm up slot capacities: the 128-bucket fill span advances 625
-	// buckets per lap around a 1024-slot ring, so covering every slot
-	// (after which appends reuse retained capacity) takes several laps.
-	for i := 0; i < 64; i++ {
-		fill()
-		drain()
-	}
-	if avg := testing.AllocsPerRun(20, func() { fill(); drain() }); avg != 0 {
-		t.Errorf("warmed wheel allocates %.2f objects per schedule/drain cycle, want 0", avg)
+	cycle() // settle the window
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Errorf("FrameWheel allocates %.2f objects per reschedule/cancel/drain cycle, want 0", avg)
 	}
 }
 

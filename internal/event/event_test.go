@@ -1,7 +1,6 @@
 package event
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -77,131 +76,6 @@ func TestQueueRandomizedOrdering(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWheelBasic(t *testing.T) {
-	w := NewWheel(1)
-	if w.Len() != 0 {
-		t.Fatal("new wheel should be empty")
-	}
-	if _, ok := w.NextDeadline(); ok {
-		t.Fatal("empty wheel should have no deadline")
-	}
-	w.Schedule(100, 1)
-	w.Schedule(50, 2)
-	w.Schedule(150, 3)
-	if w.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", w.Len())
-	}
-	if d, ok := w.NextDeadline(); !ok || d != 50 {
-		t.Fatalf("NextDeadline = %d,%v want 50,true", d, ok)
-	}
-	due := w.PopDue(99, -1)
-	if len(due) != 1 || due[0].ID != 2 {
-		t.Fatalf("PopDue(99) = %+v, want the ID 2 entry", due)
-	}
-	due = w.PopDue(200, -1)
-	if len(due) != 2 {
-		t.Fatalf("PopDue(200) returned %d entries, want 2", len(due))
-	}
-	if w.Len() != 0 {
-		t.Errorf("wheel should be empty, len = %d", w.Len())
-	}
-}
-
-func TestWheelNothingDue(t *testing.T) {
-	w := NewWheel(16)
-	w.Schedule(1000, 1)
-	if due := w.PopDue(999, -1); len(due) != 0 {
-		t.Errorf("PopDue before deadline returned %+v", due)
-	}
-	if w.Len() != 1 {
-		t.Errorf("entry should remain, len = %d", w.Len())
-	}
-}
-
-func TestWheelMaxLimit(t *testing.T) {
-	w := NewWheel(1)
-	for i := int64(0); i < 10; i++ {
-		w.Schedule(i, i)
-	}
-	due := w.PopDue(100, 3)
-	if len(due) != 3 {
-		t.Fatalf("PopDue(max=3) returned %d entries", len(due))
-	}
-	if w.Len() != 7 {
-		t.Errorf("Len = %d, want 7", w.Len())
-	}
-	// Remaining entries still retrievable.
-	rest := w.PopDue(100, -1)
-	if len(rest) != 7 {
-		t.Errorf("rest = %d entries, want 7", len(rest))
-	}
-}
-
-func TestWheelCoarseGranularity(t *testing.T) {
-	w := NewWheel(64)
-	w.Schedule(70, 1)  // bucket 1
-	w.Schedule(130, 2) // bucket 2
-	w.Schedule(10, 3)  // bucket 0
-	due := w.PopDue(70, -1)
-	ids := map[int64]bool{}
-	for _, e := range due {
-		ids[e.ID] = true
-	}
-	if !ids[1] || !ids[3] || ids[2] {
-		t.Errorf("PopDue(70) = %+v, want IDs 1 and 3 only", due)
-	}
-	if d, ok := w.NextDeadline(); !ok || d != 130 {
-		t.Errorf("NextDeadline = %d,%v, want 130", d, ok)
-	}
-}
-
-func TestWheelReschedulingAfterDrain(t *testing.T) {
-	w := NewWheel(8)
-	w.Schedule(10, 1)
-	w.PopDue(20, -1)
-	// After a full drain the wheel must accept earlier deadlines again.
-	w.Schedule(5, 2)
-	if d, ok := w.NextDeadline(); !ok || d != 5 {
-		t.Errorf("NextDeadline after drain = %d,%v, want 5", d, ok)
-	}
-	due := w.PopDue(5, -1)
-	if len(due) != 1 || due[0].ID != 2 {
-		t.Errorf("PopDue = %+v", due)
-	}
-}
-
-func TestWheelDeadlinesNeverLostProperty(t *testing.T) {
-	// Property: every scheduled entry is eventually returned exactly once,
-	// and never before its deadline.
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		w := NewWheel(16)
-		deadlines := map[int64]int64{}
-		count := int(n%64) + 1
-		for i := 0; i < count; i++ {
-			d := rng.Int63n(10_000)
-			w.Schedule(d, int64(i))
-			deadlines[int64(i)] = d
-		}
-		seen := map[int64]bool{}
-		for now := int64(0); now <= 10_000; now += 500 {
-			for _, e := range w.PopDue(now, -1) {
-				if seen[e.ID] {
-					return false // duplicate
-				}
-				if deadlines[e.ID] > now {
-					return false // returned early
-				}
-				seen[e.ID] = true
-			}
-		}
-		return len(seen) == count && w.Len() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }

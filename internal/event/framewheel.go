@@ -9,9 +9,10 @@ package event
 // bucket.  Rescheduling an id moves its node, so the wheel only ever holds
 // live deadlines and performs no allocation after construction.
 //
-// Ordering matches Wheel exactly for live entries: buckets drain in
-// ascending order and nodes within a bucket drain in the order their ids
-// were (re)scheduled into it.
+// Buckets drain in ascending order and nodes within a bucket drain in the
+// order their ids were (re)scheduled into it.  PopDueInto compares each
+// node's exact deadline with now, so coarse buckets never return an entry
+// early; a granularity of 1 also makes the drain order exact.
 type FrameWheel struct {
 	granShift   uint  // log2(granularity)
 	granularity int64 // power of two
@@ -31,6 +32,15 @@ type frameNode struct {
 }
 
 const noNode = int32(-1)
+
+// WheelEntry is one due deadline returned by PopDueInto.
+type WheelEntry struct {
+	Cycle int64 // the deadline
+	ID    int64 // consumer-defined identifier (e.g. line index)
+}
+
+// defaultRingBuckets is the ring size used when no horizon is given.
+const defaultRingBuckets = 64
 
 // NewFrameWheel returns a wheel for ids 0..ids-1 whose ring covers at least
 // `horizon` cycles beyond the earliest pending deadline.  Scheduling past
