@@ -1,7 +1,7 @@
 // Command refrint-serve runs the Refrint sweep service: an HTTP API that
-// accepts sweep jobs, executes them on a bounded priority-aware
-// work-stealing scheduler, caches results by canonical sweep key, and serves
-// the paper's Table 6.1 and Figure 6.1-6.4 data series as JSON.
+// accepts sweep jobs, runs their simulation cells on one bounded
+// priority-aware work-stealing pool, caches results by canonical sweep key,
+// and serves the paper's Table 6.1 and Figure 6.1-6.4 data series as JSON.
 //
 // Quickstart:
 //
@@ -20,9 +20,11 @@
 //	curl -s localhost:8080/metrics                         # operational counters
 //
 // Sweeps carry an optional priority class (interactive > batch >
-// background) and client label; classes dequeue by weighted fair share
-// (-class-weights), clients within a class round-robin, and idle workers
-// steal queued work, so no worker idles while any queue holds sweeps.
+// background) and client label, which their cells inherit; classes dequeue
+// by weighted fair share (-class-weights), clients within a class
+// round-robin, and idle workers steal queued cells, so no worker idles while
+// any queue holds work.  Overlapping sweeps share the cells they have in
+// common, simulating each once.
 //
 // With -data-dir, completed sweeps and their individual simulation cells are
 // persisted: a restarted server serves previously completed sweeps without
@@ -40,6 +42,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -107,12 +110,11 @@ func parseClassTriple(flagName, s string) ([sched.NumClasses]int, error) {
 func main() {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		shards         = flag.Int("shards", 2, "worker goroutines (concurrent sweeps)")
+		shards         = flag.Int("shards", runtime.NumCPU(), "simulation workers: cells simulated at a time across all sweeps")
 		queueDepth     = flag.Int("queue-depth", 8, "pending sweeps per worker per priority class (each class admits shards*queue-depth)")
 		classDepths    = flag.String("class-queue-depths", "", "per-class queued-sweep bounds as interactive,batch,background (overrides -queue-depth scaling)")
 		classWeights   = flag.String("class-weights", "", "weighted-fair dequeue shares as interactive,batch,background (default 16,4,1)")
 		cacheEntries   = flag.Int("cache", 32, "completed sweeps kept for reuse")
-		sweepWorkers   = flag.Int("sweep-workers", 0, "simulation concurrency per sweep (0 = NumCPU/shards)")
 		jobHistory     = flag.Int("job-history", 1024, "finished jobs kept pollable")
 		batchHistory   = flag.Int("batch-history", 256, "finished batches kept pollable")
 		dataDir        = flag.String("data-dir", "", "persist results (whole sweeps and individual cells) under this directory; restarts serve completed sweeps without re-running them")
@@ -178,7 +180,6 @@ func main() {
 		ClassQueueDepth: depths,
 		ClassWeights:    weights,
 		CacheEntries:    *cacheEntries,
-		SweepWorkers:    *sweepWorkers,
 		JobHistory:      *jobHistory,
 		BatchHistory:    *batchHistory,
 		EventHeartbeat:  *eventHeartbeat,

@@ -50,13 +50,14 @@ type Cache struct {
 	// Parallel per-frame arrays (struct of arrays); set s occupies frames
 	// [s*ways, (s+1)*ways).  tags and states carry the way scan; the rest
 	// are touched per-frame only.
-	tags        []mem.LineAddr // full line address (tag + index combined)
-	states      []mem.State    // MESI state; Invalid marks a free frame
-	sentries    []bool         // sentry bit charged (Refrint time policy)
-	lru         []int64        // replacement timestamp
-	lastRefresh []int64        // cycle of the last refresh or access
-	lastTouch   []int64        // cycle of the last normal access
-	counts      []int          // WB(n,m) refresh budget (package core)
+	tags     []mem.LineAddr // full line address (tag + index combined)
+	states   []mem.State    // MESI state; Invalid marks a free frame
+	sentries []bool         // sentry bit charged (Refrint time policy)
+	// lru is the replacement timestamp, which is also the cycle of the
+	// last normal access: only Touch writes it, so it doubles as LastTouch.
+	lru         []int64
+	lastRefresh []int64 // cycle of the last refresh or access
+	counts      []int   // WB(n,m) refresh budget (package core)
 }
 
 // New builds an empty cache bank from its configuration.
@@ -81,7 +82,6 @@ func New(cfg config.CacheConfig) *Cache {
 		sentries:    make([]bool, n),
 		lru:         make([]int64, n),
 		lastRefresh: make([]int64, n),
-		lastTouch:   make([]int64, n),
 		counts:      make([]int, n),
 	}
 }
@@ -165,10 +165,11 @@ func (c *Cache) Recharge(f Frame, at int64) {
 	c.sentries[f] = true
 }
 
-// LastTouch returns the cycle of the frame's last normal access.
+// LastTouch returns the cycle of the frame's last normal access: the LRU
+// stamp, since Touch is the only writer of either.
 //
 //refrint:alloc-free
-func (c *Cache) LastTouch(f Frame) int64 { return c.lastTouch[f] }
+func (c *Cache) LastTouch(f Frame) int64 { return c.lru[f] }
 
 // LRU returns a frame's replacement stamp (tests and the reference model).
 //
@@ -200,7 +201,7 @@ func (c *Cache) Line(f Frame) mem.Line {
 		Sentry:      c.sentries[f],
 		LRU:         c.lru[f],
 		LastRefresh: c.lastRefresh[f],
-		LastTouch:   c.lastTouch[f],
+		LastTouch:   c.lru[f],
 		Count:       c.counts[f],
 	}
 }
@@ -217,7 +218,6 @@ func (c *Cache) Reset(f Frame) {
 	c.sentries[f] = false
 	c.lru[f] = 0
 	c.lastRefresh[f] = 0
-	c.lastTouch[f] = 0
 	c.counts[f] = 0
 }
 
@@ -241,14 +241,13 @@ func (c *Cache) Probe(addr mem.LineAddr) (Frame, bool) {
 	return NoFrame, false
 }
 
-// Touch marks a hit on a frame at cycle `now`: it updates the LRU stamp,
-// the last-touch time, and (for eDRAM) the implicit refresh that any access
+// Touch marks a hit on a frame at cycle `now`: it updates the LRU stamp
+// (which is also the last-touch time), and (for eDRAM) the implicit refresh that any access
 // performs (LastRefresh), and recharges the sentry bit.
 //
 //refrint:alloc-free
 func (c *Cache) Touch(f Frame, now int64) {
 	c.lru[f] = now
-	c.lastTouch[f] = now
 	c.lastRefresh[f] = now
 	c.sentries[f] = true
 }
@@ -370,6 +369,5 @@ func (c *Cache) clearAll() {
 	clear(c.sentries)
 	clear(c.lru)
 	clear(c.lastRefresh)
-	clear(c.lastTouch)
 	clear(c.counts)
 }

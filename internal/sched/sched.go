@@ -23,8 +23,9 @@
 // The hot submit/dequeue path performs no heap allocations in steady state:
 // items come from a free list, client queues are reusable ring buffers, and
 // key hashing is an inline FNV-1a (no hash.Hash construction).  All state is
-// guarded by one mutex; items are heavyweight (whole parameter sweeps), so
-// scheduling cost is noise next to execution cost — the mutex buys simple
+// guarded by one mutex; items are heavyweight (the sweep service submits one
+// simulation cell per item, milliseconds to seconds of work), so scheduling
+// cost is noise next to execution cost — the mutex buys simple
 // invariants: exact per-class/per-client/per-worker live counts, and a
 // condition variable that guarantees a waiting worker is woken whenever work
 // exists.
@@ -314,14 +315,6 @@ func (s *Scheduler) Submit(key, client string, class Class, payload any) (Handle
 	return Handle{it: it, gen: it.gen}, true
 }
 
-// StillQueued reports whether the handle's item is still waiting in a queue
-// — i.e. whether Cancel or Promote on it could still take effect.
-func (s *Scheduler) StillQueued(h Handle) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return h.it != nil && h.it.gen == h.gen && h.it.state == itemQueued
-}
-
 // Cancel removes a queued item, freeing its class capacity immediately — the
 // structural fix for cancelled work camping on bounded queue slots.  It
 // reports false when the handle is stale or the item already started.
@@ -503,20 +496,6 @@ func (s *Scheduler) Queued() int {
 		n += q
 	}
 	return n
-}
-
-// Free returns the remaining queue capacity of a class.  It is a snapshot:
-// callers that need check-then-submit atomicity (the batch endpoint) must
-// serialize their submissions externally.  Dequeues only ever increase it,
-// but queue-wait aging (Config.AgeAfter) moves queued items between classes
-// asynchronously and can consume a class's capacity between a Free check and
-// the Submit it gated — so even a serialized caller must tolerate a
-// full-queue Submit after a passing check (the batch endpoint aborts the
-// whole batch and answers 503).
-func (s *Scheduler) Free(class Class) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Depth[class] - s.queued[class]
 }
 
 // --- internals (caller holds s.mu unless noted) ---

@@ -205,9 +205,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "requests[%d]: %v", i, err)
 			return
 		}
-		if s.cfg.SweepWorkers > 0 && opts.Workers > s.cfg.SweepWorkers {
-			opts.Workers = s.cfg.SweepWorkers
-		}
 		// The server cap applies per member, exactly like a lone submission.
 		plan = append(plan, planned{req: sub, opts: opts, key: opts.Key(), class: class,
 			timeout: s.effectiveTimeout(sub.TimeoutMS)})
@@ -271,12 +268,8 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	// target class and frees one in the class it leaves; the freed slot is
 	// credited, and promotions are applied up front (most urgent target
 	// first) so everything they free is free before any member submits.
-	// All submissions are serialized under s.mu and dequeues only ever free
-	// capacity, but queue-wait aging moves queued items between classes
-	// asynchronously and can consume a class's slots between this check and
-	// the submits below.  That race is tolerated rather than prevented: a
-	// mid-submit overflow aborts the whole batch (no partial admission),
-	// answers 503 and refunds the quota tokens.
+	// The check and the submits run under one hold of s.mu, which every
+	// change to the admission counts (cells starting, aging) also takes.
 	effClass := make(map[string]sched.Class, len(plan))
 	for _, p := range plan {
 		if c, ok := effClass[p.key]; !ok || p.class < c {
@@ -296,9 +289,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		counted[p.key] = true
 		if e, hit := s.cache.lookup(p.key); hit {
-			// StillQueued filters the race where a worker already popped
-			// the item (Promote would no-op, consuming nothing).
-			if e.state == StateQueued && effClass[p.key] < e.class && s.sched.StillQueued(e.handle) {
+			if e.state == StateQueued && effClass[p.key] < e.class {
 				promos = append(promos, promotion{e: e, to: effClass[p.key]})
 				need[effClass[p.key]]++
 				freed[e.class]++
@@ -316,7 +307,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		if n == 0 {
 			continue
 		}
-		if free := s.sched.Free(sched.Class(class)) + freed[class]; n > free {
+		if free := s.cfg.ClassQueueDepth[class] - s.queuedSweeps[class] + freed[class]; n > free {
 			s.mu.Unlock()
 			s.quota.refund(charged)
 			w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(sched.Class(class))))
@@ -355,16 +346,13 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		tr.mark(phaseValidated, validated)
 		job, ok := s.submitJobLocked(p.req, p.opts, p.key, p.class, effClass[p.key], p.timeout, tr)
 		if !ok {
-			// Reachable only when queue-wait aging moved items into this
-			// class after the capacity check (submissions themselves stay
-			// serialized under s.mu); bail out whole rather than admit a
-			// partial batch.
-			s.cfg.Logf("batch: %s queue filled after capacity check (queue-wait aging), aborting batch", effClass[p.key])
-			aborts := s.rollbackBatchLocked(b)
+			// Defensive: the capacity check above and these submissions
+			// share one hold of s.mu, so a member should always fit.  Bail
+			// out whole rather than admit a partial batch.
+			s.cfg.Logf("batch: %s queue filled after capacity check, aborting batch", effClass[p.key])
+			s.rollbackBatchLocked(b)
 			s.mu.Unlock()
-			for _, e := range aborts {
-				e.cancel()
-			}
+			s.probeStore()
 			s.quota.refund(charged)
 			w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(p.class)))
 			writeError(w, http.StatusServiceUnavailable, "%s queue is full, retry later", p.class)
@@ -394,6 +382,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.evictBatchesLocked()
 	s.mu.Unlock()
+	s.probeStore()
 	s.cfg.Logf("batch %s: %d jobs (%s)", b.id, len(view.Jobs), view.Priority)
 
 	status := http.StatusAccepted
@@ -420,8 +409,9 @@ func (s *Server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancelBatch implements DELETE /v1/batches/{id}: cancel every
-// non-terminal member job.  Queued executions leave the scheduler (and free
-// their queue slots) immediately; running ones are aborted via context.
+// non-terminal member job.  Queued cells leave the scheduler (and queued
+// sweeps free their admission slots) immediately; running cells no other
+// sweep waits on are stopped.
 func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -431,38 +421,27 @@ func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no batch %q", id)
 		return
 	}
-	var aborts []*entry
 	for i := range b.members {
 		if j := b.members[i].job; j != nil {
-			if e := s.cancelJobLocked(j); e != nil {
-				aborts = append(aborts, e)
-			}
+			s.cancelJobLocked(j)
 		}
 	}
 	view := b.snapshotLocked()
 	s.mu.Unlock()
-	for _, e := range aborts {
-		e.cancel()
-		s.cfg.Logf("sweep %s: cancel requested", e.key)
-	}
 	writeJSON(w, http.StatusOK, view)
 }
 
 // rollbackBatchLocked undoes a partially admitted batch: every member
 // created so far is cancelled and erased from the pollable job history, so
-// a failed batch leaves no trace.  It returns the entries whose contexts
-// must be cancelled outside the lock.  Caller holds the server mutex.
-func (s *Server) rollbackBatchLocked(b *Batch) []*entry {
-	var aborts []*entry
+// a failed batch leaves no trace.  Caller holds the server mutex.
+func (s *Server) rollbackBatchLocked(b *Batch) {
 	doomed := make(map[string]bool, len(b.members))
 	for i := range b.members {
 		j := b.members[i].job
 		if j == nil {
 			continue // frozen members are terminal and already historical
 		}
-		if e := s.cancelJobLocked(j); e != nil {
-			aborts = append(aborts, e)
-		}
+		s.cancelJobLocked(j)
 		doomed[j.id] = true
 		delete(s.jobs, j.id)
 	}
@@ -474,7 +453,6 @@ func (s *Server) rollbackBatchLocked(b *Batch) []*entry {
 	}
 	s.jobOrder = kept
 	b.members = nil
-	return aborts
 }
 
 // evictBatchesLocked freezes every terminal member — batches must not pin

@@ -166,11 +166,11 @@ func TestBatchCapacityAtomic(t *testing.T) {
 // batch ends failed, with per-state counts showing the mixed outcome.
 func TestBatchPartialFailure(t *testing.T) {
 	h := newHarness(t, Config{
-		Execute: func(ctx context.Context, opts sweep.Options, progress func(sweep.Progress)) (*refrint.SweepResults, error) {
+		Execute: func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error) {
 			if opts.Seed == 99 {
-				return nil, fmt.Errorf("synthetic failure for seed 99")
+				return sweep.Run{}, fmt.Errorf("synthetic failure for seed 99")
 			}
-			return sweep.ExecuteContext(ctx, opts, progress)
+			return sweep.RunCell(ctx, opts, c)
 		},
 	})
 
@@ -287,8 +287,11 @@ func TestBatchIgnoresFullUntouchedClass(t *testing.T) {
 	if _, status := h.submit(attach); status != http.StatusAccepted {
 		t.Fatalf("attach to queued background sweep: status %d", status)
 	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 1 {
-		t.Fatalf("interactive depth = %v, want 1 (declined promotion must not overflow the bound)", v)
+	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
+		t.Fatalf("interactive queued sweeps = %v, want 1 (declined promotion must not overflow the bound)", v)
+	}
+	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 2 {
+		t.Fatalf("interactive depth = %v, want 2 (only the fill sweep's cells)", v)
 	}
 	// Interactive is full.  A batch needing only batch-class capacity must
 	// still be admitted.
@@ -337,8 +340,11 @@ func TestBatchMixedPriorityDuplicates(t *testing.T) {
 	}
 	// The duplicate pair shares one execution, queued at interactive (its
 	// most urgent occurrence), not background.
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 2 {
-		t.Fatalf("interactive queue depth = %v, want 2 (shared execution + seed 6)", v)
+	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 2 {
+		t.Fatalf("interactive queued sweeps = %v, want 2 (shared execution + seed 6)", v)
+	}
+	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 4 {
+		t.Fatalf("interactive queue depth = %v, want 4 (two sweeps' cells)", v)
 	}
 	if v := h.schedMetric(`refrint_sched_queue_depth{class="background"}`); v != 0 {
 		t.Fatalf("background queue depth = %v, want 0", v)
@@ -408,11 +414,14 @@ func TestBatchPromotesStraightToEffectiveClass(t *testing.T) {
 	if len(view.Jobs) != 3 {
 		t.Fatalf("admitted %d jobs, want 3", len(view.Jobs))
 	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 1 {
-		t.Fatalf("interactive depth = %v, want 1 (the promoted execution)", v)
+	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
+		t.Fatalf("interactive queued sweeps = %v, want 1 (the promoted execution)", v)
 	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="batch"}`); v != 1 {
-		t.Fatalf("batch depth = %v, want 1 (the fresh member)", v)
+	if v := h.schedMetric(`refrint_sweeps_queued{class="batch"}`); v != 1 {
+		t.Fatalf("batch queued sweeps = %v, want 1 (the fresh member)", v)
+	}
+	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 2 {
+		t.Fatalf("interactive depth = %v, want 2 (the promoted execution's cells)", v)
 	}
 	if v := h.schedMetric(`refrint_sched_queue_depth{class="background"}`); v != 0 {
 		t.Fatalf("background depth = %v, want 0 (execution left it)", v)
@@ -458,11 +467,11 @@ func TestBatchCreditsPromotionFreedSlots(t *testing.T) {
 	if len(view.Jobs) != 2 {
 		t.Fatalf("admitted %d jobs, want 2", len(view.Jobs))
 	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 1 {
-		t.Fatalf("interactive depth = %v, want 1 (promoted K)", v)
+	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
+		t.Fatalf("interactive queued sweeps = %v, want 1 (promoted K)", v)
 	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="batch"}`); v != 1 {
-		t.Fatalf("batch depth = %v, want 1 (fresh member in the freed slot)", v)
+	if v := h.schedMetric(`refrint_sweeps_queued{class="batch"}`); v != 1 {
+		t.Fatalf("batch queued sweeps = %v, want 1 (fresh member in the freed slot)", v)
 	}
 	close(exec.release)
 }
@@ -482,8 +491,8 @@ func TestBatchLargerThanResultCache(t *testing.T) {
 		view, _ := h1.submit(tinyRequest(seed))
 		h1.waitState(view.ID, StateDone)
 	}
-	if n := calls.Load(); n != int64(len(seeds)) {
-		t.Fatalf("setup ran %d sweeps, want %d", n, len(seeds))
+	if n := calls.Load(); n != int64(2*len(seeds)) {
+		t.Fatalf("setup simulated %d cells, want %d", n, 2*len(seeds))
 	}
 	h1.ts.Close()
 	h1.srv.Close()
@@ -504,8 +513,8 @@ func TestBatchLargerThanResultCache(t *testing.T) {
 	if view.State != StateDone || view.Counts[string(StateDone)] != len(seeds) {
 		t.Fatalf("persisted batch = state %q counts %v, want all done", view.State, view.Counts)
 	}
-	if n := calls.Load(); n != int64(len(seeds)) {
-		t.Fatalf("persisted batch re-ran sweeps: %d executions total, want %d", n, len(seeds))
+	if n := calls.Load(); n != int64(2*len(seeds)) {
+		t.Fatalf("persisted batch re-ran sweeps: %d cells simulated in all, want %d", n, 2*len(seeds))
 	}
 }
 
@@ -560,8 +569,7 @@ func TestBatchFreezesTerminalMembers(t *testing.T) {
 // TestRollbackBatchLocked covers the defensive bail-out directly (it is
 // unreachable through the HTTP path while submissions serialize under the
 // server mutex): created members are cancelled and erased from the pollable
-// history, queued executions leave the scheduler, and running ones are
-// handed back for context cancellation.
+// history, and their queued cells leave the scheduler.
 func TestRollbackBatchLocked(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{Shards: 1, Execute: exec.fn})
@@ -587,22 +595,16 @@ func TestRollbackBatchLocked(t *testing.T) {
 		b.members = append(b.members, batchMember{job: job})
 	}
 	jobsBefore := len(s.jobs)
-	aborts := s.rollbackBatchLocked(b)
+	s.rollbackBatchLocked(b)
 	jobsAfter, orderAfter := len(s.jobs), len(s.jobOrder)
 	queued := s.sched.Queued()
 	s.mu.Unlock()
-	for _, e := range aborts {
-		e.cancel()
-	}
 
 	if jobsBefore != 3 || jobsAfter != 1 || orderAfter != 1 {
 		t.Fatalf("rollback left jobs=%d order=%d (had %d), want only the blocker", jobsAfter, orderAfter, jobsBefore)
 	}
 	if queued != 0 {
-		t.Fatalf("rollback left %d queued executions, want 0", queued)
-	}
-	if len(aborts) != 0 {
-		t.Fatalf("rollback of queued-only members returned %d running entries, want 0", len(aborts))
+		t.Fatalf("rollback left %d queued cells, want 0", queued)
 	}
 	close(exec.release)
 	// Only the blocker ever executes.

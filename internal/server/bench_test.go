@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"refrint"
 	"refrint/internal/sweep"
 )
 
@@ -13,8 +12,8 @@ import (
 // benchmarks and allocation pins exercise the callback alone.
 func stubServer(tb testing.TB) *Server {
 	s := New(Config{
-		Execute: func(context.Context, sweep.Options, func(sweep.Progress)) (*refrint.SweepResults, error) {
-			return nil, nil
+		Execute: func(context.Context, sweep.Options, sweep.Cell) (sweep.Run, error) {
+			return sweep.Run{}, nil
 		},
 	})
 	tb.Cleanup(s.Close)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
@@ -11,46 +10,57 @@ import (
 )
 
 // entry is one shared sweep execution: the singleflight unit that any number
-// of jobs with the same canonical key attach to.  After it completes
-// successfully it doubles as the cache record for that key.  All fields
-// except ctx/cancel and the atomic progress counters are guarded by the
-// server mutex.
+// of jobs with the same canonical key attach to.  It owns no goroutine: its
+// simulation cells run as individual scheduler items (see cells.go), and the
+// entry collects their runs until the last one completes.  After it
+// completes successfully it doubles as the cache record for that key.  All
+// fields except the atomic progress counters are guarded by the server
+// mutex.
 type entry struct {
-	key    string
-	opts   sweep.Options
-	ctx    context.Context
-	cancel context.CancelFunc
+	key  string
+	opts sweep.Options
 
-	// class is the effective scheduling class (jobs attaching with a more
-	// urgent class promote the queued entry); handle cancels or promotes
-	// the entry while it is still queued (stale once running).
-	class  sched.Class
-	handle sched.Handle
+	// class is the effective scheduling class: the most urgent class among
+	// the attached jobs (or aged into by its cells).  The entry's queued
+	// cells run at least this urgently.
+	class sched.Class
 
-	state State // queued → running → done | failed | cancelled
+	// state is queued until one of its cells starts (or completes from the
+	// store), then running until terminal.  Queued entries are what the
+	// per-class admission bounds count (Server.queuedSweeps).
+	state State
 
-	// timeout bounds the execution's wall time once a worker picks it up
-	// (0 = none); set at creation from the first submitter's effective
-	// timeout_ms — attachers share the run, so they share its deadline.
-	// reason is the terminal failure classification ("panic" or "deadline
-	// exceeded"), empty for ordinary errors and non-failed states.
+	// timeout bounds the execution's wall time from the moment the entry
+	// starts (0 = none); set at creation from the first submitter's
+	// effective timeout_ms — attachers share the run, so they share its
+	// deadline.  timer fires the deadline.  reason is the terminal failure
+	// classification ("panic" or "deadline exceeded"), empty for ordinary
+	// errors and non-failed states.
 	timeout time.Duration
+	timer   *time.Timer
 	reason  string
 
-	// execStart is when a worker began executing the sweep (zero if it
-	// never ran); finishLocked feeds it into the per-class execution-time
-	// histogram.  revived marks a done entry restored from the persistent
-	// store, so jobs served from it trace the revived (not cache-hit)
-	// shortcut.
+	// execStart is when the entry started (zero if it never did);
+	// finishLocked feeds it into the per-class execution-time histogram.
+	// revived marks a done entry restored from the persistent store, so
+	// jobs served from it trace the revived (not cache-hit) shortcut.
 	execStart time.Time
 	revived   bool
 
-	// done/total are the lock-free progress counters: the per-simulation
-	// callback (Server.progressCallback) advances done with a CAS-max and
-	// stores total, without touching the server mutex.  Readers load them
+	// cells[i] is the in-flight cell that computes cell i of the sweep (nil
+	// once it has completed); runs[i] receives its run.  pending counts the
+	// cells still outstanding: the entry assembles its Results when it
+	// reaches zero.
+	cells   []*cell
+	runs    []sweep.Run
+	pending int
+
+	// done/total are the lock-free progress counters, advanced through
+	// progress (Server.progressCallback) with a CAS-max.  Readers load them
 	// at snapshot/tick time; monotonicity is the callback's invariant.
-	done  atomic.Int64 // simulations completed
-	total atomic.Int64 // simulations in the sweep
+	done     atomic.Int64 // simulations completed
+	total    atomic.Int64 // simulations in the sweep
+	progress func(sweep.Progress)
 
 	res *refrint.SweepResults
 	err error
@@ -87,18 +97,12 @@ func (c *resultCache) completedLen() int {
 	return n
 }
 
-// lookup returns the usable entry for a key, if any.  An entry whose context
-// is already cancelled is dead — its execution will never produce a result —
-// so it is not returned and a caller should start a fresh one.
+// lookup returns the live or completed entry for a key, if any.  Entries
+// that failed or were cancelled are dropped at their terminal transition, so
+// a miss means a caller should start a fresh execution.
 func (c *resultCache) lookup(key string) (*entry, bool) {
 	e, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	if e.state != StateDone && e.ctx.Err() != nil {
-		return nil, false
-	}
-	return e, true
+	return e, ok
 }
 
 // put registers a new in-flight entry.

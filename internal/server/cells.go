@@ -1,0 +1,423 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime/debug"
+	"time"
+
+	"refrint/internal/sched"
+	"refrint/internal/store"
+	"refrint/internal/sweep"
+)
+
+// This file is the cell-granular execution layer.  A sweep entry does not
+// run as one unit: each of its simulation cells is a scheduler item of its
+// own, inheriting the class and client of the job that created it.  The
+// in-flight table (Server.cells) maps every cell that is being probed,
+// queued or running to the one execution that computes it, so a later
+// sweep overlapping an earlier one — not necessarily identical — joins the
+// cells already in flight instead of simulating them again.
+//
+// A cell's life:
+//
+//	probing ──▶ queued ──▶ running ──▶ done
+//	   │          │           │
+//	   └──────────┴───────────┴──▶ done (result from the store, failure, or abort)
+//
+// probing only happens with a store attached: a fresh cell is looked up in
+// the store after the admitting handler releases the server mutex, and only
+// a miss is queued.  A cell is removed from the in-flight table when it
+// reaches done, after a fresh result has been persisted — so at every
+// instant a cell is either in flight or (store permitting) stored, and no
+// cell is simulated twice.
+
+// cellState is the lifecycle state of an in-flight cell.
+type cellState uint8
+
+const (
+	cellProbing cellState = iota // fresh, waiting for its store lookup
+	cellQueued                   // waiting in a scheduler queue
+	cellRunning                  // a worker is simulating it
+	cellDone                     // completed, failed or aborted
+)
+
+// cell is one simulation in flight, shared by every entry waiting on it.
+// All fields are guarded by the server mutex except ctx, which the worker
+// hands to the simulator.
+type cell struct {
+	sc   sweep.Cell
+	opts sweep.Options // options of the sweep that created the cell
+	home string        // scheduler homing key: the creating sweep's key
+
+	client string
+	class  sched.Class // the most urgent class among the waiting entries
+	handle sched.Handle
+	state  cellState
+
+	// ctx is cancelled when no live entry waits on the cell any more, or
+	// when the server closes; the simulation observes it between steps.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	waiters []waiter
+}
+
+// waiter is one entry waiting on a cell, with the cell's index in the
+// entry's sweep.
+type waiter struct {
+	e *entry
+	i int
+}
+
+// attachCellsLocked enrols a fresh entry on its sweep's cells.  Cells
+// already in flight are joined, promoting them to the entry's class when it
+// is more urgent; the others are created and either queued right away or,
+// with a store attached, left for probeStore — which the admitting handler
+// must call after releasing the mutex.  Caller holds the server mutex.
+func (s *Server) attachCellsLocked(e *entry, client string) {
+	cells := sweep.Cells(e.opts)
+	e.cells = make([]*cell, len(cells))
+	e.runs = make([]sweep.Run, len(cells))
+	e.pending = len(cells)
+	e.total.Store(int64(len(cells)))
+	for i, sc := range cells {
+		if c, ok := s.cells[sc.Key]; ok {
+			s.inflightJoins++
+			c.waiters = append(c.waiters, waiter{e: e, i: i})
+			e.cells[i] = c
+			s.reclassCellLocked(c)
+			if c.state == cellRunning {
+				s.startEntryLocked(e, time.Now())
+			}
+			continue
+		}
+		ctx, cancel := context.WithCancel(s.baseCtx)
+		c := &cell{
+			sc:      sc,
+			opts:    e.opts,
+			home:    e.key,
+			client:  client,
+			class:   e.class,
+			ctx:     ctx,
+			cancel:  cancel,
+			waiters: []waiter{{e: e, i: i}},
+		}
+		s.cells[sc.Key] = c
+		e.cells[i] = c
+		if s.cfg.Store != nil {
+			c.state = cellProbing
+			s.probes = append(s.probes, c)
+		} else {
+			s.enqueueCellLocked(c)
+		}
+	}
+}
+
+// enqueueCellLocked hands a cell to the scheduler.  After Close the cell
+// (and every entry waiting on it) is cancelled instead.  Caller holds the
+// server mutex.
+func (s *Server) enqueueCellLocked(c *cell) {
+	if !s.closed {
+		if h, ok := s.sched.Submit(c.home, c.client, c.class, c); ok {
+			c.handle, c.state = h, cellQueued
+			return
+		}
+	}
+	s.cellDoneLocked(c, sweep.Run{}, context.Canceled)
+}
+
+// probeStore resolves the fresh cells awaiting their store lookup: a stored
+// cell completes at once, any other is queued.  It runs WITHOUT the server
+// mutex (the store may read disk), and is a no-op without a store.
+// Checking the in-flight table before the store means the store's cell
+// misses count exactly the cells that are then simulated.
+func (s *Server) probeStore() {
+	st := s.cfg.Store
+	if st == nil {
+		return
+	}
+	s.mu.Lock()
+	probes := s.probes
+	s.probes = nil
+	s.mu.Unlock()
+	for _, c := range probes {
+		res, hit := st.GetCell(c.sc.Key)
+		var done []*entry
+		s.mu.Lock()
+		switch {
+		case c.state != cellProbing: // aborted while probing
+		case hit:
+			done = s.cellDoneLocked(c, sweep.Run{App: c.sc.App, Point: c.sc.Point, Result: res}, nil)
+		default:
+			s.enqueueCellLocked(c)
+		}
+		s.mu.Unlock()
+		s.completeEntries(done)
+	}
+}
+
+// runCell is the scheduler's run callback: it simulates one dequeued cell
+// and delivers the run to every entry waiting on it.
+func (s *Server) runCell(c *cell) {
+	s.mu.Lock()
+	if c.state != cellQueued {
+		s.mu.Unlock() // aborted between dequeue and here
+		return
+	}
+	if s.closed {
+		// Close drains the queues through here: nothing runs any more.
+		s.cellDoneLocked(c, sweep.Run{}, context.Canceled)
+		s.mu.Unlock()
+		return
+	}
+	c.state = cellRunning
+	now := time.Now()
+	for _, w := range c.waiters {
+		s.startEntryLocked(w.e, now)
+	}
+	rank := int(c.class)
+	s.mu.Unlock()
+
+	run, err := s.executeGuarded(c)
+	// Persist before leaving the in-flight table, so a sweep arriving in
+	// between finds the cell in one place or the other.  Blob writes happen
+	// outside the mutex, like every store call.
+	if err == nil && s.cfg.Store != nil {
+		if perr := s.cfg.Store.PutCell(c.sc.Key, rank, run.Result); perr != nil {
+			s.cfg.Logf("store: persisting cell %s: %v", c.sc.Key.Hash(), perr)
+		}
+	}
+	s.mu.Lock()
+	done := s.cellDoneLocked(c, run, err)
+	s.mu.Unlock()
+	s.completeEntries(done)
+}
+
+// executeGuarded runs the configured per-cell Execute behind a recover
+// guard.  sweep.RunCell already converts simulation panics into errors; this
+// is the last line of defense for panics in other Execute implementations —
+// a recovered panic fails the cell's sweeps instead of killing the worker.
+func (s *Server) executeGuarded(c *cell) (run sweep.Run, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.recordPanic("exec", r, debug.Stack())
+			run, err = sweep.Run{}, fmt.Errorf("cell execution panicked: %v: %w", r, errPanicked)
+		}
+	}()
+	return s.cfg.Execute(c.ctx, c.opts, c.sc)
+}
+
+// cellDoneLocked retires a cell from the in-flight table and delivers its
+// outcome to every waiting entry: a failure fails them all, a run fills
+// their slot and advances their progress.  It returns the entries whose last
+// cell this was; the caller completes them with completeEntries after
+// releasing the mutex.  Caller holds the server mutex.
+func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*entry {
+	if c.state == cellDone {
+		return nil
+	}
+	c.state = cellDone
+	if s.cells[c.sc.Key] == c {
+		delete(s.cells, c.sc.Key)
+	}
+	c.cancel()
+	var pe *sweep.PanicError
+	if errors.As(err, &pe) {
+		// A panic contained inside the simulation: account and log it once
+		// per cell here — sweep cannot reach the server's counters or logger.
+		s.panicsTotal["sim"]++
+		s.cfg.Logger.Error("panic recovered",
+			"site", "sim",
+			"app", pe.App,
+			"cell", pe.Cell,
+			"panic", fmt.Sprint(pe.Value),
+			"stack", string(pe.Stack))
+	}
+	// Detach the waiters first: failing an entry withdraws it from its other
+	// cells (abortEntryLocked), which must find this one already empty.
+	waiters := c.waiters
+	c.waiters = nil
+	var done []*entry
+	now := time.Now()
+	for _, w := range waiters {
+		e := w.e
+		if e.state.Terminal() {
+			continue
+		}
+		e.cells[w.i] = nil
+		if err != nil {
+			s.finishLocked(e, nil, err)
+			continue
+		}
+		s.startEntryLocked(e, now) // a stored cell can complete a queued entry's first cell
+		e.runs[w.i] = run
+		e.pending--
+		e.progress(sweep.Progress{Done: len(e.runs) - e.pending, Total: len(e.runs)})
+		if e.pending == 0 {
+			done = append(done, e)
+		}
+	}
+	return done
+}
+
+// completeEntries assembles, persists and finishes entries whose every cell
+// has completed.  Called WITHOUT the server mutex: the sweep blob can be
+// large, so the write must not stall handlers — and once a job is
+// observably done, its result is already durable.
+func (s *Server) completeEntries(done []*entry) {
+	for _, e := range done {
+		res := sweep.Assemble(e.opts, e.runs)
+		if st := s.cfg.Store; st != nil {
+			s.mu.Lock()
+			markJobsLocked(e, phasePersisting, time.Now())
+			rank := int(e.class)
+			s.mu.Unlock()
+			if err := st.PutRanked(store.KindSweep, e.key, rank, res); err != nil {
+				s.cfg.Logf("store: persisting sweep %s: %v", e.key, err)
+			}
+		}
+		s.mu.Lock()
+		s.finishLocked(e, res, nil)
+		s.mu.Unlock()
+	}
+}
+
+// startEntryLocked moves a queued entry to running the first time one of
+// its cells starts (or completes from the store): its jobs leave the queue
+// phase, its admission slot frees, and its deadline starts.  A no-op for an
+// entry already started.  Caller holds the server mutex.
+func (s *Server) startEntryLocked(e *entry, now time.Time) {
+	if e.state != StateQueued {
+		return
+	}
+	e.state = StateRunning
+	s.queuedSweeps[e.class]--
+	e.execStart = now
+	for _, j := range e.jobs {
+		if j.state == StateQueued {
+			j.state = StateRunning
+			j.startedAt = now
+			j.trace.mark(phaseDequeued, now)
+			j.trace.mark(phaseExecuting, now)
+			s.publishJobLocked(j, eventState)
+		}
+	}
+	if e.timeout > 0 {
+		e.timer = time.AfterFunc(e.timeout, func() {
+			s.mu.Lock()
+			s.finishLocked(e, nil, context.DeadlineExceeded)
+			s.mu.Unlock()
+		})
+	}
+	s.cfg.Logf("sweep %s: running (%d sims)", e.key, len(e.runs))
+}
+
+// abortEntryLocked withdraws a terminal entry from its outstanding cells.
+// A cell left with no waiter is aborted — dropped from its queue, or its
+// simulation cancelled — while a cell other sweeps still wait on keeps
+// running, demoted to the most urgent class that remains.  Cells the entry
+// already completed are in the store.  Caller holds the server mutex.
+func (s *Server) abortEntryLocked(e *entry) {
+	for i, c := range e.cells {
+		if c == nil {
+			continue
+		}
+		e.cells[i] = nil
+		kept := c.waiters[:0]
+		for _, w := range c.waiters {
+			if w.e != e {
+				kept = append(kept, w)
+			}
+		}
+		c.waiters = kept
+		if len(kept) == 0 {
+			s.abortCellLocked(c)
+		} else {
+			s.reclassCellLocked(c)
+		}
+	}
+}
+
+// abortCellLocked retires a cell nobody waits on: a queued cell leaves the
+// scheduler, a running one has its context cancelled, and either way the
+// cell leaves the in-flight table so no later sweep joins it.  Caller holds
+// the server mutex.
+func (s *Server) abortCellLocked(c *cell) {
+	if c.state == cellDone {
+		return
+	}
+	if c.state == cellQueued {
+		s.sched.Cancel(c.handle)
+	}
+	c.state = cellDone
+	if s.cells[c.sc.Key] == c {
+		delete(s.cells, c.sc.Key)
+	}
+	c.cancel()
+}
+
+// reclassCellLocked moves a waiting cell to the most urgent class among the
+// entries waiting on it (priority inheritance in both directions).  Running
+// and finished cells are left alone.  Caller holds the server mutex.
+func (s *Server) reclassCellLocked(c *cell) {
+	if (c.state != cellProbing && c.state != cellQueued) || len(c.waiters) == 0 {
+		return
+	}
+	want := c.waiters[0].e.class
+	for _, w := range c.waiters[1:] {
+		want = min(want, w.e.class)
+	}
+	switch {
+	case want == c.class:
+	case c.state == cellProbing:
+		c.class = want
+	default:
+		if h, ok := s.sched.Promote(c.handle, want); ok {
+			c.handle, c.class = h, want
+		}
+	}
+}
+
+// ageCellLocked follows a scheduler aging promotion of one queued cell: the
+// cell's class, and every waiting entry less urgent than it, move up — with
+// the entry's jobs and its other queued cells — so a sweep ages as a whole.
+// Caller holds the server mutex.
+func (s *Server) ageCellLocked(c *cell, to sched.Class) {
+	if c.state != cellQueued || to >= c.class {
+		return
+	}
+	c.class = to
+	for _, w := range c.waiters {
+		e := w.e
+		if e.state.Terminal() || to >= e.class {
+			continue
+		}
+		if e.state == StateQueued {
+			s.queuedSweeps[e.class]--
+			s.queuedSweeps[to]++
+		}
+		e.class = to
+		// Attached jobs follow the execution into its effective class: job
+		// views, published events and firehose ?class= filters report where
+		// the work actually runs — and a sibling cancel recomputing urgency
+		// from j.class (see cancelJobLocked) does not demote it right back.
+		for _, j := range e.jobs {
+			if !j.state.Terminal() && to < j.class {
+				j.class = to
+			}
+		}
+		s.reclassCellsLocked(e)
+	}
+}
+
+// reclassCellsLocked re-derives the class of each of an entry's waiting
+// cells after the entry's class changed.  Caller holds the server mutex.
+func (s *Server) reclassCellsLocked(e *entry) {
+	for _, c := range e.cells {
+		if c != nil {
+			s.reclassCellLocked(c)
+		}
+	}
+}

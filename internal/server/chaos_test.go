@@ -67,10 +67,10 @@ func TestChaosSimPanic(t *testing.T) {
 }
 
 // TestChaosJobDeadline verifies timeout_ms: the job turns terminal failed
-// with the deadline reason (and trace phase), the worker slot is freed for
-// the next submission, and the timeout is counted by class.
+// with the deadline reason (and trace phase), the worker running its cell is
+// freed for the next submission, and the timeout is counted by class.
 func TestChaosJobDeadline(t *testing.T) {
-	exec := newBlockingExec()
+	exec := newSteppedExec() // every cell held until released
 	h := newHarness(t, Config{Execute: exec.fn, Shards: 1})
 
 	req := tinyRequest(1)
@@ -79,7 +79,7 @@ func TestChaosJobDeadline(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("POST status = %d, want %d", status, http.StatusAccepted)
 	}
-	<-exec.started // the worker picked it up; never released, only timed out
+	<-exec.started // the worker picked a cell up; never released, only timed out
 
 	failed := h.waitState(view.ID, StateFailed)
 	if failed.Reason != "deadline exceeded" {
@@ -102,8 +102,12 @@ func TestChaosJobDeadline(t *testing.T) {
 		t.Errorf("refrint_job_timeouts_total{class=interactive} = %g, want 1", got)
 	}
 
-	// The single worker is free again: a follow-up is admitted (202) and,
-	// once released, completes.
+	// The sweep's other cell left the scheduler, and the single worker is
+	// free again: a follow-up is admitted (202) and, once released,
+	// completes.
+	if got := metricValue(t, h.metricsText(), "refrint_queue_depth"); got != 0 {
+		t.Errorf("refrint_queue_depth = %g after the deadline, want 0", got)
+	}
 	next, status := h.submit(tinyRequest(2))
 	if status != http.StatusAccepted {
 		t.Fatalf("follow-up POST status = %d, want %d", status, http.StatusAccepted)

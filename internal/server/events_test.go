@@ -15,9 +15,11 @@ import (
 )
 
 // sseConfig returns a Config tuned for streaming tests: fast progress ticks
-// and heartbeats so assertions do not wait on production intervals.
+// and heartbeats so assertions do not wait on production intervals, and one
+// worker so gated cells run one at a time.
 func sseConfig(exec ExecuteFunc) Config {
 	return Config{
+		Shards:           1,
 		Execute:          exec,
 		ProgressInterval: 2 * time.Millisecond,
 		EventHeartbeat:   25 * time.Millisecond,
@@ -124,42 +126,41 @@ func (s *sseStream) until(want ...string) (sseEvent, []sseEvent) {
 	}
 }
 
-// steppedExec is an ExecuteFunc whose progress is driven from the test: each
-// value sent on step is reported as a progress callback; closing release
-// lets the run finish with real tiny-sweep results.
+// steppedExec is a per-cell ExecuteFunc whose progress is driven from the
+// test: every cell announces its sweep's key on started and waits at a
+// gate; each send on step lets one cell finish (with its real result), and
+// closing release lets all of them through.
 type steppedExec struct {
 	started chan string
-	step    chan sweep.Progress
+	step    chan struct{}
 	release chan struct{}
 }
 
 func newSteppedExec() *steppedExec {
 	return &steppedExec{
-		started: make(chan string, 16),
-		step:    make(chan sweep.Progress),
+		started: make(chan string, 64), // past any test's cell count: announcing never blocks
+		step:    make(chan struct{}),
 		release: make(chan struct{}),
 	}
 }
 
-func (x *steppedExec) fn(ctx context.Context, opts sweep.Options, progress func(sweep.Progress)) (*refrint.SweepResults, error) {
+func (x *steppedExec) fn(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error) {
 	x.started <- opts.Key()
-	for {
-		select {
-		case p := <-x.step:
-			progress(p)
-		case <-x.release:
-			return sweep.Execute(sweep.Options{
-				Apps:             opts.Apps,
-				RetentionTimesUS: opts.RetentionTimesUS,
-				Policies:         opts.Policies,
-				EffortScale:      0.05,
-				Seed:             opts.Seed,
-				Workers:          2,
-			})
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	select {
+	case <-x.step:
+	case <-x.release:
+	case <-ctx.Done():
+		return sweep.Run{}, ctx.Err()
 	}
+	return sweep.RunCell(ctx, opts, c)
+}
+
+// steppedRequest is a tiny sweep of five cells (the baseline and four
+// policies), enough steps for the streaming tests.
+func steppedRequest(seed int64) refrint.SweepRequest {
+	req := tinyRequest(seed)
+	req.Policies = []string{"R.valid", "R.dirty", "R.all", "P.all"}
+	return req
 }
 
 // TestSSEJobStreamLifecycle is the acceptance path: a subscriber of a
@@ -169,7 +170,7 @@ func TestSSEJobStreamLifecycle(t *testing.T) {
 	exec := newSteppedExec()
 	h := newHarness(t, sseConfig(exec.fn))
 
-	view, _ := h.submit(tinyRequest(1))
+	view, _ := h.submit(steppedRequest(1))
 	<-exec.started
 	st := h.openSSE("/v1/sweeps/"+view.ID+"/events", "")
 
@@ -181,16 +182,14 @@ func TestSSEJobStreamLifecycle(t *testing.T) {
 		t.Fatalf("initial state = %q, want running", state)
 	}
 
-	exec.step <- sweep.Progress{Done: 1, Total: 4}
+	exec.step <- struct{}{}
 	ev, _ := st.until("progress")
-	if _, p := ev.progressPayload(t); p.Done != 1 {
-		t.Fatalf("first progress done = %d, want 1", p.Done)
+	if _, p := ev.progressPayload(t); p.Done != 1 || p.Total != 5 {
+		t.Fatalf("first progress = %+v, want done 1 of 5", p)
 	}
-	exec.step <- sweep.Progress{Done: 3, Total: 4}
-	ev, _ = st.until("progress")
-	if _, p := ev.progressPayload(t); p.Done != 3 {
-		t.Fatalf("second progress done = %d, want 3", p.Done)
-	}
+	exec.step <- struct{}{}
+	exec.step <- struct{}{}
+	waitProgress(t, st, 3) // the fourth cell is held, so exactly 3
 
 	close(exec.release)
 	term, before := st.until("done", "failed", "cancelled")
@@ -257,7 +256,7 @@ func TestSSECancelledJobFreezesProgress(t *testing.T) {
 	exec := newSteppedExec()
 	h := newHarness(t, sseConfig(exec.fn))
 
-	req := tinyRequest(5)
+	req := steppedRequest(5)
 	first, _ := h.submit(req)
 	<-exec.started
 	second, _ := h.submit(req) // attaches to the same execution
@@ -266,7 +265,7 @@ func TestSSECancelledJobFreezesProgress(t *testing.T) {
 	if ev, ok := st.next(); !ok || ev.name != "state" {
 		t.Fatalf("first event = %+v (ok=%v), want state", ev, ok)
 	}
-	exec.step <- sweep.Progress{Done: 1, Total: 4}
+	exec.step <- struct{}{}
 	if ev, _ := st.until("progress"); ev.name != "progress" {
 		t.Fatal("no progress before cancel")
 	}
@@ -281,7 +280,8 @@ func TestSSECancelledJobFreezesProgress(t *testing.T) {
 	}
 
 	// The shared execution keeps running for the surviving job...
-	exec.step <- sweep.Progress{Done: 3, Total: 4}
+	exec.step <- struct{}{}
+	exec.step <- struct{}{}
 	deadline := time.Now().Add(10 * time.Second)
 	for h.getJob(first.ID).Progress.Done != 3 {
 		if time.Now().After(deadline) {
@@ -313,7 +313,7 @@ func TestSSEBatchStream(t *testing.T) {
 
 	var bv BatchView
 	resp := h.do("POST", "/v1/batches", BatchRequest{
-		Requests: []refrint.SweepRequest{tinyRequest(11)},
+		Requests: []refrint.SweepRequest{steppedRequest(11)},
 	}, &bv)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/batches: status %d", resp.StatusCode)
@@ -327,7 +327,7 @@ func TestSSEBatchStream(t *testing.T) {
 	// The first delta may ride the queued->running "state" event (state
 	// events carry progress, and the bus never duplicates it); once the
 	// state settles, deltas arrive as plain "progress" events.
-	exec.step <- sweep.Progress{Done: 1, Total: 4}
+	exec.step <- struct{}{}
 	for done := 0; done != 1; {
 		ev, ok := st.next()
 		if !ok {
@@ -336,7 +336,7 @@ func TestSSEBatchStream(t *testing.T) {
 		_, p := ev.progressPayload(t)
 		done = p.Done
 	}
-	exec.step <- sweep.Progress{Done: 2, Total: 4}
+	exec.step <- struct{}{}
 	ev, _ := st.until("progress")
 	if _, p := ev.progressPayload(t); p.Done != 2 {
 		t.Fatalf("batch progress done = %d, want 2", p.Done)

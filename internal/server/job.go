@@ -1,14 +1,25 @@
 // Package server turns the Refrint sweep harness into a long-running
-// service: an HTTP API over a bounded priority-aware scheduler (see
-// internal/sched) that executes sweeps via sweep.ExecuteContext, and a keyed
-// result cache that deduplicates identical submissions (singleflight), so
-// any number of clients asking for the same sweep cost one simulation run.
+// service: an HTTP API over one bounded, priority-aware pool of simulation
+// workers (see internal/sched), plus a keyed result cache that deduplicates
+// identical submissions (singleflight), so any number of clients asking for
+// the same sweep cost one run.
+//
+// The unit of work is the simulation cell, not the sweep (cells.go).  An
+// admitted sweep enumerates its cells (sweep.Cells); each cell that is
+// neither stored nor already in flight becomes one scheduler item,
+// inheriting the job's priority class and client label.  An in-flight table
+// keyed by sweep.CellKey attaches later sweeps to cells that are queued or
+// running — overlapping sweeps, not only identical ones, simulate each
+// shared cell once — and promotes a cell to the most urgent class waiting on
+// it.  A sweep's last cell assembles its Results (sweep.Assemble).
 //
 // Submissions carry an optional priority class — interactive (the default
 // for POST /v1/sweeps) > batch (the default inside POST /v1/batches) >
 // background — and an optional client label for fair-share dequeue between
-// tenants.  Workers steal across queues, so no worker idles while any queue
-// holds work, and cancelling a queued job frees its bounded queue slot
+// tenants.  Because workers take one cell at a time, an interactive sweep
+// waits for at most one running cell per worker, never for a whole
+// background sweep.  Admission is bounded per class in queued sweeps (HTTP
+// 503 beyond the bound), and cancelling a queued job frees its slot
 // immediately.
 //
 // Job lifecycle:
@@ -20,19 +31,21 @@
 // Jobs are the client-visible unit; executions are shared.  Two jobs whose
 // requests have the same canonical key (sweep.Options.Key) attach to one
 // execution entry, and a job submitted after that entry completed is served
-// from the result cache without running anything.
+// from the result cache without running anything.  An execution that is
+// cancelled, fails or outlives its deadline withdraws from its cells: the
+// queued ones no other sweep waits on leave the scheduler, and the running
+// ones stop.
 //
 // Progress is observable two ways: polling (GET /v1/sweeps/{id}) and
 // streaming (GET /v1/sweeps/{id}/events, /v1/batches/{id}/events and the
-// /v1/events firehose — SSE; see events.go).  Either way the per-simulation
-// accounting underneath is lock-free: sweep workers advance per-execution
-// atomic counters and a publish tick folds them into views, metrics and
-// events.
+// /v1/events firehose — SSE; see events.go).  Either way the per-execution
+// counters are atomics advanced as cells complete, and a publish tick folds
+// them into views, metrics and events.
 //
 // With a persistent store attached (Config.Store), completed sweeps and
 // individual simulation cells survive restarts: submissions and result
-// fetches check the store behind the in-memory cache, and running sweeps
-// skip every cell the store already holds.
+// fetches check the store behind the in-memory cache, and a fresh cell is
+// looked up in the store before it is queued.
 package server
 
 import (

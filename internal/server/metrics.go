@@ -44,6 +44,8 @@ type metricsSnapshot struct {
 	sweepHits        int64
 	sweepMisses      int64
 	sweepEvicted     [sched.NumClasses]int64
+	inflightJoins    int64
+	queuedSweeps     [sched.NumClasses]int
 	panics           map[string]int64
 	jobTimeouts      [sched.NumClasses]int64
 	windowed         float64
@@ -53,13 +55,15 @@ type metricsSnapshot struct {
 // Caller holds the server mutex.
 func (s *Server) snapshotMetricsLocked() metricsSnapshot {
 	snap := metricsSnapshot{
-		byState:      make(map[State]int, 5),
-		batches:      len(s.batches),
-		sweepHits:    s.sweepCacheHits,
-		sweepMisses:  s.sweepCacheMisses,
-		sweepEvicted: s.sweepCacheEvicted,
-		panics:       make(map[string]int64, len(s.panicsTotal)),
-		jobTimeouts:  s.jobTimeouts,
+		byState:       make(map[State]int, 5),
+		batches:       len(s.batches),
+		sweepHits:     s.sweepCacheHits,
+		sweepMisses:   s.sweepCacheMisses,
+		sweepEvicted:  s.sweepCacheEvicted,
+		inflightJoins: s.inflightJoins,
+		queuedSweeps:  s.queuedSweeps,
+		panics:        make(map[string]int64, len(s.panicsTotal)),
+		jobTimeouts:   s.jobTimeouts,
 	}
 	for site, n := range s.panicsTotal {
 		snap.panics[site] = n
@@ -113,29 +117,33 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 
 	fmt.Fprintf(b, "# HELP refrint_build_info Build metadata of the running binary (constant 1).\n# TYPE refrint_build_info gauge\nrefrint_build_info{%s} 1\n", buildInfoLabels)
 
-	gauge("refrint_queue_depth", "Sweep executions waiting in scheduler queues (all classes).", queued)
+	gauge("refrint_queue_depth", "Simulation cells waiting in scheduler queues (all classes).", queued)
 
-	fmt.Fprintf(b, "# HELP refrint_sched_queue_depth Sweep executions waiting, by priority class.\n# TYPE refrint_sched_queue_depth gauge\n")
+	fmt.Fprintf(b, "# HELP refrint_sched_queue_depth Simulation cells waiting in scheduler queues, by priority class.\n# TYPE refrint_sched_queue_depth gauge\n")
 	for c := sched.Class(0); c < sched.NumClasses; c++ {
 		fmt.Fprintf(b, "refrint_sched_queue_depth{class=%q} %d\n", c.String(), sst.Queued[c])
 	}
+	fmt.Fprintf(b, "# HELP refrint_sweeps_queued Admitted sweeps none of whose cells has started, by priority class (what the per-class admission bounds limit).\n# TYPE refrint_sweeps_queued gauge\n")
+	for c := sched.Class(0); c < sched.NumClasses; c++ {
+		fmt.Fprintf(b, "refrint_sweeps_queued{class=%q} %d\n", c.String(), snap.queuedSweeps[c])
+	}
 	counter("refrint_sched_steals_total", "Dequeues where an idle worker took work homed to a sibling.", sst.Steals)
 	writeHistogramFamily(b, "refrint_sched_wait_seconds",
-		"Submit-to-dequeue latency of sweep executions, by priority class.",
+		"Submit-to-dequeue latency of simulation cells, by priority class.",
 		s.classHistogramSeries(&s.schedWait))
 	writeHistogramFamily(b, "refrint_exec_seconds",
-		"Wall time sweep executions spent on a worker (dequeue to terminal), by priority class.",
+		"Wall time of sweep executions from their first cell starting to terminal, by priority class.",
 		s.classHistogramSeries(&s.execSeconds))
 	writeHistogramFamily(b, "refrint_http_request_seconds",
 		"HTTP request latency, by route pattern and status code.",
 		s.httpMetrics.series())
-	fmt.Fprintf(b, "# HELP refrint_sched_aged_total Queued sweeps aged into a more urgent class after waiting past the age threshold.\n# TYPE refrint_sched_aged_total counter\n")
+	fmt.Fprintf(b, "# HELP refrint_sched_aged_total Queued cells aged into a more urgent class after waiting past the age threshold.\n# TYPE refrint_sched_aged_total counter\n")
 	for to := sched.Class(0); to < sched.NumClasses-1; to++ {
 		from := to + 1
 		fmt.Fprintf(b, "refrint_sched_aged_total{from=%q,to=%q} %d\n", from.String(), to.String(), sst.Aged[from][to])
 	}
-	gauge("refrint_sched_workers", "Worker goroutines executing sweeps.", sst.Workers)
-	gauge("refrint_sched_busy_workers", "Workers currently running a sweep.", sst.Busy)
+	gauge("refrint_sched_workers", "Worker goroutines simulating cells.", sst.Workers)
+	gauge("refrint_sched_busy_workers", "Workers currently simulating a cell.", sst.Busy)
 	gauge("refrint_batches", "Batches currently pollable.", snap.batches)
 
 	fmt.Fprintf(b, "# HELP refrint_jobs Jobs by lifecycle state.\n# TYPE refrint_jobs gauge\n")
@@ -147,6 +155,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	gauge("refrint_sweep_inflight", "Sweep executions currently queued or running.", snap.inflight)
 	counter("refrint_sweep_cache_hits_total", "Submissions answered immediately from the sweep cache or store.", snap.sweepHits)
 	counter("refrint_sweep_cache_misses_total", "Submissions that required a live execution.", snap.sweepMisses)
+	counter("refrint_cell_inflight_joins_total", "Sweep cells that joined a simulation already in flight instead of running their own.", snap.inflightJoins)
 	fmt.Fprintf(b, "# HELP refrint_sweep_cache_evicted_total Completed sweeps evicted from the in-memory cache, by the execution's priority class.\n# TYPE refrint_sweep_cache_evicted_total counter\n")
 	for c := sched.Class(0); c < sched.NumClasses; c++ {
 		fmt.Fprintf(b, "refrint_sweep_cache_evicted_total{class=%q} %d\n", c.String(), snap.sweepEvicted[c])
@@ -197,7 +206,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	if st := s.cfg.Store; st != nil {
 		ss := st.Stats()
 		counter("refrint_cell_cache_hits_total", "Simulation cells served from the persistent store.", ss.CellHits)
-		counter("refrint_cell_cache_misses_total", "Simulation cells that had to be computed.", ss.CellMisses)
+		counter("refrint_cell_cache_misses_total", "Simulation cells that had to be computed (cells already in flight are joined before the store is asked).", ss.CellMisses)
 		counter("refrint_store_sweep_hits_total", "Whole-sweep store reads that hit.", ss.SweepHits)
 		counter("refrint_store_sweep_misses_total", "Whole-sweep store reads that missed.", ss.SweepMisses)
 		gauge("refrint_store_entries", "Blobs currently persisted in the store.", ss.Entries)

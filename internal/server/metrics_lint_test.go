@@ -176,6 +176,9 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"refrint_gc_pause_seconds_total",
 		"refrint_store_entries",
 		"refrint_client_throttled_total",
+		"refrint_cell_cache_misses_total",
+		"refrint_cell_inflight_joins_total",
+		"refrint_sweeps_queued",
 	} {
 		if !seen[f] {
 			t.Errorf("fully-populated exposition missing family %q", f)

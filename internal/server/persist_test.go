@@ -15,12 +15,12 @@ import (
 	"refrint/internal/sweep"
 )
 
-// countingExec is the real executor with an invocation counter, so tests
-// can assert "no new simulations ran".
+// countingExec is the real per-cell executor with an invocation counter, so
+// tests can assert how many cells were simulated.
 func countingExec(calls *atomic.Int64) ExecuteFunc {
-	return func(ctx context.Context, opts sweep.Options, progress func(sweep.Progress)) (*refrint.SweepResults, error) {
+	return func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error) {
 		calls.Add(1)
-		return sweep.ExecuteContext(ctx, opts, progress)
+		return sweep.RunCell(ctx, opts, c)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestRestartServesPersistedSweep(t *testing.T) {
 			status, again.State, again.CacheHit)
 	}
 	if n := calls2.Load(); n != 0 {
-		t.Fatalf("restarted server ran %d executions, want 0", n)
+		t.Fatalf("restarted server simulated %d cells, want 0", n)
 	}
 
 	// An unknown key is still a 404, not a 500.

@@ -1,14 +1,12 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"testing"
 	"time"
 
 	"refrint"
 	"refrint/internal/sched"
-	"refrint/internal/sweep"
 )
 
 // schedMetric fetches /metrics and extracts one sample (mustKey, getText and
@@ -177,7 +175,7 @@ func TestWorkStealingKeepsWorkersBusy(t *testing.T) {
 		}
 	}
 	<-exec.started
-	<-exec.started // two sweeps running: one of the two dequeues was a steal
+	<-exec.started // two sweeps running: one of the dequeues was a steal
 
 	deadline := time.Now().Add(5 * time.Second)
 	for h.schedMetric("refrint_sched_busy_workers") != 2 {
@@ -189,14 +187,16 @@ func TestWorkStealingKeepsWorkersBusy(t *testing.T) {
 	if v := h.schedMetric("refrint_sched_steals_total"); v < 1 {
 		t.Fatalf("steals_total = %v with a one-homed load on two busy workers, want >= 1", v)
 	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="background"}`); v != 1 {
-		t.Fatalf("background queue depth = %v, want 1 (third hot sweep waiting)", v)
+	// The queues hold cells: the third hot sweep's two.  Four cells were
+	// dequeued: both cells of each of the two running sweeps.
+	if v := h.schedMetric(`refrint_sched_queue_depth{class="background"}`); v != 2 {
+		t.Fatalf("background queue depth = %v, want 2 (third hot sweep's cells waiting)", v)
 	}
-	if v := h.schedMetric("refrint_queue_depth"); v != 1 {
-		t.Fatalf("total queue depth = %v, want 1", v)
+	if v := h.schedMetric("refrint_queue_depth"); v != 2 {
+		t.Fatalf("total queue depth = %v, want 2", v)
 	}
-	if v := h.schedMetric(`refrint_sched_wait_seconds_count{class="background"}`); v != 2 {
-		t.Fatalf("wait count = %v, want 2 dequeues observed", v)
+	if v := h.schedMetric(`refrint_sched_wait_seconds_count{class="background"}`); v != 4 {
+		t.Fatalf("wait count = %v, want 4 dequeues observed", v)
 	}
 
 	// An interactive arrival overtakes the still-queued background sweep.
@@ -211,52 +211,49 @@ func TestWorkStealingKeepsWorkersBusy(t *testing.T) {
 }
 
 // TestPercentClampedWhileRunning pins the progress-bar fix: a sweep whose
-// progress callback reports done == total while export/persist is still in
-// flight must show 99%, reaching 100 only in a terminal state.
+// cells have all completed while its sweep blob is still being persisted
+// must show 99%, reaching 100 only in a terminal state.  Store writes are
+// slowed down to hold that window open.
 func TestPercentClampedWhileRunning(t *testing.T) {
-	started := make(chan string, 1)
-	release := make(chan struct{})
-	h := newHarness(t, Config{
-		Execute: func(ctx context.Context, opts sweep.Options, progress func(sweep.Progress)) (*refrint.SweepResults, error) {
-			progress(sweep.Progress{Done: 2, Total: 2}) // all sims finished...
-			started <- opts.Key()
-			select { // ...but the sweep has not returned yet
-			case <-release:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+	st := openStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	h := newHarness(t, Config{Store: st})
+	enableFaults(t, "store.put:latency:300ms")
+
+	// allCellsDone polls until the job's every cell has completed.
+	allCellsDone := func(id string) JobView {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			v := h.getJob(id)
+			if v.Progress.Total > 0 && v.Progress.Done == v.Progress.Total {
+				return v
 			}
-			return sweep.Execute(sweep.Options{
-				Apps:             opts.Apps,
-				RetentionTimesUS: opts.RetentionTimesUS,
-				Policies:         opts.Policies,
-				EffortScale:      0.05,
-				Seed:             opts.Seed,
-				Workers:          2,
-			})
-		},
-	})
+			if v.State.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("job %s: state %q progress %+v before all cells completed", id, v.State, v.Progress)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	view, _ := h.submit(tinyRequest(1))
-	<-started
-	mid := h.waitState(view.ID, StateRunning)
-	if mid.Progress.Done != 2 || mid.Progress.Total != 2 {
-		t.Fatalf("running progress = %+v, want done 2/2", mid.Progress)
+	mid := allCellsDone(view.ID)
+	if mid.State != StateRunning || mid.Progress.Done != 2 {
+		t.Fatalf("persisting job = state %q progress %+v, want running with done 2/2", mid.State, mid.Progress)
 	}
 	if mid.Progress.Percent != 99 {
 		t.Fatalf("running job with done==total shows %d%%, want 99 (100 must mean terminal)", mid.Progress.Percent)
 	}
-	// A cancelled job whose simulations all completed also stays at 99:
-	// 100 strictly means done.  (Cancelled before release closes, so its
-	// execution observes only the context cancellation.)
+	// A job cancelled with all its simulations complete also stays at 99:
+	// 100 strictly means done.
 	view2, _ := h.submit(tinyRequest(2))
-	<-started
-	h.do("DELETE", "/v1/sweeps/"+view2.ID, nil, nil)
-	cancelled := h.waitState(view2.ID, StateCancelled)
-	if cancelled.Progress.Percent != 99 {
-		t.Fatalf("cancelled job with done==total shows %d%%, want 99", cancelled.Progress.Percent)
+	allCellsDone(view2.ID)
+	var cancelled JobView
+	h.do("DELETE", "/v1/sweeps/"+view2.ID, nil, &cancelled)
+	if cancelled.State != StateCancelled || cancelled.Progress.Percent != 99 {
+		t.Fatalf("cancelled job = state %q, %d%%, want cancelled at 99", cancelled.State, cancelled.Progress.Percent)
 	}
 
-	close(release)
 	done := h.waitState(view.ID, StateDone)
 	if done.Progress.Percent != 100 {
 		t.Fatalf("done job shows %d%%, want 100", done.Progress.Percent)
@@ -353,8 +350,11 @@ func TestCancelUrgentJobDemotesEntry(t *testing.T) {
 	urgent.Priority = "interactive"
 	uview, _ := h.submit(urgent) // attaches and promotes to interactive
 
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 1 {
-		t.Fatalf("interactive depth = %v after promotion, want 1", v)
+	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
+		t.Fatalf("interactive queued sweeps = %v after promotion, want 1", v)
+	}
+	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 2 {
+		t.Fatalf("interactive depth = %v after promotion, want 2 (the sweep's cells)", v)
 	}
 	other := tinyRequest(6)
 	other.Priority = "interactive"
@@ -364,11 +364,14 @@ func TestCancelUrgentJobDemotesEntry(t *testing.T) {
 
 	// Cancelling the urgent job demotes the execution back to background.
 	h.do("DELETE", "/v1/sweeps/"+uview.ID, nil, nil)
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 0 {
-		t.Fatalf("interactive depth = %v after urgent cancel, want 0 (entry demoted)", v)
+	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 0 {
+		t.Fatalf("interactive queued sweeps = %v after urgent cancel, want 0 (entry demoted)", v)
 	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="background"}`); v != 1 {
-		t.Fatalf("background depth = %v after urgent cancel, want 1", v)
+	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 0 {
+		t.Fatalf("interactive depth = %v after urgent cancel, want 0 (cells demoted)", v)
+	}
+	if v := h.schedMetric(`refrint_sched_queue_depth{class="background"}`); v != 2 {
+		t.Fatalf("background depth = %v after urgent cancel, want 2", v)
 	}
 	if _, status := h.submit(other); status != http.StatusAccepted {
 		t.Fatalf("interactive submit after demotion: status %d, want 202 (slot freed)", status)

@@ -22,28 +22,30 @@ import (
 	"refrint/internal/workload"
 )
 
-// ExecuteFunc runs one sweep.  The default is sweep.ExecuteContext; tests
-// substitute instrumented implementations to count runs and control timing.
-type ExecuteFunc func(ctx context.Context, opts sweep.Options, progress func(sweep.Progress)) (*refrint.SweepResults, error)
+// ExecuteFunc runs one simulation cell of a sweep.  The default is
+// sweep.RunCell; tests substitute instrumented implementations to count and
+// gate simulations.  ctx is cancelled when no sweep waits on the cell any
+// more (or the server closes).
+type ExecuteFunc func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error)
 
 // Config tunes the service.  The zero value is usable.
 type Config struct {
-	// Shards is the number of worker goroutines (default 2).  Each worker
-	// runs one sweep at a time; a sweep itself parallelizes internally.
-	// Workers steal across queues, so the name is historical: submissions
-	// are homed to a worker by key hash but never stuck behind it.
+	// Shards is the number of simulation workers (default NumCPU): the one
+	// pool that runs every sweep's cells, one cell per worker at a time.
+	// Workers steal across queues, so the name is historical: cells are
+	// homed to a worker by their sweep's key hash but never stuck behind it.
 	Shards int
 	// QueueDepth scales the pending-execution bound (default 8): each
-	// priority class admits Shards*QueueDepth queued sweeps unless
-	// ClassQueueDepth overrides it.  Submissions beyond the bound get HTTP
-	// 503.
+	// priority class admits Shards*QueueDepth queued sweeps — admitted
+	// sweeps none of whose cells has started — unless ClassQueueDepth
+	// overrides it.  Submissions beyond the bound get HTTP 503.
 	QueueDepth int
 	// ClassQueueDepth, where positive, bounds the queued sweeps of one
 	// priority class (indexed by sched.Class) instead of Shards*QueueDepth.
 	ClassQueueDepth [sched.NumClasses]int
 	// ClassWeights are the weighted-fair dequeue shares per priority class
 	// (default sched.DefaultWeights, 16/4/1): with every class backlogged,
-	// one dequeue cycle serves that many sweeps of each class, most urgent
+	// one dequeue cycle serves that many cells of each class, most urgent
 	// first.
 	ClassWeights [sched.NumClasses]int
 	// CacheEntries bounds how many completed sweeps are kept for reuse
@@ -57,10 +59,6 @@ type Config struct {
 	// BatchHistory bounds how many finished batches remain pollable
 	// (default 256), like JobHistory for /v1/batches handles.
 	BatchHistory int
-	// SweepWorkers caps the intra-sweep simulation concurrency per job
-	// (default: NumCPU divided by Shards, at least 1), so concurrent jobs
-	// do not oversubscribe the machine.
-	SweepWorkers int
 	// EventBuffer bounds each SSE subscriber's pending-event queue
 	// (default 64).  Progress events coalesce (latest wins) and overflow
 	// drops intermediate events, so a slow subscriber never blocks
@@ -84,21 +82,23 @@ type Config struct {
 	// never be admitted for a rate-limited client.
 	ClientBurst int
 	// AgeAfter, where positive, turns on queue-wait aging in the scheduler:
-	// a sweep queued longer than AgeAfter ages one class up (background
+	// a cell queued longer than AgeAfter ages one class up (background
 	// into batch, batch into interactive) without losing its client
-	// fair-share slot, so interactive floods cannot starve queued
-	// low-priority work forever.  The default (0) disables aging.
+	// fair-share slot, taking its sweep's other cells along, so interactive
+	// floods cannot starve queued low-priority work forever.  The default
+	// (0) disables aging.
 	AgeAfter time.Duration
 	// EventLog bounds the per-topic SSE event log used to replay missed
 	// events on Last-Event-ID reconnects (default 64 events per topic).
 	EventLog int
-	// JobTimeout, where positive, bounds each sweep execution's wall time:
-	// the sweep runs under a context deadline and one that outlives it turns
-	// terminal failed with a deadline-exceeded reason, freeing its worker.
+	// JobTimeout, where positive, bounds each sweep execution's wall time
+	// from its first cell starting: one that outlives it turns terminal
+	// failed with a deadline-exceeded reason, and its cells no other sweep
+	// waits on leave the scheduler (or stop running).
 	// A request's timeout_ms field may only lower the bound, never raise or
 	// disable it.  The default (0) imposes no server-wide deadline.
 	JobTimeout time.Duration
-	// Execute runs a sweep (default sweep.ExecuteContext).
+	// Execute runs one simulation cell (default sweep.RunCell).
 	Execute ExecuteFunc
 	// Store, when set, persists completed sweeps and individual simulation
 	// cells: restarts serve previously completed sweeps without re-running
@@ -117,7 +117,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
-		c.Shards = 2
+		c.Shards = runtime.NumCPU()
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
@@ -136,9 +136,6 @@ func (c Config) withDefaults() Config {
 			c.ClassQueueDepth[class] = c.Shards * c.QueueDepth
 		}
 	}
-	if c.SweepWorkers <= 0 {
-		c.SweepWorkers = max(1, runtime.NumCPU()/c.Shards)
-	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = 64
 	}
@@ -152,9 +149,7 @@ func (c Config) withDefaults() Config {
 		c.EventLog = 64
 	}
 	if c.Execute == nil {
-		c.Execute = func(ctx context.Context, opts sweep.Options, progress func(sweep.Progress)) (*refrint.SweepResults, error) {
-			return sweep.ExecuteContext(ctx, opts, progress)
-		}
+		c.Execute = sweep.RunCell
 	}
 	switch {
 	case c.Logger == nil && c.Logf == nil:
@@ -185,21 +180,29 @@ type Server struct {
 
 	startedAt time.Time
 
-	// mu guards jobs, jobOrder, batches, batchOrder, cache, nextID,
-	// nextBatchID, closed, the metrics counters and every mutable
-	// Job/Batch/entry field.  Every scheduler mutation (Submit, Cancel,
-	// Promote) happens under mu too, which is what makes the batch
-	// endpoint's capacity-check-then-submit atomic; lock order is always
-	// s.mu -> sched's internal mutex.
-	mu          sync.Mutex
-	jobs        map[string]*Job
-	jobOrder    []string
-	batches     map[string]*Batch
-	batchOrder  []string
-	cache       *resultCache
-	nextID      int
-	nextBatchID int
-	closed      bool
+	// mu guards jobs, jobOrder, batches, batchOrder, cache, cells, probes,
+	// queuedSweeps, nextID, nextBatchID, closed, the metrics counters and
+	// every mutable Job/Batch/entry/cell field.  Every scheduler mutation
+	// (Submit, Cancel, Promote) happens under mu too, which is what makes
+	// the batch endpoint's capacity-check-then-submit atomic; lock order is
+	// always s.mu -> sched's internal mutex.
+	mu         sync.Mutex
+	jobs       map[string]*Job
+	jobOrder   []string
+	batches    map[string]*Batch
+	batchOrder []string
+	cache      *resultCache
+	// cells is the in-flight table: every cell being probed, queued or
+	// simulated, by key (cells.go).  probes holds the fresh cells awaiting
+	// their store lookup.  queuedSweeps counts, per class, the admitted
+	// entries none of whose cells has started: what the per-class
+	// admission bounds (Config.ClassQueueDepth) limit.
+	cells        map[sweep.CellKey]*cell
+	probes       []*cell
+	queuedSweeps [sched.NumClasses]int
+	nextID       int
+	nextBatchID  int
+	closed       bool
 	// draining means BeginDrain ran: submissions answer 503 with a
 	// Retry-After of drainRetryAfter seconds and /healthz reports closing,
 	// while admitted work keeps running to its own terminal state.
@@ -210,6 +213,7 @@ type Server struct {
 	sweepCacheHits    int64                   // submissions answered done immediately (memory or store)
 	sweepCacheMisses  int64                   // submissions that enqueued or attached to a live execution
 	sweepCacheEvicted [sched.NumClasses]int64 // result-cache evictions by execution class
+	inflightJoins     int64                   // sweep cells that joined a cell already in flight
 	// panicsTotal counts recovered panics by site: "sim" (inside a sweep
 	// cell), "exec" (the Execute wrapper), "sched" (scheduler callbacks) and
 	// "tick" (the SSE publish tick).  Every recovery is also logged with its
@@ -250,6 +254,7 @@ func New(cfg Config) *Server {
 		mux:         http.NewServeMux(),
 		bus:         newEventBus(cfg.EventBuffer, cfg.EventLog),
 		jobs:        make(map[string]*Job),
+		cells:       make(map[sweep.CellKey]*cell),
 		batches:     make(map[string]*Batch),
 		cache:       newResultCache(cfg.CacheEntries),
 		startedAt:   time.Now(),
@@ -260,59 +265,46 @@ func New(cfg Config) *Server {
 		panicsTotal: make(map[string]int64),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	// The scheduler queues cells, not sweeps: admission is bounded per class
+	// in queued sweeps (queuedSweeps), so its own per-class depth is
+	// unbounded.
+	unbounded := [sched.NumClasses]int{math.MaxInt, math.MaxInt, math.MaxInt}
 	s.sched = sched.New(sched.Config{
 		Workers:  cfg.Shards,
-		Depth:    cfg.ClassQueueDepth,
+		Depth:    unbounded,
 		Weights:  cfg.ClassWeights,
 		AgeAfter: cfg.AgeAfter,
-		// Keep the server's view of an aged execution's class in sync.  The
-		// callback runs outside the scheduler mutex, so taking s.mu here
-		// respects the s.mu -> sched lock order.
+		// Keep the server's view of an aged cell — and of its sweeps — in
+		// sync.  The callback runs outside the scheduler mutex, so taking s.mu
+		// here respects the s.mu -> sched lock order.
 		OnAge: func(payload any, from, to sched.Class) {
-			e := payload.(*entry)
+			c := payload.(*cell)
 			s.mu.Lock()
-			if !e.state.Terminal() && to < e.class {
-				e.class = to
-				// Attached jobs follow the execution into its effective
-				// class: job views, published events and firehose ?class=
-				// filters report where the work actually runs — and a
-				// sibling cancel recomputing urgency from j.class (see
-				// cancelJobLocked) does not demote the entry right back.
-				for _, j := range e.jobs {
-					if !j.state.Terminal() && to < j.class {
-						j.class = to
-					}
-				}
-			}
+			s.ageCellLocked(c, to)
 			s.mu.Unlock()
-			s.cfg.Logf("sweep %s: aged %s -> %s after queue wait", e.key, from, to)
+			s.cfg.Logf("cell %s/%s: aged %s -> %s after queue wait", c.sc.App, c.sc.Point.Key(), from, to)
 		},
 		// OnDequeue runs on the worker goroutine with no scheduler lock
-		// held: it feeds the per-class queue-wait histogram and stamps the
-		// dequeued phase on every job riding the execution.
+		// held: it feeds the per-class queue-wait histogram.
 		OnDequeue: func(payload any, class sched.Class, wait time.Duration) {
 			if class >= 0 && class < sched.NumClasses {
 				s.schedWait[class].Observe(wait.Seconds())
 			}
-			e := payload.(*entry)
-			s.mu.Lock()
-			markJobsLocked(e, phaseDequeued, time.Now())
-			s.mu.Unlock()
 		},
 		// OnPanic is the scheduler-side containment boundary: a panic that
-		// escapes runEntry (or the hooks above) loses only its execution —
-		// the worker survives — and the entry is failed here so its jobs
-		// reach a terminal state instead of hanging forever.
+		// escapes runCell (or the hooks above) loses only its cell — the
+		// worker survives — and the cell is failed here so its sweeps reach a
+		// terminal state instead of hanging forever.
 		OnPanic: func(payload any, recovered any, stack []byte) {
 			s.recordPanic("sched", recovered, stack)
-			if e, ok := payload.(*entry); ok {
+			if c, ok := payload.(*cell); ok {
 				s.mu.Lock()
-				s.finishLocked(e, nil, fmt.Errorf("sweep execution panicked: %v: %w", recovered, errPanicked))
+				s.cellDoneLocked(c, sweep.Run{}, fmt.Errorf("cell execution panicked: %v: %w", recovered, errPanicked))
 				s.mu.Unlock()
 			}
 		},
 	})
-	s.sched.Start(func(payload any) { s.runEntry(payload.(*entry)) })
+	s.sched.Start(func(payload any) { s.runCell(payload.(*cell)) })
 	go func() {
 		defer close(s.loopDone)
 		s.progressLoop()
@@ -424,83 +416,6 @@ func (s *Server) effectiveTimeout(ms int64) time.Duration {
 	return d
 }
 
-// runEntry executes one shared sweep on a worker shard.
-func (s *Server) runEntry(e *entry) {
-	s.mu.Lock()
-	if e.ctx.Err() != nil || e.state.Terminal() {
-		// Cancelled while still queued (or the server is closing).
-		s.finishLocked(e, nil, context.Canceled)
-		s.mu.Unlock()
-		return
-	}
-	e.state = StateRunning
-	now := time.Now()
-	e.execStart = now
-	for _, j := range e.jobs {
-		if j.state == StateQueued {
-			j.state = StateRunning
-			j.startedAt = now
-			j.trace.mark(phaseExecuting, now)
-			s.publishJobLocked(j, eventState)
-		}
-	}
-	class := e.class
-	s.mu.Unlock()
-	s.cfg.Logf("sweep %s: running (%d sims)", e.key, e.total.Load())
-
-	// With a store attached, individual cells already computed by earlier
-	// (possibly different) sweeps are served from it instead of simulating,
-	// and fresh cells are persisted as they complete.  Persisted artifacts
-	// carry the execution's class as their eviction rank, so when the store
-	// fills, background results go before batch before interactive.
-	opts := e.opts
-	if st := s.cfg.Store; st != nil {
-		opts.CellLookup, opts.CellPut = st.CellHooksRanked(int(class), s.cfg.Logf)
-	}
-
-	// The deadline is layered on e.ctx, so finishLocked can still tell a
-	// timeout (execCtx expired, e.ctx fine) from a cancellation (e.ctx
-	// itself is dead).
-	execCtx, cancelTimeout := e.ctx, context.CancelFunc(func() {})
-	if e.timeout > 0 {
-		execCtx, cancelTimeout = context.WithTimeout(e.ctx, e.timeout)
-	}
-	res, err := s.executeGuarded(execCtx, opts, e)
-	cancelTimeout()
-
-	// Persist the completed sweep before (and outside) the mutexed state
-	// transition: the blob can be large, so the write must not stall
-	// handlers or progress callbacks — and once a job is observably done,
-	// its result is already durable.
-	if err == nil && s.cfg.Store != nil {
-		s.mu.Lock()
-		markJobsLocked(e, phasePersisting, time.Now())
-		s.mu.Unlock()
-		if perr := s.cfg.Store.PutRanked(store.KindSweep, e.key, int(class), res); perr != nil {
-			s.cfg.Logf("store: persisting sweep %s: %v", e.key, perr)
-		}
-	}
-
-	s.mu.Lock()
-	s.finishLocked(e, res, err)
-	s.mu.Unlock()
-}
-
-// executeGuarded runs the configured Execute behind a recover guard.  The
-// sweep package already converts per-cell panics into errors; this is the
-// last line of defense for panics in Execute implementations, progress
-// plumbing or store hooks outside the cells — a recovered panic fails the
-// job instead of killing the worker.
-func (s *Server) executeGuarded(ctx context.Context, opts sweep.Options, e *entry) (res *refrint.SweepResults, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.recordPanic("exec", r, debug.Stack())
-			res, err = nil, fmt.Errorf("sweep execution panicked: %v: %w", r, errPanicked)
-		}
-	}()
-	return s.cfg.Execute(ctx, opts, s.progressCallback(e))
-}
-
 // errPanicked marks errors synthesized from recovered panics outside the
 // sweep's own per-cell guard, so finishLocked can attribute the failure
 // reason without string matching.
@@ -520,12 +435,11 @@ func (s *Server) recordPanic(site string, recovered any, stack []byte) {
 }
 
 // progressCallback returns the per-simulation progress hook for one
-// execution.  This is the server's hottest path — the zero-alloc simulator
-// finishes a sim every few milliseconds on every worker — so it takes NO
-// locks and allocates nothing: the counters are atomics, and everything
-// derived from them (windowed rate, SSE progress events, /metrics) is
-// folded on the publish tick or at read time instead.  Out-of-order
-// callbacks from concurrent sweep workers are absorbed by the CAS-max loop.
+// execution, called for every cell delivered to it.  It allocates nothing
+// and takes no locks: the counters are atomics, and everything derived from
+// them (windowed rate, SSE progress events, /metrics) is folded on the
+// publish tick or at read time instead.  Out-of-order calls are absorbed by
+// the CAS-max loop.
 func (s *Server) progressCallback(e *entry) func(sweep.Progress) {
 	//refrint:alloc-free
 	return func(p sweep.Progress) {
@@ -666,16 +580,24 @@ func (s *Server) publishBatchLocked(b *Batch) {
 	}
 }
 
-// finishLocked moves an execution and its attached jobs to a terminal state.
-// Caller holds the server mutex.
+// finishLocked moves an execution and its attached jobs to a terminal state:
+// done with res when err is nil; otherwise failed, or cancelled for
+// context.Canceled.  An execution that did not complete withdraws from its
+// outstanding cells.  Caller holds the server mutex.
 func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
 	if e.state.Terminal() {
 		return
 	}
 	now := time.Now()
+	if e.state == StateQueued {
+		s.queuedSweeps[e.class]--
+	}
+	if e.timer != nil {
+		e.timer.Stop()
+	}
 	if !e.execStart.IsZero() {
-		// The execution occupied a worker (done, failed, or cancelled
-		// mid-run — never for a cancel while still queued).
+		// The execution started (done, failed, or cancelled mid-run —
+		// never for a cancel while still queued).
 		s.execSeconds[e.class].Observe(now.Sub(e.execStart).Seconds())
 	}
 	switch {
@@ -687,47 +609,30 @@ func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
 			s.sweepCacheEvicted[cl]++
 		}
 		s.cfg.Logf("sweep %s: done", e.key)
-	case e.ctx.Err() != nil:
-		// The execution's own context died (client cancel or shutdown).
-		// Checked before the deadline: a sweep cancelled while also racing
-		// its per-job timeout is a cancellation, not a timeout.
-		e.state = StateCancelled
-		e.err = context.Canceled
-		s.cache.drop(e)
-		s.cfg.Logf("sweep %s: cancelled", e.key)
 	case errors.Is(err, context.DeadlineExceeded):
 		e.state = StateFailed
 		e.err = fmt.Errorf("deadline exceeded after %v", e.timeout)
 		e.reason = reasonDeadline
 		s.jobTimeouts[e.class]++
-		s.cache.drop(e)
 		s.cfg.Logf("sweep %s: failed: deadline exceeded after %v", e.key, e.timeout)
 	case errors.Is(err, context.Canceled):
 		e.state = StateCancelled
 		e.err = context.Canceled
-		s.cache.drop(e)
 		s.cfg.Logf("sweep %s: cancelled", e.key)
 	default:
 		e.state = StateFailed
 		e.err = err
 		var pe *sweep.PanicError
-		if errors.As(err, &pe) {
-			// A panic contained inside a sweep cell: account and log it
-			// here — sweep cannot reach the server's counters or logger.
-			e.reason = reasonPanic
-			s.panicsTotal["sim"]++
-			s.cfg.Logger.Error("panic recovered",
-				"site", "sim",
-				"app", pe.App,
-				"cell", pe.Cell,
-				"panic", fmt.Sprint(pe.Value),
-				"stack", string(pe.Stack))
-		} else if errors.Is(err, errPanicked) {
-			e.reason = reasonPanic // already counted and logged at recovery
+		if errors.As(err, &pe) || errors.Is(err, errPanicked) {
+			e.reason = reasonPanic // counted and logged where it was recovered
 		}
-		s.cache.drop(e)
 		s.cfg.Logf("sweep %s: failed: %v", e.key, err)
 	}
+	if e.state != StateDone {
+		s.cache.drop(e)
+		s.abortEntryLocked(e)
+	}
+	e.cells, e.runs = nil, nil
 	for _, j := range e.jobs {
 		if j.state.Terminal() {
 			continue
@@ -747,7 +652,6 @@ func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
 		s.publishJobLocked(j, string(j.state))
 		s.logTerminalLocked(j, now)
 	}
-	e.cancel() // release the context's resources in every path
 }
 
 // Failure reasons exposed in job views, distinguishing the robustness
@@ -845,9 +749,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"client %q is over its submission rate, retry later", req.Client)
 		return
 	}
-	if s.cfg.SweepWorkers > 0 && opts.Workers > s.cfg.SweepWorkers {
-		opts.Workers = s.cfg.SweepWorkers
-	}
 	key := opts.Key()
 	// Prime the cache from the persistent store before taking the lock (a
 	// no-op without a store or when the key is already cached): the blob
@@ -881,6 +782,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	view := job.snapshot()
 	s.mu.Unlock()
+	s.probeStore()
 
 	w.Header().Set("Location", "/v1/sweeps/"+view.ID)
 	writeJSON(w, status, view)
@@ -888,7 +790,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // submitJobLocked creates one job for a resolved request: served from cache,
 // attached to the in-flight execution of the same key (promoting it when the
-// new job is more urgent), or enqueued as a fresh execution.  class is the
+// new job is more urgent), or admitted as a fresh execution whose cells join
+// the in-flight table (see attachCellsLocked; with a store attached the
+// caller runs probeStore after unlocking).  class is the
 // job's own priority; entryClass is the class a fresh execution enqueues at —
 // the same, except in a batch whose later duplicate of this key is more
 // urgent (creating at the final class directly keeps capacity accounting
@@ -942,6 +846,10 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 			job.trace.mark(phaseExecuting, job.createdAt)
 			e.refs++
 			s.sweepCacheMisses++
+			// The cells not started yet inherit the new job's urgency.
+			if entryClass < e.class {
+				s.moveEntryLocked(e, entryClass)
+			}
 		default:
 			e.jobs = append(e.jobs, job)
 			job.trace.mark(phaseQueued, job.createdAt)
@@ -957,29 +865,25 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 			}
 		}
 	} else {
+		if s.queuedSweeps[entryClass] >= s.cfg.ClassQueueDepth[entryClass] {
+			return nil, false
+		}
 		s.sweepCacheMisses++
-		ctx, cancel := context.WithCancel(s.baseCtx)
 		e = &entry{
 			key:     key,
 			opts:    opts,
-			ctx:     ctx,
-			cancel:  cancel,
 			class:   entryClass,
 			state:   StateQueued,
 			timeout: timeout,
 			jobs:    []*Job{job},
 			refs:    1,
 		}
-		e.total.Store(int64(opts.Size()))
+		e.progress = s.progressCallback(e)
 		job.entry = e
-		h, ok := s.sched.Submit(key, req.Client, entryClass, e)
-		if !ok {
-			cancel()
-			return nil, false
-		}
-		e.handle = h
 		job.trace.mark(phaseQueued, job.createdAt)
+		s.queuedSweeps[entryClass]++
 		s.cache.put(e)
+		s.attachCellsLocked(e, req.Client)
 		s.cfg.Logf("sweep %s: queued %s (%d sims)", key, entryClass, e.total.Load())
 	}
 	s.jobLogger(job).Debug("job admitted", "state", string(job.state))
@@ -1001,8 +905,8 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 // restart are served without re-running anything.  It returns the (now
 // cached) results when the key resolves to a completed sweep.  It must be
 // called WITHOUT the server mutex held: the blob read and decode can be
-// large, and — like the persist in runEntry — must not stall handlers or
-// progress callbacks.  Concurrent revivals of one key are harmless; the
+// large, and — like the sweep persist in completeEntries — must not stall
+// handlers or cell completions.  Concurrent revivals of one key are harmless; the
 // first installed entry wins.
 func (s *Server) reviveStoredSweep(key string) (*refrint.SweepResults, bool) {
 	if s.cfg.Store == nil {
@@ -1042,10 +946,8 @@ func (s *Server) reviveStoredSweep(key string) (*refrint.SweepResults, bool) {
 // holds the server mutex.
 func (s *Server) installDoneEntryLocked(key string, res *refrint.SweepResults) {
 	e := &entry{
-		key:    key,
-		opts:   res.Options,
-		ctx:    context.Background(),
-		cancel: func() {},
+		key:  key,
+		opts: res.Options,
 		// Revived results are already durable in the store, so they are the
 		// cheapest thing in the cache to lose: rank them for eviction first.
 		class:   sched.Background,
@@ -1128,42 +1030,45 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	e := s.cancelJobLocked(job)
+	s.cancelJobLocked(job)
 	view := job.snapshot()
 	s.mu.Unlock()
-	if e != nil {
-		e.cancel()
-		s.cfg.Logf("sweep %s: cancel requested", e.key)
-	}
 	writeJSON(w, http.StatusOK, view)
 }
 
-// moveEntryLocked moves a queued execution to another class, updating its
-// handle.  A no-op when the scheduler declines (the entry is no longer
-// queued, or the target class is full).  Caller holds the server mutex.
+// moveEntryLocked moves an execution to another class, taking its cells
+// that have not started along.  A queued execution moves only when the
+// target class has admission room (a full class declines, leaving it where
+// it is); a running one holds no admission slot and always moves.  Caller
+// holds the server mutex.
 func (s *Server) moveEntryLocked(e *entry, to sched.Class) {
-	if to == e.class {
+	if to == e.class || e.state.Terminal() {
 		return
 	}
-	if h, ok := s.sched.Promote(e.handle, to); ok {
-		e.handle, e.class = h, to
-		s.cfg.Logf("sweep %s: moved to %s", e.key, to)
+	if e.state == StateQueued {
+		if s.queuedSweeps[to] >= s.cfg.ClassQueueDepth[to] {
+			return
+		}
+		s.queuedSweeps[e.class]--
+		s.queuedSweeps[to]++
 	}
+	e.class = to
+	s.reclassCellsLocked(e)
+	s.cfg.Logf("sweep %s: moved to %s", e.key, to)
 }
 
 // cancelJobLocked cancels one job.  When that job was the execution's last
-// interested one, the execution is aborted: a still-queued execution is
-// pulled out of the scheduler right here — freeing its bounded queue slot at
-// cancel time, never leaving dead work camping on capacity — and finished;
-// a running one must be stopped through its context, which the caller does
-// by invoking cancel() on the returned entry after releasing the mutex.
-// When other jobs remain interested, a queued execution is demoted to the
-// most urgent class they actually asked for, so cancelled urgency does not
-// keep camping on an urgent class's bounded slot.  Terminal jobs are left
-// untouched.  Caller holds the server mutex.
-func (s *Server) cancelJobLocked(job *Job) *entry {
+// interested one, the execution is cancelled on the spot: its queued cells
+// leave the scheduler — freeing its bounded admission slot at cancel time,
+// never leaving dead work camping on capacity — and its running cells stop,
+// unless another sweep still waits on them.  When other jobs remain
+// interested, the execution is demoted to the most urgent class they
+// actually asked for, so cancelled urgency does not keep camping on an
+// urgent class's bounded slot.  Terminal jobs are left untouched.  Caller
+// holds the server mutex.
+func (s *Server) cancelJobLocked(job *Job) {
 	if job.state.Terminal() {
-		return nil
+		return
 	}
 	job.state = StateCancelled
 	job.err = context.Canceled
@@ -1175,30 +1080,18 @@ func (s *Server) cancelJobLocked(job *Job) *entry {
 	e := job.entry
 	e.refs--
 	if e.refs > 0 {
-		if e.state == StateQueued {
-			want := sched.Class(-1)
-			for _, j := range e.jobs {
-				if !j.state.Terminal() && (want < 0 || j.class < want) {
-					want = j.class
-				}
-			}
-			if want > e.class {
-				s.moveEntryLocked(e, want)
+		want := sched.Class(-1)
+		for _, j := range e.jobs {
+			if !j.state.Terminal() && (want < 0 || j.class < want) {
+				want = j.class
 			}
 		}
-		return nil
+		if want > e.class {
+			s.moveEntryLocked(e, want)
+		}
+		return
 	}
-	if e.state.Terminal() {
-		return nil
-	}
-	s.cache.drop(e) // no new jobs may attach to a doomed execution
-	if s.sched.Cancel(e.handle) {
-		// Still queued: the slot is already freed and no worker will ever
-		// pop this entry, so it finishes here and now.
-		s.finishLocked(e, nil, context.Canceled)
-		return nil
-	}
-	return e
+	s.finishLocked(e, nil, context.Canceled)
 }
 
 // handleFigures implements GET /v1/sweeps/{id}/figures: the Table 6.1 and

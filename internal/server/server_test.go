@@ -174,42 +174,40 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
-// blockingExec is an instrumented ExecuteFunc: it counts invocations, lets
-// tests observe progress deterministically, and holds each run until
-// released (or its context dies).
+// blockingExec is an instrumented per-cell ExecuteFunc.  Baseline cells
+// simulate at once; every other cell is gated: it counts as one call,
+// announces its sweep's key on started, and is held until released (one
+// send per cell, or close for all) or until its context dies.  A
+// tinyRequest sweep therefore has exactly one gated cell, which stands for
+// the whole sweep in tests of scheduling order.
 type blockingExec struct {
 	calls   atomic.Int64
-	started chan string   // receives the key of each run as it starts
-	release chan struct{} // closed (or sent to) to let runs finish
-	fail    error         // returned instead of results when non-nil
+	started chan string   // receives the creating sweep's key as a gated cell starts
+	release chan struct{} // closed (or sent to) to let gated cells finish
+	fail    error         // returned instead of a run when non-nil
 }
 
 func newBlockingExec() *blockingExec {
-	return &blockingExec{started: make(chan string, 16), release: make(chan struct{})}
+	// started is buffered past any test's gated-cell count, so announcing a
+	// start never blocks a worker.
+	return &blockingExec{started: make(chan string, 64), release: make(chan struct{})}
 }
 
-func (b *blockingExec) fn(ctx context.Context, opts sweep.Options, progress func(sweep.Progress)) (*refrint.SweepResults, error) {
+func (b *blockingExec) fn(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error) {
+	if c.Point.IsBaseline() {
+		return sweep.RunCell(ctx, opts, c)
+	}
 	b.calls.Add(1)
 	b.started <- opts.Key()
-	if progress != nil {
-		progress(sweep.Progress{Done: 1, Total: 2})
-	}
 	select {
 	case <-b.release:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return sweep.Run{}, ctx.Err()
 	}
 	if b.fail != nil {
-		return nil, b.fail
+		return sweep.Run{}, b.fail
 	}
-	return sweep.Execute(sweep.Options{
-		Apps:             opts.Apps,
-		RetentionTimesUS: opts.RetentionTimesUS,
-		Policies:         opts.Policies,
-		EffortScale:      0.05,
-		Seed:             opts.Seed,
-		Workers:          2,
-	})
+	return sweep.RunCell(ctx, opts, c)
 }
 
 // TestSingleflight verifies the acceptance criterion: two concurrent
@@ -217,7 +215,8 @@ func (b *blockingExec) fn(ctx context.Context, opts sweep.Options, progress func
 // after completion is a pure cache hit.
 func TestSingleflight(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Execute: exec.fn})
+	// One worker: the baseline cell has finished when the gated cell starts.
+	h := newHarness(t, Config{Shards: 1, Execute: exec.fn})
 
 	req := tinyRequest(7)
 	first, status := h.submit(req)
@@ -508,17 +507,11 @@ func TestCatalogAndHealth(t *testing.T) {
 
 // TestConcurrentClientsRealSweep is the race-detector stress for the
 // acceptance criterion, against the real simulator: many clients submit the
-// same sweep concurrently while others poll; exactly one execution runs and
-// every client sees identical figure data.
+// same sweep concurrently while others poll; each of its cells is simulated
+// exactly once and every client sees identical figure data.
 func TestConcurrentClientsRealSweep(t *testing.T) {
 	var calls atomic.Int64
-	h := newHarness(t, Config{
-		Shards: 2,
-		Execute: func(ctx context.Context, opts sweep.Options, progress func(sweep.Progress)) (*refrint.SweepResults, error) {
-			calls.Add(1)
-			return sweep.ExecuteContext(ctx, opts, progress)
-		},
-	})
+	h := newHarness(t, Config{Shards: 2, Execute: countingExec(&calls)})
 
 	const clients = 8
 	req := tinyRequest(42)
@@ -561,7 +554,7 @@ func TestConcurrentClientsRealSweep(t *testing.T) {
 			t.Fatalf("client %d saw different figures than client 0", i)
 		}
 	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("%d concurrent identical clients ran %d executions, want 1", clients, n)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d concurrent identical clients simulated %d cells, want 2 (one sweep)", clients, n)
 	}
 }

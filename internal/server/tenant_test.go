@@ -13,7 +13,6 @@ import (
 
 	"refrint"
 	"refrint/internal/sched"
-	"refrint/internal/sweep"
 )
 
 // labeledMetric extracts one labelled sample (e.g. `name{class="batch"}`)
@@ -435,20 +434,20 @@ func TestEventLogReplay(t *testing.T) {
 	// job's events publishing (and logging) while the job stream is away.
 	fh := h.openSSE("/v1/events", "")
 
-	view, _ := h.submit(tinyRequest(1))
+	view, _ := h.submit(steppedRequest(1))
 	<-exec.started
 
 	st1 := h.openSSE("/v1/sweeps/"+view.ID+"/events", "")
 	st1.until("state")
-	exec.step <- progressOf(1, 5)
+	exec.step <- struct{}{}
 	seen, _ := st1.until("progress")
 	st1.close()
 
 	// Progress the subscriber misses while away; the firehose confirms each
 	// step published (and was therefore logged) before the next fires.
-	exec.step <- progressOf(2, 5)
+	exec.step <- struct{}{}
 	waitProgress(t, fh, 2)
-	exec.step <- progressOf(3, 5)
+	exec.step <- struct{}{}
 	waitProgress(t, fh, 3)
 
 	st2 := h.openSSE("/v1/sweeps/"+view.ID+"/events", seen.id)
@@ -499,7 +498,7 @@ func TestPriorityAwareCacheEviction(t *testing.T) {
 		t.Fatal("interactive resubmit re-executed despite surviving eviction")
 	}
 
-	// The evicted background sweep re-executes.
+	// The evicted background sweep re-executes: both of its cells.
 	evicted := tinyRequest(501)
 	evicted.Priority = "background"
 	view, status := h.submit(evicted)
@@ -507,8 +506,8 @@ func TestPriorityAwareCacheEviction(t *testing.T) {
 		t.Fatalf("evicted background resubmit: status %d, want 202", status)
 	}
 	h.waitState(view.ID, StateDone)
-	if calls.Load() != ranBefore+1 {
-		t.Fatalf("evicted background resubmit ran %d executions, want 1", calls.Load()-ranBefore)
+	if calls.Load() != ranBefore+2 {
+		t.Fatalf("evicted background resubmit simulated %d cells, want 2", calls.Load()-ranBefore)
 	}
 
 	text := h.metricsText()
@@ -630,8 +629,6 @@ func TestQueueFull503RefundsQuota(t *testing.T) {
 }
 
 // --- small local helpers ---
-
-func progressOf(done, total int) sweep.Progress { return sweep.Progress{Done: done, Total: total} }
 
 // waitProgress reads the firehose until a progress event with at least the
 // wanted done count arrives.

@@ -36,7 +36,7 @@ const (
 	phaseValidated  = "validated"         // body decoded, labels/options resolved
 	phaseAdmitted   = "admitted"          // past quota and capacity; job exists
 	phaseQueued     = "queued"            // waiting in a scheduler queue
-	phaseDequeued   = "dequeued"          // popped by a worker, not yet simulating
+	phaseDequeued   = "dequeued"          // the sweep's first cell popped by a worker
 	phaseExecuting  = "executing"         // simulations running
 	phasePersisting = "persisting"        // completed sweep being written to the store
 	phaseCacheHit   = "cache-hit"         // answered from the in-memory result cache
@@ -163,9 +163,8 @@ func (j *Job) phaseSummary(now time.Time) map[string]float64 {
 }
 
 // markJobsLocked stamps a phase on every non-terminal job attached to an
-// execution — the bridge from shared-execution transitions (dequeued,
-// executing, persisting) into the per-job timelines.  Caller holds the
-// server mutex.
+// execution — the bridge from shared-execution transitions (persisting)
+// into the per-job timelines.  Caller holds the server mutex.
 func markJobsLocked(e *entry, phase string, at time.Time) {
 	for _, j := range e.jobs {
 		if !j.state.Terminal() {

@@ -567,34 +567,35 @@ func (s *Store) count(kind Kind, hit bool) {
 	}
 }
 
-// CellHooks returns the sweep cell-cache hooks backed by this store at rank
-// 0.  See CellHooksRanked.
-func (s *Store) CellHooks(logf func(format string, args ...any)) (lookup func(sweep.CellKey) (sim.Result, bool), put func(sweep.CellKey, sim.Result)) {
-	return s.CellHooksRanked(0, logf)
+// GetCell reads (and verifies) one persisted simulation cell.
+func (s *Store) GetCell(k sweep.CellKey) (sim.Result, bool) {
+	var cell sweep.CellResult
+	if s.Get(KindCell, k.Hash(), &cell) {
+		return cell.Result, true
+	}
+	return sim.Result{}, false
 }
 
-// CellHooksRanked returns the sweep cell-cache hooks backed by this store,
-// ready to install as sweep.Options.CellLookup and CellPut: lookups read
-// (and verify) persisted cells, puts persist fresh ones at the given
-// eviction rank, and put errors are reported to logf (nil for silent) rather
-// than failing the sweep.
-func (s *Store) CellHooksRanked(rank int, logf func(format string, args ...any)) (lookup func(sweep.CellKey) (sim.Result, bool), put func(sweep.CellKey, sim.Result)) {
+// PutCell persists one freshly computed simulation cell at the given
+// eviction rank.
+func (s *Store) PutCell(k sweep.CellKey, rank int, res sim.Result) error {
+	return s.PutRanked(KindCell, k.Hash(), rank, sweep.CellResult{Key: k, Result: res})
+}
+
+// CellHooks returns the sweep cell-cache hooks backed by this store, ready
+// to install as sweep.Options.CellLookup and CellPut: lookups read (and
+// verify) persisted cells, puts persist fresh ones at rank 0, and put errors
+// are reported to logf (nil for silent) rather than failing the sweep.
+func (s *Store) CellHooks(logf func(format string, args ...any)) (lookup func(sweep.CellKey) (sim.Result, bool), put func(sweep.CellKey, sim.Result)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	lookup = func(k sweep.CellKey) (sim.Result, bool) {
-		var cell sweep.CellResult
-		if s.Get(KindCell, k.Hash(), &cell) {
-			return cell.Result, true
-		}
-		return sim.Result{}, false
-	}
 	put = func(k sweep.CellKey, res sim.Result) {
-		if err := s.PutRanked(KindCell, k.Hash(), rank, sweep.CellResult{Key: k, Result: res}); err != nil {
+		if err := s.PutCell(k, 0, res); err != nil {
 			logf("store: persisting cell %s: %v", k.Hash(), err)
 		}
 	}
-	return lookup, put
+	return s.GetCell, put
 }
 
 // Contains reports whether an intact-looking blob is indexed under

@@ -42,8 +42,8 @@ func (o Options) CellKey(app string, pt Point) CellKey {
 }
 
 // cellKeyer stamps cell keys with the sweep-constant fields — the config
-// hash especially — computed once rather than per cell; ExecuteContext
-// builds one for the whole run.  The Options it is built from must already
+// hash especially — computed once rather than per cell; Cells builds one
+// per sweep.  The Options it is built from must already
 // be normalised.
 type cellKeyer struct {
 	configHash  string

@@ -210,12 +210,74 @@ func (p Progress) Fraction() float64 {
 	return float64(p.Done) / float64(p.Total)
 }
 
-// ExecuteContext runs the sweep described by the options, honouring
-// cancellation and reporting progress.
+// Cell is one simulation of a sweep: an application at a point, with the
+// canonical key that identifies its result across sweeps.
+type Cell struct {
+	App   string
+	Point Point
+	Key   CellKey
+}
+
+// points returns the non-baseline points of normalised options in figure
+// order: every policy at each retention time.
+func (o Options) points() []Point {
+	var points []Point
+	for _, ret := range o.RetentionTimesUS {
+		for _, p := range o.Policies {
+			points = append(points, Point{RetentionUS: ret, Policy: p})
+		}
+	}
+	return points
+}
+
+// Cells enumerates the simulations the options describe (after defaulting):
+// for every application, its SRAM baseline followed by every (retention,
+// policy) point.  This is the unit of work: ExecuteContext runs the cells on
+// a local pool, and the sweep service schedules them individually.
+func Cells(opts Options) []Cell {
+	opts = opts.normalise()
+	keyer := opts.cellKeyer()
+	points := opts.points()
+	cells := make([]Cell, 0, opts.Size())
+	for _, app := range opts.Apps {
+		for _, pt := range append([]Point{{Policy: config.SRAMBaseline}}, points...) {
+			cells = append(cells, Cell{App: app, Point: pt, Key: keyer.key(app, pt)})
+		}
+	}
+	return cells
+}
+
+// Assemble indexes the runs of a sweep's cells into Results.  runs holds one
+// Run per cell of Cells(opts), in any order; the Results do not depend on
+// the order in which the cells completed.
+func Assemble(opts Options, runs []Run) *Results {
+	opts = opts.normalise()
+	res := &Results{
+		Options:   opts,
+		Baselines: make(map[string]Run),
+		Runs:      make(map[string]map[string]Run),
+		Points:    opts.points(),
+	}
+	for _, pt := range res.Points {
+		res.Runs[pt.Key()] = make(map[string]Run)
+	}
+	for _, run := range runs {
+		if run.Point.IsBaseline() {
+			res.Baselines[run.App] = run
+		} else {
+			res.Runs[run.Point.Key()][run.App] = run
+		}
+	}
+	return res
+}
+
+// ExecuteContext runs the sweep described by the options on a pool of
+// Options.Workers goroutines, honouring cancellation and reporting progress.
 //
-// When ctx is cancelled the sweep stops starting new simulations, waits for
-// the in-flight ones, and returns ctx.Err().  Simulations already running
-// finish (one simulation is short); the partial Results are discarded.
+// When ctx is cancelled, or a cell fails, the pool stops starting new
+// simulations, waits for the in-flight ones, and returns ctx.Err() (or the
+// first cell error).  Simulations already running finish (one simulation is
+// short); the partial Results are discarded.
 //
 // If progress is non-nil it is called after every completed simulation, from
 // worker goroutines; each call carries the number of simulations completed
@@ -223,84 +285,37 @@ func (p Progress) Fraction() float64 {
 // order.  The callback must be safe for concurrent use and return quickly.
 func ExecuteContext(ctx context.Context, opts Options, progress func(Progress)) (*Results, error) {
 	opts = opts.normalise()
-
-	// Build the work list: the SRAM baseline plus every (retention, policy)
-	// combination, for every application.
-	type job struct {
-		app   string
-		point Point
-	}
-	var points []Point
-	for _, ret := range opts.RetentionTimesUS {
-		for _, p := range opts.Policies {
-			points = append(points, Point{RetentionUS: ret, Policy: p})
-		}
-	}
-	var jobs []job
-	for _, app := range opts.Apps {
-		jobs = append(jobs, job{app: app, point: Point{Policy: config.SRAMBaseline}})
-		for _, pt := range points {
-			jobs = append(jobs, job{app: app, point: pt})
-		}
-	}
-
-	res := &Results{
-		Options:   opts,
-		Baselines: make(map[string]Run),
-		Runs:      make(map[string]map[string]Run),
-		Points:    points,
-	}
-	for _, pt := range points {
-		res.Runs[pt.Key()] = make(map[string]Run)
-	}
-
-	total := len(jobs)
-	var keyer cellKeyer
-	if opts.CellLookup != nil || opts.CellPut != nil {
-		keyer = opts.cellKeyer()
-	}
+	cells := Cells(opts)
+	runs := make([]Run, len(cells))
 	var (
-		mu       sync.Mutex
 		wg       sync.WaitGroup
-		firstErr error
+		next     atomic.Int64 // index of the next cell to claim
 		done     atomic.Int64
-		sem      = make(chan struct{}, opts.Workers)
+		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
 	)
-	for _, j := range jobs {
-		if ctx.Err() != nil {
-			break
-		}
+	for w := 0; w < min(opts.Workers, len(cells)); w++ {
 		wg.Add(1)
-		go func(j job) {
+		go func() {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			run, err := safeResolveCell(ctx, opts, keyer, j.app, j.point)
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
+			for ctx.Err() == nil && !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(cells) {
+					return
 				}
-				mu.Unlock()
-				return
+				run, err := RunCell(ctx, opts, cells[i])
+				if err != nil {
+					errOnce.Do(func() { firstErr = err })
+					failed.Store(true)
+					return
+				}
+				runs[i] = run
+				if progress != nil {
+					progress(Progress{Done: int(done.Add(1)), Total: len(cells)})
+				}
 			}
-			if j.point.IsBaseline() {
-				res.Baselines[j.app] = run
-			} else {
-				res.Runs[j.point.Key()][j.app] = run
-			}
-			mu.Unlock()
-			if progress != nil {
-				progress(Progress{Done: int(done.Add(1)), Total: total})
-			}
-		}(j)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -309,7 +324,7 @@ func ExecuteContext(ctx context.Context, opts Options, progress func(Progress)) 
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return res, nil
+	return Assemble(opts, runs), nil
 }
 
 // PanicError is what a panicking simulation cell is converted into: the
@@ -329,41 +344,35 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: panic in cell %s/%s: %v", e.App, e.Cell, e.Value)
 }
 
-// safeResolveCell is resolveCell behind the per-cell containment boundary: a
-// panic anywhere below (simulation bug, cache hook, injected fault) is
-// recovered into a *PanicError, and the fault-injection points for
-// simulation latency and simulation failure are consulted first.  The
-// injection checks are a single atomic load each when no fault spec is
-// installed.
-func safeResolveCell(ctx context.Context, opts Options, keyer cellKeyer, appName string, pt Point) (run Run, err error) {
+// RunCell runs one cell behind the per-cell containment boundary: a panic
+// anywhere below (simulation bug, cache hook, injected fault) is recovered
+// into a *PanicError, and the fault-injection points for simulation latency
+// and simulation failure are consulted first.  The injection checks are a
+// single atomic load each when no fault spec is installed.
+//
+// When the options carry the cell-level result cache hooks, a CellLookup hit
+// replaces the simulation outright and every freshly computed result is
+// offered to CellPut.
+func RunCell(ctx context.Context, opts Options, c Cell) (run Run, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			run, err = Run{}, &PanicError{App: appName, Cell: pt.Key(), Value: r, Stack: debug.Stack()}
+			run, err = Run{}, &PanicError{App: c.App, Cell: c.Point.Key(), Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if err := faults.CheckCtx(ctx, faults.ExecLatency); err != nil {
 		return Run{}, err
 	}
 	if err := faults.CheckCtx(ctx, faults.SimRun); err != nil {
-		return Run{}, fmt.Errorf("sweep: %s %s: %w", appName, pt.Key(), err)
+		return Run{}, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
 	}
-	return resolveCell(opts, keyer, appName, pt)
-}
-
-// resolveCell produces the run for one cell, consulting the cell-level
-// result cache hooks when installed: a CellLookup hit replaces the
-// simulation outright, and every freshly computed result is offered to
-// CellPut.  The keyer carries the sweep-constant key fields so the config
-// hash is not recomputed per cell.
-func resolveCell(opts Options, keyer cellKeyer, appName string, pt Point) (Run, error) {
 	if opts.CellLookup != nil {
-		if res, ok := opts.CellLookup(keyer.key(appName, pt)); ok {
-			return Run{App: appName, Point: pt, Result: res}, nil
+		if res, ok := opts.CellLookup(c.Key); ok {
+			return Run{App: c.App, Point: c.Point, Result: res}, nil
 		}
 	}
-	run, err := runOne(opts, appName, pt)
+	run, err = runOne(opts.normalise(), c.App, c.Point)
 	if err == nil && opts.CellPut != nil {
-		opts.CellPut(keyer.key(appName, pt), run.Result)
+		opts.CellPut(c.Key, run.Result)
 	}
 	return run, err
 }

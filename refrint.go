@@ -355,8 +355,7 @@ func RunSweep(opts SweepOptions) (*SweepResults, error) { return sweep.Execute(o
 
 // RunSweepContext is RunSweep with cancellation and progress reporting: the
 // sweep stops early (returning ctx.Err()) when the context is cancelled, and
-// calls progress (if non-nil) after every completed simulation.  This is the
-// entry point refrint-serve jobs use.
+// calls progress (if non-nil) after every completed simulation.
 func RunSweepContext(ctx context.Context, opts SweepOptions, progress func(SweepProgress)) (*SweepResults, error) {
 	return sweep.ExecuteContext(ctx, opts, progress)
 }

@@ -5,6 +5,8 @@
 #     bucket counts are cumulative, and +Inf matches _count;
 #   - /v1/sweeps/{id}/trace returns a monotonic timeline ending terminal;
 #   - X-Request-Id round-trips into the job's trace;
+#   - the cell accounting is exact: with a store attached, a 2-cell sweep
+#     costs exactly 2 cell misses, and the in-flight join counter exists;
 #   - pprof/expvar answer on -debug-addr and are NOT on the public listener.
 # CI runs this next to sse-smoke.sh; locally: scripts/metrics-smoke.sh
 set -eu
@@ -31,7 +33,7 @@ fail() {
 
 go build -o "$tmp/refrint-serve" ./cmd/refrint-serve
 "$tmp/refrint-serve" -addr "127.0.0.1:$port" -debug-addr "127.0.0.1:$dbgport" \
-    -log-format json >"$tmp/serve.log" 2>&1 &
+    -data-dir "$tmp/data" -log-format json >"$tmp/serve.log" 2>&1 &
 pid=$!
 
 up=""
@@ -94,6 +96,12 @@ awk '
         }
     }
 ' "$tmp/metrics.txt" >"$tmp/awk.err" || fail "histogram lint: $(cat "$tmp/awk.err")" "$tmp/metrics.txt"
+
+# --- cell accounting: misses count simulated cells, joins are exported -----
+grep -q '^# TYPE refrint_cell_inflight_joins_total counter$' "$tmp/metrics.txt" \
+    || fail "missing refrint_cell_inflight_joins_total" "$tmp/metrics.txt"
+misses=$(sed -n 's/^refrint_cell_cache_misses_total \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
+[ "$misses" = "2" ] || fail "refrint_cell_cache_misses_total = '$misses' after one 2-cell sweep, want 2" "$tmp/metrics.txt"
 
 # The scrape above flowed through the middleware: the next scrape must show
 # the /metrics route itself.
