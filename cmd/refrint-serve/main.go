@@ -107,10 +107,24 @@ func parseClassTriple(flagName, s string) ([sched.NumClasses]int, error) {
 	return out, nil
 }
 
+// gomaxprocsFor returns the GOMAXPROCS to run with, given the current
+// value, whether the GOMAXPROCS environment variable set it, and the number
+// of simulation workers.  Each worker keeps a P busy while it simulates, so
+// one P more than there are workers stays free: the goroutines serving HTTP
+// and SSE then run as soon as the network poller wakes them, instead of
+// waiting ~10ms for the runtime to preempt a simulation.  An explicit
+// GOMAXPROCS is kept as given; tooFew reports that it leaves no P free.
+func gomaxprocsFor(current int, fromEnv bool, workers int) (procs int, tooFew bool) {
+	if fromEnv {
+		return current, current <= workers
+	}
+	return max(current, workers+1), false
+}
+
 func main() {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		shards         = flag.Int("shards", runtime.NumCPU(), "simulation workers: cells simulated at a time across all sweeps")
+		shards         = flag.Int("shards", runtime.NumCPU(), "simulation workers: cells simulated at a time across all sweeps (GOMAXPROCS is raised to shards+1 unless set in the environment)")
 		queueDepth     = flag.Int("queue-depth", 8, "pending sweeps per worker per priority class (each class admits shards*queue-depth)")
 		classDepths    = flag.String("class-queue-depths", "", "per-class queued-sweep bounds as interactive,batch,background (overrides -queue-depth scaling)")
 		classWeights   = flag.String("class-weights", "", "weighted-fair dequeue shares as interactive,batch,background (default 16,4,1)")
@@ -174,7 +188,7 @@ func main() {
 		logger.Info("store opened", "dir", *dataDir, "blobs", st.Stats().Entries)
 	}
 
-	svc := server.New(server.Config{
+	cfg := server.Config{
 		Shards:          *shards,
 		QueueDepth:      *queueDepth,
 		ClassQueueDepth: depths,
@@ -191,7 +205,15 @@ func main() {
 		JobTimeout:      *jobTimeout,
 		Store:           st,
 		Logger:          logger,
-	})
+	}
+	workers := cfg.Workers()
+	procs, tooFew := gomaxprocsFor(runtime.GOMAXPROCS(0), os.Getenv("GOMAXPROCS") != "", workers)
+	runtime.GOMAXPROCS(procs)
+	if tooFew {
+		logger.Warn("GOMAXPROCS leaves no P free for HTTP and SSE: requests may wait ~10ms behind running simulations",
+			"gomaxprocs", procs, "shards", workers)
+	}
+	svc := server.New(cfg)
 	defer svc.Close()
 
 	httpSrv := &http.Server{
@@ -227,7 +249,7 @@ func main() {
 		defer dbg.Close()
 	}
 	go func() {
-		logger.Info("listening", "addr", *addr)
+		logger.Info("listening", "addr", *addr, "gomaxprocs", procs, "shards", workers)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

@@ -57,7 +57,8 @@ type cell struct {
 	state  cellState
 
 	// ctx is cancelled when no live entry waits on the cell any more, or
-	// when the server closes; the simulation observes it between steps.
+	// when the server closes; the simulation checks it every few thousand
+	// references (sim.(*System).RunContext) and stops.
 	ctx    context.Context
 	cancel context.CancelFunc
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"refrint"
 	"refrint/internal/sweep"
@@ -278,5 +279,39 @@ func TestDuplicateAppsShareCells(t *testing.T) {
 	}
 	if got := metricValue(t, failing.metricsText(), "refrint_queue_depth"); got != 0 {
 		t.Fatalf("queued cells after the failure = %g, want 0", got)
+	}
+}
+
+// TestDeadlineStopsRunningCell runs the real simulator: a sweep whose
+// deadline passes while its first cell is simulating fails with "deadline
+// exceeded", and that cell stops at its next context check, freeing the
+// worker long before the simulation would have finished (the baseline cell
+// at effort 16 runs for seconds).
+func TestDeadlineStopsRunningCell(t *testing.T) {
+	h := newHarness(t, Config{Shards: 1})
+	req := tinyRequest(17)
+	req.EffortScale = 16
+	req.TimeoutMS = 20
+	view, status := h.submit(req)
+	if status != http.StatusAccepted {
+		t.Fatalf("POST status = %d, want %d", status, http.StatusAccepted)
+	}
+	failed := h.waitState(view.ID, StateFailed)
+	if failed.Reason != reasonDeadline || !strings.Contains(failed.Error, "deadline exceeded") {
+		t.Fatalf("job = reason %q error %q, want the deadline", failed.Reason, failed.Error)
+	}
+	const freeWithin = 300 * time.Millisecond
+	for deadline := time.Now().Add(freeWithin); ; {
+		busy := h.schedMetric("refrint_sched_busy_workers")
+		if busy == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("refrint_sched_busy_workers = %g %v after the deadline, want 0: the cancelled cell kept running", busy, freeWithin)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := metricValue(t, h.metricsText(), "refrint_sims_completed_total"); got != 0 {
+		t.Errorf("refrint_sims_completed_total = %g, want 0 (no cell ran to completion)", got)
 	}
 }

@@ -242,6 +242,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	gauge("refrint_goroutines", "Goroutines currently live in the process.", runtime.NumGoroutine())
+	gauge("refrint_gomaxprocs", "Go scheduler slots (GOMAXPROCS); above refrint_sched_workers, one stays free for HTTP and SSE.", runtime.GOMAXPROCS(0))
 	gauge("refrint_heap_alloc_bytes", "Bytes of allocated heap objects.", ms.HeapAlloc)
 	counter("refrint_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", fmt.Sprintf("%.6f", float64(ms.PauseTotalNs)/1e9))
 }

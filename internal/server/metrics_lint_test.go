@@ -172,6 +172,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"refrint_exec_seconds",
 		"refrint_build_info",
 		"refrint_goroutines",
+		"refrint_gomaxprocs",
 		"refrint_heap_alloc_bytes",
 		"refrint_gc_pause_seconds_total",
 		"refrint_store_entries",

@@ -30,10 +30,19 @@ type ExecuteFunc func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sw
 
 // Config tunes the service.  The zero value is usable.
 type Config struct {
-	// Shards is the number of simulation workers (default NumCPU): the one
-	// pool that runs every sweep's cells, one cell per worker at a time.
-	// Workers steal across queues, so the name is historical: cells are
-	// homed to a worker by their sweep's key hash but never stuck behind it.
+	// Shards is the number of simulation workers (default NumCPU; see
+	// Workers): the one pool that runs every sweep's cells, one cell per
+	// worker at a time.  Workers steal across queues, so the name is
+	// historical: cells are homed to a worker by their sweep's key hash but
+	// never stuck behind it.
+	//
+	// Each worker keeps a P (a Go scheduler slot) busy while it simulates.
+	// With GOMAXPROCS no larger than Shards, every P can be busy at once, and
+	// an HTTP or SSE goroutine woken by the network poller then waits for
+	// the runtime to preempt a simulation (~10 ms).  cmd/refrint-serve
+	// therefore raises GOMAXPROCS to Shards+1 unless the GOMAXPROCS
+	// environment variable is set.  New never changes GOMAXPROCS: a program
+	// embedding the server owns that setting.
 	Shards int
 	// QueueDepth scales the pending-execution bound (default 8): each
 	// priority class admits Shards*QueueDepth queued sweeps — admitted
@@ -94,7 +103,8 @@ type Config struct {
 	// JobTimeout, where positive, bounds each sweep execution's wall time
 	// from its first cell starting: one that outlives it turns terminal
 	// failed with a deadline-exceeded reason, and its cells no other sweep
-	// waits on leave the scheduler (or stop running).
+	// waits on leave the scheduler (or, when running, stop within a few
+	// thousand references).
 	// A request's timeout_ms field may only lower the bound, never raise or
 	// disable it.  The default (0) imposes no server-wide deadline.
 	JobTimeout time.Duration
@@ -115,10 +125,17 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
+// Workers is the number of simulation workers a server built from c runs:
+// Shards, or runtime.NumCPU() when Shards is not positive.
+func (c Config) Workers() int {
 	if c.Shards <= 0 {
-		c.Shards = runtime.NumCPU()
+		return runtime.NumCPU()
 	}
+	return c.Shards
+}
+
+func (c Config) withDefaults() Config {
+	c.Shards = c.Workers()
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
 	}

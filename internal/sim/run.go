@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+
 	"refrint/internal/energy"
 	"refrint/internal/stats"
 )
@@ -85,7 +87,22 @@ func (h coreHeap) down(i0, n int) {
 	}
 }
 
+// cancelPollRefs is how many references RunContext issues between two
+// looks at its context: rare enough to cost nothing per reference, often
+// enough that a cancelled cell frees its worker within a millisecond or so.
+const cancelPollRefs = 4096
+
 // Run executes the application to completion and returns the result.
+func (s *System) Run() Result {
+	res, _ := s.RunContext(context.Background())
+	return res
+}
+
+// RunContext executes the application to completion and returns the result,
+// or stops early with ctx.Err() once ctx is cancelled.  The context is
+// checked before the first reference and then every cancelPollRefs
+// references; a context that can never be cancelled (nil Done) is never
+// checked.  A cancelled System is left mid-run and must not be reused.
 //
 // The run loop repeatedly picks the core with the smallest local clock,
 // lets it execute its compute gap and issue its next memory reference, and
@@ -93,14 +110,26 @@ func (h coreHeap) down(i0, n int) {
 // cores in local-time order keeps the interleaving of references from
 // different cores consistent with their timing, which is what the refresh
 // policies and the coherence protocol observe.
-func (s *System) Run() Result {
+func (s *System) RunContext(ctx context.Context) (Result, error) {
 	h := make(coreHeap, 0, len(s.tiles))
 	for i := range s.tiles {
 		h = append(h, coreEntry{tile: i, time: 0})
 	}
 	h.init()
 
+	done := ctx.Done()
+	poll := 1
 	for len(h) > 0 {
+		if done != nil {
+			if poll--; poll == 0 {
+				poll = cancelPollRefs
+				select {
+				case <-done:
+					return Result{}, ctx.Err()
+				default:
+				}
+			}
+		}
 		entry := h.pop()
 		tile := s.tiles[entry.tile]
 		gen := s.app.Thread(entry.tile)
@@ -119,7 +148,7 @@ func (s *System) Run() Result {
 		h.push(coreEntry{tile: entry.tile, time: tile.Core.Now()})
 	}
 
-	return s.finish()
+	return s.finish(), nil
 }
 
 // finish drains refresh work to the end of the run, performs the end-of-run

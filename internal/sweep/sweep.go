@@ -275,9 +275,10 @@ func Assemble(opts Options, runs []Run) *Results {
 // Options.Workers goroutines, honouring cancellation and reporting progress.
 //
 // When ctx is cancelled, or a cell fails, the pool stops starting new
-// simulations, waits for the in-flight ones, and returns ctx.Err() (or the
-// first cell error).  Simulations already running finish (one simulation is
-// short); the partial Results are discarded.
+// simulations and returns ctx.Err() (or the first cell error).  On
+// cancellation the running simulations stop within a few thousand
+// references; after a cell failure the others run to completion.  The
+// partial Results are discarded.
 //
 // If progress is non-nil it is called after every completed simulation, from
 // worker goroutines; each call carries the number of simulations completed
@@ -370,15 +371,16 @@ func RunCell(ctx context.Context, opts Options, c Cell) (run Run, err error) {
 			return Run{App: c.App, Point: c.Point, Result: res}, nil
 		}
 	}
-	run, err = runOne(opts.normalise(), c.App, c.Point)
+	run, err = runOne(ctx, opts.normalise(), c.App, c.Point)
 	if err == nil && opts.CellPut != nil {
 		opts.CellPut(c.Key, run.Result)
 	}
 	return run, err
 }
 
-// runOne executes a single (application, point) simulation.
-func runOne(opts Options, appName string, pt Point) (Run, error) {
+// runOne executes a single (application, point) simulation, stopping early
+// with ctx.Err() when ctx is cancelled.
+func runOne(ctx context.Context, opts Options, appName string, pt Point) (Run, error) {
 	params, err := workload.Get(appName)
 	if err != nil {
 		return Run{}, err
@@ -400,7 +402,10 @@ func runOne(opts Options, appName string, pt Point) (Run, error) {
 	if err != nil {
 		return Run{}, fmt.Errorf("sweep: %s %s: %w", appName, pt.Key(), err)
 	}
-	result := system.Run()
+	result, err := system.RunContext(ctx)
+	if err != nil {
+		return Run{}, err
+	}
 	result.RetentionUS = pt.RetentionUS // report the paper-scale retention
 	return Run{App: appName, Point: pt, Result: result}, nil
 }

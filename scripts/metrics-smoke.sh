@@ -7,6 +7,8 @@
 #   - X-Request-Id round-trips into the job's trace;
 #   - the cell accounting is exact: with a store attached, a 2-cell sweep
 #     costs exactly 2 cell misses, and the in-flight join counter exists;
+#   - GOMAXPROCS exceeds the simulation workers by at least one (when the
+#     environment does not set it);
 #   - pprof/expvar answer on -debug-addr and are NOT on the public listener.
 # CI runs this next to sse-smoke.sh; locally: scripts/metrics-smoke.sh
 set -eu
@@ -19,7 +21,12 @@ tmp="$(mktemp -d)"
 pid=""
 
 cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+    # Wait for the server to exit first: it writes the store's index while
+    # it shuts down, which would race the removal of its data directory.
+    if [ -n "$pid" ]; then
+        kill "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    fi
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
@@ -102,6 +109,15 @@ grep -q '^# TYPE refrint_cell_inflight_joins_total counter$' "$tmp/metrics.txt" 
     || fail "missing refrint_cell_inflight_joins_total" "$tmp/metrics.txt"
 misses=$(sed -n 's/^refrint_cell_cache_misses_total \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
 [ "$misses" = "2" ] || fail "refrint_cell_cache_misses_total = '$misses' after one 2-cell sweep, want 2" "$tmp/metrics.txt"
+
+# --- spare P: more Go scheduler slots than simulation workers ---------------
+# Unless GOMAXPROCS is set in the environment (then the server keeps it).
+if [ -z "${GOMAXPROCS:-}" ]; then
+    procs=$(sed -n 's/^refrint_gomaxprocs \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
+    workers=$(sed -n 's/^refrint_sched_workers \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
+    [ -n "$procs" ] && [ -n "$workers" ] && [ "$procs" -gt "$workers" ] \
+        || fail "refrint_gomaxprocs = '$procs', want more than refrint_sched_workers = '$workers'" "$tmp/metrics.txt"
+fi
 
 # The scrape above flowed through the middleware: the next scrape must show
 # the /metrics route itself.
