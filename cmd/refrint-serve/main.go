@@ -1,7 +1,8 @@
 // Command refrint-serve runs the Refrint sweep service: an HTTP API that
 // accepts sweep jobs, runs their simulation cells on one bounded
-// priority-aware work-stealing pool, caches results by canonical sweep key,
-// and serves the paper's Table 6.1 and Figure 6.1-6.4 data series as JSON.
+// priority-aware work-stealing pool, keeps every simulated cell in a
+// content-addressed store, and serves the paper's Table 6.1 and Figure
+// 6.1-6.4 data series as JSON.
 //
 // Quickstart:
 //
@@ -24,11 +25,13 @@
 // by weighted fair share (-class-weights), clients within a class
 // round-robin, and idle workers steal queued cells, so no worker idles while
 // any queue holds work.  Overlapping sweeps share the cells they have in
-// common, simulating each once.
+// common, simulating each once, and a sweep whose cells are all stored is
+// answered at once from them.
 //
-// With -data-dir, completed sweeps and their individual simulation cells are
-// persisted: a restarted server serves previously completed sweeps without
-// re-running anything, and overlapping sweeps reuse shared cells.
+// The store lives in memory, bounded by -store-max-bytes.  With -data-dir it
+// lives on disk instead: the cells and the manifests of completed sweeps
+// survive restarts, so a restarted server serves previously completed sweeps
+// without re-running anything.
 package main
 
 import (
@@ -128,11 +131,10 @@ func main() {
 		queueDepth     = flag.Int("queue-depth", 8, "pending sweeps per worker per priority class (each class admits shards*queue-depth)")
 		classDepths    = flag.String("class-queue-depths", "", "per-class queued-sweep bounds as interactive,batch,background (overrides -queue-depth scaling)")
 		classWeights   = flag.String("class-weights", "", "weighted-fair dequeue shares as interactive,batch,background (default 16,4,1)")
-		cacheEntries   = flag.Int("cache", 32, "completed sweeps kept for reuse")
 		jobHistory     = flag.Int("job-history", 1024, "finished jobs kept pollable")
 		batchHistory   = flag.Int("batch-history", 256, "finished batches kept pollable")
-		dataDir        = flag.String("data-dir", "", "persist results (whole sweeps and individual cells) under this directory; restarts serve completed sweeps without re-running them")
-		storeMaxBytes  = flag.Int64("store-max-bytes", 1<<30, "LRU byte budget of the persistent store (with -data-dir)")
+		dataDir        = flag.String("data-dir", "", "persist the store (simulation cells and completed-sweep manifests) under this directory; restarts serve completed sweeps without re-running them (default: memory only)")
+		storeMaxBytes  = flag.Int64("store-max-bytes", 1<<30, "LRU byte budget of the cell store, on disk with -data-dir or in memory without")
 		eventHeartbeat = flag.Duration("event-heartbeat", 15*time.Second, "keepalive comment interval on SSE /events streams")
 		eventBuffer    = flag.Int("event-buffer", 64, "events buffered per SSE subscriber; progress coalesces (latest wins) so slow consumers never block execution")
 		eventLog       = flag.Int("event-log", 64, "published events remembered per topic for Last-Event-ID replay on SSE reconnects")
@@ -177,23 +179,19 @@ func main() {
 		logger.Warn("fault injection active — this process WILL misbehave on purpose", "spec", *faultSpec)
 	}
 
-	var st *store.Store
-	if *dataDir != "" {
-		st, err = store.Open(*dataDir, store.Options{MaxBytes: *storeMaxBytes, Logf: logf})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "refrint-serve:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		logger.Info("store opened", "dir", *dataDir, "blobs", st.Stats().Entries)
+	st, err := store.Open(*dataDir, store.Options{MaxBytes: *storeMaxBytes, Logf: logf})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "refrint-serve:", err)
+		os.Exit(1)
 	}
+	defer st.Close()
+	logger.Info("store opened", "dir", *dataDir, "blobs", st.Stats().Entries, "max_bytes", *storeMaxBytes)
 
 	cfg := server.Config{
 		Shards:          *shards,
 		QueueDepth:      *queueDepth,
 		ClassQueueDepth: depths,
 		ClassWeights:    weights,
-		CacheEntries:    *cacheEntries,
 		JobHistory:      *jobHistory,
 		BatchHistory:    *batchHistory,
 		EventHeartbeat:  *eventHeartbeat,

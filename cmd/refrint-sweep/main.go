@@ -36,7 +36,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent simulations (default: NumCPU)")
 		csvOut     = flag.String("csv", "", "emit CSV instead of text: figure61, figure62, figure63 or figure64")
 		selector   = flag.String("class", "all", "application selection for figures 6.2-6.4: all, class1, class2 or class3")
-		dataDir    = flag.String("data-dir", "", "reuse and persist results (whole sweeps and individual cells) under this directory")
+		dataDir    = flag.String("data-dir", "", "reuse and persist simulation cells (and a manifest of the sweep) under this directory")
 		storeMax   = flag.Int64("store-max-bytes", 1<<30, "LRU byte budget of the persistent store (with -data-dir); match the service's setting when sharing its data dir")
 	)
 	flag.Parse()
@@ -94,10 +94,12 @@ func main() {
 	printHeadline(results)
 }
 
-// runWithStore executes the sweep, reusing the persistent result store when
-// a data directory is given: a sweep that was fully computed before is
-// loaded outright, and otherwise only the cells the store does not already
-// hold are simulated (fresh ones are persisted for next time).
+// runWithStore executes the sweep, reusing the persistent cell store when a
+// data directory is given: only the cells the store does not already hold
+// are simulated (fresh ones are persisted for next time), so a sweep
+// computed before runs no simulation at all.  The sweep's manifest is
+// recorded too, which lets refrint-serve over the same directory serve the
+// sweep by key.
 func runWithStore(opts refrint.SweepOptions, dataDir string, maxBytes int64) (*refrint.SweepResults, error) {
 	if dataDir == "" {
 		return refrint.RunSweep(opts)
@@ -111,19 +113,15 @@ func runWithStore(opts refrint.SweepOptions, dataDir string, maxBytes int64) (*r
 	}
 	defer st.Close()
 
-	key := opts.Key()
-	cached := &sweep.Results{}
-	if st.Get(store.KindSweep, key, cached) {
-		fmt.Fprintf(os.Stderr, "refrint-sweep: sweep %s loaded from %s (no simulations run)\n", key, dataDir)
-		return cached, nil
-	}
 	opts.CellLookup, opts.CellPut = st.CellHooks(logf)
 	results, err := refrint.RunSweep(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Put(store.KindSweep, key, results); err != nil {
-		fmt.Fprintf(os.Stderr, "refrint-sweep: persisting sweep %s: %v\n", key, err)
+	if key := opts.Key(); !st.Contains(store.KindSweep, key) {
+		if err := st.Put(store.KindSweep, key, store.Manifest{Options: opts}); err != nil {
+			logf("persisting sweep manifest %s: %v", key, err)
+		}
 	}
 	ss := st.Stats()
 	fmt.Fprintf(os.Stderr, "refrint-sweep: store %s: %d cell hits, %d computed\n", dataDir, ss.CellHits, ss.CellMisses)

@@ -1,3 +1,7 @@
+// Package event holds the simulator's timing wheel, FrameWheel, which
+// tracks the refresh deadline of every cache line frame (the Refrint
+// sentries).  The simulation run loop orders its events with its own typed
+// heap (sim.(*System).RunContext), not with this package.
 package event
 
 // FrameWheel is a timing wheel specialised for the refresh machinery's

@@ -17,7 +17,7 @@ import (
 // working even after individual jobs age out of the pollable history; a
 // member that reaches a terminal state is frozen into its JobView and the
 // pointer dropped, so batches never pin result-bearing entries beyond the
-// caches' own bounds.  The server mutex guards all of it.
+// job history's own bound.  The server mutex guards all of it.
 type Batch struct {
 	id        string
 	class     sched.Class
@@ -71,8 +71,8 @@ func (m *batchMember) memberTrace(now time.Time) TraceView {
 }
 
 // BatchRequest is the JSON body of POST /v1/batches: N sweep requests
-// submitted atomically — either every request is admitted (cache hits,
-// attaches and fresh executions alike) or none is.
+// submitted atomically — either every request is admitted (sweeps served
+// from stored cells, attaches and fresh executions alike) or none is.
 type BatchRequest struct {
 	// Priority is the default scheduling class of the batch's requests
 	// ("batch" when empty); a request's own priority field overrides it.
@@ -215,7 +215,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	validated := time.Now()
 	// One token per request, charged to each request's effective client,
 	// all-or-nothing across the batch.  The charge lands here, at submission
-	// time — members later served from cache still count; this is a
+	// time — members served from stored cells still count; this is a
 	// submission-rate limit — but every path below that turns the whole
 	// batch away with 503 refunds `charged`, so a capacity-rejected batch
 	// burns nobody's tokens.
@@ -232,19 +232,13 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Prime from the persistent store outside the lock, like handleSubmit:
-	// persisted sweeps must not consume queue capacity.  The results are
-	// kept by key rather than relying on the cache still holding them — a
-	// batch with more persisted keys than the cache capacity would
-	// otherwise LRU-evict its own earlier revivals before they are used —
-	// and re-installed right before the member job that needs them.
-	revived := make(map[string]*refrint.SweepResults, len(plan))
+	// Read the members whose cells are all stored outside the lock, like
+	// handleSubmit, once per distinct key: they are born done and consume
+	// no queue capacity.
+	stored := make(map[string]*refrint.SweepResults, len(plan))
 	for _, p := range plan {
-		if _, ok := revived[p.key]; ok {
-			continue
-		}
-		if res, ok := s.reviveStoredSweep(p.key); ok {
-			revived[p.key] = res
+		if _, seen := stored[p.key]; !seen {
+			stored[p.key], _ = s.storedResults(p.key, p.opts)
 		}
 	}
 
@@ -288,15 +282,15 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		counted[p.key] = true
-		if e, hit := s.cache.lookup(p.key); hit {
+		if stored[p.key] != nil {
+			continue
+		}
+		if e, ok := s.inflight[p.key]; ok {
 			if e.state == StateQueued && effClass[p.key] < e.class {
 				promos = append(promos, promotion{e: e, to: effClass[p.key]})
 				need[effClass[p.key]]++
 				freed[e.class]++
 			}
-			continue
-		}
-		if revived[p.key] != nil {
 			continue
 		}
 		need[effClass[p.key]]++
@@ -334,17 +328,10 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		createdAt: time.Now(),
 	}
 	for i, p := range plan {
-		// Re-install a revived result the cache may have evicted since (or
-		// during) the revive loop, so this member is served as a hit.
-		if res := revived[p.key]; res != nil {
-			if _, hit := s.cache.lookup(p.key); !hit {
-				s.installDoneEntryLocked(p.key, res)
-			}
-		}
 		tr := trace{id: fmt.Sprintf("%s.%d", reqID, i)}
 		tr.mark(phaseReceived, received)
 		tr.mark(phaseValidated, validated)
-		job, ok := s.submitJobLocked(p.req, p.opts, p.key, p.class, effClass[p.key], p.timeout, tr)
+		job, ok := s.submitJobLocked(p.req, p.opts, p.key, p.class, effClass[p.key], p.timeout, tr, stored[p.key])
 		if !ok {
 			// Defensive: the capacity check above and these submissions
 			// share one hold of s.mu, so a member should always fit.  Bail
@@ -367,7 +354,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	// get it as their connect-time "state" event, so the tick only needs to
 	// publish changes from here on.  The creation itself is announced to
 	// firehose subscribers — including an immediate terminal for a batch
-	// born done off cache hits, which the tick would otherwise never see.
+	// born done off stored cells, which the tick would otherwise never see.
 	// This runs before evictBatchesLocked: a terminal-at-birth batch that
 	// overflows the history is evicted right here, and eviction's own
 	// last-chance publish must see lastState already terminal, not emit a
@@ -387,7 +374,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 
 	status := http.StatusAccepted
 	if view.State == StateDone {
-		status = http.StatusOK // every member was a cache hit
+		status = http.StatusOK // every member was served from stored cells
 	}
 	w.Header().Set("Location", "/v1/batches/"+view.ID)
 	writeJSON(w, status, view)
@@ -456,7 +443,7 @@ func (s *Server) rollbackBatchLocked(b *Batch) {
 }
 
 // evictBatchesLocked freezes every terminal member — batches must not pin
-// result-bearing entries past the caches' own bounds even when nobody polls
+// result-bearing entries past the job history's bound even when nobody polls
 // them, so freezing runs on every batch submission, not only under history
 // pressure — then forgets the oldest terminal batches beyond the history
 // bound.  Live batches are never evicted.  Caller holds the server mutex.

@@ -477,9 +477,10 @@ func TestBatchCreditsPromotionFreedSlots(t *testing.T) {
 }
 
 // TestBatchLargerThanResultCache is a regression for big batches of
-// persisted sweeps: reviving more keys than the in-memory cache holds used
-// to evict the batch's own earlier revivals before admission, re-executing
-// (or 503ing) work that was already on disk.
+// persisted sweeps: when a whole-sweep cache sat in front of the store,
+// reviving more keys than it held evicted the batch's own earlier revivals
+// before admission, re-executing (or 503ing) work that was already on disk.
+// Every member must be served from its stored cells.
 func TestBatchLargerThanResultCache(t *testing.T) {
 	dir := t.TempDir()
 	var calls atomic.Int64
@@ -498,10 +499,9 @@ func TestBatchLargerThanResultCache(t *testing.T) {
 	h1.srv.Close()
 	st1.Close()
 
-	// Restart with a result cache smaller than the batch.
 	st2 := openStore(t, dir)
 	t.Cleanup(func() { st2.Close() })
-	h2 := newHarness(t, Config{Store: st2, CacheEntries: 2, Execute: countingExec(&calls)})
+	h2 := newHarness(t, Config{Store: st2, Execute: countingExec(&calls)})
 	var reqs []refrint.SweepRequest
 	for _, seed := range seeds {
 		reqs = append(reqs, tinyRequest(seed))
@@ -587,7 +587,7 @@ func TestRollbackBatchLocked(t *testing.T) {
 			s.mu.Unlock()
 			t.Fatal(err)
 		}
-		job, ok := s.submitJobLocked(req, opts, opts.Key(), sched.Batch, sched.Batch, 0, trace{id: newTraceID()})
+		job, ok := s.submitJobLocked(req, opts, opts.Key(), sched.Batch, sched.Batch, 0, trace{id: newTraceID()}, nil)
 		if !ok {
 			s.mu.Unlock()
 			t.Fatal("submitJobLocked rejected")
@@ -597,14 +597,14 @@ func TestRollbackBatchLocked(t *testing.T) {
 	jobsBefore := len(s.jobs)
 	s.rollbackBatchLocked(b)
 	jobsAfter, orderAfter := len(s.jobs), len(s.jobOrder)
-	queued := s.sched.Queued()
+	queued, inflightCells := s.sched.Queued(), len(s.cells)
 	s.mu.Unlock()
 
 	if jobsBefore != 3 || jobsAfter != 1 || orderAfter != 1 {
 		t.Fatalf("rollback left jobs=%d order=%d (had %d), want only the blocker", jobsAfter, orderAfter, jobsBefore)
 	}
-	if queued != 0 {
-		t.Fatalf("rollback left %d queued cells, want 0", queued)
+	if queued != 0 || inflightCells != 1 {
+		t.Fatalf("rollback left %d queued and %d in-flight cells, want 0 and the blocker's 1", queued, inflightCells)
 	}
 	close(exec.release)
 	// Only the blocker ever executes.

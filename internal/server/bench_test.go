@@ -2,9 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"refrint/internal/store"
 	"refrint/internal/sweep"
 )
 
@@ -73,4 +78,97 @@ func BenchmarkProgressCallbackParallel(b *testing.B) {
 			cb(sweep.Progress{Done: int(done.Add(1)), Total: b.N})
 		}
 	})
+}
+
+// replicaExec answers every cell of a sweep with the result of one real
+// simulation, so the resubmission benchmarks below fill a store with the
+// default sweep's 473 realistically sized cells in milliseconds.
+func replicaExec(tb testing.TB) ExecuteFunc {
+	opts := sweep.Options{Apps: []string{"FFT"}, EffortScale: 0.05, Workers: 1}
+	run, err := sweep.RunCell(context.Background(), opts, sweep.Cells(opts)[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(_ context.Context, _ sweep.Options, c sweep.Cell) (sweep.Run, error) {
+		return sweep.Run{App: c.App, Point: c.Point, Result: run.Result}, nil
+	}
+}
+
+// postSweep submits the default sweep ({} = 473 cells) and returns the
+// response status and job view.
+func postSweep(tb testing.TB, s *Server) (int, JobView) {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader("{}")))
+	var view JobView
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		tb.Fatalf("POST /v1/sweeps: status %d, body %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	return rec.Code, view
+}
+
+// completeDefaultSweep runs the default sweep on s to completion.
+func completeDefaultSweep(tb testing.TB, s *Server) {
+	_, view := postSweep(tb, s)
+	for deadline := time.Now().Add(time.Minute); view.State != StateDone; {
+		if view.State.Terminal() || time.Now().After(deadline) {
+			tb.Fatalf("default sweep ended %s", view.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sweeps/"+view.ID, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResubmitAfterRestart measures resubmitting the default sweep to
+// a freshly started server over a data dir that holds it: each iteration
+// opens a cold store handle (outside the timer), then times the one POST
+// that must answer 200 from the stored sweep.
+func BenchmarkResubmitAfterRestart(b *testing.B) {
+	dir := b.TempDir()
+	exec := replicaExec(b)
+	open := func() *store.Store {
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	st := open()
+	s := New(Config{Store: st, Execute: exec})
+	completeDefaultSweep(b, s)
+	s.Close()
+	st.Close()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := open()
+		s := New(Config{Store: st, Execute: exec})
+		b.StartTimer()
+		code, view := postSweep(b, s)
+		b.StopTimer()
+		if code != 200 || !view.CacheHit {
+			b.Fatalf("resubmit after restart: status %d, cache_hit %v", code, view.CacheHit)
+		}
+		s.Close()
+		st.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkResubmitSameLifetime measures resubmitting the default sweep to
+// the server that just completed it, with the server's default store.
+func BenchmarkResubmitSameLifetime(b *testing.B) {
+	s := New(Config{Execute: replicaExec(b)})
+	b.Cleanup(s.Close)
+	completeDefaultSweep(b, s)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code, view := postSweep(b, s); code != 200 || !view.CacheHit {
+			b.Fatalf("resubmit: status %d, cache_hit %v", code, view.CacheHit)
+		}
+	}
 }

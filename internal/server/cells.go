@@ -26,12 +26,11 @@ import (
 //	   │          │           │
 //	   └──────────┴───────────┴──▶ done (result from the store, failure, or abort)
 //
-// probing only happens with a store attached: a fresh cell is looked up in
-// the store after the admitting handler releases the server mutex, and only
-// a miss is queued.  A cell is removed from the in-flight table when it
-// reaches done, after a fresh result has been persisted — so at every
-// instant a cell is either in flight or (store permitting) stored, and no
-// cell is simulated twice.
+// A fresh cell is looked up in the store after the admitting handler
+// releases the server mutex, and only a miss is queued.  A cell is removed
+// from the in-flight table when it reaches done, after a fresh result has
+// been stored — so at every instant a cell is either in flight or (store
+// budget permitting) stored, and no cell is simulated twice.
 
 // cellState is the lifecycle state of an in-flight cell.
 type cellState uint8
@@ -74,9 +73,9 @@ type waiter struct {
 
 // attachCellsLocked enrols a fresh entry on its sweep's cells.  Cells
 // already in flight are joined, promoting them to the entry's class when it
-// is more urgent; the others are created and either queued right away or,
-// with a store attached, left for probeStore — which the admitting handler
-// must call after releasing the mutex.  Caller holds the server mutex.
+// is more urgent; the others are created and left for probeStore — which
+// the admitting handler must call after releasing the mutex.  Caller holds
+// the server mutex.
 func (s *Server) attachCellsLocked(e *entry, client string) {
 	cells := sweep.Cells(e.opts)
 	e.cells = make([]*cell, len(cells))
@@ -101,18 +100,14 @@ func (s *Server) attachCellsLocked(e *entry, client string) {
 			home:    e.key,
 			client:  client,
 			class:   e.class,
+			state:   cellProbing,
 			ctx:     ctx,
 			cancel:  cancel,
 			waiters: []waiter{{e: e, i: i}},
 		}
 		s.cells[sc.Key] = c
 		e.cells[i] = c
-		if s.cfg.Store != nil {
-			c.state = cellProbing
-			s.probes = append(s.probes, c)
-		} else {
-			s.enqueueCellLocked(c)
-		}
+		s.probes = append(s.probes, c)
 	}
 }
 
@@ -131,20 +126,16 @@ func (s *Server) enqueueCellLocked(c *cell) {
 
 // probeStore resolves the fresh cells awaiting their store lookup: a stored
 // cell completes at once, any other is queued.  It runs WITHOUT the server
-// mutex (the store may read disk), and is a no-op without a store.
-// Checking the in-flight table before the store means the store's cell
-// misses count exactly the cells that are then simulated.
+// mutex (the store may read disk).  Checking the in-flight table before the
+// store means the store's cell misses count exactly the cells that are then
+// simulated.
 func (s *Server) probeStore() {
-	st := s.cfg.Store
-	if st == nil {
-		return
-	}
 	s.mu.Lock()
 	probes := s.probes
 	s.probes = nil
 	s.mu.Unlock()
 	for _, c := range probes {
-		res, hit := st.GetCell(c.sc.Key)
+		res, hit := s.store.GetCell(c.sc.Key)
 		var done []*entry
 		s.mu.Lock()
 		switch {
@@ -185,8 +176,8 @@ func (s *Server) runCell(c *cell) {
 	// Persist before leaving the in-flight table, so a sweep arriving in
 	// between finds the cell in one place or the other.  Blob writes happen
 	// outside the mutex, like every store call.
-	if err == nil && s.cfg.Store != nil {
-		if perr := s.cfg.Store.PutCell(c.sc.Key, rank, run.Result); perr != nil {
+	if err == nil {
+		if perr := s.store.PutCell(c.sc.Key, rank, run.Result); perr != nil {
 			s.cfg.Logf("store: persisting cell %s: %v", c.sc.Key.Hash(), perr)
 		}
 	}
@@ -263,20 +254,21 @@ func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*entry {
 	return done
 }
 
-// completeEntries assembles, persists and finishes entries whose every cell
-// has completed.  Called WITHOUT the server mutex: the sweep blob can be
-// large, so the write must not stall handlers — and once a job is
-// observably done, its result is already durable.
+// completeEntries assembles, records and finishes entries whose every cell
+// has completed.  Recording writes the sweep's manifest, which lets GET
+// /v1/sweeps/{key}/... find the sweep's cells, unless the store already
+// holds it.  Called WITHOUT the server mutex: the write must not stall
+// handlers — and once a job is observably done, its manifest is stored.
 func (s *Server) completeEntries(done []*entry) {
 	for _, e := range done {
 		res := sweep.Assemble(e.opts, e.runs)
-		if st := s.cfg.Store; st != nil {
-			s.mu.Lock()
-			markJobsLocked(e, phasePersisting, time.Now())
-			rank := int(e.class)
-			s.mu.Unlock()
-			if err := st.PutRanked(store.KindSweep, e.key, rank, res); err != nil {
-				s.cfg.Logf("store: persisting sweep %s: %v", e.key, err)
+		s.mu.Lock()
+		markJobsLocked(e, phasePersisting, time.Now())
+		rank := int(e.class)
+		s.mu.Unlock()
+		if !s.store.Contains(store.KindSweep, e.key) {
+			if err := s.store.PutRanked(store.KindSweep, e.key, rank, store.Manifest{Options: e.opts}); err != nil {
+				s.cfg.Logf("store: persisting sweep manifest %s: %v", e.key, err)
 			}
 		}
 		s.mu.Lock()

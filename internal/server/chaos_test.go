@@ -276,8 +276,8 @@ func TestChaosExecLatencyInjection(t *testing.T) {
 
 // TestChaosStoreGetCorruption covers the read path the way
 // TestChaosStoreDegradation covers writes: with store.get:corrupt injected,
-// a resubmitted sweep finds its persisted blob "corrupt", the store
-// quarantines it (visible in refrint_store_quarantined_total), and the
+// a resubmitted sweep finds its stored cells "corrupt", the store
+// quarantines them (visible in refrint_store_quarantined_total), and the
 // service recomputes and completes the sweep instead of failing it.  Read
 // corruption must not flip the store into degraded mode — that is a
 // write-path condition.
@@ -287,13 +287,10 @@ func TestChaosStoreGetCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	// CacheEntries: 1 so the second sweep evicts the first from the
-	// in-memory result cache — the resubmission must then revive it from
-	// the persistent store, which is where the corruption is injected.
-	h := newHarness(t, Config{Store: st, CacheEntries: 1})
+	h := newHarness(t, Config{Store: st})
 
-	// Populate the store, then push the sweep blob out of the memory front
-	// so the resubmission below must read it from disk.
+	// Populate the store, then push the sweep's cells out of the memory
+	// front so the resubmission below must read them from disk.
 	first, status := h.submit(tinyRequest(1))
 	if status != http.StatusAccepted {
 		t.Fatalf("POST status = %d, want %d", status, http.StatusAccepted)
@@ -325,10 +322,9 @@ func TestChaosStoreGetCorruption(t *testing.T) {
 			resp.StatusCode, hz.Status)
 	}
 
-	// The recomputed result was re-persisted and is servable again.
-	final, _ := h.submit(tinyRequest(1))
-	h.waitState(final.ID, StateDone)
-	if !st.Contains(store.KindSweep, done.Key) {
-		t.Error("recomputed sweep not re-persisted after quarantine")
+	// The recomputed cells were re-persisted: the sweep is served from them.
+	final, status := h.submit(tinyRequest(1))
+	if status != http.StatusOK || !final.CacheHit {
+		t.Errorf("resubmit after recompute: status %d, cache_hit %v; want 200 from re-persisted cells", status, final.CacheHit)
 	}
 }

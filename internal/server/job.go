@@ -1,8 +1,8 @@
 // Package server turns the Refrint sweep harness into a long-running
 // service: an HTTP API over one bounded, priority-aware pool of simulation
-// workers (see internal/sched), plus a keyed result cache that deduplicates
-// identical submissions (singleflight), so any number of clients asking for
-// the same sweep cost one run.
+// workers (see internal/sched), plus an in-flight table keyed by sweep that
+// deduplicates identical submissions (singleflight), so any number of
+// clients asking for the same sweep cost one run.
 //
 // The unit of work is the simulation cell, not the sweep (cells.go).  An
 // admitted sweep enumerates its cells (sweep.Cells); each cell that is
@@ -30,8 +30,7 @@
 //
 // Jobs are the client-visible unit; executions are shared.  Two jobs whose
 // requests have the same canonical key (sweep.Options.Key) attach to one
-// execution entry, and a job submitted after that entry completed is served
-// from the result cache without running anything.  An execution that is
+// execution entry while it is in flight.  An execution that is
 // cancelled, fails or outlives its deadline withdraws from its cells: the
 // queued ones no other sweep waits on leave the scheduler, and the running
 // ones stop.
@@ -42,10 +41,13 @@
 // counters are atomics advanced as cells complete, and a publish tick folds
 // them into views, metrics and events.
 //
-// With a persistent store attached (Config.Store), completed sweeps and
-// individual simulation cells survive restarts: submissions and result
-// fetches check the store behind the in-memory cache, and a fresh cell is
-// looked up in the store before it is queued.
+// The cell is the only cached unit.  Every server has a store
+// (Config.Store, or a memory-only one): each simulated cell is stored, and
+// a fresh cell is looked up there before it is queued.  A submission whose
+// cells are all stored is born done from them (storedResults), taking no
+// admission slot, and a completed sweep leaves a manifest so GET
+// /v1/sweeps/{key}/... finds it by key.  With a store on disk all of that
+// survives restarts.
 package server
 
 import (
@@ -83,7 +85,7 @@ type Job struct {
 	trace   trace       // lifecycle timeline + request trace ID (trace.go)
 
 	state     State
-	cacheHit  bool   // completed from an already-cached result
+	cacheHit  bool   // born done from stored cells
 	reason    string // failure classification: "panic" or "deadline exceeded"
 	err       error
 	createdAt time.Time

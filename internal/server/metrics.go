@@ -38,17 +38,16 @@ var buildInfoLabels = func() string {
 // formatting for dozens of series — happens after the lock is released, so a
 // slow scraper can never stall submissions or terminal transitions.
 type metricsSnapshot struct {
-	byState          map[State]int
-	batches          int
-	cached, inflight int
-	sweepHits        int64
-	sweepMisses      int64
-	sweepEvicted     [sched.NumClasses]int64
-	inflightJoins    int64
-	queuedSweeps     [sched.NumClasses]int
-	panics           map[string]int64
-	jobTimeouts      [sched.NumClasses]int64
-	windowed         float64
+	byState       map[State]int
+	batches       int
+	inflight      int
+	sweepHits     int64
+	sweepMisses   int64
+	inflightJoins int64
+	queuedSweeps  [sched.NumClasses]int
+	panics        map[string]int64
+	jobTimeouts   [sched.NumClasses]int64
+	windowed      float64
 }
 
 // snapshotMetricsLocked captures the mutex-guarded half of the exposition.
@@ -57,9 +56,9 @@ func (s *Server) snapshotMetricsLocked() metricsSnapshot {
 	snap := metricsSnapshot{
 		byState:       make(map[State]int, 5),
 		batches:       len(s.batches),
+		inflight:      len(s.inflight),
 		sweepHits:     s.sweepCacheHits,
 		sweepMisses:   s.sweepCacheMisses,
-		sweepEvicted:  s.sweepCacheEvicted,
 		inflightJoins: s.inflightJoins,
 		queuedSweeps:  s.queuedSweeps,
 		panics:        make(map[string]int64, len(s.panicsTotal)),
@@ -71,7 +70,6 @@ func (s *Server) snapshotMetricsLocked() metricsSnapshot {
 	for _, j := range s.jobs {
 		snap.byState[j.state]++
 	}
-	snap.cached, snap.inflight = s.cache.stats()
 	s.foldSimRateLocked()
 	snap.windowed = s.simRate.Rate()
 	return snap
@@ -151,15 +149,10 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 		fmt.Fprintf(b, "refrint_jobs{state=%q} %d\n", string(st), snap.byState[st])
 	}
 
-	gauge("refrint_sweep_cache_entries", "Completed sweeps held in the in-memory cache.", snap.cached)
 	gauge("refrint_sweep_inflight", "Sweep executions currently queued or running.", snap.inflight)
-	counter("refrint_sweep_cache_hits_total", "Submissions answered immediately from the sweep cache or store.", snap.sweepHits)
+	counter("refrint_sweep_cache_hits_total", "Submissions answered immediately from stored cells.", snap.sweepHits)
 	counter("refrint_sweep_cache_misses_total", "Submissions that required a live execution.", snap.sweepMisses)
 	counter("refrint_cell_inflight_joins_total", "Sweep cells that joined a simulation already in flight instead of running their own.", snap.inflightJoins)
-	fmt.Fprintf(b, "# HELP refrint_sweep_cache_evicted_total Completed sweeps evicted from the in-memory cache, by the execution's priority class.\n# TYPE refrint_sweep_cache_evicted_total counter\n")
-	for c := sched.Class(0); c < sched.NumClasses; c++ {
-		fmt.Fprintf(b, "refrint_sweep_cache_evicted_total{class=%q} %d\n", c.String(), snap.sweepEvicted[c])
-	}
 
 	// The known recovery sites are always exposed (zero included) so
 	// dashboards can rate() them from the first scrape; any further site
@@ -203,28 +196,26 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 		}
 	}
 
-	if st := s.cfg.Store; st != nil {
-		ss := st.Stats()
-		counter("refrint_cell_cache_hits_total", "Simulation cells served from the persistent store.", ss.CellHits)
-		counter("refrint_cell_cache_misses_total", "Simulation cells that had to be computed (cells already in flight are joined before the store is asked).", ss.CellMisses)
-		counter("refrint_store_sweep_hits_total", "Whole-sweep store reads that hit.", ss.SweepHits)
-		counter("refrint_store_sweep_misses_total", "Whole-sweep store reads that missed.", ss.SweepMisses)
-		gauge("refrint_store_entries", "Blobs currently persisted in the store.", ss.Entries)
-		gauge("refrint_store_bytes", "Bytes currently persisted in the store.", ss.Bytes)
-		counter("refrint_store_quarantined_total", "Blobs quarantined after failing verification.", ss.Quarantined)
-		counter("refrint_store_evictions_total", "Blobs evicted by the LRU byte budget.", ss.Evictions)
-		fmt.Fprintf(b, "# HELP refrint_store_evictions_rank_total Blobs evicted by the LRU byte budget, by retention rank (0 = most retained).\n# TYPE refrint_store_evictions_rank_total counter\n")
-		for rank, n := range ss.EvictionsByRank {
-			fmt.Fprintf(b, "refrint_store_evictions_rank_total{rank=\"%d\"} %d\n", rank, n)
-		}
-		degraded := 0
-		if ss.Degraded {
-			degraded = 1
-		}
-		gauge("refrint_store_degraded", "1 while the store runs memory-only after persistent write failures, 0 when healthy.", degraded)
-		counter("refrint_store_write_retries_total", "Transient blob-write failures retried with backoff.", ss.WriteRetries)
-		counter("refrint_store_degraded_puts_total", "Puts absorbed into memory while the store was degraded.", ss.DegradedPuts)
+	ss := s.store.Stats()
+	counter("refrint_cell_cache_hits_total", "Simulation cells served from the store.", ss.CellHits)
+	counter("refrint_cell_cache_misses_total", "Simulation cells that had to be computed (cells already in flight are joined before the store is asked).", ss.CellMisses)
+	counter("refrint_store_sweep_hits_total", "Sweep-manifest store reads that hit.", ss.SweepHits)
+	counter("refrint_store_sweep_misses_total", "Sweep-manifest store reads that missed.", ss.SweepMisses)
+	gauge("refrint_store_entries", "Blobs (cells and sweep manifests) currently held by the store.", ss.Entries)
+	gauge("refrint_store_bytes", "Bytes currently held by the store.", ss.Bytes)
+	counter("refrint_store_quarantined_total", "Blobs quarantined after failing verification.", ss.Quarantined)
+	counter("refrint_store_evictions_total", "Blobs evicted by the LRU byte budget.", ss.Evictions)
+	fmt.Fprintf(b, "# HELP refrint_store_evictions_rank_total Blobs evicted by the LRU byte budget, by retention rank (0 = most retained).\n# TYPE refrint_store_evictions_rank_total counter\n")
+	for rank, n := range ss.EvictionsByRank {
+		fmt.Fprintf(b, "refrint_store_evictions_rank_total{rank=\"%d\"} %d\n", rank, n)
 	}
+	degraded := 0
+	if ss.Degraded {
+		degraded = 1
+	}
+	gauge("refrint_store_degraded", "1 while the store runs memory-only after persistent write failures, 0 when healthy.", degraded)
+	counter("refrint_store_write_retries_total", "Transient blob-write failures retried with backoff.", ss.WriteRetries)
+	counter("refrint_store_degraded_puts_total", "Puts absorbed into memory while the store was degraded.", ss.DegradedPuts)
 
 	gauge("refrint_event_subscribers", "Open SSE subscriptions (job, batch and firehose streams).", subs)
 	counter("refrint_events_published_total", "Events fanned out to at least one SSE subscriber.", published)

@@ -165,7 +165,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		}
 	}
 
-	// The families this PR introduced must all be present.
+	// The documented families must all be present...
 	for _, f := range []string{
 		"refrint_http_request_seconds",
 		"refrint_sched_wait_seconds",
@@ -180,9 +180,21 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"refrint_cell_cache_misses_total",
 		"refrint_cell_inflight_joins_total",
 		"refrint_sweeps_queued",
+		"refrint_sweep_inflight",
+		"refrint_sweep_cache_hits_total",
+		"refrint_store_sweep_hits_total",
 	} {
 		if !seen[f] {
 			t.Errorf("fully-populated exposition missing family %q", f)
+		}
+	}
+	// ...and cells are the only cached unit: the sweep-cache families count
+	// submissions answered from stored cells and nothing else, so none of
+	// the retired whole-sweep cache series (its size, its evictions) is back.
+	for f := range typed {
+		if strings.HasPrefix(f, "refrint_sweep_cache_") &&
+			f != "refrint_sweep_cache_hits_total" && f != "refrint_sweep_cache_misses_total" {
+			t.Errorf("exposition carries retired sweep-cache family %q", f)
 		}
 	}
 	for _, f := range []string{"refrint_http_request_seconds", "refrint_sched_wait_seconds", "refrint_exec_seconds"} {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"refrint"
+	"refrint/internal/sched"
 	"refrint/internal/store"
 	"refrint/internal/sweep"
 )
@@ -144,6 +145,80 @@ func TestRestartServesPersistedSweep(t *testing.T) {
 	if _, status := h2.getText("/v1/sweeps/ffffffffffffffffffffffffffffffff/figures"); status != http.StatusNotFound {
 		t.Errorf("unknown key: status %d, want 404", status)
 	}
+
+	// A data dir written before manifests existed holds the full results
+	// under the sweep key; it still resolves by key.
+	res, err := refrint.RunSweep(mustOptions(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Put(store.KindSweep, key, res); err != nil {
+		t.Fatal(err)
+	}
+	var legacy sweep.FiguresExport
+	if resp := h2.do("GET", "/v1/sweeps/"+key+"/figures", nil, &legacy); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET figures by key from a full-results blob: status %d", resp.StatusCode)
+	}
+	if got, _ := json.Marshal(legacy); string(got) != string(wantFigs) {
+		t.Fatal("full-results blob resolved to different figures")
+	}
+	if n := calls2.Load(); n != 0 {
+		t.Fatalf("restarted server simulated %d cells, want 0", n)
+	}
+}
+
+func mustOptions(t *testing.T, req refrint.SweepRequest) refrint.SweepOptions {
+	t.Helper()
+	opts, err := req.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts
+}
+
+// TestStoredSweepSkipsFullQueue verifies a sweep whose cells are all stored
+// takes no admission slot: submitted while its class queue is full, it is
+// answered 200 done without a simulation, both alone and as a batch member.
+func TestStoredSweepSkipsFullQueue(t *testing.T) {
+	st, err := store.Open("", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	stored := tinyRequest(1)
+	h1 := newHarness(t, Config{Store: st})
+	first, _ := h1.submit(stored)
+	h1.waitState(first.ID, StateDone)
+
+	exec := newBlockingExec()
+	h := newHarness(t, Config{
+		Store:           st,
+		Shards:          1,
+		ClassQueueDepth: [sched.NumClasses]int{1, 1, 1},
+		Execute:         exec.fn,
+	})
+	h.submit(tinyRequest(2))
+	<-exec.started // the only worker is busy: the next sweep stays queued
+	if _, status := h.submit(tinyRequest(3)); status != http.StatusAccepted {
+		t.Fatalf("filling submission: status %d, want 202", status)
+	}
+	if _, status := h.submit(tinyRequest(4)); status != http.StatusServiceUnavailable {
+		t.Fatalf("interactive queue not full: status %d, want 503", status)
+	}
+
+	view, status := h.submit(stored)
+	if status != http.StatusOK || view.State != StateDone || !view.CacheHit {
+		t.Errorf("stored sweep on a full queue: status %d, state %s, cache_hit %v; want 200 done hit",
+			status, view.State, view.CacheHit)
+	}
+	bv, status := h.submitBatch(BatchRequest{Priority: "interactive", Requests: []refrint.SweepRequest{stored}})
+	if status != http.StatusOK || bv.State != StateDone {
+		t.Errorf("stored batch member on a full queue: status %d, state %s; want 200 done", status, bv.State)
+	}
+	if n := exec.calls.Load(); n != 1 {
+		t.Errorf("gated simulations = %d, want only the blocker's 1", n)
+	}
+	close(exec.release)
 }
 
 // TestOverlappingSweepsShareCells is the second acceptance criterion: a
@@ -240,8 +315,9 @@ func TestFiguresByKeyInFlight(t *testing.T) {
 	}
 }
 
-// TestMetricsWithoutStore verifies /metrics works on a store-less server
-// (no store series, everything else present).
+// TestMetricsWithoutStore verifies a server given no store runs on a
+// memory-only one: a resubmission is served from the stored cells, and
+// /metrics exposes the store series with nothing on disk.
 func TestMetricsWithoutStore(t *testing.T) {
 	h := newHarness(t, Config{})
 	view, _ := h.submit(tinyRequest(9))
@@ -261,7 +337,16 @@ func TestMetricsWithoutStore(t *testing.T) {
 	if v := metricValue(t, text, "refrint_sims_completed_total"); v != 2 {
 		t.Errorf("sims completed = %g, want 2", v)
 	}
-	if regexp.MustCompile(`refrint_cell_cache_hits_total`).MatchString(text) {
-		t.Error("store-less server exposes cell cache series")
+	if v := metricValue(t, text, "refrint_cell_cache_misses_total"); v != 2 {
+		t.Errorf("cell cache misses = %g, want 2 (the first run's cells)", v)
+	}
+	if v := metricValue(t, text, "refrint_cell_cache_hits_total"); v != 2 {
+		t.Errorf("cell cache hits = %g, want 2 (the resubmission read both cells)", v)
+	}
+	if v := metricValue(t, text, "refrint_store_entries"); v != 3 { // 2 cells + 1 manifest
+		t.Errorf("store entries = %g, want 3", v)
+	}
+	if h.srv.store.Dir() != "" {
+		t.Errorf("default store has directory %q, want memory-only", h.srv.store.Dir())
 	}
 }

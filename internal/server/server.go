@@ -57,12 +57,9 @@ type Config struct {
 	// one dequeue cycle serves that many cells of each class, most urgent
 	// first.
 	ClassWeights [sched.NumClasses]int
-	// CacheEntries bounds how many completed sweeps are kept for reuse
-	// (default 32).
-	CacheEntries int
 	// JobHistory bounds how many finished jobs remain pollable (default
 	// 1024).  The oldest terminal jobs beyond the bound are forgotten —
-	// along with their grip on cached results — so a long-running service
+	// along with their grip on their results — so a long-running service
 	// does not grow without bound.
 	JobHistory int
 	// BatchHistory bounds how many finished batches remain pollable
@@ -110,9 +107,12 @@ type Config struct {
 	JobTimeout time.Duration
 	// Execute runs one simulation cell (default sweep.RunCell).
 	Execute ExecuteFunc
-	// Store, when set, persists completed sweeps and individual simulation
-	// cells: restarts serve previously completed sweeps without re-running
-	// them, and overlapping sweeps reuse each other's cells.
+	// Store holds the simulation cells and the manifests of completed
+	// sweeps: a sweep whose cells are all stored is served without running
+	// anything, and overlapping sweeps reuse each other's cells.  A store
+	// with a data directory makes that survive restarts.  When nil, New
+	// opens a memory-only store with the default budget, which Close
+	// closes; a store passed in here stays open for the caller to close.
 	Store *store.Store
 	// Logger is the structured log sink.  Job lifecycle lines carry the
 	// request trace ID, client, class and sweep key, and terminal lines
@@ -138,9 +138,6 @@ func (c Config) withDefaults() Config {
 	c.Shards = c.Workers()
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 32
 	}
 	if c.JobHistory <= 0 {
 		c.JobHistory = 1024
@@ -190,6 +187,9 @@ type Server struct {
 	handler http.Handler // mux wrapped in the request-metrics middleware
 	sched   *sched.Scheduler
 	bus     *eventBus
+	// store is Config.Store, or the memory-only store New opened (ownStore).
+	store    *store.Store
+	ownStore bool
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -197,7 +197,7 @@ type Server struct {
 
 	startedAt time.Time
 
-	// mu guards jobs, jobOrder, batches, batchOrder, cache, cells, probes,
+	// mu guards jobs, jobOrder, batches, batchOrder, inflight, cells, probes,
 	// queuedSweeps, nextID, nextBatchID, closed, the metrics counters and
 	// every mutable Job/Batch/entry/cell field.  Every scheduler mutation
 	// (Submit, Cancel, Promote) happens under mu too, which is what makes
@@ -208,7 +208,9 @@ type Server struct {
 	jobOrder   []string
 	batches    map[string]*Batch
 	batchOrder []string
-	cache      *resultCache
+	// inflight maps a sweep key to its execution while that is queued or
+	// running: the singleflight table.  Terminal entries leave it.
+	inflight map[string]*entry
 	// cells is the in-flight table: every cell being probed, queued or
 	// simulated, by key (cells.go).  probes holds the fresh cells awaiting
 	// their store lookup.  queuedSweeps counts, per class, the admitted
@@ -227,10 +229,9 @@ type Server struct {
 	drainRetryAfter int
 
 	// Metrics counters (see handleMetrics).
-	sweepCacheHits    int64                   // submissions answered done immediately (memory or store)
-	sweepCacheMisses  int64                   // submissions that enqueued or attached to a live execution
-	sweepCacheEvicted [sched.NumClasses]int64 // result-cache evictions by execution class
-	inflightJoins     int64                   // sweep cells that joined a cell already in flight
+	sweepCacheHits   int64 // submissions answered done from stored cells
+	sweepCacheMisses int64 // submissions that enqueued or attached to a live execution
+	inflightJoins    int64 // sweep cells that joined a cell already in flight
 	// panicsTotal counts recovered panics by site: "sim" (inside a sweep
 	// cell), "exec" (the Execute wrapper), "sched" (scheduler callbacks) and
 	// "tick" (the SSE publish tick).  Every recovery is also logged with its
@@ -270,16 +271,21 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		mux:         http.NewServeMux(),
 		bus:         newEventBus(cfg.EventBuffer, cfg.EventLog),
+		store:       cfg.Store,
 		jobs:        make(map[string]*Job),
 		cells:       make(map[sweep.CellKey]*cell),
 		batches:     make(map[string]*Batch),
-		cache:       newResultCache(cfg.CacheEntries),
+		inflight:    make(map[string]*entry),
 		startedAt:   time.Now(),
 		simRate:     newRateWindow(time.Minute, time.Now),
 		loopDone:    make(chan struct{}),
 		quota:       newClientQuota(cfg.ClientRate, cfg.ClientBurst, time.Now),
 		httpMetrics: newHTTPMetrics(),
 		panicsTotal: make(map[string]int64),
+	}
+	if s.store == nil {
+		s.store, _ = store.Open("", store.Options{Logf: cfg.Logf}) // memory-only: cannot fail
+		s.ownStore = true
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	// The scheduler queues cells, not sweeps: admission is bounded per class
@@ -354,7 +360,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 // Close cancels every in-flight execution and stops the workers.  Pending
 // queue entries are drained (and observed cancelled) before Close returns,
 // so their terminal events reach still-attached subscribers; then every open
-// SSE stream is terminated.
+// SSE stream is terminated, and a store New opened is closed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -372,6 +378,9 @@ func (s *Server) Close() {
 	s.safeTick()
 	s.bus.close()
 	<-s.loopDone
+	if s.ownStore {
+		_ = s.store.Close()
+	}
 }
 
 // BeginDrain flips the server into graceful-shutdown admission: new
@@ -622,9 +631,6 @@ func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
 		e.state = StateDone
 		e.res = res
 		e.done.Store(e.total.Load())
-		for _, cl := range s.cache.markCompleted(e) {
-			s.sweepCacheEvicted[cl]++
-		}
 		s.cfg.Logf("sweep %s: done", e.key)
 	case errors.Is(err, context.DeadlineExceeded):
 		e.state = StateFailed
@@ -645,8 +651,10 @@ func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
 		}
 		s.cfg.Logf("sweep %s: failed: %v", e.key, err)
 	}
+	if s.inflight[e.key] == e {
+		delete(s.inflight, e.key)
+	}
 	if e.state != StateDone {
-		s.cache.drop(e)
 		s.abortEntryLocked(e)
 	}
 	e.cells, e.runs = nil, nil
@@ -731,9 +739,10 @@ func classFor(label string, def sched.Class) (sched.Class, error) {
 	return sched.ParseClass(label)
 }
 
-// handleSubmit implements POST /v1/sweeps: parse the request, attach to an
-// existing execution of the same sweep if one is in flight or cached
-// (singleflight), otherwise enqueue a fresh execution.
+// handleSubmit implements POST /v1/sweeps: parse the request, serve it from
+// its stored cells when they are all there, attach to an execution of the
+// same sweep already in flight (singleflight), and otherwise enqueue a fresh
+// execution.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tr := trace{id: requestTraceID(r)}
 	tr.mark(phaseReceived, time.Now())
@@ -767,10 +776,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := opts.Key()
-	// Prime the cache from the persistent store before taking the lock (a
-	// no-op without a store or when the key is already cached): the blob
-	// read must not happen under the server mutex.
-	s.reviveStoredSweep(key)
+	stored, _ := s.storedResults(key, opts)
 
 	s.mu.Lock()
 	if s.closed || s.draining {
@@ -783,7 +789,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	job, ok := s.submitJobLocked(req, opts, key, class, class, s.effectiveTimeout(req.TimeoutMS), tr)
+	job, ok := s.submitJobLocked(req, opts, key, class, class, s.effectiveTimeout(req.TimeoutMS), tr, stored)
 	if !ok {
 		s.mu.Unlock()
 		// A capacity rejection gives the token back: the client honoring the
@@ -805,11 +811,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, view)
 }
 
-// submitJobLocked creates one job for a resolved request: served from cache,
-// attached to the in-flight execution of the same key (promoting it when the
-// new job is more urgent), or admitted as a fresh execution whose cells join
-// the in-flight table (see attachCellsLocked; with a store attached the
-// caller runs probeStore after unlocking).  class is the
+// submitJobLocked creates one job for a resolved request: born done from
+// stored (the results storedResults read, nil on a miss), attached to the
+// in-flight execution of the same key (promoting it when the new job is more
+// urgent), or admitted as a fresh execution whose cells join the in-flight
+// table (see attachCellsLocked; the caller runs probeStore after
+// unlocking).  A job born done takes no admission slot.  class is the
 // job's own priority; entryClass is the class a fresh execution enqueues at —
 // the same, except in a batch whose later duplicate of this key is more
 // urgent (creating at the final class directly keeps capacity accounting
@@ -820,7 +827,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // Caller holds the server mutex; both POST /v1/sweeps and POST /v1/batches
 // funnel through here, which keeps every scheduler mutation serialized
 // under it.
-func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, key string, class, entryClass sched.Class, timeout time.Duration, tr trace) (*Job, bool) {
+func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, key string, class, entryClass sched.Class, timeout time.Duration, tr trace, stored *refrint.SweepResults) (*Job, bool) {
 	s.nextID++
 	job := &Job{
 		id:        fmt.Sprintf("job-%06d", s.nextID),
@@ -833,29 +840,28 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 	}
 	job.trace.mark(phaseAdmitted, job.createdAt)
 
-	e, hit := s.cache.lookup(key)
-	if hit {
-		// Singleflight: ride the execution already in flight, or serve the
-		// cached result outright.
+	e, inflight := s.inflight[key]
+	switch {
+	case stored != nil:
+		// Served from the stored cells: the job is born terminal, holding a
+		// completed entry that is never in flight.
+		e = &entry{key: key, opts: opts, state: StateDone, res: stored}
+		e.total.Store(int64(opts.Size()))
+		e.done.Store(e.total.Load())
+		job.entry = e
+		job.state = StateDone
+		job.cacheHit = true
+		job.startedAt = job.createdAt
+		job.endedAt = job.createdAt
+		job.trace.mark(phaseCacheHit, job.createdAt)
+		job.trace.mark(string(StateDone), job.createdAt)
+		job.freezeProgress()
+		s.sweepCacheHits++
+		s.logTerminalLocked(job, job.createdAt)
+	case inflight:
+		// Singleflight: ride the execution already in flight.
 		job.entry = e
 		switch e.state {
-		case StateDone:
-			// Served from cache: the job is born terminal and is not
-			// attached to e.jobs (finishLocked already ran; attaching
-			// would only pin the job in memory for the cache's lifetime).
-			job.state = StateDone
-			job.cacheHit = true
-			job.startedAt = job.createdAt
-			job.endedAt = job.createdAt
-			shortcut := phaseCacheHit
-			if e.revived {
-				shortcut = phaseRevived
-			}
-			job.trace.mark(shortcut, job.createdAt)
-			job.trace.mark(string(StateDone), job.createdAt)
-			job.freezeProgress()
-			s.sweepCacheHits++
-			s.logTerminalLocked(job, job.createdAt)
 		case StateRunning:
 			e.jobs = append(e.jobs, job)
 			job.state = StateRunning
@@ -881,7 +887,7 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 				s.moveEntryLocked(e, entryClass)
 			}
 		}
-	} else {
+	default:
 		if s.queuedSweeps[entryClass] >= s.cfg.ClassQueueDepth[entryClass] {
 			return nil, false
 		}
@@ -899,7 +905,7 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 		job.entry = e
 		job.trace.mark(phaseQueued, job.createdAt)
 		s.queuedSweeps[entryClass]++
-		s.cache.put(e)
+		s.inflight[key] = e
 		s.attachCellsLocked(e, req.Client)
 		s.cfg.Logf("sweep %s: queued %s (%d sims)", key, entryClass, e.total.Load())
 	}
@@ -917,71 +923,55 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 	return job, true
 }
 
-// reviveStoredSweep loads a previously persisted sweep from the store into
-// the cache as a completed entry, so submissions and result fetches after a
-// restart are served without re-running anything.  It returns the (now
-// cached) results when the key resolves to a completed sweep.  It must be
-// called WITHOUT the server mutex held: the blob read and decode can be
-// large, and — like the sweep persist in completeEntries — must not stall
-// handlers or cell completions.  Concurrent revivals of one key are harmless; the
-// first installed entry wins.
-func (s *Server) reviveStoredSweep(key string) (*refrint.SweepResults, bool) {
-	if s.cfg.Store == nil {
-		return nil, false
-	}
+// storedResults serves a sweep from the store when every one of its cells
+// is there: it checks them all with Contains, then reads them and
+// assembles the Results.  Any miss (a cell evicted between the check and
+// the read included) reports false, and so does a key already in flight,
+// which a submission joins instead; the caller then goes through admission,
+// where stored cells still complete from the store as they are probed.  It
+// runs WITHOUT the server mutex: the store may read disk.
+func (s *Server) storedResults(key string, opts sweep.Options) (*refrint.SweepResults, bool) {
 	s.mu.Lock()
-	if e, ok := s.cache.lookup(key); ok {
-		var res *refrint.SweepResults
-		if e.state == StateDone {
-			res = e.res
-		}
-		s.mu.Unlock()
-		return res, res != nil
-	}
+	_, inflight := s.inflight[key]
 	s.mu.Unlock()
-
-	var res refrint.SweepResults
-	if !s.cfg.Store.Get(store.KindSweep, key, &res) {
+	if inflight {
 		return nil, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.cache.lookup(key); ok {
-		// Lost a race to a concurrent revival or execution of the same key.
-		if cur.state == StateDone {
-			return cur.res, true
+	cells := sweep.Cells(opts)
+	for _, c := range cells {
+		if !s.store.Contains(store.KindCell, c.Key.Hash()) {
+			return nil, false
 		}
+	}
+	// Read on one goroutine per P: a cold read is a file read and two JSON
+	// decodes, and a full sweep has hundreds of cells.
+	runs := make([]sweep.Run, len(cells))
+	var next atomic.Int64
+	var missed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(cells)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cells) && !missed.Load(); i = int(next.Add(1) - 1) {
+				res, ok := s.store.GetCell(cells[i].Key)
+				if !ok {
+					missed.Store(true)
+					return
+				}
+				runs[i] = sweep.Run{App: cells[i].App, Point: cells[i].Point, Result: res}
+			}
+		}()
+	}
+	wg.Wait()
+	if missed.Load() {
 		return nil, false
 	}
-	s.installDoneEntryLocked(key, &res)
-	s.cfg.Logf("sweep %s: restored from store", key)
-	return &res, true
-}
-
-// installDoneEntryLocked caches an already-completed sweep result as a done
-// entry, so the next submission of its key is a pure cache hit.  Caller
-// holds the server mutex.
-func (s *Server) installDoneEntryLocked(key string, res *refrint.SweepResults) {
-	e := &entry{
-		key:  key,
-		opts: res.Options,
-		// Revived results are already durable in the store, so they are the
-		// cheapest thing in the cache to lose: rank them for eviction first.
-		class:   sched.Background,
-		state:   StateDone,
-		res:     res,
-		revived: true,
-	}
-	e.total.Store(int64(res.Options.Size()))
-	e.done.Store(e.total.Load())
-	s.cache.put(e)
-	for _, cl := range s.cache.markCompleted(e) {
-		s.sweepCacheEvicted[cl]++
-	}
+	return sweep.Assemble(opts, runs), true
 }
 
 // evictJobsLocked forgets the oldest terminal jobs beyond the history
-// bound, releasing their references to (possibly cache-evicted) results.
+// bound, releasing their references to their results.
 // Live jobs are never evicted.  Caller holds the server mutex.
 func (s *Server) evictJobsLocked() {
 	excess := len(s.jobOrder) - s.cfg.JobHistory
@@ -1132,37 +1122,33 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // completedResults fetches the results behind {id}, which may be a job id or
-// a canonical sweep key.  Keys resolve through the in-memory cache and then
-// the persistent store, so a restarted server serves completed sweeps by key
-// without any job existing.  Jobs that are not (yet) done are rejected.
+// a canonical sweep key.  A key resolves through its manifest in the store
+// to the sweep's options, and the results are assembled from its stored
+// cells, so a restarted server serves completed sweeps by key without any
+// job existing.  Jobs that are not (yet) done are rejected.
 func (s *Server) completedResults(w http.ResponseWriter, r *http.Request) (*refrint.SweepResults, bool) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	job, ok := s.jobs[id]
 	if !ok {
-		// Not a job: try it as a sweep key (cache first, then store — the
-		// store read happens outside the mutex).  A key whose execution is
-		// still in flight answers 409 like the job-id path, so clients can
-		// tell "still running" from "never existed".
-		var res *refrint.SweepResults
+		// Not a job: try it as a sweep key.  A key whose execution is still
+		// in flight answers 409 like the job-id path, so clients can tell
+		// "still running" from "never existed"; the store reads happen
+		// outside the mutex.
 		var inflight State
-		if e, found := s.cache.lookup(id); found {
-			if e.state == StateDone {
-				res = e.res
-			} else {
-				inflight = e.state
-			}
+		if e, found := s.inflight[id]; found {
+			inflight = e.state
 		}
 		s.mu.Unlock()
-		if res == nil && inflight == "" {
-			res, _ = s.reviveStoredSweep(id)
-		}
-		if res != nil {
-			return res, true
-		}
 		if inflight != "" {
 			writeError(w, http.StatusConflict, "sweep %s is %s, not done", id, inflight)
 			return nil, false
+		}
+		var m store.Manifest
+		if s.store.Get(store.KindSweep, id, &m) {
+			if res, ok := s.storedResults(id, m.Options); ok {
+				return res, true
+			}
 		}
 		writeError(w, http.StatusNotFound, "no job or completed sweep %q", id)
 		return nil, false
@@ -1230,7 +1216,6 @@ type healthz struct {
 	Jobs     int    `json:"jobs"`
 	Queued   int    `json:"queued"`
 	Inflight int    `json:"inflight"`
-	Cached   int    `json:"cached"`
 }
 
 // handleHealthz implements GET /healthz.  Status codes follow the statuses:
@@ -1239,24 +1224,20 @@ type healthz struct {
 // load balancers stop routing to an instance on its way out.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	cached, inflight := s.cache.stats()
 	h := healthz{
 		Status:   "ok",
 		Jobs:     len(s.jobs),
 		Queued:   s.sched.Queued(),
-		Inflight: inflight,
-		Cached:   cached,
+		Inflight: len(s.inflight),
 	}
 	closing := s.draining || s.closed
 	s.mu.Unlock()
 	code := http.StatusOK
 	// The store has its own mutex; checked outside s.mu like every other
 	// store call on a handler path.
-	if st := s.cfg.Store; st != nil {
-		if deg, cause := st.Degraded(); deg {
-			h.Status = "degraded"
-			h.Cause = cause
-		}
+	if deg, cause := s.store.Degraded(); deg {
+		h.Status = "degraded"
+		h.Cause = cause
 	}
 	if closing {
 		h.Status = "closing"

@@ -7,7 +7,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -464,58 +463,6 @@ func TestEventLogReplay(t *testing.T) {
 	close(exec.release)
 	if term, _ := st2.until("done", "failed", "cancelled"); term.name != "done" {
 		t.Fatalf("terminal = %q, want done", term.name)
-	}
-}
-
-// TestPriorityAwareCacheEviction verifies the result cache evicts background
-// results before interactive ones at equal recency: with room for two
-// completions, an older interactive result outlives two newer background
-// completions, and the eviction lands on the by-class counter.
-func TestPriorityAwareCacheEviction(t *testing.T) {
-	var calls atomic.Int64
-	h := newHarness(t, Config{CacheEntries: 2, Execute: countingExec(&calls)})
-
-	iReq := tinyRequest(500) // interactive is the default class
-	iView, _ := h.submit(iReq)
-	h.waitState(iView.ID, StateDone)
-
-	for seed := int64(501); seed <= 502; seed++ {
-		req := tinyRequest(seed)
-		req.Priority = "background"
-		view, _ := h.submit(req)
-		h.waitState(view.ID, StateDone)
-	}
-
-	// Three completions against capacity 2: the LRU victim would be the
-	// interactive result, but priority-aware eviction takes the oldest
-	// background completion instead.
-	ranBefore := calls.Load()
-	again, status := h.submit(iReq)
-	if status != http.StatusOK || !again.CacheHit {
-		t.Fatalf("interactive resubmit: status %d cacheHit %v, want 200 hit", status, again.CacheHit)
-	}
-	if calls.Load() != ranBefore {
-		t.Fatal("interactive resubmit re-executed despite surviving eviction")
-	}
-
-	// The evicted background sweep re-executes: both of its cells.
-	evicted := tinyRequest(501)
-	evicted.Priority = "background"
-	view, status := h.submit(evicted)
-	if status != http.StatusAccepted {
-		t.Fatalf("evicted background resubmit: status %d, want 202", status)
-	}
-	h.waitState(view.ID, StateDone)
-	if calls.Load() != ranBefore+2 {
-		t.Fatalf("evicted background resubmit simulated %d cells, want 2", calls.Load()-ranBefore)
-	}
-
-	text := h.metricsText()
-	if n := labeledMetric(t, text, `refrint_sweep_cache_evicted_total{class="background"}`); n < 1 {
-		t.Errorf(`background evictions = %g, want >= 1`, n)
-	}
-	if n := labeledMetric(t, text, `refrint_sweep_cache_evicted_total{class="interactive"}`); n != 0 {
-		t.Errorf(`interactive evictions = %g, want 0`, n)
 	}
 }
 

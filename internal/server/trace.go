@@ -22,12 +22,10 @@ import (
 //	received -> validated -> admitted -> queued -> dequeued -> executing
 //	         -> persisting -> done
 //
-// with shortcuts where the pipeline skips work: a submission answered from
-// the in-memory result cache marks cache-hit, one revived from the
-// persistent store marks revived (both then go straight to done), a job
-// attaching to an execution already running skips queued/dequeued, a job
-// cancelled while queued jumps from queued to cancelled, and persisting only
-// appears with a store attached.
+// with shortcuts where the pipeline skips work: a submission whose cells are
+// all stored marks cache-hit and goes straight to done, a job attaching to
+// an execution already running skips queued/dequeued, and a job cancelled
+// while queued jumps from queued to cancelled.
 
 // Lifecycle phase names, in pipeline order.  Terminal marks reuse the job
 // State strings ("done", "failed", "cancelled").
@@ -38,9 +36,8 @@ const (
 	phaseQueued     = "queued"            // waiting in a scheduler queue
 	phaseDequeued   = "dequeued"          // the sweep's first cell popped by a worker
 	phaseExecuting  = "executing"         // simulations running
-	phasePersisting = "persisting"        // completed sweep being written to the store
-	phaseCacheHit   = "cache-hit"         // answered from the in-memory result cache
-	phaseRevived    = "revived"           // answered from the persistent store
+	phasePersisting = "persisting"        // completed sweep's manifest being written to the store
+	phaseCacheHit   = "cache-hit"         // answered from stored cells
 	phaseDeadline   = "deadline-exceeded" // execution hit its timeout (precedes the failed mark)
 )
 

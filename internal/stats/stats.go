@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -191,63 +190,4 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "noc msgs=%d hops=%d  dram=%d  policy(ref=%d wb=%d inv=%d)  sentryIRQ=%d\n",
 		s.NoCMessages, s.NoCHops, s.DRAMAccesses(), s.PolicyRefreshes, s.PolicyWritebacks, s.PolicyInvalidates, s.SentryInterrupts)
 	return b.String()
-}
-
-// Distribution is a simple accumulator for scalar samples (used for
-// reuse-distance and interrupt-latency statistics in tests and reports).
-type Distribution struct {
-	samples []float64
-	sum     float64
-}
-
-// Observe records one sample.
-func (d *Distribution) Observe(v float64) {
-	d.samples = append(d.samples, v)
-	d.sum += v
-}
-
-// Count returns the number of samples.
-func (d *Distribution) Count() int { return len(d.samples) }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (d *Distribution) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.sum / float64(len(d.samples))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on a sorted copy; 0 with no samples.
-func (d *Distribution) Percentile(p float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), d.samples...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (d *Distribution) Max() float64 {
-	max := 0.0
-	for i, v := range d.samples {
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return max
 }

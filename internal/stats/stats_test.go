@@ -124,47 +124,6 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func TestDistribution(t *testing.T) {
-	var d Distribution
-	if d.Count() != 0 || d.Mean() != 0 || d.Percentile(50) != 0 || d.Max() != 0 {
-		t.Error("empty distribution should report zeros")
-	}
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		d.Observe(v)
-	}
-	if d.Count() != 5 {
-		t.Errorf("Count = %d", d.Count())
-	}
-	if d.Mean() != 3 {
-		t.Errorf("Mean = %v, want 3", d.Mean())
-	}
-	if got := d.Percentile(0); got != 1 {
-		t.Errorf("P0 = %v, want 1", got)
-	}
-	if got := d.Percentile(100); got != 5 {
-		t.Errorf("P100 = %v, want 5", got)
-	}
-	if got := d.Percentile(50); got < 2 || got > 4 {
-		t.Errorf("P50 = %v, want around 3", got)
-	}
-	if d.Max() != 5 {
-		t.Errorf("Max = %v, want 5", d.Max())
-	}
-}
-
-func TestDistributionPercentileMonotoneProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		var d Distribution
-		for _, v := range vals {
-			d.Observe(v)
-		}
-		return d.Percentile(10) <= d.Percentile(50) && d.Percentile(50) <= d.Percentile(90)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAddIsCommutativeOnCountersProperty(t *testing.T) {
 	f := func(r1, w1, r2, w2 int32) bool {
 		a := LevelCounters{Reads: int64(r1), Writes: int64(w1)}

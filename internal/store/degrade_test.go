@@ -122,8 +122,8 @@ func TestDegradeAndRecover(t *testing.T) {
 	if !s.Get(KindCell, key(3), &got) || got.Name != testPayload(3).Name {
 		t.Fatalf("degraded put unreadable from the memory front (got %+v)", got)
 	}
-	if s.Contains(KindCell, key(3)) {
-		t.Fatal("degraded put reached the disk index")
+	if _, err := os.Stat(s.blobPath(KindCell, key(3))); !os.IsNotExist(err) {
+		t.Fatalf("degraded put reached the disk (err=%v)", err)
 	}
 	st := s.Stats()
 	if !st.Degraded || st.DegradedPuts < 2 {
@@ -145,12 +145,56 @@ func TestDegradeAndRecover(t *testing.T) {
 	if err := s.Put(KindCell, key(4), testPayload(4)); err != nil {
 		t.Fatalf("post-recovery put: %v", err)
 	}
-	if !s.Contains(KindCell, key(4)) {
-		t.Fatal("post-recovery put did not reach the disk")
+	if _, err := os.Stat(s.blobPath(KindCell, key(4))); err != nil {
+		t.Fatalf("post-recovery put did not reach the disk: %v", err)
 	}
 	// The probe's scratch file must not linger.
 	if _, err := os.Lstat(filepath.Join(s.Dir(), "v1", probeFile)); !os.IsNotExist(err) {
 		t.Errorf("probe scratch file left behind (err=%v)", err)
+	}
+}
+
+// TestDegradedPutsAreContained verifies Contains and Len agree with Get for
+// puts absorbed into memory while degraded: a caller that checks Contains
+// before reading must not see a cell that Get serves as absent.
+func TestDegradedPutsAreContained(t *testing.T) {
+	s := open(t, t.TempDir(), fastOptions())
+	if err := s.Put(KindCell, key(1), testPayload(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	inj, err := faults.Parse("store.put:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(inj)
+	t.Cleanup(faults.Disable)
+	s.Put(KindCell, key(2), testPayload(2)) // fails below the threshold
+	if err := s.Put(KindCell, key(3), testPayload(3)); err != nil {
+		t.Fatalf("threshold-crossing put should be absorbed, got %v", err)
+	}
+	if deg, _ := s.Degraded(); !deg {
+		t.Fatal("store did not degrade")
+	}
+	if err := s.Put(KindCell, key(1), testPayload(1)); err != nil {
+		t.Fatalf("degraded re-put of an indexed key: %v", err)
+	}
+
+	var got payload
+	for i, want := range []bool{false, true, false, true} {
+		if i == 0 {
+			continue
+		}
+		if s.Get(KindCell, key(i), &got) != want || s.Contains(KindCell, key(i)) != want {
+			t.Errorf("key %d: Get and Contains disagree, want both %v", i, want)
+		}
+	}
+	// Key 1 is both indexed and in the front; it counts once.
+	if n := s.Len(KindCell); n != 2 {
+		t.Errorf("Len = %d, want 2 (one indexed, one absorbed)", n)
+	}
+	if s.Contains(KindSweep, key(3)) || s.Len(KindSweep) != 0 {
+		t.Error("an absorbed cell shows up under another kind")
 	}
 }
 

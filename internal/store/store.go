@@ -1,10 +1,12 @@
-// Package store is a durable, content-addressed result store.  It persists
-// JSON payloads keyed at two granularities — whole sweeps (by
-// sweep.Options.Key) and individual simulation cells (by
-// sweep.CellKey.Hash) — as versioned, checksummed blobs under a data
-// directory:
+// Package store is a content-addressed result store.  Simulation cells
+// (KindCell, by sweep.CellKey.Hash) are the only cached results; a completed
+// sweep leaves a small manifest (KindSweep, by sweep.Options.Key) naming its
+// options, so the sweep can be found by key and reassembled from its cells.
 //
-//	<dir>/v1/sweeps/<k[:2]>/<key>.json
+// Open with a data directory persists JSON payloads as versioned,
+// checksummed blobs:
+//
+//	<dir>/v1/sweeps/<k[:2]>/<key>.json   (manifests)
 //	<dir>/v1/cells/<k[:2]>/<key>.json
 //	<dir>/v1/quarantine/<...>.json   (blobs that failed verification)
 //	<dir>/v1/index.json              (sizes + LRU access order)
@@ -15,11 +17,15 @@
 // moved to the quarantine directory rather than deleted, so a corrupted
 // store degrades to cache misses without losing evidence.
 //
-// The disk footprint is bounded by an LRU-bytes budget: when a put pushes
-// the total past the budget, blobs are deleted until it fits — highest
-// eviction rank first (PutRanked; the sweep service maps scheduling classes
-// to ranks so interactive-class results outlive background ones), least
-// recently used within a rank.  An in-memory front keeps recently used
+// Open with an empty directory gives a memory-only store: the same index
+// and eviction, with the payloads held in memory and nothing written
+// anywhere.
+//
+// The footprint is bounded by an LRU-bytes budget: when a put pushes the
+// total past the budget, blobs are deleted until it fits — highest eviction
+// rank first (PutRanked; the sweep service maps scheduling classes to ranks
+// so interactive-class results outlive background ones), least recently
+// used within a rank.  A disk store's in-memory front keeps recently used
 // payloads decoded-free (raw bytes) so repeated lookups of hot keys skip the
 // filesystem.
 //
@@ -56,7 +62,7 @@ const Version = 1
 // versionDir is the directory namespace of the current format.
 const versionDir = "v1"
 
-// Kind namespaces keys: whole-sweep results and per-simulation cells.
+// Kind namespaces keys: sweep manifests and per-simulation cells.
 type Kind string
 
 // Blob kinds.
@@ -64,6 +70,14 @@ const (
 	KindSweep Kind = "sweeps"
 	KindCell  Kind = "cells"
 )
+
+// Manifest is the payload of a KindSweep blob: the options of a completed
+// sweep, whose results are its cells.  Blobs written before manifests
+// existed hold the full results, with the options under the same "options"
+// field, so they decode as manifests too.
+type Manifest struct {
+	Options sweep.Options `json:"options"`
+}
 
 func (k Kind) valid() bool { return k == KindSweep || k == KindCell }
 
@@ -75,14 +89,16 @@ const NumRanks = 3
 
 // Options tunes a Store.  The zero value is usable.
 type Options struct {
-	// MaxBytes bounds the total size of blobs kept on disk (default 1 GiB).
-	// Least-recently-used blobs are evicted past the budget.
+	// MaxBytes bounds the total size of blobs kept (default 1 GiB): on disk,
+	// or in memory for a memory-only store.  Least-recently-used blobs are
+	// evicted past the budget.
 	MaxBytes int64
-	// MemEntries bounds the in-memory payload front (default 128 entries).
+	// MemEntries bounds a disk store's in-memory payload front (default 128
+	// entries).
 	MemEntries int
-	// MemBytes bounds the in-memory payload front by size (default 64 MiB):
-	// whole-sweep blobs are large, and the front must not silently pin an
-	// unbounded multiple of what the disk budget allows.
+	// MemBytes bounds the in-memory payload front by size (default 64 MiB),
+	// so the front never pins an unbounded multiple of what the disk budget
+	// allows.
 	MemBytes int64
 	// Logf, when set, receives one line per quarantine and eviction.
 	Logf func(format string, args ...any)
@@ -141,7 +157,7 @@ func (o Options) withDefaults() Options {
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
-	// Entries and Bytes describe what is currently on disk.
+	// Entries and Bytes describe what the store currently holds.
 	Entries int
 	Bytes   int64
 	// Hits and misses, per kind, since the store was opened.
@@ -178,19 +194,19 @@ type envelope struct {
 	Payload  json.RawMessage `json:"payload"`
 }
 
-// entry is the in-memory index record of one on-disk blob.
+// entry is the index record of one blob.
 type entry struct {
 	kind   Kind
 	key    string
 	bytes  int64
-	access int64 // logical LRU clock; higher = more recent
-	rank   int   // eviction rank; higher ranks evict first
+	access int64  // logical LRU clock; higher = more recent
+	rank   int    // eviction rank; higher ranks evict first
+	raw    []byte // the payload, in a memory-only store (nil on disk)
 }
 
-// Store is a persistent result store.  Open one with Open; it must not be
-// copied.
+// Store is a result store.  Open one with Open; it must not be copied.
 type Store struct {
-	dir string
+	dir string // "" for a memory-only store
 	opt Options
 
 	mu      sync.Mutex
@@ -214,7 +230,8 @@ type Store struct {
 	probeWG       sync.WaitGroup
 }
 
-// Open opens (creating if necessary) the store rooted at dir.
+// Open opens (creating if necessary) the store rooted at dir.  An empty dir
+// opens a memory-only store, which never fails, degrades or touches a file.
 func Open(dir string, opt Options) (*Store, error) {
 	opt = opt.withDefaults()
 	s := &Store{
@@ -222,6 +239,9 @@ func Open(dir string, opt Options) (*Store, error) {
 		opt:     opt,
 		entries: make(map[string]*entry),
 		mem:     make(map[string][]byte),
+	}
+	if dir == "" {
+		return s, nil
 	}
 	for _, sub := range []string{
 		filepath.Join(dir, versionDir, string(KindSweep)),
@@ -238,7 +258,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
+// Dir returns the store's root directory ("" for a memory-only store).
 func (s *Store) Dir() string { return s.dir }
 
 // Close persists the index (access order included), stops the recovery
@@ -258,6 +278,9 @@ func (s *Store) Close() error {
 	s.mem = make(map[string][]byte)
 	s.memOrder = nil
 	s.memBytes = 0
+	if s.dir == "" {
+		return nil
+	}
 	return s.writeIndexLocked()
 }
 
@@ -306,6 +329,12 @@ func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding %s/%s: %w", kind, key, err)
 	}
+	if s.dir == "" {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(raw)), rank: rank, raw: raw})
+		return nil
+	}
 	env := envelope{
 		Version:  Version,
 		Kind:     kind,
@@ -338,15 +367,23 @@ func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails = 0
+	s.memPutLocked(ck, raw)
+	s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(blob)), rank: rank})
+	return s.maybeWriteIndexLocked()
+}
+
+// indexLocked records a freshly put blob as the most recently used,
+// replacing any previous record of its key, and evicts past the budget.
+func (s *Store) indexLocked(e *entry) {
+	ck := compositeKey(e.kind, e.key)
 	if old, ok := s.entries[ck]; ok {
 		s.bytes -= old.bytes
 	}
 	s.clock++
-	s.entries[ck] = &entry{kind: kind, key: key, bytes: int64(len(blob)), access: s.clock, rank: rank}
-	s.bytes += int64(len(blob))
-	s.memPutLocked(ck, raw)
+	e.access = s.clock
+	s.entries[ck] = e
+	s.bytes += e.bytes
 	s.evictLocked(ck)
-	return s.maybeWriteIndexLocked()
 }
 
 // writeBlob lands one blob on disk, retrying transient failures (disk full,
@@ -510,10 +547,11 @@ func (s *Store) Get(kind Kind, key string, out any) bool {
 
 	s.mu.Lock()
 	raw, inMem := s.mem[ck]
-	indexed := inMem
-	if !inMem {
-		_, indexed = s.entries[ck]
+	e, indexed := s.entries[ck]
+	if indexed && e.raw != nil {
+		raw, inMem = e.raw, true
 	}
+	indexed = indexed || inMem
 	s.mu.Unlock()
 
 	if !indexed {
@@ -598,22 +636,33 @@ func (s *Store) CellHooks(logf func(format string, args ...any)) (lookup func(sw
 	return s.GetCell, put
 }
 
-// Contains reports whether an intact-looking blob is indexed under
-// (kind, key), without reading or verifying it.
+// Contains reports whether Get would find a blob under (kind, key) — one
+// indexed, or absorbed into memory while degraded — without reading or
+// verifying it.
 func (s *Store) Contains(kind Kind, key string) bool {
+	ck := compositeKey(kind, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[compositeKey(kind, key)]
+	if _, ok := s.entries[ck]; ok {
+		return true
+	}
+	_, ok := s.mem[ck]
 	return ok
 }
 
-// Len returns the number of indexed blobs of one kind.
+// Len returns the number of blobs of one kind that Contains reports.
 func (s *Store) Len(kind Kind) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, e := range s.entries {
 		if e.kind == kind {
+			n++
+		}
+	}
+	prefix := compositeKey(kind, "")
+	for ck := range s.mem {
+		if _, indexed := s.entries[ck]; !indexed && strings.HasPrefix(ck, prefix) {
 			n++
 		}
 	}
@@ -738,9 +787,11 @@ func (s *Store) evictLocked(keep string) {
 		if victim == nil {
 			break
 		}
-		//refrint:allow lockcheck -- eviction must unlink the blob before the index entry is dropped, or a concurrent lookup could resurrect it
-		if err := os.Remove(s.blobPath(victim.kind, victim.key)); err != nil && !os.IsNotExist(err) {
-			s.opt.Logf("store: evicting %s/%s: %v", victim.kind, victim.key, err)
+		if victim.raw == nil {
+			//refrint:allow lockcheck -- eviction must unlink the blob before the index entry is dropped, or a concurrent lookup could resurrect it
+			if err := os.Remove(s.blobPath(victim.kind, victim.key)); err != nil && !os.IsNotExist(err) {
+				s.opt.Logf("store: evicting %s/%s: %v", victim.kind, victim.key, err)
+			}
 		}
 		s.dropLocked(victim)
 		s.stats.Evictions++

@@ -350,55 +350,101 @@ func TestIndexIsValidJSON(t *testing.T) {
 	}
 }
 
-// TestRankedEviction pins priority-aware eviction: under byte pressure,
-// high-rank (background-class) blobs evict before low-rank (interactive)
-// ones regardless of recency, LRU within a rank, and the by-rank counters
-// record who went.
+// TestRankedEviction pins priority-aware eviction, on disk and in a
+// memory-only store: under byte pressure, high-rank (background-class)
+// blobs evict before low-rank (interactive) ones regardless of recency, LRU
+// within a rank, and the by-rank counters record who went.
 func TestRankedEviction(t *testing.T) {
-	probe := open(t, t.TempDir(), Options{})
-	if err := probe.Put(KindCell, key(0), testPayload(0)); err != nil {
-		t.Fatal(err)
-	}
-	blobBytes := probe.Stats().Bytes
+	for _, mode := range []struct {
+		name string
+		dir  func() string
+	}{
+		{"disk", t.TempDir},
+		{"memory", func() string { return "" }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			probe := open(t, mode.dir(), Options{})
+			if err := probe.Put(KindCell, key(0), testPayload(0)); err != nil {
+				t.Fatal(err)
+			}
+			blobBytes := probe.Stats().Bytes
 
-	s := open(t, t.TempDir(), Options{MaxBytes: 3*blobBytes + blobBytes/2})
-	// The interactive blob is the OLDEST — pure LRU would evict it first.
-	if err := s.PutRanked(KindCell, key(1), 0, testPayload(1)); err != nil {
+			s := open(t, mode.dir(), Options{MaxBytes: 3*blobBytes + blobBytes/2})
+			// The interactive blob is the OLDEST — pure LRU would evict it first.
+			if err := s.PutRanked(KindCell, key(1), 0, testPayload(1)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 2; i <= 5; i++ {
+				if err := s.PutRanked(KindCell, key(i), 2, testPayload(i)); err != nil {
+					t.Fatalf("Put %d: %v", i, err)
+				}
+			}
+			var got payload
+			if !s.Get(KindCell, key(1), &got) {
+				t.Error("old interactive-rank blob evicted while background-rank blobs remained")
+			}
+			if s.Get(KindCell, key(2), &got) {
+				t.Error("oldest background-rank blob survived byte pressure")
+			}
+			st := s.Stats()
+			if st.Evictions == 0 || st.EvictionsByRank[2] != st.Evictions {
+				t.Errorf("evictions = %d, by rank = %v; want all charged to rank 2", st.Evictions, st.EvictionsByRank)
+			}
+			if st.EvictionsByRank[0] != 0 {
+				t.Errorf("rank-0 evictions = %d, want 0", st.EvictionsByRank[0])
+			}
+
+			// Within one rank, LRU still applies: touch the older surviving
+			// rank-2 blob and the next put evicts the colder one.
+			if !s.Get(KindCell, key(4), &got) {
+				t.Fatal("key 4 unexpectedly evicted")
+			}
+			if err := s.PutRanked(KindCell, key(6), 2, testPayload(6)); err != nil {
+				t.Fatal(err)
+			}
+			if !s.Get(KindCell, key(4), &got) {
+				t.Error("recently touched rank-2 blob evicted before colder sibling")
+			}
+			if s.Get(KindCell, key(5), &got) {
+				t.Error("cold rank-2 blob survived while the budget was exceeded")
+			}
+		})
+	}
+}
+
+// TestMemoryOnly verifies a store opened without a directory serves what
+// it was given from memory, holds more blobs than the disk store's memory
+// front would, and leaves no file behind.
+func TestMemoryOnly(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 2; i <= 5; i++ {
-		if err := s.PutRanked(KindCell, key(i), 2, testPayload(i)); err != nil {
+	before, _ := os.ReadDir(wd)
+	s := open(t, "", Options{})
+	const n = 300 // more than the disk store's 128-entry front
+	for i := 0; i < n; i++ {
+		if err := s.Put(KindCell, key(i), testPayload(i)); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
 	var got payload
-	if !s.Get(KindCell, key(1), &got) {
-		t.Error("old interactive-rank blob evicted while background-rank blobs remained")
+	for i := 0; i < n; i++ {
+		if !s.Contains(KindCell, key(i)) || !s.Get(KindCell, key(i), &got) || got.Name != testPayload(i).Name {
+			t.Fatalf("key %d not served from memory (got %+v)", i, got)
+		}
 	}
-	if s.Get(KindCell, key(2), &got) {
-		t.Error("oldest background-rank blob survived byte pressure")
+	if st := s.Stats(); st.Entries != n || st.Bytes <= 0 || st.CellHits != n {
+		t.Errorf("stats = %+v, want %d entries and hits", st, n)
 	}
-	st := s.Stats()
-	if st.Evictions == 0 || st.EvictionsByRank[2] != st.Evictions {
-		t.Errorf("evictions = %d, by rank = %v; want all charged to rank 2", st.Evictions, st.EvictionsByRank)
+	if s.Len(KindCell) != n || s.Dir() != "" {
+		t.Errorf("Len = %d, Dir = %q", s.Len(KindCell), s.Dir())
 	}
-	if st.EvictionsByRank[0] != 0 {
-		t.Errorf("rank-0 evictions = %d, want 0", st.EvictionsByRank[0])
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-
-	// Within one rank, LRU still applies: touch the older surviving rank-2
-	// blob and the next put evicts the colder one.
-	if !s.Get(KindCell, key(4), &got) {
-		t.Fatal("key 4 unexpectedly evicted")
-	}
-	if err := s.PutRanked(KindCell, key(6), 2, testPayload(6)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Get(KindCell, key(4), &got) {
-		t.Error("recently touched rank-2 blob evicted before colder sibling")
-	}
-	if s.Get(KindCell, key(5), &got) {
-		t.Error("cold rank-2 blob survived while the budget was exceeded")
+	if after, _ := os.ReadDir(wd); len(after) != len(before) {
+		t.Errorf("memory-only store created files in %s", wd)
 	}
 }
 

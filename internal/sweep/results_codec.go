@@ -17,8 +17,8 @@ import (
 
 // resultsWire is the serialized form of Results.
 type resultsWire struct {
-	Options optionsKey `json:"options"`
-	Points  []Point    `json:"points"`
+	Options Options `json:"options"`
+	Points  []Point `json:"points"`
 	// Baselines and Runs are ordered by the options' app and point order,
 	// so encoding is deterministic.
 	Baselines []Run `json:"baselines"`
@@ -27,17 +27,7 @@ type resultsWire struct {
 
 // MarshalJSON implements json.Marshaler.
 func (r *Results) MarshalJSON() ([]byte, error) {
-	w := resultsWire{
-		Options: optionsKey{
-			Base:             r.Options.Base,
-			Apps:             r.Options.Apps,
-			RetentionTimesUS: r.Options.RetentionTimesUS,
-			Policies:         r.Options.Policies,
-			EffortScale:      r.Options.EffortScale,
-			Seed:             r.Options.Seed,
-		},
-		Points: r.Points,
-	}
+	w := resultsWire{Options: r.Options, Points: r.Points}
 	for _, app := range r.Options.Apps {
 		if run, ok := r.Baselines[app]; ok {
 			w.Baselines = append(w.Baselines, run)
@@ -59,14 +49,7 @@ func (r *Results) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("sweep: decoding results: %w", err)
 	}
-	r.Options = Options{
-		Base:             w.Options.Base,
-		Apps:             w.Options.Apps,
-		RetentionTimesUS: w.Options.RetentionTimesUS,
-		Policies:         w.Options.Policies,
-		EffortScale:      w.Options.EffortScale,
-		Seed:             w.Options.Seed,
-	}
+	r.Options = w.Options
 	r.Points = w.Points
 	r.Baselines = make(map[string]Run, len(w.Baselines))
 	for _, run := range w.Baselines {

@@ -20,25 +20,27 @@ import (
 	"refrint/internal/workload"
 )
 
-// Options selects what the harness runs.
+// Options selects what the harness runs.  Its JSON form carries exactly
+// what determines the Results, and is what Key hashes: Workers only changes
+// how fast the sweep runs, never what it computes, so it is left out.
 type Options struct {
 	// Base is the architecture preset ("scaled" by default; "fullsize" for
 	// the paper's literal configuration).
-	Base config.Config
+	Base config.Config `json:"base"`
 	// Apps is the list of application names (default: all of Table 5.3).
-	Apps []string
+	Apps []string `json:"apps"`
 	// RetentionTimesUS restricts the retention times (default: 50/100/200).
-	RetentionTimesUS []float64
+	RetentionTimesUS []float64 `json:"retention_times_us"`
 	// Policies restricts the policies per retention time (default: the 14
 	// of Table 5.4).
-	Policies []config.Policy
+	Policies []config.Policy `json:"policies"`
 	// EffortScale further multiplies every application's per-thread memory
 	// operation count (1.0 = the preset's own size; benches use less).
-	EffortScale float64
+	EffortScale float64 `json:"effort_scale"`
 	// Seed makes the synthetic workloads deterministic.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Workers bounds the number of concurrent simulations (default: NumCPU).
-	Workers int
+	Workers int `json:"-"`
 
 	// CellLookup, when non-nil, is consulted before every simulation with
 	// the cell's canonical key.  A hit is used in place of running the
@@ -110,18 +112,6 @@ func (o Options) Size() int {
 	return len(o.Apps) * (len(o.RetentionTimesUS)*len(o.Policies) + 1)
 }
 
-// optionsKey is the canonical, serializable identity of a sweep: everything
-// that determines its Results.  Workers is deliberately excluded — it only
-// changes how fast the sweep runs, never what it computes.
-type optionsKey struct {
-	Base             config.Config   `json:"base"`
-	Apps             []string        `json:"apps"`
-	RetentionTimesUS []float64       `json:"retention_times_us"`
-	Policies         []config.Policy `json:"policies"`
-	EffortScale      float64         `json:"effort_scale"`
-	Seed             int64           `json:"seed"`
-}
-
 // Key returns a stable content hash identifying the sweep's outcome: two
 // Options with equal keys compute the same set of simulation cells with
 // identical per-cell results, regardless of worker count.  Defaults are
@@ -140,7 +130,7 @@ func (o Options) Key() string {
 	sort.Float64s(retentions)
 	policies := append([]config.Policy(nil), o.Policies...)
 	sort.Slice(policies, func(i, j int) bool { return policies[i].String() < policies[j].String() })
-	return config.HashJSON(optionsKey{
+	return config.HashJSON(Options{
 		Base:             o.Base,
 		Apps:             apps,
 		RetentionTimesUS: retentions,

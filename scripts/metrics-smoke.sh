@@ -9,7 +9,10 @@
 #     costs exactly 2 cell misses, and the in-flight join counter exists;
 #   - GOMAXPROCS exceeds the simulation workers by at least one (when the
 #     environment does not set it);
-#   - pprof/expvar answer on -debug-addr and are NOT on the public listener.
+#   - pprof/expvar answer on -debug-addr and are NOT on the public listener;
+#   - after a restart on the same -data-dir, resubmitting the sweep is a
+#     200 cache hit served from its stored cells (no cell miss in the new
+#     process), and its figures resolve by sweep key.
 # CI runs this next to sse-smoke.sh; locally: scripts/metrics-smoke.sh
 set -eu
 
@@ -38,22 +41,27 @@ fail() {
     exit 1
 }
 
-go build -o "$tmp/refrint-serve" ./cmd/refrint-serve
-"$tmp/refrint-serve" -addr "127.0.0.1:$port" -debug-addr "127.0.0.1:$dbgport" \
-    -data-dir "$tmp/data" -log-format json >"$tmp/serve.log" 2>&1 &
-pid=$!
+# start_server boots refrint-serve on the smoke test's data directory and
+# waits until it answers /healthz.
+start_server() {
+    "$tmp/refrint-serve" -addr "127.0.0.1:$port" -debug-addr "127.0.0.1:$dbgport" \
+        -data-dir "$tmp/data" -log-format json >>"$tmp/serve.log" 2>&1 &
+    pid=$!
+    up=""
+    for _ in $(seq 1 50); do
+        if curl -sf "$base/healthz" >/dev/null 2>&1; then up=1; break; fi
+        sleep 0.2
+    done
+    [ -n "$up" ] || fail "server never came up on $base" /dev/null
+}
 
-up=""
-for _ in $(seq 1 50); do
-    if curl -sf "$base/healthz" >/dev/null 2>&1; then up=1; break; fi
-    sleep 0.2
-done
-[ -n "$up" ] || fail "server never came up on $base" /dev/null
+go build -o "$tmp/refrint-serve" ./cmd/refrint-serve
+start_server
 
 # Run one sweep to completion so the scheduler and execution histograms have
 # observations, stamping a known request ID.
-job=$(curl -sf -X POST "$base/v1/sweeps" -H 'X-Request-Id: smoke-trace-1' \
-    -d '{"apps":["FFT"],"retention_times_us":[50],"policies":["R.valid"],"effort_scale":0.05,"workers":2}')
+sweep='{"apps":["FFT"],"retention_times_us":[50],"policies":["R.valid"],"effort_scale":0.05,"workers":2}'
+job=$(curl -sf -X POST "$base/v1/sweeps" -H 'X-Request-Id: smoke-trace-1' -d "$sweep")
 id=$(printf '%s' "$job" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -n 1)
 [ -n "$id" ] || fail "no job id in response: $job" /dev/null
 
@@ -147,4 +155,20 @@ curl -sf "$dbg/debug/vars" | grep -q '"memstats"' || fail "expvar not served on 
 code=$(curl -s -o /dev/null -w '%{http_code}' "$base/debug/pprof/")
 [ "$code" = "404" ] || fail "public listener serves /debug/pprof/ (code $code), must 404" /dev/null
 
-echo "metrics-smoke: OK ($id traced, histograms cumulative, debug listener isolated)"
+# --- restart: the stored cells serve the sweep -----------------------------
+key=$(printf '%s' "$job" | sed -n 's/.*"key": *"\([^"]*\)".*/\1/p' | head -n 1)
+[ -n "$key" ] || fail "no sweep key in response: $job" /dev/null
+kill "$pid"
+wait "$pid" 2>/dev/null || true
+pid=""
+start_server
+code=$(curl -s -o "$tmp/again.json" -w '%{http_code}' -X POST "$base/v1/sweeps" -d "$sweep")
+[ "$code" = "200" ] || fail "resubmit after restart: status $code, want 200" "$tmp/again.json"
+grep -q '"cache_hit": *true' "$tmp/again.json" || fail "resubmit after restart is not a cache hit" "$tmp/again.json"
+curl -sf "$base/metrics" >"$tmp/metrics2.txt" || fail "GET /metrics after restart failed" /dev/null
+misses=$(sed -n 's/^refrint_cell_cache_misses_total \([0-9]*\)$/\1/p' "$tmp/metrics2.txt")
+[ "$misses" = "0" ] || fail "refrint_cell_cache_misses_total = '$misses' after restart, want 0" "$tmp/metrics2.txt"
+code=$(curl -s -o "$tmp/figures.json" -w '%{http_code}' "$base/v1/sweeps/$key/figures")
+[ "$code" = "200" ] || fail "GET figures by key after restart: status $code, want 200" "$tmp/figures.json"
+
+echo "metrics-smoke: OK ($id traced, histograms cumulative, debug listener isolated, restart served from stored cells)"
