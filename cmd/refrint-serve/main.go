@@ -1,6 +1,6 @@
 // Command refrint-serve runs the Refrint sweep service: an HTTP API that
 // accepts sweep jobs, runs their simulation cells on one bounded
-// priority-aware work-stealing pool, keeps every simulated cell in a
+// priority-aware worker pool, keeps every simulated cell in a
 // content-addressed store, and serves the paper's Table 6.1 and Figure
 // 6.1-6.4 data series as JSON.
 //
@@ -23,10 +23,10 @@
 // Sweeps carry an optional priority class (interactive > batch >
 // background) and client label, which their cells inherit; classes dequeue
 // by weighted fair share (-class-weights), clients within a class
-// round-robin, and idle workers steal queued cells, so no worker idles while
-// any queue holds work.  Overlapping sweeps share the cells they have in
-// common, simulating each once, and a sweep whose cells are all stored is
-// answered at once from them.
+// round-robin, and every worker pulls from the same queues, so no worker
+// idles while any queue holds work.  Overlapping sweeps share the cells they
+// have in common, simulating each once, and a sweep whose cells are all
+// stored is answered at once from them.
 //
 // The store lives in memory, bounded by -store-max-bytes.  With -data-dir it
 // lives on disk instead: the cells and the manifests of completed sweeps
@@ -127,8 +127,8 @@ func gomaxprocsFor(current int, fromEnv bool, workers int) (procs int, tooFew bo
 func main() {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		shards         = flag.Int("shards", runtime.NumCPU(), "simulation workers: cells simulated at a time across all sweeps (GOMAXPROCS is raised to shards+1 unless set in the environment)")
-		queueDepth     = flag.Int("queue-depth", 8, "pending sweeps per worker per priority class (each class admits shards*queue-depth)")
+		workers        = flag.Int("workers", runtime.NumCPU(), "simulation workers: cells simulated at a time across all sweeps (GOMAXPROCS is raised to workers+1 unless set in the environment)")
+		queueDepth     = flag.Int("queue-depth", 8, "pending sweeps per worker per priority class (each class admits workers*queue-depth)")
 		classDepths    = flag.String("class-queue-depths", "", "per-class queued-sweep bounds as interactive,batch,background (overrides -queue-depth scaling)")
 		classWeights   = flag.String("class-weights", "", "weighted-fair dequeue shares as interactive,batch,background (default 16,4,1)")
 		jobHistory     = flag.Int("job-history", 1024, "finished jobs kept pollable")
@@ -188,7 +188,7 @@ func main() {
 	logger.Info("store opened", "dir", *dataDir, "blobs", st.Stats().Entries, "max_bytes", *storeMaxBytes)
 
 	cfg := server.Config{
-		Shards:          *shards,
+		Workers:         *workers,
 		QueueDepth:      *queueDepth,
 		ClassQueueDepth: depths,
 		ClassWeights:    weights,
@@ -204,12 +204,12 @@ func main() {
 		Store:           st,
 		Logger:          logger,
 	}
-	workers := cfg.Workers()
-	procs, tooFew := gomaxprocsFor(runtime.GOMAXPROCS(0), os.Getenv("GOMAXPROCS") != "", workers)
+	nworkers := cfg.NumWorkers()
+	procs, tooFew := gomaxprocsFor(runtime.GOMAXPROCS(0), os.Getenv("GOMAXPROCS") != "", nworkers)
 	runtime.GOMAXPROCS(procs)
 	if tooFew {
 		logger.Warn("GOMAXPROCS leaves no P free for HTTP and SSE: requests may wait ~10ms behind running simulations",
-			"gomaxprocs", procs, "shards", workers)
+			"gomaxprocs", procs, "workers", nworkers)
 	}
 	svc := server.New(cfg)
 	defer svc.Close()
@@ -247,7 +247,7 @@ func main() {
 		defer dbg.Close()
 	}
 	go func() {
-		logger.Info("listening", "addr", *addr, "gomaxprocs", procs, "shards", workers)
+		logger.Info("listening", "addr", *addr, "gomaxprocs", procs, "workers", nworkers)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

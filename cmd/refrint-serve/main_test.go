@@ -13,24 +13,24 @@ func TestGomaxprocsFor(t *testing.T) {
 		name       string
 		current    int
 		fromEnv    bool
-		shards     int // the -shards flag
+		workers    int // the -workers flag
 		wantProcs  int
 		wantTooFew bool
 	}{
-		{name: "default shards get a spare P", current: 2, shards: 2, wantProcs: 3},
-		{name: "fewer procs than shards", current: 2, shards: 4, wantProcs: 5},
-		{name: "already a spare P", current: 8, shards: 2, wantProcs: 8},
-		{name: "one spare P exactly", current: 3, shards: 2, wantProcs: 3},
-		{name: "shards above NumCPU", current: cpus, shards: cpus + 3, wantProcs: cpus + 4},
-		{name: "shards 0 means NumCPU workers", current: cpus, shards: 0, wantProcs: cpus + 1},
-		{name: "negative shards means NumCPU workers", current: cpus, shards: -1, wantProcs: cpus + 1},
-		{name: "env kept, too few", current: 2, fromEnv: true, shards: 2, wantProcs: 2, wantTooFew: true},
-		{name: "env kept, below shards", current: 1, fromEnv: true, shards: 2, wantProcs: 1, wantTooFew: true},
-		{name: "env kept, spare P", current: 3, fromEnv: true, shards: 2, wantProcs: 3},
-		{name: "env kept, shards 0", current: cpus, fromEnv: true, shards: 0, wantProcs: cpus, wantTooFew: true},
+		{name: "default workers get a spare P", current: 2, workers: 2, wantProcs: 3},
+		{name: "fewer procs than workers", current: 2, workers: 4, wantProcs: 5},
+		{name: "already a spare P", current: 8, workers: 2, wantProcs: 8},
+		{name: "one spare P exactly", current: 3, workers: 2, wantProcs: 3},
+		{name: "workers above NumCPU", current: cpus, workers: cpus + 3, wantProcs: cpus + 4},
+		{name: "workers 0 means NumCPU workers", current: cpus, workers: 0, wantProcs: cpus + 1},
+		{name: "negative workers means NumCPU workers", current: cpus, workers: -1, wantProcs: cpus + 1},
+		{name: "env kept, too few", current: 2, fromEnv: true, workers: 2, wantProcs: 2, wantTooFew: true},
+		{name: "env kept, below workers", current: 1, fromEnv: true, workers: 2, wantProcs: 1, wantTooFew: true},
+		{name: "env kept, spare P", current: 3, fromEnv: true, workers: 2, wantProcs: 3},
+		{name: "env kept, workers 0", current: cpus, fromEnv: true, workers: 0, wantProcs: cpus, wantTooFew: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			workers := server.Config{Shards: tc.shards}.Workers()
+			workers := server.Config{Workers: tc.workers}.NumWorkers()
 			procs, tooFew := gomaxprocsFor(tc.current, tc.fromEnv, workers)
 			if procs != tc.wantProcs || tooFew != tc.wantTooFew {
 				t.Errorf("gomaxprocsFor(%d, %v, %d) = %d, %v; want %d, %v",

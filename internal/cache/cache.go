@@ -50,11 +50,10 @@ type Cache struct {
 	// Parallel per-frame arrays (struct of arrays); set s occupies frames
 	// [s*ways, (s+1)*ways).  tags and states carry the way scan; the rest
 	// are touched per-frame only.
-	tags     []mem.LineAddr // full line address (tag + index combined)
-	states   []mem.State    // MESI state; Invalid marks a free frame
-	sentries []bool         // sentry bit charged (Refrint time policy)
+	tags   []mem.LineAddr // full line address (tag + index combined)
+	states []mem.State    // MESI state; Invalid marks a free frame
 	// lru is the replacement timestamp, which is also the cycle of the
-	// last normal access: only Touch writes it, so it doubles as LastTouch.
+	// last normal access: only Touch writes it.
 	lru         []int64
 	lastRefresh []int64 // cycle of the last refresh or access
 	counts      []int   // WB(n,m) refresh budget (package core)
@@ -79,7 +78,6 @@ func New(cfg config.CacheConfig) *Cache {
 		setMask:     mask,
 		tags:        make([]mem.LineAddr, n),
 		states:      make([]mem.State, n),
-		sentries:    make([]bool, n),
 		lru:         make([]int64, n),
 		lastRefresh: make([]int64, n),
 		counts:      make([]int, n),
@@ -156,30 +154,18 @@ func (c *Cache) Dirty(f Frame) bool { return c.states[f] == mem.Modified }
 func (c *Cache) LastRefresh(f Frame) int64 { return c.lastRefresh[f] }
 
 // Recharge records a refresh of the frame's cells at cycle `at`: the charge
-// time moves and the sentry bit is re-armed.  Demand accesses use Touch,
-// which additionally updates recency.
+// time moves.  (A Refrint bank's sentry is its wheel deadline, which package
+// core re-arms from this time.)  Demand accesses use Touch, which
+// additionally updates recency.
 //
 //refrint:alloc-free
-func (c *Cache) Recharge(f Frame, at int64) {
-	c.lastRefresh[f] = at
-	c.sentries[f] = true
-}
+func (c *Cache) Recharge(f Frame, at int64) { c.lastRefresh[f] = at }
 
-// LastTouch returns the cycle of the frame's last normal access: the LRU
-// stamp, since Touch is the only writer of either.
-//
-//refrint:alloc-free
-func (c *Cache) LastTouch(f Frame) int64 { return c.lru[f] }
-
-// LRU returns a frame's replacement stamp (tests and the reference model).
+// LRU returns a frame's replacement stamp, which is also the cycle of its
+// last normal access (tests and the reference model).
 //
 //refrint:alloc-free
 func (c *Cache) LRU(f Frame) int64 { return c.lru[f] }
-
-// Sentry reports whether the frame's sentry bit is charged.
-//
-//refrint:alloc-free
-func (c *Cache) Sentry(f Frame) bool { return c.sentries[f] }
 
 // Count returns the frame's WB(n,m) refresh budget.
 //
@@ -198,24 +184,21 @@ func (c *Cache) Line(f Frame) mem.Line {
 	return mem.Line{
 		Tag:         c.tags[f],
 		State:       c.states[f],
-		Sentry:      c.sentries[f],
 		LRU:         c.lru[f],
 		LastRefresh: c.lastRefresh[f],
-		LastTouch:   c.lru[f],
 		Count:       c.counts[f],
 	}
 }
 
-// Reset returns a frame to the invalid, zero state (mirrors mem.Line.Reset
-// on the old layout: every array entry is zeroed, including the tag, so a
-// freed frame can never tag-match a later probe for address 0 differently
-// than the array-of-structs implementation did).
+// Reset returns a frame to the invalid, zero state: every array entry is
+// zeroed, including the tag, so a freed frame can never tag-match a later
+// probe for address 0 differently than the array-of-structs reference
+// model does.
 //
 //refrint:alloc-free
 func (c *Cache) Reset(f Frame) {
 	c.tags[f] = 0
 	c.states[f] = mem.Invalid
-	c.sentries[f] = false
 	c.lru[f] = 0
 	c.lastRefresh[f] = 0
 	c.counts[f] = 0
@@ -242,14 +225,13 @@ func (c *Cache) Probe(addr mem.LineAddr) (Frame, bool) {
 }
 
 // Touch marks a hit on a frame at cycle `now`: it updates the LRU stamp
-// (which is also the last-touch time), and (for eDRAM) the implicit refresh that any access
-// performs (LastRefresh), and recharges the sentry bit.
+// (which is also the last-touch time) and, for eDRAM, the implicit refresh
+// that any access performs (LastRefresh).
 //
 //refrint:alloc-free
 func (c *Cache) Touch(f Frame, now int64) {
 	c.lru[f] = now
 	c.lastRefresh[f] = now
-	c.sentries[f] = true
 }
 
 // Victim returns the frame that Insert would replace for addr: the first
@@ -366,7 +348,6 @@ func (c *Cache) FlushCount() int64 {
 func (c *Cache) clearAll() {
 	clear(c.tags)
 	clear(c.states)
-	clear(c.sentries)
 	clear(c.lru)
 	clear(c.lastRefresh)
 	clear(c.counts)

@@ -65,9 +65,7 @@ func (c *refAoS) probe(addr mem.LineAddr) (*mem.Line, bool) {
 
 func (c *refAoS) touch(l *mem.Line, now int64) {
 	l.LRU = now
-	l.LastTouch = now
 	l.LastRefresh = now
-	l.Sentry = true
 }
 
 func (c *refAoS) victim(addr mem.LineAddr) *mem.Line {
@@ -90,7 +88,7 @@ func (c *refAoS) insert(addr mem.LineAddr, state mem.State, now int64) (frame *m
 	frame = c.victim(addr)
 	victim = *frame
 	evicted = victim.Valid()
-	frame.Reset()
+	*frame = mem.Line{}
 	frame.Tag = addr
 	frame.State = state
 	c.touch(frame, now)
@@ -103,7 +101,7 @@ func (c *refAoS) invalidate(addr mem.LineAddr) (mem.Line, bool) {
 		return mem.Line{}, false
 	}
 	old := *l
-	l.Reset()
+	*l = mem.Line{}
 	return old, true
 }
 
@@ -273,7 +271,6 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 			}
 			soa.Recharge(f, now)
 			l.LastRefresh = now
-			l.Sentry = true
 			checkLine("mutate", f, l)
 
 		case op < 95: // sweep: walk every valid frame, refresh or drop each
@@ -290,10 +287,9 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 				if aos.lines[i].Valid() {
 					visA = append(visA, i)
 					if i%3 == 0 {
-						aos.lines[i].Reset()
+						aos.lines[i] = mem.Line{}
 					} else {
 						aos.lines[i].LastRefresh = now
-						aos.lines[i].Sentry = true
 					}
 				}
 			}

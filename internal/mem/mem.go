@@ -131,26 +131,18 @@ type Access struct {
 	Shared bool       // hint from the workload generator: address is in a shared region
 }
 
-// Line is the per-line metadata kept by every cache in the hierarchy.  The
-// refresh machinery (package core) adds its own per-line bookkeeping on top
-// of this via the cache's line index.
-// The field order is chosen for the simulator's scan patterns: lookup reads
-// Tag+State and victim selection reads State+LRU, so those share the leading
-// bytes, and packing State and Sentry into one word keeps the struct at 48
-// bytes (six per cache line less than the naive layout).
+// Line is the per-line metadata kept by every cache in the hierarchy, as a
+// value: a copy of one frame of a cache bank (cache.Cache.Line), which
+// stores each field in its own per-frame array.  It is the vocabulary type
+// of victim copies, flush buffers and the invariant checker.  The refresh
+// machinery (package core) keeps its own per-frame bookkeeping, indexed by
+// frame.  The zero Line is invalid.
 type Line struct {
 	Tag         LineAddr // full line address (tag + index combined, for simplicity)
 	State       State
-	Sentry      bool  // sentry bit charged (Refrint time policy)
-	LRU         int64 // replacement timestamp
+	LRU         int64 // replacement timestamp, also the cycle of the last normal access
 	LastRefresh int64 // cycle of the last refresh or access (eDRAM charge time)
-	LastTouch   int64 // cycle of the last normal (non-refresh) access
 	Count       int   // WB(n,m) refresh budget remaining (maintained by package core)
-}
-
-// Reset returns the line to the invalid, zero state.
-func (l *Line) Reset() {
-	*l = Line{}
 }
 
 // Valid reports whether the line currently holds usable data.

@@ -141,11 +141,3 @@ func TestLineZeroValueIsInvalid(t *testing.T) {
 		t.Error("zero Line should not be dirty")
 	}
 }
-
-func TestLineReset(t *testing.T) {
-	l := Line{Tag: 42, State: Modified, LastTouch: 100, LastRefresh: 90, Count: 3, LRU: 7, Sentry: true}
-	l.Reset()
-	if l != (Line{}) {
-		t.Errorf("Reset did not zero the line: %+v", l)
-	}
-}

@@ -20,14 +20,14 @@ func TestAgingPromotesOverdueItems(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, AgeAfter: time.Minute, Now: clk.now})
 
-	if _, ok := s.Submit("g", "tenant", Background, "old-bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "old-bg"); !ok {
 		t.Fatal("submit old-bg rejected")
 	}
-	if _, ok := s.Submit("b", "tenant", Batch, "old-batch"); !ok {
+	if _, ok := s.Submit("tenant", Batch, "old-batch"); !ok {
 		t.Fatal("submit old-batch rejected")
 	}
 	clk.advance(time.Minute)
-	if _, ok := s.Submit("g2", "tenant", Background, "young-bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "young-bg"); !ok {
 		t.Fatal("submit young-bg rejected")
 	}
 
@@ -42,7 +42,7 @@ func TestAgingPromotesOverdueItems(t *testing.T) {
 		t.Fatalf("Queued = %v, want [1 1 1]", st.Queued)
 	}
 	// The aged batch item is now the only interactive one and dequeues first.
-	got := drainPayloads(s, 0)
+	got := drainPayloads(s)
 	want := []any{"old-batch", "old-bg", "young-bg"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dequeue order = %v, want %v", got, want)
@@ -54,7 +54,7 @@ func TestAgingPromotesOverdueItems(t *testing.T) {
 func TestAgingNeedsFullPeriodPerHop(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, AgeAfter: time.Minute, Now: clk.now})
-	if _, ok := s.Submit("g", "tenant", Background, "bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "bg"); !ok {
 		t.Fatal("submit rejected")
 	}
 	clk.advance(time.Minute)
@@ -81,10 +81,10 @@ func TestAgingPreservesFIFOAndFairShare(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, AgeAfter: time.Minute, Now: clk.now})
 	for i := 1; i <= 3; i++ {
-		if _, ok := s.Submit(fmt.Sprintf("a%d", i), "alice", Background, fmt.Sprintf("a%d", i)); !ok {
+		if _, ok := s.Submit("alice", Background, fmt.Sprintf("a%d", i)); !ok {
 			t.Fatalf("submit a%d rejected", i)
 		}
-		if _, ok := s.Submit(fmt.Sprintf("b%d", i), "bob", Background, fmt.Sprintf("b%d", i)); !ok {
+		if _, ok := s.Submit("bob", Background, fmt.Sprintf("b%d", i)); !ok {
 			t.Fatalf("submit b%d rejected", i)
 		}
 	}
@@ -95,80 +95,10 @@ func TestAgingPreservesFIFOAndFairShare(t *testing.T) {
 	if q := s.Stats().Queued; q != [NumClasses]int{0, 6, 0} {
 		t.Fatalf("Queued = %v, want all 6 in batch", q)
 	}
-	got := drainPayloads(s, 0)
+	got := drainPayloads(s)
 	want := []any{"a1", "b1", "a2", "b2", "a3", "b3"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dequeue order = %v, want %v", got, want)
-	}
-}
-
-// TestAgingRespectsDepthBound fills the batch class to its bound and
-// verifies overdue background items wait (no overflow, no lost items) until
-// capacity frees, then age on the next scan.
-func TestAgingRespectsDepthBound(t *testing.T) {
-	clk := newFakeClock()
-	s := New(Config{
-		Workers:  1,
-		AgeAfter: time.Minute,
-		Depth:    [NumClasses]int{4, 2, 4},
-		Now:      clk.now,
-	})
-	for i := 0; i < 2; i++ {
-		if _, ok := s.Submit(fmt.Sprintf("b%d", i), "tenant", Batch, fmt.Sprintf("b%d", i)); !ok {
-			t.Fatalf("submit b%d rejected", i)
-		}
-	}
-	if _, ok := s.Submit("g", "tenant", Background, "bg"); !ok {
-		t.Fatal("submit bg rejected")
-	}
-	clk.advance(time.Minute)
-	// Batch is full (its own two items aged into interactive would free it —
-	// but interactive has room, so they hop out and the background item can
-	// follow into batch, all within the same scan's capacity accounting).
-	if n := s.AgeOnce(); n != 3 {
-		t.Fatalf("AgeOnce aged %d items, want 3", n)
-	}
-	if q := s.Stats().Queued; q != [NumClasses]int{2, 1, 0} {
-		t.Fatalf("Queued = %v, want [2 1 0]", q)
-	}
-
-	// Now actually wedge the target: fill interactive AND batch, and verify
-	// an overdue background item stays put without overflowing the bound.
-	s2 := New(Config{
-		Workers:  1,
-		AgeAfter: time.Minute,
-		Depth:    [NumClasses]int{1, 1, 4},
-		Now:      clk.now,
-	})
-	if _, ok := s2.Submit("i", "tenant", Interactive, "i"); !ok {
-		t.Fatal("submit i rejected")
-	}
-	if _, ok := s2.Submit("b", "tenant", Batch, "b"); !ok {
-		t.Fatal("submit b rejected")
-	}
-	if _, ok := s2.Submit("g", "tenant", Background, "g"); !ok {
-		t.Fatal("submit g rejected")
-	}
-	clk.advance(time.Minute)
-	if n := s2.AgeOnce(); n != 0 {
-		t.Fatalf("AgeOnce aged %d items into full classes, want 0", n)
-	}
-	if q := s2.Stats().Queued; q != [NumClasses]int{1, 1, 1} {
-		t.Fatalf("Queued = %v, want untouched [1 1 1]", q)
-	}
-	// Drain the interactive item: batch can now age up, freeing batch for
-	// the background item on the following scan.
-	it := s2.tryNext(0)
-	if it == nil || it.payload != "i" {
-		t.Fatalf("dequeued %v, want i", it)
-	}
-	s2.done(it)
-	clk.advance(time.Minute)
-	if n := s2.AgeOnce(); n != 2 {
-		t.Fatalf("AgeOnce aged %d items after capacity freed, want 2", n)
-	}
-	if q := s2.Stats().Queued; q != [NumClasses]int{1, 1, 0} {
-		t.Fatalf("Queued = %v, want [1 1 0]", q)
 	}
 }
 
@@ -178,7 +108,7 @@ func TestAgingRespectsDepthBound(t *testing.T) {
 func TestAgingKeepsHandlesValid(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, AgeAfter: time.Minute, Now: clk.now})
-	h, ok := s.Submit("g", "tenant", Background, "bg")
+	h, ok := s.Submit("tenant", Background, "bg")
 	if !ok {
 		t.Fatal("submit rejected")
 	}
@@ -213,7 +143,7 @@ func TestAgingOnAgeCallback(t *testing.T) {
 			hops = append(hops, hop{payload, from, to})
 		},
 	})
-	if _, ok := s.Submit("g", "tenant", Background, "bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "bg"); !ok {
 		t.Fatal("submit rejected")
 	}
 	clk.advance(time.Minute)
@@ -227,7 +157,7 @@ func TestAgingOnAgeCallback(t *testing.T) {
 func TestAgingDisabledByDefault(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Workers: 1, Now: clk.now})
-	if _, ok := s.Submit("g", "tenant", Background, "bg"); !ok {
+	if _, ok := s.Submit("tenant", Background, "bg"); !ok {
 		t.Fatal("submit rejected")
 	}
 	clk.advance(24 * time.Hour)

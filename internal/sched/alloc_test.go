@@ -6,31 +6,30 @@ package sched
 
 import "testing"
 
-// TestSubmitDequeueZeroAllocs pins the hot-path contract that replaced the
-// old pool's per-submission fnv.New32a heap allocation: once the item free
+// TestSubmitDequeueZeroAllocs pins the hot-path contract: once the item free
 // list, client queues and rings are warm, a full submit / cancel / dequeue /
 // finish cycle allocates nothing.
 func TestSubmitDequeueZeroAllocs(t *testing.T) {
-	s := New(Config{Workers: 2, Depth: [NumClasses]int{64, 64, 64}})
+	s := New(Config{Workers: 2})
 	payload := &struct{ n int }{}
-	keys := [4]string{"key-a", "key-b", "key-c", "key-d"}
 	clients := [2]string{"alice", "bob"}
+	const perCycle = 4
 
 	cycle := func() {
-		for i, k := range keys {
-			if _, ok := s.Submit(k, clients[i%2], Class(i%NumClasses), payload); !ok {
+		for i := 0; i < perCycle; i++ {
+			if _, ok := s.Submit(clients[i%2], Class(i%NumClasses), payload); !ok {
 				t.Fatal("warm submit rejected")
 			}
 		}
-		h, ok := s.Submit(keys[0], clients[0], Background, payload)
+		h, ok := s.Submit(clients[0], Background, payload)
 		if !ok {
 			t.Fatal("warm cancel-target submit rejected")
 		}
 		if !s.Cancel(h) {
 			t.Fatal("warm cancel failed")
 		}
-		for drained := 0; drained < len(keys); drained++ {
-			it := s.tryNext(drained % 2)
+		for drained := 0; drained < perCycle; drained++ {
+			it := s.tryNext()
 			if it == nil {
 				t.Fatal("warm dequeue found nothing")
 			}

@@ -36,7 +36,7 @@ func TestWorkerSurvivesPanic(t *testing.T) {
 	defer s.Close()
 
 	for _, p := range []string{"boom-1", "ok-1", "boom-2", "ok-2"} {
-		if _, ok := s.Submit("k", "c", Interactive, p); !ok {
+		if _, ok := s.Submit("c", Interactive, p); !ok {
 			t.Fatalf("Submit(%q) rejected", p)
 		}
 	}
@@ -80,10 +80,10 @@ func TestWorkerSurvivesPanicWithoutHook(t *testing.T) {
 	})
 	defer s.Close()
 
-	if _, ok := s.Submit("k", "c", Interactive, "boom"); !ok {
+	if _, ok := s.Submit("c", Interactive, "boom"); !ok {
 		t.Fatal("Submit rejected")
 	}
-	if _, ok := s.Submit("k", "c", Interactive, "after"); !ok {
+	if _, ok := s.Submit("c", Interactive, "after"); !ok {
 		t.Fatal("Submit rejected")
 	}
 	select {
@@ -118,7 +118,7 @@ func TestAgingTickerSurvivesPanickingOnAge(t *testing.T) {
 
 	// Park the lone worker on a blocking item so queued work can age instead
 	// of being dequeued immediately.
-	if _, ok := s.Submit("kb", "c", Interactive, "blocker"); !ok {
+	if _, ok := s.Submit("c", Interactive, "blocker"); !ok {
 		t.Fatal("Submit(blocker) rejected")
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -129,7 +129,7 @@ func TestAgingTickerSurvivesPanickingOnAge(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, ok := s.Submit("k1", "c", Background, "ages"); !ok {
+	if _, ok := s.Submit("c", Background, "ages"); !ok {
 		t.Fatal("Submit rejected")
 	}
 	// The item ages twice (Background into Batch, then Batch into

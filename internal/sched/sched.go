@@ -1,34 +1,29 @@
-// Package sched is the priority-aware work-stealing scheduler behind the
-// sweep service.  It replaces a fixed key-hash sharded channel pool with a
-// design built for large heterogeneous experiment campaigns:
+// Package sched is the priority-aware scheduler behind the sweep service:
+// one shared set of queues that a pool of worker goroutines pulls from.
 //
 //   - Three priority classes (Interactive > Batch > Background), each a set
 //     of FIFO queues, dequeued by weighted round-robin so low classes cannot
 //     starve but an interactive submission starts ahead of queued batch work.
+//     The round-robin credits belong to the pool, not to a worker: whichever
+//     worker pops next spends them.
 //   - Weighted fair share across submitting clients inside a class: each
 //     client has its own FIFO and active clients are served round-robin, so
 //     one tenant flooding a class cannot monopolize it.
-//   - Work stealing: a submission is homed to a worker by key hash (repeated
-//     submissions of one sweep land on one worker), but each dequeue picks
-//     its class by weighted round-robin over every queue the worker can
-//     reach — its own and all siblings' — then serves its own queue of that
-//     class, stealing from the most loaded sibling only when it has none.
-//     Urgent work anywhere beats less urgent local work, exhausted credits
-//     still let lower classes through (no starvation), and no worker idles
-//     while any queue holds work.
-//   - First-class cancellation: Cancel removes a queued item immediately and
-//     frees its bounded-capacity slot at cancel time, so a queue full of dead
-//     work can never reject live submissions.
+//   - First-class cancellation: Cancel removes a queued item immediately, so
+//     dead work never counts as queued.
+//
+// Items share no state (the sweep service submits one independent
+// simulation cell per item), so there is nothing to gain from tying an item
+// to a worker: every worker serves every queue, and no worker idles while
+// any queue holds work.
 //
 // The hot submit/dequeue path performs no heap allocations in steady state:
-// items come from a free list, client queues are reusable ring buffers, and
-// key hashing is an inline FNV-1a (no hash.Hash construction).  All state is
-// guarded by one mutex; items are heavyweight (the sweep service submits one
-// simulation cell per item, milliseconds to seconds of work), so scheduling
-// cost is noise next to execution cost — the mutex buys simple
-// invariants: exact per-class/per-client/per-worker live counts, and a
-// condition variable that guarantees a waiting worker is woken whenever work
-// exists.
+// items come from a free list and client queues are reusable ring buffers.
+// All state is guarded by one mutex; items are heavyweight (milliseconds to
+// seconds of simulation), so scheduling cost is noise next to execution
+// cost — the mutex buys simple invariants: exact per-class/per-client live
+// counts, and a condition variable that guarantees a waiting worker is woken
+// whenever work exists.
 package sched
 
 import (
@@ -87,9 +82,6 @@ var DefaultWeights = [NumClasses]int{16, 4, 1}
 type Config struct {
 	// Workers is the number of worker goroutines Start spawns (default 2).
 	Workers int
-	// Depth bounds the queued (not yet running) items per class (default 16
-	// each).  Submit reports false when the item's class is full.
-	Depth [NumClasses]int
 	// Weights are the weighted-round-robin dequeue shares per class
 	// (default DefaultWeights; minimum 1 each).
 	Weights [NumClasses]int
@@ -97,9 +89,8 @@ type Config struct {
 	// longer than AgeAfter ages one class up (Background into Batch, Batch
 	// into Interactive) in place — same client FIFO slot in the target
 	// class, same Handle — so sustained urgent floods cannot starve queued
-	// low-priority work forever.  Aging respects the target class's Depth
-	// bound (a full class defers aging to a later scan) and restarts the
-	// item's wait clock, so a second hop needs another full AgeAfter.
+	// low-priority work forever.  Aging restarts the item's wait clock, so a
+	// second hop needs another full AgeAfter.
 	AgeAfter time.Duration
 	// AgeInterval is how often the aging scan runs in Start's ticker
 	// (default AgeAfter/4, clamped to [10ms, 1s]).  Tests drive scans
@@ -152,7 +143,6 @@ type item struct {
 	payload any
 	client  string
 	class   Class
-	home    int
 	at      time.Time
 	wait    time.Duration // queue wait measured at dequeue, for OnDequeue
 	state   uint8
@@ -166,7 +156,6 @@ type clientQueue struct {
 	buf    []*item
 	head   int
 	n      int
-	live   int // queued items not yet cancelled
 	inRing bool
 }
 
@@ -201,21 +190,12 @@ func (q *clientQueue) popBack() *item {
 	return it
 }
 
-// classQueue is one priority class on one worker: per-client FIFOs served
-// round-robin via the active-client ring.
+// classQueue is one priority class: per-client FIFOs served round-robin via
+// the active-client ring.
 type classQueue struct {
 	clients map[string]*clientQueue
 	ring    []*clientQueue // clients with buffered items, in arrival order
 	next    int            // round-robin cursor into ring
-	live    int            // queued items not yet cancelled, all clients
-}
-
-// worker is the per-worker scheduling state (queues + dequeue credits).
-// Workers are identified by index; the goroutines themselves live in Start.
-type worker struct {
-	classes [NumClasses]classQueue
-	credits [NumClasses]int
-	live    int // queued items not yet cancelled, all classes
 }
 
 // Scheduler dispatches submitted items to worker goroutines.
@@ -224,8 +204,9 @@ type Scheduler struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	workers []*worker
-	queued  [NumClasses]int // live queued items per class, all workers
+	classes [NumClasses]classQueue
+	credits [NumClasses]int // weighted round-robin credits left this cycle
+	queued  [NumClasses]int // live (not cancelled) queued items per class
 	busy    int             // workers currently running an item
 	closed  bool
 	quit    chan struct{}  // closed by Close; stops the aging ticker
@@ -233,7 +214,6 @@ type Scheduler struct {
 	cqFree  []*clientQueue // free list of recycled client FIFOs
 	wg      sync.WaitGroup
 
-	steals    int64
 	waitSum   [NumClasses]time.Duration
 	waitCount [NumClasses]int64
 	aged      [NumClasses][NumClasses]int64 // [from][to] queue-wait promotions
@@ -246,9 +226,6 @@ func New(cfg Config) *Scheduler {
 		cfg.Workers = 2
 	}
 	for c := 0; c < NumClasses; c++ {
-		if cfg.Depth[c] <= 0 {
-			cfg.Depth[c] = 16
-		}
 		if cfg.Weights[c] <= 0 {
 			cfg.Weights[c] = DefaultWeights[c]
 		}
@@ -259,55 +236,32 @@ func New(cfg Config) *Scheduler {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Scheduler{cfg: cfg, quit: make(chan struct{})}
+	s := &Scheduler{cfg: cfg, credits: cfg.Weights, quit: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
-	s.workers = make([]*worker, cfg.Workers)
-	for i := range s.workers {
-		w := &worker{credits: cfg.Weights}
-		for c := range w.classes {
-			w.classes[c].clients = make(map[string]*clientQueue)
-		}
-		s.workers[i] = w
+	for c := range s.classes {
+		s.classes[c].clients = make(map[string]*clientQueue)
 	}
 	return s
 }
 
-// Home returns the worker index a key is homed to.  Exported so tests can
-// construct deterministic placements.
-func Home(key string, workers int) int {
-	return int(fnv32a(key) % uint32(workers))
-}
-
-// fnv32a is an inline FNV-1a over the key: hashing on the submit path must
-// not construct a hash.Hash (one heap allocation per submission).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-// Submit enqueues payload under the given sweep key, client label and class.
-// It reports false when the class's queue is full or the scheduler is
-// closed.  The returned Handle cancels or promotes the item while it is
-// still queued.
+// Submit enqueues payload under the given client label and class.  It
+// reports false when the class is out of range or the scheduler is closed.
+// The returned Handle cancels or promotes the item while it is still queued.
 //
 //refrint:alloc-free
-func (s *Scheduler) Submit(key, client string, class Class, payload any) (Handle, bool) {
+func (s *Scheduler) Submit(client string, class Class, payload any) (Handle, bool) {
 	if class < 0 || class >= NumClasses {
 		return Handle{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.queued[class] >= s.cfg.Depth[class] {
+	if s.closed {
 		return Handle{}, false
 	}
 	it := s.newItemLocked()
 	it.payload = payload
 	it.client = client
 	it.class = class
-	it.home = Home(key, len(s.workers))
 	it.at = s.cfg.Now()
 	it.state = itemQueued
 	s.enqueueLocked(it)
@@ -315,9 +269,9 @@ func (s *Scheduler) Submit(key, client string, class Class, payload any) (Handle
 	return Handle{it: it, gen: it.gen}, true
 }
 
-// Cancel removes a queued item, freeing its class capacity immediately — the
-// structural fix for cancelled work camping on bounded queue slots.  It
-// reports false when the handle is stale or the item already started.
+// Cancel removes a queued item: it leaves the class's queued count at once,
+// and a worker never runs it.  It reports false when the handle is stale or
+// the item already started.
 func (s *Scheduler) Cancel(h Handle) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,14 +283,11 @@ func (s *Scheduler) Cancel(h Handle) bool {
 }
 
 // Promote moves a still-queued item to another class (in either direction),
-// keeping its fair-share position (same client FIFO).  The target class's
-// depth bound is enforced like Submit's: a full class declines the
-// promotion (reporting false with the item untouched), so repeated
-// submit-then-promote cycles cannot grow a class beyond its bound.  The
-// item's wait so far is charged to the class it is leaving and its clock
-// restarts, so per-class latency metrics reflect time actually spent in
-// each class.  It returns the handle now identifying the item and reports
-// false when the item is no longer queued or the target class is full.
+// into the same client's FIFO there.  The item's wait so far is charged to
+// the class it is leaving and its clock restarts, so per-class latency
+// metrics reflect time actually spent in each class.  It returns the handle
+// now identifying the item and reports false when the item is no longer
+// queued.
 func (s *Scheduler) Promote(h Handle, to Class) (Handle, bool) {
 	if to < 0 || to >= NumClasses {
 		return h, false
@@ -350,11 +301,8 @@ func (s *Scheduler) Promote(h Handle, to Class) (Handle, bool) {
 	if it.class == to {
 		return h, true
 	}
-	if s.queued[to] >= s.cfg.Depth[to] {
-		return h, false
-	}
 	// Capture before cancelLocked: edge-trimming may recycle it.
-	payload, client, home, at, from := it.payload, it.client, it.home, it.at, it.class
+	payload, client, at, from := it.payload, it.client, it.at, it.class
 	s.cancelLocked(it)
 	now := s.cfg.Now()
 	s.waitSum[from] += now.Sub(at)
@@ -362,7 +310,6 @@ func (s *Scheduler) Promote(h Handle, to Class) (Handle, bool) {
 	nit.payload = payload
 	nit.client = client
 	nit.class = to
-	nit.home = home
 	nit.at = now
 	nit.state = itemQueued
 	s.enqueueLocked(nit)
@@ -377,17 +324,17 @@ func (s *Scheduler) Promote(h Handle, to Class) (Handle, bool) {
 func (s *Scheduler) Start(run func(payload any)) {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
-		go func(idx int) {
+		go func() {
 			defer s.wg.Done()
 			for {
-				it := s.next(idx)
+				it := s.next()
 				if it == nil {
 					return
 				}
 				s.dispatchGuarded(run, it)
 				s.done(it)
 			}
-		}(i)
+		}()
 	}
 	if s.cfg.AgeAfter > 0 {
 		s.wg.Add(1)
@@ -460,9 +407,6 @@ type Stats struct {
 	Workers, Busy int
 	// Queued counts live queued items per class.
 	Queued [NumClasses]int
-	// Steals counts dequeues where an idle worker took an item homed to a
-	// sibling.
-	Steals int64
 	// WaitSum and WaitCount accumulate queue-wait latency per class.
 	// WaitCount counts dequeues; WaitSum also includes the time promoted
 	// items spent in a class before Promote moved them out of it.
@@ -477,10 +421,9 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Workers:   len(s.workers),
+		Workers:   s.cfg.Workers,
 		Busy:      s.busy,
 		Queued:    s.queued,
-		Steals:    s.steals,
 		WaitSum:   s.waitSum,
 		WaitCount: s.waitCount,
 		Aged:      s.aged,
@@ -520,8 +463,7 @@ func (s *Scheduler) releaseLocked(it *item) {
 }
 
 func (s *Scheduler) enqueueLocked(it *item) {
-	w := s.workers[it.home]
-	cq := &w.classes[it.class]
+	cq := &s.classes[it.class]
 	c := cq.clients[it.client]
 	if c == nil {
 		if n := len(s.cqFree); n > 0 {
@@ -534,13 +476,10 @@ func (s *Scheduler) enqueueLocked(it *item) {
 		cq.clients[it.client] = c
 	}
 	c.push(it)
-	c.live++
 	if !c.inRing {
 		cq.ring = append(cq.ring, c)
 		c.inRing = true
 	}
-	cq.live++
-	w.live++
 	s.queued[it.class]++
 }
 
@@ -549,12 +488,8 @@ func (s *Scheduler) enqueueLocked(it *item) {
 // queue releases its items without waiting for a dequeue visit.
 func (s *Scheduler) cancelLocked(it *item) {
 	it.state = itemCancelled
-	w := s.workers[it.home]
-	cq := &w.classes[it.class]
+	cq := &s.classes[it.class]
 	c := cq.clients[it.client]
-	c.live--
-	cq.live--
-	w.live--
 	s.queued[it.class]--
 	for c.n > 0 && c.front().state == itemCancelled {
 		s.releaseLocked(c.popFront())
@@ -594,32 +529,33 @@ func (s *Scheduler) retireClientLocked(cq *classQueue, c *clientQueue) {
 	s.cqFree = append(s.cqFree, c)
 }
 
-// pickClass chooses the class the worker serves next among the available
-// ones (avail[c] meaning class c has live work somewhere this worker can
-// reach): the most urgent available class that still has round-robin
-// credit, refilling all credits when every available class has spent its
-// share.  Weighted fair: with everything backlogged a full cycle serves
-// Weights[c] items of class c, most urgent first — and because stolen work
-// spends credits exactly like home work, a sustained interactive flood
-// cannot starve lower classes no matter how it is spread across workers.
-func (s *Scheduler) pickClass(w *worker, avail [NumClasses]bool) Class {
+// pickClassLocked chooses the class served next: the most urgent class with
+// queued work that still has round-robin credit, refilling all credits when
+// every class with work has spent its share.  Weighted fair: with everything
+// backlogged a full cycle serves Weights[c] items of class c, most urgent
+// first, so a sustained interactive flood cannot starve lower classes.  The
+// credits are the pool's: every worker's dequeue spends from one budget.
+// The caller guarantees some class has queued work.
+func (s *Scheduler) pickClassLocked() Class {
 	for pass := 0; pass < 2; pass++ {
 		for c := Class(0); c < NumClasses; c++ {
-			if avail[c] && w.credits[c] > 0 {
-				w.credits[c]--
+			if s.queued[c] > 0 && s.credits[c] > 0 {
+				s.credits[c]--
 				return c
 			}
 		}
-		w.credits = s.cfg.Weights
+		s.credits = s.cfg.Weights
 	}
 	return -1
 }
 
 // popClassLocked dequeues the next live item of one class: clients are served
 // round-robin, tombstoned (cancelled) items are skipped and recycled, and a
-// client whose FIFO empties leaves the ring until its next submission.
-func (s *Scheduler) popClassLocked(cq *classQueue) *item {
-	for cq.live > 0 {
+// client whose FIFO empties leaves the ring until its next submission.  The
+// caller guarantees the class has a live item.
+func (s *Scheduler) popClassLocked(class Class) *item {
+	cq := &s.classes[class]
+	for {
 		if cq.next >= len(cq.ring) {
 			cq.next = 0
 		}
@@ -633,8 +569,7 @@ func (s *Scheduler) popClassLocked(cq *classQueue) *item {
 			continue
 		}
 		it := c.popFront()
-		c.live--
-		cq.live--
+		s.queued[class]--
 		if c.n == 0 {
 			cq.ring = append(cq.ring[:cq.next], cq.ring[cq.next+1:]...)
 			s.retireClientLocked(cq, c)
@@ -643,54 +578,16 @@ func (s *Scheduler) popClassLocked(cq *classQueue) *item {
 		}
 		return it
 	}
-	return nil
 }
 
-// takeLocked is one dequeue attempt for worker idx.  The class is chosen by
-// the worker's weighted round-robin credits over everything it can reach —
-// its own queues and every sibling's (so urgent work anywhere beats less
-// urgent local work, but exhausted credits still let lower classes through:
-// no starvation).  Within the chosen class its own queue wins; otherwise it
-// steals from the most loaded sibling holding that class.  An idle worker
-// thus never waits while any queue is non-empty.  Accounting (busy, steal
-// count, scheduling latency) happens here.
-func (s *Scheduler) takeLocked(idx int) *item {
-	w := s.workers[idx]
-	var avail [NumClasses]bool
-	var victim [NumClasses]int // most loaded sibling holding each class
-	var vload [NumClasses]int
-	for c := range victim {
-		victim[c] = -1
-		avail[c] = w.classes[c].live > 0
-	}
-	any := w.live > 0
-	for i, ww := range s.workers {
-		if i == idx || ww.live == 0 {
-			continue
-		}
-		for c := Class(0); c < NumClasses; c++ {
-			if ww.classes[c].live > 0 && ww.live > vload[c] {
-				victim[c], vload[c] = i, ww.live
-				avail[c] = true
-				any = true
-			}
-		}
-	}
-	if !any {
+// takeLocked is one dequeue attempt: the class is chosen by the pool's
+// weighted round-robin credits, the item by client round-robin within it.
+// Accounting (busy, scheduling latency) happens here.
+func (s *Scheduler) takeLocked() *item {
+	if s.queued == [NumClasses]int{} {
 		return nil
 	}
-	c := s.pickClass(w, avail)
-	var it *item
-	if w.classes[c].live > 0 {
-		it = s.popClassLocked(&w.classes[c])
-		w.live--
-	} else {
-		v := s.workers[victim[c]]
-		it = s.popClassLocked(&v.classes[c])
-		v.live--
-		s.steals++
-	}
-	s.queued[c]--
+	it := s.popClassLocked(s.pickClassLocked())
 	it.state = itemTaken
 	s.busy++
 	it.wait = s.cfg.Now().Sub(it.at)
@@ -699,13 +596,13 @@ func (s *Scheduler) takeLocked(idx int) *item {
 	return it
 }
 
-// next blocks until worker idx has an item to run, or returns nil when the
+// next blocks until there is an item to run, or returns nil when the
 // scheduler is closed and fully drained.
-func (s *Scheduler) next(idx int) *item {
+func (s *Scheduler) next() *item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if it := s.takeLocked(idx); it != nil {
+		if it := s.takeLocked(); it != nil {
 			return it
 		}
 		if s.closed {
@@ -719,10 +616,10 @@ func (s *Scheduler) next(idx int) *item {
 // drive the queues without worker goroutines.
 //
 //refrint:alloc-free
-func (s *Scheduler) tryNext(idx int) *item {
+func (s *Scheduler) tryNext() *item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.takeLocked(idx)
+	return s.takeLocked()
 }
 
 // done returns a finished item to the pool.
@@ -746,9 +643,9 @@ type agedItem struct {
 // AgeOnce runs one aging scan: every item queued longer than AgeAfter moves
 // one class up (Background into Batch, Batch into Interactive), in place —
 // same item, so outstanding Handles stay valid; same client FIFO in the
-// target class, so the client keeps its fair-share slot; same worker homing.
-// It returns how many items aged, and is a no-op unless Config.AgeAfter is
-// positive.  Start runs this on a ticker; tests call it directly.
+// target class, so the client keeps its fair-share slot.  It returns how
+// many items aged, and is a no-op unless Config.AgeAfter is positive.  Start
+// runs this on a ticker; tests call it directly.
 func (s *Scheduler) AgeOnce() int {
 	if s.cfg.AgeAfter <= 0 {
 		return 0
@@ -777,16 +674,14 @@ func (s *Scheduler) ageScanLocked(now time.Time) []agedItem {
 		if s.queued[from] == 0 {
 			continue
 		}
-		for _, w := range s.workers {
-			cq := &w.classes[from]
-			for ci := 0; ci < len(cq.ring); {
-				q := cq.ring[ci]
-				s.ageClientLocked(w, cq, q, from, to, now, &out)
-				// ageClientLocked retires a drained q from the ring; only
-				// advance while the slot still holds it.
-				if ci < len(cq.ring) && cq.ring[ci] == q {
-					ci++
-				}
+		cq := &s.classes[from]
+		for ci := 0; ci < len(cq.ring); {
+			q := cq.ring[ci]
+			s.ageClientLocked(cq, q, from, to, now, &out)
+			// ageClientLocked retires a drained q from the ring; only
+			// advance while the slot still holds it.
+			if ci < len(cq.ring) && cq.ring[ci] == q {
+				ci++
 			}
 		}
 	}
@@ -794,11 +689,9 @@ func (s *Scheduler) ageScanLocked(now time.Time) []agedItem {
 }
 
 // ageClientLocked moves q's overdue front items (oldest first) from class
-// from to class to, stopping at the first item still young enough or when
-// the target class has no capacity left — aging respects Depth bounds
-// exactly like Submit and Promote, deferring to a later scan instead of
-// overflowing.  It retires q when the move drains it.
-func (s *Scheduler) ageClientLocked(w *worker, cq *classQueue, q *clientQueue, from, to Class, now time.Time, out *[]agedItem) {
+// from to class to, stopping at the first item still young enough.  It
+// retires q when the move drains it.
+func (s *Scheduler) ageClientLocked(cq *classQueue, q *clientQueue, from, to Class, now time.Time, out *[]agedItem) {
 	for {
 		for q.n > 0 && q.front().state == itemCancelled {
 			s.releaseLocked(q.popFront())
@@ -807,13 +700,10 @@ func (s *Scheduler) ageClientLocked(w *worker, cq *classQueue, q *clientQueue, f
 			break
 		}
 		it := q.front()
-		if now.Sub(it.at) < s.cfg.AgeAfter || s.queued[to] >= s.cfg.Depth[to] {
+		if now.Sub(it.at) < s.cfg.AgeAfter {
 			break
 		}
 		q.popFront()
-		q.live--
-		cq.live--
-		w.live--
 		s.queued[from]--
 		// Like Promote: the wait so far is charged to the class being left
 		// and the clock restarts, so per-class latency stays truthful and a

@@ -2,17 +2,18 @@ package sched
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 )
 
-// drainPayloads pops everything worker idx can reach (own queues + steals)
-// and returns the payloads in dequeue order.
-func drainPayloads(s *Scheduler, idx int) []any {
+// drainPayloads pops everything queued and returns the payloads in dequeue
+// order.
+func drainPayloads(s *Scheduler) []any {
 	var out []any
 	for {
-		it := s.tryNext(idx)
+		it := s.tryNext()
 		if it == nil {
 			return out
 		}
@@ -21,25 +22,12 @@ func drainPayloads(s *Scheduler, idx int) []any {
 	}
 }
 
-// keyHomedTo fabricates a key whose home is the wanted worker index.
-func keyHomedTo(t *testing.T, want, workers int) string {
-	t.Helper()
-	for i := 0; i < 10_000; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if Home(k, workers) == want {
-			return k
-		}
-	}
-	t.Fatalf("no key homed to worker %d of %d", want, workers)
-	return ""
-}
-
 // TestPriorityOrdering pins that a single worker serves more urgent classes
 // first: interactive before batch before background, FIFO within a class.
 func TestPriorityOrdering(t *testing.T) {
 	s := New(Config{Workers: 1})
 	submit := func(name string, c Class) {
-		if _, ok := s.Submit(name, "tenant", c, name); !ok {
+		if _, ok := s.Submit("tenant", c, name); !ok {
 			t.Fatalf("submit %s rejected", name)
 		}
 	}
@@ -50,7 +38,7 @@ func TestPriorityOrdering(t *testing.T) {
 	submit("i1", Interactive)
 	submit("i2", Interactive)
 
-	got := drainPayloads(s, 0)
+	got := drainPayloads(s)
 	want := []any{"i1", "i2", "b1", "b2", "g1", "g2"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dequeue order = %v, want %v", got, want)
@@ -64,12 +52,12 @@ func TestWeightedSharesAcrossClasses(t *testing.T) {
 	s := New(Config{Workers: 1, Weights: [NumClasses]int{3, 2, 1}})
 	for i := 0; i < 6; i++ {
 		for c := Class(0); c < NumClasses; c++ {
-			if _, ok := s.Submit(fmt.Sprintf("k%d-%d", c, i), "tenant", c, c); !ok {
+			if _, ok := s.Submit("tenant", c, c); !ok {
 				t.Fatalf("submit %v #%d rejected", c, i)
 			}
 		}
 	}
-	got := drainPayloads(s, 0)
+	got := drainPayloads(s)
 	want := []any{
 		// Two full weighted cycles while every class is backlogged...
 		Interactive, Interactive, Interactive, Batch, Batch, Background,
@@ -87,91 +75,24 @@ func TestWeightedSharesAcrossClasses(t *testing.T) {
 func TestFairShareAcrossClients(t *testing.T) {
 	s := New(Config{Workers: 1})
 	for i := 1; i <= 4; i++ {
-		if _, ok := s.Submit(fmt.Sprintf("a%d", i), "alice", Batch, fmt.Sprintf("a%d", i)); !ok {
+		if _, ok := s.Submit("alice", Batch, fmt.Sprintf("a%d", i)); !ok {
 			t.Fatalf("submit a%d rejected", i)
 		}
 	}
 	for i := 1; i <= 2; i++ {
-		if _, ok := s.Submit(fmt.Sprintf("b%d", i), "bob", Batch, fmt.Sprintf("b%d", i)); !ok {
+		if _, ok := s.Submit("bob", Batch, fmt.Sprintf("b%d", i)); !ok {
 			t.Fatalf("submit b%d rejected", i)
 		}
 	}
-	got := drainPayloads(s, 0)
+	got := drainPayloads(s)
 	want := []any{"a1", "b1", "a2", "b2", "a3", "a4"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dequeue order = %v, want %v", got, want)
 	}
 }
 
-// TestWorkStealingDrainsImbalance homes every item to worker 0 and verifies
-// worker 1 steals rather than idling, most urgent classes first, and that
-// the steal counter records it.
-func TestWorkStealingDrainsImbalance(t *testing.T) {
-	s := New(Config{Workers: 2})
-	key := keyHomedTo(t, 0, 2)
-	for i := 0; i < 3; i++ {
-		if _, ok := s.Submit(key, "tenant", Background, fmt.Sprintf("g%d", i)); !ok {
-			t.Fatalf("submit g%d rejected", i)
-		}
-	}
-	if _, ok := s.Submit(key, "tenant", Interactive, "i0"); !ok {
-		t.Fatal("submit i0 rejected")
-	}
-
-	it := s.tryNext(1) // worker 1 owns nothing: this must steal
-	if it == nil {
-		t.Fatal("worker 1 found nothing to steal")
-	}
-	if it.payload != "i0" {
-		t.Fatalf("steal took %v, want the most urgent item i0", it.payload)
-	}
-	if st := s.Stats(); st.Steals != 1 || st.Busy != 1 {
-		t.Fatalf("stats after steal = %+v, want Steals 1 Busy 1", st)
-	}
-	s.done(it)
-
-	rest := drainPayloads(s, 1)
-	if len(rest) != 3 {
-		t.Fatalf("worker 1 drained %d more items, want 3", len(rest))
-	}
-	if st := s.Stats(); st.Steals != 4 {
-		t.Errorf("steals = %d, want 4 (every dequeue by worker 1 was a steal)", st.Steals)
-	}
-	if q := s.Queued(); q != 0 {
-		t.Errorf("queued = %d after drain, want 0", q)
-	}
-}
-
-// TestStealOverridesLessUrgentLocalWork pins that priority is global, not
-// per-worker: a worker holding only background work steals a sibling's
-// queued interactive item instead of serving its own queue.
-func TestStealOverridesLessUrgentLocalWork(t *testing.T) {
-	s := New(Config{Workers: 2})
-	k0 := keyHomedTo(t, 0, 2)
-	k1 := keyHomedTo(t, 1, 2)
-	if _, ok := s.Submit(k0, "tenant", Background, "local-bg"); !ok {
-		t.Fatal("submit local-bg rejected")
-	}
-	if _, ok := s.Submit(k1, "tenant", Interactive, "remote-i"); !ok {
-		t.Fatal("submit remote-i rejected")
-	}
-	it := s.tryNext(0)
-	if it.payload != "remote-i" {
-		t.Fatalf("worker 0 dequeued %v, want the sibling's interactive item", it.payload)
-	}
-	if st := s.Stats(); st.Steals != 1 {
-		t.Fatalf("steals = %d, want 1", st.Steals)
-	}
-	s.done(it)
-	it = s.tryNext(0)
-	if it.payload != "local-bg" {
-		t.Fatalf("worker 0 then dequeued %v, want its own background item", it.payload)
-	}
-	s.done(it)
-}
-
-// TestNoIdleWorkerWhileQueued is the live integration check: items homed to
-// one worker keep every started worker busy via stealing.
+// TestNoIdleWorkerWhileQueued is the live integration check: one client's
+// backlog keeps every started worker busy.
 func TestNoIdleWorkerWhileQueued(t *testing.T) {
 	s := New(Config{Workers: 2})
 	started := make(chan any, 8)
@@ -184,14 +105,12 @@ func TestNoIdleWorkerWhileQueued(t *testing.T) {
 		<-release
 	})
 
-	key := keyHomedTo(t, 0, 2)
 	for i := 0; i < 4; i++ {
-		if _, ok := s.Submit(key, "tenant", Batch, i); !ok {
+		if _, ok := s.Submit("tenant", Batch, i); !ok {
 			t.Fatalf("submit %d rejected", i)
 		}
 	}
-	// Both workers must pick up work even though all of it is homed to
-	// worker 0.
+	// Both workers must pick up work from the one client's FIFO.
 	<-started
 	<-started
 	deadline := time.Now().Add(5 * time.Second)
@@ -200,9 +119,6 @@ func TestNoIdleWorkerWhileQueued(t *testing.T) {
 		if st.Busy == 2 {
 			if st.Queued[Batch] != 2 {
 				t.Fatalf("queued[batch] = %d with both workers busy, want 2", st.Queued[Batch])
-			}
-			if st.Steals < 1 {
-				t.Fatalf("steals = %d with both workers busy on one-homed load, want >= 1", st.Steals)
 			}
 			break
 		}
@@ -222,70 +138,38 @@ func TestNoIdleWorkerWhileQueued(t *testing.T) {
 	}
 }
 
-// TestCancelFreesCapacityImmediately is the slot-leak regression at the
-// scheduler level: fill a class, cancel everything, and the next submission
-// must be accepted with no dequeue in between.
-func TestCancelFreesCapacityImmediately(t *testing.T) {
-	s := New(Config{Workers: 1, Depth: [NumClasses]int{4, 2, 4}})
-	var handles []Handle
-	for i := 0; i < 2; i++ {
-		h, ok := s.Submit(fmt.Sprintf("k%d", i), "tenant", Batch, i)
-		if !ok {
-			t.Fatalf("submit %d rejected", i)
-		}
-		handles = append(handles, h)
-	}
-	if _, ok := s.Submit("k-over", "tenant", Batch, 99); ok {
-		t.Fatal("submit beyond depth accepted")
-	}
-	for i, h := range handles {
-		if !s.Cancel(h) {
-			t.Fatalf("cancel %d reported false", i)
-		}
-	}
-	if q := s.Queued(); q != 0 {
-		t.Fatalf("queued = %d after cancelling all, want 0", q)
-	}
-	// Capacity is free NOW — no worker ever popped anything.
-	for i := 0; i < 2; i++ {
-		if _, ok := s.Submit(fmt.Sprintf("n%d", i), "tenant", Batch, i); !ok {
-			t.Fatalf("post-cancel submit %d rejected: slot leaked", i)
-		}
-	}
-	// The cancelled items were really removed: only live items dequeue.
-	got := drainPayloads(s, 0)
-	if fmt.Sprint(got) != fmt.Sprint([]any{0, 1}) {
-		t.Fatalf("drained %v, want the two fresh items", got)
-	}
-}
-
-// TestStealDoesNotStarveLowerClasses pins the multi-worker no-starvation
-// guarantee: a worker facing a sustained remote interactive backlog still
-// serves its local background item once its interactive credits are spent —
-// stolen work pays credits exactly like home work.
-func TestStealDoesNotStarveLowerClasses(t *testing.T) {
-	s := New(Config{Workers: 2, Weights: [NumClasses]int{2, 1, 1}, Depth: [NumClasses]int{64, 64, 64}})
-	k0 := keyHomedTo(t, 0, 2)
-	k1 := keyHomedTo(t, 1, 2)
-	if _, ok := s.Submit(k0, "tenant", Background, "bg"); !ok {
+// TestCreditsArePoolWide pins that the weighted round-robin credits belong
+// to the pool, not to a worker: with weights {2,1,1}, an interactive flood
+// and one background item, two workers take the first two interactive items
+// and whichever of them frees first takes the background item.  Per-worker
+// credits would hand out four interactive items first.
+func TestCreditsArePoolWide(t *testing.T) {
+	s := New(Config{Workers: 2, Weights: [NumClasses]int{2, 1, 1}})
+	if _, ok := s.Submit("tenant", Background, "bg"); !ok {
 		t.Fatal("submit bg rejected")
 	}
 	for i := 0; i < 10; i++ {
-		if _, ok := s.Submit(k1, "flood", Interactive, fmt.Sprintf("i%d", i)); !ok {
+		if _, ok := s.Submit("flood", Interactive, fmt.Sprintf("i%d", i)); !ok {
 			t.Fatalf("submit i%d rejected", i)
 		}
 	}
-	// Worker 0 drains alone: it steals interactive work from worker 1, but
-	// after spending its 2 interactive credits the background item is due.
-	var got []any
-	for j := 0; j < 3; j++ {
-		it := s.tryNext(0)
-		got = append(got, it.payload)
-		s.done(it)
+	started := make(chan string, 16)
+	release := make(chan struct{})
+	s.Start(func(p any) {
+		started <- p.(string)
+		<-release
+	})
+	defer s.Close()
+	defer close(release)
+
+	first := []string{<-started, <-started} // one per worker, both now busy
+	sort.Strings(first)
+	if fmt.Sprint(first) != "[i0 i1]" {
+		t.Fatalf("first two dequeues = %v, want i0 and i1", first)
 	}
-	want := []any{"i0", "i1", "bg"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("dequeue order = %v, want %v (background must not starve)", got, want)
+	release <- struct{}{} // free one worker, whichever it is
+	if got := <-started; got != "bg" {
+		t.Fatalf("third dequeue = %v, want bg (the pool's interactive credits are spent)", got)
 	}
 }
 
@@ -293,9 +177,9 @@ func TestStealDoesNotStarveLowerClasses(t *testing.T) {
 // input — do not accumulate state: once a client's FIFO drains (by dequeue
 // or by cancellation), its map entry is gone and the struct is recycled.
 func TestDrainedClientsLeaveNoTrace(t *testing.T) {
-	s := New(Config{Workers: 1, Depth: [NumClasses]int{4096, 4096, 4096}})
+	s := New(Config{Workers: 1})
 	for i := 0; i < 1000; i++ {
-		h, ok := s.Submit("k", fmt.Sprintf("client-%d", i), Batch, i)
+		h, ok := s.Submit(fmt.Sprintf("client-%d", i), Batch, i)
 		if !ok {
 			t.Fatalf("submit %d rejected", i)
 		}
@@ -306,13 +190,13 @@ func TestDrainedClientsLeaveNoTrace(t *testing.T) {
 		}
 	}
 	for {
-		it := s.tryNext(0)
+		it := s.tryNext()
 		if it == nil {
 			break
 		}
 		s.done(it)
 	}
-	cq := &s.workers[0].classes[Batch]
+	cq := &s.classes[Batch]
 	if n := len(cq.clients); n != 0 {
 		t.Fatalf("%d drained client queues still mapped, want 0", n)
 	}
@@ -320,10 +204,10 @@ func TestDrainedClientsLeaveNoTrace(t *testing.T) {
 		t.Fatalf("%d drained client queues still in ring, want 0", n)
 	}
 	// Recycled structs serve new clients.
-	if _, ok := s.Submit("k", "fresh", Batch, "x"); !ok {
+	if _, ok := s.Submit("fresh", Batch, "x"); !ok {
 		t.Fatal("post-drain submit rejected")
 	}
-	if got := drainPayloads(s, 0); fmt.Sprint(got) != fmt.Sprint([]any{"x"}) {
+	if got := drainPayloads(s); fmt.Sprint(got) != fmt.Sprint([]any{"x"}) {
 		t.Fatalf("drained %v, want [x]", got)
 	}
 }
@@ -332,7 +216,7 @@ func TestDrainedClientsLeaveNoTrace(t *testing.T) {
 // cancelling a dequeued item, reports false and touches nothing.
 func TestCancelStaleHandle(t *testing.T) {
 	s := New(Config{Workers: 1})
-	h, ok := s.Submit("k", "tenant", Batch, "x")
+	h, ok := s.Submit("tenant", Batch, "x")
 	if !ok {
 		t.Fatal("submit rejected")
 	}
@@ -342,8 +226,8 @@ func TestCancelStaleHandle(t *testing.T) {
 	if s.Cancel(h) {
 		t.Fatal("second cancel succeeded on a stale handle")
 	}
-	h2, _ := s.Submit("k2", "tenant", Batch, "y")
-	it := s.tryNext(0)
+	h2, _ := s.Submit("tenant", Batch, "y")
+	it := s.tryNext()
 	if it == nil || it.payload != "y" {
 		t.Fatalf("dequeued %v, want y", it)
 	}
@@ -360,10 +244,10 @@ func TestCancelStaleHandle(t *testing.T) {
 // and the handle returned by Promote stays cancellable.
 func TestPromote(t *testing.T) {
 	s := New(Config{Workers: 1})
-	if _, ok := s.Submit("a", "tenant", Background, "a"); !ok {
+	if _, ok := s.Submit("tenant", Background, "a"); !ok {
 		t.Fatal("submit a rejected")
 	}
-	hb, ok := s.Submit("b", "tenant", Background, "b")
+	hb, ok := s.Submit("tenant", Background, "b")
 	if !ok {
 		t.Fatal("submit b rejected")
 	}
@@ -374,7 +258,7 @@ func TestPromote(t *testing.T) {
 	if st := s.Stats(); st.Queued[Interactive] != 1 || st.Queued[Background] != 1 {
 		t.Fatalf("queued after promote = %v", st.Queued)
 	}
-	it := s.tryNext(0)
+	it := s.tryNext()
 	if it.payload != "b" {
 		t.Fatalf("dequeued %v first, want the promoted b", it.payload)
 	}
@@ -382,38 +266,17 @@ func TestPromote(t *testing.T) {
 	if _, ok := s.Promote(hb2, Background); ok {
 		t.Fatal("promote succeeded on a finished item")
 	}
-	if got := drainPayloads(s, 0); fmt.Sprint(got) != fmt.Sprint([]any{"a"}) {
+	if got := drainPayloads(s); fmt.Sprint(got) != fmt.Sprint([]any{"a"}) {
 		t.Fatalf("remaining = %v, want [a]", got)
 	}
-}
-
-// TestPromoteRespectsDepth pins the DoS guard: promotion into a full class
-// is declined (leaving the item queued at its original class), so repeated
-// submit-then-promote cycles cannot grow a class beyond its bound.
-func TestPromoteRespectsDepth(t *testing.T) {
-	s := New(Config{Workers: 1, Depth: [NumClasses]int{1, 4, 4}})
-	if _, ok := s.Submit("i", "tenant", Interactive, "i"); !ok {
-		t.Fatal("interactive fill rejected")
-	}
-	hg, ok := s.Submit("g", "tenant", Background, "g")
-	if !ok {
-		t.Fatal("background submit rejected")
-	}
-	if _, ok := s.Promote(hg, Interactive); ok {
-		t.Fatal("promotion into a full class succeeded")
-	}
-	if st := s.Stats(); st.Queued[Interactive] != 1 || st.Queued[Background] != 1 {
-		t.Fatalf("queued after declined promotion = %v, want [1 0 1]", st.Queued)
-	}
-	// The handle stays valid: once capacity exists, the promotion works.
-	it := s.tryNext(0) // dequeues the interactive item
-	s.done(it)
-	hg2, ok := s.Promote(hg, Interactive)
-	if !ok {
-		t.Fatal("promotion with capacity free reported false")
-	}
-	if !s.Cancel(hg2) {
+	// The handle Promote returns cancels the moved item.
+	hc, _ := s.Submit("tenant", Background, "c")
+	hc2, ok := s.Promote(hc, Batch)
+	if !ok || !s.Cancel(hc2) {
 		t.Fatal("promoted handle not cancellable")
+	}
+	if q := s.Queued(); q != 0 {
+		t.Fatalf("queued = %d after cancelling the promoted item, want 0", q)
 	}
 }
 
@@ -423,7 +286,7 @@ func TestPromoteRespectsDepth(t *testing.T) {
 func TestPromoteWaitAttribution(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := New(Config{Workers: 1, Now: func() time.Time { return now }})
-	h, ok := s.Submit("k", "tenant", Background, "x")
+	h, ok := s.Submit("tenant", Background, "x")
 	if !ok {
 		t.Fatal("submit rejected")
 	}
@@ -432,7 +295,7 @@ func TestPromoteWaitAttribution(t *testing.T) {
 		t.Fatal("promote failed")
 	}
 	now = now.Add(1 * time.Second)
-	it := s.tryNext(0)
+	it := s.tryNext()
 	s.done(it)
 	st := s.Stats()
 	if st.WaitSum[Background] != 10*time.Second || st.WaitCount[Background] != 0 {
@@ -457,7 +320,7 @@ func TestCloseDrainsQueued(t *testing.T) {
 		mu.Unlock()
 	})
 	for i := 0; i < 3; i++ {
-		if _, ok := s.Submit(fmt.Sprintf("k%d", i), "tenant", Batch, i); !ok {
+		if _, ok := s.Submit("tenant", Batch, i); !ok {
 			t.Fatalf("submit %d rejected", i)
 		}
 	}
@@ -468,7 +331,7 @@ func TestCloseDrainsQueued(t *testing.T) {
 	if len(ran) != 3 {
 		t.Fatalf("Close returned with %d of 3 items run", len(ran))
 	}
-	if _, ok := s.Submit("late", "tenant", Batch, 9); ok {
+	if _, ok := s.Submit("tenant", Batch, 9); ok {
 		t.Fatal("submit after Close accepted")
 	}
 }
@@ -478,11 +341,11 @@ func TestCloseDrainsQueued(t *testing.T) {
 func TestWaitLatencyAccounting(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := New(Config{Workers: 1, Now: func() time.Time { return now }})
-	if _, ok := s.Submit("k", "tenant", Interactive, "x"); !ok {
+	if _, ok := s.Submit("tenant", Interactive, "x"); !ok {
 		t.Fatal("submit rejected")
 	}
 	now = now.Add(250 * time.Millisecond)
-	it := s.tryNext(0)
+	it := s.tryNext()
 	s.done(it)
 	st := s.Stats()
 	if st.WaitCount[Interactive] != 1 || st.WaitSum[Interactive] != 250*time.Millisecond {

@@ -131,7 +131,7 @@ func TestBatchValidationAtomic(t *testing.T) {
 // the slots it probed stay usable.
 func TestBatchCapacityAtomic(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, QueueDepth: 2, Execute: exec.fn})
+	h := newHarness(t, Config{Workers: 1, QueueDepth: 2, Execute: exec.fn})
 
 	h.submit(tinyRequest(1))
 	<-exec.started // occupy the worker
@@ -199,7 +199,7 @@ func TestBatchPartialFailure(t *testing.T) {
 // immediately, and running members abort via context.
 func TestBatchCancel(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, QueueDepth: 2, Execute: exec.fn})
+	h := newHarness(t, Config{Workers: 1, QueueDepth: 2, Execute: exec.fn})
 
 	h.submit(tinyRequest(1))
 	<-exec.started // occupy the worker so batch members stay queued
@@ -261,7 +261,7 @@ func TestBatchCancel(t *testing.T) {
 func TestBatchIgnoresFullUntouchedClass(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
-		Shards:          1,
+		Workers:         1,
 		ClassQueueDepth: [sched.NumClasses]int{1, 4, 4},
 		Execute:         exec.fn,
 	})
@@ -315,7 +315,7 @@ func TestBatchIgnoresFullUntouchedClass(t *testing.T) {
 func TestBatchMixedPriorityDuplicates(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
-		Shards:          1,
+		Workers:         1,
 		ClassQueueDepth: [sched.NumClasses]int{2, 4, 4},
 		Execute:         exec.fn,
 	})
@@ -380,7 +380,7 @@ func TestBatchMixedPriorityDuplicates(t *testing.T) {
 func TestBatchPromotesStraightToEffectiveClass(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
-		Shards:          1,
+		Workers:         1,
 		ClassQueueDepth: [sched.NumClasses]int{4, 1, 4},
 		Execute:         exec.fn,
 	})
@@ -437,7 +437,7 @@ func TestBatchPromotesStraightToEffectiveClass(t *testing.T) {
 func TestBatchCreditsPromotionFreedSlots(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
-		Shards:          1,
+		Workers:         1,
 		ClassQueueDepth: [sched.NumClasses]int{4, 1, 4},
 		Execute:         exec.fn,
 	})
@@ -572,7 +572,7 @@ func TestBatchFreezesTerminalMembers(t *testing.T) {
 // history, and their queued cells leave the scheduler.
 func TestRollbackBatchLocked(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, Execute: exec.fn})
+	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
 
 	h.submit(tinyRequest(1))
 	<-exec.started // occupy the worker so batch members stay queued

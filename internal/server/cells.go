@@ -48,7 +48,6 @@ const (
 type cell struct {
 	sc   sweep.Cell
 	opts sweep.Options // options of the sweep that created the cell
-	home string        // scheduler homing key: the creating sweep's key
 
 	client string
 	class  sched.Class // the most urgent class among the waiting entries
@@ -97,7 +96,6 @@ func (s *Server) attachCellsLocked(e *entry, client string) {
 		c := &cell{
 			sc:      sc,
 			opts:    e.opts,
-			home:    e.key,
 			client:  client,
 			class:   e.class,
 			state:   cellProbing,
@@ -116,7 +114,7 @@ func (s *Server) attachCellsLocked(e *entry, client string) {
 // server mutex.
 func (s *Server) enqueueCellLocked(c *cell) {
 	if !s.closed {
-		if h, ok := s.sched.Submit(c.home, c.client, c.class, c); ok {
+		if h, ok := s.sched.Submit(c.client, c.class, c); ok {
 			c.handle, c.state = h, cellQueued
 			return
 		}
@@ -376,7 +374,10 @@ func (s *Server) reclassCellLocked(c *cell) {
 // ageCellLocked follows a scheduler aging promotion of one queued cell: the
 // cell's class, and every waiting entry less urgent than it, move up — with
 // the entry's jobs and its other queued cells — so a sweep ages as a whole.
-// Caller holds the server mutex.
+// Unlike moveEntryLocked it makes no room check: holding an aged sweep back
+// from a full class would bring back the starvation aging exists to
+// prevent, so aging may take a class past its ClassQueueDepth.  Caller
+// holds the server mutex.
 func (s *Server) ageCellLocked(c *cell, to sched.Class) {
 	if c.state != cellQueued || to >= c.class {
 		return

@@ -125,7 +125,7 @@ func TestOverlappingSweepsSimulateEachCellOnce(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	t.Cleanup(func() { st.Close() })
 	sim := newCellSim(7)
-	h := newHarness(t, Config{Shards: 2, Store: st, Execute: sim.fn})
+	h := newHarness(t, Config{Workers: 2, Store: st, Execute: sim.fn})
 
 	reqs := []refrint.SweepRequest{
 		pairRequest("FFT", "LU", 7),
@@ -165,7 +165,7 @@ func TestOverlappingSweepsSimulateEachCellOnce(t *testing.T) {
 // finishes, not after the whole background sweep.
 func TestInteractiveWaitsAtMostOneCell(t *testing.T) {
 	sim := newCellSim(100)
-	h := newHarness(t, Config{Shards: 1, Execute: sim.fn})
+	h := newHarness(t, Config{Workers: 1, Execute: sim.fn})
 
 	bgReq := refrint.SweepRequest{
 		Apps:             []string{"FFT"},
@@ -198,7 +198,7 @@ func TestInteractiveWaitsAtMostOneCell(t *testing.T) {
 // completes with the library's results, and nothing is simulated twice.
 func TestCancelKeepsSharedCellRunning(t *testing.T) {
 	sim := newCellSim(9)
-	h := newHarness(t, Config{Shards: 1, Execute: sim.fn})
+	h := newHarness(t, Config{Workers: 1, Execute: sim.fn})
 
 	small := tinyRequest(9) // FFT: baseline + R.valid
 	wide := tinyRequest(9)  // FFT and LU: shares both of small's cells
@@ -228,7 +228,7 @@ func TestCancelKeepsSharedCellRunning(t *testing.T) {
 // still waits on — and that sweep completes normally.
 func TestDeadlineDropsUnsharedQueuedCells(t *testing.T) {
 	sim := newCellSim(11)
-	h := newHarness(t, Config{Shards: 1, Execute: sim.fn})
+	h := newHarness(t, Config{Workers: 1, Execute: sim.fn})
 
 	doomed := tinyRequest(11) // FFT: baseline + three policies
 	doomed.Policies = []string{"R.valid", "R.dirty", "R.all"}
@@ -262,7 +262,7 @@ func TestDeadlineDropsUnsharedQueuedCells(t *testing.T) {
 // cell fails, the sweep fails once instead of hanging on its other copy.
 func TestDuplicateAppsShareCells(t *testing.T) {
 	sim := newCellSim()
-	h := newHarness(t, Config{Shards: 1, Execute: sim.fn})
+	h := newHarness(t, Config{Workers: 1, Execute: sim.fn})
 	req := tinyRequest(13)
 	req.Apps = []string{"FFT", "FFT"}
 	view, _ := h.submit(req)
@@ -270,7 +270,7 @@ func TestDuplicateAppsShareCells(t *testing.T) {
 	assertResultsMatchLibrary(t, h, view.ID, req)
 	assertSimulatedOnce(t, sim, 2)
 
-	failing := newHarness(t, Config{Shards: 1, Execute: func(context.Context, sweep.Options, sweep.Cell) (sweep.Run, error) {
+	failing := newHarness(t, Config{Workers: 1, Execute: func(context.Context, sweep.Options, sweep.Cell) (sweep.Run, error) {
 		return sweep.Run{}, errors.New("synthetic cell failure")
 	}})
 	fv, _ := failing.submit(req)
@@ -288,7 +288,7 @@ func TestDuplicateAppsShareCells(t *testing.T) {
 // worker long before the simulation would have finished (the baseline cell
 // at effort 16 runs for seconds).
 func TestDeadlineStopsRunningCell(t *testing.T) {
-	h := newHarness(t, Config{Shards: 1})
+	h := newHarness(t, Config{Workers: 1})
 	req := tinyRequest(17)
 	req.EffortScale = 16
 	req.TimeoutMS = 20

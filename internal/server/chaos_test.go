@@ -71,7 +71,7 @@ func TestChaosSimPanic(t *testing.T) {
 // freed for the next submission, and the timeout is counted by class.
 func TestChaosJobDeadline(t *testing.T) {
 	exec := newSteppedExec() // every cell held until released
-	h := newHarness(t, Config{Execute: exec.fn, Shards: 1})
+	h := newHarness(t, Config{Execute: exec.fn, Workers: 1})
 
 	req := tinyRequest(1)
 	req.TimeoutMS = 1

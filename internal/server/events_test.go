@@ -19,7 +19,7 @@ import (
 // worker so gated cells run one at a time.
 func sseConfig(exec ExecuteFunc) Config {
 	return Config{
-		Shards:           1,
+		Workers:          1,
 		Execute:          exec,
 		ProgressInterval: 2 * time.Millisecond,
 		EventHeartbeat:   25 * time.Millisecond,

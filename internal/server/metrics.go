@@ -125,7 +125,6 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	for c := sched.Class(0); c < sched.NumClasses; c++ {
 		fmt.Fprintf(b, "refrint_sweeps_queued{class=%q} %d\n", c.String(), snap.queuedSweeps[c])
 	}
-	counter("refrint_sched_steals_total", "Dequeues where an idle worker took work homed to a sibling.", sst.Steals)
 	writeHistogramFamily(b, "refrint_sched_wait_seconds",
 		"Submit-to-dequeue latency of simulation cells, by priority class.",
 		s.classHistogramSeries(&s.schedWait))

@@ -193,7 +193,7 @@ func TestStoredSweepSkipsFullQueue(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
 		Store:           st,
-		Shards:          1,
+		Workers:         1,
 		ClassQueueDepth: [sched.NumClasses]int{1, 1, 1},
 		Execute:         exec.fn,
 	})

@@ -30,27 +30,28 @@ type ExecuteFunc func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sw
 
 // Config tunes the service.  The zero value is usable.
 type Config struct {
-	// Shards is the number of simulation workers (default NumCPU; see
-	// Workers): the one pool that runs every sweep's cells, one cell per
-	// worker at a time.  Workers steal across queues, so the name is
-	// historical: cells are homed to a worker by their sweep's key hash but
-	// never stuck behind it.
+	// Workers is the number of simulation workers (default NumCPU; see
+	// NumWorkers): the one pool that runs every sweep's cells, one cell per
+	// worker at a time, each worker taking the next cell from the
+	// scheduler's shared queues.
 	//
 	// Each worker keeps a P (a Go scheduler slot) busy while it simulates.
-	// With GOMAXPROCS no larger than Shards, every P can be busy at once, and
-	// an HTTP or SSE goroutine woken by the network poller then waits for
-	// the runtime to preempt a simulation (~10 ms).  cmd/refrint-serve
-	// therefore raises GOMAXPROCS to Shards+1 unless the GOMAXPROCS
+	// With GOMAXPROCS no larger than Workers, every P can be busy at once,
+	// and an HTTP or SSE goroutine woken by the network poller then waits
+	// for the runtime to preempt a simulation (~10 ms).  cmd/refrint-serve
+	// therefore raises GOMAXPROCS to Workers+1 unless the GOMAXPROCS
 	// environment variable is set.  New never changes GOMAXPROCS: a program
 	// embedding the server owns that setting.
-	Shards int
+	Workers int
 	// QueueDepth scales the pending-execution bound (default 8): each
-	// priority class admits Shards*QueueDepth queued sweeps — admitted
+	// priority class admits Workers*QueueDepth queued sweeps — admitted
 	// sweeps none of whose cells has started — unless ClassQueueDepth
 	// overrides it.  Submissions beyond the bound get HTTP 503.
 	QueueDepth int
 	// ClassQueueDepth, where positive, bounds the queued sweeps of one
-	// priority class (indexed by sched.Class) instead of Shards*QueueDepth.
+	// priority class (indexed by sched.Class) instead of Workers*QueueDepth.
+	// A queued sweep that ages into a class is not held back by that
+	// class's bound, so aging can take a class past it.
 	ClassQueueDepth [sched.NumClasses]int
 	// ClassWeights are the weighted-fair dequeue shares per priority class
 	// (default sched.DefaultWeights, 16/4/1): with every class backlogged,
@@ -125,17 +126,17 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Workers is the number of simulation workers a server built from c runs:
-// Shards, or runtime.NumCPU() when Shards is not positive.
-func (c Config) Workers() int {
-	if c.Shards <= 0 {
+// NumWorkers is the number of simulation workers a server built from c
+// runs: Workers, or runtime.NumCPU() when Workers is not positive.
+func (c Config) NumWorkers() int {
+	if c.Workers <= 0 {
 		return runtime.NumCPU()
 	}
-	return c.Shards
+	return c.Workers
 }
 
 func (c Config) withDefaults() Config {
-	c.Shards = c.Workers()
+	c.Workers = c.NumWorkers()
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
 	}
@@ -147,7 +148,7 @@ func (c Config) withDefaults() Config {
 	}
 	for class := range c.ClassQueueDepth {
 		if c.ClassQueueDepth[class] <= 0 {
-			c.ClassQueueDepth[class] = c.Shards * c.QueueDepth
+			c.ClassQueueDepth[class] = c.Workers * c.QueueDepth
 		}
 	}
 	if c.EventBuffer <= 0 {
@@ -289,12 +290,9 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	// The scheduler queues cells, not sweeps: admission is bounded per class
-	// in queued sweeps (queuedSweeps), so its own per-class depth is
-	// unbounded.
-	unbounded := [sched.NumClasses]int{math.MaxInt, math.MaxInt, math.MaxInt}
+	// in queued sweeps (queuedSweeps), before any cell reaches it.
 	s.sched = sched.New(sched.Config{
-		Workers:  cfg.Shards,
-		Depth:    unbounded,
+		Workers:  cfg.Workers,
 		Weights:  cfg.ClassWeights,
 		AgeAfter: cfg.AgeAfter,
 		// Keep the server's view of an aged cell — and of its sweeps — in

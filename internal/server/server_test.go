@@ -216,7 +216,7 @@ func (b *blockingExec) fn(ctx context.Context, opts sweep.Options, c sweep.Cell)
 func TestSingleflight(t *testing.T) {
 	exec := newBlockingExec()
 	// One worker: the baseline cell has finished when the gated cell starts.
-	h := newHarness(t, Config{Shards: 1, Execute: exec.fn})
+	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
 
 	req := tinyRequest(7)
 	first, status := h.submit(req)
@@ -364,11 +364,11 @@ func TestFailurePropagates(t *testing.T) {
 }
 
 // TestQueueBounds verifies overload turns into HTTP 503, not unbounded
-// queueing: with one shard of depth one, the third distinct sweep is
-// rejected while the first still runs.
+// queueing: with one worker and a queue depth of one, the third distinct
+// sweep is rejected while the first still runs.
 func TestQueueBounds(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, QueueDepth: 1, Execute: exec.fn})
+	h := newHarness(t, Config{Workers: 1, QueueDepth: 1, Execute: exec.fn})
 
 	if _, status := h.submit(tinyRequest(1)); status != http.StatusAccepted {
 		t.Fatalf("first submit: status %d", status)
@@ -407,7 +407,7 @@ func TestJobHistoryBound(t *testing.T) {
 	}
 
 	// Four distinct sweeps, all held non-terminal by the blocked executor
-	// (both worker shards block; the rest wait in queues).
+	// (both workers block; the rest wait in queues).
 	var ids []string
 	for seed := int64(1); seed <= 4; seed++ {
 		view, status := h.submit(tinyRequest(seed))
@@ -511,7 +511,7 @@ func TestCatalogAndHealth(t *testing.T) {
 // exactly once and every client sees identical figure data.
 func TestConcurrentClientsRealSweep(t *testing.T) {
 	var calls atomic.Int64
-	h := newHarness(t, Config{Shards: 2, Execute: countingExec(&calls)})
+	h := newHarness(t, Config{Workers: 2, Execute: countingExec(&calls)})
 
 	const clients = 8
 	req := tinyRequest(42)

@@ -282,7 +282,7 @@ func TestBatchQuotaChargesPerRequest(t *testing.T) {
 // both submission endpoints.
 func TestQueueFullRetryAfter(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, QueueDepth: 1, Execute: exec.fn})
+	h := newHarness(t, Config{Workers: 1, QueueDepth: 1, Execute: exec.fn})
 	defer close(exec.release)
 
 	running, _ := h.submit(tinyRequest(1))
@@ -319,7 +319,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 func TestAgingLiftsBackgroundUnderLoad(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
-		Shards:   1,
+		Workers:  1,
 		AgeAfter: 25 * time.Millisecond,
 		Execute:  exec.fn,
 	})
@@ -525,7 +525,7 @@ func TestQuotaHardBound(t *testing.T) {
 func TestQueueFull503RefundsQuota(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
-		Shards:          1,
+		Workers:         1,
 		ClassQueueDepth: [sched.NumClasses]int{1, 1, 1},
 		ClientRate:      0.001,
 		ClientBurst:     3,

@@ -124,7 +124,7 @@ func TestTraceCacheHit(t *testing.T) {
 // cancelled, with no executing phase.
 func TestTraceCancelledJob(t *testing.T) {
 	exec := newBlockingExec()
-	h := newHarness(t, Config{Shards: 1, Execute: exec.fn})
+	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
 	h.submit(tinyRequest(3))
 	<-exec.started // occupy the only worker
 

@@ -7,6 +7,8 @@
 #   - X-Request-Id round-trips into the job's trace;
 #   - the cell accounting is exact: with a store attached, a 2-cell sweep
 #     costs exactly 2 cell misses, and the in-flight join counter exists;
+#   - -workers sets the pool size, and the retired work-stealing counter is
+#     gone from /metrics;
 #   - GOMAXPROCS exceeds the simulation workers by at least one (when the
 #     environment does not set it);
 #   - pprof/expvar answer on -debug-addr and are NOT on the public listener;
@@ -45,7 +47,7 @@ fail() {
 # waits until it answers /healthz.
 start_server() {
     "$tmp/refrint-serve" -addr "127.0.0.1:$port" -debug-addr "127.0.0.1:$dbgport" \
-        -data-dir "$tmp/data" -log-format json >>"$tmp/serve.log" 2>&1 &
+        -workers 2 -data-dir "$tmp/data" -log-format json >>"$tmp/serve.log" 2>&1 &
     pid=$!
     up=""
     for _ in $(seq 1 50); do
@@ -117,6 +119,13 @@ grep -q '^# TYPE refrint_cell_inflight_joins_total counter$' "$tmp/metrics.txt" 
     || fail "missing refrint_cell_inflight_joins_total" "$tmp/metrics.txt"
 misses=$(sed -n 's/^refrint_cell_cache_misses_total \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
 [ "$misses" = "2" ] || fail "refrint_cell_cache_misses_total = '$misses' after one 2-cell sweep, want 2" "$tmp/metrics.txt"
+
+# --- worker pool: -workers sizes it, and it has no steal counter -----------
+grep -q '^refrint_sched_workers 2$' "$tmp/metrics.txt" \
+    || fail "refrint_sched_workers is not 2 under -workers 2" "$tmp/metrics.txt"
+if grep -q 'refrint_sched_steal' "$tmp/metrics.txt"; then
+    fail "the retired work-stealing counter is still exported" "$tmp/metrics.txt"
+fi
 
 # --- spare P: more Go scheduler slots than simulation workers ---------------
 # Unless GOMAXPROCS is set in the environment (then the server keeps it).
