@@ -326,7 +326,7 @@ func (c *Cache) FlushInto(dst []mem.Line) []mem.Line {
 			dst = append(dst, c.Line(Frame(i)))
 		}
 	}
-	c.clearAll()
+	c.Clear()
 	return dst
 }
 
@@ -340,12 +340,13 @@ func (c *Cache) FlushCount() int64 {
 			n++
 		}
 	}
-	c.clearAll()
+	c.Clear()
 	return n
 }
 
-// clearAll zeroes every parallel array in one memclr each.
-func (c *Cache) clearAll() {
+// Clear invalidates every frame, returning the bank to the state New
+// leaves it in; it zeroes every parallel array in one memclr each.
+func (c *Cache) Clear() {
 	clear(c.tags)
 	clear(c.states)
 	clear(c.lru)

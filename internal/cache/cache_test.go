@@ -256,3 +256,22 @@ func TestSameSetMappingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestClearInvalidatesEveryFrame pins that Clear returns a used bank to the
+// state New leaves it in: every frame invalid and zeroed.
+func TestClearInvalidatesEveryFrame(t *testing.T) {
+	c := New(smallConfig())
+	for i := 0; i < 3*c.NumLines(); i++ {
+		f, _, _ := c.Insert(mem.LineAddr(i*7+1), mem.Modified, int64(i))
+		c.SetCount(f, i)
+	}
+	c.Clear()
+	for f := Frame(0); int(f) < c.NumLines(); f++ {
+		if c.Valid(f) || c.Line(f) != (mem.Line{}) {
+			t.Fatalf("frame %d after Clear = %+v, want invalid and zeroed", f, c.Line(f))
+		}
+	}
+	if _, ok := c.Probe(1); ok || c.ValidCount() != 0 {
+		t.Fatal("a cleared bank still hits")
+	}
+}

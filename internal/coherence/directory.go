@@ -271,6 +271,17 @@ func (d *Directory) Lookup(addr mem.LineAddr) *Entry {
 	return nil
 }
 
+// Reset forgets every line and zeroes the counters, leaving the directory
+// as New left it except that a table grown by an earlier run keeps its
+// size: nothing iterates the table, so its size cannot change any Action.
+func (d *Directory) Reset() {
+	clear(d.used)
+	d.count = 0
+	d.invalidationsSent = 0
+	d.downgradesSent = 0
+	d.dirtyForwards = 0
+}
+
 // Entries returns the number of tracked lines.
 func (d *Directory) Entries() int { return d.count }
 

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -258,5 +259,53 @@ func TestDirectoryInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// dirScript drives a directory through random protocol events over `lines`
+// distinct addresses and records every Action and lookup it produces.
+func dirScript(d *Directory, rng *rand.Rand, lines int) []any {
+	var out []any
+	for i := 0; i < 4000; i++ {
+		addr := mem.LineAddr(rng.Intn(lines))
+		core := rng.Intn(16)
+		switch rng.Intn(6) {
+		case 0, 1:
+			out = append(out, d.Read(addr, core))
+		case 2:
+			out = append(out, d.Write(addr, core))
+		case 3:
+			d.SharerEvicted(addr, core)
+		case 4:
+			d.SharerWroteBack(addr, core)
+		case 5:
+			out = append(out, d.InvalidateLine(addr))
+		}
+		if e := d.Lookup(addr); e != nil {
+			out = append(out, *e)
+		}
+	}
+	return append(out, d.Entries(), d.InvalidationsSent(), d.DowngradesSent(), d.DirtyForwards())
+}
+
+// TestDirectoryResetMatchesFresh pins that a directory whose table grew and
+// is then reset forgets everything and answers exactly as a fresh one.
+func TestDirectoryResetMatchesFresh(t *testing.T) {
+	d := New(16)
+	dirScript(d, rand.New(rand.NewSource(1)), 4096)
+	if len(d.keys) <= dirInitialSlots {
+		t.Fatalf("table did not grow: %d slots", len(d.keys))
+	}
+	d.Reset()
+	if d.Entries() != 0 || d.Lookup(7) != nil || d.HasUpperCopies(7) {
+		t.Fatalf("after Reset: Entries = %d, Lookup(7) = %v", d.Entries(), d.Lookup(7))
+	}
+	if d.InvalidationsSent() != 0 || d.DowngradesSent() != 0 || d.DirtyForwards() != 0 {
+		t.Fatal("Reset kept the message counters")
+	}
+	got := dirScript(d, rand.New(rand.NewSource(2)), 300)
+	want := dirScript(New(16), rand.New(rand.NewSource(2)), 300)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a reset directory's actions differ from a fresh directory's")
 	}
 }

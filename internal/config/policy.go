@@ -106,10 +106,29 @@ func RefrintWB(n, m int) Policy { return WB(RefrintTime, n, m) }
 func PeriodicWB(n, m int) Policy { return WB(PeriodicTime, n, m) }
 
 // String renders the policy with the paper's labels, e.g. "R.WB(32,32)".
+// The labels of the swept policies are formatted once, so labelling a
+// simulation result allocates nothing.
 func (p Policy) String() string {
 	if p.Time == NoRefresh {
 		return "SRAM"
 	}
+	if l, ok := sweepLabels[p]; ok {
+		return l
+	}
+	return p.format()
+}
+
+// sweepLabels holds the label of every policy of Table 5.4.
+var sweepLabels = func() map[Policy]string {
+	m := make(map[Policy]string)
+	for _, p := range SweepPolicies() {
+		m[p] = p.format()
+	}
+	return m
+}()
+
+// format renders a refresh policy's label.
+func (p Policy) format() string {
 	if p.Data == WBData {
 		return fmt.Sprintf("%s.WB(%d,%d)", p.Time, p.N, p.M)
 	}

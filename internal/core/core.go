@@ -61,16 +61,17 @@ type Bank struct {
 	ret   edram.Retention
 	sched edram.PeriodicSchedule
 	// wheel holds the pending sentry-decay deadline of each line frame
-	// (Refrint banks only).  The FrameWheel keeps exactly one live deadline
-	// per frame — rescheduling moves the frame's node — so draining never
-	// sees stale entries and scheduling never allocates.
-	wheel *event.FrameWheel
+	// (in use only when sentries is set).  The FrameWheel keeps exactly one
+	// live deadline per frame — rescheduling moves the frame's node — so
+	// draining never sees stale entries and scheduling never allocates.
+	wheel    *event.FrameWheel
+	sentries bool // refreshable Refrint bank: wheel is live
 	// dueBuf is the reusable drain buffer for sentry interrupts, so a
 	// steady-state AdvanceTo performs no allocation.  Safe because a bank's
 	// refresh hooks never re-enter the same bank's AdvanceTo.
 	dueBuf []event.WheelEntry
 
-	// Per-group occupancy for Periodic sweeps (nil for other banks):
+	// Per-group occupancy for Periodic sweeps (empty for other banks):
 	// groupValid[g] and groupDirty[g] count the valid and dirty (Modified)
 	// lines in sweep group g, so advancePeriodic skips empty groups entirely
 	// and stops scanning a group once every valid line has been visited.
@@ -109,19 +110,39 @@ type Bank struct {
 
 // NewBank builds a refresh-managed bank.
 func NewBank(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.Policy, level stats.Level, st *stats.Stats, hooks Hooks) *Bank {
+	b := &Bank{hooks: hooks}
+	b.Reset(cacheCfg, cell, policy, level, st)
+	return b
+}
+
+// Reset re-initialises the bank in place exactly as NewBank would, keeping
+// its hooks.  The cache array is cleared rather than rebuilt when its
+// geometry is unchanged.  A wheel or group counters that the new policy
+// does not use stay attached, idle, for a later Refrint or Periodic reset.
+func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.Policy, level stats.Level, st *stats.Stats) {
 	if err := policy.Validate(); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	b := &Bank{
-		cacheCfg: cacheCfg,
-		cell:     cell,
-		policy:   policy,
-		level:    level,
-		arr:      cache.New(cacheCfg),
-		ret:      edram.NewRetention(cell),
-		hooks:    hooks,
-		st:       st,
-		ctr:      st.Level(level),
+	arr, wheel := b.arr, b.wheel
+	if arr == nil || arr.Config() != cacheCfg {
+		arr, wheel = cache.New(cacheCfg), nil
+	} else {
+		arr.Clear()
+	}
+	*b = Bank{
+		cacheCfg:   cacheCfg,
+		cell:       cell,
+		policy:     policy,
+		level:      level,
+		arr:        arr,
+		ret:        edram.NewRetention(cell),
+		wheel:      wheel,
+		dueBuf:     b.dueBuf[:0],
+		groupValid: b.groupValid[:0],
+		groupDirty: b.groupDirty[:0],
+		hooks:      b.hooks,
+		st:         st,
+		ctr:        st.Level(level),
 	}
 	b.refreshable = b.cell.Refreshable() && b.policy.Time != config.NoRefresh
 	b.mayDecay = b.refreshable &&
@@ -138,25 +159,40 @@ func NewBank(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.
 			// normally scheduled at most one sentry period past the drain
 			// point, so a horizon-sized ring makes ring growth (the wheel's
 			// escape hatch for port-backlogged deadlines) a rare event.
-			b.wheel = event.NewFrameWheel(64, b.arr.NumLines(), b.ret.SentryCycles)
+			b.sentries = true
+			if b.wheel == nil {
+				b.wheel = event.NewFrameWheel(64, b.arr.NumLines(), b.ret.SentryCycles)
+			} else {
+				b.wheel.Reset(b.ret.SentryCycles)
+			}
 		case config.PeriodicTime:
 			b.linesPerGroup = b.sched.LinesPerGroup()
-			b.groupValid = make([]int32, b.sched.Groups)
-			b.groupDirty = make([]int32, b.sched.Groups)
+			b.groupValid = zeroed(b.groupValid, b.sched.Groups)
+			b.groupDirty = zeroed(b.groupDirty, b.sched.Groups)
 			// Mirrors GroupAt: firing k happens at (k+1)*(Period/Groups).
 			b.sweepInterval = b.sched.Period / int64(b.sched.Groups)
 			b.blockCycles = b.sched.BlockCycles()
 			b.nextFire = b.sweepInterval
 		}
 	}
-	return b
+}
+
+// zeroed returns s resized to n zeroed elements, reusing its storage when
+// the capacity suffices.
+func zeroed(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // noteValid adjusts the valid-line count of frame f's sweep group.
 //
 //refrint:alloc-free
 func (b *Bank) noteValid(f cache.Frame, delta int32) {
-	if b.groupValid != nil {
+	if len(b.groupValid) != 0 {
 		b.groupValid[int(f)/b.linesPerGroup] += delta
 	}
 }
@@ -165,7 +201,7 @@ func (b *Bank) noteValid(f cache.Frame, delta int32) {
 //
 //refrint:alloc-free
 func (b *Bank) noteDirty(f cache.Frame, delta int32) {
-	if b.groupDirty != nil {
+	if len(b.groupDirty) != 0 {
 		b.groupDirty[int(f)/b.linesPerGroup] += delta
 	}
 }
@@ -215,7 +251,7 @@ func (b *Bank) occupyPort(at int64) int64 {
 //
 //refrint:alloc-free
 func (b *Bank) scheduleSentry(f cache.Frame) {
-	if b.wheel == nil || b.policy.Time != config.RefrintTime || f < 0 {
+	if !b.sentries || f < 0 {
 		return
 	}
 	// The wheel moves the frame's node to the new deadline (or does nothing
@@ -260,7 +296,7 @@ func (b *Bank) Probe(addr mem.LineAddr, now int64) (cache.Frame, bool) {
 		// (an L2 decay writeback probes the home L3, whose sweep may send an
 		// inclusion invalidation right back); only account the line once.
 		if b.arr.Valid(f) {
-			if b.groupValid != nil {
+			if len(b.groupValid) != 0 {
 				b.noteValid(f, -1)
 				if b.arr.Dirty(f) {
 					b.noteDirty(f, -1)
@@ -290,7 +326,7 @@ func (b *Bank) Touch(f cache.Frame, now int64) {
 func (b *Bank) Insert(addr mem.LineAddr, state mem.State, now int64) (f cache.Frame, victim mem.Line, evicted bool) {
 	b.AdvanceTo(now)
 	f, victim, evicted = b.arr.Insert(addr, state, now)
-	if b.groupValid != nil {
+	if len(b.groupValid) != 0 {
 		if evicted {
 			if victim.Dirty() {
 				b.noteDirty(f, -1)
@@ -325,7 +361,7 @@ func (b *Bank) Insert(addr mem.LineAddr, state mem.State, now int64) (f cache.Fr
 //refrint:alloc-free
 func (b *Bank) SetState(f cache.Frame, state mem.State) {
 	old := b.arr.State(f)
-	if b.groupValid != nil && old != state {
+	if len(b.groupValid) != 0 && old != state {
 		if !old.Valid() && state.Valid() {
 			b.noteValid(f, 1)
 		}
@@ -354,7 +390,7 @@ func (b *Bank) Invalidate(addr mem.LineAddr) (mem.Line, bool) {
 		return mem.Line{}, false
 	}
 	old := b.arr.Line(f)
-	if b.groupValid != nil {
+	if len(b.groupValid) != 0 {
 		b.noteValid(f, -1)
 		if old.Dirty() {
 			b.noteDirty(f, -1)
@@ -619,7 +655,7 @@ func (b *Bank) FlushInto(dst []mem.Line) []mem.Line {
 // lines (the end-of-run writeback charge): no per-line copies are made.
 func (b *Bank) FlushCount() int64 {
 	var n int64
-	if b.groupDirty != nil {
+	if len(b.groupDirty) != 0 {
 		n = int64(b.DirtyLines())
 		for i := range b.groupValid {
 			b.groupValid[i] = 0
@@ -637,7 +673,7 @@ func (b *Bank) FlushCount() int64 {
 // (falling back to a scan for other banks).  Tests use it to cross-check the
 // occupancy counters against ground truth.
 func (b *Bank) ValidLines() int {
-	if b.groupValid == nil {
+	if len(b.groupValid) == 0 {
 		return b.arr.ValidCount()
 	}
 	n := 0
@@ -649,7 +685,7 @@ func (b *Bank) ValidLines() int {
 
 // DirtyLines is ValidLines for dirty (Modified) lines.
 func (b *Bank) DirtyLines() int {
-	if b.groupDirty == nil {
+	if len(b.groupDirty) == 0 {
 		return b.arr.DirtyCount()
 	}
 	n := 0
@@ -662,7 +698,7 @@ func (b *Bank) DirtyLines() int {
 // PendingRefreshWork reports how many sentry deadlines are registered
 // (Refrint) — useful for tests and debugging.
 func (b *Bank) PendingRefreshWork() int {
-	if b.wheel == nil {
+	if !b.sentries {
 		return 0
 	}
 	return b.wheel.Len()

@@ -33,10 +33,17 @@ type Core struct {
 
 // New creates a core with the given id.
 func New(id int, cfg config.CoreConfig) *Core {
+	c := &Core{id: id}
+	c.Reset(cfg)
+	return c
+}
+
+// Reset returns the core to the state New leaves it in, keeping its id.
+func (c *Core) Reset(cfg config.CoreConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("cpu: invalid config: %v", err))
 	}
-	return &Core{id: id, cfg: cfg}
+	*c = Core{id: c.id, cfg: cfg}
 }
 
 // ID returns the core's identifier (also its tile on the torus).

@@ -62,26 +62,40 @@ func NewFrameWheel(granularity int64, ids int, horizon int64) *FrameWheel {
 	for g := granularity; g > 1; g >>= 1 {
 		shift++
 	}
-	buckets := int64(defaultRingBuckets)
-	if horizon > 0 {
-		need := horizon/granularity + 2
-		for buckets < need {
-			buckets <<= 1
-		}
-	}
 	w := &FrameWheel{
 		granShift:   shift,
 		granularity: granularity,
 		nodes:       make([]frameNode, ids),
-		head:        make([]int32, buckets),
-		tail:        make([]int32, buckets),
-		mask:        buckets - 1,
+	}
+	w.Reset(horizon)
+	return w
+}
+
+// Reset empties the wheel and sizes its ring for `horizon` exactly as
+// NewFrameWheel would, without allocating when the ring it already has is
+// large enough: a ring grown by an earlier run, or sized for a longer
+// horizon, is kept.  Ring size never changes which entries PopDueInto
+// returns or their order, so a reset wheel behaves as a fresh one.
+func (w *FrameWheel) Reset(horizon int64) {
+	buckets := int64(defaultRingBuckets)
+	if horizon > 0 {
+		need := horizon/w.granularity + 2
+		for buckets < need {
+			buckets <<= 1
+		}
+	}
+	if int64(len(w.head)) < buckets {
+		w.head = make([]int32, buckets)
+		w.tail = make([]int32, buckets)
+		w.mask = buckets - 1
 	}
 	for i := range w.head {
 		w.head[i] = noNode
 		w.tail[i] = noNode
 	}
-	return w
+	clear(w.nodes)
+	w.next = 0
+	w.count = 0
 }
 
 // Len returns the number of pending deadlines.

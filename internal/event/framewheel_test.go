@@ -2,6 +2,7 @@ package event
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -404,4 +405,58 @@ func agrees(w *FrameWheel, model map[int]int64, now int64) bool {
 		return false
 	}
 	return pending || !w.MaybeDue(now)
+}
+
+// wheelScript drives a wheel through random schedules, cancels and drains
+// from time `from`, with some deadlines far past the ring so it grows, and
+// returns every drain's output in order.  Deadlines may still be pending
+// when it returns.
+func wheelScript(w *FrameWheel, rng *rand.Rand, ids int, from, horizon int64) [][]WheelEntry {
+	var out [][]WheelEntry
+	now := from
+	for step := 0; step < 400; step++ {
+		switch r := rng.Intn(10); {
+		case r < 6:
+			ahead := 1 + rng.Int63n(horizon)
+			if rng.Intn(20) == 0 {
+				ahead *= 16 // past the ring: forces growth
+			}
+			w.Schedule(now+ahead, rng.Intn(ids))
+		case r < 7:
+			w.Cancel(rng.Intn(ids))
+		default:
+			now += rng.Int63n(horizon / 2)
+			out = append(out, w.PopDueInto(now, -1, nil))
+		}
+	}
+	return out
+}
+
+// TestFrameWheelResetMatchesFresh pins that a wheel reset after growth, and
+// after a change of horizon, drains exactly as a freshly built one.
+func TestFrameWheelResetMatchesFresh(t *testing.T) {
+	const ids, gran = 300, 64
+	for _, horizons := range [][2]int64{{4096, 4096}, {16384, 2048}, {2048, 16384}} {
+		rng := rand.New(rand.NewSource(horizons[0] ^ horizons[1]))
+		w := NewFrameWheel(gran, ids, horizons[0])
+		built := len(w.head)
+		wheelScript(w, rng, ids, 1000, horizons[0])
+		if len(w.head) <= built || w.Len() == 0 {
+			t.Fatalf("horizon %d: the first script left %d pending in a ring of %d (built %d); want growth and pending deadlines",
+				horizons[0], w.Len(), len(w.head), built)
+		}
+		w.Reset(horizons[1])
+		if w.Len() != 0 {
+			t.Fatalf("Len after Reset = %d, want 0", w.Len())
+		}
+		fresh := NewFrameWheel(gran, ids, horizons[1])
+		seed := rng.Int63()
+		got := wheelScript(w, rand.New(rand.NewSource(seed)), ids, 0, horizons[1])
+		want := wheelScript(fresh, rand.New(rand.NewSource(seed)), ids, 0, horizons[1])
+		got = append(got, w.PopDueInto(1<<40, -1, nil))
+		want = append(want, fresh.PopDueInto(1<<40, -1, nil))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("horizons %v: reset wheel drains\n%v\nfresh wheel drains\n%v", horizons, got, want)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"refrint/internal/config"
+	"refrint/internal/stats"
 	"refrint/internal/workload"
 )
 
@@ -96,6 +97,38 @@ func BenchmarkAccessSteadyState(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				step()
+			}
+		})
+	}
+}
+
+// statsSink makes the measured Stats copy escape as a Result's does.
+var statsSink *stats.Stats
+
+// TestWarmResetRunAllocs asserts that resetting and running a warmed System
+// allocates nothing but the Result's own copy of the Stats: the chip's
+// arrays, the bank hooks, the generators and the run loop's heap are all
+// reused.
+func TestWarmResetRunAllocs(t *testing.T) {
+	st := stats.New(config.Scaled().Cores)
+	want := testing.AllocsPerRun(10, func() { statsSink = st.Clone() })
+	for _, c := range []resetCell{
+		{app: "Blackscholes", policy: config.SRAMBaseline, seed: 1, effort: 0.05},
+		{app: "FFT", policy: config.PeriodicAll, retentionUS: 50, seed: 1, effort: 0.05},
+		{app: "LU", policy: config.RefrintWB(32, 32), retentionUS: 50, seed: 1, effort: 0.05},
+	} {
+		t.Run(c.policy.String(), func(t *testing.T) {
+			cfg, params := c.config(), c.params(t)
+			s := new(System)
+			run := func() {
+				if err := s.Reset(cfg, params, c.seed); err != nil {
+					t.Fatal(err)
+				}
+				s.Run()
+			}
+			run() // warm: build the chip, grow the directory and wheel
+			if got := testing.AllocsPerRun(3, run); got != want {
+				t.Errorf("warm Reset+Run allocates %v objects, want %v (the Stats copy)", got, want)
 			}
 		})
 	}

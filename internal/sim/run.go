@@ -102,7 +102,8 @@ func (s *System) Run() Result {
 // or stops early with ctx.Err() once ctx is cancelled.  The context is
 // checked before the first reference and then every cancelPollRefs
 // references; a context that can never be cancelled (nil Done) is never
-// checked.  A cancelled System is left mid-run and must not be reused.
+// checked.  A cancelled System is left mid-run.  Whether its run finished
+// or was cancelled, call Reset before reusing a System.
 //
 // The run loop repeatedly picks the core with the smallest local clock,
 // lets it execute its compute gap and issue its next memory reference, and
@@ -111,11 +112,12 @@ func (s *System) Run() Result {
 // different cores consistent with their timing, which is what the refresh
 // policies and the coherence protocol observe.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
-	h := make(coreHeap, 0, len(s.tiles))
+	h := s.heap[:0]
 	for i := range s.tiles {
 		h = append(h, coreEntry{tile: i, time: 0})
 	}
 	h.init()
+	s.heap = h
 
 	done := ctx.Done()
 	poll := 1
@@ -202,7 +204,7 @@ func (s *System) finish() Result {
 		App:         s.app.Params().Name,
 		Policy:      s.cfg.Policy.String(),
 		RetentionUS: retention,
-		Stats:       s.st,
+		Stats:       s.st.Clone(), // the next Reset zeroes s.st in place
 		Energy:      breakdown,
 		Cycles:      end,
 	}

@@ -36,3 +36,35 @@ func BenchmarkRunPeriodicAll(b *testing.B) {
 func BenchmarkRunRefrintWB32(b *testing.B) {
 	benchRun(b, scaledEDRAM(config.RefrintWB(32, 32), config.Retention50us))
 }
+
+// benchRunReset is benchRun on one reused System: each iteration resets
+// it instead of building a chip, as the sweep's workers do.
+func benchRunReset(b *testing.B, cfg config.Config) {
+	b.Helper()
+	params := quickParams()
+	s, err := New(cfg, params, 1) // built outside the timed loop
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Run()
+	var cycles int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Reset(cfg, params, int64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+		res := s.Run()
+		cycles = res.Cycles
+	}
+	b.ReportMetric(float64(cycles), "sim_cycles")
+}
+
+// BenchmarkRunResetSRAM is BenchmarkRunSRAM on a reused System.
+func BenchmarkRunResetSRAM(b *testing.B) { benchRunReset(b, scaledSRAM()) }
+
+// BenchmarkRunResetRefrintWB32 is BenchmarkRunRefrintWB32 on a reused
+// System.
+func BenchmarkRunResetRefrintWB32(b *testing.B) {
+	benchRunReset(b, scaledEDRAM(config.RefrintWB(32, 32), config.Retention50us))
+}

@@ -51,6 +51,8 @@ type System struct {
 	mem   *dram.DRAM
 	geom  mem.LineGeometry
 	st    *stats.Stats
+	// heap is the run loop's core queue, kept here so a run allocates none.
+	heap coreHeap
 
 	// l1l2Policy is the refresh policy private caches run: the paper always
 	// runs L1 and L2 with the Valid data policy and applies the swept data
@@ -67,24 +69,50 @@ type System struct {
 
 // New builds a System for one application under one configuration.
 func New(cfg config.Config, app workload.Params, seed int64) (*System, error) {
+	s := new(System)
+	if err := s.Reset(cfg, app, seed); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset re-initialises s in place as the System New(cfg, app, seed) would
+// build, so that its next run gives the identical Result.  Every array
+// whose geometry is unchanged is cleared and reused; a different core
+// count rebuilds the tiles, and a different cache geometry rebuilds that
+// cache's arrays.  Reset may follow a finished or a cancelled run.  On an
+// error s is left unchanged.
+func (s *System) Reset(cfg config.Config, app workload.Params, seed int64) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return fmt.Errorf("sim: %w", err)
 	}
 	if err := app.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return fmt.Errorf("sim: %w", err)
 	}
 	params := workload.ForConfig(app, cfg)
 	if err := params.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return fmt.Errorf("sim: %w", err)
 	}
 
-	s := &System{
-		cfg:  cfg,
-		app:  workload.NewApp(params, cfg, seed),
-		net:  noc.New(cfg.NoC),
-		mem:  dram.New(cfg.DRAM),
-		geom: cfg.Geometry(),
-		st:   stats.New(cfg.Cores),
+	s.cfg = cfg
+	s.geom = cfg.Geometry()
+	if s.st == nil || len(s.st.PerCoreCycles) != cfg.Cores {
+		s.st = stats.New(cfg.Cores)
+	} else {
+		s.st.Reset()
+	}
+	if s.app == nil {
+		s.app = workload.NewApp(params, cfg, seed)
+	} else {
+		s.app.Reset(params, cfg, seed)
+	}
+	if s.net == nil || s.net.Config() != cfg.NoC {
+		s.net = noc.New(cfg.NoC)
+	}
+	if s.mem == nil || s.mem.Config() != cfg.DRAM {
+		s.mem = dram.New(cfg.DRAM)
+	} else {
+		s.mem.Reset()
 	}
 	s.l1l2Policy = privatePolicy(cfg.Policy)
 	s.il1Time = cfg.IL1.AccessTime
@@ -99,19 +127,32 @@ func New(cfg config.Config, app workload.Params, seed int64) (*System, error) {
 		s.bankMask = b - 1
 	}
 
-	s.tiles = make([]*Tile, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		tile := &Tile{
-			Core: cpu.New(i, cfg.Core),
-			Dir:  coherence.New(cfg.Cores),
-		}
-		tile.IL1 = core.NewBank(cfg.IL1, cfg.Cell, s.l1l2Policy, stats.IL1, s.st, s.l1Hooks(i))
-		tile.DL1 = core.NewBank(cfg.DL1, cfg.Cell, s.l1l2Policy, stats.DL1, s.st, s.l1Hooks(i))
-		tile.L2 = core.NewBank(cfg.L2, cfg.Cell, s.l1l2Policy, stats.L2, s.st, s.l2Hooks(i))
-		tile.L3 = core.NewBank(cfg.L3, cfg.Cell, cfg.Policy, stats.L3, s.st, s.l3Hooks(i))
-		s.tiles[i] = tile
+	if len(s.tiles) != cfg.Cores {
+		s.tiles = make([]*Tile, cfg.Cores)
 	}
-	return s, nil
+	for i, tile := range s.tiles {
+		if tile == nil {
+			// The hooks are built once per tile: they capture only s and
+			// the tile index, so they stay valid across resets.
+			l1 := s.l1Hooks(i)
+			s.tiles[i] = &Tile{
+				Core: cpu.New(i, cfg.Core),
+				Dir:  coherence.New(cfg.Cores),
+				IL1:  core.NewBank(cfg.IL1, cfg.Cell, s.l1l2Policy, stats.IL1, s.st, l1),
+				DL1:  core.NewBank(cfg.DL1, cfg.Cell, s.l1l2Policy, stats.DL1, s.st, l1),
+				L2:   core.NewBank(cfg.L2, cfg.Cell, s.l1l2Policy, stats.L2, s.st, s.l2Hooks(i)),
+				L3:   core.NewBank(cfg.L3, cfg.Cell, cfg.Policy, stats.L3, s.st, s.l3Hooks(i)),
+			}
+			continue
+		}
+		tile.Core.Reset(cfg.Core)
+		tile.Dir.Reset()
+		tile.IL1.Reset(cfg.IL1, cfg.Cell, s.l1l2Policy, stats.IL1, s.st)
+		tile.DL1.Reset(cfg.DL1, cfg.Cell, s.l1l2Policy, stats.DL1, s.st)
+		tile.L2.Reset(cfg.L2, cfg.Cell, s.l1l2Policy, stats.L2, s.st)
+		tile.L3.Reset(cfg.L3, cfg.Cell, cfg.Policy, stats.L3, s.st)
+	}
+	return nil
 }
 
 // privatePolicy returns the refresh policy the private (L1/L2) caches run

@@ -125,6 +125,20 @@ func New(cores int) *Stats {
 	return &Stats{PerCoreCycles: make([]int64, cores)}
 }
 
+// Reset zeroes every counter in place, keeping the per-core slice.
+func (s *Stats) Reset() {
+	pc := s.PerCoreCycles
+	clear(pc)
+	*s = Stats{PerCoreCycles: pc}
+}
+
+// Clone returns a deep copy that shares nothing with s.
+func (s *Stats) Clone() *Stats {
+	c := *s
+	c.PerCoreCycles = append([]int64(nil), s.PerCoreCycles...)
+	return &c
+}
+
 // Level returns a pointer to the counters of the given level.
 func (s *Stats) Level(l Level) *LevelCounters { return &s.Levels[l] }
 

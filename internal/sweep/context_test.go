@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,14 +121,18 @@ func TestExecuteWorkersRace(t *testing.T) {
 		t.Fatalf("serial sweep: %v", err)
 	}
 
+	// Every cell, not just the baselines: the workers share the pool of
+	// reused simulators, so each result must match the serial run's.
 	for _, app := range opts.Apps {
-		p, ok1 := parallel.Baselines[app]
-		s, ok2 := serial.Baselines[app]
-		if !ok1 || !ok2 {
-			t.Fatalf("missing baseline for %s (parallel %v, serial %v)", app, ok1, ok2)
-		}
-		if p.Result.Cycles != s.Result.Cycles {
-			t.Errorf("%s baseline cycles differ across worker counts: %d vs %d", app, p.Result.Cycles, s.Result.Cycles)
+		for _, pt := range append([]Point{{Policy: config.SRAMBaseline}}, parallel.Points...) {
+			p, ok1 := parallel.Lookup(app, pt)
+			s, ok2 := serial.Lookup(app, pt)
+			if !ok1 || !ok2 {
+				t.Fatalf("missing %s %s (parallel %v, serial %v)", app, pt.Key(), ok1, ok2)
+			}
+			if !reflect.DeepEqual(p.Result, s.Result) {
+				t.Errorf("%s %s differs across worker counts: cycles %d vs %d", app, pt.Key(), p.Result.Cycles, s.Result.Cycles)
+			}
 		}
 	}
 	if parallel.Options.Key() != serial.Options.Key() {

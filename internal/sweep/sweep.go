@@ -388,16 +388,55 @@ func runOne(ctx context.Context, opts Options, appName string, pt Point) (Run, e
 		cfg = config.AsEDRAM(cfg, pt.Policy, retention)
 	}
 
-	system, err := sim.New(cfg, params, opts.Seed)
-	if err != nil {
+	system := idle.get()
+	if err := system.Reset(cfg, params, opts.Seed); err != nil {
+		idle.put(system)
 		return Run{}, fmt.Errorf("sweep: %s %s: %w", appName, pt.Key(), err)
 	}
 	result, err := system.RunContext(ctx)
+	// A cancelled System is as reusable as a finished one: Reset
+	// re-initialises all of it.  One that panicked is not returned.
+	idle.put(system)
 	if err != nil {
 		return Run{}, err
 	}
 	result.RetentionUS = pt.RetentionUS // report the paper-scale retention
 	return Run{App: appName, Point: pt, Result: result}, nil
+}
+
+// idle is the free list of simulators that runOne resets instead of
+// building a chip per cell.  It holds at most GOMAXPROCS systems, as many as
+// can run at once.  A sync.Pool is not used: nothing bounds the idle
+// systems it keeps until a GC, which reuse makes rare, and in the service
+// benchmark it raised peak resident memory by about a fifth.
+var idle systemList
+
+type systemList struct {
+	mu   sync.Mutex
+	free []*sim.System
+}
+
+// get returns an idle System, or a zero one for Reset to build.
+func (l *systemList) get() *sim.System {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(sim.System)
+	}
+	s := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return s
+}
+
+// put returns s to the list, or drops it when the list is full.
+func (l *systemList) put(s *sim.System) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, s)
+	}
 }
 
 // applyEffort scales the per-thread work of an application.

@@ -46,6 +46,16 @@ type Generator struct {
 
 // NewGenerator builds the reference generator for one thread.
 func NewGenerator(p Params, cfg config.Config, thread int, seed int64) *Generator {
+	g := new(Generator)
+	g.Reset(p, cfg, thread, seed)
+	return g
+}
+
+// Reset re-initialises the generator exactly as NewGenerator would.  It
+// reseeds the existing random source and keeps the working window's
+// storage when its capacity already equals WorkingWindow, so resetting
+// allocates nothing.
+func (g *Generator) Reset(p Params, cfg config.Config, thread int, seed int64) {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("workload: %v", err))
 	}
@@ -62,16 +72,26 @@ func NewGenerator(p Params, cfg config.Config, thread int, seed int64) *Generato
 	if private < 1 {
 		private = 1
 	}
-	g := &Generator{
+	rngSeed := seed ^ int64(thread)*0x5851F42D4C957F2D
+	rng := g.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(rngSeed))
+	} else {
+		rng.Seed(rngSeed)
+	}
+	window := g.window[:0]
+	if cap(window) != p.WorkingWindow {
+		window = make([]mem.LineAddr, 0, p.WorkingWindow)
+	}
+	*g = Generator{
 		params:       p,
 		geom:         cfg.Geometry(),
 		thread:       thread,
-		rng:          rand.New(rand.NewSource(seed ^ int64(thread)*0x5851F42D4C957F2D)),
+		rng:          rng,
 		privateLines: private,
 		sharedLines:  shared,
-		window:       make([]mem.LineAddr, 0, p.WorkingWindow),
+		window:       window,
 	}
-	return g
 }
 
 // Params returns the generator's parameters.
@@ -213,11 +233,24 @@ type App struct {
 
 // NewApp builds one generator per core for the given application.
 func NewApp(p Params, cfg config.Config, seed int64) *App {
-	gens := make([]*Generator, cfg.Cores)
-	for t := 0; t < cfg.Cores; t++ {
-		gens[t] = NewGenerator(p, cfg, t, seed)
+	a := new(App)
+	a.Reset(p, cfg, seed)
+	return a
+}
+
+// Reset re-initialises the application exactly as NewApp would, resetting
+// the existing generators in place when the core count is unchanged.
+func (a *App) Reset(p Params, cfg config.Config, seed int64) {
+	if len(a.gens) != cfg.Cores {
+		a.gens = make([]*Generator, cfg.Cores)
+		for t := range a.gens {
+			a.gens[t] = new(Generator)
+		}
 	}
-	return &App{params: cfg, gens: gens, p: p}
+	for t, g := range a.gens {
+		g.Reset(p, cfg, t, seed)
+	}
+	a.params, a.p = cfg, p
 }
 
 // Thread returns the generator for one thread.
