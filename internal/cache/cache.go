@@ -56,7 +56,7 @@ type Cache struct {
 	// last normal access: only Touch writes it.
 	lru         []int64
 	lastRefresh []int64 // cycle of the last refresh or access
-	counts      []int   // WB(n,m) refresh budget (package core)
+	counts      []int32 // WB(n,m) refresh budget (package core)
 }
 
 // New builds an empty cache bank from its configuration.
@@ -80,7 +80,7 @@ func New(cfg config.CacheConfig) *Cache {
 		states:      make([]mem.State, n),
 		lru:         make([]int64, n),
 		lastRefresh: make([]int64, n),
-		counts:      make([]int, n),
+		counts:      make([]int32, n),
 	}
 }
 
@@ -170,12 +170,12 @@ func (c *Cache) LRU(f Frame) int64 { return c.lru[f] }
 // Count returns the frame's WB(n,m) refresh budget.
 //
 //refrint:alloc-free
-func (c *Cache) Count(f Frame) int { return c.counts[f] }
+func (c *Cache) Count(f Frame) int { return int(c.counts[f]) }
 
 // SetCount stores the frame's WB(n,m) refresh budget.
 //
 //refrint:alloc-free
-func (c *Cache) SetCount(f Frame, n int) { c.counts[f] = n }
+func (c *Cache) SetCount(f Frame, n int) { c.counts[f] = int32(n) }
 
 // Line materializes a copy of the frame's metadata as a mem.Line value —
 // the vocabulary type victim copies, flush buffers and the invariant
@@ -186,7 +186,7 @@ func (c *Cache) Line(f Frame) mem.Line {
 		State:       c.states[f],
 		LRU:         c.lru[f],
 		LastRefresh: c.lastRefresh[f],
-		Count:       c.counts[f],
+		Count:       int(c.counts[f]),
 	}
 }
 

@@ -28,14 +28,19 @@ type FrameWheel struct {
 	count       int
 }
 
-// frameNode is the intrusive list node of one id.
+// frameNode is the intrusive list node of one id: 16 bytes, since every
+// line frame of every refreshable bank has one.
 type frameNode struct {
-	next, prev int32 // neighbouring ids in the bucket list, -1 at the ends
+	// next and prev are the neighbouring ids in the bucket list, noNode at
+	// the ends; prev is unlinked while id has no deadline pending.
+	next, prev int32
 	deadline   int64
-	linked     bool
 }
 
-const noNode = int32(-1)
+const (
+	noNode   = int32(-1)
+	unlinked = int32(-2)
+)
 
 // WheelEntry is one due deadline returned by PopDueInto.
 type WheelEntry struct {
@@ -93,7 +98,9 @@ func (w *FrameWheel) Reset(horizon int64) {
 		w.head[i] = noNode
 		w.tail[i] = noNode
 	}
-	clear(w.nodes)
+	for i := range w.nodes {
+		w.nodes[i] = frameNode{next: noNode, prev: unlinked}
+	}
 	w.next = 0
 	w.count = 0
 }
@@ -111,13 +118,13 @@ func (w *FrameWheel) MaybeDue(now int64) bool {
 // Deadline returns the pending deadline of id and whether one is registered.
 func (w *FrameWheel) Deadline(id int) (int64, bool) {
 	n := &w.nodes[id]
-	return n.deadline, n.linked
+	return n.deadline, n.prev != unlinked
 }
 
 // Schedule registers (or moves) the deadline of id.
 func (w *FrameWheel) Schedule(cycle int64, id int) {
 	n := &w.nodes[id]
-	if n.linked {
+	if n.prev != unlinked {
 		if n.deadline == cycle {
 			return
 		}
@@ -135,7 +142,6 @@ func (w *FrameWheel) Schedule(cycle int64, id int) {
 	}
 	slot := b & w.mask
 	n.deadline = cycle
-	n.linked = true
 	n.next = noNode
 	n.prev = w.tail[slot]
 	if n.prev == noNode {
@@ -149,7 +155,7 @@ func (w *FrameWheel) Schedule(cycle int64, id int) {
 
 // Cancel removes the pending deadline of id, if any.
 func (w *FrameWheel) Cancel(id int) {
-	if w.nodes[id].linked {
+	if w.nodes[id].prev != unlinked {
 		w.unlink(int32(id))
 	}
 }
@@ -168,8 +174,7 @@ func (w *FrameWheel) unlink(id int32) {
 	} else {
 		w.nodes[n.next].prev = n.prev
 	}
-	n.linked = false
-	n.next, n.prev = noNode, noNode
+	n.next, n.prev = noNode, unlinked
 	w.count--
 }
 
@@ -178,7 +183,7 @@ func (w *FrameWheel) maxBucket() int64 {
 	max := int64(-1 << 62)
 	for id := range w.nodes {
 		n := &w.nodes[id]
-		if n.linked {
+		if n.prev != unlinked {
 			if b := n.deadline >> w.granShift; b > max {
 				max = b
 			}
@@ -232,8 +237,7 @@ func (w *FrameWheel) rebuild(windowStart, minSpan int64) {
 		for id != noNode {
 			n := &w.nodes[id]
 			nextID := n.next
-			n.linked = false
-			n.next, n.prev = noNode, noNode
+			n.next, n.prev = noNode, unlinked
 			w.Schedule(n.deadline, int(id))
 			id = nextID
 		}

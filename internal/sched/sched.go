@@ -171,6 +171,15 @@ func (q *clientQueue) push(it *item) {
 	q.n++
 }
 
+// pushFront queues it ahead of every queued item.
+func (q *clientQueue) pushFront(it *item) {
+	q.push(it) // grows the buffer when it is full
+	q.popBack()
+	q.head = (q.head + len(q.buf) - 1) % len(q.buf)
+	q.buf[q.head] = it
+	q.n++
+}
+
 func (q *clientQueue) front() *item { return q.buf[q.head] }
 func (q *clientQueue) back() *item  { return q.buf[(q.head+q.n-1)%len(q.buf)] }
 
@@ -250,6 +259,24 @@ func New(cfg Config) *Scheduler {
 //
 //refrint:alloc-free
 func (s *Scheduler) Submit(client string, class Class, payload any) (Handle, bool) {
+	return s.add(client, class, payload, false)
+}
+
+// Requeue is Submit for an item a worker took and gave back unfinished
+// (the sweep service's preempted cell): payload goes to the front of its
+// client's FIFO in class, and that client to the round-robin cursor, so it
+// is the next item taken from the class.  Its wait clock starts afresh, so
+// its second queue wait is accounted like the first.  Cancel, Promote and
+// aging work on it as on a submitted item; because its clock is younger
+// than those of the items queued behind it, they age only once it has.
+func (s *Scheduler) Requeue(client string, class Class, payload any) (Handle, bool) {
+	return s.add(client, class, payload, true)
+}
+
+// add is Submit and Requeue.
+//
+//refrint:alloc-free
+func (s *Scheduler) add(client string, class Class, payload any, front bool) (Handle, bool) {
 	if class < 0 || class >= NumClasses {
 		return Handle{}, false
 	}
@@ -264,7 +291,10 @@ func (s *Scheduler) Submit(client string, class Class, payload any) (Handle, boo
 	it.class = class
 	it.at = s.cfg.Now()
 	it.state = itemQueued
-	s.enqueueLocked(it)
+	c := s.enqueueLocked(it, front)
+	if front {
+		s.serveNextLocked(&s.classes[class], c)
+	}
 	s.cond.Signal()
 	return Handle{it: it, gen: it.gen}, true
 }
@@ -312,7 +342,7 @@ func (s *Scheduler) Promote(h Handle, to Class) (Handle, bool) {
 	nit.class = to
 	nit.at = now
 	nit.state = itemQueued
-	s.enqueueLocked(nit)
+	s.enqueueLocked(nit, false)
 	return Handle{it: nit, gen: nit.gen}, true
 }
 
@@ -462,7 +492,9 @@ func (s *Scheduler) releaseLocked(it *item) {
 	s.free = it
 }
 
-func (s *Scheduler) enqueueLocked(it *item) {
+// enqueueLocked adds a queued item at the back of its client's FIFO, or at
+// the front, and returns that FIFO.
+func (s *Scheduler) enqueueLocked(it *item, front bool) *clientQueue {
 	cq := &s.classes[it.class]
 	c := cq.clients[it.client]
 	if c == nil {
@@ -475,12 +507,17 @@ func (s *Scheduler) enqueueLocked(it *item) {
 		c.name = it.client
 		cq.clients[it.client] = c
 	}
-	c.push(it)
+	if front {
+		c.pushFront(it)
+	} else {
+		c.push(it)
+	}
 	if !c.inRing {
 		cq.ring = append(cq.ring, c)
 		c.inRing = true
 	}
 	s.queued[it.class]++
+	return c
 }
 
 // cancelLocked tombstones a queued item, drops it from every live count and
@@ -515,6 +552,19 @@ func (s *Scheduler) unringLocked(cq *classQueue, c *clientQueue) {
 			break
 		}
 	}
+}
+
+// serveNextLocked moves the client FIFO c, which is in the active ring, to
+// the round-robin cursor's slot, so the next dequeue from its class serves
+// it.
+func (s *Scheduler) serveNextLocked(cq *classQueue, c *clientQueue) {
+	s.unringLocked(cq, c)
+	if cq.next >= len(cq.ring) {
+		cq.next = 0
+	}
+	cq.ring = append(cq.ring, nil)
+	copy(cq.ring[cq.next+1:], cq.ring[cq.next:])
+	cq.ring[cq.next] = c
 }
 
 // retireClientLocked removes a drained client FIFO from its class map and
@@ -711,7 +761,7 @@ func (s *Scheduler) ageClientLocked(cq *classQueue, q *clientQueue, from, to Cla
 		s.waitSum[from] += now.Sub(it.at)
 		it.at = now
 		it.class = to
-		s.enqueueLocked(it)
+		s.enqueueLocked(it, false)
 		s.aged[from][to]++
 		*out = append(*out, agedItem{payload: it.payload, from: from, to: to})
 	}

@@ -369,3 +369,76 @@ func TestParseClass(t *testing.T) {
 		t.Error("ParseClass of empty string succeeded (callers pick defaults)")
 	}
 }
+
+// TestRequeueIsNextFromClass pins Requeue: an item a worker took and gave
+// back is the next one taken from its class, ahead of its own client's
+// queue and of other clients the round-robin cursor would serve first,
+// whether or not its client still has items queued.  Its queued handle
+// cancels and promotes like a submitted item's, and it ages.
+func TestRequeueIsNextFromClass(t *testing.T) {
+	s := New(Config{Workers: 1})
+	for _, sub := range []struct{ client, name string }{
+		{"a", "a1"}, {"b", "b1"}, {"a", "a2"}, {"c", "c1"}, {"b", "b2"},
+	} {
+		if _, ok := s.Submit(sub.client, Background, sub.name); !ok {
+			t.Fatalf("submit %s rejected", sub.name)
+		}
+	}
+	take := func(want string) {
+		t.Helper()
+		it := s.tryNext()
+		if it == nil || it.payload != want {
+			t.Fatalf("dequeued %v, want %s", it, want)
+		}
+		s.done(it)
+	}
+	take("a1") // the cursor moves on to b
+	if _, ok := s.Requeue("a", Background, "a1"); !ok {
+		t.Fatal("requeue rejected")
+	}
+	take("a1")
+	take("b1")
+	if _, ok := s.Requeue("b", Background, "b1"); !ok {
+		t.Fatal("requeue rejected")
+	}
+	got := drainPayloads(s)
+	want := []any{"b1", "c1", "a2", "b2"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dequeue order after requeues = %v, want %v", got, want)
+	}
+
+	// A requeued client whose FIFO had drained re-enters the ring at the
+	// cursor, and a more urgent class still goes first.
+	s.Submit("x", Background, "x1")
+	s.Submit("y", Background, "y1")
+	s.Requeue("z", Background, "z1")
+	s.Submit("i", Interactive, "i1")
+	if got, want := fmt.Sprint(drainPayloads(s)), fmt.Sprint([]any{"i1", "z1", "x1", "y1"}); got != want {
+		t.Fatalf("dequeue order = %v, want %v", got, want)
+	}
+
+	// The handle works like Submit's.
+	h, _ := s.Requeue("a", Background, "gone")
+	if !s.Cancel(h) {
+		t.Fatal("cancel of a requeued item failed")
+	}
+	h, _ = s.Requeue("a", Background, "moved")
+	if _, ok := s.Promote(h, Interactive); !ok {
+		t.Fatal("promote of a requeued item failed")
+	}
+	if st := s.Stats(); st.Queued != [NumClasses]int{1, 0, 0} {
+		t.Fatalf("queued after cancel and promote = %v, want [1 0 0]", st.Queued)
+	}
+	drainPayloads(s)
+
+	now := time.Unix(0, 0)
+	aging := New(Config{Workers: 1, AgeAfter: time.Second, Now: func() time.Time { return now }})
+	aging.Requeue("a", Background, "old")
+	now = now.Add(2 * time.Second)
+	if n := aging.AgeOnce(); n != 1 {
+		t.Fatalf("aged %d requeued items, want 1", n)
+	}
+	if st := aging.Stats(); st.Queued != [NumClasses]int{0, 1, 0} {
+		t.Fatalf("queued after aging = %v, want [0 1 0]", st.Queued)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"runtime/pprof"
 	"time"
 
 	"refrint/internal/sched"
@@ -22,12 +23,17 @@ import (
 //
 // A cell's life:
 //
-//	probing ──▶ queued ──▶ running ──▶ done
-//	   │          │           │
-//	   └──────────┴───────────┴──▶ done (result from the store, failure, or abort)
+//	probing ──▶ queued ◀──▶ running ──▶ done
+//	   │          │            │
+//	   └──────────┴────────────┴──▶ done (result from the store, failure, or abort)
 //
 // A fresh cell is looked up in the store after the admitting handler
-// releases the server mutex, and only a miss is queued.  A cell is removed
+// releases the server mutex, and only a miss is queued.  A running cell
+// goes back to queued when it is preempted: when a strictly more urgent
+// cell is queued and no worker is idle, the least urgent running cell
+// yields at its simulation's next poll point (sweep.ErrYield) and is
+// requeued at the front of its class with its half-run simulator
+// (sweep.Parked), which the next worker to take it resumes.  A cell is removed
 // from the in-flight table when it reaches done, after a fresh result has
 // been stored — so at every instant a cell is either in flight or (store
 // budget permitting) stored, and no cell is simulated twice.
@@ -43,8 +49,8 @@ const (
 )
 
 // cell is one simulation in flight, shared by every entry waiting on it.
-// All fields are guarded by the server mutex except ctx, which the worker
-// hands to the simulator.
+// All fields are guarded by the server mutex except ctx, from which the
+// worker derives each running slice's context.
 type cell struct {
 	sc   sweep.Cell
 	opts sweep.Options // options of the sweep that created the cell
@@ -59,6 +65,16 @@ type cell struct {
 	// references (sim.(*System).RunContext) and stops.
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// yield cancels the context of the running slice, a child of ctx; with
+	// the cause sweep.ErrYield it preempts the cell.  yielding marks a slice
+	// asked to yield that has not stopped yet, and turn a slice that is
+	// never asked (see runCell).  parked is the half-run simulation of a
+	// preempted cell, held while the cell is queued again.
+	yield    context.CancelCauseFunc
+	yielding bool
+	turn     bool
+	parked   *sweep.Parked
 
 	waiters []waiter
 }
@@ -109,17 +125,80 @@ func (s *Server) attachCellsLocked(e *entry, client string) {
 	}
 }
 
-// enqueueCellLocked hands a cell to the scheduler.  After Close the cell
-// (and every entry waiting on it) is cancelled instead.  Caller holds the
-// server mutex.
-func (s *Server) enqueueCellLocked(c *cell) {
+// enqueueCellLocked hands a cell to the scheduler: a fresh cell at the back
+// of its queue, a preempted one (requeue) at the front, keeping its parked
+// simulation.  After Close the cell (and every entry waiting on it) is
+// cancelled instead.  Caller holds the server mutex.
+func (s *Server) enqueueCellLocked(c *cell, requeue bool, parked *sweep.Parked) {
 	if !s.closed {
-		if h, ok := s.sched.Submit(c.client, c.class, c); ok {
+		var h sched.Handle
+		var ok bool
+		if requeue {
+			h, ok = s.sched.Requeue(c.client, c.class, c)
+		} else {
+			h, ok = s.sched.Submit(c.client, c.class, c)
+		}
+		if ok {
 			c.handle, c.state = h, cellQueued
+			if parked != nil {
+				c.parked = parked
+				s.parked++
+			}
+			s.preemptLocked()
 			return
 		}
 	}
 	s.cellDoneLocked(c, sweep.Run{}, context.Canceled)
+}
+
+// preemptLocked makes room for queued cells more urgent than a running
+// one.  While every worker is busy, it asks the least urgent running cell to
+// yield (sweep.ErrYield) if a queued cell is strictly more urgent than it:
+// one yield per such queued cell, counting the yields still under way.  A
+// cell never preempts another of its own class, nor one running its
+// weighted round-robin turn.  At most Workers cells are parked or yielding
+// at once, so a flood holds no more half-run simulators than there are
+// workers.  Caller holds the server mutex.
+func (s *Server) preemptLocked() {
+	for len(s.running) >= s.cfg.Workers && s.parked+s.yields < s.cfg.Workers {
+		var victim *cell
+		for _, c := range s.running {
+			if !c.yielding && !c.turn && (victim == nil || c.class > victim.class) {
+				victim = c
+			}
+		}
+		if victim == nil || victim.class == sched.Interactive {
+			return
+		}
+		if s.urgentQueuedLocked(victim.class) <= s.yields {
+			return
+		}
+		victim.yielding = true
+		s.yields++
+		victim.yield(sweep.ErrYield)
+	}
+}
+
+// urgentQueuedLocked counts the queued cells strictly more urgent than
+// class.  Caller holds the server mutex.
+func (s *Server) urgentQueuedLocked(class sched.Class) int {
+	queued := s.sched.Stats().Queued
+	n := 0
+	for c := sched.Class(0); c < class; c++ {
+		n += queued[c]
+	}
+	return n
+}
+
+// takeParkedLocked detaches and returns a cell's parked simulation, if it
+// has one.  Caller holds the server mutex.
+func (s *Server) takeParkedLocked(c *cell) *sweep.Parked {
+	p := c.parked
+	if p != nil {
+		c.parked = nil
+		s.parked--
+	}
+	return p
 }
 
 // probeStore resolves the fresh cells awaiting their store lookup: a stored
@@ -141,15 +220,16 @@ func (s *Server) probeStore() {
 		case hit:
 			done = s.cellDoneLocked(c, sweep.Run{App: c.sc.App, Point: c.sc.Point, Result: res}, nil)
 		default:
-			s.enqueueCellLocked(c)
+			s.enqueueCellLocked(c, false, nil)
 		}
 		s.mu.Unlock()
 		s.completeEntries(done)
 	}
 }
 
-// runCell is the scheduler's run callback: it simulates one dequeued cell
-// and delivers the run to every entry waiting on it.
+// runCell is the scheduler's run callback: it simulates one dequeued cell,
+// or resumes a preempted one, and delivers the run to every entry waiting
+// on it.  A slice that yields puts the cell back in the queue instead.
 func (s *Server) runCell(c *cell) {
 	s.mu.Lock()
 	if c.state != cellQueued {
@@ -167,36 +247,90 @@ func (s *Server) runCell(c *cell) {
 	for _, w := range c.waiters {
 		s.startEntryLocked(w.e, now)
 	}
-	rank := int(c.class)
+	class := c.class
+	ctx, yield := context.WithCancelCause(c.ctx)
+	c.yield = yield
+	// Taken while a more urgent cell waits, the cell has its weighted
+	// round-robin turn, which keeps less urgent classes from starving: it
+	// runs to the end of its slice unpreempted.
+	c.turn = s.urgentQueuedLocked(class) > 0
+	parked := s.takeParkedLocked(c)
+	s.running = append(s.running, c)
 	s.mu.Unlock()
 
-	run, err := s.executeGuarded(c)
+	run, err := s.executeGuarded(ctx, c, class, parked)
+	yield(nil)
 	// Persist before leaving the in-flight table, so a sweep arriving in
 	// between finds the cell in one place or the other.  Blob writes happen
 	// outside the mutex, like every store call.
 	if err == nil {
-		if perr := s.store.PutCell(c.sc.Key, rank, run.Result); perr != nil {
+		if perr := s.store.PutCell(c.sc.Key, int(class), run.Result); perr != nil {
 			s.cfg.Logf("store: persisting cell %s: %v", c.sc.Key.Hash(), perr)
 		}
 	}
 	s.mu.Lock()
+	yielded := s.stopRunningLocked(c)
+	var p *sweep.Parked
+	if errors.As(err, &p) {
+		err = context.Canceled // unless requeued below, a parked cell is abandoned
+	}
+	if yielded && errors.Is(err, context.Canceled) && c.state == cellRunning && !s.closed {
+		// Preempted.  An Execute that stopped without parking starts over.
+		s.preemptions[c.class]++
+		s.enqueueCellLocked(c, true, p)
+		s.mu.Unlock()
+		return
+	}
 	done := s.cellDoneLocked(c, run, err)
 	s.mu.Unlock()
 	s.completeEntries(done)
 }
 
-// executeGuarded runs the configured per-cell Execute behind a recover
-// guard.  sweep.RunCell already converts simulation panics into errors; this
-// is the last line of defense for panics in other Execute implementations —
-// a recovered panic fails the cell's sweeps instead of killing the worker.
-func (s *Server) executeGuarded(c *cell) (run sweep.Run, err error) {
+// stopRunningLocked removes a cell whose slice returned from the running
+// set and reports whether the slice had been asked to yield.  Caller holds
+// the server mutex.
+func (s *Server) stopRunningLocked(c *cell) bool {
+	for i, r := range s.running {
+		if r == c {
+			last := len(s.running) - 1
+			s.running[i] = s.running[last]
+			s.running[last] = nil
+			s.running = s.running[:last]
+			break
+		}
+	}
+	c.yield = nil
+	yielded := c.yielding
+	if yielded {
+		c.yielding = false
+		s.yields--
+	}
+	return yielded
+}
+
+// executeGuarded runs one slice of a cell — the configured per-cell Execute,
+// or the resumption of its parked simulation — behind a recover guard.
+// sweep.RunCell already converts simulation panics into errors; this is the
+// last line of defense for panics in other Execute implementations — a
+// recovered panic fails the cell's sweeps instead of killing the worker.
+// The slice runs under pprof labels naming its class, client, application
+// and policy, so a CPU profile of a live server splits by them.
+func (s *Server) executeGuarded(ctx context.Context, c *cell, class sched.Class, parked *sweep.Parked) (run sweep.Run, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.recordPanic("exec", r, debug.Stack())
 			run, err = sweep.Run{}, fmt.Errorf("cell execution panicked: %v: %w", r, errPanicked)
 		}
 	}()
-	return s.cfg.Execute(c.ctx, c.opts, c.sc)
+	labels := pprof.Labels("class", class.String(), "client", c.client, "app", c.sc.App, "policy", c.sc.Point.Label())
+	pprof.Do(ctx, labels, func(ctx context.Context) {
+		if parked != nil {
+			run, err = parked.Resume(ctx)
+		} else {
+			run, err = s.cfg.Execute(ctx, c.opts, c.sc)
+		}
+	})
+	return run, err
 }
 
 // cellDoneLocked retires a cell from the in-flight table and delivers its
@@ -213,6 +347,7 @@ func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*entry {
 		delete(s.cells, c.sc.Key)
 	}
 	c.cancel()
+	s.takeParkedLocked(c)
 	var pe *sweep.PanicError
 	if errors.As(err, &pe) {
 		// A panic contained inside the simulation: account and log it once
@@ -332,9 +467,9 @@ func (s *Server) abortEntryLocked(e *entry) {
 }
 
 // abortCellLocked retires a cell nobody waits on: a queued cell leaves the
-// scheduler, a running one has its context cancelled, and either way the
-// cell leaves the in-flight table so no later sweep joins it.  Caller holds
-// the server mutex.
+// scheduler and drops its parked simulation, a running one has its context
+// cancelled, and either way the cell leaves the in-flight table so no later
+// sweep joins it.  Caller holds the server mutex.
 func (s *Server) abortCellLocked(c *cell) {
 	if c.state == cellDone {
 		return
@@ -347,11 +482,14 @@ func (s *Server) abortCellLocked(c *cell) {
 		delete(s.cells, c.sc.Key)
 	}
 	c.cancel()
+	s.takeParkedLocked(c)
 }
 
 // reclassCellLocked moves a waiting cell to the most urgent class among the
-// entries waiting on it (priority inheritance in both directions).  Running
-// and finished cells are left alone.  Caller holds the server mutex.
+// entries waiting on it (priority inheritance in both directions), keeping
+// its parked simulation if it has one; a queued cell made more urgent may
+// preempt a running one.  Running and finished cells are left alone.
+// Caller holds the server mutex.
 func (s *Server) reclassCellLocked(c *cell) {
 	if (c.state != cellProbing && c.state != cellQueued) || len(c.waiters) == 0 {
 		return
@@ -367,6 +505,7 @@ func (s *Server) reclassCellLocked(c *cell) {
 	default:
 		if h, ok := s.sched.Promote(c.handle, want); ok {
 			c.handle, c.class = h, want
+			s.preemptLocked()
 		}
 	}
 }
@@ -404,6 +543,7 @@ func (s *Server) ageCellLocked(c *cell, to sched.Class) {
 		}
 		s.reclassCellsLocked(e)
 	}
+	s.preemptLocked()
 }
 
 // reclassCellsLocked re-derives the class of each of an entry's waiting

@@ -160,9 +160,11 @@ func TestOverlappingSweepsSimulateEachCellOnce(t *testing.T) {
 }
 
 // TestInteractiveWaitsAtMostOneCell pins the point of cell-granular
-// scheduling: with the only worker busy on a background sweep of many held
-// cells, an interactive job runs as soon as the current background cell
-// finishes, not after the whole background sweep.
+// scheduling with preemption: with the only worker busy on a background
+// sweep of many held cells, an interactive job runs at once — the running
+// background cell yields its worker — instead of after the whole
+// background sweep, or even after the one cell.  The held cell goes back to
+// the front of its queue; this Execute cannot park, so it starts over.
 func TestInteractiveWaitsAtMostOneCell(t *testing.T) {
 	sim := newCellSim(100)
 	h := newHarness(t, Config{Workers: 1, Execute: sim.fn})
@@ -176,21 +178,38 @@ func TestInteractiveWaitsAtMostOneCell(t *testing.T) {
 		Priority:         "background",
 	}
 	bg, _ := h.submit(bgReq)
-	<-sim.started // the first of six background cells holds the worker
+	held := <-sim.started // the first of six background cells holds the worker
 
 	inter, status := h.submit(tinyRequest(101))
 	if status != http.StatusAccepted {
 		t.Fatalf("interactive submit: status %d", status)
 	}
-	sim.release <- struct{}{} // finish the running background cell
-	h.waitState(inter.ID, StateDone)
-	if got := h.getJob(bg.ID).Progress.Done; got != 1 {
-		t.Fatalf("background cells done when the interactive job finished = %d, want 1", got)
+	h.waitState(inter.ID, StateDone) // no background cell released
+	if got := h.getJob(bg.ID).Progress.Done; got != 0 {
+		t.Fatalf("background cells done when the interactive job finished = %d, want 0", got)
+	}
+	if again := <-sim.started; again != held {
+		t.Fatalf("after the interactive job, background cell %v started, want the preempted %v first", again, held)
 	}
 
 	close(sim.release)
 	h.waitState(bg.ID, StateDone)
-	assertSimulatedOnce(t, sim, 8)
+	sims := sim.simulations()
+	if len(sims) != 8 {
+		t.Fatalf("simulated %d distinct cells, want 8", len(sims))
+	}
+	for k, n := range sims {
+		want := 1
+		if k == held {
+			want = 2
+		}
+		if n != want {
+			t.Errorf("cell %v simulated %d times, want %d", k, n, want)
+		}
+	}
+	if got := h.schedMetric(`refrint_cell_preemptions_total{class="background"}`); got != 1 {
+		t.Errorf("background preemptions = %g, want 1", got)
+	}
 }
 
 // TestCancelKeepsSharedCellRunning cancels one of two sweeps while a cell

@@ -47,6 +47,8 @@ type metricsSnapshot struct {
 	queuedSweeps  [sched.NumClasses]int
 	panics        map[string]int64
 	jobTimeouts   [sched.NumClasses]int64
+	preemptions   [sched.NumClasses]int64
+	parked        int
 	windowed      float64
 }
 
@@ -63,6 +65,8 @@ func (s *Server) snapshotMetricsLocked() metricsSnapshot {
 		queuedSweeps:  s.queuedSweeps,
 		panics:        make(map[string]int64, len(s.panicsTotal)),
 		jobTimeouts:   s.jobTimeouts,
+		preemptions:   s.preemptions,
+		parked:        s.parked,
 	}
 	for site, n := range s.panicsTotal {
 		snap.panics[site] = n
@@ -139,6 +143,11 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 		from := to + 1
 		fmt.Fprintf(b, "refrint_sched_aged_total{from=%q,to=%q} %d\n", from.String(), to.String(), sst.Aged[from][to])
 	}
+	fmt.Fprintf(b, "# HELP refrint_cell_preemptions_total Running cells preempted for a more urgent queued cell and requeued to resume, by the class of the preempted cell.\n# TYPE refrint_cell_preemptions_total counter\n")
+	for c := sched.Class(0); c < sched.NumClasses; c++ {
+		fmt.Fprintf(b, "refrint_cell_preemptions_total{class=%q} %d\n", c.String(), snap.preemptions[c])
+	}
+	gauge("refrint_cells_parked", "Preempted cells queued with their half-run simulation (at most refrint_sched_workers).", snap.parked)
 	gauge("refrint_sched_workers", "Worker goroutines simulating cells.", sst.Workers)
 	gauge("refrint_sched_busy_workers", "Workers currently simulating a cell.", sst.Busy)
 	gauge("refrint_batches", "Batches currently pollable.", snap.batches)

@@ -183,6 +183,8 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"refrint_sweep_inflight",
 		"refrint_sweep_cache_hits_total",
 		"refrint_store_sweep_hits_total",
+		"refrint_cell_preemptions_total",
+		"refrint_cells_parked",
 	} {
 		if !seen[f] {
 			t.Errorf("fully-populated exposition missing family %q", f)

@@ -76,8 +76,9 @@ func TestCancelWhileQueuedFreesSlot(t *testing.T) {
 }
 
 // TestInteractiveBeatsQueuedBackground pins the priority acceptance
-// criterion: with background work already queued, an interactive submission
-// starts first.
+// criterion: with background work running and queued, an interactive
+// submission starts first.  It preempts the running background cell, which
+// goes back to the front of its class ahead of the queued background work.
 func TestInteractiveBeatsQueuedBackground(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
@@ -99,14 +100,13 @@ func TestInteractiveBeatsQueuedBackground(t *testing.T) {
 	inter.Priority = "interactive"
 	h.submit(inter)
 
-	wantOrder := append([]string{mustKey(t, inter)}, bgKeys...)
+	wantOrder := append([]string{mustKey(t, inter), mustKey(t, dummy)}, bgKeys...)
 	for i, want := range wantOrder {
-		exec.release <- struct{}{} // finish the currently running sweep
 		if got := <-exec.started; got != want {
-			t.Fatalf("start %d = %q, want %q (interactive must preempt queued background)", i, got, want)
+			t.Fatalf("start %d = %q, want %q (interactive must preempt running and queued background)", i, got, want)
 		}
+		exec.release <- struct{}{} // finish the sweep that just started
 	}
-	close(exec.release)
 }
 
 // TestFairShareBetweenClients verifies round-robin between two clients

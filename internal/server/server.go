@@ -25,7 +25,10 @@ import (
 // ExecuteFunc runs one simulation cell of a sweep.  The default is
 // sweep.RunCell; tests substitute instrumented implementations to count and
 // gate simulations.  ctx is cancelled when no sweep waits on the cell any
-// more (or the server closes).
+// more (or the server closes), and with the cause sweep.ErrYield when the
+// cell is preempted: sweep.RunCell then returns a *sweep.Parked, which the
+// server resumes later, while an implementation that returns ctx's error
+// instead is run again from the start.
 type ExecuteFunc func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error)
 
 // Config tunes the service.  The zero value is usable.
@@ -199,11 +202,12 @@ type Server struct {
 	startedAt time.Time
 
 	// mu guards jobs, jobOrder, batches, batchOrder, inflight, cells, probes,
-	// queuedSweeps, nextID, nextBatchID, closed, the metrics counters and
-	// every mutable Job/Batch/entry/cell field.  Every scheduler mutation
-	// (Submit, Cancel, Promote) happens under mu too, which is what makes
-	// the batch endpoint's capacity-check-then-submit atomic; lock order is
-	// always s.mu -> sched's internal mutex.
+	// queuedSweeps, nextID, nextBatchID, closed, running, parked, yields,
+	// the metrics counters and every mutable Job/Batch/entry/cell field.
+	// Every scheduler mutation (Submit, Requeue, Cancel, Promote) happens
+	// under mu too, which is what makes the batch endpoint's
+	// capacity-check-then-submit atomic; lock order is always s.mu ->
+	// sched's internal mutex.
 	mu         sync.Mutex
 	jobs       map[string]*Job
 	jobOrder   []string
@@ -229,6 +233,14 @@ type Server struct {
 	draining        bool
 	drainRetryAfter int
 
+	// running holds the cells a worker is simulating.  parked counts the
+	// queued cells that hold a preempted cell's half-run simulation, and
+	// yields the running cells asked to yield that have not stopped yet
+	// (cells.go, preemptLocked).
+	running []*cell
+	parked  int
+	yields  int
+
 	// Metrics counters (see handleMetrics).
 	sweepCacheHits   int64 // submissions answered done from stored cells
 	sweepCacheMisses int64 // submissions that enqueued or attached to a live execution
@@ -240,6 +252,9 @@ type Server struct {
 	// class.  Both guarded by mu.
 	panicsTotal map[string]int64
 	jobTimeouts [sched.NumClasses]int64
+	// preemptions counts running cells preempted for a more urgent one, by
+	// the class of the preempted cell.  Guarded by mu.
+	preemptions [sched.NumClasses]int64
 	// quota is the per-client admission limiter (nil with quotas off).  It
 	// has its own mutex and is checked before s.mu is ever taken.
 	quota *clientQuota

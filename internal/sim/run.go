@@ -98,12 +98,17 @@ func (s *System) Run() Result {
 	return res
 }
 
-// RunContext executes the application to completion and returns the result,
-// or stops early with ctx.Err() once ctx is cancelled.  The context is
-// checked before the first reference and then every cancelPollRefs
+// RunContext runs the application until it completes, returning the
+// result, or until ctx is cancelled, returning ctx.Err().  The context is
+// checked at the start of every call and then every cancelPollRefs
 // references; a context that can never be cancelled (nil Done) is never
-// checked.  A cancelled System is left mid-run.  Whether its run finished
-// or was cancelled, call Reset before reusing a System.
+// checked.
+//
+// A run stopped by its context is suspended, not abandoned: the System
+// keeps its core queue and every cache, core and counter, and the next
+// RunContext call continues from that point, on any goroutine, towards the
+// Result an uninterrupted Run would give.  Call Reset before running a
+// different cell, or after a run has completed.
 //
 // The run loop repeatedly picks the core with the smallest local clock,
 // lets it execute its compute gap and issue its next memory reference, and
@@ -112,12 +117,16 @@ func (s *System) Run() Result {
 // different cores consistent with their timing, which is what the refresh
 // policies and the coherence protocol observe.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
-	h := s.heap[:0]
-	for i := range s.tiles {
-		h = append(h, coreEntry{tile: i, time: 0})
+	if !s.started {
+		h := s.heap[:0]
+		for i := range s.tiles {
+			h = append(h, coreEntry{tile: i, time: 0})
+		}
+		h.init()
+		s.heap = h
+		s.started = true
 	}
-	h.init()
-	s.heap = h
+	h := s.heap
 
 	done := ctx.Done()
 	poll := 1
@@ -127,6 +136,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 				poll = cancelPollRefs
 				select {
 				case <-done:
+					s.heap = h // suspend: the next call resumes here
 					return Result{}, ctx.Err()
 				default:
 				}
@@ -149,6 +159,8 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 
 		h.push(coreEntry{tile: entry.tile, time: tile.Core.Now()})
 	}
+	s.heap = h
+	s.started = false
 
 	return s.finish(), nil
 }

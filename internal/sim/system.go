@@ -51,8 +51,12 @@ type System struct {
 	mem   *dram.DRAM
 	geom  mem.LineGeometry
 	st    *stats.Stats
-	// heap is the run loop's core queue, kept here so a run allocates none.
-	heap coreHeap
+	// heap is the run loop's core queue, kept here so a run allocates none
+	// and a suspended run resumes where it stopped.  started reports a run
+	// begun and not completed, whose heap a RunContext call continues;
+	// Reset clears it.
+	heap    coreHeap
+	started bool
 
 	// l1l2Policy is the refresh policy private caches run: the paper always
 	// runs L1 and L2 with the Valid data policy and applies the swept data
@@ -80,8 +84,8 @@ func New(cfg config.Config, app workload.Params, seed int64) (*System, error) {
 // build, so that its next run gives the identical Result.  Every array
 // whose geometry is unchanged is cleared and reused; a different core
 // count rebuilds the tiles, and a different cache geometry rebuilds that
-// cache's arrays.  Reset may follow a finished or a cancelled run.  On an
-// error s is left unchanged.
+// cache's arrays.  Reset may follow a finished or a suspended run, and
+// discards the latter.  On an error s is left unchanged.
 func (s *System) Reset(cfg config.Config, app workload.Params, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -96,6 +100,7 @@ func (s *System) Reset(cfg config.Config, app workload.Params, seed int64) error
 
 	s.cfg = cfg
 	s.geom = cfg.Geometry()
+	s.started = false
 	if s.st == nil || len(s.st.PerCoreCycles) != cfg.Cores {
 		s.st = stats.New(cfg.Cores)
 	} else {

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"refrint/internal/config"
+	"refrint/internal/sim"
 )
 
 // smallOptions is a real but fast sweep: 1 app x (1 policy + baseline).
@@ -137,5 +139,74 @@ func TestExecuteWorkersRace(t *testing.T) {
 	}
 	if parallel.Options.Key() != serial.Options.Key() {
 		t.Errorf("worker count leaked into the key: %q vs %q", parallel.Options.Key(), serial.Options.Key())
+	}
+}
+
+// TestRunCellYieldParksAndResumes pins the Parked contract: a cell whose
+// context is cancelled with ErrYield comes back as a *Parked, which resumes
+// — after further yields, on other goroutines — to exactly the Run of an
+// uninterrupted RunCell, offering the result to CellPut once.  A plain
+// cancellation still returns the context's error.
+func TestRunCellYieldParksAndResumes(t *testing.T) {
+	opts := smallOptions(19)
+	c := Cells(opts)[1] // R.valid at 50 us
+	want, err := RunCell(context.Background(), opts, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var puts atomic.Int32
+	opts.CellPut = func(k CellKey, _ sim.Result) {
+		if k != c.Key {
+			t.Errorf("CellPut key %v, want %v", k, c.Key)
+		}
+		puts.Add(1)
+	}
+	// slice runs one RunCell or Resume on its own goroutine, yielding after
+	// the given delay.
+	slice := func(delay time.Duration, run func(context.Context) (Run, error)) (Run, error) {
+		ctx, yield := context.WithCancelCause(context.Background())
+		defer yield(nil)
+		timer := time.AfterFunc(delay, func() { yield(ErrYield) })
+		defer timer.Stop()
+		type out struct {
+			run Run
+			err error
+		}
+		ch := make(chan out, 1)
+		go func() {
+			r, err := run(ctx)
+			ch <- out{r, err}
+		}()
+		o := <-ch
+		return o.run, o.err
+	}
+	run, err := slice(0, func(ctx context.Context) (Run, error) { return RunCell(ctx, opts, c) })
+	parks := 0
+	for {
+		var p *Parked
+		if !errors.As(err, &p) {
+			break
+		}
+		parks++
+		run, err = slice(time.Duration(parks)*time.Millisecond, p.Resume)
+	}
+	if err != nil {
+		t.Fatalf("resumed cell: %v", err)
+	}
+	if parks == 0 {
+		t.Fatal("a cell yielded at once never parked")
+	}
+	if !reflect.DeepEqual(run, want) {
+		t.Fatalf("cell resumed after %d parks differs from an uninterrupted run:\n got %+v\nwant %+v", parks, run, want)
+	}
+	if n := puts.Load(); n != 1 {
+		t.Errorf("CellPut called %d times, want 1", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunCell(ctx, opts, c); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunCell(cancelled) error = %v, want context.Canceled", err)
 	}
 }

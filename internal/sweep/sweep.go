@@ -7,6 +7,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -344,12 +345,11 @@ func (e *PanicError) Error() string {
 // When the options carry the cell-level result cache hooks, a CellLookup hit
 // replaces the simulation outright and every freshly computed result is
 // offered to CellPut.
+//
+// When ctx is cancelled with the cause ErrYield while the cell simulates,
+// RunCell returns a *Parked error that holds the half-run simulation.
 func RunCell(ctx context.Context, opts Options, c Cell) (run Run, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			run, err = Run{}, &PanicError{App: c.App, Cell: c.Point.Key(), Value: r, Stack: debug.Stack()}
-		}
-	}()
+	defer contain(c, &run, &err)
 	if err := faults.CheckCtx(ctx, faults.ExecLatency); err != nil {
 		return Run{}, err
 	}
@@ -361,47 +361,95 @@ func RunCell(ctx context.Context, opts Options, c Cell) (run Run, err error) {
 			return Run{App: c.App, Point: c.Point, Result: res}, nil
 		}
 	}
-	run, err = runOne(ctx, opts.normalise(), c.App, c.Point)
-	if err == nil && opts.CellPut != nil {
-		opts.CellPut(c.Key, run.Result)
-	}
-	return run, err
+	return runOne(ctx, opts.normalise(), c)
 }
 
-// runOne executes a single (application, point) simulation, stopping early
+// contain is RunCell's and Resume's deferred panic guard: it converts a
+// recovered panic into a *PanicError for cell c.
+func contain(c Cell, run *Run, err *error) {
+	if r := recover(); r != nil {
+		*run, *err = Run{}, &PanicError{App: c.App, Cell: c.Point.Key(), Value: r, Stack: debug.Stack()}
+	}
+}
+
+// ErrYield is the cancellation cause that parks a running cell instead of
+// abandoning it: cancel the context given to RunCell (or Resume) through
+// context.WithCancelCause with ErrYield, and the cell's simulation stops at
+// its next poll point, within a few thousand references, and comes back as
+// a *Parked.
+var ErrYield = errors.New("sweep: cell yielded")
+
+// Parked is the error RunCell and Resume return for a cell whose context
+// yielded (see ErrYield).  It holds the cell's half-run simulator, which
+// belongs to the Parked until Resume finishes the run: a Parked that is
+// never resumed is simply dropped, and its simulator with it.
+type Parked struct {
+	opts   Options
+	cell   Cell
+	system *sim.System
+}
+
+func (p *Parked) Error() string {
+	return fmt.Sprintf("sweep: %s %s: parked", p.cell.App, p.cell.Point.Key())
+}
+
+// Resume continues the parked simulation under ctx, on any goroutine, and
+// returns the Run the cell gives uninterrupted.  It is RunCell without the
+// fault points and CellLookup, which the first slice already passed: a
+// panic becomes a *PanicError, a fresh result is offered to CellPut, and a
+// ctx that yields again returns another *Parked.  Call it at most once.
+func (p *Parked) Resume(ctx context.Context) (run Run, err error) {
+	defer contain(p.cell, &run, &err)
+	return simulate(ctx, p.opts, p.cell, p.system)
+}
+
+// runOne executes one cell's simulation on an idle System, stopping early
 // with ctx.Err() when ctx is cancelled.
-func runOne(ctx context.Context, opts Options, appName string, pt Point) (Run, error) {
-	params, err := workload.Get(appName)
+func runOne(ctx context.Context, opts Options, c Cell) (Run, error) {
+	params, err := workload.Get(c.App)
 	if err != nil {
 		return Run{}, err
 	}
 	params = applyEffort(params, opts.EffortScale)
 
 	cfg := opts.Base
-	if pt.IsBaseline() {
+	if c.Point.IsBaseline() {
 		cfg = config.AsSRAM(cfg)
 	} else {
-		retention := pt.RetentionUS
+		retention := c.Point.RetentionUS
 		if cfg.Name == "scaled" {
 			retention = config.ScaledRetentionUS(retention)
 		}
-		cfg = config.AsEDRAM(cfg, pt.Policy, retention)
+		cfg = config.AsEDRAM(cfg, c.Point.Policy, retention)
 	}
 
 	system := idle.get()
 	if err := system.Reset(cfg, params, opts.Seed); err != nil {
 		idle.put(system)
-		return Run{}, fmt.Errorf("sweep: %s %s: %w", appName, pt.Key(), err)
+		return Run{}, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
 	}
+	return simulate(ctx, opts, c, system)
+}
+
+// simulate runs or resumes system's simulation of cell c.  A run that
+// finishes is offered to CellPut; one whose ctx yields is parked with its
+// System.  Otherwise the System goes back to idle: a cancelled System is as
+// reusable as a finished one, since Reset re-initialises all of it.  One
+// that panicked is not returned.
+func simulate(ctx context.Context, opts Options, c Cell, system *sim.System) (Run, error) {
 	result, err := system.RunContext(ctx)
-	// A cancelled System is as reusable as a finished one: Reset
-	// re-initialises all of it.  One that panicked is not returned.
+	if err != nil && errors.Is(context.Cause(ctx), ErrYield) {
+		return Run{}, &Parked{opts: opts, cell: c, system: system}
+	}
 	idle.put(system)
 	if err != nil {
 		return Run{}, err
 	}
-	result.RetentionUS = pt.RetentionUS // report the paper-scale retention
-	return Run{App: appName, Point: pt, Result: result}, nil
+	result.RetentionUS = c.Point.RetentionUS // report the paper-scale retention
+	if opts.CellPut != nil {
+		opts.CellPut(c.Key, result)
+	}
+	return Run{App: c.App, Point: c.Point, Result: result}, nil
 }
 
 // idle is the free list of simulators that runOne resets instead of

@@ -121,6 +121,16 @@ misses=$(sed -n 's/^refrint_cell_cache_misses_total \([0-9]*\)$/\1/p' "$tmp/metr
 [ "$misses" = "2" ] || fail "refrint_cell_cache_misses_total = '$misses' after one 2-cell sweep, want 2" "$tmp/metrics.txt"
 
 # --- worker pool: -workers sizes it, and it has no steal counter -----------
+# Preemption is visible: a counter per class of the preempted cell and the
+# parked gauge, both zero after one uncontended sweep.
+for class in interactive batch background; do
+    grep -q "^refrint_cell_preemptions_total{class=\"$class\"} 0\$" "$tmp/metrics.txt" \
+        || fail "missing refrint_cell_preemptions_total{class=\"$class\"} 0" "$tmp/metrics.txt"
+done
+grep -q '^# TYPE refrint_cells_parked gauge$' "$tmp/metrics.txt" \
+    || fail "missing refrint_cells_parked gauge" "$tmp/metrics.txt"
+grep -q '^refrint_cells_parked 0$' "$tmp/metrics.txt" \
+    || fail "refrint_cells_parked is not 0 with nothing running" "$tmp/metrics.txt"
 grep -q '^refrint_sched_workers 2$' "$tmp/metrics.txt" \
     || fail "refrint_sched_workers is not 2 under -workers 2" "$tmp/metrics.txt"
 if grep -q 'refrint_sched_steal' "$tmp/metrics.txt"; then

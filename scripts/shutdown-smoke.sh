@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# Shutdown smoke test: boots a real refrint-serve, parks a long sweep on a
-# worker, sends SIGTERM and asserts the graceful-drain contract — new
-# submissions get 503 with Retry-After, /healthz flips to "closing" (503),
-# and the process exits cleanly once -drain-timeout expires.  CI runs this
+# Shutdown smoke test: boots a real refrint-serve, keeps both workers busy
+# with a long background sweep, preempts its cells with an interactive
+# burst so some sit parked with half-run simulations, sends SIGTERM and
+# asserts the graceful-drain contract — new submissions get 503 with
+# Retry-After, /healthz flips to "closing" (503), and the process exits
+# cleanly once -drain-timeout expires, parked cells and all.  CI runs this
 # next to the SSE and metrics smokes; locally: scripts/shutdown-smoke.sh
 set -eu
 
@@ -24,7 +26,7 @@ fail() {
 }
 
 go build -o "$tmp/refrint-serve" ./cmd/refrint-serve
-"$tmp/refrint-serve" -addr "127.0.0.1:$port" -drain-timeout 3s >"$tmp/serve.log" 2>&1 &
+"$tmp/refrint-serve" -addr "127.0.0.1:$port" -workers 2 -drain-timeout 3s >"$tmp/serve.log" 2>&1 &
 pid=$!
 
 up=""
@@ -34,10 +36,36 @@ for _ in $(seq 1 50); do
 done
 [ -n "$up" ] || fail "server never came up on $base"
 
-# A full-effort sweep occupies a worker far longer than the drain window, so
-# the drain below is observable and the incomplete-drain abort path runs.
-job=$(curl -sf -X POST "$base/v1/sweeps" -d '{"apps":["FFT"],"effort_scale":1.0}')
+metric() {
+    curl -sf "$base/metrics" | sed -n "s/^$1 \([0-9]*\)\$/\1/p"
+}
+
+# A full-effort background sweep occupies both workers far longer than the
+# drain window, so the drain below is observable and the incomplete-drain
+# abort path runs.
+job=$(curl -sf -X POST "$base/v1/sweeps" -d '{"apps":["FFT"],"effort_scale":1.0,"priority":"background"}')
 printf '%s' "$job" | grep -q '"id"' || fail "long sweep not admitted: $job"
+busy=""
+for _ in $(seq 1 100); do
+    [ "$(metric refrint_sched_busy_workers)" = "2" ] && { busy=1; break; }
+    sleep 0.05
+done
+[ -n "$busy" ] || fail "the background sweep never occupied both workers"
+
+# An interactive burst preempts the running background cells, which wait
+# parked until the burst is done — past the SIGTERM below.
+for seed in 1 2 3; do
+    curl -sf -X POST "$base/v1/sweeps" -d "{\"apps\":[\"FFT\"],\"policies\":[\"R.valid\"],\"retention_times_us\":[50],\"effort_scale\":1.0,\"seed\":$seed,\"priority\":\"interactive\"}" \
+        | grep -q '"id"' || fail "interactive sweep $seed not admitted"
+done
+parked=""
+for _ in $(seq 1 100); do
+    n=$(metric refrint_cells_parked)
+    [ -n "$n" ] && [ "$n" -gt 0 ] && { parked=$n; break; }
+    sleep 0.02
+done
+[ -n "$parked" ] || fail "no background cell was parked by the interactive burst"
+[ "$parked" -le 2 ] || fail "$parked cells parked on 2 workers"
 
 kill -TERM "$pid"
 sleep 0.5 # let the drain begin; it holds the server up for ~3s more
@@ -66,4 +94,4 @@ pid=""
 [ "$status" -eq 0 ] || fail "server exited with status $status"
 grep -q "draining" "$tmp/serve.log" || fail "no drain log line"
 
-echo "shutdown-smoke: OK (drained, rejected new work with 503, exited cleanly)"
+echo "shutdown-smoke: OK ($parked parked at SIGTERM; drained, rejected new work with 503, exited cleanly)"
