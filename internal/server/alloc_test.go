@@ -1,6 +1,6 @@
 //go:build !race
 
-// Allocation regression pins for the server's per-simulation hot path.
+// Allocation regression pins for the server's per-request hot paths.
 // Excluded under -race: the race runtime instruments allocations.
 
 package server
@@ -9,27 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"refrint/internal/sweep"
 )
-
-// TestProgressCallbackZeroAllocs pins the per-sim progress path at zero
-// allocations (and, by construction, zero locks: it only touches atomics).
-// With the zero-alloc simulator finishing a sim every few milliseconds on
-// every worker, anything per-sim here multiplies across the whole service.
-func TestProgressCallbackZeroAllocs(t *testing.T) {
-	s := stubServer(t)
-	e := &entry{}
-	cb := s.progressCallback(e)
-	n := 0
-	allocs := testing.AllocsPerRun(10000, func() {
-		n++
-		cb(sweep.Progress{Done: n, Total: 1 << 20})
-	})
-	if allocs != 0 {
-		t.Fatalf("progress callback allocates %v/op, want 0", allocs)
-	}
-}
 
 // TestHistogramObserveZeroAllocs pins the latency-record path at zero
 // allocations: Observe runs in request handlers and scheduler callbacks, so

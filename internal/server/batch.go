@@ -1,10 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"refrint"
@@ -16,8 +16,8 @@ import (
 // handle.  Live members are held as Job pointers so aggregation keeps
 // working even after individual jobs age out of the pollable history; a
 // member that reaches a terminal state is frozen into its JobView and the
-// pointer dropped, so batches never pin result-bearing entries beyond the
-// job history's own bound.  The server mutex guards all of it.
+// pointer dropped, so batches never pin result-bearing jobs beyond the job
+// history's own bound.  The server mutex guards all of it.
 type Batch struct {
 	id        string
 	class     sched.Class
@@ -72,7 +72,7 @@ func (m *batchMember) memberTrace(now time.Time) TraceView {
 
 // BatchRequest is the JSON body of POST /v1/batches: N sweep requests
 // submitted atomically — either every request is admitted (sweeps served
-// from stored cells, attaches and fresh executions alike) or none is.
+// from stored cells and fresh jobs alike) or none is.
 type BatchRequest struct {
 	// Priority is the default scheduling class of the batch's requests
 	// ("batch" when empty); a request's own priority field overrides it.
@@ -151,8 +151,8 @@ func (b *Batch) snapshotLocked() BatchView {
 }
 
 // handleSubmitBatch implements POST /v1/batches.  Admission is atomic: every
-// request is validated and the scheduler capacity for all fresh executions
-// is checked before any job is created, so a batch either lands whole or
+// request is validated and the admission capacity for all its jobs is
+// checked before any job is created, so a batch either lands whole or
 // leaves no trace (no half-admitted campaigns to clean up).
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	received := time.Now()
@@ -238,7 +238,11 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	stored := make(map[string]*refrint.SweepResults, len(plan))
 	for _, p := range plan {
 		if _, seen := stored[p.key]; !seen {
-			stored[p.key], _ = s.storedResults(p.key, p.opts)
+			res, _ := s.storedResults(p.opts)
+			stored[p.key] = res
+			if res != nil {
+				s.recordSweep(p.key, p.opts, int(p.class))
+			}
 		}
 	}
 
@@ -253,47 +257,15 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	// Plan the batch's scheduler effects and check capacity for all of
-	// them at once.  Identical keys within the batch share one execution
-	// (singleflight) and count once, at the most urgent class among their
-	// occurrences — the class the shared execution ends up in, and the
-	// class submitJobLocked creates it at.  Attaching to a pre-existing
-	// queued execution that the batch will promote consumes a slot in the
-	// target class and frees one in the class it leaves; the freed slot is
-	// credited, and promotions are applied up front (most urgent target
-	// first) so everything they free is free before any member submits.
-	// The check and the submits run under one hold of s.mu, which every
-	// change to the admission counts (cells starting, aging) also takes.
-	effClass := make(map[string]sched.Class, len(plan))
+	// Check capacity for every member at once: each one not born done holds
+	// one slot of its own class, duplicates included.  The check and the
+	// submits run under one hold of s.mu, which every change to the
+	// admission counts (cells starting, aging) also takes.
+	var need [sched.NumClasses]int
 	for _, p := range plan {
-		if c, ok := effClass[p.key]; !ok || p.class < c {
-			effClass[p.key] = p.class
+		if stored[p.key] == nil {
+			need[p.class]++
 		}
-	}
-	type promotion struct {
-		e  *entry
-		to sched.Class
-	}
-	var promos []promotion
-	var need, freed [sched.NumClasses]int
-	counted := make(map[string]bool, len(plan))
-	for _, p := range plan {
-		if counted[p.key] {
-			continue
-		}
-		counted[p.key] = true
-		if stored[p.key] != nil {
-			continue
-		}
-		if e, ok := s.inflight[p.key]; ok {
-			if e.state == StateQueued && effClass[p.key] < e.class {
-				promos = append(promos, promotion{e: e, to: effClass[p.key]})
-				need[effClass[p.key]]++
-				freed[e.class]++
-			}
-			continue
-		}
-		need[effClass[p.key]]++
 	}
 	for class, n := range need {
 		// Skip classes the batch does not touch: a full class must not
@@ -301,7 +273,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		if n == 0 {
 			continue
 		}
-		if free := s.cfg.ClassQueueDepth[class] - s.queuedSweeps[class] + freed[class]; n > free {
+		if free := s.cfg.ClassQueueDepth[class] - s.queuedSweeps[class]; n > free {
 			s.mu.Unlock()
 			s.quota.refund(charged)
 			w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(sched.Class(class))))
@@ -310,14 +282,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 				sched.Class(class), free, n)
 			return
 		}
-	}
-	// Promotions ordered by target class, most urgent first: a promotion's
-	// departure from class c targets a class more urgent than c, so every
-	// departure from c executes before any arrival into c, and the credits
-	// above are honored without transient overflow.
-	sort.SliceStable(promos, func(i, j int) bool { return promos[i].to < promos[j].to })
-	for _, pr := range promos {
-		s.moveEntryLocked(pr.e, pr.to)
 	}
 
 	s.nextBatchID++
@@ -331,12 +295,12 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		tr := trace{id: fmt.Sprintf("%s.%d", reqID, i)}
 		tr.mark(phaseReceived, received)
 		tr.mark(phaseValidated, validated)
-		job, ok := s.submitJobLocked(p.req, p.opts, p.key, p.class, effClass[p.key], p.timeout, tr, stored[p.key])
+		job, ok := s.submitJobLocked(p.req, p.opts, p.key, p.class, p.timeout, tr, stored[p.key])
 		if !ok {
 			// Defensive: the capacity check above and these submissions
 			// share one hold of s.mu, so a member should always fit.  Bail
 			// out whole rather than admit a partial batch.
-			s.cfg.Logf("batch: %s queue filled after capacity check, aborting batch", effClass[p.key])
+			s.cfg.Logf("batch: %s queue filled after capacity check, aborting batch", p.class)
 			s.rollbackBatchLocked(b)
 			s.mu.Unlock()
 			s.probeStore()
@@ -397,8 +361,8 @@ func (s *Server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleCancelBatch implements DELETE /v1/batches/{id}: cancel every
 // non-terminal member job.  Queued cells leave the scheduler (and queued
-// sweeps free their admission slots) immediately; running cells no other
-// sweep waits on are stopped.
+// jobs free their admission slots) immediately; running cells no other job
+// waits on are stopped.
 func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -410,7 +374,7 @@ func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range b.members {
 		if j := b.members[i].job; j != nil {
-			s.cancelJobLocked(j)
+			s.finishLocked(j, nil, context.Canceled)
 		}
 	}
 	view := b.snapshotLocked()
@@ -428,7 +392,7 @@ func (s *Server) rollbackBatchLocked(b *Batch) {
 		if j == nil {
 			continue // frozen members are terminal and already historical
 		}
-		s.cancelJobLocked(j)
+		s.finishLocked(j, nil, context.Canceled)
 		doomed[j.id] = true
 		delete(s.jobs, j.id)
 	}
@@ -443,7 +407,7 @@ func (s *Server) rollbackBatchLocked(b *Batch) {
 }
 
 // evictBatchesLocked freezes every terminal member — batches must not pin
-// result-bearing entries past the job history's bound even when nobody polls
+// result-bearing jobs past the job history's bound even when nobody polls
 // them, so freezing runs on every batch submission, not only under history
 // pressure — then forgets the oldest terminal batches beyond the history
 // bound.  Live batches are never evicted.  Caller holds the server mutex.

@@ -50,7 +50,7 @@ func (h *harness) waitBatchState(id string, want State) BatchView {
 
 // TestBatchLifecycle drives a real batch end to end: one handle, aggregated
 // progress, member jobs individually pollable, results fetchable, and
-// identical requests within the batch singleflighted onto one execution.
+// identical requests within the batch sharing their cells.
 func TestBatchLifecycle(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{Execute: exec.fn})
@@ -80,9 +80,10 @@ func TestBatchLifecycle(t *testing.T) {
 	if done.Progress.Percent != 100 || done.Progress.Done != done.Progress.Total {
 		t.Fatalf("terminal progress = %+v, want 100%%", done.Progress)
 	}
-	// The duplicate request shared an execution: two sweeps ran, not three.
+	// The duplicate request shared its cells: two sweeps' cells ran, not
+	// three.
 	if n := exec.calls.Load(); n != 2 {
-		t.Fatalf("batch of 3 (one duplicate) ran %d executions, want 2", n)
+		t.Fatalf("batch of 3 (one duplicate) ran %d gated cells, want 2", n)
 	}
 	// Member jobs stay individually addressable.
 	for _, j := range done.Jobs {
@@ -255,9 +256,7 @@ func TestBatchCancel(t *testing.T) {
 
 // TestBatchIgnoresFullUntouchedClass is a regression for the capacity check
 // vetoing batches over classes they do not use: a full class must not 503 a
-// batch that needs zero slots there.  (The attach below also exercises the
-// promote-into-full-class path: the promotion is declined and the shared
-// execution stays at its original class rather than overflowing the bound.)
+// batch that needs zero slots there.
 func TestBatchIgnoresFullUntouchedClass(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
@@ -269,29 +268,14 @@ func TestBatchIgnoresFullUntouchedClass(t *testing.T) {
 	h.submit(tinyRequest(1))
 	<-exec.started // occupy the worker
 
-	// Fill interactive to its depth of 1, then attach an interactive job
-	// to a queued background sweep: the promotion must be declined (the
-	// class is full) and the interactive bound must hold.
+	// Fill interactive to its depth of 1.
 	fill := tinyRequest(2)
 	fill.Priority = "interactive"
 	if _, status := h.submit(fill); status != http.StatusAccepted {
 		t.Fatalf("interactive fill: status %d", status)
 	}
-	bg := tinyRequest(3)
-	bg.Priority = "background"
-	if _, status := h.submit(bg); status != http.StatusAccepted {
-		t.Fatalf("background submit: status %d", status)
-	}
-	attach := tinyRequest(3)
-	attach.Priority = "interactive"
-	if _, status := h.submit(attach); status != http.StatusAccepted {
-		t.Fatalf("attach to queued background sweep: status %d", status)
-	}
 	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
-		t.Fatalf("interactive queued sweeps = %v, want 1 (declined promotion must not overflow the bound)", v)
-	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 2 {
-		t.Fatalf("interactive depth = %v, want 2 (only the fill sweep's cells)", v)
+		t.Fatalf("interactive queued sweeps = %v, want 1 (full)", v)
 	}
 	// Interactive is full.  A batch needing only batch-class capacity must
 	// still be admitted.
@@ -299,7 +283,7 @@ func TestBatchIgnoresFullUntouchedClass(t *testing.T) {
 		Requests: []refrint.SweepRequest{tinyRequest(4), tinyRequest(5)},
 	})
 	if status != http.StatusAccepted {
-		t.Fatalf("batch over an untouched over-full class: status %d, want 202", status)
+		t.Fatalf("batch over an untouched full class: status %d, want 202", status)
 	}
 	if len(view.Jobs) != 2 {
 		t.Fatalf("batch admitted %d jobs, want 2", len(view.Jobs))
@@ -307,11 +291,10 @@ func TestBatchIgnoresFullUntouchedClass(t *testing.T) {
 	close(exec.release)
 }
 
-// TestBatchMixedPriorityDuplicates is a regression for capacity accounting
-// of duplicate keys with mixed priorities: the shared execution lands in the
-// most urgent class of its occurrences, that class is what admission charges
-// (an undercount here used to trip the mid-batch rollback as a spurious
-// 503), and a batch genuinely over that capacity is rejected whole up front.
+// TestBatchMixedPriorityDuplicates pins capacity accounting of duplicate
+// keys: every member holds a slot of its own class, while the shared cells
+// run at the most urgent class among their jobs; a batch over capacity —
+// duplicates counted like any other member — is rejected whole up front.
 func TestBatchMixedPriorityDuplicates(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
@@ -338,10 +321,13 @@ func TestBatchMixedPriorityDuplicates(t *testing.T) {
 	if len(view.Jobs) != 3 {
 		t.Fatalf("admitted %d jobs, want 3", len(view.Jobs))
 	}
-	// The duplicate pair shares one execution, queued at interactive (its
-	// most urgent occurrence), not background.
+	// The duplicate pair's cells are queued once, at interactive (their
+	// most urgent job), not background; each job holds its own slot.
 	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 2 {
-		t.Fatalf("interactive queued sweeps = %v, want 2 (shared execution + seed 6)", v)
+		t.Fatalf("interactive queued sweeps = %v, want 2 (seeds 5 and 6)", v)
+	}
+	if v := h.schedMetric(`refrint_sweeps_queued{class="background"}`); v != 1 {
+		t.Fatalf("background queued sweeps = %v, want 1 (seed 5)", v)
 	}
 	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 4 {
 		t.Fatalf("interactive queue depth = %v, want 4 (two sweeps' cells)", v)
@@ -362,116 +348,29 @@ func TestBatchMixedPriorityDuplicates(t *testing.T) {
 	}); status != http.StatusServiceUnavailable {
 		t.Fatalf("over-capacity mixed batch: status %d, want 503", status)
 	}
-	var list struct {
-		Jobs []JobView `json:"jobs"`
+	jobCount := func() int {
+		var list struct {
+			Jobs []JobView `json:"jobs"`
+		}
+		h.do("GET", "/v1/sweeps", nil, &list)
+		return len(list.Jobs)
 	}
-	h.do("GET", "/v1/sweeps", nil, &list)
-	if len(list.Jobs) != before {
-		t.Fatalf("rejected batch changed job count: %d, want %d", len(list.Jobs), before)
-	}
-	close(exec.release)
-}
-
-// TestBatchPromotesStraightToEffectiveClass is a regression for attach
-// promotion passing through an unaccounted intermediate class: a batch
-// member attaching to a pre-existing queued execution must promote it
-// directly to the batch's effective class for that key, never parking it in
-// a class the capacity check did not charge.
-func TestBatchPromotesStraightToEffectiveClass(t *testing.T) {
-	exec := newBlockingExec()
-	h := newHarness(t, Config{
-		Workers:         1,
-		ClassQueueDepth: [sched.NumClasses]int{4, 1, 4},
-		Execute:         exec.fn,
-	})
-
-	h.submit(tinyRequest(1))
-	<-exec.started // occupy the worker
-
-	// Pre-existing background execution for seed 5.
-	pre := tinyRequest(5)
-	pre.Priority = "background"
-	if _, status := h.submit(pre); status != http.StatusAccepted {
-		t.Fatalf("pre-existing submit: status %d", status)
+	if n := jobCount(); n != before {
+		t.Fatalf("rejected batch changed job count: %d, want %d", n, before)
 	}
 
-	// Batch: seed 5 at batch AND at interactive (eff class interactive),
-	// plus a fresh batch-class member needing the single batch slot.  A
-	// promotion stopping over in the batch class would eat that slot and
-	// 503 the whole (capacity-checked) batch.
-	dupBatch := tinyRequest(5)
-	dupBatch.Priority = "batch"
-	dupInter := tinyRequest(5)
-	dupInter.Priority = "interactive"
-	fresh := tinyRequest(6)
-	fresh.Priority = "batch"
-	view, status := h.submitBatch(BatchRequest{
-		Requests: []refrint.SweepRequest{dupBatch, fresh, dupInter},
-	})
-	if status != http.StatusAccepted {
-		t.Fatalf("batch: status %d, want 202 (promotion must skip intermediate classes)", status)
-	}
-	if len(view.Jobs) != 3 {
-		t.Fatalf("admitted %d jobs, want 3", len(view.Jobs))
-	}
-	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
-		t.Fatalf("interactive queued sweeps = %v, want 1 (the promoted execution)", v)
-	}
-	if v := h.schedMetric(`refrint_sweeps_queued{class="batch"}`); v != 1 {
-		t.Fatalf("batch queued sweeps = %v, want 1 (the fresh member)", v)
-	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 2 {
-		t.Fatalf("interactive depth = %v, want 2 (the promoted execution's cells)", v)
-	}
-	if v := h.schedMetric(`refrint_sched_queue_depth{class="background"}`); v != 0 {
-		t.Fatalf("background depth = %v, want 0 (execution left it)", v)
-	}
-	close(exec.release)
-}
-
-// TestBatchCreditsPromotionFreedSlots is a regression for the admission
-// check ignoring slots the batch's own promotions free: with the batch
-// class full only because of an execution this batch promotes out of it,
-// the batch must be admitted — even when the fresh member that needs the
-// freed slot is listed before the promoting duplicate.
-func TestBatchCreditsPromotionFreedSlots(t *testing.T) {
-	exec := newBlockingExec()
-	h := newHarness(t, Config{
-		Workers:         1,
-		ClassQueueDepth: [sched.NumClasses]int{4, 1, 4},
-		Execute:         exec.fn,
-	})
-
-	h.submit(tinyRequest(1))
-	<-exec.started // occupy the worker
-
-	// Fill the batch class with execution K.
-	pre := tinyRequest(5)
-	pre.Priority = "batch"
-	if _, status := h.submit(pre); status != http.StatusAccepted {
-		t.Fatalf("pre-existing batch submit: status %d", status)
-	}
-
-	// Fresh batch-class member first, promoting duplicate second: the
-	// promotion of K to interactive frees the only batch slot.
-	fresh := tinyRequest(6)
-	fresh.Priority = "batch"
-	dup := tinyRequest(5)
+	// With one interactive slot free, two same-key interactive members
+	// need two: the batch is rejected whole.
+	h.do("DELETE", "/v1/sweeps/"+view.Jobs[2].ID, nil, nil)
+	dup := tinyRequest(8)
 	dup.Priority = "interactive"
-	view, status := h.submitBatch(BatchRequest{
-		Requests: []refrint.SweepRequest{fresh, dup},
-	})
-	if status != http.StatusAccepted {
-		t.Fatalf("batch freeing its own slot: status %d, want 202", status)
+	if _, status := h.submitBatch(BatchRequest{
+		Requests: []refrint.SweepRequest{dup, dup},
+	}); status != http.StatusServiceUnavailable {
+		t.Fatalf("two same-key members for one free slot: status %d, want 503", status)
 	}
-	if len(view.Jobs) != 2 {
-		t.Fatalf("admitted %d jobs, want 2", len(view.Jobs))
-	}
-	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
-		t.Fatalf("interactive queued sweeps = %v, want 1 (promoted K)", v)
-	}
-	if v := h.schedMetric(`refrint_sweeps_queued{class="batch"}`); v != 1 {
-		t.Fatalf("batch queued sweeps = %v, want 1 (fresh member in the freed slot)", v)
+	if n := jobCount(); n != before {
+		t.Fatalf("rejected duplicate batch changed job count: %d, want %d", n, before)
 	}
 	close(exec.release)
 }
@@ -587,7 +486,7 @@ func TestRollbackBatchLocked(t *testing.T) {
 			s.mu.Unlock()
 			t.Fatal(err)
 		}
-		job, ok := s.submitJobLocked(req, opts, opts.Key(), sched.Batch, sched.Batch, 0, trace{id: newTraceID()}, nil)
+		job, ok := s.submitJobLocked(req, opts, opts.Key(), sched.Batch, 0, trace{id: newTraceID()}, nil)
 		if !ok {
 			s.mu.Unlock()
 			t.Fatal("submitJobLocked rejected")

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,8 +12,8 @@ import (
 	"refrint/internal/sweep"
 )
 
-// stubServer is a server whose executor does nothing: the progress
-// benchmarks and allocation pins exercise the callback alone.
+// stubServer is a server whose executor does nothing, for the middleware
+// allocation pin (alloc_test.go).
 func stubServer(tb testing.TB) *Server {
 	s := New(Config{
 		Execute: func(context.Context, sweep.Options, sweep.Cell) (sweep.Run, error) {
@@ -23,20 +22,6 @@ func stubServer(tb testing.TB) *Server {
 	})
 	tb.Cleanup(s.Close)
 	return s
-}
-
-// BenchmarkProgressCallback measures the per-simulation progress hook — the
-// path the old implementation serialized on the global server mutex.  The
-// perf gate pins it at 0 allocs/op (bench/baseline.txt).
-func BenchmarkProgressCallback(b *testing.B) {
-	s := stubServer(b)
-	e := &entry{}
-	cb := s.progressCallback(e)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cb(sweep.Progress{Done: i + 1, Total: b.N})
-	}
 }
 
 // BenchmarkHistogramObserve measures the latency-record path behind every
@@ -60,22 +45,6 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			h.Observe(0.0003)
-		}
-	})
-}
-
-// BenchmarkProgressCallbackParallel contends the CAS-max loop the way real
-// sweeps do: every worker goroutine reports completions concurrently.
-func BenchmarkProgressCallbackParallel(b *testing.B) {
-	s := stubServer(b)
-	e := &entry{}
-	cb := s.progressCallback(e)
-	var done atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			cb(sweep.Progress{Done: int(done.Add(1)), Total: b.N})
 		}
 	})
 }

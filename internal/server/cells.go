@@ -13,13 +13,13 @@ import (
 	"refrint/internal/sweep"
 )
 
-// This file is the cell-granular execution layer.  A sweep entry does not
-// run as one unit: each of its simulation cells is a scheduler item of its
-// own, inheriting the class and client of the job that created it.  The
+// This file is the cell-granular execution layer.  A job does not run as
+// one unit: each of its simulation cells is a scheduler item of its own,
+// inheriting the class and client of the job that created it.  The
 // in-flight table (Server.cells) maps every cell that is being probed,
-// queued or running to the one execution that computes it, so a later
-// sweep overlapping an earlier one — not necessarily identical — joins the
-// cells already in flight instead of simulating them again.
+// queued or running to the one execution that computes it, so a later job
+// overlapping an earlier one — identical or not — joins the cells already
+// in flight instead of simulating them again.
 //
 // A cell's life:
 //
@@ -48,7 +48,7 @@ const (
 	cellDone                     // completed, failed or aborted
 )
 
-// cell is one simulation in flight, shared by every entry waiting on it.
+// cell is one simulation in flight, shared by every job waiting on it.
 // All fields are guarded by the server mutex except ctx, from which the
 // worker derives each running slice's context.
 type cell struct {
@@ -56,11 +56,11 @@ type cell struct {
 	opts sweep.Options // options of the sweep that created the cell
 
 	client string
-	class  sched.Class // the most urgent class among the waiting entries
+	class  sched.Class // the most urgent class among the waiting jobs
 	handle sched.Handle
 	state  cellState
 
-	// ctx is cancelled when no live entry waits on the cell any more, or
+	// ctx is cancelled when no live job waits on the cell any more, or
 	// when the server closes; the simulation checks it every few thousand
 	// references (sim.(*System).RunContext) and stops.
 	ctx    context.Context
@@ -79,55 +79,54 @@ type cell struct {
 	waiters []waiter
 }
 
-// waiter is one entry waiting on a cell, with the cell's index in the
-// entry's sweep.
+// waiter is one job waiting on a cell, with the cell's index in the job's
+// sweep.
 type waiter struct {
-	e *entry
+	j *Job
 	i int
 }
 
-// attachCellsLocked enrols a fresh entry on its sweep's cells.  Cells
-// already in flight are joined, promoting them to the entry's class when it
-// is more urgent; the others are created and left for probeStore — which
-// the admitting handler must call after releasing the mutex.  Caller holds
-// the server mutex.
-func (s *Server) attachCellsLocked(e *entry, client string) {
-	cells := sweep.Cells(e.opts)
-	e.cells = make([]*cell, len(cells))
-	e.runs = make([]sweep.Run, len(cells))
-	e.pending = len(cells)
-	e.total.Store(int64(len(cells)))
+// attachCellsLocked enrols a fresh job on its sweep's cells.  Cells already
+// in flight are joined, promoting them to the job's class when it is more
+// urgent; the others are created and left for probeStore — which the
+// admitting handler must call after releasing the mutex.  Caller holds the
+// server mutex.
+func (s *Server) attachCellsLocked(j *Job) {
+	cells := sweep.Cells(j.opts)
+	j.cells = make([]*cell, len(cells))
+	j.runs = make([]sweep.Run, len(cells))
+	j.pending = len(cells)
 	for i, sc := range cells {
 		if c, ok := s.cells[sc.Key]; ok {
 			s.inflightJoins++
-			c.waiters = append(c.waiters, waiter{e: e, i: i})
-			e.cells[i] = c
+			c.waiters = append(c.waiters, waiter{j: j, i: i})
+			j.cells[i] = c
 			s.reclassCellLocked(c)
 			if c.state == cellRunning {
-				s.startEntryLocked(e, time.Now())
+				s.startJobLocked(j, time.Now())
 			}
 			continue
 		}
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		c := &cell{
 			sc:      sc,
-			opts:    e.opts,
-			client:  client,
-			class:   e.class,
+			opts:    j.opts,
+			client:  j.request.Client,
+			class:   j.class,
 			state:   cellProbing,
 			ctx:     ctx,
 			cancel:  cancel,
-			waiters: []waiter{{e: e, i: i}},
+			waiters: []waiter{{j: j, i: i}},
 		}
 		s.cells[sc.Key] = c
-		e.cells[i] = c
+		j.cells[i] = c
 		s.probes = append(s.probes, c)
 	}
 }
 
 // enqueueCellLocked hands a cell to the scheduler: a fresh cell at the back
 // of its queue, a preempted one (requeue) at the front, keeping its parked
-// simulation.  After Close the cell (and every entry waiting on it) is
+// simulation.  After Close the cell (and every job waiting on it) is
 // cancelled instead.  Caller holds the server mutex.
 func (s *Server) enqueueCellLocked(c *cell, requeue bool, parked *sweep.Parked) {
 	if !s.closed {
@@ -213,7 +212,7 @@ func (s *Server) probeStore() {
 	s.mu.Unlock()
 	for _, c := range probes {
 		res, hit := s.store.GetCell(c.sc.Key)
-		var done []*entry
+		var done []*Job
 		s.mu.Lock()
 		switch {
 		case c.state != cellProbing: // aborted while probing
@@ -223,13 +222,13 @@ func (s *Server) probeStore() {
 			s.enqueueCellLocked(c, false, nil)
 		}
 		s.mu.Unlock()
-		s.completeEntries(done)
+		s.completeJobs(done)
 	}
 }
 
 // runCell is the scheduler's run callback: it simulates one dequeued cell,
-// or resumes a preempted one, and delivers the run to every entry waiting
-// on it.  A slice that yields puts the cell back in the queue instead.
+// or resumes a preempted one, and delivers the run to every job waiting on
+// it.  A slice that yields puts the cell back in the queue instead.
 func (s *Server) runCell(c *cell) {
 	s.mu.Lock()
 	if c.state != cellQueued {
@@ -245,7 +244,7 @@ func (s *Server) runCell(c *cell) {
 	c.state = cellRunning
 	now := time.Now()
 	for _, w := range c.waiters {
-		s.startEntryLocked(w.e, now)
+		s.startJobLocked(w.j, now)
 	}
 	class := c.class
 	ctx, yield := context.WithCancelCause(c.ctx)
@@ -283,7 +282,7 @@ func (s *Server) runCell(c *cell) {
 	}
 	done := s.cellDoneLocked(c, run, err)
 	s.mu.Unlock()
-	s.completeEntries(done)
+	s.completeJobs(done)
 }
 
 // stopRunningLocked removes a cell whose slice returned from the running
@@ -312,7 +311,7 @@ func (s *Server) stopRunningLocked(c *cell) bool {
 // or the resumption of its parked simulation — behind a recover guard.
 // sweep.RunCell already converts simulation panics into errors; this is the
 // last line of defense for panics in other Execute implementations — a
-// recovered panic fails the cell's sweeps instead of killing the worker.
+// recovered panic fails the cell's jobs instead of killing the worker.
 // The slice runs under pprof labels naming its class, client, application
 // and policy, so a CPU profile of a live server splits by them.
 func (s *Server) executeGuarded(ctx context.Context, c *cell, class sched.Class, parked *sweep.Parked) (run sweep.Run, err error) {
@@ -334,11 +333,11 @@ func (s *Server) executeGuarded(ctx context.Context, c *cell, class sched.Class,
 }
 
 // cellDoneLocked retires a cell from the in-flight table and delivers its
-// outcome to every waiting entry: a failure fails them all, a run fills
-// their slot and advances their progress.  It returns the entries whose last
-// cell this was; the caller completes them with completeEntries after
-// releasing the mutex.  Caller holds the server mutex.
-func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*entry {
+// outcome to every waiting job: a failure fails them all, a run fills their
+// slot and advances their progress.  It returns the jobs whose last cell
+// this was; the caller completes them with completeJobs after releasing the
+// mutex.  Caller holds the server mutex.
+func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*Job {
 	if c.state == cellDone {
 		return nil
 	}
@@ -360,100 +359,108 @@ func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*entry {
 			"panic", fmt.Sprint(pe.Value),
 			"stack", string(pe.Stack))
 	}
-	// Detach the waiters first: failing an entry withdraws it from its other
-	// cells (abortEntryLocked), which must find this one already empty.
+	// Detach the waiters first: failing a job withdraws it from its other
+	// cells (abortJobLocked), which must find this one already empty.
 	waiters := c.waiters
 	c.waiters = nil
-	var done []*entry
+	var done []*Job
 	now := time.Now()
 	for _, w := range waiters {
-		e := w.e
-		if e.state.Terminal() {
+		j := w.j
+		if j.state.Terminal() {
 			continue
 		}
-		e.cells[w.i] = nil
+		j.cells[w.i] = nil
 		if err != nil {
-			s.finishLocked(e, nil, err)
+			s.finishLocked(j, nil, err)
 			continue
 		}
-		s.startEntryLocked(e, now) // a stored cell can complete a queued entry's first cell
-		e.runs[w.i] = run
-		e.pending--
-		e.progress(sweep.Progress{Done: len(e.runs) - e.pending, Total: len(e.runs)})
-		if e.pending == 0 {
-			done = append(done, e)
+		s.startJobLocked(j, now) // a stored cell can complete a queued job's first cell
+		j.runs[w.i] = run
+		j.pending--
+		j.done++
+		s.simsCompleted++
+		s.simRate.Add(1)
+		if j.pending == 0 {
+			done = append(done, j)
 		}
 	}
 	return done
 }
 
-// completeEntries assembles, records and finishes entries whose every cell
-// has completed.  Recording writes the sweep's manifest, which lets GET
-// /v1/sweeps/{key}/... find the sweep's cells, unless the store already
-// holds it.  Called WITHOUT the server mutex: the write must not stall
-// handlers — and once a job is observably done, its manifest is stored.
-func (s *Server) completeEntries(done []*entry) {
-	for _, e := range done {
-		res := sweep.Assemble(e.opts, e.runs)
+// completeJobs assembles, records and finishes jobs whose every cell has
+// completed.  Called WITHOUT the server mutex: assembly and the manifest
+// write (recordSweep) must not stall handlers — and once a job is
+// observably done, its manifest is stored.
+func (s *Server) completeJobs(done []*Job) {
+	for _, j := range done {
 		s.mu.Lock()
-		markJobsLocked(e, phasePersisting, time.Now())
-		rank := int(e.class)
-		s.mu.Unlock()
-		if !s.store.Contains(store.KindSweep, e.key) {
-			if err := s.store.PutRanked(store.KindSweep, e.key, rank, store.Manifest{Options: e.opts}); err != nil {
-				s.cfg.Logf("store: persisting sweep manifest %s: %v", e.key, err)
-			}
+		if j.state.Terminal() { // cancelled or timed out since its last cell
+			s.mu.Unlock()
+			continue
 		}
+		runs := j.runs
+		j.trace.mark(phasePersisting, time.Now())
+		rank := int(j.class)
+		s.mu.Unlock()
+		res := sweep.Assemble(j.opts, runs)
+		s.recordSweep(j.key, j.opts, rank)
 		s.mu.Lock()
-		s.finishLocked(e, res, nil)
+		s.finishLocked(j, res, nil)
 		s.mu.Unlock()
 	}
 }
 
-// startEntryLocked moves a queued entry to running the first time one of
-// its cells starts (or completes from the store): its jobs leave the queue
-// phase, its admission slot frees, and its deadline starts.  A no-op for an
-// entry already started.  Caller holds the server mutex.
-func (s *Server) startEntryLocked(e *entry, now time.Time) {
-	if e.state != StateQueued {
+// recordSweep writes the manifest of a sweep whose job ended done, which
+// lets GET /v1/sweeps/{key}/... find the sweep's cells, unless the store
+// already holds it.  Called WITHOUT the server mutex.
+func (s *Server) recordSweep(key string, opts sweep.Options, rank int) {
+	if s.store.Contains(store.KindSweep, key) {
 		return
 	}
-	e.state = StateRunning
-	s.queuedSweeps[e.class]--
-	e.execStart = now
-	for _, j := range e.jobs {
-		if j.state == StateQueued {
-			j.state = StateRunning
-			j.startedAt = now
-			j.trace.mark(phaseDequeued, now)
-			j.trace.mark(phaseExecuting, now)
-			s.publishJobLocked(j, eventState)
-		}
+	if err := s.store.PutRanked(store.KindSweep, key, rank, store.Manifest{Options: opts}); err != nil {
+		s.cfg.Logf("store: persisting sweep manifest %s: %v", key, err)
 	}
-	if e.timeout > 0 {
-		e.timer = time.AfterFunc(e.timeout, func() {
+}
+
+// startJobLocked moves a queued job to running the first time one of its
+// cells starts (or completes from the store): it leaves the queue phase,
+// its admission slot frees, and its deadline starts.  A no-op for a job
+// already started.  Caller holds the server mutex.
+func (s *Server) startJobLocked(j *Job, now time.Time) {
+	if j.state != StateQueued {
+		return
+	}
+	j.state = StateRunning
+	s.queuedSweeps[j.class]--
+	j.startedAt = now
+	j.trace.mark(phaseDequeued, now)
+	j.trace.mark(phaseExecuting, now)
+	s.publishJobLocked(j, eventState)
+	if j.timeout > 0 {
+		j.timer = time.AfterFunc(j.timeout, func() {
 			s.mu.Lock()
-			s.finishLocked(e, nil, context.DeadlineExceeded)
+			s.finishLocked(j, nil, context.DeadlineExceeded)
 			s.mu.Unlock()
 		})
 	}
-	s.cfg.Logf("sweep %s: running (%d sims)", e.key, len(e.runs))
+	s.cfg.Logf("sweep %s: running (%d sims)", j.key, j.total)
 }
 
-// abortEntryLocked withdraws a terminal entry from its outstanding cells.
-// A cell left with no waiter is aborted — dropped from its queue, or its
-// simulation cancelled — while a cell other sweeps still wait on keeps
-// running, demoted to the most urgent class that remains.  Cells the entry
+// abortJobLocked withdraws a terminal job from its outstanding cells.  A
+// cell left with no waiter is aborted — dropped from its queue, or its
+// simulation cancelled — while a cell other jobs still wait on keeps
+// running, moved to the most urgent class that remains.  Cells the job
 // already completed are in the store.  Caller holds the server mutex.
-func (s *Server) abortEntryLocked(e *entry) {
-	for i, c := range e.cells {
+func (s *Server) abortJobLocked(j *Job) {
+	for i, c := range j.cells {
 		if c == nil {
 			continue
 		}
-		e.cells[i] = nil
+		j.cells[i] = nil
 		kept := c.waiters[:0]
 		for _, w := range c.waiters {
-			if w.e != e {
+			if w.j != j {
 				kept = append(kept, w)
 			}
 		}
@@ -469,7 +476,7 @@ func (s *Server) abortEntryLocked(e *entry) {
 // abortCellLocked retires a cell nobody waits on: a queued cell leaves the
 // scheduler and drops its parked simulation, a running one has its context
 // cancelled, and either way the cell leaves the in-flight table so no later
-// sweep joins it.  Caller holds the server mutex.
+// job joins it.  Caller holds the server mutex.
 func (s *Server) abortCellLocked(c *cell) {
 	if c.state == cellDone {
 		return
@@ -486,17 +493,17 @@ func (s *Server) abortCellLocked(c *cell) {
 }
 
 // reclassCellLocked moves a waiting cell to the most urgent class among the
-// entries waiting on it (priority inheritance in both directions), keeping
-// its parked simulation if it has one; a queued cell made more urgent may
+// jobs waiting on it (priority inheritance in both directions), keeping its
+// parked simulation if it has one; a queued cell made more urgent may
 // preempt a running one.  Running and finished cells are left alone.
 // Caller holds the server mutex.
 func (s *Server) reclassCellLocked(c *cell) {
 	if (c.state != cellProbing && c.state != cellQueued) || len(c.waiters) == 0 {
 		return
 	}
-	want := c.waiters[0].e.class
+	want := c.waiters[0].j.class
 	for _, w := range c.waiters[1:] {
-		want = min(want, w.e.class)
+		want = min(want, w.j.class)
 	}
 	switch {
 	case want == c.class:
@@ -511,45 +518,38 @@ func (s *Server) reclassCellLocked(c *cell) {
 }
 
 // ageCellLocked follows a scheduler aging promotion of one queued cell: the
-// cell's class, and every waiting entry less urgent than it, move up — with
-// the entry's jobs and its other queued cells — so a sweep ages as a whole.
-// Unlike moveEntryLocked it makes no room check: holding an aged sweep back
-// from a full class would bring back the starvation aging exists to
-// prevent, so aging may take a class past its ClassQueueDepth.  Caller
-// holds the server mutex.
+// cell's class, and every waiting job less urgent than it, move up — with
+// the job's admission slot and its other queued cells — so a sweep ages as
+// a whole.  It makes no room check: holding an aged job back from a full
+// class would bring back the starvation aging exists to prevent, so aging
+// may take a class past its ClassQueueDepth.  Caller holds the server
+// mutex.
 func (s *Server) ageCellLocked(c *cell, to sched.Class) {
 	if c.state != cellQueued || to >= c.class {
 		return
 	}
 	c.class = to
 	for _, w := range c.waiters {
-		e := w.e
-		if e.state.Terminal() || to >= e.class {
+		j := w.j
+		if j.state.Terminal() || to >= j.class {
 			continue
 		}
-		if e.state == StateQueued {
-			s.queuedSweeps[e.class]--
+		if j.state == StateQueued {
+			s.queuedSweeps[j.class]--
 			s.queuedSweeps[to]++
 		}
-		e.class = to
-		// Attached jobs follow the execution into its effective class: job
-		// views, published events and firehose ?class= filters report where
-		// the work actually runs — and a sibling cancel recomputing urgency
-		// from j.class (see cancelJobLocked) does not demote it right back.
-		for _, j := range e.jobs {
-			if !j.state.Terminal() && to < j.class {
-				j.class = to
-			}
-		}
-		s.reclassCellsLocked(e)
+		// Job views, published events and firehose ?class= filters report
+		// where the work actually runs.
+		j.class = to
+		s.reclassCellsLocked(j)
 	}
 	s.preemptLocked()
 }
 
-// reclassCellsLocked re-derives the class of each of an entry's waiting
-// cells after the entry's class changed.  Caller holds the server mutex.
-func (s *Server) reclassCellsLocked(e *entry) {
-	for _, c := range e.cells {
+// reclassCellsLocked re-derives the class of each of a job's waiting cells
+// after the job's class changed.  Caller holds the server mutex.
+func (s *Server) reclassCellsLocked(j *Job) {
+	for _, c := range j.cells {
 		if c != nil {
 			s.reclassCellLocked(c)
 		}

@@ -249,7 +249,7 @@ func TestSSESubscribeAfterTerminal(t *testing.T) {
 }
 
 // TestSSECancelledJobFreezesProgress pins the cancelled-creep fix: a job
-// cancelled off a still-running shared execution stops advancing — its SSE
+// cancelled off still-running shared cells stops advancing — its SSE
 // stream ends with the cancelled event (no progress after), and its polled
 // progress stays frozen while the surviving job keeps moving.
 func TestSSECancelledJobFreezesProgress(t *testing.T) {
@@ -259,7 +259,7 @@ func TestSSECancelledJobFreezesProgress(t *testing.T) {
 	req := steppedRequest(5)
 	first, _ := h.submit(req)
 	<-exec.started
-	second, _ := h.submit(req) // attaches to the same execution
+	second, _ := h.submit(req) // joins the same cells
 
 	st := h.openSSE("/v1/sweeps/"+second.ID+"/events", "")
 	if ev, ok := st.next(); !ok || ev.name != "state" {
@@ -279,7 +279,7 @@ func TestSSECancelledJobFreezesProgress(t *testing.T) {
 		t.Fatalf("event after cancelled: %+v (stream must end, no progress creep)", tail)
 	}
 
-	// The shared execution keeps running for the surviving job...
+	// The shared cells keep running for the surviving job...
 	exec.step <- struct{}{}
 	exec.step <- struct{}{}
 	deadline := time.Now().Add(10 * time.Second)

@@ -1,26 +1,26 @@
 // Package server turns the Refrint sweep harness into a long-running
 // service: an HTTP API over one bounded, priority-aware pool of simulation
-// workers (see internal/sched), plus an in-flight table keyed by sweep that
-// deduplicates identical submissions (singleflight), so any number of
-// clients asking for the same sweep cost one run.
+// workers (see internal/sched).
 //
-// The unit of work is the simulation cell, not the sweep (cells.go).  An
-// admitted sweep enumerates its cells (sweep.Cells); each cell that is
-// neither stored nor already in flight becomes one scheduler item,
-// inheriting the job's priority class and client label.  An in-flight table
-// keyed by sweep.CellKey attaches later sweeps to cells that are queued or
-// running — overlapping sweeps, not only identical ones, simulate each
-// shared cell once — and promotes a cell to the most urgent class waiting on
-// it.  A sweep's last cell assembles its Results (sweep.Assemble).
+// The job is the only execution unit, and the simulation cell the only
+// unit of work (cells.go).  An admitted job enumerates its sweep's cells
+// (sweep.Cells) and enrols on each of them in the in-flight table keyed by
+// sweep.CellKey: a cell already probing, queued or running is joined, any
+// other is created, looked up in the store and, on a miss, queued as one
+// scheduler item with the job's priority class and client label.  Two
+// identical submissions take exactly the path two overlapping ones do, so
+// any number of clients asking for the same cells cost one simulation per
+// cell.  A cell runs at the most urgent class among the jobs waiting on
+// it.  A job's last cell assembles its Results (sweep.Assemble).
 //
 // Submissions carry an optional priority class — interactive (the default
 // for POST /v1/sweeps) > batch (the default inside POST /v1/batches) >
 // background — and an optional client label for fair-share dequeue between
 // tenants.  Because workers take one cell at a time, an interactive sweep
 // waits for at most one running cell per worker, never for a whole
-// background sweep.  Admission is bounded per class in queued sweeps (HTTP
-// 503 beyond the bound), and cancelling a queued job frees its slot
-// immediately.
+// background sweep.  Admission has one rule: every queued job holds one
+// slot of its class until one of its cells starts (HTTP 503 when the class
+// is full), and cancelling a queued job frees its slot immediately.
 //
 // Job lifecycle:
 //
@@ -28,24 +28,24 @@
 //	   │          │   └──▶ failed
 //	   └──────────┴──────▶ cancelled
 //
-// Jobs are the client-visible unit; executions are shared.  Two jobs whose
-// requests have the same canonical key (sweep.Options.Key) attach to one
-// execution entry while it is in flight.  An execution that is
-// cancelled, fails or outlives its deadline withdraws from its cells: the
-// queued ones no other sweep waits on leave the scheduler, and the running
-// ones stop.
+// Each job owns its class, admission slot, deadline, collected runs and
+// progress.  A job that is cancelled, fails or outlives its own deadline
+// withdraws from its cells: the queued ones no other job waits on leave the
+// scheduler, the running ones stop, and the shared ones fall back to the
+// most urgent class still waiting.  A terminal job is detached from its
+// cells, so its progress stays where it ended.
 //
 // Progress is observable two ways: polling (GET /v1/sweeps/{id}) and
 // streaming (GET /v1/sweeps/{id}/events, /v1/batches/{id}/events and the
-// /v1/events firehose — SSE; see events.go).  Either way the per-execution
-// counters are atomics advanced as cells complete, and a publish tick folds
-// them into views, metrics and events.
+// /v1/events firehose — SSE; see events.go).  Either way it is advanced as
+// cells complete, under the server mutex, and a publish tick turns it into
+// events.
 //
 // The cell is the only cached unit.  Every server has a store
 // (Config.Store, or a memory-only one): each simulated cell is stored, and
 // a fresh cell is looked up there before it is queued.  A submission whose
 // cells are all stored is born done from them (storedResults), taking no
-// admission slot, and a completed sweep leaves a manifest so GET
+// admission slot.  Every job that ends done leaves a manifest so GET
 // /v1/sweeps/{key}/... finds it by key.  With a store on disk all of that
 // survives restarts.
 package server
@@ -55,6 +55,7 @@ import (
 
 	"refrint"
 	"refrint/internal/sched"
+	"refrint/internal/sweep"
 )
 
 // State is the lifecycle state of a job.
@@ -74,15 +75,19 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Job is one client submission.  All mutable fields are guarded by the
-// server mutex; handlers read them through snapshot() only.
+// Job is one client submission and the unit of execution.  All mutable
+// fields are guarded by the server mutex; handlers read them through
+// snapshot() only.
 type Job struct {
 	id      string
 	key     string
 	request refrint.SweepRequest
-	class   sched.Class // the priority class this job was submitted with
-	entry   *entry      // the shared execution this job is attached to
-	trace   trace       // lifecycle timeline + request trace ID (trace.go)
+	opts    sweep.Options
+	// class is the job's scheduling class: the one it was submitted with,
+	// or a more urgent one its cells aged into.  A queued job holds one
+	// admission slot of this class (Server.queuedSweeps).
+	class sched.Class
+	trace trace // lifecycle timeline + request trace ID (trace.go)
 
 	state     State
 	cacheHit  bool   // born done from stored cells
@@ -92,31 +97,27 @@ type Job struct {
 	startedAt time.Time // zero until running
 	endedAt   time.Time // zero until terminal
 
-	// final/finalDone/finalTotal freeze the job's progress at its terminal
-	// transition: a job cancelled off a still-running shared execution must
-	// not keep creeping forward as other jobs' simulations complete.
-	final      bool
-	finalDone  int
-	finalTotal int
+	// timeout bounds the job's wall time from the moment it starts (0 =
+	// none); timer fires that deadline.
+	timeout time.Duration
+	timer   *time.Timer
+
+	// cells[i] is the in-flight cell that computes cell i of the sweep (nil
+	// once it has been delivered); runs[i] receives its run.  pending counts
+	// the cells still outstanding: the job assembles its Results when it
+	// reaches zero.  All three are released at the terminal transition.
+	cells   []*cell
+	runs    []sweep.Run
+	pending int
+
+	// done/total count the sweep's simulations delivered and in all.
+	done  int
+	total int
+	res   *refrint.SweepResults
 
 	// lastEventDone is the done count most recently published as an SSE
 	// progress event (see Server.publishJobProgressLocked).
 	lastEventDone int
-}
-
-// freezeProgress pins the job's progress counters at the moment it turns
-// terminal.  Caller holds the server mutex and has already set the terminal
-// state.
-func (j *Job) freezeProgress() {
-	if j.final || j.entry == nil {
-		return
-	}
-	j.final = true
-	j.finalDone = int(j.entry.done.Load())
-	j.finalTotal = int(j.entry.total.Load())
-	if j.state == StateDone {
-		j.finalDone = j.finalTotal
-	}
 }
 
 // ProgressView is the serialized completion state of a job.
@@ -125,9 +126,9 @@ type ProgressView struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// Percent is 100*Done/Total, rounded down — and clamped to 99 unless
-	// the job is done: a sweep's last progress callback fires before export
-	// and persistence finish (and a cancelled or failed job may have
-	// finished all its simulations), so 100 always means "done".
+	// the job is done: a sweep's last cell completes before assembly and
+	// persistence finish (and a cancelled or failed job may have finished
+	// all its simulations), so 100 always means "done".
 	Percent int `json:"percent"`
 }
 
@@ -183,24 +184,11 @@ func (j *Job) snapshot() JobView {
 		State:     j.state,
 		Priority:  j.class.String(),
 		CacheHit:  j.cacheHit,
+		Progress:  progressView(j.done, j.total, j.state),
 		Reason:    j.reason,
 		Phases:    j.phaseSummary(time.Now()),
 		Request:   j.request,
 		CreatedAt: j.createdAt,
-	}
-	if j.entry != nil {
-		var done, total int
-		if j.final {
-			// Terminal jobs are frozen: the shared execution may still be
-			// running for other jobs, but this job's progress is history.
-			done, total = j.finalDone, j.finalTotal
-		} else {
-			done, total = int(j.entry.done.Load()), int(j.entry.total.Load())
-			if j.state == StateDone {
-				done = total
-			}
-		}
-		v.Progress = progressView(done, total, j.state)
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()

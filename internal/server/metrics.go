@@ -41,6 +41,7 @@ type metricsSnapshot struct {
 	byState       map[State]int
 	batches       int
 	inflight      int
+	sims          int64
 	sweepHits     int64
 	sweepMisses   int64
 	inflightJoins int64
@@ -58,7 +59,7 @@ func (s *Server) snapshotMetricsLocked() metricsSnapshot {
 	snap := metricsSnapshot{
 		byState:       make(map[State]int, 5),
 		batches:       len(s.batches),
-		inflight:      len(s.inflight),
+		sims:          s.simsCompleted,
 		sweepHits:     s.sweepCacheHits,
 		sweepMisses:   s.sweepCacheMisses,
 		inflightJoins: s.inflightJoins,
@@ -74,7 +75,7 @@ func (s *Server) snapshotMetricsLocked() metricsSnapshot {
 	for _, j := range s.jobs {
 		snap.byState[j.state]++
 	}
-	s.foldSimRateLocked()
+	snap.inflight = snap.byState[StateQueued] + snap.byState[StateRunning]
 	snap.windowed = s.simRate.Rate()
 	return snap
 }
@@ -107,7 +108,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 		queued += q
 	}
 	subs, published, dropped := s.bus.stats()
-	sims := s.simsCompleted.Load()
+	sims := snap.sims
 	uptime := time.Since(s.startedAt).Seconds()
 
 	gauge := func(name, help string, value any) {
@@ -125,7 +126,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	for c := sched.Class(0); c < sched.NumClasses; c++ {
 		fmt.Fprintf(b, "refrint_sched_queue_depth{class=%q} %d\n", c.String(), sst.Queued[c])
 	}
-	fmt.Fprintf(b, "# HELP refrint_sweeps_queued Admitted sweeps none of whose cells has started, by priority class (what the per-class admission bounds limit).\n# TYPE refrint_sweeps_queued gauge\n")
+	fmt.Fprintf(b, "# HELP refrint_sweeps_queued Admitted jobs none of whose cells has started, by priority class (what the per-class admission bounds limit).\n# TYPE refrint_sweeps_queued gauge\n")
 	for c := sched.Class(0); c < sched.NumClasses; c++ {
 		fmt.Fprintf(b, "refrint_sweeps_queued{class=%q} %d\n", c.String(), snap.queuedSweeps[c])
 	}
@@ -133,7 +134,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 		"Submit-to-dequeue latency of simulation cells, by priority class.",
 		s.classHistogramSeries(&s.schedWait))
 	writeHistogramFamily(b, "refrint_exec_seconds",
-		"Wall time of sweep executions from their first cell starting to terminal, by priority class.",
+		"Wall time of jobs from their first cell starting to terminal, by priority class.",
 		s.classHistogramSeries(&s.execSeconds))
 	writeHistogramFamily(b, "refrint_http_request_seconds",
 		"HTTP request latency, by route pattern and status code.",
@@ -157,10 +158,10 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 		fmt.Fprintf(b, "refrint_jobs{state=%q} %d\n", string(st), snap.byState[st])
 	}
 
-	gauge("refrint_sweep_inflight", "Sweep executions currently queued or running.", snap.inflight)
+	gauge("refrint_sweep_inflight", "Live jobs (queued or running).", snap.inflight)
 	counter("refrint_sweep_cache_hits_total", "Submissions answered immediately from stored cells.", snap.sweepHits)
-	counter("refrint_sweep_cache_misses_total", "Submissions that required a live execution.", snap.sweepMisses)
-	counter("refrint_cell_inflight_joins_total", "Sweep cells that joined a simulation already in flight instead of running their own.", snap.inflightJoins)
+	counter("refrint_sweep_cache_misses_total", "Submissions admitted as live jobs (not served from stored cells).", snap.sweepMisses)
+	counter("refrint_cell_inflight_joins_total", "Job cells that joined a simulation already in flight instead of running their own (identical submissions included).", snap.inflightJoins)
 
 	// The known recovery sites are always exposed (zero included) so
 	// dashboards can rate() them from the first scrape; any further site
@@ -182,7 +183,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	for _, site := range extra {
 		fmt.Fprintf(b, "refrint_panics_total{site=%q} %d\n", site, snap.panics[site])
 	}
-	fmt.Fprintf(b, "# HELP refrint_job_timeouts_total Sweep executions that hit their deadline and failed, by priority class.\n# TYPE refrint_job_timeouts_total counter\n")
+	fmt.Fprintf(b, "# HELP refrint_job_timeouts_total Jobs that hit their deadline and failed, by priority class.\n# TYPE refrint_job_timeouts_total counter\n")
 	for c := sched.Class(0); c < sched.NumClasses; c++ {
 		fmt.Fprintf(b, "refrint_job_timeouts_total{class=%q} %d\n", c.String(), snap.jobTimeouts[c])
 	}
@@ -229,7 +230,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	counter("refrint_events_published_total", "Events fanned out to at least one SSE subscriber.", published)
 	counter("refrint_events_dropped_total", "Events dropped or coalesced away on slow SSE subscribers.", dropped)
 
-	counter("refrint_sims_completed_total", "Simulations completed (cell-cache hits included).", sims)
+	counter("refrint_sims_completed_total", "Simulations delivered to jobs (cell-cache hits included).", sims)
 	rate := 0.0
 	if uptime > 0 {
 		rate = float64(sims) / uptime

@@ -297,8 +297,8 @@ func TestOverlappingSweepsShareCells(t *testing.T) {
 	}
 }
 
-// TestFiguresByKeyInFlight verifies a sweep key whose execution is still
-// running answers 409 (like the job-id path), not 404, and flips to 200
+// TestFiguresByKeyInFlight verifies a sweep key whose job is still running
+// answers 409 (like the job-id path), not 404, and flips to 200
 // once done.
 func TestFiguresByKeyInFlight(t *testing.T) {
 	exec := newBlockingExec()
@@ -312,6 +312,28 @@ func TestFiguresByKeyInFlight(t *testing.T) {
 	h.waitState(view.ID, StateDone)
 	if _, status := h.getText("/v1/sweeps/" + view.Key + "/figures"); status != http.StatusOK {
 		t.Errorf("figures by done key: status %d, want 200", status)
+	}
+}
+
+// TestBornDoneSweepResolvesByKey is a regression for sweeps served from
+// stored cells leaving no manifest: a subset of a completed sweep, born
+// done from its cells, must resolve by sweep key as well as by job id.
+func TestBornDoneSweepResolvesByKey(t *testing.T) {
+	h := newHarness(t, Config{})
+	wider := tinyRequest(5)
+	wider.RetentionTimesUS = []float64{50, 100}
+	first, _ := h.submit(wider)
+	h.waitState(first.ID, StateDone)
+
+	subset, status := h.submit(tinyRequest(5))
+	if status != http.StatusOK || !subset.CacheHit {
+		t.Fatalf("subset submit: status %d, cache_hit %v; want 200 hit", status, subset.CacheHit)
+	}
+	if _, status := h.getText("/v1/sweeps/" + subset.ID + "/figures"); status != http.StatusOK {
+		t.Errorf("figures by job id: status %d, want 200", status)
+	}
+	if _, status := h.getText("/v1/sweeps/" + subset.Key + "/figures"); status != http.StatusOK {
+		t.Errorf("figures by key of a born-done sweep: status %d, want 200", status)
 	}
 }
 

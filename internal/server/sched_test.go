@@ -270,8 +270,8 @@ func TestPriorityValidationAndView(t *testing.T) {
 }
 
 // TestQueuedEntryPromotedByUrgentAttach verifies priority inheritance: an
-// interactive job attaching to a queued background execution drags it ahead
-// of other background work.
+// interactive job joining the queued cells of a background job drags them
+// ahead of other background work.
 func TestQueuedEntryPromotedByUrgentAttach(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
@@ -286,8 +286,8 @@ func TestQueuedEntryPromotedByUrgentAttach(t *testing.T) {
 	shared.Priority = "background"
 	h.submit(shared)
 
-	// An interactive job for the same sweep as the *second* background
-	// entry attaches and promotes it past the first.
+	// An interactive job for the same sweep as the *second* background job
+	// joins its cells and promotes them past the first.
 	urgent := tinyRequest(32)
 	urgent.Priority = "interactive"
 	attach, status := h.submit(urgent)
@@ -295,7 +295,7 @@ func TestQueuedEntryPromotedByUrgentAttach(t *testing.T) {
 		t.Fatalf("attach submit: status %d", status)
 	}
 	if attach.Key != mustKey(t, shared) {
-		t.Fatalf("attach got its own execution: key %q", attach.Key)
+		t.Fatalf("urgent job has key %q, want the shared sweep's", attach.Key)
 	}
 
 	wantOrder := []string{mustKey(t, shared), mustKey(t, first)}
@@ -307,14 +307,14 @@ func TestQueuedEntryPromotedByUrgentAttach(t *testing.T) {
 	}
 	close(exec.release)
 	if n := exec.calls.Load(); n != 3 {
-		t.Fatalf("executor ran %d sweeps, want 3 (attach shared one)", n)
+		t.Fatalf("executor ran %d gated cells, want 3 (the urgent job shared one)", n)
 	}
 }
 
 // TestCancelUrgentJobDemotesEntry pins the inverse of priority inheritance:
-// when the urgent job that promoted a shared queued execution cancels, the
-// execution is demoted back to the most urgent surviving interest, freeing
-// the urgent class's bounded slot.
+// when the urgent job that promoted shared queued cells cancels, its
+// admission slot frees and the cells fall back to the most urgent job still
+// waiting on them.
 func TestCancelUrgentJobDemotesEntry(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
@@ -331,7 +331,7 @@ func TestCancelUrgentJobDemotesEntry(t *testing.T) {
 	h.submit(bg)
 	urgent := tinyRequest(5)
 	urgent.Priority = "interactive"
-	uview, _ := h.submit(urgent) // attaches and promotes to interactive
+	uview, _ := h.submit(urgent) // joins the cells and promotes them to interactive
 
 	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
 		t.Fatalf("interactive queued sweeps = %v after promotion, want 1", v)
@@ -345,10 +345,11 @@ func TestCancelUrgentJobDemotesEntry(t *testing.T) {
 		t.Fatalf("interactive submit with the class full: status %d, want 503", status)
 	}
 
-	// Cancelling the urgent job demotes the execution back to background.
+	// Cancelling the urgent job frees its slot and demotes the cells back to
+	// background.
 	h.do("DELETE", "/v1/sweeps/"+uview.ID, nil, nil)
 	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 0 {
-		t.Fatalf("interactive queued sweeps = %v after urgent cancel, want 0 (entry demoted)", v)
+		t.Fatalf("interactive queued sweeps = %v after urgent cancel, want 0 (slot freed)", v)
 	}
 	if v := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); v != 0 {
 		t.Fatalf("interactive depth = %v after urgent cancel, want 0 (cells demoted)", v)

@@ -46,15 +46,15 @@ type Config struct {
 	// environment variable is set.  New never changes GOMAXPROCS: a program
 	// embedding the server owns that setting.
 	Workers int
-	// QueueDepth scales the pending-execution bound (default 8): each
-	// priority class admits Workers*QueueDepth queued sweeps — admitted
-	// sweeps none of whose cells has started — unless ClassQueueDepth
-	// overrides it.  Submissions beyond the bound get HTTP 503.
+	// QueueDepth scales the queued-job bound (default 8): each priority
+	// class admits Workers*QueueDepth queued jobs — admitted jobs none of
+	// whose cells has started — unless ClassQueueDepth overrides it.
+	// Submissions beyond the bound get HTTP 503.
 	QueueDepth int
-	// ClassQueueDepth, where positive, bounds the queued sweeps of one
+	// ClassQueueDepth, where positive, bounds the queued jobs of one
 	// priority class (indexed by sched.Class) instead of Workers*QueueDepth.
-	// A queued sweep that ages into a class is not held back by that
-	// class's bound, so aging can take a class past it.
+	// A queued job that ages into a class is not held back by that class's
+	// bound, so aging can take a class past it.
 	ClassQueueDepth [sched.NumClasses]int
 	// ClassWeights are the weighted-fair dequeue shares per priority class
 	// (default sched.DefaultWeights, 16/4/1): with every class backlogged,
@@ -77,9 +77,8 @@ type Config struct {
 	// EventHeartbeat is the keepalive comment interval on SSE streams
 	// (default 15s), so idle connections survive proxies.
 	EventHeartbeat time.Duration
-	// ProgressInterval is how often the lock-free per-entry progress
-	// counters are folded into the windowed sims/sec gauge and published
-	// as SSE progress events (default 100ms).
+	// ProgressInterval is how often job and batch progress is published as
+	// SSE progress events (default 100ms).
 	ProgressInterval time.Duration
 	// ClientRate, where positive, rate-limits submissions per client label:
 	// each client's token bucket refills at ClientRate tokens/second, a
@@ -101,11 +100,11 @@ type Config struct {
 	// EventLog bounds the per-topic SSE event log used to replay missed
 	// events on Last-Event-ID reconnects (default 64 events per topic).
 	EventLog int
-	// JobTimeout, where positive, bounds each sweep execution's wall time
-	// from its first cell starting: one that outlives it turns terminal
-	// failed with a deadline-exceeded reason, and its cells no other sweep
-	// waits on leave the scheduler (or, when running, stop within a few
-	// thousand references).
+	// JobTimeout, where positive, bounds each job's wall time from its
+	// first cell starting: one that outlives it turns terminal failed with a
+	// deadline-exceeded reason, and its cells no other job waits on leave
+	// the scheduler (or, when running, stop within a few thousand
+	// references).
 	// A request's timeout_ms field may only lower the bound, never raise or
 	// disable it.  The default (0) imposes no server-wide deadline.
 	JobTimeout time.Duration
@@ -201,9 +200,9 @@ type Server struct {
 
 	startedAt time.Time
 
-	// mu guards jobs, jobOrder, batches, batchOrder, inflight, cells, probes,
+	// mu guards jobs, jobOrder, batches, batchOrder, cells, probes,
 	// queuedSweeps, nextID, nextBatchID, closed, running, parked, yields,
-	// the metrics counters and every mutable Job/Batch/entry/cell field.
+	// the metrics counters, simRate and every mutable Job/Batch/cell field.
 	// Every scheduler mutation (Submit, Requeue, Cancel, Promote) happens
 	// under mu too, which is what makes the batch endpoint's
 	// capacity-check-then-submit atomic; lock order is always s.mu ->
@@ -213,14 +212,11 @@ type Server struct {
 	jobOrder   []string
 	batches    map[string]*Batch
 	batchOrder []string
-	// inflight maps a sweep key to its execution while that is queued or
-	// running: the singleflight table.  Terminal entries leave it.
-	inflight map[string]*entry
 	// cells is the in-flight table: every cell being probed, queued or
 	// simulated, by key (cells.go).  probes holds the fresh cells awaiting
 	// their store lookup.  queuedSweeps counts, per class, the admitted
-	// entries none of whose cells has started: what the per-class
-	// admission bounds (Config.ClassQueueDepth) limit.
+	// jobs none of whose cells has started: what the per-class admission
+	// bounds (Config.ClassQueueDepth) limit.
 	cells        map[sweep.CellKey]*cell
 	probes       []*cell
 	queuedSweeps [sched.NumClasses]int
@@ -243,13 +239,14 @@ type Server struct {
 
 	// Metrics counters (see handleMetrics).
 	sweepCacheHits   int64 // submissions answered done from stored cells
-	sweepCacheMisses int64 // submissions that enqueued or attached to a live execution
-	inflightJoins    int64 // sweep cells that joined a cell already in flight
+	sweepCacheMisses int64 // submissions admitted as live jobs
+	inflightJoins    int64 // job cells that joined a cell already in flight
+	simsCompleted    int64 // simulations delivered to jobs (cell hits included)
 	// panicsTotal counts recovered panics by site: "sim" (inside a sweep
 	// cell), "exec" (the Execute wrapper), "sched" (scheduler callbacks) and
 	// "tick" (the SSE publish tick).  Every recovery is also logged with its
-	// stack.  jobTimeouts counts executions that hit their deadline, by
-	// class.  Both guarded by mu.
+	// stack.  jobTimeouts counts jobs that hit their deadline, by class.
+	// Both guarded by mu.
 	panicsTotal map[string]int64
 	jobTimeouts [sched.NumClasses]int64
 	// preemptions counts running cells preempted for a more urgent one, by
@@ -267,17 +264,9 @@ type Server struct {
 	execSeconds [sched.NumClasses]histogram
 	httpMetrics *httpMetrics
 
-	// simsCompleted counts simulations finished across all sweeps (cell
-	// hits included).  It is an atomic, NOT guarded by mu: the per-sim
-	// progress callback adds to it lock-free (see progressCallback), and
-	// readers fold it into the windowed gauge below on tick or on read.
-	simsCompleted atomic.Int64
-	// simRate tracks recent completions for the windowed sims/sec gauge;
-	// simsFolded is how much of simsCompleted it has absorbed.  Both are
-	// guarded by mu and fed via foldSimRateLocked, never from the per-sim
-	// callback.
-	simRate    *rateWindow
-	simsFolded int64
+	// simRate tracks recent simsCompleted increments for the windowed
+	// sims/sec gauge.
+	simRate *rateWindow
 }
 
 // New builds a server and starts its worker pool.  Call Close to stop it.
@@ -291,7 +280,6 @@ func New(cfg Config) *Server {
 		jobs:        make(map[string]*Job),
 		cells:       make(map[sweep.CellKey]*cell),
 		batches:     make(map[string]*Batch),
-		inflight:    make(map[string]*entry),
 		startedAt:   time.Now(),
 		simRate:     newRateWindow(time.Minute, time.Now),
 		loopDone:    make(chan struct{}),
@@ -304,13 +292,13 @@ func New(cfg Config) *Server {
 		s.ownStore = true
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	// The scheduler queues cells, not sweeps: admission is bounded per class
-	// in queued sweeps (queuedSweeps), before any cell reaches it.
+	// The scheduler queues cells, not jobs: admission is bounded per class
+	// in queued jobs (queuedSweeps), before any cell reaches it.
 	s.sched = sched.New(sched.Config{
 		Workers:  cfg.Workers,
 		Weights:  cfg.ClassWeights,
 		AgeAfter: cfg.AgeAfter,
-		// Keep the server's view of an aged cell — and of its sweeps — in
+		// Keep the server's view of an aged cell — and of its jobs — in
 		// sync.  The callback runs outside the scheduler mutex, so taking s.mu
 		// here respects the s.mu -> sched lock order.
 		OnAge: func(payload any, from, to sched.Class) {
@@ -329,7 +317,7 @@ func New(cfg Config) *Server {
 		},
 		// OnPanic is the scheduler-side containment boundary: a panic that
 		// escapes runCell (or the hooks above) loses only its cell — the
-		// worker survives — and the cell is failed here so its sweeps reach a
+		// worker survives — and the cell is failed here so its jobs reach a
 		// terminal state instead of hanging forever.
 		OnPanic: func(payload any, recovered any, stack []byte) {
 			s.recordPanic("sched", recovered, stack)
@@ -370,7 +358,7 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// Close cancels every in-flight execution and stops the workers.  Pending
+// Close cancels every in-flight cell and stops the workers.  Pending
 // queue entries are drained (and observed cancelled) before Close returns,
 // so their terminal events reach still-attached subscribers; then every open
 // SSE stream is terminated, and a store New opened is closed.
@@ -426,12 +414,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer t.Stop()
 	for {
 		s.mu.Lock()
-		live := 0
-		for _, j := range s.jobs {
-			if !j.state.Terminal() {
-				live++
-			}
-		}
+		live := s.liveJobsLocked()
 		s.mu.Unlock()
 		if live == 0 {
 			return nil
@@ -442,6 +425,18 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-t.C:
 		}
 	}
+}
+
+// liveJobsLocked counts the jobs not yet terminal.  Caller holds the server
+// mutex.
+func (s *Server) liveJobsLocked() int {
+	live := 0
+	for _, j := range s.jobs {
+		if !j.state.Terminal() {
+			live++
+		}
+	}
+	return live
 }
 
 // effectiveTimeout resolves a request's timeout_ms against the server cap:
@@ -473,46 +468,7 @@ func (s *Server) recordPanic(site string, recovered any, stack []byte) {
 	s.mu.Unlock()
 }
 
-// progressCallback returns the per-simulation progress hook for one
-// execution, called for every cell delivered to it.  It allocates nothing
-// and takes no locks: the counters are atomics, and everything derived from
-// them (windowed rate, SSE progress events, /metrics) is folded on the
-// publish tick or at read time instead.  Out-of-order calls are absorbed by
-// the CAS-max loop.
-func (s *Server) progressCallback(e *entry) func(sweep.Progress) {
-	//refrint:alloc-free
-	return func(p sweep.Progress) {
-		if t := int64(p.Total); t > 0 && t != e.total.Load() {
-			e.total.Store(t)
-		}
-		next := int64(p.Done)
-		for {
-			cur := e.done.Load()
-			if next <= cur {
-				return
-			}
-			if e.done.CompareAndSwap(cur, next) {
-				s.simsCompleted.Add(next - cur)
-				return
-			}
-		}
-	}
-}
-
-// foldSimRateLocked absorbs lock-free simulation completions into the
-// windowed sims/sec gauge.  Called on the publish tick and before /metrics
-// reads.  Caller holds the server mutex.
-func (s *Server) foldSimRateLocked() {
-	total := s.simsCompleted.Load()
-	if d := total - s.simsFolded; d > 0 {
-		s.simRate.Add(d)
-		s.simsFolded = total
-	}
-}
-
-// progressLoop periodically folds the atomic progress counters into the
-// rate gauge and publishes SSE progress events.  It is the only bridge from
-// the lock-free per-sim path back into the mutexed world, and it runs at
+// progressLoop periodically publishes SSE progress events, at
 // ProgressInterval regardless of how fast simulations finish.
 func (s *Server) progressLoop() {
 	t := time.NewTicker(s.cfg.ProgressInterval)
@@ -527,8 +483,8 @@ func (s *Server) progressLoop() {
 	}
 }
 
-// safeTick is publishTick behind a recover guard: the tick folds counters
-// and marshals snapshots for SSE, and a panic there must kill neither the
+// safeTick is publishTick behind a recover guard: the tick marshals
+// snapshots for SSE, and a panic there must kill neither the
 // publish loop nor Close.  (publishTick unlocks s.mu by defer, so the mutex
 // is released before the recovery here runs.)
 func (s *Server) safeTick() {
@@ -545,16 +501,13 @@ func (s *Server) safeTick() {
 func (s *Server) publishTick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.foldSimRateLocked()
 	if !s.bus.active() {
 		return
 	}
 	for _, id := range s.jobOrder {
-		j := s.jobs[id]
-		if j.state.Terminal() || j.entry == nil {
-			continue
+		if j := s.jobs[id]; !j.state.Terminal() {
+			s.publishJobProgressLocked(j)
 		}
-		s.publishJobProgressLocked(j)
 	}
 	for _, id := range s.batchOrder {
 		if b := s.batches[id]; !b.lastState.Terminal() {
@@ -580,14 +533,13 @@ func (s *Server) publishJobProgressLocked(j *Job) {
 	if !s.bus.hasTopic(jobTopic(j.id)) {
 		return // leave lastEventDone stale: a later audience gets the delta
 	}
-	done, total := int(j.entry.done.Load()), int(j.entry.total.Load())
-	if done == j.lastEventDone {
+	if j.done == j.lastEventDone {
 		return
 	}
-	j.lastEventDone = done
-	s.bus.publish(eventProgress, jobTopic(j.id), j.request.Client, j.class, int64(done), progressEvent{
+	j.lastEventDone = j.done
+	s.bus.publish(eventProgress, jobTopic(j.id), j.request.Client, j.class, int64(j.done), progressEvent{
 		ID: j.id, Kind: "sweep", State: j.state,
-		Progress: progressView(done, total, j.state),
+		Progress: progressView(j.done, j.total, j.state),
 	})
 }
 
@@ -619,77 +571,56 @@ func (s *Server) publishBatchLocked(b *Batch) {
 	}
 }
 
-// finishLocked moves an execution and its attached jobs to a terminal state:
-// done with res when err is nil; otherwise failed, or cancelled for
-// context.Canceled.  An execution that did not complete withdraws from its
-// outstanding cells.  Caller holds the server mutex.
-func (s *Server) finishLocked(e *entry, res *refrint.SweepResults, err error) {
-	if e.state.Terminal() {
+// finishLocked moves a job to a terminal state: done with res when err is
+// nil; otherwise failed, or cancelled for context.Canceled.  A job that did
+// not complete withdraws from its outstanding cells.  A no-op for a job
+// already terminal.  Caller holds the server mutex.
+func (s *Server) finishLocked(j *Job, res *refrint.SweepResults, err error) {
+	if j.state.Terminal() {
 		return
 	}
 	now := time.Now()
-	if e.state == StateQueued {
-		s.queuedSweeps[e.class]--
+	if j.state == StateQueued {
+		s.queuedSweeps[j.class]--
+	} else {
+		s.execSeconds[j.class].Observe(now.Sub(j.startedAt).Seconds())
 	}
-	if e.timer != nil {
-		e.timer.Stop()
-	}
-	if !e.execStart.IsZero() {
-		// The execution started (done, failed, or cancelled mid-run —
-		// never for a cancel while still queued).
-		s.execSeconds[e.class].Observe(now.Sub(e.execStart).Seconds())
+	if j.timer != nil {
+		j.timer.Stop()
 	}
 	switch {
 	case err == nil:
-		e.state = StateDone
-		e.res = res
-		e.done.Store(e.total.Load())
-		s.cfg.Logf("sweep %s: done", e.key)
+		j.state = StateDone
+		j.res = res
+		s.cfg.Logf("sweep %s: done", j.key)
 	case errors.Is(err, context.DeadlineExceeded):
-		e.state = StateFailed
-		e.err = fmt.Errorf("deadline exceeded after %v", e.timeout)
-		e.reason = reasonDeadline
-		s.jobTimeouts[e.class]++
-		s.cfg.Logf("sweep %s: failed: deadline exceeded after %v", e.key, e.timeout)
+		j.state = StateFailed
+		j.err = fmt.Errorf("deadline exceeded after %v", j.timeout)
+		j.reason = reasonDeadline
+		s.jobTimeouts[j.class]++
+		j.trace.mark(phaseDeadline, now)
+		s.cfg.Logf("sweep %s: failed: deadline exceeded after %v", j.key, j.timeout)
 	case errors.Is(err, context.Canceled):
-		e.state = StateCancelled
-		e.err = context.Canceled
-		s.cfg.Logf("sweep %s: cancelled", e.key)
+		j.state = StateCancelled
+		j.err = context.Canceled
+		s.cfg.Logf("sweep %s: cancelled", j.key)
 	default:
-		e.state = StateFailed
-		e.err = err
+		j.state = StateFailed
+		j.err = err
 		var pe *sweep.PanicError
 		if errors.As(err, &pe) || errors.Is(err, errPanicked) {
-			e.reason = reasonPanic // counted and logged where it was recovered
+			j.reason = reasonPanic // counted and logged where it was recovered
 		}
-		s.cfg.Logf("sweep %s: failed: %v", e.key, err)
+		s.cfg.Logf("sweep %s: failed: %v", j.key, err)
 	}
-	if s.inflight[e.key] == e {
-		delete(s.inflight, e.key)
+	if j.state != StateDone {
+		s.abortJobLocked(j)
 	}
-	if e.state != StateDone {
-		s.abortEntryLocked(e)
-	}
-	e.cells, e.runs = nil, nil
-	for _, j := range e.jobs {
-		if j.state.Terminal() {
-			continue
-		}
-		j.state = e.state
-		j.err = e.err
-		j.reason = e.reason
-		j.endedAt = now
-		if j.startedAt.IsZero() && e.state == StateDone {
-			j.startedAt = now
-		}
-		if e.reason == reasonDeadline {
-			j.trace.mark(phaseDeadline, now)
-		}
-		j.trace.mark(string(e.state), now)
-		j.freezeProgress()
-		s.publishJobLocked(j, string(j.state))
-		s.logTerminalLocked(j, now)
-	}
+	j.cells, j.runs = nil, nil
+	j.endedAt = now
+	j.trace.mark(string(j.state), now)
+	s.publishJobLocked(j, string(j.state))
+	s.logTerminalLocked(j, now)
 }
 
 // Failure reasons exposed in job views, distinguishing the robustness
@@ -753,9 +684,8 @@ func classFor(label string, def sched.Class) (sched.Class, error) {
 }
 
 // handleSubmit implements POST /v1/sweeps: parse the request, serve it from
-// its stored cells when they are all there, attach to an execution of the
-// same sweep already in flight (singleflight), and otherwise enqueue a fresh
-// execution.
+// its stored cells when they are all there, and otherwise admit a job on
+// its cells.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tr := trace{id: requestTraceID(r)}
 	tr.mark(phaseReceived, time.Now())
@@ -789,7 +719,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := opts.Key()
-	stored, _ := s.storedResults(key, opts)
+	stored, _ := s.storedResults(opts)
+	if stored != nil {
+		// Born done: leave the manifest like any job that ends done, before
+		// the job is observable.
+		s.recordSweep(key, opts, int(class))
+	}
 
 	s.mu.Lock()
 	if s.closed || s.draining {
@@ -802,7 +737,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	job, ok := s.submitJobLocked(req, opts, key, class, class, s.effectiveTimeout(req.TimeoutMS), tr, stored)
+	job, ok := s.submitJobLocked(req, opts, key, class, s.effectiveTimeout(req.TimeoutMS), tr, stored)
 	if !ok {
 		s.mu.Unlock()
 		// A capacity rejection gives the token back: the client honoring the
@@ -825,102 +760,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // submitJobLocked creates one job for a resolved request: born done from
-// stored (the results storedResults read, nil on a miss), attached to the
-// in-flight execution of the same key (promoting it when the new job is more
-// urgent), or admitted as a fresh execution whose cells join the in-flight
-// table (see attachCellsLocked; the caller runs probeStore after
-// unlocking).  A job born done takes no admission slot.  class is the
-// job's own priority; entryClass is the class a fresh execution enqueues at —
-// the same, except in a batch whose later duplicate of this key is more
-// urgent (creating at the final class directly keeps capacity accounting
-// exact).  timeout bounds a FRESH execution's wall time (0 = none); a job
-// attaching to an in-flight execution inherits that execution's deadline —
-// singleflight shares one run, so the first submitter's bound governs it.
-// It reports false — creating nothing — when the class queue is full.
-// Caller holds the server mutex; both POST /v1/sweeps and POST /v1/batches
-// funnel through here, which keeps every scheduler mutation serialized
-// under it.
-func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, key string, class, entryClass sched.Class, timeout time.Duration, tr trace, stored *refrint.SweepResults) (*Job, bool) {
+// stored (the results storedResults read, nil on a miss), or admitted on
+// its cells (see attachCellsLocked; the caller runs probeStore after
+// unlocking).  An admitted job holds one slot of its class until one of
+// its cells starts; a job born done takes none.  timeout bounds the job's
+// wall time from its start (0 = none).  It reports false — creating
+// nothing — when the class queue is full.  Caller holds the server mutex;
+// both POST /v1/sweeps and POST /v1/batches funnel through here, which
+// keeps every scheduler mutation serialized under it.
+func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, key string, class sched.Class, timeout time.Duration, tr trace, stored *refrint.SweepResults) (*Job, bool) {
+	if stored == nil && s.queuedSweeps[class] >= s.cfg.ClassQueueDepth[class] {
+		return nil, false
+	}
 	s.nextID++
 	job := &Job{
 		id:        fmt.Sprintf("job-%06d", s.nextID),
 		key:       key,
 		request:   req,
+		opts:      opts,
 		class:     class,
 		state:     StateQueued,
 		createdAt: time.Now(),
 		trace:     tr,
+		timeout:   timeout,
+		total:     opts.Size(),
 	}
 	job.trace.mark(phaseAdmitted, job.createdAt)
 
-	e, inflight := s.inflight[key]
-	switch {
-	case stored != nil:
-		// Served from the stored cells: the job is born terminal, holding a
-		// completed entry that is never in flight.
-		e = &entry{key: key, opts: opts, state: StateDone, res: stored}
-		e.total.Store(int64(opts.Size()))
-		e.done.Store(e.total.Load())
-		job.entry = e
+	if stored != nil {
+		// Served from the stored cells: the job is born terminal.
 		job.state = StateDone
 		job.cacheHit = true
+		job.res = stored
+		job.done = job.total
 		job.startedAt = job.createdAt
 		job.endedAt = job.createdAt
 		job.trace.mark(phaseCacheHit, job.createdAt)
 		job.trace.mark(string(StateDone), job.createdAt)
-		job.freezeProgress()
 		s.sweepCacheHits++
 		s.logTerminalLocked(job, job.createdAt)
-	case inflight:
-		// Singleflight: ride the execution already in flight.
-		job.entry = e
-		switch e.state {
-		case StateRunning:
-			e.jobs = append(e.jobs, job)
-			job.state = StateRunning
-			job.startedAt = job.createdAt
-			job.trace.mark(phaseExecuting, job.createdAt)
-			e.refs++
-			s.sweepCacheMisses++
-			// The cells not started yet inherit the new job's urgency.
-			if entryClass < e.class {
-				s.moveEntryLocked(e, entryClass)
-			}
-		default:
-			e.jobs = append(e.jobs, job)
-			job.trace.mark(phaseQueued, job.createdAt)
-			e.refs++
-			s.sweepCacheMisses++
-			// Priority inheritance: a more urgent job attaching to a
-			// queued execution drags it into the urgent class.  Promotion
-			// targets entryClass so a batch moves the execution straight
-			// to its effective class — the class its capacity check
-			// charged — never through an unaccounted intermediate one.
-			if entryClass < e.class {
-				s.moveEntryLocked(e, entryClass)
-			}
-		}
-	default:
-		if s.queuedSweeps[entryClass] >= s.cfg.ClassQueueDepth[entryClass] {
-			return nil, false
-		}
+	} else {
 		s.sweepCacheMisses++
-		e = &entry{
-			key:     key,
-			opts:    opts,
-			class:   entryClass,
-			state:   StateQueued,
-			timeout: timeout,
-			jobs:    []*Job{job},
-			refs:    1,
-		}
-		e.progress = s.progressCallback(e)
-		job.entry = e
 		job.trace.mark(phaseQueued, job.createdAt)
-		s.queuedSweeps[entryClass]++
-		s.inflight[key] = e
-		s.attachCellsLocked(e, req.Client)
-		s.cfg.Logf("sweep %s: queued %s (%d sims)", key, entryClass, e.total.Load())
+		s.queuedSweeps[class]++
+		s.cfg.Logf("sweep %s: queued %s (%d sims)", key, class, job.total)
+		s.attachCellsLocked(job)
 	}
 	s.jobLogger(job).Debug("job admitted", "state", string(job.state))
 	s.jobs[job.id] = job
@@ -939,17 +823,10 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 // storedResults serves a sweep from the store when every one of its cells
 // is there: it checks them all with Contains, then reads them and
 // assembles the Results.  Any miss (a cell evicted between the check and
-// the read included) reports false, and so does a key already in flight,
-// which a submission joins instead; the caller then goes through admission,
-// where stored cells still complete from the store as they are probed.  It
-// runs WITHOUT the server mutex: the store may read disk.
-func (s *Server) storedResults(key string, opts sweep.Options) (*refrint.SweepResults, bool) {
-	s.mu.Lock()
-	_, inflight := s.inflight[key]
-	s.mu.Unlock()
-	if inflight {
-		return nil, false
-	}
+// the read included) reports false; the caller then goes through
+// admission, where stored cells still complete from the store as they are
+// probed.  It runs WITHOUT the server mutex: the store may read disk.
+func (s *Server) storedResults(opts sweep.Options) (*refrint.SweepResults, bool) {
 	cells := sweep.Cells(opts)
 	for _, c := range cells {
 		if !s.store.Contains(store.KindCell, c.Key.Hash()) {
@@ -1041,77 +918,18 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	}{Jobs: views})
 }
 
-// handleCancel implements DELETE /v1/sweeps/{id}.  Cancelling the last
-// interested job aborts the underlying sweep; earlier cancellations only
-// detach that job.
+// handleCancel implements DELETE /v1/sweeps/{id}: the job withdraws from
+// its cells, and those no other job waits on are aborted.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.lookupJob(w, r)
 	if !ok {
 		return
 	}
 	s.mu.Lock()
-	s.cancelJobLocked(job)
+	s.finishLocked(job, nil, context.Canceled)
 	view := job.snapshot()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, view)
-}
-
-// moveEntryLocked moves an execution to another class, taking its cells
-// that have not started along.  A queued execution moves only when the
-// target class has admission room (a full class declines, leaving it where
-// it is); a running one holds no admission slot and always moves.  Caller
-// holds the server mutex.
-func (s *Server) moveEntryLocked(e *entry, to sched.Class) {
-	if to == e.class || e.state.Terminal() {
-		return
-	}
-	if e.state == StateQueued {
-		if s.queuedSweeps[to] >= s.cfg.ClassQueueDepth[to] {
-			return
-		}
-		s.queuedSweeps[e.class]--
-		s.queuedSweeps[to]++
-	}
-	e.class = to
-	s.reclassCellsLocked(e)
-	s.cfg.Logf("sweep %s: moved to %s", e.key, to)
-}
-
-// cancelJobLocked cancels one job.  When that job was the execution's last
-// interested one, the execution is cancelled on the spot: its queued cells
-// leave the scheduler — freeing its bounded admission slot at cancel time,
-// never leaving dead work camping on capacity — and its running cells stop,
-// unless another sweep still waits on them.  When other jobs remain
-// interested, the execution is demoted to the most urgent class they
-// actually asked for, so cancelled urgency does not keep camping on an
-// urgent class's bounded slot.  Terminal jobs are left untouched.  Caller
-// holds the server mutex.
-func (s *Server) cancelJobLocked(job *Job) {
-	if job.state.Terminal() {
-		return
-	}
-	job.state = StateCancelled
-	job.err = context.Canceled
-	job.endedAt = time.Now()
-	job.trace.mark(string(StateCancelled), job.endedAt)
-	job.freezeProgress()
-	s.publishJobLocked(job, string(StateCancelled))
-	s.logTerminalLocked(job, job.endedAt)
-	e := job.entry
-	e.refs--
-	if e.refs > 0 {
-		want := sched.Class(-1)
-		for _, j := range e.jobs {
-			if !j.state.Terminal() && (want < 0 || j.class < want) {
-				want = j.class
-			}
-		}
-		if want > e.class {
-			s.moveEntryLocked(e, want)
-		}
-		return
-	}
-	s.finishLocked(e, nil, context.Canceled)
 }
 
 // handleFigures implements GET /v1/sweeps/{id}/figures: the Table 6.1 and
@@ -1144,13 +962,15 @@ func (s *Server) completedResults(w http.ResponseWriter, r *http.Request) (*refr
 	s.mu.Lock()
 	job, ok := s.jobs[id]
 	if !ok {
-		// Not a job: try it as a sweep key.  A key whose execution is still
-		// in flight answers 409 like the job-id path, so clients can tell
-		// "still running" from "never existed"; the store reads happen
-		// outside the mutex.
+		// Not a job: try it as a sweep key.  A key with a live job answers
+		// 409 like the job-id path, so clients can tell "still running"
+		// from "never existed"; the store reads happen outside the mutex.
 		var inflight State
-		if e, found := s.inflight[id]; found {
-			inflight = e.state
+		for _, j := range s.jobs {
+			if j.key == id && !j.state.Terminal() {
+				inflight = j.state
+				break
+			}
 		}
 		s.mu.Unlock()
 		if inflight != "" {
@@ -1159,18 +979,14 @@ func (s *Server) completedResults(w http.ResponseWriter, r *http.Request) (*refr
 		}
 		var m store.Manifest
 		if s.store.Get(store.KindSweep, id, &m) {
-			if res, ok := s.storedResults(id, m.Options); ok {
+			if res, ok := s.storedResults(m.Options); ok {
 				return res, true
 			}
 		}
 		writeError(w, http.StatusNotFound, "no job or completed sweep %q", id)
 		return nil, false
 	}
-	state := job.state
-	var res *refrint.SweepResults
-	if job.entry != nil {
-		res = job.entry.res
-	}
+	state, res := job.state, job.res
 	s.mu.Unlock()
 	if state != StateDone || res == nil {
 		writeError(w, http.StatusConflict, "job %s is %s, not done", job.id, state)
@@ -1225,10 +1041,11 @@ type healthz struct {
 	Status string `json:"status"`
 	// Cause is the first write error that degraded the store ("degraded"
 	// status only).
-	Cause    string `json:"cause,omitempty"`
-	Jobs     int    `json:"jobs"`
-	Queued   int    `json:"queued"`
-	Inflight int    `json:"inflight"`
+	Cause  string `json:"cause,omitempty"`
+	Jobs   int    `json:"jobs"`
+	Queued int    `json:"queued"`
+	// Inflight counts the live (queued or running) jobs.
+	Inflight int `json:"inflight"`
 }
 
 // handleHealthz implements GET /healthz.  Status codes follow the statuses:
@@ -1241,7 +1058,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:   "ok",
 		Jobs:     len(s.jobs),
 		Queued:   s.sched.Queued(),
-		Inflight: len(s.inflight),
+		Inflight: s.liveJobsLocked(),
 	}
 	closing := s.draining || s.closed
 	s.mu.Unlock()

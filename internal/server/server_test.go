@@ -210,10 +210,10 @@ func (b *blockingExec) fn(ctx context.Context, opts sweep.Options, c sweep.Cell)
 	return sweep.RunCell(ctx, opts, c)
 }
 
-// TestSingleflight verifies the acceptance criterion: two concurrent
-// identical submissions share one underlying execution, and a submission
-// after completion is a pure cache hit.
-func TestSingleflight(t *testing.T) {
+// TestIdenticalSubmissionsShareCells verifies the acceptance criterion: two
+// concurrent identical submissions are two jobs on the same cells, each cell
+// simulated once, and a submission after completion is a pure cache hit.
+func TestIdenticalSubmissionsShareCells(t *testing.T) {
 	exec := newBlockingExec()
 	// One worker: the baseline cell has finished when the gated cell starts.
 	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
@@ -223,7 +223,7 @@ func TestSingleflight(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("first POST status = %d", status)
 	}
-	key := <-exec.started // the one execution is now running
+	key := <-exec.started // the gated cell is now running
 
 	second, status := h.submit(req)
 	if status != http.StatusAccepted {
@@ -236,10 +236,10 @@ func TestSingleflight(t *testing.T) {
 		t.Fatalf("both submissions got job ID %q", first.ID)
 	}
 	if second.State != StateRunning {
-		t.Errorf("second job attached with state %q, want running", second.State)
+		t.Errorf("second job joined a running cell with state %q, want running", second.State)
 	}
 
-	// Progress from the shared execution is visible through both jobs.
+	// The shared cells' progress is visible through both jobs.
 	if got := h.getJob(first.ID).Progress; got.Percent != 50 {
 		t.Errorf("first job progress = %+v, want 50%%", got)
 	}
@@ -251,7 +251,7 @@ func TestSingleflight(t *testing.T) {
 	h.waitState(first.ID, StateDone)
 	h.waitState(second.ID, StateDone)
 	if n := exec.calls.Load(); n != 1 {
-		t.Fatalf("concurrent identical submissions ran %d executions, want 1", n)
+		t.Fatalf("concurrent identical submissions simulated the gated cell %d times, want 1", n)
 	}
 
 	// A later identical submission is served from the cache outright.
@@ -274,7 +274,69 @@ func TestSingleflight(t *testing.T) {
 	<-exec.started
 	h.waitState(fourth.ID, StateDone)
 	if n := exec.calls.Load(); n != 2 {
-		t.Fatalf("distinct sweep reused an execution (%d total)", n)
+		t.Fatalf("distinct sweep reused a cell (%d total)", n)
+	}
+}
+
+// TestIdenticalJobsOwnDeadlines verifies that each of two identical jobs
+// keeps its own timeout_ms: the second, short one fails on its deadline
+// while the first, sharing the same running cell, completes — and the cell
+// runs once.
+func TestIdenticalJobsOwnDeadlines(t *testing.T) {
+	exec := newBlockingExec()
+	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
+
+	req := tinyRequest(9)
+	first, _ := h.submit(req)
+	<-exec.started // the gated cell is now running
+	short := req
+	short.TimeoutMS = 50
+	second, status := h.submit(short)
+	if status != http.StatusAccepted || second.Key != first.Key {
+		t.Fatalf("second submit: status %d, key %q (first %q)", status, second.Key, first.Key)
+	}
+
+	failed := h.waitState(second.ID, StateFailed)
+	if failed.Reason != reasonDeadline {
+		t.Fatalf("second job reason = %q, want %q", failed.Reason, reasonDeadline)
+	}
+	if got := h.getJob(first.ID); got.State != StateRunning {
+		t.Fatalf("first job state = %q after the second's deadline, want running", got.State)
+	}
+	close(exec.release)
+	h.waitState(first.ID, StateDone)
+	if n := exec.calls.Load(); n != 1 {
+		t.Fatalf("gated cell ran %d times, want 1", n)
+	}
+}
+
+// TestIdenticalSubmissionsSurviveFirstCancel verifies that cancelling the
+// first of three identical jobs leaves the other two on the shared cells:
+// both complete, and each cell is simulated once.
+func TestIdenticalSubmissionsSurviveFirstCancel(t *testing.T) {
+	exec := newBlockingExec()
+	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
+
+	req := tinyRequest(10)
+	jobs := make([]JobView, 3)
+	for i := range jobs {
+		jobs[i], _ = h.submit(req)
+	}
+	<-exec.started
+	h.do("DELETE", "/v1/sweeps/"+jobs[0].ID, nil, nil)
+	close(exec.release)
+	for _, j := range jobs[1:] {
+		h.waitState(j.ID, StateDone)
+	}
+	if got := h.getJob(jobs[0].ID); got.State != StateCancelled {
+		t.Fatalf("cancelled job state = %q", got.State)
+	}
+	if n := exec.calls.Load(); n != 1 {
+		t.Fatalf("gated cell ran %d times, want 1", n)
+	}
+	text, _ := h.getText("/metrics")
+	if got := metricValue(t, text, "refrint_cell_cache_misses_total"); got != 2 {
+		t.Fatalf("refrint_cell_cache_misses_total = %g, want 2 (each cell simulated once)", got)
 	}
 }
 
@@ -295,13 +357,13 @@ func TestCancellation(t *testing.T) {
 	if cancelled.State != StateCancelled {
 		t.Fatalf("cancelled job state = %q", cancelled.State)
 	}
-	// The execution observes ctx cancellation and stays cancelled.
+	// The cell observes ctx cancellation and the job stays cancelled.
 	if got := h.waitState(view.ID, StateCancelled); got.Error == "" {
 		t.Errorf("cancelled job has empty error")
 	}
 
-	// The key was dropped from the cache: resubmitting runs a fresh
-	// execution rather than attaching to the doomed one.
+	// The cancelled job's cells left the in-flight table: resubmitting
+	// simulates them afresh rather than joining the doomed ones.
 	again, status := h.submit(tinyRequest(1))
 	if status != http.StatusAccepted {
 		t.Fatalf("resubmit status = %d", status)
@@ -314,8 +376,8 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestCancelOneOfTwo verifies that cancelling one of two jobs sharing an
-// execution detaches only that job: the survivor still completes.
+// TestCancelOneOfTwo verifies that cancelling one of two jobs sharing their
+// cells detaches only that job: the survivor still completes.
 func TestCancelOneOfTwo(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{Execute: exec.fn})
@@ -338,7 +400,7 @@ func TestCancelOneOfTwo(t *testing.T) {
 		t.Errorf("cancelled job was revived to %q", got.State)
 	}
 	if n := exec.calls.Load(); n != 1 {
-		t.Fatalf("shared execution ran %d times", n)
+		t.Fatalf("shared cell ran %d times", n)
 	}
 }
 
@@ -380,9 +442,9 @@ func TestQueueBounds(t *testing.T) {
 	if _, status := h.submit(tinyRequest(3)); status != http.StatusServiceUnavailable {
 		t.Fatalf("third submit: status %d, want 503", status)
 	}
-	// Identical submissions still dedupe even under overload.
-	if _, status := h.submit(tinyRequest(1)); status != http.StatusAccepted {
-		t.Fatalf("identical submit under overload: status %d, want 202 (attached)", status)
+	// An identical submission is charged like any other job.
+	if _, status := h.submit(tinyRequest(1)); status != http.StatusServiceUnavailable {
+		t.Fatalf("identical submit under overload: status %d, want 503", status)
 	}
 	close(exec.release)
 }

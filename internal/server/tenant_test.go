@@ -356,7 +356,7 @@ func TestAgingLiftsBackgroundUnderLoad(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The aged execution's jobs follow it: job views must report the
+	// The aged cell's jobs follow it: job views must report the
 	// effective (aged) class, not the submitted one.  Poll briefly — the
 	// OnAge callback lands just after the scheduler counter moves.
 	deadline = time.Now().Add(10 * time.Second)

@@ -23,9 +23,9 @@ import (
 //	         -> persisting -> done
 //
 // with shortcuts where the pipeline skips work: a submission whose cells are
-// all stored marks cache-hit and goes straight to done, a job attaching to
-// an execution already running skips queued/dequeued, and a job cancelled
-// while queued jumps from queued to cancelled.
+// all stored marks cache-hit and goes straight to done, and a job cancelled
+// while queued jumps from queued to cancelled.  A job that joins a cell
+// already running is dequeued the moment it is queued.
 
 // Lifecycle phase names, in pipeline order.  Terminal marks reuse the job
 // State strings ("done", "failed", "cancelled").
@@ -38,7 +38,7 @@ const (
 	phaseExecuting  = "executing"         // simulations running
 	phasePersisting = "persisting"        // completed sweep's manifest being written to the store
 	phaseCacheHit   = "cache-hit"         // answered from stored cells
-	phaseDeadline   = "deadline-exceeded" // execution hit its timeout (precedes the failed mark)
+	phaseDeadline   = "deadline-exceeded" // job hit its timeout (precedes the failed mark)
 )
 
 // spanMark opens one phase of a job's timeline at one instant.
@@ -157,17 +157,6 @@ func (j *Job) phaseSummary(now time.Time) map[string]float64 {
 		out[m.phase] += end.Sub(m.at).Seconds()
 	}
 	return out
-}
-
-// markJobsLocked stamps a phase on every non-terminal job attached to an
-// execution — the bridge from shared-execution transitions (persisting)
-// into the per-job timelines.  Caller holds the server mutex.
-func markJobsLocked(e *entry, phase string, at time.Time) {
-	for _, j := range e.jobs {
-		if !j.state.Terminal() {
-			j.trace.mark(phase, at)
-		}
-	}
 }
 
 // handleJobTrace implements GET /v1/sweeps/{id}/trace.

@@ -5,8 +5,8 @@
 #     bucket counts are cumulative, and +Inf matches _count;
 #   - /v1/sweeps/{id}/trace returns a monotonic timeline ending terminal;
 #   - X-Request-Id round-trips into the job's trace;
-#   - the cell accounting is exact: with a store attached, a 2-cell sweep
-#     costs exactly 2 cell misses, and the in-flight join counter exists;
+#   - the cell accounting is exact: with a store attached, a 3-cell sweep
+#     costs exactly 3 cell misses, and the in-flight join counter exists;
 #   - -workers sets the pool size, and the retired work-stealing counter is
 #     gone from /metrics;
 #   - GOMAXPROCS exceeds the simulation workers by at least one (when the
@@ -14,7 +14,8 @@
 #   - pprof/expvar answer on -debug-addr and are NOT on the public listener;
 #   - after a restart on the same -data-dir, resubmitting the sweep is a
 #     200 cache hit served from its stored cells (no cell miss in the new
-#     process), and its figures resolve by sweep key.
+#     process), and its figures resolve by sweep key; so do those of a
+#     subset sweep, born done from the stored cells.
 # CI runs this next to sse-smoke.sh; locally: scripts/metrics-smoke.sh
 set -eu
 
@@ -62,7 +63,8 @@ start_server
 
 # Run one sweep to completion so the scheduler and execution histograms have
 # observations, stamping a known request ID.
-sweep='{"apps":["FFT"],"retention_times_us":[50],"policies":["R.valid"],"effort_scale":0.05,"workers":2}'
+sweep='{"apps":["FFT"],"retention_times_us":[50,100],"policies":["R.valid"],"effort_scale":0.05,"workers":2}'
+subset='{"apps":["FFT"],"retention_times_us":[50],"policies":["R.valid"],"effort_scale":0.05,"workers":2}'
 job=$(curl -sf -X POST "$base/v1/sweeps" -H 'X-Request-Id: smoke-trace-1' -d "$sweep")
 id=$(printf '%s' "$job" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -n 1)
 [ -n "$id" ] || fail "no job id in response: $job" /dev/null
@@ -118,7 +120,7 @@ awk '
 grep -q '^# TYPE refrint_cell_inflight_joins_total counter$' "$tmp/metrics.txt" \
     || fail "missing refrint_cell_inflight_joins_total" "$tmp/metrics.txt"
 misses=$(sed -n 's/^refrint_cell_cache_misses_total \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
-[ "$misses" = "2" ] || fail "refrint_cell_cache_misses_total = '$misses' after one 2-cell sweep, want 2" "$tmp/metrics.txt"
+[ "$misses" = "3" ] || fail "refrint_cell_cache_misses_total = '$misses' after one 3-cell sweep, want 3" "$tmp/metrics.txt"
 
 # --- worker pool: -workers sizes it, and it has no steal counter -----------
 # Preemption is visible: a counter per class of the preempted cell and the
@@ -190,4 +192,12 @@ misses=$(sed -n 's/^refrint_cell_cache_misses_total \([0-9]*\)$/\1/p' "$tmp/metr
 code=$(curl -s -o "$tmp/figures.json" -w '%{http_code}' "$base/v1/sweeps/$key/figures")
 [ "$code" = "200" ] || fail "GET figures by key after restart: status $code, want 200" "$tmp/figures.json"
 
-echo "metrics-smoke: OK ($id traced, histograms cumulative, debug listener isolated, restart served from stored cells)"
+# --- a subset sweep, born done from the stored cells, resolves by key -------
+code=$(curl -s -o "$tmp/subset.json" -w '%{http_code}' -X POST "$base/v1/sweeps" -d "$subset")
+[ "$code" = "200" ] || fail "subset sweep after restart: status $code, want 200" "$tmp/subset.json"
+subkey=$(sed -n 's/.*"key": *"\([^"]*\)".*/\1/p' "$tmp/subset.json" | head -n 1)
+[ -n "$subkey" ] && [ "$subkey" != "$key" ] || fail "subset sweep key '$subkey' missing or equal to the full sweep's" "$tmp/subset.json"
+code=$(curl -s -o "$tmp/subfigures.json" -w '%{http_code}' "$base/v1/sweeps/$subkey/figures")
+[ "$code" = "200" ] || fail "GET figures by subset key: status $code, want 200" "$tmp/subfigures.json"
+
+echo "metrics-smoke: OK ($id traced, histograms cumulative, debug listener isolated, restart and subset served from stored cells)"
