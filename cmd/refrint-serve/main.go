@@ -137,7 +137,6 @@ func main() {
 		storeMaxBytes  = flag.Int64("store-max-bytes", 1<<30, "LRU byte budget of the cell store, on disk with -data-dir or in memory without")
 		eventHeartbeat = flag.Duration("event-heartbeat", 15*time.Second, "keepalive comment interval on SSE /events streams")
 		eventBuffer    = flag.Int("event-buffer", 64, "events buffered per SSE subscriber; progress coalesces (latest wins) so slow consumers never block execution")
-		eventLog       = flag.Int("event-log", 64, "published events remembered per topic for Last-Event-ID replay on SSE reconnects")
 		clientRate     = flag.Float64("client-rate", 0, "per-client submission rate limit in requests/second (0 = no limit); over-quota submissions get 429 with Retry-After")
 		clientBurst    = flag.Int("client-burst", 0, "per-client submission burst with -client-rate (0 = ceil(client-rate))")
 		ageAfter       = flag.Duration("age-after", 0, "age a queued sweep one priority class up after waiting this long (0 = never), so interactive floods cannot starve background work forever")
@@ -196,7 +195,6 @@ func main() {
 		BatchHistory:    *batchHistory,
 		EventHeartbeat:  *eventHeartbeat,
 		EventBuffer:     *eventBuffer,
-		EventLog:        *eventLog,
 		ClientRate:      *clientRate,
 		ClientBurst:     *clientBurst,
 		AgeAfter:        *ageAfter,

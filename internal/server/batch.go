@@ -25,11 +25,10 @@ type Batch struct {
 	members   []batchMember
 	createdAt time.Time
 
-	// lastState/lastEventDone are what the event bus last published for
-	// this batch; the publish tick diffs fresh snapshots against them (see
-	// Server.publishBatchLocked).
-	lastState     State
-	lastEventDone int
+	// lastState is the batch state the event bus last published; a member's
+	// change publishes a state event only when it moves the aggregate off
+	// it (see Server.publishBatchLocked).
+	lastState State
 }
 
 // batchMember is one job of a batch: live (job != nil) or frozen
@@ -101,6 +100,63 @@ type BatchView struct {
 	CreatedAt time.Time    `json:"created_at"`
 }
 
+// batchTally folds member job states and simulation counts into a batch's
+// aggregate state and progress (see BatchView.State).
+type batchTally struct {
+	done, total                           int
+	live, anyFailed, anyCancelled, anyRan bool
+}
+
+func (t *batchTally) add(st State, done, total int) {
+	t.done += done
+	t.total += total
+	switch st {
+	case StateFailed:
+		t.anyFailed = true
+	case StateCancelled:
+		t.anyCancelled = true
+	}
+	if !st.Terminal() {
+		t.live = true
+	}
+	// Cancelled members don't count as started: a queued job can be
+	// cancelled without a single simulation having run.
+	if st == StateRunning || st == StateDone || st == StateFailed {
+		t.anyRan = true
+	}
+}
+
+func (t *batchTally) state() State {
+	switch {
+	case !t.live && t.anyFailed:
+		return StateFailed
+	case !t.live && t.anyCancelled:
+		return StateCancelled
+	case !t.live:
+		return StateDone
+	case t.anyRan:
+		return StateRunning
+	default:
+		return StateQueued
+	}
+}
+
+// tallyLocked is the batch's aggregate state and summed progress, read off
+// its members without rendering (or freezing) them.  Caller holds the server
+// mutex.
+func (b *Batch) tallyLocked() (st State, done, total int) {
+	var t batchTally
+	for i := range b.members {
+		m := &b.members[i]
+		if j := m.job; j != nil {
+			t.add(j.state, j.done, j.total)
+		} else {
+			t.add(m.view.State, m.view.Progress.Done, m.view.Progress.Total)
+		}
+	}
+	return t.state(), t.done, t.total
+}
+
 // snapshotLocked renders the batch for the API.  Caller holds the server mutex.
 func (b *Batch) snapshotLocked() BatchView {
 	v := BatchView{
@@ -110,43 +166,15 @@ func (b *Batch) snapshotLocked() BatchView {
 		Counts:    make(map[string]int, 5),
 		CreatedAt: b.createdAt,
 	}
-	done, total := 0, 0
-	allTerminal := true
-	var anyFailed, anyCancelled, anyStarted bool
+	var t batchTally
 	for i := range b.members {
 		jv := b.members[i].memberViewLocked()
 		v.Jobs = append(v.Jobs, jv)
 		v.Counts[string(jv.State)]++
-		done += jv.Progress.Done
-		total += jv.Progress.Total
-		switch jv.State {
-		case StateFailed:
-			anyFailed = true
-		case StateCancelled:
-			anyCancelled = true
-		}
-		if !jv.State.Terminal() {
-			allTerminal = false
-		}
-		// Cancelled members don't count as started: a queued job can be
-		// cancelled without a single simulation having run.
-		if jv.State == StateRunning || jv.State == StateDone || jv.State == StateFailed {
-			anyStarted = true
-		}
+		t.add(jv.State, jv.Progress.Done, jv.Progress.Total)
 	}
-	switch {
-	case allTerminal && anyFailed:
-		v.State = StateFailed
-	case allTerminal && anyCancelled:
-		v.State = StateCancelled
-	case allTerminal:
-		v.State = StateDone
-	case anyStarted:
-		v.State = StateRunning
-	default:
-		v.State = StateQueued
-	}
-	v.Progress = progressView(done, total, v.State)
+	v.State = t.state()
+	v.Progress = progressView(t.done, t.total, v.State)
 	return v
 }
 
@@ -260,7 +288,8 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	// Check capacity for every member at once: each one not born done holds
 	// one slot of its own class, duplicates included.  The check and the
 	// submits run under one hold of s.mu, which every change to the
-	// admission counts (cells starting, aging) also takes.
+	// admission counts (cells starting, aging) also takes, so every member
+	// fits.
 	var need [sched.NumClasses]int
 	for _, p := range plan {
 		if stored[p.key] == nil {
@@ -295,36 +324,19 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		tr := trace{id: fmt.Sprintf("%s.%d", reqID, i)}
 		tr.mark(phaseReceived, received)
 		tr.mark(phaseValidated, validated)
-		job, ok := s.submitJobLocked(p.req, p.opts, p.key, p.class, p.timeout, tr, stored[p.key])
-		if !ok {
-			// Defensive: the capacity check above and these submissions
-			// share one hold of s.mu, so a member should always fit.  Bail
-			// out whole rather than admit a partial batch.
-			s.cfg.Logf("batch: %s queue filled after capacity check, aborting batch", p.class)
-			s.rollbackBatchLocked(b)
-			s.mu.Unlock()
-			s.probeStore()
-			s.quota.refund(charged)
-			w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(p.class)))
-			writeError(w, http.StatusServiceUnavailable, "%s queue is full, retry later", p.class)
-			return
+		job := s.submitJobLocked(p.req, p.opts, p.key, p.class, p.timeout, tr, stored[p.key])
+		if !job.state.Terminal() {
+			job.batch = b // its later transitions publish on the batch topic too
 		}
 		b.members = append(b.members, batchMember{job: job})
 	}
 	s.batches[b.id] = b
 	s.batchOrder = append(s.batchOrder, b.id)
 	view := b.snapshotLocked()
-	// Seed the event-bus diff state with the creation snapshot: subscribers
-	// get it as their connect-time "state" event, so the tick only needs to
-	// publish changes from here on.  The creation itself is announced to
-	// firehose subscribers — including an immediate terminal for a batch
-	// born done off stored cells, which the tick would otherwise never see.
-	// This runs before evictBatchesLocked: a terminal-at-birth batch that
-	// overflows the history is evicted right here, and eviction's own
-	// last-chance publish must see lastState already terminal, not emit a
-	// second, out-of-order terminal.
+	// Members publish only their changes from here on; the creation itself
+	// is announced to firehose subscribers, with an immediate terminal for a
+	// batch born done off stored cells.
 	b.lastState = view.State
-	b.lastEventDone = view.Progress.Done
 	if s.bus.hasTopic(batchTopic(b.id)) {
 		s.bus.publish(eventState, batchTopic(b.id), b.client, b.class, int64(view.Progress.Done), view)
 		if view.State.Terminal() {
@@ -334,7 +346,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	s.evictBatchesLocked()
 	s.mu.Unlock()
 	s.probeStore()
-	s.cfg.Logf("batch %s: %d jobs (%s)", b.id, len(view.Jobs), view.Priority)
+	s.logf("batch %s: %d jobs (%s)", b.id, len(view.Jobs), view.Priority)
 
 	status := http.StatusAccepted
 	if view.State == StateDone {
@@ -382,30 +394,6 @@ func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// rollbackBatchLocked undoes a partially admitted batch: every member
-// created so far is cancelled and erased from the pollable job history, so
-// a failed batch leaves no trace.  Caller holds the server mutex.
-func (s *Server) rollbackBatchLocked(b *Batch) {
-	doomed := make(map[string]bool, len(b.members))
-	for i := range b.members {
-		j := b.members[i].job
-		if j == nil {
-			continue // frozen members are terminal and already historical
-		}
-		s.finishLocked(j, nil, context.Canceled)
-		doomed[j.id] = true
-		delete(s.jobs, j.id)
-	}
-	kept := s.jobOrder[:0]
-	for _, id := range s.jobOrder {
-		if !doomed[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.jobOrder = kept
-	b.members = nil
-}
-
 // evictBatchesLocked freezes every terminal member — batches must not pin
 // result-bearing jobs past the job history's bound even when nobody polls
 // them, so freezing runs on every batch submission, not only under history
@@ -434,12 +422,6 @@ func (s *Server) evictBatchesLocked() {
 	kept := s.batchOrder[:0]
 	for _, id := range s.batchOrder {
 		if excess > 0 && terminal[id] {
-			// Last chance to publish the terminal event: the publish tick
-			// only sees batches still in the map, so an attached subscriber
-			// would otherwise wait forever on a stream whose batch is gone.
-			if b := s.batches[id]; !b.lastState.Terminal() {
-				s.publishBatchLocked(b)
-			}
 			delete(s.batches, id)
 			excess--
 			continue

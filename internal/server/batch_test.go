@@ -375,12 +375,10 @@ func TestBatchMixedPriorityDuplicates(t *testing.T) {
 	close(exec.release)
 }
 
-// TestBatchLargerThanResultCache is a regression for big batches of
-// persisted sweeps: when a whole-sweep cache sat in front of the store,
-// reviving more keys than it held evicted the batch's own earlier revivals
-// before admission, re-executing (or 503ing) work that was already on disk.
-// Every member must be served from its stored cells.
-func TestBatchLargerThanResultCache(t *testing.T) {
+// TestBatchServedFromStoreAfterRestart verifies a batch of sweeps persisted
+// by an earlier server is served whole from the stored cells after a
+// restart: every member is born done, and nothing is simulated again.
+func TestBatchServedFromStoreAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	var calls atomic.Int64
 	seeds := []int64{1, 2, 3, 4, 5}
@@ -462,53 +460,6 @@ func TestBatchFreezesTerminalMembers(t *testing.T) {
 	h.srv.mu.Unlock()
 	if !frozen {
 		t.Fatal("terminal member of an unpolled batch still holds its Job pointer after the next batch submission")
-	}
-}
-
-// TestRollbackBatchLocked covers the defensive bail-out directly (it is
-// unreachable through the HTTP path while submissions serialize under the
-// server mutex): created members are cancelled and erased from the pollable
-// history, and their queued cells leave the scheduler.
-func TestRollbackBatchLocked(t *testing.T) {
-	exec := newBlockingExec()
-	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
-
-	h.submit(tinyRequest(1))
-	<-exec.started // occupy the worker so batch members stay queued
-
-	s := h.srv
-	s.mu.Lock()
-	b := &Batch{id: "batch-test", class: sched.Batch}
-	for seed := int64(2); seed <= 3; seed++ {
-		req := tinyRequest(seed)
-		opts, err := req.Options()
-		if err != nil {
-			s.mu.Unlock()
-			t.Fatal(err)
-		}
-		job, ok := s.submitJobLocked(req, opts, opts.Key(), sched.Batch, 0, trace{id: newTraceID()}, nil)
-		if !ok {
-			s.mu.Unlock()
-			t.Fatal("submitJobLocked rejected")
-		}
-		b.members = append(b.members, batchMember{job: job})
-	}
-	jobsBefore := len(s.jobs)
-	s.rollbackBatchLocked(b)
-	jobsAfter, orderAfter := len(s.jobs), len(s.jobOrder)
-	queued, inflightCells := s.sched.Queued(), len(s.cells)
-	s.mu.Unlock()
-
-	if jobsBefore != 3 || jobsAfter != 1 || orderAfter != 1 {
-		t.Fatalf("rollback left jobs=%d order=%d (had %d), want only the blocker", jobsAfter, orderAfter, jobsBefore)
-	}
-	if queued != 0 || inflightCells != 1 {
-		t.Fatalf("rollback left %d queued and %d in-flight cells, want 0 and the blocker's 1", queued, inflightCells)
-	}
-	close(exec.release)
-	// Only the blocker ever executes.
-	if n := exec.calls.Load(); n != 1 {
-		t.Fatalf("executor ran %d sweeps, want 1", n)
 	}
 }
 

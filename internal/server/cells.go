@@ -264,7 +264,7 @@ func (s *Server) runCell(c *cell) {
 	// outside the mutex, like every store call.
 	if err == nil {
 		if perr := s.store.PutCell(c.sc.Key, int(class), run.Result); perr != nil {
-			s.cfg.Logf("store: persisting cell %s: %v", c.sc.Key.Hash(), perr)
+			s.logf("store: persisting cell %s: %v", c.sc.Key.Hash(), perr)
 		}
 	}
 	s.mu.Lock()
@@ -334,9 +334,10 @@ func (s *Server) executeGuarded(ctx context.Context, c *cell, class sched.Class,
 
 // cellDoneLocked retires a cell from the in-flight table and delivers its
 // outcome to every waiting job: a failure fails them all, a run fills their
-// slot and advances their progress.  It returns the jobs whose last cell
-// this was; the caller completes them with completeJobs after releasing the
-// mutex.  Caller holds the server mutex.
+// slot, advances their progress and publishes it as a progress event of the
+// job and of its batch.  It returns the jobs whose last cell this was; the
+// caller completes them with completeJobs after releasing the mutex.
+// Caller holds the server mutex.
 func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*Job {
 	if c.state == cellDone {
 		return nil
@@ -381,6 +382,10 @@ func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*Job {
 		j.done++
 		s.simsCompleted++
 		s.simRate.Add(1)
+		s.bus.publish(eventProgress, jobTopic(j.id), j.request.Client, j.class, int64(j.done), progressEvent{
+			ID: j.id, Kind: "sweep", State: j.state, Progress: progressView(j.done, j.total, j.state),
+		})
+		s.publishBatchLocked(j.batch, true)
 		if j.pending == 0 {
 			done = append(done, j)
 		}
@@ -419,7 +424,7 @@ func (s *Server) recordSweep(key string, opts sweep.Options, rank int) {
 		return
 	}
 	if err := s.store.PutRanked(store.KindSweep, key, rank, store.Manifest{Options: opts}); err != nil {
-		s.cfg.Logf("store: persisting sweep manifest %s: %v", key, err)
+		s.logf("store: persisting sweep manifest %s: %v", key, err)
 	}
 }
 
@@ -437,6 +442,7 @@ func (s *Server) startJobLocked(j *Job, now time.Time) {
 	j.trace.mark(phaseDequeued, now)
 	j.trace.mark(phaseExecuting, now)
 	s.publishJobLocked(j, eventState)
+	s.publishBatchLocked(j.batch, false)
 	if j.timeout > 0 {
 		j.timer = time.AfterFunc(j.timeout, func() {
 			s.mu.Lock()
@@ -444,7 +450,7 @@ func (s *Server) startJobLocked(j *Job, now time.Time) {
 			s.mu.Unlock()
 		})
 	}
-	s.cfg.Logf("sweep %s: running (%d sims)", j.key, j.total)
+	s.logf("sweep %s: running (%d sims)", j.key, j.total)
 }
 
 // abortJobLocked withdraws a terminal job from its outstanding cells.  A

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -24,10 +23,15 @@ import (
 // Per-job and per-batch streams close after their terminal event; the
 // firehose runs until the client disconnects or the server shuts down.
 //
-// Every (re)connection starts with a "state" snapshot of the current view,
-// so a subscriber arriving late — or reconnecting with Last-Event-ID after
-// the job already finished — still gets closure: a terminal job replays its
-// terminal event immediately and the stream ends.
+// Every event is published under the server mutex at the transition it
+// reports: a job's state events when it is admitted, starts and ends, its
+// progress event when one of its cells completes, and its batch's events at
+// the same points.  Nothing is published on a timer, and nothing is logged
+// for replay: every (re)connection starts with a "state" snapshot of the
+// current view, which carries whatever an earlier connection missed, so a
+// subscriber arriving late or reconnecting after the job finished still gets
+// closure — a terminal job replays its terminal event immediately and the
+// stream ends.  Last-Event-ID is ignored.
 //
 // Publishers never block on subscribers: each subscriber owns a bounded
 // queue in which progress events coalesce (latest wins), so a slow consumer
@@ -35,7 +39,7 @@ import (
 // stream never sheds its state or terminal events (it holds at most a
 // handful); an extremely backlogged firehose evicts oldest-first — progress
 // before state, terminals only as a last resort.  Event IDs are
-// server-global and monotonic.
+// monotonic within one server process.
 
 // Event names beyond the terminal ones (which reuse the State strings).
 const (
@@ -65,8 +69,8 @@ func (e Event) terminal() bool {
 }
 
 // progressEvent is the payload of "progress" events: small enough to emit
-// at tick rate.  "state" and terminal events carry the full JobView or
-// BatchView instead.
+// once per completed cell.  "state" and terminal events carry the full
+// JobView or BatchView instead.
 type progressEvent struct {
 	ID       string       `json:"id"`
 	Kind     string       `json:"kind"` // "sweep" or "batch"
@@ -167,40 +171,24 @@ func (sub *subscriber) drain(buf []Event) []Event {
 	return buf
 }
 
-// logMaxTopics bounds how many topics hold a replay log at once; the
-// longest-idle topic's log is discarded beyond it.  Logs also vanish when
-// their topic publishes a terminal event (the reconnect snapshot carries
-// closure), so in practice only live topics are logged.
-const logMaxTopics = 1024
-
 // eventBus fans state and progress events out to SSE subscribers.  It is a
 // leaf in the lock order: the server publishes while holding s.mu, so the
 // bus must never call back into the server.
-//
-// The bus also keeps a small bounded per-topic log of published events so a
-// subscriber reconnecting with Last-Event-ID mid-run resumes the deltas it
-// missed instead of only getting a fresh snapshot.  Replay is best-effort:
-// events are only logged while they have an audience (the hasTopic gate),
-// and the connect-time snapshot always covers whatever the log lost.
 type eventBus struct {
 	buffer int // per-subscriber queue bound
-	logMax int // per-topic replay-log bound (0 disables logging)
 
 	mu        sync.Mutex
 	subs      map[*subscriber]struct{}
-	logs      map[string][]Event
 	seq       int64
 	closed    bool
 	published int64
 	dropped   int64 // accumulated from departed subscribers
 }
 
-func newEventBus(buffer, logMax int) *eventBus {
+func newEventBus(buffer int) *eventBus {
 	return &eventBus{
 		buffer: buffer,
-		logMax: logMax,
 		subs:   make(map[*subscriber]struct{}),
-		logs:   make(map[string][]Event),
 	}
 }
 
@@ -244,9 +232,8 @@ func (b *eventBus) unsubscribe(sub *subscriber) {
 	b.mu.Unlock()
 }
 
-// publish fans one event out to every matching subscriber and records it in
-// the topic's replay log.  The payload is marshalled at most once, and not at
-// all when nobody is listening.
+// publish fans one event out to every matching subscriber.  The payload is
+// marshalled at most once, and not at all when nobody is listening.
 func (b *eventBus) publish(name, topic, client string, class sched.Class, done int64, payload any) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -272,56 +259,11 @@ func (b *eventBus) publish(name, topic, client string, class sched.Class, done i
 	b.published++
 	ev := probe
 	ev.ID, ev.Data, ev.done = b.seq, data, done
-	b.logLocked(ev)
 	for sub := range b.subs {
 		if sub.matches(ev) {
 			sub.push(ev, b.buffer)
 		}
 	}
-}
-
-// logLocked appends one published event to its topic's bounded replay log.
-// A terminal event retires the whole log: the stream is over, and any later
-// reconnect gets closure from its connect-time snapshot instead.  Caller
-// holds the bus mutex.
-func (b *eventBus) logLocked(ev Event) {
-	if b.logMax <= 0 || ev.Topic == "" {
-		return
-	}
-	if ev.terminal() {
-		delete(b.logs, ev.Topic)
-		return
-	}
-	l, tracked := b.logs[ev.Topic]
-	if !tracked && len(b.logs) >= logMaxTopics {
-		// Discard the longest-idle topic's log (smallest last event ID).
-		idle, idleID := "", int64(0)
-		for t, tl := range b.logs {
-			if last := tl[len(tl)-1].ID; idle == "" || last < idleID {
-				idle, idleID = t, last
-			}
-		}
-		delete(b.logs, idle)
-	}
-	l = append(l, ev)
-	if len(l) > b.logMax {
-		l = l[len(l)-b.logMax:]
-	}
-	b.logs[ev.Topic] = l
-}
-
-// replay returns the logged events of one topic with IDs beyond afterID, in
-// publication order.
-func (b *eventBus) replay(topic string, afterID int64) []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []Event
-	for _, ev := range b.logs[topic] {
-		if ev.ID > afterID {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // nextID allocates an event ID for a handler-synthesized snapshot event, so
@@ -333,18 +275,9 @@ func (b *eventBus) nextID() int64 {
 	return b.seq
 }
 
-// active reports whether anyone is subscribed; the progress tick skips all
-// snapshot and marshal work when nobody is listening.
-func (b *eventBus) active() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs) > 0
-}
-
 // hasTopic reports whether any subscriber would receive events on topic —
 // one of its own streams, or the firehose.  Publishers use it to skip
-// snapshot/diff work entirely, and to leave their diff state untouched so
-// the transition is still published once an audience appears.
+// building a view nobody would receive.
 func (b *eventBus) hasTopic(topic string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -392,19 +325,15 @@ func (b *eventBus) close() {
 
 // --- SSE wire format ---
 
-// sseWriter writes one text/event-stream response, enforcing Last-Event-ID
-// dedup (firehose only — per-topic streams always replay their snapshot, so
-// a reconnecting subscriber of a finished job gets closure) and per-topic
-// progress monotonicity.
+// sseWriter writes one text/event-stream response, keeping each topic's
+// delivered progress monotonic.
 type sseWriter struct {
-	w      http.ResponseWriter
-	rc     *http.ResponseController
-	dedup  bool             // honor lastID (set on the firehose)
-	lastID int64            // events at or below this ID were already delivered
-	seen   map[string]int64 // topic -> highest progress ordinal written
+	w    http.ResponseWriter
+	rc   *http.ResponseController
+	seen map[string]int64 // topic -> highest progress ordinal written
 }
 
-func startSSE(w http.ResponseWriter, r *http.Request) *sseWriter {
+func startSSE(w http.ResponseWriter) *sseWriter {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -414,21 +343,14 @@ func startSSE(w http.ResponseWriter, r *http.Request) *sseWriter {
 	// Streams outlive any server write deadline; best-effort, some
 	// ResponseWriters (httptest recorders) do not support deadlines.
 	_ = sw.rc.SetWriteDeadline(time.Time{})
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if id, err := strconv.ParseInt(v, 10, 64); err == nil {
-			sw.lastID = id
-		}
-	}
 	return sw
 }
 
-// event writes one event and flushes it.  Events the client already saw
-// (Last-Event-ID) and progress that would run backwards — a coalesced queue
-// can deliver around a snapshot — are silently skipped.
+// event writes one event into the response buffer; the caller flushes it
+// (returning from the handler flushes too).  Progress that would run
+// backwards — a coalesced queue can deliver around a snapshot — is silently
+// skipped.
 func (sw *sseWriter) event(ev Event) error {
-	if sw.dedup && ev.ID <= sw.lastID {
-		return nil
-	}
 	switch {
 	case ev.Name == eventProgress:
 		if last, ok := sw.seen[ev.Topic]; ok && ev.done <= last {
@@ -447,13 +369,11 @@ func (sw *sseWriter) event(ev Event) error {
 			sw.seen[ev.Topic] = ev.done
 		}
 	}
-	if _, err := fmt.Fprintf(sw.w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Name, ev.Data); err != nil {
-		return err
-	}
-	return sw.rc.Flush()
+	_, err := fmt.Fprintf(sw.w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Name, ev.Data)
+	return err
 }
 
-// comment writes an SSE comment line (the standard keepalive).
+// comment writes an SSE comment line (the standard keepalive) and flushes.
 func (sw *sseWriter) comment(msg string) error {
 	if _, err := fmt.Fprintf(sw.w, ": %s\n\n", msg); err != nil {
 		return err
@@ -493,27 +413,7 @@ func (s *Server) streamTopic(w http.ResponseWriter, r *http.Request, topic, kind
 		return
 	}
 
-	sw := startSSE(w, r)
-	// A mid-run reconnect (Last-Event-ID set) first replays the logged
-	// events it missed, in order, then the fresh snapshot below.  The
-	// writer's monotonic progress filter absorbs any overlap between the
-	// replay's tail and the snapshot.  Dedup turns on only when the replay
-	// delivered something: it then suppresses queue/replay duplicates from
-	// the subscribe-before-snapshot window, while a stale or foreign
-	// Last-Event-ID (matching nothing in the log) cannot swallow the
-	// snapshot and terminal events that give every reconnect closure.
-	if sw.lastID > 0 {
-		replayed := s.bus.replay(topic, sw.lastID)
-		for _, ev := range replayed {
-			if sw.event(ev) != nil {
-				return
-			}
-		}
-		if n := len(replayed); n > 0 {
-			sw.dedup = true
-			sw.lastID = replayed[n-1].ID
-		}
-	}
+	sw := startSSE(w)
 	state := Event{
 		ID: s.bus.nextID(), Name: eventState, Topic: topic,
 		Data: mustJSON(view), done: int64(done),
@@ -523,6 +423,9 @@ func (s *Server) streamTopic(w http.ResponseWriter, r *http.Request, topic, kind
 	}
 	if st.Terminal() {
 		_ = sw.event(Event{ID: s.bus.nextID(), Name: string(st), Topic: topic, Data: state.Data})
+		return
+	}
+	if sw.rc.Flush() != nil {
 		return
 	}
 	s.streamLoop(r, sub, sw)
@@ -586,8 +489,7 @@ func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.bus.unsubscribe(sub)
-	sw := startSSE(w, r)
-	sw.dedup = true // a reconnecting dashboard skips events it already saw
+	sw := startSSE(w)
 	if sw.comment("refrint event stream") != nil {
 		return
 	}
@@ -596,8 +498,9 @@ func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {
 
 // streamLoop pumps a subscriber's queue into the response until the client
 // disconnects, the bus closes, or (on per-topic streams) a terminal event
-// is delivered.  Heartbeat comments keep idle connections alive through
-// proxies.
+// is delivered.  Each wake-up writes every queued event and flushes once:
+// a cell completion publishes to several topics at once.  Heartbeat
+// comments keep idle connections alive through proxies.
 func (s *Server) streamLoop(r *http.Request, sub *subscriber, sw *sseWriter) {
 	hb := time.NewTicker(s.cfg.EventHeartbeat)
 	defer hb.Stop()
@@ -612,7 +515,7 @@ func (s *Server) streamLoop(r *http.Request, sub *subscriber, sw *sseWriter) {
 				return true
 			}
 		}
-		return false
+		return sw.rc.Flush() != nil
 	}
 	for {
 		select {

@@ -14,15 +14,14 @@ import (
 	"refrint/internal/sweep"
 )
 
-// sseConfig returns a Config tuned for streaming tests: fast progress ticks
-// and heartbeats so assertions do not wait on production intervals, and one
-// worker so gated cells run one at a time.
+// sseConfig returns a Config tuned for streaming tests: fast heartbeats so
+// assertions do not wait on the production interval, and one worker so
+// gated cells run one at a time.
 func sseConfig(exec ExecuteFunc) Config {
 	return Config{
-		Workers:          1,
-		Execute:          exec,
-		ProgressInterval: 2 * time.Millisecond,
-		EventHeartbeat:   25 * time.Millisecond,
+		Workers:        1,
+		Execute:        exec,
+		EventHeartbeat: 25 * time.Millisecond,
 	}
 }
 
@@ -217,8 +216,8 @@ func TestSSEJobStreamLifecycle(t *testing.T) {
 	}
 }
 
-// TestSSESubscribeAfterTerminal verifies the Last-Event-ID replay contract:
-// a subscriber arriving (or reconnecting) after the job finished still gets
+// TestSSESubscribeAfterTerminal verifies closure: a subscriber arriving (or
+// reconnecting, with any Last-Event-ID) after the job finished still gets
 // the state snapshot and the terminal event, then the stream ends.
 func TestSSESubscribeAfterTerminal(t *testing.T) {
 	exec := newBlockingExec()
@@ -354,15 +353,13 @@ func TestSSEBatchStream(t *testing.T) {
 	}
 }
 
-// TestSSEBatchEvictionPublishesTerminal pins the eviction race: a batch
-// whose terminal state has not been published yet (the publish tick is
-// effectively disabled here) gets its terminal event at eviction time, so a
-// subscriber is never left hanging on a stream whose batch vanished from
-// history.
+// TestSSEBatchEvictionPublishesTerminal verifies a subscriber is never left
+// hanging on a stream whose batch vanished from history: the terminal event
+// is published when the last member ends, so the stream still delivers it
+// after the next submission evicts the batch.
 func TestSSEBatchEvictionPublishesTerminal(t *testing.T) {
 	exec := newBlockingExec()
 	cfg := sseConfig(exec.fn)
-	cfg.ProgressInterval = time.Hour // only the eviction path may publish
 	cfg.BatchHistory = 1
 	h := newHarness(t, cfg)
 
@@ -377,10 +374,10 @@ func TestSSEBatchEvictionPublishesTerminal(t *testing.T) {
 	}
 
 	close(exec.release)
-	h.waitState(first.Jobs[0].ID, StateDone) // batch terminal, but unpublished
+	h.waitState(first.Jobs[0].ID, StateDone)
 
 	// The next batch submission evicts the finished one (history bound 1);
-	// the terminal event must be delivered on the way out.
+	// the terminal event must still reach the stream.
 	h.do("POST", "/v1/batches", BatchRequest{
 		Requests: []refrint.SweepRequest{tinyRequest(32)},
 	}, nil)
@@ -419,12 +416,85 @@ func TestSSEFirehose(t *testing.T) {
 	st.close()
 }
 
+// TestFirehoseIgnoresStaleLastEventID is the regression for a dashboard
+// reconnecting to a restarted server with the last event ID it saw there:
+// IDs restart with the process, so that ID must not hide the new server's
+// events.
+func TestFirehoseIgnoresStaleLastEventID(t *testing.T) {
+	h := newHarness(t, sseConfig(nil))
+
+	st := h.openSSE("/v1/events", "100000")
+	stop := time.AfterFunc(30*time.Second, st.close) // fail rather than hang
+	defer stop.Stop()
+	view, _ := h.submit(tinyRequest(41))
+	for {
+		ev, _ := st.until("done", "failed", "cancelled")
+		var v struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal([]byte(ev.data), &v); err != nil {
+			t.Fatalf("event data %q: %v", ev.data, err)
+		}
+		if v.ID != view.ID {
+			continue
+		}
+		if ev.name != "done" {
+			t.Fatalf("firehose terminal = %q, want done", ev.name)
+		}
+		return
+	}
+}
+
+// TestProgressPublishedPerCell verifies progress is published at the
+// transition, with no timer: each finished cell yields exactly one job
+// progress event and one batch progress event, both carrying the number of
+// cells finished so far.
+func TestProgressPublishedPerCell(t *testing.T) {
+	exec := newSteppedExec()
+	h := newHarness(t, sseConfig(exec.fn))
+
+	fh := h.openSSE("/v1/events", "")
+	bv, _ := h.submitBatch(BatchRequest{Requests: []refrint.SweepRequest{steppedRequest(51)}})
+	jobID := bv.Jobs[0].ID
+	<-exec.started
+	for step := 1; step <= 5; step++ {
+		exec.step <- struct{}{}
+		var jobSeen, batchSeen bool
+		for !jobSeen || !batchSeen {
+			ev, _ := fh.until("progress")
+			var v struct {
+				ID       string       `json:"id"`
+				Progress ProgressView `json:"progress"`
+			}
+			if err := json.Unmarshal([]byte(ev.data), &v); err != nil {
+				t.Fatalf("event data %q: %v", ev.data, err)
+			}
+			if v.Progress.Done != step {
+				t.Fatalf("step %d: progress of %s = %+v, want done %d", step, v.ID, v.Progress, step)
+			}
+			switch {
+			case v.ID == jobID && !jobSeen:
+				jobSeen = true
+			case v.ID == bv.ID && !batchSeen:
+				batchSeen = true
+			default:
+				t.Fatalf("step %d: unexpected progress event %s", step, ev.data)
+			}
+		}
+	}
+	for range 2 { // the job's terminal event, then its batch's
+		if ev, _ := fh.until("done", "failed", "cancelled"); ev.name != "done" {
+			t.Fatalf("terminal = %q, want done", ev.name)
+		}
+	}
+}
+
 // TestSlowSubscriberCoalescing unit-tests the bus: a subscriber that never
 // drains holds a bounded queue in which the latest progress wins and
 // terminal events survive.
 func TestSlowSubscriberCoalescing(t *testing.T) {
 	const buffer = 4
-	b := newEventBus(buffer, 0)
+	b := newEventBus(buffer)
 	sub, ok := b.subscribe("job:x")
 	if !ok {
 		t.Fatal("subscribe failed on open bus")

@@ -38,8 +38,8 @@
 // Progress is observable two ways: polling (GET /v1/sweeps/{id}) and
 // streaming (GET /v1/sweeps/{id}/events, /v1/batches/{id}/events and the
 // /v1/events firehose — SSE; see events.go).  Either way it is advanced as
-// cells complete, under the server mutex, and a publish tick turns it into
-// events.
+// cells complete, under the server mutex, and each transition — admission,
+// start, a completed cell, the end — publishes its event there and then.
 //
 // The cell is the only cached unit.  Every server has a store
 // (Config.Store, or a memory-only one): each simulated cell is stored, and
@@ -115,9 +115,9 @@ type Job struct {
 	total int
 	res   *refrint.SweepResults
 
-	// lastEventDone is the done count most recently published as an SSE
-	// progress event (see Server.publishJobProgressLocked).
-	lastEventDone int
+	// batch is the batch the job was submitted in, whose events its
+	// transitions publish too; nil outside a batch and once terminal.
+	batch *Batch
 }
 
 // ProgressView is the serialized completion state of a job.

@@ -4,18 +4,11 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strings"
 )
 
-// This file adapts the server to structured logging (log/slog) without
-// breaking printf-style consumers: Config.Logger is the primary sink, and
-// the legacy Config.Logf hook either feeds it (Logf set, Logger unset — the
-// bridge below) or is derived from it (Logger set, Logf unset), so the
-// store hooks and older call sites keep one consistent stream either way.
-
-// discardHandler drops everything (the default when neither Logger nor Logf
-// is configured).  Implemented locally so the module keeps building on the
-// go.mod minimum (slog.DiscardHandler is newer).
+// discardHandler drops everything (the default when Config.Logger is
+// unset).  Implemented locally so the module keeps building on the go.mod
+// minimum (slog.DiscardHandler is newer).
 type discardHandler struct{}
 
 func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
@@ -23,37 +16,11 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
 func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
-// logfHandler renders slog records into a printf-style Logf as single
-// "msg key=value ..." lines, preserving With-bound attributes.
-type logfHandler struct {
-	f     func(format string, args ...any)
-	attrs string
+// logf writes one printf-style line to Config.Logger at info level.  The
+// store's Options.Logf is this too, so store and server share one sink.
+func (s *Server) logf(format string, args ...any) {
+	s.cfg.Logger.Info(fmt.Sprintf(format, args...))
 }
-
-func (logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	b.WriteString(h.attrs)
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.f("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var b strings.Builder
-	b.WriteString(h.attrs)
-	for _, a := range attrs {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-	}
-	return logfHandler{f: h.f, attrs: b.String()}
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
 
 // jobLogger returns the request-scoped logger for one job: every line
 // carries the trace ID, job and sweep identity, tenant and class, so a

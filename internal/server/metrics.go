@@ -167,14 +167,14 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	// dashboards can rate() them from the first scrape; any further site
 	// that ever recorded a panic is appended after.
 	fmt.Fprintf(b, "# HELP refrint_panics_total Panics recovered without killing the process, by recovery site.\n# TYPE refrint_panics_total counter\n")
-	known := []string{"exec", "sched", "sim", "tick"}
+	known := []string{"exec", "sched", "sim"}
 	for _, site := range known {
 		fmt.Fprintf(b, "refrint_panics_total{site=%q} %d\n", site, snap.panics[site])
 	}
 	extra := make([]string, 0, len(snap.panics))
 	for site := range snap.panics {
 		switch site {
-		case "exec", "sched", "sim", "tick":
+		case "exec", "sched", "sim":
 		default:
 			extra = append(extra, site)
 		}

@@ -269,10 +269,10 @@ func TestPriorityValidationAndView(t *testing.T) {
 	h.waitState(view2.ID, StateDone)
 }
 
-// TestQueuedEntryPromotedByUrgentAttach verifies priority inheritance: an
+// TestUrgentJobPromotesSharedQueuedCells verifies priority inheritance: an
 // interactive job joining the queued cells of a background job drags them
 // ahead of other background work.
-func TestQueuedEntryPromotedByUrgentAttach(t *testing.T) {
+func TestUrgentJobPromotesSharedQueuedCells(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{Workers: 1, Execute: exec.fn})
 
@@ -311,11 +311,11 @@ func TestQueuedEntryPromotedByUrgentAttach(t *testing.T) {
 	}
 }
 
-// TestCancelUrgentJobDemotesEntry pins the inverse of priority inheritance:
-// when the urgent job that promoted shared queued cells cancels, its
-// admission slot frees and the cells fall back to the most urgent job still
-// waiting on them.
-func TestCancelUrgentJobDemotesEntry(t *testing.T) {
+// TestCancelUrgentJobDemotesSharedCells pins the inverse of priority
+// inheritance: when the urgent job that promoted shared queued cells
+// cancels, its admission slot frees and the cells fall back to the most
+// urgent job still waiting on them.
+func TestCancelUrgentJobDemotesSharedCells(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
 		Workers:         1,

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,9 +76,6 @@ type Config struct {
 	// EventHeartbeat is the keepalive comment interval on SSE streams
 	// (default 15s), so idle connections survive proxies.
 	EventHeartbeat time.Duration
-	// ProgressInterval is how often job and batch progress is published as
-	// SSE progress events (default 100ms).
-	ProgressInterval time.Duration
 	// ClientRate, where positive, rate-limits submissions per client label:
 	// each client's token bucket refills at ClientRate tokens/second, a
 	// sweep submission costs one token and a batch costs one per request.
@@ -97,9 +93,6 @@ type Config struct {
 	// floods cannot starve queued low-priority work forever.  The default
 	// (0) disables aging.
 	AgeAfter time.Duration
-	// EventLog bounds the per-topic SSE event log used to replay missed
-	// events on Last-Event-ID reconnects (default 64 events per topic).
-	EventLog int
 	// JobTimeout, where positive, bounds each job's wall time from its
 	// first cell starting: one that outlives it turns terminal failed with a
 	// deadline-exceeded reason, and its cells no other job waits on leave
@@ -119,13 +112,9 @@ type Config struct {
 	Store *store.Store
 	// Logger is the structured log sink.  Job lifecycle lines carry the
 	// request trace ID, client, class and sweep key, and terminal lines
-	// carry the per-phase duration breakdown.  When unset it is derived
-	// from Logf (or discards everything if that is unset too).
+	// carry the per-phase duration breakdown.  When unset the server logs
+	// nothing.
 	Logger *slog.Logger
-	// Logf, when set, receives one line per job state transition
-	// (printf-style; predates Logger).  When unset it is derived from
-	// Logger, so both APIs feed one stream.
-	Logf func(format string, args ...any)
 }
 
 // NumWorkers is the number of simulation workers a server built from c
@@ -159,26 +148,11 @@ func (c Config) withDefaults() Config {
 	if c.EventHeartbeat <= 0 {
 		c.EventHeartbeat = 15 * time.Second
 	}
-	if c.ProgressInterval <= 0 {
-		c.ProgressInterval = 100 * time.Millisecond
-	}
-	if c.EventLog <= 0 {
-		c.EventLog = 64
-	}
 	if c.Execute == nil {
 		c.Execute = sweep.RunCell
 	}
-	switch {
-	case c.Logger == nil && c.Logf == nil:
+	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
-		c.Logf = func(string, ...any) {}
-	case c.Logger == nil:
-		c.Logger = slog.New(logfHandler{f: c.Logf})
-	case c.Logf == nil:
-		logger := c.Logger
-		c.Logf = func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...))
-		}
 	}
 	return c
 }
@@ -196,7 +170,6 @@ type Server struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	loopDone   chan struct{} // closed when the progress tick loop exits
 
 	startedAt time.Time
 
@@ -243,10 +216,10 @@ type Server struct {
 	inflightJoins    int64 // job cells that joined a cell already in flight
 	simsCompleted    int64 // simulations delivered to jobs (cell hits included)
 	// panicsTotal counts recovered panics by site: "sim" (inside a sweep
-	// cell), "exec" (the Execute wrapper), "sched" (scheduler callbacks) and
-	// "tick" (the SSE publish tick).  Every recovery is also logged with its
-	// stack.  jobTimeouts counts jobs that hit their deadline, by class.
-	// Both guarded by mu.
+	// cell), "exec" (the Execute wrapper) and "sched" (scheduler
+	// callbacks).  Every recovery is also logged with its stack.
+	// jobTimeouts counts jobs that hit their deadline, by class.  Both
+	// guarded by mu.
 	panicsTotal map[string]int64
 	jobTimeouts [sched.NumClasses]int64
 	// preemptions counts running cells preempted for a more urgent one, by
@@ -275,20 +248,19 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		mux:         http.NewServeMux(),
-		bus:         newEventBus(cfg.EventBuffer, cfg.EventLog),
+		bus:         newEventBus(cfg.EventBuffer),
 		store:       cfg.Store,
 		jobs:        make(map[string]*Job),
 		cells:       make(map[sweep.CellKey]*cell),
 		batches:     make(map[string]*Batch),
 		startedAt:   time.Now(),
 		simRate:     newRateWindow(time.Minute, time.Now),
-		loopDone:    make(chan struct{}),
 		quota:       newClientQuota(cfg.ClientRate, cfg.ClientBurst, time.Now),
 		httpMetrics: newHTTPMetrics(),
 		panicsTotal: make(map[string]int64),
 	}
 	if s.store == nil {
-		s.store, _ = store.Open("", store.Options{Logf: cfg.Logf}) // memory-only: cannot fail
+		s.store, _ = store.Open("", store.Options{Logf: s.logf}) // memory-only: cannot fail
 		s.ownStore = true
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -306,7 +278,7 @@ func New(cfg Config) *Server {
 			s.mu.Lock()
 			s.ageCellLocked(c, to)
 			s.mu.Unlock()
-			s.cfg.Logf("cell %s/%s: aged %s -> %s after queue wait", c.sc.App, c.sc.Point.Key(), from, to)
+			s.logf("cell %s/%s: aged %s -> %s after queue wait", c.sc.App, c.sc.Point.Key(), from, to)
 		},
 		// OnDequeue runs on the worker goroutine with no scheduler lock
 		// held: it feeds the per-class queue-wait histogram.
@@ -329,10 +301,6 @@ func New(cfg Config) *Server {
 		},
 	})
 	s.sched.Start(func(payload any) { s.runCell(payload.(*cell)) })
-	go func() {
-		defer close(s.loopDone)
-		s.progressLoop()
-	}()
 
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/sweeps", s.handleListJobs)
@@ -360,8 +328,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 
 // Close cancels every in-flight cell and stops the workers.  Pending
 // queue entries are drained (and observed cancelled) before Close returns,
-// so their terminal events reach still-attached subscribers; then every open
-// SSE stream is terminated, and a store New opened is closed.
+// so their jobs' and batches' terminal events reach still-attached
+// subscribers; then every open SSE stream is terminated, and a store New
+// opened is closed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -372,13 +341,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.baseCancel()
 	s.sched.Close()
-	// One final tick: the drain above finished jobs (their terminal events
-	// publish inline), but batch terminals are tick-driven and the loop may
-	// already have exited on baseCancel — without this, a batch subscriber
-	// could lose its terminal event at shutdown.
-	s.safeTick()
 	s.bus.close()
-	<-s.loopDone
 	if s.ownStore {
 		_ = s.store.Close()
 	}
@@ -396,7 +359,7 @@ func (s *Server) BeginDrain(expect time.Duration) {
 	s.draining = true
 	s.drainRetryAfter = secs
 	s.mu.Unlock()
-	s.cfg.Logf("server: draining, in-flight work has %v to finish", expect)
+	s.logf("server: draining, in-flight work has %v to finish", expect)
 }
 
 // Draining reports whether BeginDrain has run.
@@ -468,54 +431,6 @@ func (s *Server) recordPanic(site string, recovered any, stack []byte) {
 	s.mu.Unlock()
 }
 
-// progressLoop periodically publishes SSE progress events, at
-// ProgressInterval regardless of how fast simulations finish.
-func (s *Server) progressLoop() {
-	t := time.NewTicker(s.cfg.ProgressInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-			s.safeTick()
-		}
-	}
-}
-
-// safeTick is publishTick behind a recover guard: the tick marshals
-// snapshots for SSE, and a panic there must kill neither the
-// publish loop nor Close.  (publishTick unlocks s.mu by defer, so the mutex
-// is released before the recovery here runs.)
-func (s *Server) safeTick() {
-	defer func() {
-		if r := recover(); r != nil {
-			s.recordPanic("tick", r, debug.Stack())
-		}
-	}()
-	s.publishTick()
-}
-
-// publishTick is one iteration of progressLoop.  All snapshot and marshal
-// work is skipped while nobody subscribes.
-func (s *Server) publishTick() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.bus.active() {
-		return
-	}
-	for _, id := range s.jobOrder {
-		if j := s.jobs[id]; !j.state.Terminal() {
-			s.publishJobProgressLocked(j)
-		}
-	}
-	for _, id := range s.batchOrder {
-		if b := s.batches[id]; !b.lastState.Terminal() {
-			s.publishBatchLocked(b)
-		}
-	}
-}
-
 // publishJobLocked emits a named event carrying the job's full view.
 // Caller holds the server mutex.
 func (s *Server) publishJobLocked(j *Job, name string) {
@@ -526,47 +441,31 @@ func (s *Server) publishJobLocked(j *Job, name string) {
 	s.bus.publish(name, jobTopic(j.id), j.request.Client, j.class, int64(view.Progress.Done), view)
 }
 
-// publishJobProgressLocked emits a slim progress event when the job's live
-// done count moved since the last publication.  Caller holds the server
-// mutex.
-func (s *Server) publishJobProgressLocked(j *Job) {
-	if !s.bus.hasTopic(jobTopic(j.id)) {
-		return // leave lastEventDone stale: a later audience gets the delta
-	}
-	if j.done == j.lastEventDone {
+// publishBatchLocked publishes a member job's change on its batch's topic
+// (a no-op for a job outside any batch): when the batch's aggregate state
+// moved since it was last published, the full view as a state or terminal
+// event; otherwise, with progress set, a slim progress event.  With no
+// audience for the topic it does nothing, leaving lastState stale so the
+// next change after somebody subscribes publishes the state again.  Caller
+// holds the server mutex.
+func (s *Server) publishBatchLocked(b *Batch, progress bool) {
+	if b == nil || !s.bus.hasTopic(batchTopic(b.id)) {
 		return
 	}
-	j.lastEventDone = j.done
-	s.bus.publish(eventProgress, jobTopic(j.id), j.request.Client, j.class, int64(j.done), progressEvent{
-		ID: j.id, Kind: "sweep", State: j.state,
-		Progress: progressView(j.done, j.total, j.state),
-	})
-}
-
-// publishBatchLocked emits batch state transitions (full view) and progress
-// deltas (slim event) by diffing against the last published snapshot.  With
-// no audience for the topic it does nothing at all — no snapshot, and no
-// diff-state advance, so the transition still publishes once somebody
-// subscribes.  Caller holds the server mutex.
-func (s *Server) publishBatchLocked(b *Batch) {
-	if !s.bus.hasTopic(batchTopic(b.id)) {
-		return
-	}
-	view := b.snapshotLocked()
-	if view.State != b.lastState {
+	st, done, total := b.tallyLocked()
+	if st != b.lastState {
+		view := b.snapshotLocked()
 		name := eventState
 		if view.State.Terminal() {
 			name = string(view.State)
 		}
 		b.lastState = view.State
-		b.lastEventDone = view.Progress.Done
-		s.bus.publish(name, batchTopic(b.id), b.client, b.class, int64(view.Progress.Done), view)
-		return // the state event carries the progress; skip a duplicate
+		s.bus.publish(name, batchTopic(b.id), b.client, b.class, int64(done), view)
+		return
 	}
-	if view.Progress.Done != b.lastEventDone {
-		b.lastEventDone = view.Progress.Done
-		s.bus.publish(eventProgress, batchTopic(b.id), b.client, b.class, int64(view.Progress.Done), progressEvent{
-			ID: b.id, Kind: "batch", State: view.State, Progress: view.Progress,
+	if progress {
+		s.bus.publish(eventProgress, batchTopic(b.id), b.client, b.class, int64(done), progressEvent{
+			ID: b.id, Kind: "batch", State: st, Progress: progressView(done, total, st),
 		})
 	}
 }
@@ -592,18 +491,18 @@ func (s *Server) finishLocked(j *Job, res *refrint.SweepResults, err error) {
 	case err == nil:
 		j.state = StateDone
 		j.res = res
-		s.cfg.Logf("sweep %s: done", j.key)
+		s.logf("sweep %s: done", j.key)
 	case errors.Is(err, context.DeadlineExceeded):
 		j.state = StateFailed
 		j.err = fmt.Errorf("deadline exceeded after %v", j.timeout)
 		j.reason = reasonDeadline
 		s.jobTimeouts[j.class]++
 		j.trace.mark(phaseDeadline, now)
-		s.cfg.Logf("sweep %s: failed: deadline exceeded after %v", j.key, j.timeout)
+		s.logf("sweep %s: failed: deadline exceeded after %v", j.key, j.timeout)
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 		j.err = context.Canceled
-		s.cfg.Logf("sweep %s: cancelled", j.key)
+		s.logf("sweep %s: cancelled", j.key)
 	default:
 		j.state = StateFailed
 		j.err = err
@@ -611,7 +510,7 @@ func (s *Server) finishLocked(j *Job, res *refrint.SweepResults, err error) {
 		if errors.As(err, &pe) || errors.Is(err, errPanicked) {
 			j.reason = reasonPanic // counted and logged where it was recovered
 		}
-		s.cfg.Logf("sweep %s: failed: %v", j.key, err)
+		s.logf("sweep %s: failed: %v", j.key, err)
 	}
 	if j.state != StateDone {
 		s.abortJobLocked(j)
@@ -620,6 +519,10 @@ func (s *Server) finishLocked(j *Job, res *refrint.SweepResults, err error) {
 	j.endedAt = now
 	j.trace.mark(string(j.state), now)
 	s.publishJobLocked(j, string(j.state))
+	// The job's last transition: dropping the batch here keeps a finished
+	// job from pinning a batch that history has already forgotten.
+	s.publishBatchLocked(j.batch, false)
+	j.batch = nil
 	s.logTerminalLocked(j, now)
 }
 
@@ -737,8 +640,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	job, ok := s.submitJobLocked(req, opts, key, class, s.effectiveTimeout(req.TimeoutMS), tr, stored)
-	if !ok {
+	if stored == nil && s.queuedSweeps[class] >= s.cfg.ClassQueueDepth[class] {
 		s.mu.Unlock()
 		// A capacity rejection gives the token back: the client honoring the
 		// Retry-After below must not come back to a drained bucket.
@@ -747,6 +649,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%s queue is full, retry later", class)
 		return
 	}
+	job := s.submitJobLocked(req, opts, key, class, s.effectiveTimeout(req.TimeoutMS), tr, stored)
 	status := http.StatusAccepted
 	if job.cacheHit {
 		status = http.StatusOK
@@ -764,14 +667,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // its cells (see attachCellsLocked; the caller runs probeStore after
 // unlocking).  An admitted job holds one slot of its class until one of
 // its cells starts; a job born done takes none.  timeout bounds the job's
-// wall time from its start (0 = none).  It reports false — creating
-// nothing — when the class queue is full.  Caller holds the server mutex;
-// both POST /v1/sweeps and POST /v1/batches funnel through here, which
-// keeps every scheduler mutation serialized under it.
-func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, key string, class sched.Class, timeout time.Duration, tr trace, stored *refrint.SweepResults) (*Job, bool) {
-	if stored == nil && s.queuedSweeps[class] >= s.cfg.ClassQueueDepth[class] {
-		return nil, false
-	}
+// wall time from its start (0 = none).  The caller has checked the class
+// has room and holds the server mutex; both POST /v1/sweeps and POST
+// /v1/batches funnel through here, which keeps every scheduler mutation
+// serialized under it.
+func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, key string, class sched.Class, timeout time.Duration, tr trace, stored *refrint.SweepResults) *Job {
 	s.nextID++
 	job := &Job{
 		id:        fmt.Sprintf("job-%06d", s.nextID),
@@ -803,7 +703,7 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 		s.sweepCacheMisses++
 		job.trace.mark(phaseQueued, job.createdAt)
 		s.queuedSweeps[class]++
-		s.cfg.Logf("sweep %s: queued %s (%d sims)", key, class, job.total)
+		s.logf("sweep %s: queued %s (%d sims)", key, class, job.total)
 		s.attachCellsLocked(job)
 	}
 	s.jobLogger(job).Debug("job admitted", "state", string(job.state))
@@ -817,7 +717,7 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 	if job.state.Terminal() {
 		s.publishJobLocked(job, string(job.state))
 	}
-	return job, true
+	return job
 }
 
 // storedResults serves a sweep from the store when every one of its cells

@@ -421,51 +421,6 @@ func TestFirehoseFilters(t *testing.T) {
 	}
 }
 
-// TestEventLogReplay verifies the Last-Event-ID replay log: a subscriber
-// that disconnects mid-run and reconnects with its last seen ID receives the
-// progress deltas it missed — before the fresh snapshot — rather than only a
-// snapshot.
-func TestEventLogReplay(t *testing.T) {
-	exec := newSteppedExec()
-	h := newHarness(t, sseConfig(exec.fn))
-
-	// A firehose dashboard stays attached throughout, which keeps the
-	// job's events publishing (and logging) while the job stream is away.
-	fh := h.openSSE("/v1/events", "")
-
-	view, _ := h.submit(steppedRequest(1))
-	<-exec.started
-
-	st1 := h.openSSE("/v1/sweeps/"+view.ID+"/events", "")
-	st1.until("state")
-	exec.step <- struct{}{}
-	seen, _ := st1.until("progress")
-	st1.close()
-
-	// Progress the subscriber misses while away; the firehose confirms each
-	// step published (and was therefore logged) before the next fires.
-	exec.step <- struct{}{}
-	waitProgress(t, fh, 2)
-	exec.step <- struct{}{}
-	waitProgress(t, fh, 3)
-
-	st2 := h.openSSE("/v1/sweeps/"+view.ID+"/events", seen.id)
-	first, ok := st2.next()
-	if !ok || first.name != "progress" {
-		t.Fatalf("first event after reconnect = %+v (ok=%v), want a replayed progress delta", first, ok)
-	}
-	if _, p := first.progressPayload(t); p.Done < 2 {
-		t.Fatalf("replayed delta done = %d, want >= 2", p.Done)
-	}
-	// The fresh snapshot still follows the replay.
-	st2.until("state")
-
-	close(exec.release)
-	if term, _ := st2.until("done", "failed", "cancelled"); term.name != "done" {
-		t.Fatalf("terminal = %q, want done", term.name)
-	}
-}
-
 // TestQuotaBatchAtClientCap is the regression for a nil-pointer panic in
 // allowBatch: with the buckets map at quotaMaxClients, charging a batch that
 // contains a brand-new client used to trigger a mid-charge sweep that could

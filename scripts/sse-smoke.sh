@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # SSE smoke test: boots a real refrint-serve, runs a tiny sweep, and asserts
 # the /events streams behave end to end — state event, terminal event, stream
-# close, terminal-snapshot replay on reconnect, and a live firehose.  CI runs
-# this next to the fuzz and bench smokes; locally: scripts/sse-smoke.sh
+# close, terminal-snapshot replay on reconnect, and a live firehose.  Then it
+# restarts the server on the same port and checks a firehose reconnecting
+# with a Last-Event-ID from the old process still sees a new job end.  CI
+# runs this next to the fuzz and bench smokes; locally: scripts/sse-smoke.sh
 set -eu
 
 port="${SSE_SMOKE_PORT:-18080}"
@@ -11,7 +13,10 @@ tmp="$(mktemp -d)"
 pid=""
 
 cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+    if [ -n "$pid" ]; then
+        kill "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    fi
     rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
@@ -23,16 +28,20 @@ fail() {
     exit 1
 }
 
-go build -o "$tmp/refrint-serve" ./cmd/refrint-serve
-"$tmp/refrint-serve" -addr "127.0.0.1:$port" -event-heartbeat 1s >"$tmp/serve.log" 2>&1 &
-pid=$!
+# start_server boots refrint-serve and waits until it answers /healthz.
+start_server() {
+    "$tmp/refrint-serve" -addr "127.0.0.1:$port" -event-heartbeat 1s >>"$tmp/serve.log" 2>&1 &
+    pid=$!
+    up=""
+    for _ in $(seq 1 50); do
+        if curl -sf "$base/healthz" >/dev/null 2>&1; then up=1; break; fi
+        sleep 0.2
+    done
+    [ -n "$up" ] || fail "server never came up on $base" /dev/null
+}
 
-up=""
-for _ in $(seq 1 50); do
-    if curl -sf "$base/healthz" >/dev/null 2>&1; then up=1; break; fi
-    sleep 0.2
-done
-[ -n "$up" ] || fail "server never came up on $base" /dev/null
+go build -o "$tmp/refrint-serve" ./cmd/refrint-serve
+start_server
 
 # Firehose first, so it observes the whole job lifecycle below.
 curl -sN --max-time 60 "$base/v1/events" >"$tmp/firehose.txt" &
@@ -62,4 +71,32 @@ kill "$fhpid" 2>/dev/null || true
 wait "$fhpid" 2>/dev/null || true
 grep -q '^event: done' "$tmp/firehose.txt" || fail "firehose missed the job's terminal event" "$tmp/firehose.txt"
 
-echo "sse-smoke: OK ($id streamed, replayed, and closed cleanly)"
+# Restart on the same port.  Event IDs restart with the process, so a
+# dashboard reconnecting with the last ID it saw before the restart must
+# still get the new server's events.
+kill "$pid"
+wait "$pid" 2>/dev/null || true
+pid=""
+start_server
+curl -sN --max-time 60 -H 'Last-Event-ID: 1000000' "$base/v1/events" >"$tmp/firehose2.txt" &
+fhpid=$!
+subscribed=""
+for _ in $(seq 1 50); do
+    if curl -sf "$base/metrics" | grep -q '^refrint_event_subscribers [1-9]'; then subscribed=1; break; fi
+    sleep 0.2
+done
+[ -n "$subscribed" ] || fail "firehose never subscribed after restart" "$tmp/firehose2.txt"
+job2=$(curl -sf -X POST "$base/v1/sweeps" \
+    -d '{"apps":["LU"],"retention_times_us":[50],"policies":["R.valid"],"effort_scale":0.05,"workers":2}')
+id2=$(printf '%s' "$job2" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -n 1)
+[ -n "$id2" ] || fail "no job id in response after restart: $job2" /dev/null
+ended=""
+for _ in $(seq 1 300); do
+    if grep -A2 '^event: done' "$tmp/firehose2.txt" | grep -q "\"id\":\"$id2\""; then ended=1; break; fi
+    sleep 0.2
+done
+kill "$fhpid" 2>/dev/null || true
+wait "$fhpid" 2>/dev/null || true
+[ -n "$ended" ] || fail "firehose with a stale Last-Event-ID missed $id2's done event after restart" "$tmp/firehose2.txt"
+
+echo "sse-smoke: OK ($id streamed, replayed, and closed cleanly; $id2 seen through a restart)"
