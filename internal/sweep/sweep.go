@@ -105,6 +105,23 @@ func (o Options) normalise() Options {
 	return o
 }
 
+// CheckEffort reports an EffortScale the sweep cannot run: NaN, infinite,
+// negative, or so large that an application's per-thread reference count
+// overflows int64 (see workload.Params.WithEffort).  Zero means the
+// default.  Unknown applications are left to fail in their cells.
+func (o Options) CheckEffort() error {
+	for _, app := range o.normalise().Apps {
+		p, err := workload.Get(app)
+		if err != nil {
+			continue
+		}
+		if _, err := p.WithEffort(o.EffortScale); err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
+	}
+	return nil
+}
+
 // Size returns the number of simulations the options describe (after
 // defaulting): every application at every (retention, policy) point, plus
 // one SRAM baseline per application.
@@ -276,6 +293,9 @@ func Assemble(opts Options, runs []Run) *Results {
 // at that instant, but calls from different workers may be observed out of
 // order.  The callback must be safe for concurrent use and return quickly.
 func ExecuteContext(ctx context.Context, opts Options, progress func(Progress)) (*Results, error) {
+	if err := opts.CheckEffort(); err != nil {
+		return nil, err
+	}
 	opts = opts.normalise()
 	cells := Cells(opts)
 	runs := make([]Run, len(cells))
@@ -410,7 +430,9 @@ func runOne(ctx context.Context, opts Options, c Cell) (Run, error) {
 	if err != nil {
 		return Run{}, err
 	}
-	params = applyEffort(params, opts.EffortScale)
+	if params, err = params.WithEffort(opts.EffortScale); err != nil {
+		return Run{}, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
+	}
 
 	cfg := opts.Base
 	if c.Point.IsBaseline() {
@@ -485,20 +507,6 @@ func (l *systemList) put(s *sim.System) {
 	if len(l.free) < runtime.GOMAXPROCS(0) {
 		l.free = append(l.free, s)
 	}
-}
-
-// applyEffort scales the per-thread work of an application.
-func applyEffort(p workload.Params, scale float64) workload.Params {
-	if scale == 1.0 {
-		return p
-	}
-	out := p
-	ops := int64(float64(p.MemOpsPerThread) * scale)
-	if ops < 1000 {
-		ops = 1000
-	}
-	out.MemOpsPerThread = ops
-	return out
 }
 
 // AppsByClass groups the sweep's applications by their paper class.

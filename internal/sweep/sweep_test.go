@@ -269,12 +269,14 @@ func TestFindHelpersMissing(t *testing.T) {
 
 func TestApplyEffortFloors(t *testing.T) {
 	p, _ := workload.Get("LU")
-	small := applyEffort(p, 0.000001)
-	if small.MemOpsPerThread < 1000 {
-		t.Errorf("effort floor violated: %d", small.MemOpsPerThread)
+	small, err := p.WithEffort(0.000001)
+	if err != nil || small.MemOpsPerThread < 1000 {
+		t.Errorf("effort floor violated: %d (%v)", small.MemOpsPerThread, err)
 	}
-	same := applyEffort(p, 1.0)
-	if same.MemOpsPerThread != p.MemOpsPerThread {
-		t.Error("effort 1.0 should not change the workload")
+	for _, scale := range []float64{0, 1.0} {
+		same, err := p.WithEffort(scale)
+		if err != nil || same.MemOpsPerThread != p.MemOpsPerThread {
+			t.Errorf("effort %v should not change the workload", scale)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"refrint/internal/config"
 	"refrint/internal/mem"
@@ -21,18 +20,42 @@ const (
 // Generator produces the memory reference stream of one thread of an
 // application.  Generators are deterministic for a given (params, thread,
 // seed) triple.
+//
+// The stream is math/rand's Go 1 stream: the generator draws exactly what a
+// rand.New(rand.NewSource(seed ^ thread·0x5851F42D4C957F2D)) would through
+// Float64, Intn and Int63n, in the same order, from an inlined copy of that
+// source (source.go).  TestGeneratorStreamDigest pins the stream.
 type Generator struct {
+	draws
+	// src is math/rand's 4.9 KB register, seeded in place by Reset.
+	src source
+}
+
+// draws is the generator's per-run state apart from its random source.
+type draws struct {
 	params Params
 	geom   mem.LineGeometry
 	thread int
-	rng    *rand.Rand
 
-	// Region sizes in lines.
-	privateLines int
-	sharedLines  int
+	// Region sizes, and the first line of each region.
+	privateLines int64
+	sharedLines  int64
+	privateBase  mem.LineAddr
+	sharedBase   mem.LineAddr
+	codeBase     mem.LineAddr
+
+	// Float64() < p thresholds (see threshold) for the parameters'
+	// probabilities.
+	ifetchT, localityT, sharedT, streamT, writeT int64
+
+	// Int31n bounds for the code lines, the lines remembered in the window
+	// so far (at most its length) and the compute gap's span+1.
+	code, windowN, gap bound
+	gapLo              int64
 
 	// window holds the thread's recently-touched lines (its hot working
-	// set); references re-touch it with probability Locality.
+	// set), windowN.n of them so far; references re-touch it with
+	// probability Locality.
 	window []mem.LineAddr
 	wpos   int
 
@@ -52,8 +75,8 @@ func NewGenerator(p Params, cfg config.Config, thread int, seed int64) *Generato
 }
 
 // Reset re-initialises the generator exactly as NewGenerator would.  It
-// reseeds the existing random source and keeps the working window's
-// storage when its capacity already equals WorkingWindow, so resetting
+// reseeds the random source in place and keeps the working window's
+// storage when its length already equals WorkingWindow, so resetting
 // allocates nothing.
 func (g *Generator) Reset(p Params, cfg config.Config, thread int, seed int64) {
 	if err := p.Validate(); err != nil {
@@ -72,26 +95,39 @@ func (g *Generator) Reset(p Params, cfg config.Config, thread int, seed int64) {
 	if private < 1 {
 		private = 1
 	}
-	rngSeed := seed ^ int64(thread)*0x5851F42D4C957F2D
-	rng := g.rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(rngSeed))
-	} else {
-		rng.Seed(rngSeed)
+	stream := p.StreamBias
+	if stream == 0 {
+		stream = 0.7
 	}
-	window := g.window[:0]
-	if cap(window) != p.WorkingWindow {
-		window = make([]mem.LineAddr, 0, p.WorkingWindow)
+	var gap bound
+	if p.ComputePerMemOp > 0 {
+		gap = newBound(p.ComputePerMemOp + 1)
 	}
-	*g = Generator{
+	window := g.window
+	if len(window) != p.WorkingWindow {
+		window = make([]mem.LineAddr, p.WorkingWindow)
+	}
+	geom := cfg.Geometry()
+	g.draws = draws{
 		params:       p,
-		geom:         cfg.Geometry(),
+		geom:         geom,
 		thread:       thread,
-		rng:          rng,
-		privateLines: private,
-		sharedLines:  shared,
+		privateLines: int64(private),
+		sharedLines:  int64(shared),
+		privateBase:  geom.LineOf(mem.Addr(privateRegionBase + int64(thread)*privateRegionSize)),
+		sharedBase:   geom.LineOf(mem.Addr(sharedRegionBase)),
+		codeBase:     geom.LineOf(mem.Addr(codeRegionBase)),
+		ifetchT:      threshold(p.InstrFetchFraction),
+		localityT:    threshold(p.Locality),
+		sharedT:      threshold(p.SharedFraction),
+		streamT:      threshold(stream),
+		writeT:       threshold(p.WriteFraction),
+		code:         newBound(p.CodeLines),
+		gap:          gap,
+		gapLo:        int64(p.ComputePerMemOp / 2),
 		window:       window,
 	}
+	g.src.seed(seed ^ int64(thread)*0x5851F42D4C957F2D)
 }
 
 // Params returns the generator's parameters.
@@ -112,41 +148,24 @@ func (g *Generator) Remaining() int64 {
 	return r
 }
 
-// privateLineAddr maps a line index within the thread's private region to a
-// global line address.
-func (g *Generator) privateLineAddr(idx int64) mem.LineAddr {
-	base := mem.Addr(privateRegionBase + int64(g.thread)*privateRegionSize)
-	return g.geom.LineOf(base) + mem.LineAddr(idx)
-}
-
-// sharedLineAddr maps a line index within the shared region to a global line
-// address.
-func (g *Generator) sharedLineAddr(idx int64) mem.LineAddr {
-	return g.geom.LineOf(mem.Addr(sharedRegionBase)) + mem.LineAddr(idx)
-}
-
-// codeLineAddr maps a code line index to a global line address.
-func (g *Generator) codeLineAddr(idx int64) mem.LineAddr {
-	return g.geom.LineOf(mem.Addr(codeRegionBase)) + mem.LineAddr(idx)
-}
-
-// remember adds a line to the thread's working window.
+// remember adds a line to the thread's working window, over its oldest
+// line once the window is full.
+//
+//refrint:alloc-free
 func (g *Generator) remember(line mem.LineAddr) {
-	if cap(g.window) == 0 {
-		return
-	}
-	if len(g.window) < cap(g.window) {
-		g.window = append(g.window, line)
-		return
-	}
 	g.window[g.wpos] = line
 	if g.wpos++; g.wpos == len(g.window) {
 		g.wpos = 0
+	}
+	if g.windowN.n < uint64(len(g.window)) { // still filling
+		g.windowN = newBound(int(g.windowN.n) + 1)
 	}
 }
 
 // Next produces the thread's next memory reference.  It returns false when
 // the thread has finished its quota.
+//
+//refrint:alloc-free
 func (g *Generator) Next() (mem.Access, bool) {
 	if g.Done() {
 		return mem.Access{}, false
@@ -154,8 +173,8 @@ func (g *Generator) Next() (mem.Access, bool) {
 	g.issued++
 
 	// Occasional instruction fetch from the small code footprint.
-	if g.rng.Float64() < g.params.InstrFetchFraction {
-		line := g.codeLineAddr(int64(g.rng.Intn(g.params.CodeLines)))
+	if g.src.below(g.ifetchT) {
+		line := g.codeBase + mem.LineAddr(g.src.int31n(&g.code))
 		return mem.Access{
 			Addr: g.geom.BaseOf(line),
 			Type: mem.InstrFetch,
@@ -164,39 +183,27 @@ func (g *Generator) Next() (mem.Access, bool) {
 		}, true
 	}
 
-	stream := g.params.StreamBias
-	if stream == 0 {
-		stream = 0.7
-	}
 	var line mem.LineAddr
 	shared := false
-	if len(g.window) > 0 && g.rng.Float64() < g.params.Locality {
+	if g.windowN.n > 0 && g.src.below(g.localityT) {
 		// Re-touch the hot working set.
-		line = g.window[g.rng.Intn(len(g.window))]
-		shared = uint64(line) >= uint64(g.geom.LineOf(mem.Addr(sharedRegionBase)))
-	} else if g.rng.Float64() < g.params.SharedFraction {
+		line = g.window[g.src.int31n(&g.windowN)]
+		shared = line >= g.sharedBase
+	} else if g.src.below(g.sharedT) {
 		// Touch the shared region: streaming with occasional jumps, which is
 		// what creates producer/consumer traffic between cores.
-		if g.rng.Float64() < stream {
-			g.nextShared = (g.nextShared + 1) % int64(g.sharedLines)
-		} else {
-			g.nextShared = g.rng.Int63n(int64(g.sharedLines))
-		}
-		line = g.sharedLineAddr(g.nextShared)
+		g.nextShared = g.advance(g.nextShared, g.sharedLines)
+		line = g.sharedBase + mem.LineAddr(g.nextShared)
 		shared = true
 	} else {
 		// Touch the private region.
-		if g.rng.Float64() < stream {
-			g.nextPrivate = (g.nextPrivate + 1) % int64(g.privateLines)
-		} else {
-			g.nextPrivate = g.rng.Int63n(int64(g.privateLines))
-		}
-		line = g.privateLineAddr(g.nextPrivate)
+		g.nextPrivate = g.advance(g.nextPrivate, g.privateLines)
+		line = g.privateBase + mem.LineAddr(g.nextPrivate)
 	}
 	g.remember(line)
 
 	typ := mem.Read
-	if g.rng.Float64() < g.params.WriteFraction {
+	if g.src.below(g.writeT) {
 		typ = mem.Write
 	}
 	return mem.Access{
@@ -208,20 +215,29 @@ func (g *Generator) Next() (mem.Access, bool) {
 	}, true
 }
 
-// computeGap draws the number of non-memory instructions preceding the next
-// reference (geometric-ish around the configured mean).
-func (g *Generator) computeGap() int64 {
-	mean := g.params.ComputePerMemOp
-	if mean <= 0 {
+// advance returns the next line index of a region of n lines after idx:
+// usually the following line, sometimes a random jump.
+//
+//refrint:alloc-free
+func (g *Generator) advance(idx, n int64) int64 {
+	if !g.src.below(g.streamT) {
+		return g.src.int63n(n)
+	}
+	if idx++; idx == n {
 		return 0
 	}
-	// Uniform in [mean/2, 3*mean/2] keeps the mean while adding jitter.
-	lo := mean / 2
-	span := mean
-	if span < 1 {
-		span = 1
+	return idx
+}
+
+// computeGap draws the number of non-memory instructions preceding the next
+// reference, uniform in [mean/2, 3*mean/2].
+//
+//refrint:alloc-free
+func (g *Generator) computeGap() int64 {
+	if g.gap.n == 0 { // ComputePerMemOp ≤ 0
+		return 0
 	}
-	return int64(lo + g.rng.Intn(span+1))
+	return g.gapLo + int64(g.src.int31n(&g.gap))
 }
 
 // App bundles the per-thread generators of one application run.

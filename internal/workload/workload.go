@@ -14,10 +14,17 @@
 //	Class 1 (large footprint, high visibility):  FFT, FMM, Cholesky, Fluidanimate
 //	Class 2 (small footprint, high visibility):  Barnes, LU, Radix, Radiosity
 //	Class 3 (small footprint, low visibility):   Blackscholes, Streamcluster, Raytrace
+//
+// The reference streams are math/rand's Go 1 stream, drawn from an inlined
+// copy of its source (see Generator): the standard library's compatibility
+// promise freezes that stream, so a (params, thread, seed) triple gives the
+// same references, and the simulator the same results, on every Go release.
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"refrint/internal/config"
 )
@@ -110,7 +117,7 @@ type Params struct {
 	PaperClass Class
 }
 
-// Validate reports parameter errors.
+// Validate reports parameter errors.  A NaN probability is out of range.
 func (p Params) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("workload: missing name")
@@ -118,16 +125,16 @@ func (p Params) Validate() error {
 	if p.FootprintLines <= 0 {
 		return fmt.Errorf("workload %s: footprint must be positive", p.Name)
 	}
-	if p.SharedFraction < 0 || p.SharedFraction > 1 {
+	if !(p.SharedFraction >= 0 && p.SharedFraction <= 1) {
 		return fmt.Errorf("workload %s: shared fraction %v out of [0,1]", p.Name, p.SharedFraction)
 	}
-	if p.WriteFraction < 0 || p.WriteFraction > 1 {
+	if !(p.WriteFraction >= 0 && p.WriteFraction <= 1) {
 		return fmt.Errorf("workload %s: write fraction %v out of [0,1]", p.Name, p.WriteFraction)
 	}
-	if p.Locality < 0 || p.Locality > 1 {
+	if !(p.Locality >= 0 && p.Locality <= 1) {
 		return fmt.Errorf("workload %s: locality %v out of [0,1]", p.Name, p.Locality)
 	}
-	if p.StreamBias < 0 || p.StreamBias > 1 {
+	if !(p.StreamBias >= 0 && p.StreamBias <= 1) {
 		return fmt.Errorf("workload %s: stream bias %v out of [0,1]", p.Name, p.StreamBias)
 	}
 	if p.WorkingWindow <= 0 {
@@ -139,7 +146,7 @@ func (p Params) Validate() error {
 	if p.MemOpsPerThread <= 0 {
 		return fmt.Errorf("workload %s: memops per thread must be positive", p.Name)
 	}
-	if p.InstrFetchFraction < 0 || p.InstrFetchFraction >= 1 {
+	if !(p.InstrFetchFraction >= 0 && p.InstrFetchFraction < 1) {
 		return fmt.Errorf("workload %s: ifetch fraction %v out of [0,1)", p.Name, p.InstrFetchFraction)
 	}
 	if p.CodeLines <= 0 {
@@ -206,6 +213,33 @@ func (p Params) Scale(factor int) Params {
 	out.WorkingWindow = maxInt(p.WorkingWindow/factor, 16)
 	out.CodeLines = maxInt(p.CodeLines/factor, 8)
 	return out
+}
+
+// ErrEffort is wrapped by the error WithEffort returns for an effort scale
+// it cannot apply.
+var ErrEffort = errors.New("invalid effort scale")
+
+// minEffortOps is the per-thread reference floor of a scaled-down workload.
+const minEffortOps = 1000
+
+// WithEffort returns a copy of the parameters with the per-thread work
+// multiplied by scale and floored at 1000 references.  A scale of 0 means
+// the default of 1 and, like 1, returns the parameters unchanged.  A NaN,
+// infinite or negative scale, or one whose per-thread count does not fit
+// in an int64, is an error wrapping ErrEffort.
+func (p Params) WithEffort(scale float64) (Params, error) {
+	if !(scale >= 0) || math.IsInf(scale, 1) {
+		return p, fmt.Errorf("workload %s: %w %g: must be finite and non-negative", p.Name, ErrEffort, scale)
+	}
+	if scale == 0 || scale == 1 {
+		return p, nil
+	}
+	ops := float64(p.MemOpsPerThread) * scale
+	if ops >= 1<<63 {
+		return p, fmt.Errorf("workload %s: %w %g: %g references per thread overflow int64", p.Name, ErrEffort, scale, ops)
+	}
+	p.MemOpsPerThread = max(int64(ops), minEffortOps)
+	return p, nil
 }
 
 func maxInt(a, b int) int {

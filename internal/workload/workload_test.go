@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +105,11 @@ func TestParamsValidateErrors(t *testing.T) {
 		func(p *Params) { p.MemOpsPerThread = 0 },
 		func(p *Params) { p.InstrFetchFraction = 1.0 },
 		func(p *Params) { p.CodeLines = 0 },
+		func(p *Params) { p.SharedFraction = math.NaN() },
+		func(p *Params) { p.WriteFraction = math.NaN() },
+		func(p *Params) { p.Locality = math.NaN() },
+		func(p *Params) { p.StreamBias = math.NaN() },
+		func(p *Params) { p.InstrFetchFraction = math.NaN() },
 	}
 	for i, mutate := range cases {
 		p := good

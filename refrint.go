@@ -123,7 +123,8 @@ type SimRequest struct {
 	RetentionUS float64
 	// Preset is "scaled" (default) or "fullsize".
 	Preset string
-	// EffortScale multiplies the workload length (default 1.0).
+	// EffortScale multiplies the workload length (0 means the default,
+	// 1.0).  NaN, infinite, negative or overflowing scales are rejected.
 	EffortScale float64
 	// Seed drives the synthetic workload (default 1).
 	Seed int64
@@ -166,12 +167,8 @@ func Simulate(req SimRequest) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if req.EffortScale > 0 && req.EffortScale != 1.0 {
-		ops := int64(float64(params.MemOpsPerThread) * req.EffortScale)
-		if ops < 1000 {
-			ops = 1000
-		}
-		params.MemOpsPerThread = ops
+	if params, err = params.WithEffort(req.EffortScale); err != nil {
+		return Result{}, err
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -296,11 +293,11 @@ func (r SweepRequest) Options() (SweepOptions, error) {
 			opts.Policies = append(opts.Policies, p)
 		}
 	}
-	if r.EffortScale < 0 {
-		return SweepOptions{}, fmt.Errorf("refrint: effort scale %g must be non-negative", r.EffortScale)
-	}
-	if r.EffortScale > 0 {
+	if r.EffortScale != 0 {
 		opts.EffortScale = r.EffortScale
+		if err := opts.CheckEffort(); err != nil {
+			return SweepOptions{}, err
+		}
 	}
 	if r.Seed != 0 {
 		opts.Seed = r.Seed

@@ -3,7 +3,11 @@ package refrint
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"testing"
+
+	"refrint/internal/workload"
 )
 
 // TestSweepRequestJSONRoundTrip verifies the wire form: a request survives
@@ -151,6 +155,50 @@ func TestSweepRequestValidation(t *testing.T) {
 	for _, req := range bad {
 		if _, err := req.Options(); err == nil {
 			t.Errorf("request %+v validated, want error", req)
+		}
+	}
+}
+
+// TestSweepRequestRejectsOverflowingEffort checks that an effort scale
+// whose per-thread reference count overflows int64, or that is not a
+// finite non-negative number, is an error where a sweep starts instead of
+// a sweep run at the 1000-reference floor.
+func TestSweepRequestRejectsOverflowingEffort(t *testing.T) {
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(`{"apps":["LU"],"effort_scale":1e300}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := req.Options(); !errors.Is(err, workload.ErrEffort) {
+		t.Errorf("effort_scale 1e300: Options() error %v, want ErrEffort", err)
+	}
+	for _, scale := range []float64{1e300, 1e15, math.Inf(1), math.NaN(), -1} {
+		req := SweepRequest{Apps: []string{"LU"}, EffortScale: scale}
+		if _, err := req.Options(); !errors.Is(err, workload.ErrEffort) {
+			t.Errorf("effort %v: Options() error %v, want ErrEffort", scale, err)
+		}
+		opts := QuickSweep()
+		opts.Apps = []string{"LU"}
+		opts.RetentionTimesUS = []float64{50}
+		opts.Policies = opts.Policies[:1]
+		opts.EffortScale = scale
+		if _, err := RunSweepContext(context.Background(), opts, nil); !errors.Is(err, workload.ErrEffort) {
+			t.Errorf("effort %v: RunSweepContext error %v, want ErrEffort", scale, err)
+		}
+	}
+	// A large effort whose count fits in int64 still validates.
+	if _, err := (SweepRequest{Apps: []string{"LU"}, EffortScale: 1e12}).Options(); err != nil {
+		t.Errorf("effort 1e12: %v", err)
+	}
+}
+
+// TestSimulateRejectsNonFiniteEffort checks Simulate's effort scale: 0 is
+// the default, and NaN, infinite, negative and overflowing scales are
+// errors.
+func TestSimulateRejectsNonFiniteEffort(t *testing.T) {
+	for _, scale := range []float64{math.Inf(1), math.NaN(), -1, math.Inf(-1), 1e300} {
+		_, err := Simulate(SimRequest{App: "Blackscholes", Policy: "SRAM", EffortScale: scale})
+		if !errors.Is(err, workload.ErrEffort) {
+			t.Errorf("effort %v: Simulate error %v, want ErrEffort", scale, err)
 		}
 	}
 }

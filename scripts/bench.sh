@@ -8,11 +8,12 @@ set -eu
 
 out="${1:-}"
 count="${BENCH_COUNT:-5}"
-pattern="${BENCH_PATTERN:-BenchmarkRun|BenchmarkAccessSteadyState|BenchmarkProbe|BenchmarkSentryInterruptProcessing|BenchmarkPeriodicSweepProcessing|BenchmarkDemandTouch|BenchmarkSubmitDequeue|BenchmarkHistogramObserve}"
+pattern="${BENCH_PATTERN:-BenchmarkRun|BenchmarkAccessSteadyState|BenchmarkProbe|BenchmarkSentryInterruptProcessing|BenchmarkPeriodicSweepProcessing|BenchmarkDemandTouch|BenchmarkSubmitDequeue|BenchmarkHistogramObserve|BenchmarkGeneratorNext|BenchmarkAppReset}"
 
 run() {
     go test -run '^$' -bench "$pattern" -benchmem -count "$count" \
-        ./internal/cache ./internal/sim ./internal/core ./internal/sched ./internal/server
+        ./internal/cache ./internal/sim ./internal/core ./internal/sched ./internal/server \
+        ./internal/workload
 }
 
 # No pipe around `run`: POSIX sh has no pipefail, and `run | tee` would
