@@ -161,6 +161,16 @@ func (c *Cache) LastRefresh(f Frame) int64 { return c.lastRefresh[f] }
 //refrint:alloc-free
 func (c *Cache) Recharge(f Frame, at int64) { c.lastRefresh[f] = at }
 
+// RefreshArrays returns the per-frame MESI state, charge time and WB(n,m)
+// budget arrays, indexed by Frame.  The sentry drain in package core reads
+// and writes them in place rather than through the per-frame accessors.
+// The slices stay valid for the life of the Cache.
+//
+//refrint:alloc-free
+func (c *Cache) RefreshArrays() (states []mem.State, lastRefresh []int64, counts []int32) {
+	return c.states, c.lastRefresh, c.counts
+}
+
 // LRU returns a frame's replacement stamp, which is also the cycle of its
 // last normal access (tests and the reference model).
 //
@@ -317,9 +327,9 @@ func (c *Cache) DirtyCount() int {
 
 // FlushInto invalidates every line, appends copies of the dirty lines that
 // were present to dst (the caller writes them back) and returns the
-// extended buffer.  Like event.FrameWheel.PopDueInto, the caller owns the buffer:
-// passing a recycled dst[:0] makes the end-of-run flush allocation-free once
-// the buffer has grown to the bank's dirty high-water mark.
+// extended buffer.  The caller owns the buffer: passing a recycled dst[:0]
+// makes the end-of-run flush allocation-free once the buffer has grown to
+// the bank's dirty high-water mark.
 func (c *Cache) FlushInto(dst []mem.Line) []mem.Line {
 	for i, s := range c.states {
 		if s == mem.Modified {

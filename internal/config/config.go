@@ -222,6 +222,12 @@ func (c CellConfig) SentryRetention() int64 {
 	return c.RetentionCycles - c.SentryGuardCycles
 }
 
+// MaxSentryRetentionCycles bounds the sentry retention of an eDRAM cell.
+// A Refrint bank sizes its timing wheel to the sentry period, one bucket
+// per 64 cycles (event.RingBuckets), so the bound keeps the ring at 2^16
+// buckets (512 KB per bank) or fewer.  At 1 GHz it is 4 ms, 20x the paper's longest retention.
+const MaxSentryRetentionCycles = 4_000_000
+
 // Validate reports configuration errors.
 func (c CellConfig) Validate() error {
 	if c.LeakageRatio < 0 {
@@ -231,8 +237,11 @@ func (c CellConfig) Validate() error {
 		if c.RetentionCycles <= 0 {
 			return fmt.Errorf("config: eDRAM retention must be positive")
 		}
-		if c.SentryGuardCycles < 0 || c.SentryGuardCycles >= c.RetentionCycles {
+		if c.SentryGuardCycles <= 0 || c.SentryGuardCycles >= c.RetentionCycles {
 			return fmt.Errorf("config: sentry guard band %d outside (0, retention %d)", c.SentryGuardCycles, c.RetentionCycles)
+		}
+		if c.SentryRetention() > MaxSentryRetentionCycles {
+			return fmt.Errorf("config: sentry retention %d cycles exceeds the bound of %d", c.SentryRetention(), MaxSentryRetentionCycles)
 		}
 	}
 	return nil

@@ -3,6 +3,8 @@ package config
 import (
 	"strings"
 	"testing"
+
+	"refrint/internal/event"
 )
 
 func TestFullSizeValidates(t *testing.T) {
@@ -149,6 +151,44 @@ func TestCellConfigValidate(t *testing.T) {
 	good := CellConfig{Tech: SRAM, LeakageRatio: 1}
 	if err := good.Validate(); err != nil {
 		t.Errorf("SRAM cell invalid: %v", err)
+	}
+}
+
+func TestCellConfigValidateErrors(t *testing.T) {
+	edram := func(retention, guard int64) CellConfig {
+		return CellConfig{Tech: EDRAM, LeakageRatio: 0.25, RetentionCycles: retention, SentryGuardCycles: guard}
+	}
+	tests := []struct {
+		name string
+		cell CellConfig
+		want string
+	}{
+		{"negative leakage", CellConfig{Tech: SRAM, LeakageRatio: -1}, "leakage"},
+		{"zero guard", edram(3125, 0), "guard band 0 outside"},
+		{"negative guard", edram(3125, -1), "guard band -1 outside"},
+		{"unbounded sentry retention", edram(MaxSentryRetentionCycles+2, 1), "exceeds the bound"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := tt.cell.Validate()
+			if err == nil {
+				t.Fatalf("Validate() = nil, want error containing %q", tt.want)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not mention %q", err, tt.want)
+			}
+		})
+	}
+	if err := edram(MaxSentryRetentionCycles+1, 1).Validate(); err != nil {
+		t.Errorf("sentry retention at the bound: %v", err)
+	}
+}
+
+// TestMaxSentryRetentionRingBound checks the bound holds a Refrint bank's
+// sentry wheel, sized to the sentry retention, at 2^16 buckets or fewer.
+func TestMaxSentryRetentionRingBound(t *testing.T) {
+	if got := event.RingBuckets(event.SentryBucketCycles, MaxSentryRetentionCycles); got > 1<<16 {
+		t.Errorf("a sentry retention of %d cycles needs %d wheel buckets, want at most %d", MaxSentryRetentionCycles, got, 1<<16)
 	}
 }
 

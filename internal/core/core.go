@@ -61,15 +61,14 @@ type Bank struct {
 	ret   edram.Retention
 	sched edram.PeriodicSchedule
 	// wheel holds the pending sentry-decay deadline of each line frame
-	// (in use only when sentries is set).  The FrameWheel keeps exactly one
-	// live deadline per frame — rescheduling moves the frame's node — so
+	// (in use only when sentries is set).  The wheel keeps exactly one live
+	// deadline per frame — rescheduling moves the frame's node — so
 	// draining never sees stale entries and scheduling never allocates.
-	wheel    *event.FrameWheel
+	wheel    *frameWheel
 	sentries bool // refreshable Refrint bank: wheel is live
-	// dueBuf is the reusable drain buffer for sentry interrupts, so a
-	// steady-state AdvanceTo performs no allocation.  Safe because a bank's
-	// refresh hooks never re-enter the same bank's AdvanceTo.
-	dueBuf []event.WheelEntry
+	// deferred is advanceRefrint's reusable buffer of relinks it must hold
+	// back to the end of a pass.
+	deferred []relink
 
 	// Per-group occupancy for Periodic sweeps (empty for other banks):
 	// groupValid[g] and groupDirty[g] count the valid and dirty (Modified)
@@ -137,7 +136,7 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 		arr:        arr,
 		ret:        edram.NewRetention(cell),
 		wheel:      wheel,
-		dueBuf:     b.dueBuf[:0],
+		deferred:   b.deferred[:0],
 		groupValid: b.groupValid[:0],
 		groupDirty: b.groupDirty[:0],
 		hooks:      b.hooks,
@@ -161,7 +160,7 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 			// escape hatch for port-backlogged deadlines) a rare event.
 			b.sentries = true
 			if b.wheel == nil {
-				b.wheel = event.NewFrameWheel(64, b.arr.NumLines(), b.ret.SentryCycles)
+				b.wheel = newFrameWheel(event.SentryBucketCycles, b.arr.NumLines(), b.ret.SentryCycles)
 			} else {
 				b.wheel.Reset(b.ret.SentryCycles)
 			}
@@ -232,18 +231,6 @@ func (b *Bank) PortStart(now int64) int64 {
 	}
 	b.counters().RefreshStall += b.portBusyUntil - now
 	return b.portBusyUntil
-}
-
-// occupyPort reserves one cycle of the bank port for refresh work happening
-// at cycle `at` (or as soon after as the port is free) and returns the cycle
-// the work occupies.
-func (b *Bank) occupyPort(at int64) int64 {
-	if b.portBusyUntil < at {
-		b.portBusyUntil = at
-	}
-	cycle := b.portBusyUntil
-	b.portBusyUntil++
-	return cycle
 }
 
 // scheduleSentry registers the sentry-decay deadline of a frame, replacing
@@ -443,36 +430,124 @@ func (b *Bank) AdvanceTo(now int64) {
 	b.clock = now
 }
 
-// advanceRefrint drains sentry interrupts due by `now`, in deadline order,
-// applying the data policy to each interrupting line (Figure 4.1).  The
-// FrameWheel holds exactly one live deadline per frame (rescheduling moves
-// it), so every popped entry reflects the frame's current deadline; entries
-// whose frame has since been invalidated raise no interrupt — an invalid
-// frame has no charge to preserve — and its sentry stays quiet until the
-// frame is refilled.
+// relink is a sentry deadline that advanceRefrint links at the end of a
+// pass instead of at once.
+type relink struct {
+	deadline int64
+	frame    int32
+}
+
+// advanceRefrint drains the sentry interrupts due by `now` (Figure 4.1) in
+// passes over the wheel's bucket lists.  A pass handles every node due at
+// its start, in bucket and list order: it unlinks the node, takes the port
+// slot max(portBusyUntil, deadline), applies the data policy and relinks
+// the node at its new deadline.  A frame invalidated since it was scheduled
+// raises no interrupt and stays unlinked until it is refilled.
+//
+// The order is exactly that of popping every due node first and handling
+// them after.  A new deadline after `now` lands behind every node present
+// at pass start, so it is linked at once.  Two kinds wait in `deferred` to
+// be linked at the end of the pass, in processing order: a deadline already
+// due, which the next pass handles, and a bucket outside the pass-start
+// ring window, whose slot may still hold nodes.  The drain ends after a
+// pass that deferred no due deadline.
+//
+// Writebacks and invalidations, which call the hooks, go through
+// applyDataPolicy.  The hooks never touch this bank's wheel.
+//
+//refrint:alloc-free
 func (b *Bank) advanceRefrint(now int64) {
+	w := b.wheel
+	nodes := w.nodes
+	states, lastRefresh, counts := b.arr.RefreshArrays()
+	data := b.policy.Data
+	sentry := b.ret.SentryCycles
+	shift := w.granShift
+	nowBucket := now >> shift
+	var irqs, refreshes int64
 	for {
-		// Drain into the bank-owned reusable buffer: zero allocations in
-		// steady state.  Processing an interrupt can schedule new deadlines
-		// (they land in the wheel, not the buffer) and can call hooks, which
-		// never re-enter this bank's AdvanceTo.
-		b.dueBuf = b.wheel.PopDueInto(now, -1, b.dueBuf[:0])
-		if len(b.dueBuf) == 0 {
-			return
-		}
-		for _, entry := range b.dueBuf {
-			f := cache.Frame(entry.ID)
-			if !b.arr.Valid(f) {
-				// Invalid frames have no charge to preserve; their sentry
-				// raises no further interrupts until the frame is refilled.
-				continue
+		head, tail, mask := w.head, w.tail, w.mask
+		windowEnd := w.next + int64(len(head))
+		stop := min(nowBucket, windowEnd-1)
+		deferred := b.deferred[:0]
+		dueAgain := false
+		for bk := w.next; bk <= stop && w.count > 0; bk++ {
+			slot := bk & mask
+			blocked := false
+			for id := head[slot]; id != noNode; {
+				n := &nodes[id]
+				next := n.next
+				if n.deadline > now {
+					blocked = true
+					id = next
+					continue
+				}
+				if n.prev == noNode {
+					head[slot] = next
+				} else {
+					nodes[n.prev].next = next
+				}
+				if next == noNode {
+					tail[slot] = n.prev
+				} else {
+					nodes[next].prev = n.prev
+				}
+				n.next, n.prev = noNode, unlinked
+				w.count--
+				f := id
+				id = next
+				if states[f] == mem.Invalid {
+					continue
+				}
+				irqs++
+				at := max(b.portBusyUntil, n.deadline)
+				b.portBusyUntil = at + 1
+				switch {
+				case data == config.AllData || data == config.ValidData ||
+					data == config.DirtyData && states[f] == mem.Modified ||
+					data == config.WBData && counts[f] >= 1:
+					if data == config.WBData {
+						counts[f]--
+					}
+					lastRefresh[f] = at
+					refreshes++
+				case !b.applyDataPolicy(cache.Frame(f), at):
+					continue // invalidated
+				}
+				d := at + sentry
+				nb := d >> shift
+				if d <= now || nb >= windowEnd {
+					//refrint:allow allocfree -- grows to the bank's largest deferred batch, then is reused
+					deferred = append(deferred, relink{deadline: d, frame: f})
+					dueAgain = dueAgain || d <= now
+					continue
+				}
+				s := nb & mask
+				n.deadline = d
+				n.prev = tail[s]
+				if n.prev == noNode {
+					head[s] = f
+				} else {
+					nodes[n.prev].next = f
+				}
+				tail[s] = f
+				w.count++
 			}
-			// A genuine sentry interrupt.
-			b.st.SentryInterrupts++
-			at := b.occupyPort(entry.Cycle)
-			b.applyDataPolicy(f, at)
+			if !blocked && head[slot] == noNode {
+				w.next = bk + 1
+			}
+		}
+		for _, r := range deferred {
+			w.Schedule(r.deadline, int(r.frame))
+		}
+		b.deferred = deferred
+		if !dueAgain {
+			break
 		}
 	}
+	b.st.SentryInterrupts += irqs
+	b.ctr.Refreshes += refreshes
+	b.st.PolicyRefreshes += refreshes
 }
 
 // advancePeriodic performs the staggered group sweeps due by `now`.  The
@@ -544,52 +619,51 @@ func (b *Bank) sweepGroup(group int, cycle int64) {
 
 // applyDataPolicy executes the data-based refresh decision for one frame that
 // is due for refresh at cycle `at` (Figure 4.1 for WB(n,m); Table 3.1 for the
-// others).
+// others).  It reports whether the line was recharged at `at`, refreshed or
+// written back; a Refrint drain then re-arms the line's sentry.
 //
 //refrint:alloc-free
-func (b *Bank) applyDataPolicy(f cache.Frame, at int64) {
+func (b *Bank) applyDataPolicy(f cache.Frame, at int64) (recharged bool) {
 	switch b.policy.Data {
-	case config.AllData:
-		b.refreshLine(f, at)
-
-	case config.ValidData:
+	case config.AllData, config.ValidData:
 		// Only valid lines reach this point; always refresh.
 		b.refreshLine(f, at)
+		return true
 
 	case config.DirtyData:
 		if b.arr.Dirty(f) {
 			b.refreshLine(f, at)
-		} else {
-			b.invalidateLine(f, at)
+			return true
 		}
+		b.invalidateLine(f, at)
 
 	case config.WBData:
 		switch {
 		case b.arr.Count(f) >= 1:
 			b.arr.SetCount(f, b.arr.Count(f)-1)
 			b.refreshLine(f, at)
+			return true
 		case b.arr.Dirty(f):
 			// Count exhausted on a dirty line: write it back, keep it as
 			// valid clean, re-arm the clean budget.  The writeback itself
 			// refreshes the line.
 			b.writebackLine(f, at)
+			return true
 		default:
 			// Count exhausted on a valid clean line: let it go.
 			b.invalidateLine(f, at)
 		}
 	}
+	return false
 }
 
-// refreshLine recharges the cells and sentry bit of a frame.
+// refreshLine recharges the cells of a frame.
 //
 //refrint:alloc-free
 func (b *Bank) refreshLine(f cache.Frame, at int64) {
 	b.arr.Recharge(f, at)
 	b.counters().Refreshes++
 	b.st.PolicyRefreshes++
-	if b.policy.Time == config.RefrintTime {
-		b.scheduleSentry(f)
-	}
 }
 
 // writebackLine implements the WB(n,m) "write back and keep clean" action.
@@ -606,9 +680,6 @@ func (b *Bank) writebackLine(f cache.Frame, at int64) {
 	b.arr.SetCount(f, b.policy.M)
 	// The writeback read the line and rewrote it: the cells are recharged.
 	b.arr.Recharge(f, at)
-	if b.policy.Time == config.RefrintTime {
-		b.scheduleSentry(f)
-	}
 }
 
 // invalidateLine implements the policy invalidation of a clean line.
@@ -638,9 +709,8 @@ func (b *Bank) Drain(endCycle int64) {
 }
 
 // FlushInto invalidates every line, appends the dirty copies to the
-// caller-owned dst (mirroring event.FrameWheel.PopDueInto) and returns the
-// extended buffer, so repeated end-of-run flushes reuse one buffer instead
-// of allocating a fresh slice per call.
+// caller-owned dst and returns the extended buffer, so repeated end-of-run
+// flushes reuse one buffer instead of allocating a fresh slice per call.
 func (b *Bank) FlushInto(dst []mem.Line) []mem.Line {
 	for i := range b.groupValid {
 		b.groupValid[i] = 0

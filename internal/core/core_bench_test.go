@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"refrint/internal/cache"
 	"refrint/internal/config"
 	"refrint/internal/mem"
 	"refrint/internal/stats"
@@ -34,6 +35,50 @@ func BenchmarkSentryInterruptProcessing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now += 50_000 - 16_384
 		bank.AdvanceTo(now)
+	}
+}
+
+// BenchmarkSentryDrainScaledL3 measures the sentry drain as the simulator
+// runs it: one full 1024-line L3 bank of the scaled chip at the 50 us
+// retention, drained every 73 cycles, with three demand touches per drain
+// (round robin) so WB budgets are re-armed before they run out and lines
+// stay resident.  It reports the cost per sentry interrupt.
+func BenchmarkSentryDrainScaledL3(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		policy config.Policy
+	}{
+		{"Valid", config.RefrintValid},
+		{"WB32", config.RefrintWB(32, 32)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := config.AsEDRAM(config.Scaled(), tc.policy, config.ScaledRetentionUS(config.Retention50us))
+			st := stats.New(1)
+			bank := NewBank(cfg.L3, cfg.Cell, tc.policy, stats.L3, st, Hooks{})
+			lines := bank.Cache().NumLines()
+			frames := make([]cache.Frame, lines)
+			for i := range frames {
+				frames[i], _, _ = bank.Insert(mem.LineAddr(i), mem.Modified, int64(i))
+			}
+			now := int64(lines)
+			step := func(i int) {
+				now += 73
+				bank.AdvanceTo(now)
+				for j := 3 * i; j < 3*i+3; j++ {
+					bank.Touch(frames[j%lines], now)
+				}
+			}
+			for i := 0; i < 4*lines; i++ { // settle the wheel and the port
+				step(i)
+			}
+			irqs := st.SentryInterrupts
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.SentryInterrupts-irqs), "ns/irq")
+		})
 	}
 }
 

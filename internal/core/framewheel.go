@@ -1,23 +1,24 @@
-// Package event holds the simulator's timing wheel, FrameWheel, which
-// tracks the refresh deadline of every cache line frame (the Refrint
-// sentries).  The simulation run loop orders its events with its own typed
-// heap (sim.(*System).RunContext), not with this package.
-package event
+package core
 
-// FrameWheel is a timing wheel specialised for the refresh machinery's
-// access pattern: deadlines are keyed by a dense id space (cache line frame
-// indices) and each id has at most one live deadline at a time.  Instead of
-// appending entries to bucket slices — which leaves a stale entry behind on
-// every reschedule and makes the consumer filter them out — the wheel links
-// one preallocated node per id into an intrusive doubly-linked list per
-// bucket.  Rescheduling an id moves its node, so the wheel only ever holds
-// live deadlines and performs no allocation after construction.
+import "refrint/internal/event"
+
+// frameWheel is the timing wheel that holds the sentry deadline of every
+// line frame of a Refrint bank.  It is specialised for the refresh
+// machinery's access pattern: deadlines are keyed by a dense id space (cache
+// line frame indices) and each id has at most one live deadline at a time.
+// Instead of appending entries to bucket slices — which leaves a stale entry
+// behind on every reschedule and makes the consumer filter them out — the
+// wheel links one preallocated node per id into an intrusive doubly-linked
+// list per bucket.  Rescheduling an id moves its node, so the wheel only
+// ever holds live deadlines and performs no allocation after construction.
 //
 // Buckets drain in ascending order and nodes within a bucket drain in the
-// order their ids were (re)scheduled into it.  PopDueInto compares each
-// node's exact deadline with now, so coarse buckets never return an entry
-// early; a granularity of 1 also makes the drain order exact.
-type FrameWheel struct {
+// order their ids were (re)scheduled into it.  The drain,
+// Bank.advanceRefrint, walks the bucket lists itself and compares each
+// node's exact deadline with now, so coarse buckets never fire a sentry
+// early.  Every node lies in the ring window [next, next+len(head)), so no
+// two buckets holding nodes share a slot.
+type frameWheel struct {
 	granShift   uint  // log2(granularity)
 	granularity int64 // power of two
 	nodes       []frameNode
@@ -42,21 +43,12 @@ const (
 	unlinked = int32(-2)
 )
 
-// WheelEntry is one due deadline returned by PopDueInto.
-type WheelEntry struct {
-	Cycle int64 // the deadline
-	ID    int64 // consumer-defined identifier (e.g. line index)
-}
-
-// defaultRingBuckets is the ring size used when no horizon is given.
-const defaultRingBuckets = 64
-
-// NewFrameWheel returns a wheel for ids 0..ids-1 whose ring covers at least
+// newFrameWheel returns a wheel for ids 0..ids-1 whose ring covers at least
 // `horizon` cycles beyond the earliest pending deadline.  Scheduling past
 // the covered window grows the ring (a rare, amortised event); sizing the
 // horizon to the caller's maximum schedule-ahead distance avoids it.  The
 // granularity is rounded up to a power of two so bucketing is a shift.
-func NewFrameWheel(granularity int64, ids int, horizon int64) *FrameWheel {
+func newFrameWheel(granularity int64, ids int, horizon int64) *frameWheel {
 	if granularity <= 0 {
 		granularity = 1
 	}
@@ -67,7 +59,7 @@ func NewFrameWheel(granularity int64, ids int, horizon int64) *FrameWheel {
 	for g := granularity; g > 1; g >>= 1 {
 		shift++
 	}
-	w := &FrameWheel{
+	w := &frameWheel{
 		granShift:   shift,
 		granularity: granularity,
 		nodes:       make([]frameNode, ids),
@@ -77,18 +69,12 @@ func NewFrameWheel(granularity int64, ids int, horizon int64) *FrameWheel {
 }
 
 // Reset empties the wheel and sizes its ring for `horizon` exactly as
-// NewFrameWheel would, without allocating when the ring it already has is
+// newFrameWheel would, without allocating when the ring it already has is
 // large enough: a ring grown by an earlier run, or sized for a longer
-// horizon, is kept.  Ring size never changes which entries PopDueInto
-// returns or their order, so a reset wheel behaves as a fresh one.
-func (w *FrameWheel) Reset(horizon int64) {
-	buckets := int64(defaultRingBuckets)
-	if horizon > 0 {
-		need := horizon/w.granularity + 2
-		for buckets < need {
-			buckets <<= 1
-		}
-	}
+// horizon, is kept.  Ring size never changes which deadlines a drain finds
+// due or their order, so a reset wheel behaves as a fresh one.
+func (w *frameWheel) Reset(horizon int64) {
+	buckets := event.RingBuckets(w.granularity, horizon)
 	if int64(len(w.head)) < buckets {
 		w.head = make([]int32, buckets)
 		w.tail = make([]int32, buckets)
@@ -106,23 +92,17 @@ func (w *FrameWheel) Reset(horizon int64) {
 }
 
 // Len returns the number of pending deadlines.
-func (w *FrameWheel) Len() int { return w.count }
+func (w *frameWheel) Len() int { return w.count }
 
 // MaybeDue reports whether any deadline could be due at `now`: a
 // lower-bound test (the earliest pending deadline is at or after bucket
 // `next`) that owners use to skip draining entirely on the hot path.
-func (w *FrameWheel) MaybeDue(now int64) bool {
+func (w *frameWheel) MaybeDue(now int64) bool {
 	return w.count != 0 && now>>w.granShift >= w.next
 }
 
-// Deadline returns the pending deadline of id and whether one is registered.
-func (w *FrameWheel) Deadline(id int) (int64, bool) {
-	n := &w.nodes[id]
-	return n.deadline, n.prev != unlinked
-}
-
 // Schedule registers (or moves) the deadline of id.
-func (w *FrameWheel) Schedule(cycle int64, id int) {
+func (w *frameWheel) Schedule(cycle int64, id int) {
 	n := &w.nodes[id]
 	if n.prev != unlinked {
 		if n.deadline == cycle {
@@ -153,15 +133,8 @@ func (w *FrameWheel) Schedule(cycle int64, id int) {
 	w.count++
 }
 
-// Cancel removes the pending deadline of id, if any.
-func (w *FrameWheel) Cancel(id int) {
-	if w.nodes[id].prev != unlinked {
-		w.unlink(int32(id))
-	}
-}
-
 // unlink removes a linked node from its bucket list.
-func (w *FrameWheel) unlink(id int32) {
+func (w *frameWheel) unlink(id int32) {
 	n := &w.nodes[id]
 	slot := (n.deadline >> w.granShift) & w.mask
 	if n.prev == noNode {
@@ -179,7 +152,7 @@ func (w *FrameWheel) unlink(id int32) {
 }
 
 // maxBucket returns the largest bucket holding a node (count must be > 0).
-func (w *FrameWheel) maxBucket() int64 {
+func (w *frameWheel) maxBucket() int64 {
 	max := int64(-1 << 62)
 	for id := range w.nodes {
 		n := &w.nodes[id]
@@ -195,7 +168,7 @@ func (w *FrameWheel) maxBucket() int64 {
 // rebase lowers the window start to bucket b (a deadline earlier than every
 // pending one was scheduled), growing the ring if the pending span no longer
 // fits.  Rare: the refresh machinery only schedules forward.
-func (w *FrameWheel) rebase(b int64) {
+func (w *frameWheel) rebase(b int64) {
 	if span := w.maxBucket() - b + 1; span > int64(len(w.head)) {
 		w.rebuild(b, span)
 	}
@@ -203,13 +176,13 @@ func (w *FrameWheel) rebase(b int64) {
 }
 
 // grow widens the ring so bucket b fits in the window [next, next+buckets).
-func (w *FrameWheel) grow(b int64) {
+func (w *frameWheel) grow(b int64) {
 	w.rebuild(w.next, b-w.next+1)
 }
 
 // rebuild re-links every node into a ring of at least minSpan buckets
 // starting at windowStart, preserving bucket order and within-bucket order.
-func (w *FrameWheel) rebuild(windowStart, minSpan int64) {
+func (w *frameWheel) rebuild(windowStart, minSpan int64) {
 	buckets := int64(len(w.head))
 	for buckets < minSpan {
 		buckets <<= 1
@@ -242,70 +215,4 @@ func (w *FrameWheel) rebuild(windowStart, minSpan int64) {
 			id = nextID
 		}
 	}
-}
-
-// PopDueInto appends up to max due entries (deadline <= now) to dst in
-// non-decreasing bucket order (within-bucket in schedule order) and returns
-// the extended slice.  A negative max means no limit.  It allocates only if
-// dst lacks capacity.
-func (w *FrameWheel) PopDueInto(now int64, max int, dst []WheelEntry) []WheelEntry {
-	if w.count == 0 || max == 0 {
-		return dst
-	}
-	popped := 0
-	nowBucket := now >> w.granShift
-	windowEnd := w.next + int64(len(w.head))
-	stop := nowBucket
-	if stop >= windowEnd {
-		stop = windowEnd - 1 // nodes only exist inside the window
-	}
-	blocked := false // a not-yet-due node pins w.next at its bucket
-	for b := w.next; b <= stop && w.count > 0; b++ {
-		slot := b & w.mask
-		id := w.head[slot]
-		for id != noNode {
-			n := &w.nodes[id]
-			nextID := n.next
-			if n.deadline <= now {
-				dst = append(dst, WheelEntry{Cycle: n.deadline, ID: int64(id)})
-				w.unlink(id)
-				popped++
-				if max >= 0 && popped >= max {
-					return dst
-				}
-			} else {
-				blocked = true
-			}
-			id = nextID
-		}
-		if !blocked && w.head[slot] == noNode {
-			w.next = b + 1
-		}
-		if blocked {
-			return dst
-		}
-	}
-	return dst
-}
-
-// NextDeadline returns the earliest pending deadline and true, or (0, false)
-// if the wheel is empty.  The scan is bounded by the ring size.
-func (w *FrameWheel) NextDeadline() (int64, bool) {
-	if w.count == 0 {
-		return 0, false
-	}
-	for b := w.next; b < w.next+int64(len(w.head)); b++ {
-		id := w.head[b&w.mask]
-		if id == noNode {
-			continue
-		}
-		min := w.nodes[id].deadline
-		for id = w.nodes[id].next; id != noNode; id = w.nodes[id].next {
-			if d := w.nodes[id].deadline; d < min {
-				min = d
-			}
-		}
-		return min, true
-	}
-	return 0, false
 }

@@ -2,7 +2,7 @@
 
 // The race runtime instruments allocation accounting, so the AllocsPerRun
 // assertions here only run in the plain test suite (the tier-1 gate).
-package event
+package core
 
 import "testing"
 
@@ -12,8 +12,8 @@ import "testing"
 // allocations once the ring covers the schedule-ahead horizon.
 func TestWheelScheduleAndDrainZeroAllocs(t *testing.T) {
 	const ids = 128
-	w := NewFrameWheel(64, ids, 40_000)
-	buf := make([]WheelEntry, 0, ids)
+	w := newFrameWheel(64, ids, 40_000)
+	buf := make([]wheelEntry, 0, ids)
 	now := int64(0)
 	cycle := func() {
 		for id := 0; id < ids; id++ {
@@ -30,16 +30,16 @@ func TestWheelScheduleAndDrainZeroAllocs(t *testing.T) {
 	}
 	cycle() // settle the window
 	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
-		t.Errorf("FrameWheel allocates %.2f objects per reschedule/cancel/drain cycle, want 0", avg)
+		t.Errorf("frameWheel allocates %.2f objects per reschedule/cancel/drain cycle, want 0", avg)
 	}
 }
 
-// TestFrameWheelZeroAllocs asserts the FrameWheel never allocates after
+// TestFrameWheelZeroAllocs asserts the frameWheel never allocates after
 // construction: nodes are preallocated per id, and rescheduling moves them.
 func TestFrameWheelZeroAllocs(t *testing.T) {
 	const ids = 256
-	w := NewFrameWheel(64, ids, 40_000)
-	buf := make([]WheelEntry, 0, ids)
+	w := newFrameWheel(64, ids, 40_000)
+	buf := make([]wheelEntry, 0, ids)
 	now := int64(0)
 	cycle := func() {
 		for id := 0; id < ids; id++ {
@@ -53,6 +53,6 @@ func TestFrameWheelZeroAllocs(t *testing.T) {
 	}
 	cycle() // settle the window
 	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
-		t.Errorf("FrameWheel allocates %.2f objects per schedule/drain cycle, want 0", avg)
+		t.Errorf("frameWheel allocates %.2f objects per schedule/drain cycle, want 0", avg)
 	}
 }

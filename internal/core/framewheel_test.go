@@ -1,23 +1,112 @@
-package event
+package core
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"refrint/internal/event"
 )
 
 // The TestWheel* cases pin the timing-wheel contract (ordering, max-limited
-// drains, coarse buckets, window growth and rebasing) on FrameWheel, the
-// package's timing wheel.
+// drains, coarse buckets, window growth and rebasing) on frameWheel, the
+// Refrint banks' timing wheel.  They drain it through PopDueInto, the
+// two-phase reference drain below, which TestSentryDrainMatchesReference
+// also uses as the oracle for Bank.advanceRefrint.
+
+// wheelEntry is one due deadline returned by PopDueInto.
+type wheelEntry struct {
+	Cycle int64 // the deadline
+	ID    int64 // the frame
+}
+
+// PopDueInto appends up to max due entries (deadline <= now) to dst in
+// non-decreasing bucket order (within-bucket in schedule order) and returns
+// the extended slice.  A negative max means no limit.  It allocates only if
+// dst lacks capacity.
+func (w *frameWheel) PopDueInto(now int64, max int, dst []wheelEntry) []wheelEntry {
+	if w.count == 0 || max == 0 {
+		return dst
+	}
+	popped := 0
+	nowBucket := now >> w.granShift
+	windowEnd := w.next + int64(len(w.head))
+	stop := nowBucket
+	if stop >= windowEnd {
+		stop = windowEnd - 1 // nodes only exist inside the window
+	}
+	blocked := false // a not-yet-due node pins w.next at its bucket
+	for b := w.next; b <= stop && w.count > 0; b++ {
+		slot := b & w.mask
+		id := w.head[slot]
+		for id != noNode {
+			n := &w.nodes[id]
+			nextID := n.next
+			if n.deadline <= now {
+				dst = append(dst, wheelEntry{Cycle: n.deadline, ID: int64(id)})
+				w.unlink(id)
+				popped++
+				if max >= 0 && popped >= max {
+					return dst
+				}
+			} else {
+				blocked = true
+			}
+			id = nextID
+		}
+		if !blocked && w.head[slot] == noNode {
+			w.next = b + 1
+		}
+		if blocked {
+			return dst
+		}
+	}
+	return dst
+}
+
+// NextDeadline returns the earliest pending deadline and true, or (0, false)
+// if the wheel is empty.  The scan is bounded by the ring size.
+func (w *frameWheel) NextDeadline() (int64, bool) {
+	if w.count == 0 {
+		return 0, false
+	}
+	for b := w.next; b < w.next+int64(len(w.head)); b++ {
+		id := w.head[b&w.mask]
+		if id == noNode {
+			continue
+		}
+		min := w.nodes[id].deadline
+		for id = w.nodes[id].next; id != noNode; id = w.nodes[id].next {
+			if d := w.nodes[id].deadline; d < min {
+				min = d
+			}
+		}
+		return min, true
+	}
+	return 0, false
+}
+
+// Cancel removes the pending deadline of id, if any.
+func (w *frameWheel) Cancel(id int) {
+	if w.nodes[id].prev != unlinked {
+		w.unlink(int32(id))
+	}
+}
+
+// Deadline returns the pending deadline of id and whether one is registered.
+func (w *frameWheel) Deadline(id int) (int64, bool) {
+	n := &w.nodes[id]
+	return n.deadline, n.prev != unlinked
+}
 
 // popDue drains into a fresh slice.
-func popDue(w *FrameWheel, now int64, max int) []WheelEntry {
+func popDue(w *frameWheel, now int64, max int) []wheelEntry {
 	return w.PopDueInto(now, max, nil)
 }
 
 func TestWheelBasic(t *testing.T) {
-	w := NewFrameWheel(1, 4, 0)
+	w := newFrameWheel(1, 4, 0)
 	if w.Len() != 0 {
 		t.Fatal("new wheel should be empty")
 	}
@@ -47,7 +136,7 @@ func TestWheelBasic(t *testing.T) {
 }
 
 func TestWheelNothingDue(t *testing.T) {
-	w := NewFrameWheel(16, 2, 0)
+	w := newFrameWheel(16, 2, 0)
 	w.Schedule(1000, 1)
 	if due := popDue(w, 999, -1); len(due) != 0 {
 		t.Errorf("PopDueInto before deadline returned %+v", due)
@@ -58,7 +147,7 @@ func TestWheelNothingDue(t *testing.T) {
 }
 
 func TestWheelMaxLimit(t *testing.T) {
-	w := NewFrameWheel(1, 10, 0)
+	w := newFrameWheel(1, 10, 0)
 	for i := 0; i < 10; i++ {
 		w.Schedule(int64(i), i)
 	}
@@ -77,7 +166,7 @@ func TestWheelMaxLimit(t *testing.T) {
 }
 
 func TestWheelCoarseGranularity(t *testing.T) {
-	w := NewFrameWheel(64, 4, 0)
+	w := newFrameWheel(64, 4, 0)
 	w.Schedule(70, 1)  // bucket 1
 	w.Schedule(130, 2) // bucket 2
 	w.Schedule(10, 3)  // bucket 0
@@ -95,7 +184,7 @@ func TestWheelCoarseGranularity(t *testing.T) {
 }
 
 func TestWheelReschedulingAfterDrain(t *testing.T) {
-	w := NewFrameWheel(8, 3, 0)
+	w := newFrameWheel(8, 3, 0)
 	w.Schedule(10, 1)
 	popDue(w, 20, -1)
 	// After a full drain the wheel must accept earlier deadlines again.
@@ -115,7 +204,7 @@ func TestWheelDeadlinesNeverLostProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		count := int(n%64) + 1
-		w := NewFrameWheel(16, count, 0)
+		w := newFrameWheel(16, count, 0)
 		deadlines := map[int64]int64{}
 		for i := 0; i < count; i++ {
 			d := rng.Int63n(10_000)
@@ -145,7 +234,7 @@ func TestWheelDeadlinesNeverLostProperty(t *testing.T) {
 // buckets hold several cycles: the earliest cycle must win even when a
 // later-scheduled entry lands in the same bucket.
 func TestWheelNextDeadlineCoarseGranularity(t *testing.T) {
-	w := NewFrameWheel(64, 4, 0)
+	w := newFrameWheel(64, 4, 0)
 	w.Schedule(130, 1) // bucket 2
 	w.Schedule(100, 2) // bucket 1
 	w.Schedule(120, 3) // bucket 1, later insertion, earlier than 130
@@ -166,7 +255,7 @@ func TestWheelNextDeadlineCoarseGranularity(t *testing.T) {
 // that stops mid-bucket leaves NextDeadline pointing at the remaining
 // entries.
 func TestWheelNextDeadlineAfterMaxLimitedPop(t *testing.T) {
-	w := NewFrameWheel(4, 8, 0)
+	w := newFrameWheel(4, 8, 0)
 	for i := 0; i < 8; i++ {
 		w.Schedule(int64(10+i), i) // buckets 2 to 4
 	}
@@ -190,7 +279,7 @@ func TestWheelNextDeadlineAfterMaxLimitedPop(t *testing.T) {
 // entries at a time and checks nothing is lost, duplicated or early.
 func TestWheelMaxLimitCoarseBuckets(t *testing.T) {
 	const n = 40
-	w := NewFrameWheel(16, n, 0)
+	w := newFrameWheel(16, n, 0)
 	for i := 0; i < n; i++ {
 		w.Schedule(int64(i*7), i)
 	}
@@ -215,15 +304,15 @@ func TestWheelMaxLimitCoarseBuckets(t *testing.T) {
 // TestWheelOverflowBeyondRing schedules far past the ring window, so the
 // wheel must grow its ring, then checks the entries drain correctly.
 func TestWheelOverflowBeyondRing(t *testing.T) {
-	w := NewFrameWheel(1, 4, 0) // default ring: 64 buckets
+	w := newFrameWheel(1, 4, 0) // default ring: 64 buckets
 	w.Schedule(5, 1)
 	w.Schedule(10_000, 2) // far beyond the window: grow
 	w.Schedule(5_000, 3)
 	if w.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", w.Len())
 	}
-	if len(w.head) <= defaultRingBuckets {
-		t.Fatalf("ring has %d buckets, want it grown past %d", len(w.head), defaultRingBuckets)
+	if len(w.head) <= event.DefaultRingBuckets {
+		t.Fatalf("ring has %d buckets, want it grown past %d", len(w.head), event.DefaultRingBuckets)
 	}
 	if d, ok := w.NextDeadline(); !ok || d != 5 {
 		t.Fatalf("NextDeadline = %d,%v, want 5,true", d, ok)
@@ -249,7 +338,7 @@ func TestWheelOverflowBeyondRing(t *testing.T) {
 // earlier than everything pending is scheduled and the pending span no
 // longer fits the ring.
 func TestWheelScheduleEarlierThanPending(t *testing.T) {
-	w := NewFrameWheel(1, 4, 0)
+	w := newFrameWheel(1, 4, 0)
 	w.Schedule(1000, 1)
 	w.Schedule(1063, 2) // same window as 1000 (64 buckets)
 	w.Schedule(990, 3)  // earlier: the window moves back and 1063 no longer fits
@@ -265,8 +354,8 @@ func TestWheelScheduleEarlierThanPending(t *testing.T) {
 // TestWheelPopDueIntoReuse checks that PopDueInto appends into the supplied
 // buffer and drains a bucket in schedule order, round after round.
 func TestWheelPopDueIntoReuse(t *testing.T) {
-	w := NewFrameWheel(4, 10, 1024)
-	buf := make([]WheelEntry, 0, 16)
+	w := newFrameWheel(4, 10, 1024)
+	buf := make([]wheelEntry, 0, 16)
 	for round := int64(0); round < 50; round++ {
 		base := round * 20
 		for i := 0; i < 10; i++ {
@@ -287,10 +376,10 @@ func TestWheelPopDueIntoReuse(t *testing.T) {
 	}
 }
 
-// TestWheelHorizonSizing checks NewFrameWheel covers the requested span:
+// TestWheelHorizonSizing checks newFrameWheel covers the requested span:
 // scheduling a horizon ahead of a pending deadline does not grow the ring.
 func TestWheelHorizonSizing(t *testing.T) {
-	w := NewFrameWheel(64, 2, 33_616)
+	w := newFrameWheel(64, 2, 33_616)
 	buckets := len(w.head)
 	if buckets < 33_616/64+2 {
 		t.Errorf("ring %d buckets cannot cover a 33616-cycle horizon", buckets)
@@ -312,7 +401,7 @@ func TestFrameWheelRandomizedAgainstReference(t *testing.T) {
 	const ids = 48
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := NewFrameWheel(int64(1)<<rng.Intn(6), ids, 0)
+		w := newFrameWheel(int64(1)<<rng.Intn(6), ids, 0)
 		model := map[int]int64{}
 		now := int64(0)
 		for step := 0; step < 400; step++ {
@@ -382,7 +471,7 @@ func TestFrameWheelRandomizedAgainstReference(t *testing.T) {
 }
 
 // agrees reports whether the wheel's observable state matches the model.
-func agrees(w *FrameWheel, model map[int]int64, now int64) bool {
+func agrees(w *frameWheel, model map[int]int64, now int64) bool {
 	if w.Len() != len(model) {
 		return false
 	}
@@ -411,8 +500,8 @@ func agrees(w *FrameWheel, model map[int]int64, now int64) bool {
 // from time `from`, with some deadlines far past the ring so it grows, and
 // returns every drain's output in order.  Deadlines may still be pending
 // when it returns.
-func wheelScript(w *FrameWheel, rng *rand.Rand, ids int, from, horizon int64) [][]WheelEntry {
-	var out [][]WheelEntry
+func wheelScript(w *frameWheel, rng *rand.Rand, ids int, from, horizon int64) [][]wheelEntry {
+	var out [][]wheelEntry
 	now := from
 	for step := 0; step < 400; step++ {
 		switch r := rng.Intn(10); {
@@ -438,7 +527,7 @@ func TestFrameWheelResetMatchesFresh(t *testing.T) {
 	const ids, gran = 300, 64
 	for _, horizons := range [][2]int64{{4096, 4096}, {16384, 2048}, {2048, 16384}} {
 		rng := rand.New(rand.NewSource(horizons[0] ^ horizons[1]))
-		w := NewFrameWheel(gran, ids, horizons[0])
+		w := newFrameWheel(gran, ids, horizons[0])
 		built := len(w.head)
 		wheelScript(w, rng, ids, 1000, horizons[0])
 		if len(w.head) <= built || w.Len() == 0 {
@@ -449,7 +538,7 @@ func TestFrameWheelResetMatchesFresh(t *testing.T) {
 		if w.Len() != 0 {
 			t.Fatalf("Len after Reset = %d, want 0", w.Len())
 		}
-		fresh := NewFrameWheel(gran, ids, horizons[1])
+		fresh := newFrameWheel(gran, ids, horizons[1])
 		seed := rng.Int63()
 		got := wheelScript(w, rand.New(rand.NewSource(seed)), ids, 0, horizons[1])
 		want := wheelScript(fresh, rand.New(rand.NewSource(seed)), ids, 0, horizons[1])

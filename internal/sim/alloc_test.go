@@ -50,7 +50,8 @@ func steadyDriver(t testing.TB, cfg config.Config) func() {
 // and the refresh machinery have warmed up, resolving a memory reference
 // through the hierarchy performs zero heap allocations — for the SRAM
 // baseline, the conventional Periodic All scheme, and the paper's Refrint
-// WB policy (which exercises the sentry wheel on every touch).
+// Valid, Dirty and WB policies (which exercise the sentry wheel on every
+// touch and the sentry drain's inline and invalidating outcomes).
 func TestSteadyStateAccessZeroAllocs(t *testing.T) {
 	configs := []struct {
 		name string
@@ -58,6 +59,8 @@ func TestSteadyStateAccessZeroAllocs(t *testing.T) {
 	}{
 		{"SRAM", scaledSRAM()},
 		{"PeriodicAll", scaledEDRAM(config.PeriodicAll, config.Retention50us)},
+		{"RefrintValid", scaledEDRAM(config.RefrintValid, config.Retention50us)},
+		{"RefrintDirty", scaledEDRAM(config.RefrintDirty, config.Retention50us)},
 		{"RefrintWB", scaledEDRAM(config.RefrintWB(32, 32), config.Retention50us)},
 	}
 	for _, tc := range configs {

@@ -72,6 +72,22 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestNewRejectsZeroSentryGuard checks that a cell whose sentry decays with
+// its data (no guard band) is a configuration error from New, not a panic
+// in the bank that would run it.
+func TestNewRejectsZeroSentryGuard(t *testing.T) {
+	cfg := scaledEDRAM(config.RefrintValid, config.Retention50us)
+	cfg.Cell.SentryGuardCycles = 0
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("New panicked: %v", r)
+		}
+	}()
+	if _, err := New(cfg, quickParams(), 1); err == nil {
+		t.Error("a zero sentry guard band should be rejected")
+	}
+}
+
 func TestRunCompletesAllWork(t *testing.T) {
 	cfg := scaledSRAM()
 	params := quickParams()

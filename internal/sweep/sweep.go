@@ -168,6 +168,20 @@ type Point struct {
 // IsBaseline reports whether the point is the SRAM baseline.
 func (p Point) IsBaseline() bool { return p.Policy.Time == config.NoRefresh }
 
+// Config returns the chip configuration a cell at p runs on: base as the
+// SRAM baseline, or base in eDRAM under p's policy and retention time.  A
+// scaled base shrinks the paper-scale retention time with its capacities.
+func (p Point) Config(base config.Config) config.Config {
+	if p.IsBaseline() {
+		return config.AsSRAM(base)
+	}
+	retention := p.RetentionUS
+	if base.Name == "scaled" {
+		retention = config.ScaledRetentionUS(retention)
+	}
+	return config.AsEDRAM(base, p.Policy, retention)
+}
+
 // Label renders the point the way the paper's figures label bars, e.g.
 // "R.WB(32,32)".
 func (p Point) Label() string { return p.Policy.String() }
@@ -434,19 +448,8 @@ func runOne(ctx context.Context, opts Options, c Cell) (Run, error) {
 		return Run{}, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
 	}
 
-	cfg := opts.Base
-	if c.Point.IsBaseline() {
-		cfg = config.AsSRAM(cfg)
-	} else {
-		retention := c.Point.RetentionUS
-		if cfg.Name == "scaled" {
-			retention = config.ScaledRetentionUS(retention)
-		}
-		cfg = config.AsEDRAM(cfg, c.Point.Policy, retention)
-	}
-
 	system := idle.get()
-	if err := system.Reset(cfg, params, opts.Seed); err != nil {
+	if err := system.Reset(c.Point.Config(opts.Base), params, opts.Seed); err != nil {
 		idle.put(system)
 		return Run{}, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
 	}

@@ -144,15 +144,7 @@ func Simulate(req SimRequest) (Result, error) {
 	if retention == 0 {
 		retention = Retention50us
 	}
-	if policy.Time == config.NoRefresh {
-		cfg = config.AsSRAM(cfg)
-	} else {
-		r := retention
-		if cfg.Name == "scaled" {
-			r = config.ScaledRetentionUS(r)
-		}
-		cfg = config.AsEDRAM(cfg, policy, r)
-	}
+	cfg = sweep.Point{RetentionUS: retention, Policy: policy}.Config(cfg)
 
 	var params WorkloadParams
 	if req.Workload != nil {
@@ -276,6 +268,12 @@ func (r SweepRequest) Options() (SweepOptions, error) {
 		for _, ret := range r.RetentionTimesUS {
 			if ret <= 0 {
 				return SweepOptions{}, fmt.Errorf("refrint: retention time %g us must be positive", ret)
+			}
+			// The retention sizes each Refrint bank's timing wheel, so check
+			// it in the chip it builds before the sweep is admitted.  Every
+			// refresh policy builds the same cells.
+			if err := (sweep.Point{RetentionUS: ret, Policy: config.RefrintValid}).Config(base).Validate(); err != nil {
+				return SweepOptions{}, fmt.Errorf("refrint: retention time %g us: %w", ret, err)
 			}
 		}
 		opts.RetentionTimesUS = append([]float64(nil), r.RetentionTimesUS...)

@@ -159,6 +159,33 @@ func TestSweepRequestValidation(t *testing.T) {
 	}
 }
 
+// TestSweepRequestRejectsUnboundedRetention checks that a retention time
+// whose sentry period exceeds config.MaxSentryRetentionCycles is an error
+// before a sweep is admitted: each Refrint bank would size its timing wheel
+// to it.  Options never builds a chip, so the test is safe to run.
+func TestSweepRequestRejectsUnboundedRetention(t *testing.T) {
+	for _, req := range []SweepRequest{
+		{RetentionTimesUS: []float64{1e7}},
+		{RetentionTimesUS: []float64{50, 1e5}},
+		{Preset: "fullsize", RetentionTimesUS: []float64{5000}},
+		{RetentionTimesUS: []float64{math.Inf(1)}},
+		{RetentionTimesUS: []float64{math.NaN()}},
+	} {
+		if _, err := req.Options(); err == nil {
+			t.Errorf("retention times %v (preset %q) validated, want error", req.RetentionTimesUS, req.Preset)
+		}
+	}
+	// The paper's retention times, and 20x its longest at full size, stay valid.
+	for _, req := range []SweepRequest{
+		{RetentionTimesUS: []float64{50, 100, 200}},
+		{Preset: "fullsize", RetentionTimesUS: []float64{4000}},
+	} {
+		if _, err := req.Options(); err != nil {
+			t.Errorf("retention times %v (preset %q): %v", req.RetentionTimesUS, req.Preset, err)
+		}
+	}
+}
+
 // TestSweepRequestRejectsOverflowingEffort checks that an effort scale
 // whose per-thread reference count overflows int64, or that is not a
 // finite non-negative number, is an error where a sweep starts instead of

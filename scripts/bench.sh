@@ -8,7 +8,7 @@ set -eu
 
 out="${1:-}"
 count="${BENCH_COUNT:-5}"
-pattern="${BENCH_PATTERN:-BenchmarkRun|BenchmarkAccessSteadyState|BenchmarkProbe|BenchmarkSentryInterruptProcessing|BenchmarkPeriodicSweepProcessing|BenchmarkDemandTouch|BenchmarkSubmitDequeue|BenchmarkHistogramObserve|BenchmarkGeneratorNext|BenchmarkAppReset}"
+pattern="${BENCH_PATTERN:-BenchmarkRun|BenchmarkAccessSteadyState|BenchmarkProbe|BenchmarkSentryInterruptProcessing|BenchmarkSentryDrainScaledL3|BenchmarkPeriodicSweepProcessing|BenchmarkDemandTouch|BenchmarkSubmitDequeue|BenchmarkHistogramObserve|BenchmarkGeneratorNext|BenchmarkAppReset}"
 
 run() {
     go test -run '^$' -bench "$pattern" -benchmem -count "$count" \
