@@ -102,11 +102,10 @@ func TestAgingTickerSurvivesPanickingOnAge(t *testing.T) {
 	panicked := make(chan struct{}, 8)
 	block := make(chan struct{})
 	s := New(Config{
-		Workers:     1,
-		AgeAfter:    5 * time.Millisecond,
-		AgeInterval: 5 * time.Millisecond,
-		OnAge:       func(payload any, from, to Class) { panic("aging callback bug") },
-		OnPanic:     func(payload, recovered any, stack []byte) { panicked <- struct{}{} },
+		Workers:  1,
+		AgeAfter: 5 * time.Millisecond,
+		OnAge:    func(payload any, from, to Class) { panic("aging callback bug") },
+		OnPanic:  func(payload, recovered any, stack []byte) { panicked <- struct{}{} },
 	})
 	s.Start(func(payload any) {
 		if payload == "blocker" {

@@ -90,12 +90,9 @@ type Config struct {
 	// into Interactive) in place — same client FIFO slot in the target
 	// class, same Handle — so sustained urgent floods cannot starve queued
 	// low-priority work forever.  Aging restarts the item's wait clock, so a
-	// second hop needs another full AgeAfter.
+	// second hop needs another full AgeAfter.  Start's ticker scans every
+	// AgeAfter/4, clamped to [10ms, 1s]; tests drive scans through AgeOnce.
 	AgeAfter time.Duration
-	// AgeInterval is how often the aging scan runs in Start's ticker
-	// (default AgeAfter/4, clamped to [10ms, 1s]).  Tests drive scans
-	// directly through AgeOnce instead.
-	AgeInterval time.Duration
 	// OnAge, when set, is invoked once per aged item — outside the
 	// scheduler mutex, so callbacks may call back into the scheduler or
 	// take their own locks.
@@ -239,9 +236,6 @@ func New(cfg Config) *Scheduler {
 			cfg.Weights[c] = DefaultWeights[c]
 		}
 	}
-	if cfg.AgeAfter > 0 && cfg.AgeInterval <= 0 {
-		cfg.AgeInterval = min(max(cfg.AgeAfter/4, 10*time.Millisecond), time.Second)
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -373,7 +367,7 @@ func (s *Scheduler) Start(run func(payload any)) {
 			// The aging scan calls the external OnAge hook; guard it like
 			// run so a buggy callback cannot kill the ticker goroutine.
 			age := func(any) { s.AgeOnce() }
-			t := time.NewTicker(s.cfg.AgeInterval)
+			t := time.NewTicker(min(max(s.cfg.AgeAfter/4, 10*time.Millisecond), time.Second))
 			defer t.Stop()
 			for {
 				select {

@@ -210,7 +210,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	counter("refrint_cell_cache_misses_total", "Simulation cells that had to be computed (cells already in flight are joined before the store is asked).", ss.CellMisses)
 	counter("refrint_store_sweep_hits_total", "Sweep-manifest store reads that hit.", ss.SweepHits)
 	counter("refrint_store_sweep_misses_total", "Sweep-manifest store reads that missed.", ss.SweepMisses)
-	gauge("refrint_store_entries", "Blobs (cells and sweep manifests) currently held by the store.", ss.Entries)
+	gauge("refrint_store_entries", "Results (cells and sweep manifests) currently held by the store, on disk or in memory.", ss.Entries)
 	gauge("refrint_store_bytes", "Bytes currently held by the store.", ss.Bytes)
 	counter("refrint_store_quarantined_total", "Blobs quarantined after failing verification.", ss.Quarantined)
 	counter("refrint_store_evictions_total", "Blobs evicted by the LRU byte budget.", ss.Evictions)

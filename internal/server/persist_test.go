@@ -147,12 +147,24 @@ func TestRestartServesPersistedSweep(t *testing.T) {
 	}
 
 	// A data dir written before manifests existed holds the full results
-	// under the sweep key; it still resolves by key.
+	// under the sweep key, with the options under "options"; it still
+	// resolves by key.
 	res, err := refrint.RunSweep(mustOptions(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st2.Put(store.KindSweep, key, res); err != nil {
+	full := struct {
+		Options sweep.Options `json:"options"`
+		Runs    []sweep.Run   `json:"runs"`
+	}{Options: res.Options}
+	for _, pt := range res.Points {
+		for _, app := range res.Options.Apps {
+			if run, ok := res.Lookup(app, pt); ok {
+				full.Runs = append(full.Runs, run)
+			}
+		}
+	}
+	if err := st2.Put(store.KindSweep, key, full); err != nil {
 		t.Fatal(err)
 	}
 	var legacy sweep.FiguresExport

@@ -89,7 +89,7 @@ func TestTransientFailureRetriesThenSucceeds(t *testing.T) {
 
 // TestDegradeAndRecover drives the full degradation lifecycle: consecutive
 // put failures flip the store to memory-only mode (puts absorbed, readable
-// from the front, nothing on disk), and the background probe flips it back
+// from memory, nothing on disk), and the background probe flips it back
 // once injection stops — after which puts persist again.
 func TestDegradeAndRecover(t *testing.T) {
 	s := open(t, t.TempDir(), fastOptions())
@@ -120,7 +120,7 @@ func TestDegradeAndRecover(t *testing.T) {
 	}
 	var got payload
 	if !s.Get(KindCell, key(3), &got) || got.Name != testPayload(3).Name {
-		t.Fatalf("degraded put unreadable from the memory front (got %+v)", got)
+		t.Fatalf("degraded put unreadable from memory (got %+v)", got)
 	}
 	if _, err := os.Stat(s.blobPath(KindCell, key(3))); !os.IsNotExist(err) {
 		t.Fatalf("degraded put reached the disk (err=%v)", err)
@@ -154,9 +154,9 @@ func TestDegradeAndRecover(t *testing.T) {
 	}
 }
 
-// TestDegradedPutsAreContained verifies Contains and Len agree with Get for
-// puts absorbed into memory while degraded: a caller that checks Contains
-// before reading must not see a cell that Get serves as absent.
+// TestDegradedPutsAreContained verifies Contains and Stats agree with Get
+// for puts absorbed into memory while degraded: a caller that checks
+// Contains before reading must not see a cell that Get serves as absent.
 func TestDegradedPutsAreContained(t *testing.T) {
 	s := open(t, t.TempDir(), fastOptions())
 	if err := s.Put(KindCell, key(1), testPayload(1)); err != nil {
@@ -189,11 +189,14 @@ func TestDegradedPutsAreContained(t *testing.T) {
 			t.Errorf("key %d: Get and Contains disagree, want both %v", i, want)
 		}
 	}
-	// Key 1 is both indexed and in the front; it counts once.
-	if n := s.Len(KindCell); n != 2 {
-		t.Errorf("Len = %d, want 2 (one indexed, one absorbed)", n)
+	// Key 1 keeps its blob through the degraded re-put; it counts once.
+	if n := s.Stats().Entries; n != 2 {
+		t.Errorf("Entries = %d, want 2 (one blob, one absorbed)", n)
 	}
-	if s.Contains(KindSweep, key(3)) || s.Len(KindSweep) != 0 {
+	if _, err := os.Stat(s.blobPath(KindCell, key(1))); err != nil {
+		t.Errorf("degraded re-put dropped the blob: %v", err)
+	}
+	if s.Contains(KindSweep, key(3)) {
 		t.Error("an absorbed cell shows up under another kind")
 	}
 }
@@ -202,13 +205,8 @@ func TestDegradedPutsAreContained(t *testing.T) {
 // miss: the intact on-disk blob must not be quarantined, and the next
 // uninjected read serves it.
 func TestInjectedGetIsPlainMiss(t *testing.T) {
-	// MemEntries cannot go below 1; use a second key to push key(1) out of
-	// the memory front so Get must hit the disk.
-	s := open(t, t.TempDir(), Options{MemEntries: 1})
+	s := open(t, t.TempDir(), Options{})
 	if err := s.Put(KindCell, key(1), testPayload(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(KindCell, key(2), testPayload(2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -239,7 +237,6 @@ func TestQuarantineRenameFailureStillDrops(t *testing.T) {
 	var logs []string
 	var logMu sync.Mutex
 	s := open(t, t.TempDir(), Options{
-		MemEntries: 1,
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -248,9 +245,6 @@ func TestQuarantineRenameFailureStillDrops(t *testing.T) {
 	})
 	if err := s.Put(KindCell, key(1), testPayload(1)); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.Put(KindCell, key(2), testPayload(2)); err != nil {
-		t.Fatal(err) // pushes key(1) out of the memory front
 	}
 	// Corrupt the blob so the read fails, then arrange for the quarantine
 	// rename itself to fail by deleting the file between the failed read and
@@ -333,12 +327,9 @@ func TestDegradedStoreCloseStopsProbe(t *testing.T) {
 // drop it from the index, and degrade to a miss — mirroring what a genuine
 // checksum failure does, without touching the bytes on disk.
 func TestCorruptGetQuarantines(t *testing.T) {
-	s := open(t, t.TempDir(), Options{MemEntries: 1})
+	s := open(t, t.TempDir(), Options{})
 	if err := s.Put(KindCell, key(1), testPayload(1)); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.Put(KindCell, key(2), testPayload(2)); err != nil {
-		t.Fatal(err) // pushes key(1) out of the memory front
 	}
 
 	inj, err := faults.Parse("store.get:corrupt")
@@ -384,5 +375,123 @@ func TestCorruptGetQuarantines(t *testing.T) {
 	}
 	if err := s.Put(KindCell, key(1), testPayload(1)); err != nil {
 		t.Fatalf("re-put after quarantine: %v", err)
+	}
+}
+
+// TestDegradedStoreIndexesAbsorbedPuts verifies a degraded disk store keeps
+// what it absorbs in its index: counted in Stats, served by Get wherever
+// Contains reports it, capped at maxAbsorbed entries, and evicted by rank,
+// so an urgent (rank-0) result outlives a flood of background ones.
+func TestDegradedStoreIndexesAbsorbedPuts(t *testing.T) {
+	s := open(t, t.TempDir(), fastOptions())
+	inj, err := faults.Parse("store.put:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(inj)
+	t.Cleanup(faults.Disable)
+
+	// DegradeAfter=2: key(0) fails, and the rank-0 put of key(1) crosses
+	// the threshold and is absorbed.
+	s.Put(KindCell, key(0), testPayload(0))
+	if err := s.PutRanked(KindCell, key(1), 0, testPayload(1)); err != nil {
+		t.Fatalf("threshold-crossing put: %v", err)
+	}
+	if deg, _ := s.Degraded(); !deg {
+		t.Fatal("store did not degrade")
+	}
+	const n = 300
+	for i := 2; i < n; i++ {
+		if err := s.PutRanked(KindCell, key(i), 2, testPayload(i)); err != nil {
+			t.Fatalf("absorbed put %d: %v", i, err)
+		}
+	}
+
+	if st := s.Stats(); st.Entries != maxAbsorbed || st.Bytes <= 0 || st.DegradedPuts != n-1 {
+		t.Errorf("stats = %+v, want %d entries, positive bytes and %d degraded puts", st, maxAbsorbed, n-1)
+	}
+	var got payload
+	held := 0
+	for i := 0; i < n; i++ {
+		if !s.Contains(KindCell, key(i)) {
+			continue
+		}
+		held++
+		if !s.Get(KindCell, key(i), &got) || got.Name != testPayload(i).Name {
+			t.Errorf("key %d: Contains reports it, Get does not serve it (got %+v)", i, got)
+		}
+	}
+	if held != maxAbsorbed {
+		t.Errorf("Contains reports %d keys, want %d", held, maxAbsorbed)
+	}
+	if !s.Contains(KindCell, key(1)) {
+		t.Error("the rank-0 absorbed put was evicted before rank-2 ones")
+	}
+	if !s.Contains(KindCell, key(n-1)) || s.Contains(KindCell, key(2)) {
+		t.Error("rank-2 absorbed puts were not evicted least recently used first")
+	}
+}
+
+// TestDegradedConcurrentPutsAndGets hammers a degraded store from many
+// goroutines while the probe brings it back; run with -race.  Absorbed and
+// written entries replace each other under the same keys, and every
+// completed Get must decode to the payload put under its key.
+func TestDegradedConcurrentPutsAndGets(t *testing.T) {
+	opt := fastOptions()
+	opt.ProbeInterval = time.Millisecond
+	s := open(t, t.TempDir(), opt)
+	inj, err := faults.Parse("store.put:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable(inj)
+	t.Cleanup(faults.Disable)
+	for i := 0; i < 2; i++ {
+		s.Put(KindCell, key(i), testPayload(i))
+	}
+	if deg, _ := s.Degraded(); !deg {
+		t.Fatal("store did not degrade")
+	}
+
+	const (
+		workers = 8
+		keys    = 2 * maxAbsorbed
+		iters   = 200
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				k := (w*iters + i) % keys
+				if w == 0 && i == iters/2 {
+					faults.Disable()
+				}
+				if i%2 == 0 {
+					if err := s.PutRanked(KindCell, key(k), w%NumRanks, testPayload(k)); err != nil {
+						t.Errorf("worker %d: Put: %v", w, err)
+						return
+					}
+					continue
+				}
+				var got payload
+				if s.Get(KindCell, key(k), &got) && got.Name != testPayload(k).Name {
+					t.Errorf("worker %d: key %d: got %q", w, k, got.Name)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	held := 0
+	for k := 0; k < keys; k++ {
+		if s.Contains(KindCell, key(k)) {
+			held++
+		}
+	}
+	if st := s.Stats(); st.Entries != held {
+		t.Errorf("Entries = %d, Contains reports %d keys", st.Entries, held)
 	}
 }

@@ -19,15 +19,14 @@
 //
 // Open with an empty directory gives a memory-only store: the same index
 // and eviction, with the payloads held in memory and nothing written
-// anywhere.
+// anywhere.  Each payload has one home: its blob on disk, or its index entry
+// (a memory-only store's puts, and the puts a degraded disk store absorbs).
 //
 // The footprint is bounded by an LRU-bytes budget: when a put pushes the
 // total past the budget, blobs are deleted until it fits — highest eviction
 // rank first (PutRanked; the sweep service maps scheduling classes to ranks
 // so interactive-class results outlive background ones), least recently
-// used within a rank.  A disk store's in-memory front keeps recently used
-// payloads decoded-free (raw bytes) so repeated lookups of hot keys skip the
-// filesystem.
+// used within a rank.
 //
 // The store is safe for concurrent use by multiple goroutines of one
 // process.  It does not coordinate between processes: run one server per
@@ -93,13 +92,6 @@ type Options struct {
 	// or in memory for a memory-only store.  Least-recently-used blobs are
 	// evicted past the budget.
 	MaxBytes int64
-	// MemEntries bounds a disk store's in-memory payload front (default 128
-	// entries).
-	MemEntries int
-	// MemBytes bounds the in-memory payload front by size (default 64 MiB),
-	// so the front never pins an unbounded multiple of what the disk budget
-	// allows.
-	MemBytes int64
 	// Logf, when set, receives one line per quarantine and eviction.
 	Logf func(format string, args ...any)
 
@@ -127,12 +119,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = 1 << 30
-	}
-	if o.MemEntries <= 0 {
-		o.MemEntries = 128
-	}
-	if o.MemBytes <= 0 {
-		o.MemBytes = 64 << 20
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -174,13 +160,13 @@ type Stats struct {
 	EvictionsByRank [NumRanks]int64
 	// Degraded reports memory-only mode: enough consecutive puts failed that
 	// the store stopped touching the disk (DegradedCause holds the last
-	// write error).  Reads still serve everything cached in memory or
+	// write error).  Reads still serve every absorbed put and every blob
 	// already intact on disk; a background probe flips the store back once
 	// the disk recovers.
 	Degraded      bool
 	DegradedCause string
 	// WriteRetries counts transient blob-write failures that were retried;
-	// DegradedPuts counts puts served memory-only while degraded.
+	// DegradedPuts counts puts absorbed into memory while degraded.
 	WriteRetries int64
 	DegradedPuts int64
 }
@@ -201,8 +187,13 @@ type entry struct {
 	bytes  int64
 	access int64  // logical LRU clock; higher = more recent
 	rank   int    // eviction rank; higher ranks evict first
-	raw    []byte // the payload, in a memory-only store (nil on disk)
+	raw    []byte // the payload when held in memory (nil for a blob on disk)
 }
+
+// maxAbsorbed bounds how many entries a disk store holds in memory (puts
+// absorbed while degraded): its byte budget is a disk budget, not a memory
+// one.  Past it, the highest-rank, least recently used absorbed entry goes.
+const maxAbsorbed = 128
 
 // Store is a result store.  Open one with Open; it must not be copied.
 type Store struct {
@@ -214,11 +205,8 @@ type Store struct {
 	bytes   int64
 	clock   int64
 	dirty   int // index mutations since the last index write
+	held    int // entries holding their payload in memory (raw != nil)
 	stats   Stats
-
-	mem      map[string][]byte // composite key -> payload bytes (hot front)
-	memOrder []string          // composite keys, oldest first
-	memBytes int64             // total payload bytes held by the front
 
 	// Degradation state: after DegradeAfter consecutive put failures the
 	// store goes memory-only and probeLoop (probeWG-tracked, stopped via
@@ -238,7 +226,6 @@ func Open(dir string, opt Options) (*Store, error) {
 		dir:     dir,
 		opt:     opt,
 		entries: make(map[string]*entry),
-		mem:     make(map[string][]byte),
 	}
 	if dir == "" {
 		return s, nil
@@ -261,9 +248,8 @@ func Open(dir string, opt Options) (*Store, error) {
 // Dir returns the store's root directory ("" for a memory-only store).
 func (s *Store) Dir() string { return s.dir }
 
-// Close persists the index (access order included), stops the recovery
-// probe if one is running, and releases the in-memory front.  The store must
-// not be used after Close.
+// Close persists the index (access order included) and stops the recovery
+// probe if one is running.  The store must not be used after Close.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.probeStop != nil {
@@ -275,9 +261,6 @@ func (s *Store) Close() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mem = make(map[string][]byte)
-	s.memOrder = nil
-	s.memBytes = 0
 	if s.dir == "" {
 		return nil
 	}
@@ -299,6 +282,8 @@ func (s *Store) Stats() Stats {
 	st := s.stats
 	st.Entries = len(s.entries)
 	st.Bytes = s.bytes
+	st.Degraded = s.degraded
+	st.DegradedCause = s.degradedCause
 	return st
 }
 
@@ -329,60 +314,65 @@ func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding %s/%s: %w", kind, key, err)
 	}
-	if s.dir == "" {
-		s.mu.Lock()
+	s.mu.Lock()
+	if s.dir == "" || s.degraded {
 		defer s.mu.Unlock()
-		s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(raw)), rank: rank, raw: raw})
+		s.holdLocked(kind, key, rank, raw)
 		return nil
 	}
-	env := envelope{
+	s.mu.Unlock()
+
+	blob, err := json.Marshal(envelope{
 		Version:  Version,
 		Kind:     kind,
 		Key:      key,
 		Checksum: checksum(raw),
 		Payload:  raw,
-	}
-	blob, err := json.Marshal(env)
+	})
 	if err != nil {
 		return fmt.Errorf("store: encoding envelope %s/%s: %w", kind, key, err)
 	}
-	ck := compositeKey(kind, key)
-
-	// Degraded mode: serve the put from memory without touching the disk.
-	// The result stays readable (Get's front serves entries with no index
-	// record) until the probe re-enables writes; it is simply not durable.
-	s.mu.Lock()
-	if s.degraded {
-		s.memPutLocked(ck, raw)
-		s.stats.DegradedPuts++
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-
 	if err := s.writeBlob(kind, key, blob); err != nil {
-		return s.putFailed(kind, key, ck, raw, err)
+		return s.putFailed(kind, key, rank, raw, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails = 0
-	s.memPutLocked(ck, raw)
 	s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(blob)), rank: rank})
 	return s.maybeWriteIndexLocked()
 }
 
-// indexLocked records a freshly put blob as the most recently used,
+// holdLocked indexes a payload held in memory: every put of a memory-only
+// store, and a put a degraded disk store absorbs.  An absorbed put of a key
+// already in a blob keeps the blob (keys are content-addressed, so the
+// bytes agree) and only counts as a use.
+func (s *Store) holdLocked(kind Kind, key string, rank int, raw []byte) {
+	if s.dir != "" {
+		s.stats.DegradedPuts++
+		ck := compositeKey(kind, key)
+		if e, ok := s.entries[ck]; ok && e.raw == nil {
+			s.touchLocked(ck)
+			return
+		}
+	}
+	s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(raw)), rank: rank, raw: raw})
+}
+
+// indexLocked records a freshly put entry as the most recently used,
 // replacing any previous record of its key, and evicts past the budget.
 func (s *Store) indexLocked(e *entry) {
 	ck := compositeKey(e.kind, e.key)
 	if old, ok := s.entries[ck]; ok {
-		s.bytes -= old.bytes
+		s.dropLocked(old)
 	}
 	s.clock++
 	e.access = s.clock
 	s.entries[ck] = e
 	s.bytes += e.bytes
+	if e.raw != nil {
+		s.held++
+	}
 	s.evictLocked(ck)
 }
 
@@ -418,10 +408,10 @@ func (s *Store) writeAttempt(path string, blob []byte) error {
 // putFailed handles a put whose write retries ran out: the failure counts
 // toward the degradation threshold, and crossing it flips the store into
 // memory-only mode (starting the recovery probe) — in which case this put is
-// absorbed into the memory front and reported as success, exactly as if it
-// had arrived a moment later.  Below the threshold the error goes back to
-// the caller.
-func (s *Store) putFailed(kind Kind, key, ck string, raw []byte, err error) error {
+// absorbed into the index and reported as success, exactly as if it had
+// arrived a moment later.  Below the threshold the error goes back to the
+// caller.
+func (s *Store) putFailed(kind Kind, key string, rank int, raw []byte, err error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails++
@@ -429,8 +419,7 @@ func (s *Store) putFailed(kind Kind, key, ck string, raw []byte, err error) erro
 		s.enterDegradedLocked(err)
 	}
 	if s.degraded {
-		s.memPutLocked(ck, raw)
-		s.stats.DegradedPuts++
+		s.holdLocked(kind, key, rank, raw)
 		return nil
 	}
 	return fmt.Errorf("store: writing %s/%s: %w", kind, key, err)
@@ -471,8 +460,6 @@ func retryBackoff(base time.Duration, attempt int) time.Duration {
 func (s *Store) enterDegradedLocked(cause error) {
 	s.degraded = true
 	s.degradedCause = cause.Error()
-	s.stats.Degraded = true
-	s.stats.DegradedCause = s.degradedCause
 	s.opt.Logf("store: degraded to memory-only after %d consecutive write failures: %v", s.consecFails, cause)
 	stop := make(chan struct{})
 	s.probeStop = stop
@@ -487,8 +474,6 @@ func (s *Store) exitDegradedLocked() {
 	}
 	s.degraded = false
 	s.degradedCause = ""
-	s.stats.Degraded = false
-	s.stats.DegradedCause = ""
 	s.consecFails = 0
 	if s.probeStop != nil {
 		close(s.probeStop)
@@ -546,31 +531,28 @@ func (s *Store) Get(kind Kind, key string, out any) bool {
 	ck := compositeKey(kind, key)
 
 	s.mu.Lock()
-	raw, inMem := s.mem[ck]
-	e, indexed := s.entries[ck]
-	if indexed && e.raw != nil {
-		raw, inMem = e.raw, true
+	e, ok := s.entries[ck]
+	var raw []byte
+	if ok {
+		raw = e.raw
 	}
-	indexed = indexed || inMem
 	s.mu.Unlock()
 
-	if !indexed {
+	if !ok {
 		s.count(kind, false)
 		return false
 	}
-	if !inMem {
+	if raw == nil {
 		var err error
 		raw, err = s.readBlob(kind, key)
 		if err != nil {
 			// An injected read fault is a synthetic miss: the blob on disk is
 			// fine, so quarantining it would punish real data for a test.
-			if errors.Is(err, faults.ErrInjected) {
-				s.count(kind, false)
-				return false
+			if !errors.Is(err, faults.ErrInjected) {
+				// Corrupted — unless the entry was concurrently evicted or
+				// replaced, which quarantine() turns into a plain miss.
+				s.quarantine(e, err)
 			}
-			// Corrupted — unless the blob was concurrently evicted, which
-			// quarantine() detects and turns into a plain miss.
-			s.quarantine(kind, key, err)
 			s.count(kind, false)
 			return false
 		}
@@ -583,11 +565,6 @@ func (s *Store) Get(kind Kind, key string, out any) bool {
 	}
 
 	s.mu.Lock()
-	if inMem {
-		s.memTouchLocked(ck)
-	} else if _, still := s.entries[ck]; still {
-		s.memPutLocked(ck, raw)
-	}
 	s.touchLocked(ck)
 	s.hit(kind)
 	s.mu.Unlock()
@@ -636,37 +613,13 @@ func (s *Store) CellHooks(logf func(format string, args ...any)) (lookup func(sw
 	return s.GetCell, put
 }
 
-// Contains reports whether Get would find a blob under (kind, key) — one
-// indexed, or absorbed into memory while degraded — without reading or
-// verifying it.
+// Contains reports whether Get would find an entry under (kind, key),
+// without reading or verifying it.
 func (s *Store) Contains(kind Kind, key string) bool {
-	ck := compositeKey(kind, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[ck]; ok {
-		return true
-	}
-	_, ok := s.mem[ck]
+	_, ok := s.entries[compositeKey(kind, key)]
 	return ok
-}
-
-// Len returns the number of blobs of one kind that Contains reports.
-func (s *Store) Len(kind Kind) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.entries {
-		if e.kind == kind {
-			n++
-		}
-	}
-	prefix := compositeKey(kind, "")
-	for ck := range s.mem {
-		if _, indexed := s.entries[ck]; !indexed && strings.HasPrefix(ck, prefix) {
-			n++
-		}
-	}
-	return n
 }
 
 func (s *Store) hit(kind Kind) {
@@ -712,13 +665,14 @@ func (s *Store) readBlob(kind Kind, key string) ([]byte, error) {
 	return env.Payload, nil
 }
 
-// quarantine moves a failed blob aside unless it is no longer indexed (a
-// concurrent eviction explains the failed read; that is a plain miss).
-func (s *Store) quarantine(kind Kind, key string, cause error) {
+// quarantine moves the blob of a failed read aside, unless the index no
+// longer holds the entry that read it: a concurrent eviction explains the
+// failed read (a plain miss), and a re-put since then wrote a new, intact
+// blob that must stay.
+func (s *Store) quarantine(e *entry, cause error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[compositeKey(kind, key)]
-	if !ok {
+	if s.entries[compositeKey(e.kind, e.key)] != e {
 		return
 	}
 	s.quarantineLocked(e, cause)
@@ -749,34 +703,35 @@ func (s *Store) quarantineLocked(e *entry, cause error) {
 	_ = s.writeIndexLocked()
 }
 
-// dropLocked removes an entry from the index and the memory front.
+// dropLocked removes an entry from the index, unless another entry has
+// replaced it.
 func (s *Store) dropLocked(e *entry) {
 	ck := compositeKey(e.kind, e.key)
-	if cur, ok := s.entries[ck]; ok && cur == e {
-		delete(s.entries, ck)
-		s.bytes -= e.bytes
+	if s.entries[ck] != e {
+		return
 	}
-	if raw, ok := s.mem[ck]; ok {
-		s.memBytes -= int64(len(raw))
-		delete(s.mem, ck)
-		for i, k := range s.memOrder {
-			if k == ck {
-				s.memOrder = append(s.memOrder[:i], s.memOrder[i+1:]...)
-				break
-			}
-		}
+	delete(s.entries, ck)
+	s.bytes -= e.bytes
+	if e.raw != nil {
+		s.held--
 	}
 }
 
-// evictLocked deletes blobs until the byte budget is met: the victim is the
-// highest-rank entry (background-class results go first), least recently
-// used within that rank.  The blob named by keep (the one just written) is
+// evictLocked deletes entries until the byte budget is met, and a disk
+// store's absorbed entries until at most maxAbsorbed remain: the victim is
+// the highest-rank entry (background-class results go first), least
+// recently used within that rank — among absorbed entries only, when their
+// cap is what is exceeded.  The entry named by keep (the one just put) is
 // evicted last, so a single oversized blob still persists.
 func (s *Store) evictLocked(keep string) {
-	for s.bytes > s.opt.MaxBytes && len(s.entries) > 1 {
+	for len(s.entries) > 1 {
+		overHeld := s.dir != "" && s.held > maxAbsorbed
+		if s.bytes <= s.opt.MaxBytes && !overHeld {
+			break
+		}
 		var victim *entry
 		for ck, e := range s.entries {
-			if ck == keep {
+			if ck == keep || (overHeld && e.raw == nil) {
 				continue
 			}
 			if victim == nil || e.rank > victim.rank ||
@@ -811,37 +766,6 @@ func (s *Store) touchLocked(ck string) {
 	if e, ok := s.entries[ck]; ok {
 		s.clock++
 		e.access = s.clock
-	}
-}
-
-// memTouchLocked moves a hit key to the most-recently-used end of the
-// front's order, so hot payloads are not evicted in insertion order.
-func (s *Store) memTouchLocked(ck string) {
-	for i, k := range s.memOrder {
-		if k == ck {
-			s.memOrder = append(s.memOrder[:i], s.memOrder[i+1:]...)
-			s.memOrder = append(s.memOrder, ck)
-			return
-		}
-	}
-}
-
-// memPutLocked installs payload bytes in the memory front, which is
-// bounded both by entry count and by total bytes (sweep blobs are large).
-func (s *Store) memPutLocked(ck string, raw []byte) {
-	if old, ok := s.mem[ck]; ok {
-		s.memBytes -= int64(len(old))
-	} else {
-		s.memOrder = append(s.memOrder, ck)
-	}
-	s.mem[ck] = raw
-	s.memBytes += int64(len(raw))
-	for len(s.memOrder) > 1 &&
-		(len(s.memOrder) > s.opt.MemEntries || s.memBytes > s.opt.MemBytes) {
-		oldest := s.memOrder[0]
-		s.memOrder = s.memOrder[1:]
-		s.memBytes -= int64(len(s.mem[oldest]))
-		delete(s.mem, oldest)
 	}
 }
 
@@ -957,10 +881,14 @@ func (s *Store) maybeWriteIndexLocked() error {
 	return s.writeIndexLocked()
 }
 
-// writeIndexLocked persists the index atomically.
+// writeIndexLocked persists the index atomically.  Absorbed entries have
+// no blob, so they stay out of it.
 func (s *Store) writeIndexLocked() error {
 	idx := indexFile{Version: Version, Clock: s.clock}
 	for _, e := range s.entries {
+		if e.raw != nil {
+			continue
+		}
 		idx.Entries = append(idx.Entries, indexEntry{Kind: e.kind, Key: e.key, Bytes: e.bytes, Access: e.access, Rank: e.rank})
 	}
 	sort.Slice(idx.Entries, func(i, j int) bool {

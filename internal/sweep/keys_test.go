@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"encoding/json"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -138,59 +137,6 @@ func TestCellKey(t *testing.T) {
 	}
 	if back.Hash() != kA.Hash() {
 		t.Fatal("round-tripped key hashes differently")
-	}
-}
-
-// TestResultsCodecRoundTrip verifies a sweep's Results survive the JSON
-// codec with every figure generator intact — the property the persistent
-// store relies on.
-func TestResultsCodecRoundTrip(t *testing.T) {
-	res := runTiny(t)
-
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatalf("marshal results: %v", err)
-	}
-	var back Results
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal results: %v", err)
-	}
-
-	if back.Options.Key() != res.Options.Key() {
-		t.Fatalf("options key drifted: %s != %s", back.Options.Key(), res.Options.Key())
-	}
-	if len(back.Points) != len(res.Points) || len(back.Baselines) != len(res.Baselines) {
-		t.Fatalf("shape drifted: %d/%d points, %d/%d baselines",
-			len(back.Points), len(res.Points), len(back.Baselines), len(res.Baselines))
-	}
-	for _, pt := range res.Points {
-		for _, app := range res.Options.Apps {
-			want, okW := res.Lookup(app, pt)
-			got, okG := back.Lookup(app, pt)
-			if okW != okG {
-				t.Fatalf("%s %s: presence drifted", app, pt.Key())
-			}
-			if !okW {
-				continue
-			}
-			if got.Result.Cycles != want.Result.Cycles ||
-				math.Abs(got.Result.Energy.Total()-want.Result.Energy.Total()) > 1e-12 ||
-				got.Result.Stats.MemOps != want.Result.Stats.MemOps {
-				t.Fatalf("%s %s: result drifted: %+v vs %+v", app, pt.Key(), got.Result, want.Result)
-			}
-		}
-	}
-
-	// The derived exports — what the API actually serves — are identical.
-	wantFigs, _ := json.Marshal(res.FiguresExport())
-	gotFigs, _ := json.Marshal(back.FiguresExport())
-	if string(wantFigs) != string(gotFigs) {
-		t.Error("figures export drifted across the codec")
-	}
-	wantExp, _ := json.Marshal(res.Export())
-	gotExp, _ := json.Marshal(back.Export())
-	if string(wantExp) != string(gotExp) {
-		t.Error("raw export drifted across the codec")
 	}
 }
 

@@ -84,6 +84,9 @@ curl -s "$base/healthz" | grep -q '"status": *"degraded"' \
     || fail "healthz not degraded with a dead disk"
 curl -s "$base/metrics" | grep -q '^refrint_store_degraded 1$' \
     || fail "refrint_store_degraded != 1"
+# The put that crossed the degrade threshold was absorbed and is counted.
+curl -s "$base/metrics" | grep '^refrint_store_entries ' | grep -qv ' 0$' \
+    || fail "refrint_store_entries is 0 with an absorbed put"
 stop
 
 # --- Phase 3: timeout_ms fails the job with a deadline, worker survives. ---
