@@ -2,7 +2,7 @@
 // level of the simulated hierarchy: lookup, LRU replacement, line state
 // bookkeeping, and flat per-line indexing that the refresh machinery
 // (package core) uses to address lines from sentry interrupts and periodic
-// group schedules.
+// group schedules.  The refresh machinery keeps its own per-line state.
 //
 // A Cache models one bank.  Multi-bank caches (the shared L3) are built by
 // the higher layers as one Cache per bank with addresses interleaved across
@@ -10,12 +10,12 @@
 //
 // # Layout
 //
-// The per-line metadata is kept as a struct of arrays: tags, states, LRU
-// stamps and the refresh/sentry bookkeeping live in parallel slices indexed
-// by the line's flat frame number.  The lookup scan — the hottest loop in
-// the simulator — therefore walks a dense []mem.LineAddr tag array (8 bytes
-// per way instead of one 48-byte mem.Line per way), and touches the other
-// arrays only for the single matching frame.  Callers address lines through
+// The per-line metadata is kept as a struct of arrays: tags, states and LRU
+// stamps live in parallel slices indexed by the line's flat frame number.
+// The lookup scan — the hottest loop in the simulator — therefore walks a
+// dense []mem.LineAddr tag array (8 bytes per way instead of one mem.Line
+// per way), and touches the other arrays only for the single matching
+// frame.  Callers address lines through
 // integer Frame handles; the flat index a frame handle carries IS the value
 // the refresh machinery schedules by, so the old pointer->index translation
 // (IndexOf) is now the identity function.
@@ -48,15 +48,13 @@ type Cache struct {
 	setMask int
 
 	// Parallel per-frame arrays (struct of arrays); set s occupies frames
-	// [s*ways, (s+1)*ways).  tags and states carry the way scan; the rest
-	// are touched per-frame only.
+	// [s*ways, (s+1)*ways).  tags and states carry the way scan; lru is
+	// touched per-frame only.
 	tags   []mem.LineAddr // full line address (tag + index combined)
 	states []mem.State    // MESI state; Invalid marks a free frame
 	// lru is the replacement timestamp, which is also the cycle of the
 	// last normal access: only Touch writes it.
-	lru         []int64
-	lastRefresh []int64 // cycle of the last refresh or access
-	counts      []int32 // WB(n,m) refresh budget (package core)
+	lru []int64
 }
 
 // New builds an empty cache bank from its configuration.
@@ -71,16 +69,14 @@ func New(cfg config.CacheConfig) *Cache {
 	}
 	n := sets * cfg.Ways
 	return &Cache{
-		cfg:         cfg,
-		sets:        sets,
-		ways:        cfg.Ways,
-		shift:       uint(cfg.IndexShift),
-		setMask:     mask,
-		tags:        make([]mem.LineAddr, n),
-		states:      make([]mem.State, n),
-		lru:         make([]int64, n),
-		lastRefresh: make([]int64, n),
-		counts:      make([]int32, n),
+		cfg:     cfg,
+		sets:    sets,
+		ways:    cfg.Ways,
+		shift:   uint(cfg.IndexShift),
+		setMask: mask,
+		tags:    make([]mem.LineAddr, n),
+		states:  make([]mem.State, n),
+		lru:     make([]int64, n),
 	}
 }
 
@@ -148,28 +144,12 @@ func (c *Cache) Valid(f Frame) bool { return c.states[f] != mem.Invalid }
 //refrint:alloc-free
 func (c *Cache) Dirty(f Frame) bool { return c.states[f] == mem.Modified }
 
-// LastRefresh returns the cycle of a frame's last refresh or access.
+// States returns the per-frame MESI state array, indexed by Frame.  The
+// sentry drain in package core reads it in place rather than through the
+// per-frame accessors.  The slice stays valid for the life of the Cache.
 //
 //refrint:alloc-free
-func (c *Cache) LastRefresh(f Frame) int64 { return c.lastRefresh[f] }
-
-// Recharge records a refresh of the frame's cells at cycle `at`: the charge
-// time moves.  (A Refrint bank's sentry is its wheel deadline, which package
-// core re-arms from this time.)  Demand accesses use Touch, which
-// additionally updates recency.
-//
-//refrint:alloc-free
-func (c *Cache) Recharge(f Frame, at int64) { c.lastRefresh[f] = at }
-
-// RefreshArrays returns the per-frame MESI state, charge time and WB(n,m)
-// budget arrays, indexed by Frame.  The sentry drain in package core reads
-// and writes them in place rather than through the per-frame accessors.
-// The slices stay valid for the life of the Cache.
-//
-//refrint:alloc-free
-func (c *Cache) RefreshArrays() (states []mem.State, lastRefresh []int64, counts []int32) {
-	return c.states, c.lastRefresh, c.counts
-}
+func (c *Cache) States() []mem.State { return c.states }
 
 // LRU returns a frame's replacement stamp, which is also the cycle of its
 // last normal access (tests and the reference model).
@@ -177,26 +157,13 @@ func (c *Cache) RefreshArrays() (states []mem.State, lastRefresh []int64, counts
 //refrint:alloc-free
 func (c *Cache) LRU(f Frame) int64 { return c.lru[f] }
 
-// Count returns the frame's WB(n,m) refresh budget.
-//
-//refrint:alloc-free
-func (c *Cache) Count(f Frame) int { return int(c.counts[f]) }
-
-// SetCount stores the frame's WB(n,m) refresh budget.
-//
-//refrint:alloc-free
-func (c *Cache) SetCount(f Frame, n int) { c.counts[f] = int32(n) }
-
 // Line materializes a copy of the frame's metadata as a mem.Line value —
-// the vocabulary type victim copies, flush buffers and the invariant
-// checker speak.
+// the vocabulary type victim copies and the invariant checker speak.
 func (c *Cache) Line(f Frame) mem.Line {
 	return mem.Line{
-		Tag:         c.tags[f],
-		State:       c.states[f],
-		LRU:         c.lru[f],
-		LastRefresh: c.lastRefresh[f],
-		Count:       int(c.counts[f]),
+		Tag:   c.tags[f],
+		State: c.states[f],
+		LRU:   c.lru[f],
 	}
 }
 
@@ -210,8 +177,6 @@ func (c *Cache) Reset(f Frame) {
 	c.tags[f] = 0
 	c.states[f] = mem.Invalid
 	c.lru[f] = 0
-	c.lastRefresh[f] = 0
-	c.counts[f] = 0
 }
 
 // --- Lookup, replacement, state transitions --------------------------------
@@ -234,14 +199,13 @@ func (c *Cache) Probe(addr mem.LineAddr) (Frame, bool) {
 	return NoFrame, false
 }
 
-// Touch marks a hit on a frame at cycle `now`: it updates the LRU stamp
-// (which is also the last-touch time) and, for eDRAM, the implicit refresh
-// that any access performs (LastRefresh).
+// Touch marks a hit on a frame at cycle `now`: it updates the LRU stamp,
+// which is also the last-touch time.  (Package core records the implicit
+// refresh that the access performs on eDRAM.)
 //
 //refrint:alloc-free
 func (c *Cache) Touch(f Frame, now int64) {
 	c.lru[f] = now
-	c.lastRefresh[f] = now
 }
 
 // Victim returns the frame that Insert would replace for addr: the first
@@ -281,18 +245,6 @@ func (c *Cache) Insert(addr mem.LineAddr, state mem.State, now int64) (f Frame, 
 	return f, victim, evicted
 }
 
-// Invalidate removes addr from the cache if present and returns a copy of
-// the line as it was (for writeback decisions) and whether it was present.
-func (c *Cache) Invalidate(addr mem.LineAddr) (mem.Line, bool) {
-	f, ok := c.Probe(addr)
-	if !ok {
-		return mem.Line{}, false
-	}
-	old := c.Line(f)
-	c.Reset(f)
-	return old, true
-}
-
 // ForEachValid calls fn for every valid frame.  fn may mutate the frame
 // (including resetting it).
 func (c *Cache) ForEachValid(fn func(f Frame)) {
@@ -325,24 +277,8 @@ func (c *Cache) DirtyCount() int {
 	return n
 }
 
-// FlushInto invalidates every line, appends copies of the dirty lines that
-// were present to dst (the caller writes them back) and returns the
-// extended buffer.  The caller owns the buffer: passing a recycled dst[:0]
-// makes the end-of-run flush allocation-free once the buffer has grown to
-// the bank's dirty high-water mark.
-func (c *Cache) FlushInto(dst []mem.Line) []mem.Line {
-	for i, s := range c.states {
-		if s == mem.Modified {
-			dst = append(dst, c.Line(Frame(i)))
-		}
-	}
-	c.Clear()
-	return dst
-}
-
 // FlushCount invalidates every line and returns how many were dirty, for
-// callers (the end-of-run flush) that only charge writeback counts and do
-// not need the line copies.
+// the end-of-run flush, which charges writeback counts.
 func (c *Cache) FlushCount() int64 {
 	n := int64(0)
 	for _, s := range c.states {
@@ -360,6 +296,4 @@ func (c *Cache) Clear() {
 	clear(c.tags)
 	clear(c.states)
 	clear(c.lru)
-	clear(c.lastRefresh)
-	clear(c.counts)
 }

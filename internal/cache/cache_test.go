@@ -72,11 +72,11 @@ func TestInsertAndProbe(t *testing.T) {
 func TestTouchUpdatesRecencyAndRefresh(t *testing.T) {
 	c := New(smallConfig())
 	f, _, _ := c.Insert(0x10, mem.Shared, 5)
-	if c.LRU(f) != 5 || c.LastRefresh(f) != 5 {
+	if c.LRU(f) != 5 {
 		t.Errorf("Insert should touch the line: %+v", c.Line(f))
 	}
 	c.Touch(f, 42)
-	if c.LRU(f) != 42 || c.LastRefresh(f) != 42 {
+	if c.LRU(f) != 42 {
 		t.Errorf("Touch did not update stamps: %+v", c.Line(f))
 	}
 }
@@ -128,18 +128,21 @@ func TestVictimPrefersInvalidFrame(t *testing.T) {
 	}
 }
 
+// TestInvalidate drops a line the way package core's Bank.Invalidate does:
+// probe, copy the line out, reset its frame.
 func TestInvalidate(t *testing.T) {
 	c := New(smallConfig())
 	c.Insert(0x77, mem.Modified, 1)
-	old, ok := c.Invalidate(0x77)
-	if !ok || old.Tag != 0x77 || !old.Dirty() {
-		t.Errorf("Invalidate = %+v, %v", old, ok)
+	f, ok := c.Probe(0x77)
+	if old := c.Line(f); !ok || old.Tag != 0x77 || !old.Dirty() {
+		t.Errorf("Line before Reset = %+v, %v", old, ok)
 	}
+	c.Reset(f)
 	if _, ok := c.Probe(0x77); ok {
-		t.Error("line still present after Invalidate")
+		t.Error("line still present after Reset")
 	}
-	if _, ok := c.Invalidate(0x77); ok {
-		t.Error("double invalidate should report absent")
+	if c.Line(f) != (mem.Line{}) {
+		t.Errorf("reset frame = %+v, want zeroed", c.Line(f))
 	}
 }
 
@@ -183,28 +186,20 @@ func TestForEachValidAndCounts(t *testing.T) {
 	}
 }
 
-func TestFlushIntoReturnsDirtyLines(t *testing.T) {
+func TestFlushCountCountsDirtyLines(t *testing.T) {
 	c := New(smallConfig())
 	c.Insert(0x1, mem.Modified, 1)
 	c.Insert(0x2, mem.Shared, 2)
 	c.Insert(0x3, mem.Modified, 3)
-	dirty := c.FlushInto(nil)
-	if len(dirty) != 2 {
-		t.Fatalf("FlushInto returned %d dirty lines, want 2", len(dirty))
+	if n := c.FlushCount(); n != 2 {
+		t.Fatalf("FlushCount = %d dirty lines, want 2", n)
 	}
 	if c.ValidCount() != 0 {
-		t.Error("cache not empty after FlushInto")
+		t.Error("cache not empty after FlushCount")
 	}
-	// The buffer is caller-owned: a second flush must reuse it (append
-	// semantics), not replace it.
 	c.Insert(0x9, mem.Modified, 4)
-	buf := dirty[:0]
-	buf = c.FlushInto(buf)
-	if len(buf) != 1 || buf[0].Tag != 0x9 {
-		t.Fatalf("reused buffer flush = %+v", buf)
-	}
-	if &buf[0] != &dirty[:1][0] {
-		t.Error("FlushInto should append into the caller's buffer in place")
+	if n := c.FlushCount(); n != 1 {
+		t.Fatalf("second FlushCount = %d, want 1", n)
 	}
 }
 
@@ -262,8 +257,7 @@ func TestSameSetMappingProperty(t *testing.T) {
 func TestClearInvalidatesEveryFrame(t *testing.T) {
 	c := New(smallConfig())
 	for i := 0; i < 3*c.NumLines(); i++ {
-		f, _, _ := c.Insert(mem.LineAddr(i*7+1), mem.Modified, int64(i))
-		c.SetCount(f, i)
+		c.Insert(mem.LineAddr(i*7+1), mem.Modified, int64(i))
 	}
 	c.Clear()
 	for f := Frame(0); int(f) < c.NumLines(); f++ {

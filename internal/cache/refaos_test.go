@@ -4,7 +4,7 @@ package cache
 // reference model.  The differential test below drives the production SoA
 // implementation and this reference through identical randomized operation
 // sequences and asserts that every externally visible decision — hit/miss,
-// victim choice, eviction, line metadata, flush contents — is identical.
+// victim choice, eviction, line metadata, flush counts — is identical.
 // The reference deliberately mirrors the old implementation line for line
 // (a []mem.Line array with pointer handles), because "same decisions as the
 // AoS code" is exactly the property the golden series depend on.
@@ -65,7 +65,6 @@ func (c *refAoS) probe(addr mem.LineAddr) (*mem.Line, bool) {
 
 func (c *refAoS) touch(l *mem.Line, now int64) {
 	l.LRU = now
-	l.LastRefresh = now
 }
 
 func (c *refAoS) victim(addr mem.LineAddr) *mem.Line {
@@ -203,7 +202,6 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 	// Address space ~4x capacity so sets fill and evictions are common.
 	addrSpace := int64(soa.NumLines() * 4)
 	now := int64(0)
-	var flushBuf []mem.Line
 
 	checkLine := func(op string, f Frame, l *mem.Line) {
 		t.Helper()
@@ -246,15 +244,20 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 			}
 			checkLine("insert", fS, lA)
 
-		case op < 75: // invalidate (hit or miss)
-			oldS, okS := soa.Invalidate(addr)
+		case op < 75: // invalidate (hit or miss), as package core does it
+			var oldS mem.Line
+			f, okS := soa.Probe(addr)
+			if okS {
+				oldS = soa.Line(f)
+				soa.Reset(f)
+			}
 			oldA, okA := aos.invalidate(addr)
 			if okS != okA || oldS != oldA {
 				t.Fatalf("seed %d step %d: Invalidate(%#x) = %+v/%v, reference %+v/%v",
 					seed, step, addr, oldS, okS, oldA, okA)
 			}
 
-		case op < 85: // WB-style metadata mutation through the handle APIs
+		case op < 85: // a state change through the handle APIs
 			f, okS := soa.Probe(addr)
 			l, okA := aos.probe(addr)
 			if okS != okA {
@@ -263,24 +266,21 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 			if !okS {
 				continue
 			}
-			soa.SetCount(f, step%5)
-			l.Count = step % 5
 			if step%2 == 0 {
 				soa.SetState(f, mem.Exclusive)
 				l.State = mem.Exclusive
+			} else {
+				soa.SetState(f, mem.Modified)
+				l.State = mem.Modified
 			}
-			soa.Recharge(f, now)
-			l.LastRefresh = now
 			checkLine("mutate", f, l)
 
-		case op < 95: // sweep: walk every valid frame, refresh or drop each
+		case op < 95: // sweep: walk every valid frame, drop every third
 			var visS, visA []int
 			soa.ForEachValid(func(f Frame) {
 				visS = append(visS, int(f))
 				if int(f)%3 == 0 {
 					soa.Reset(f)
-				} else {
-					soa.Recharge(f, now)
 				}
 			})
 			for i := range aos.lines {
@@ -288,8 +288,6 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 					visA = append(visA, i)
 					if i%3 == 0 {
 						aos.lines[i] = mem.Line{}
-					} else {
-						aos.lines[i].LastRefresh = now
 					}
 				}
 			}
@@ -297,18 +295,15 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 				t.Fatalf("seed %d step %d: sweep visited %v, reference %v", seed, step, visS, visA)
 			}
 
-		default: // flush
-			flushBuf = soa.FlushInto(flushBuf[:0])
-			refDirty := aos.flush()
-			if len(flushBuf) != len(refDirty) {
-				t.Fatalf("seed %d step %d: flush returned %d lines, reference %d",
-					seed, step, len(flushBuf), len(refDirty))
-			}
-			for i := range flushBuf {
-				if flushBuf[i] != refDirty[i] {
-					t.Fatalf("seed %d step %d: flush[%d] = %+v, reference %+v",
-						seed, step, i, flushBuf[i], refDirty[i])
+		default: // flush, after checking every frame it empties
+			for i := range aos.lines {
+				if got, want := soa.Line(Frame(i)), aos.lines[i]; got != want {
+					t.Fatalf("seed %d step %d: frame %d before flush = %+v, reference %+v", seed, step, i, got, want)
 				}
+			}
+			if n, want := soa.FlushCount(), int64(len(aos.flush())); n != want {
+				t.Fatalf("seed %d step %d: flush counted %d dirty lines, reference %d",
+					seed, step, n, want)
 			}
 		}
 

@@ -292,9 +292,6 @@ func HashJSON(v any) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// CyclesPerMicrosecond converts wall-clock microseconds to core cycles.
-func (c Config) CyclesPerMicrosecond() int64 { return int64(c.FreqMHz) / 1 }
-
 // Validate reports the first configuration error found, or nil.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {
@@ -337,17 +334,6 @@ func (c Config) Validate() error {
 			c.Cell.SentryRetention(), c.L3.LinesPerBank())
 	}
 	return nil
-}
-
-// WithPolicy returns a copy of the configuration with the refresh policy and
-// (for eDRAM) retention time replaced.
-func (c Config) WithPolicy(p Policy, retentionCycles int64) Config {
-	out := c
-	out.Policy = p
-	if out.Cell.Tech == EDRAM {
-		out.Cell.RetentionCycles = retentionCycles
-	}
-	return out
 }
 
 // MicrosecondsToCycles converts a retention time in microseconds into cycles

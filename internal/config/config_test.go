@@ -300,21 +300,6 @@ func TestSweepPolicyOrderMatchesFigures(t *testing.T) {
 	}
 }
 
-func TestWithPolicy(t *testing.T) {
-	base := AsEDRAM(FullSize(), PeriodicAll, Retention50us)
-	c := base.WithPolicy(RefrintWB(16, 16), base.MicrosecondsToCycles(Retention100us))
-	if c.Policy.String() != "R.WB(16,16)" {
-		t.Errorf("policy = %v", c.Policy)
-	}
-	if c.Cell.RetentionCycles != 100000 {
-		t.Errorf("retention = %d, want 100000", c.Cell.RetentionCycles)
-	}
-	// Original must be unchanged.
-	if base.Policy.String() != "P.all" || base.Cell.RetentionCycles != 50000 {
-		t.Error("WithPolicy mutated the receiver")
-	}
-}
-
 func TestScaledPreservesShape(t *testing.T) {
 	full, scaled := FullSize(), Scaled()
 	f := ScaleFactor()

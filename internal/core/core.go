@@ -7,7 +7,7 @@
 //   - a time-based refresh policy — Periodic group refresh or Refrint
 //     sentry-bit interrupts (Table 3.1),
 //   - a data-based refresh policy — All, Valid, Dirty or WB(n,m) — including
-//     the per-line Count maintenance and the decision logic of Figure 4.1,
+//     the per-line budget maintenance and the decision logic of Figure 4.1,
 //   - the port-occupancy accounting that makes refresh activity visible in
 //     execution time (refresh interrupts take priority over demand requests;
 //     periodic sweeps block the bank), and
@@ -66,9 +66,17 @@ type Bank struct {
 	// draining never sees stale entries and scheduling never allocates.
 	wheel    *frameWheel
 	sentries bool // refreshable Refrint bank: wheel is live
-	// deferred is advanceRefrint's reusable buffer of relinks it must hold
-	// back to the end of a pass.
-	deferred []relink
+	// deferred is advanceRefrint's reusable buffer of the frames whose
+	// relinks it must hold back to the end of a pass.
+	deferred []int32
+
+	// Per-frame refresh state, kept only on banks whose policy reads it.  A
+	// Refrint bank's charge time is its frame's wheel deadline minus
+	// SentryCycles.  charged[f] is the charge time on Periodic Dirty and WB
+	// banks, the other banks that may decay; counts[f] is the WB(n,m) budget
+	// on WB banks.
+	charged []int64
+	counts  []int32
 
 	// Per-group occupancy for Periodic sweeps (empty for other banks):
 	// groupValid[g] and groupDirty[g] count the valid and dirty (Modified)
@@ -90,7 +98,7 @@ type Bank struct {
 	nextFire      int64
 	// mayDecay is false when the policy structurally recharges every line
 	// within its retention period (Periodic All/Valid), letting Probe skip
-	// the decay test.  Matches the sweeps' skipped LastRefresh stores.
+	// the decay test; such banks keep no charge times.
 	mayDecay bool
 
 	hooks Hooks
@@ -116,8 +124,8 @@ func NewBank(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.
 
 // Reset re-initialises the bank in place exactly as NewBank would, keeping
 // its hooks.  The cache array is cleared rather than rebuilt when its
-// geometry is unchanged.  A wheel or group counters that the new policy
-// does not use stay attached, idle, for a later Refrint or Periodic reset.
+// geometry is unchanged.  A wheel, group counters or per-frame refresh state
+// that the new policy does not use stay attached, idle, for a later reset.
 func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.Policy, level stats.Level, st *stats.Stats) {
 	if err := policy.Validate(); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
@@ -139,6 +147,8 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 		deferred:   b.deferred[:0],
 		groupValid: b.groupValid[:0],
 		groupDirty: b.groupDirty[:0],
+		charged:    b.charged[:0],
+		counts:     b.counts[:0],
 		hooks:      b.hooks,
 		st:         st,
 		ctr:        st.Level(level),
@@ -172,15 +182,21 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 			b.sweepInterval = b.sched.Period / int64(b.sched.Groups)
 			b.blockCycles = b.sched.BlockCycles()
 			b.nextFire = b.sweepInterval
+			if b.mayDecay {
+				b.charged = zeroed(b.charged, b.arr.NumLines())
+			}
+		}
+		if policy.Data == config.WBData {
+			b.counts = zeroed(b.counts, b.arr.NumLines())
 		}
 	}
 }
 
 // zeroed returns s resized to n zeroed elements, reusing its storage when
 // the capacity suffices.
-func zeroed(s []int32, n int) []int32 {
+func zeroed[T int32 | int64](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -233,17 +249,29 @@ func (b *Bank) PortStart(now int64) int64 {
 	return b.portBusyUntil
 }
 
-// scheduleSentry registers the sentry-decay deadline of a frame, replacing
-// any previously registered deadline for the same frame.
+// recharge records a demand charge of frame f's cells at cycle `at`.  On a
+// Refrint bank it moves the frame's sentry deadline (the wheel moves the
+// frame's node, or does nothing if the deadline is unchanged, so earlier
+// deadlines never linger).
 //
 //refrint:alloc-free
-func (b *Bank) scheduleSentry(f cache.Frame) {
-	if !b.sentries || f < 0 {
-		return
+func (b *Bank) recharge(f cache.Frame, at int64) {
+	if b.sentries {
+		b.wheel.Schedule(b.ret.SentryDeadline(at), int(f))
+	} else if len(b.charged) != 0 {
+		b.charged[f] = at
 	}
-	// The wheel moves the frame's node to the new deadline (or does nothing
-	// if it is unchanged), so earlier deadlines of this frame never linger.
-	b.wheel.Schedule(b.ret.SentryDeadline(b.arr.LastRefresh(f)), int(f))
+}
+
+// chargedAt returns the cycle frame f's cells were last charged (banks with
+// mayDecay only).
+//
+//refrint:alloc-free
+func (b *Bank) chargedAt(f cache.Frame) int64 {
+	if b.sentries {
+		return b.wheel.nodes[f].deadline - b.ret.SentryCycles
+	}
+	return b.charged[f]
 }
 
 // resetCount re-arms the WB(n,m) budget of a frame after a normal access,
@@ -251,13 +279,13 @@ func (b *Bank) scheduleSentry(f cache.Frame) {
 //
 //refrint:alloc-free
 func (b *Bank) resetCount(f cache.Frame) {
-	if b.policy.Data != config.WBData {
+	if len(b.counts) == 0 {
 		return
 	}
 	if b.arr.Dirty(f) {
-		b.arr.SetCount(f, b.policy.N)
+		b.counts[f] = int32(b.policy.N)
 	} else {
-		b.arr.SetCount(f, b.policy.M)
+		b.counts[f] = int32(b.policy.M)
 	}
 }
 
@@ -270,7 +298,7 @@ func (b *Bank) Probe(addr mem.LineAddr, now int64) (cache.Frame, bool) {
 	if !ok {
 		return cache.NoFrame, false
 	}
-	if b.mayDecay && b.ret.Decayed(b.arr.LastRefresh(f), now) {
+	if b.mayDecay && b.ret.Decayed(b.chargedAt(f), now) {
 		// Data lost.  Dirty data that decays silently would be a correctness
 		// bug in a real system; the policies are designed never to let that
 		// happen, and the counter lets tests assert it.
@@ -303,9 +331,7 @@ func (b *Bank) Probe(addr mem.LineAddr, now int64) (cache.Frame, bool) {
 func (b *Bank) Touch(f cache.Frame, now int64) {
 	b.arr.Touch(f, now)
 	b.resetCount(f)
-	if b.policy.Time == config.RefrintTime {
-		b.scheduleSentry(f)
-	}
+	b.recharge(f, now)
 }
 
 // Insert places a new line in the bank (a fill from the next lower level) and
@@ -326,12 +352,10 @@ func (b *Bank) Insert(addr mem.LineAddr, state mem.State, now int64) (f cache.Fr
 		}
 	}
 	b.resetCount(f)
+	b.recharge(f, now)
 	b.counters().Fills++
 	if evicted {
 		b.counters().Evictions++
-	}
-	if b.policy.Time == config.RefrintTime {
-		b.scheduleSentry(f)
 	}
 	return f, victim, evicted
 }
@@ -430,13 +454,6 @@ func (b *Bank) AdvanceTo(now int64) {
 	b.clock = now
 }
 
-// relink is a sentry deadline that advanceRefrint links at the end of a
-// pass instead of at once.
-type relink struct {
-	deadline int64
-	frame    int32
-}
-
 // advanceRefrint drains the sentry interrupts due by `now` (Figure 4.1) in
 // passes over the wheel's bucket lists.  A pass handles every node due at
 // its start, in bucket and list order: it unlinks the node, takes the port
@@ -449,8 +466,9 @@ type relink struct {
 // at pass start, so it is linked at once.  Two kinds wait in `deferred` to
 // be linked at the end of the pass, in processing order: a deadline already
 // due, which the next pass handles, and a bucket outside the pass-start
-// ring window, whose slot may still hold nodes.  The drain ends after a
-// pass that deferred no due deadline.
+// ring window, whose slot may still hold nodes.  Either way the node's
+// deadline, which is the line's charge time plus SentryCycles, is set at
+// once.  The drain ends after a pass that deferred no due deadline.
 //
 // Writebacks and invalidations, which call the hooks, go through
 // applyDataPolicy.  The hooks never touch this bank's wheel.
@@ -459,7 +477,7 @@ type relink struct {
 func (b *Bank) advanceRefrint(now int64) {
 	w := b.wheel
 	nodes := w.nodes
-	states, lastRefresh, counts := b.arr.RefreshArrays()
+	states, counts := b.arr.States(), b.counts
 	data := b.policy.Data
 	sentry := b.ret.SentryCycles
 	shift := w.granShift
@@ -509,21 +527,20 @@ func (b *Bank) advanceRefrint(now int64) {
 					if data == config.WBData {
 						counts[f]--
 					}
-					lastRefresh[f] = at
 					refreshes++
 				case !b.applyDataPolicy(cache.Frame(f), at):
 					continue // invalidated
 				}
 				d := at + sentry
+				n.deadline = d
 				nb := d >> shift
 				if d <= now || nb >= windowEnd {
 					//refrint:allow allocfree -- grows to the bank's largest deferred batch, then is reused
-					deferred = append(deferred, relink{deadline: d, frame: f})
+					deferred = append(deferred, f)
 					dueAgain = dueAgain || d <= now
 					continue
 				}
 				s := nb & mask
-				n.deadline = d
 				n.prev = tail[s]
 				if n.prev == noNode {
 					head[s] = f
@@ -537,8 +554,8 @@ func (b *Bank) advanceRefrint(now int64) {
 				w.next = bk + 1
 			}
 		}
-		for _, r := range deferred {
-			w.Schedule(r.deadline, int(r.frame))
+		for _, f := range deferred {
+			w.Schedule(nodes[f].deadline, int(f))
 		}
 		b.deferred = deferred
 		if !dueAgain {
@@ -585,7 +602,7 @@ func (b *Bank) sweepGroup(group int, cycle int64) {
 	// has two consequences the simulator can exploit: lines on such banks
 	// can never decay (every line is recharged once per retention period by
 	// construction, and AdvanceTo applies due sweeps before any probe), and
-	// therefore the per-line LastRefresh/Sentry stores are unobservable.
+	// therefore such banks keep no charge times.
 	// Only the counters matter, and those follow from the occupancy count —
 	// the whole sweep is O(1) regardless of group size.  Probe skips the
 	// decay check on these banks for the same reason (see mayDecay).
@@ -639,8 +656,8 @@ func (b *Bank) applyDataPolicy(f cache.Frame, at int64) (recharged bool) {
 
 	case config.WBData:
 		switch {
-		case b.arr.Count(f) >= 1:
-			b.arr.SetCount(f, b.arr.Count(f)-1)
+		case b.counts[f] >= 1:
+			b.counts[f]--
 			b.refreshLine(f, at)
 			return true
 		case b.arr.Dirty(f):
@@ -657,11 +674,14 @@ func (b *Bank) applyDataPolicy(f cache.Frame, at int64) (recharged bool) {
 	return false
 }
 
-// refreshLine recharges the cells of a frame.
+// refreshLine recharges the cells of a frame.  A Refrint drain moves the
+// frame's deadline itself, so only a Periodic bank's charge time is stored.
 //
 //refrint:alloc-free
 func (b *Bank) refreshLine(f cache.Frame, at int64) {
-	b.arr.Recharge(f, at)
+	if len(b.charged) != 0 {
+		b.charged[f] = at
+	}
 	b.counters().Refreshes++
 	b.st.PolicyRefreshes++
 }
@@ -677,9 +697,12 @@ func (b *Bank) writebackLine(f cache.Frame, at int64) {
 	}
 	b.noteDirty(f, -1)
 	b.arr.SetState(f, mem.Exclusive) // valid clean
-	b.arr.SetCount(f, b.policy.M)
-	// The writeback read the line and rewrote it: the cells are recharged.
-	b.arr.Recharge(f, at)
+	b.counts[f] = int32(b.policy.M)
+	// The writeback read the line and rewrote it: the cells are recharged
+	// (on a Refrint bank, by the drain that called this).
+	if len(b.charged) != 0 {
+		b.charged[f] = at
+	}
 }
 
 // invalidateLine implements the policy invalidation of a clean line.
@@ -708,21 +731,8 @@ func (b *Bank) Drain(endCycle int64) {
 	b.AdvanceTo(endCycle)
 }
 
-// FlushInto invalidates every line, appends the dirty copies to the
-// caller-owned dst and returns the extended buffer, so repeated end-of-run
-// flushes reuse one buffer instead of allocating a fresh slice per call.
-func (b *Bank) FlushInto(dst []mem.Line) []mem.Line {
-	for i := range b.groupValid {
-		b.groupValid[i] = 0
-	}
-	for i := range b.groupDirty {
-		b.groupDirty[i] = 0
-	}
-	return b.arr.FlushInto(dst)
-}
-
-// FlushCount is FlushInto for callers that only need the number of dirty
-// lines (the end-of-run writeback charge): no per-line copies are made.
+// FlushCount invalidates every line and returns how many were dirty (the
+// end-of-run writeback charge).
 func (b *Bank) FlushCount() int64 {
 	var n int64
 	if len(b.groupDirty) != 0 {

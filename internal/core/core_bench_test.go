@@ -107,7 +107,7 @@ func BenchmarkWBDecision(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !arr.Valid(frame) {
 			arr.SetState(frame, mem.Modified)
-			arr.SetCount(frame, 1)
+			bank.counts[frame] = 1
 		}
 		bank.applyDataPolicy(frame, int64(i))
 	}

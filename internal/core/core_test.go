@@ -181,7 +181,7 @@ func TestWBPolicyFigure41Sequence(t *testing.T) {
 	if !ok || b.Cache().Dirty(l) {
 		t.Fatalf("line should now be valid clean: %+v ok=%v", b.Cache().Line(l), ok)
 	}
-	if got := b.Cache().Count(l); got != 1 {
+	if got := b.counts[l]; got != 1 {
 		t.Errorf("Count after writeback = %d, want m=1", got)
 	}
 
@@ -215,7 +215,7 @@ func TestAccessResetsWBCount(t *testing.T) {
 		t.Fatal("line missing")
 	}
 	b.Touch(l, 10_000)
-	if got := b.Cache().Count(l); got != 1 {
+	if got := b.counts[l]; got != 1 {
 		t.Fatalf("Count after access = %d, want n=1", got)
 	}
 	// Next interrupt (at 19_000): Count 1 -> 0, refresh (not writeback).
@@ -231,11 +231,11 @@ func TestAccessResetsWBCount(t *testing.T) {
 func TestWBCountInitialisation(t *testing.T) {
 	b, _, _ := newTestBank(t, testCell(), config.RefrintWB(7, 3))
 	frame, _, _ := b.Insert(0x1, mem.Modified, 0)
-	if got := b.Cache().Count(frame); got != 7 {
+	if got := b.counts[frame]; got != 7 {
 		t.Errorf("dirty fill Count = %d, want n=7", got)
 	}
 	frame2, _, _ := b.Insert(0x2, mem.Shared, 0)
-	if got := b.Cache().Count(frame2); got != 3 {
+	if got := b.counts[frame2]; got != 3 {
 		t.Errorf("clean fill Count = %d, want m=3", got)
 	}
 }
@@ -350,18 +350,20 @@ func TestDecayDetectedOnProbe(t *testing.T) {
 }
 
 func TestFlushReturnsDirtyLines(t *testing.T) {
-	b, _, _ := newTestBank(t, testCell(), config.RefrintWB(4, 4))
-	b.Insert(0x1, mem.Modified, 0)
-	b.Insert(0x2, mem.Exclusive, 0)
-	dirty := b.FlushInto(nil)
-	if len(dirty) != 1 || dirty[0].Tag != 0x1 {
-		t.Errorf("FlushInto = %+v, want the single dirty line", dirty)
-	}
-	// The buffer is caller-owned; a second flush of a refilled bank reuses it.
-	b.Insert(0x3, mem.Modified, 1)
-	dirty = b.FlushInto(dirty[:0])
-	if len(dirty) != 1 || dirty[0].Tag != 0x3 {
-		t.Errorf("reused-buffer FlushInto = %+v", dirty)
+	for _, policy := range []config.Policy{config.RefrintWB(4, 4), config.PeriodicWB(4, 4)} {
+		b, _, _ := newTestBank(t, testCell(), policy)
+		b.Insert(0x1, mem.Modified, 0)
+		b.Insert(0x2, mem.Exclusive, 0)
+		if n := b.FlushCount(); n != 1 {
+			t.Errorf("%v: FlushCount = %d, want the single dirty line", policy, n)
+		}
+		if b.ValidLines() != 0 || b.DirtyLines() != 0 {
+			t.Errorf("%v: %d valid, %d dirty after the flush", policy, b.ValidLines(), b.DirtyLines())
+		}
+		b.Insert(0x3, mem.Modified, 1)
+		if n := b.FlushCount(); n != 1 {
+			t.Errorf("%v: second FlushCount = %d, want 1", policy, n)
+		}
 	}
 }
 
@@ -460,5 +462,45 @@ func TestRefrintRefreshCountTracksResidentLines(t *testing.T) {
 	b.AdvanceTo(9_100)
 	if got := st.Level(stats.L3).Refreshes; got != int64(valid) {
 		t.Errorf("refreshes = %d, want %d (one per resident line per sentry period)", got, valid)
+	}
+}
+
+// TestProbeDecaysAtCellDeadline pins Probe's decay test.  A line inserted
+// behind the bank's clock is never reached by a refresh pass, so only its
+// charge time decides whether a probe finds it: it hits one cycle before
+// charge + CellCycles and has decayed at that cycle.  Periodic All and
+// Valid recharge every line each period, so they never decay.
+func TestProbeDecaysAtCellDeadline(t *testing.T) {
+	const charge = 1_000
+	deadline := charge + testCell().RetentionCycles
+	for _, tc := range []struct {
+		policy config.Policy
+		decays bool
+	}{
+		{config.RefrintValid, true},
+		{config.RefrintWB(2, 2), true},
+		{config.Policy{Time: config.PeriodicTime, Data: config.DirtyData}, true},
+		{config.PeriodicWB(2, 2), true},
+		{config.PeriodicAll, false},
+		{config.PeriodicValid, false},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			b, st, _ := newTestBank(t, testCell(), tc.policy)
+			b.AdvanceTo(50_000)
+			b.Insert(0x1, mem.Exclusive, charge)
+			if _, ok := b.Probe(0x1, deadline-1); !ok {
+				t.Fatalf("probe at %d missed", deadline-1)
+			}
+			if _, ok := b.Probe(0x1, deadline); ok == tc.decays {
+				t.Errorf("probe at %d hit = %v, want %v", deadline, ok, !tc.decays)
+			}
+			want := int64(0)
+			if tc.decays {
+				want = 1
+			}
+			if got := st.Level(stats.L3).Decays; got != want {
+				t.Errorf("Decays = %d, want %d", got, want)
+			}
+		})
 	}
 }

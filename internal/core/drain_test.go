@@ -36,7 +36,7 @@ func refDrain(b *Bank, now int64, buf []wheelEntry) []wheelEntry {
 				at := max(b.portBusyUntil, e.Cycle)
 				b.portBusyUntil = at + 1
 				if b.applyDataPolicy(f, at) {
-					b.wheel.Schedule(b.ret.SentryDeadline(b.arr.LastRefresh(f)), int(f))
+					b.wheel.Schedule(b.ret.SentryDeadline(at), int(f))
 				}
 			}
 		}
@@ -137,7 +137,9 @@ func wheelOrder(w *frameWheel) []wheelEntry {
 }
 
 // diff returns a description of the first difference between the two banks,
-// or "" if they agree on every counter, the port, every frame and the wheel.
+// or "" if they agree on every counter, the port, every frame's tag, state,
+// LRU stamp and WB(n,m) budget, every valid frame's charge time, and the
+// wheel.
 func (p *drainPair) diff() string {
 	a, r := p.banks[0], p.banks[1]
 	if !reflect.DeepEqual(p.stats[0], p.stats[1]) {
@@ -153,6 +155,12 @@ func (p *drainPair) diff() string {
 		f := cache.Frame(i)
 		if a.arr.Line(f) != r.arr.Line(f) {
 			return fmt.Sprintf("frame %d: %+v, want %+v", i, a.arr.Line(f), r.arr.Line(f))
+		}
+		if len(a.counts) != 0 && a.counts[i] != r.counts[i] {
+			return fmt.Sprintf("frame %d: budget %d, want %d", i, a.counts[i], r.counts[i])
+		}
+		if a.arr.Valid(f) && a.chargedAt(f) != r.chargedAt(f) {
+			return fmt.Sprintf("frame %d: charged at %d, want %d", i, a.chargedAt(f), r.chargedAt(f))
 		}
 		gd, gok := a.wheel.Deadline(i)
 		wd, wok := r.wheel.Deadline(i)
@@ -258,8 +266,8 @@ func runDrainScript(p *drainPair, seed int64, sentry int64, steps int) error {
 // two-phase drain it replaced: for every Refrint data policy and several
 // sentry periods, a production bank and a bank drained by refDrain see the
 // same operations and must agree on every counter, the port, every frame's
-// state, charge time and budget, the wheel's deadlines and order, and every
-// hook call.
+// state and budget, every valid frame's charge time, the wheel's deadlines
+// and order, and every hook call.
 func TestSentryDrainMatchesReference(t *testing.T) {
 	steps := 3000
 	if testing.Short() {

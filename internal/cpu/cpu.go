@@ -24,11 +24,9 @@ type Core struct {
 	// start executing).
 	now int64
 
-	instructions  int64
-	memOps        int64
-	stallCycles   int64
-	computeCycles int64
-	finished      bool
+	instructions int64
+	memOps       int64
+	stallCycles  int64
 }
 
 // New creates a core with the given id.
@@ -63,15 +61,6 @@ func (c *Core) MemOps() int64 { return c.memOps }
 // overlap window.
 func (c *Core) StallCycles() int64 { return c.stallCycles }
 
-// ComputeCycles returns the cycles spent executing non-memory instructions.
-func (c *Core) ComputeCycles() int64 { return c.computeCycles }
-
-// Finished reports whether the core's workload has completed.
-func (c *Core) Finished() bool { return c.finished }
-
-// Finish marks the core's workload as complete.
-func (c *Core) Finish() { c.finished = true }
-
 // Compute advances the core's clock over `instructions` non-memory
 // instructions at the configured issue width and returns the new local time.
 func (c *Core) Compute(instructions int64) int64 {
@@ -80,7 +69,6 @@ func (c *Core) Compute(instructions int64) int64 {
 	}
 	cycles := (instructions + int64(c.cfg.IssueWidth) - 1) / int64(c.cfg.IssueWidth)
 	c.now += cycles
-	c.computeCycles += cycles
 	c.instructions += instructions
 	return c.now
 }

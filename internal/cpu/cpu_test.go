@@ -32,9 +32,6 @@ func TestComputeDualIssue(t *testing.T) {
 	if c.Instructions() != 10 {
 		t.Errorf("Instructions = %d, want 10", c.Instructions())
 	}
-	if c.ComputeCycles() != 5 {
-		t.Errorf("ComputeCycles = %d, want 5", c.ComputeCycles())
-	}
 	c.Compute(3) // odd count rounds up: 2 cycles
 	if c.Now() != 7 {
 		t.Errorf("Now = %d, want 7", c.Now())
@@ -97,17 +94,6 @@ func TestAdvanceTo(t *testing.T) {
 	c.AdvanceTo(50) // backwards: no-op
 	if c.Now() != 100 {
 		t.Error("AdvanceTo must not move time backwards")
-	}
-}
-
-func TestFinishFlag(t *testing.T) {
-	c := New(0, coreCfg())
-	if c.Finished() {
-		t.Error("new core should not be finished")
-	}
-	c.Finish()
-	if !c.Finished() {
-		t.Error("Finish did not mark the core")
 	}
 }
 

@@ -82,7 +82,7 @@ func runStats() *stats.Stats {
 func TestComputeDecompositionsConsistent(t *testing.T) {
 	m := NewModel(NewParameters(config.AsEDRAM(config.FullSize(), config.PeriodicAll, config.Retention50us)))
 	b := m.Compute(runStats())
-	onChipByLevel := b.OnChipMemory()
+	onChipByLevel := b.IL1 + b.DL1 + b.L2 + b.L3
 	onChipByComponent := b.Dynamic + b.Leakage + b.Refresh
 	if math.Abs(onChipByLevel-onChipByComponent) > 1e-12*onChipByLevel {
 		t.Errorf("per-level (%.6g) and per-component (%.6g) on-chip decompositions disagree", onChipByLevel, onChipByComponent)

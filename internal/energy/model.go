@@ -33,11 +33,6 @@ func (b Breakdown) MemoryHierarchy() float64 {
 	return b.IL1 + b.DL1 + b.L2 + b.L3 + b.DRAM
 }
 
-// OnChipMemory returns the on-chip portion (without DRAM).
-func (b Breakdown) OnChipMemory() float64 {
-	return b.IL1 + b.DL1 + b.L2 + b.L3
-}
-
 // Total returns the whole-system energy of Figure 6.3:
 // cores + caches + network + DRAM.
 func (b Breakdown) Total() float64 {

@@ -200,9 +200,6 @@ func Enable(inj *Injector) {
 // Disable removes any installed injector.
 func Disable() { current.Store(nil) }
 
-// Active reports whether any injector is installed.
-func Active() bool { return current.Load() != nil }
-
 // Check consults the injection point: it returns ErrInjected (error mode),
 // panics (panic mode), sleeps (latency mode), or — with no injector
 // installed, or no rule for the point, or the rate not triggering — returns

@@ -55,7 +55,7 @@ func TestParseMultiRule(t *testing.T) {
 
 func TestDisabledFastPath(t *testing.T) {
 	Disable()
-	if Active() {
+	if current.Load() != nil {
 		t.Fatal("Active() with no injector")
 	}
 	if err := Check(StorePut); err != nil {
@@ -74,7 +74,7 @@ func TestErrorMode(t *testing.T) {
 	Enable(inj)
 	t.Cleanup(Disable)
 
-	if !Active() {
+	if current.Load() == nil {
 		t.Fatal("Active() = false with injector installed")
 	}
 	err = Check(StorePut)
@@ -177,7 +177,7 @@ func TestLatencyRespectsContext(t *testing.T) {
 
 func TestEnableEmptyIsDisable(t *testing.T) {
 	Enable(&Injector{rules: map[string][]rule{}})
-	if Active() {
+	if current.Load() != nil {
 		t.Fatal("empty injector should normalize to disabled")
 	}
 }

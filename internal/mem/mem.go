@@ -53,11 +53,6 @@ func (g LineGeometry) BaseOf(l LineAddr) Addr {
 	return Addr(uint64(l) << g.offsetBits())
 }
 
-// OffsetOf returns the byte offset of a within its line.
-func (g LineGeometry) OffsetOf(a Addr) int {
-	return int(uint64(a) & uint64(g.LineSize-1))
-}
-
 // State is the MESI coherence state of a cache line, as seen by the cache
 // that holds it.  The directory at L3 additionally tracks sharer sets (see
 // package coherence).
@@ -119,9 +114,6 @@ func (t AccessType) String() string {
 	}
 }
 
-// IsWrite reports whether the access modifies the line.
-func (t AccessType) IsWrite() bool { return t == Write }
-
 // Access is one memory reference issued by a core.
 type Access struct {
 	Addr   Addr       // physical byte address
@@ -134,15 +126,13 @@ type Access struct {
 // Line is the per-line metadata kept by every cache in the hierarchy, as a
 // value: a copy of one frame of a cache bank (cache.Cache.Line), which
 // stores each field in its own per-frame array.  It is the vocabulary type
-// of victim copies, flush buffers and the invariant checker.  The refresh
-// machinery (package core) keeps its own per-frame bookkeeping, indexed by
-// frame.  The zero Line is invalid.
+// of victim copies and the invariant checker.  The refresh machinery
+// (package core) keeps its own per-frame state, indexed by frame.  The zero
+// Line is invalid.
 type Line struct {
-	Tag         LineAddr // full line address (tag + index combined, for simplicity)
-	State       State
-	LRU         int64 // replacement timestamp, also the cycle of the last normal access
-	LastRefresh int64 // cycle of the last refresh or access (eDRAM charge time)
-	Count       int   // WB(n,m) refresh budget remaining (maintained by package core)
+	Tag   LineAddr // full line address (tag + index combined, for simplicity)
+	State State
+	LRU   int64 // replacement timestamp, also the cycle of the last normal access
 }
 
 // Valid reports whether the line currently holds usable data.

@@ -33,15 +33,14 @@ func TestLineOfAndBaseOf(t *testing.T) {
 		addr Addr
 		line LineAddr
 		base Addr
-		off  int
 	}{
-		{0, 0, 0, 0},
-		{1, 0, 0, 1},
-		{63, 0, 0, 63},
-		{64, 1, 64, 0},
-		{65, 1, 64, 1},
-		{128, 2, 128, 0},
-		{0xFFFF, 0x3FF, 0xFFC0, 63},
+		{0, 0, 0},
+		{1, 0, 0},
+		{63, 0, 0},
+		{64, 1, 64},
+		{65, 1, 64},
+		{128, 2, 128},
+		{0xFFFF, 0x3FF, 0xFFC0},
 	}
 	for _, tt := range tests {
 		if got := g.LineOf(tt.addr); got != tt.line {
@@ -50,18 +49,16 @@ func TestLineOfAndBaseOf(t *testing.T) {
 		if got := g.BaseOf(tt.line); got != tt.base {
 			t.Errorf("BaseOf(%#x) = %#x, want %#x", tt.line, got, tt.base)
 		}
-		if got := g.OffsetOf(tt.addr); got != tt.off {
-			t.Errorf("OffsetOf(%#x) = %d, want %d", tt.addr, got, tt.off)
-		}
 	}
 }
 
 func TestLineGeometryRoundTripProperty(t *testing.T) {
 	g := NewLineGeometry(64)
-	// For any address, BaseOf(LineOf(a)) + OffsetOf(a) == a.
+	// For any address a, BaseOf(LineOf(a)) is the start of the 64-byte line
+	// holding a.
 	f := func(a uint64) bool {
-		addr := Addr(a)
-		return uint64(g.BaseOf(g.LineOf(addr)))+uint64(g.OffsetOf(addr)) == a
+		base := uint64(g.BaseOf(g.LineOf(Addr(a))))
+		return base <= a && a-base < 64 && base%64 == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -123,12 +120,6 @@ func TestAccessTypeString(t *testing.T) {
 	}
 	if AccessType(7).String() != "AccessType(7)" {
 		t.Errorf("unexpected fallback string: %v", AccessType(7))
-	}
-	if Read.IsWrite() || InstrFetch.IsWrite() {
-		t.Error("Read/InstrFetch should not be writes")
-	}
-	if !Write.IsWrite() {
-		t.Error("Write.IsWrite() = false")
 	}
 }
 

@@ -106,8 +106,3 @@ func (t *Torus) Flits(bytes int) int {
 func (t *Torus) FlitHops(src, dst int, bytes int) int64 {
 	return int64(t.Flits(bytes)) * int64(t.Hops(src, dst))
 }
-
-// MaxHops returns the network diameter (largest minimal hop count).
-func (t *Torus) MaxHops() int {
-	return t.cfg.Width/2 + t.cfg.Height/2
-}

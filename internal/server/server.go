@@ -362,13 +362,6 @@ func (s *Server) BeginDrain(expect time.Duration) {
 	s.logf("server: draining, in-flight work has %v to finish", expect)
 }
 
-// Draining reports whether BeginDrain has run.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Drain blocks until every admitted job reaches a terminal state or ctx
 // expires (returning the context error).  Call BeginDrain first so new work
 // cannot arrive faster than the backlog drains.

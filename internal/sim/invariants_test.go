@@ -83,7 +83,12 @@ func TestCheckInvariantsDetectsViolations(t *testing.T) {
 	if !found {
 		t.Skip("tile 0 DL1 ended the run empty")
 	}
-	tile.L2.Cache().Invalidate(victim)
+	l2 := tile.L2.Cache()
+	f, ok := l2.Probe(victim)
+	if !ok {
+		t.Fatalf("line %#x is in the DL1 but not the L2", victim)
+	}
+	l2.Reset(f)
 	if err := s.CheckInvariants(); err == nil {
 		t.Error("breaking inclusion should be detected")
 	}

@@ -148,7 +148,6 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 
 		a, ok := gen.Next()
 		if !ok {
-			tile.Core.Finish()
 			continue
 		}
 		// Non-memory instructions preceding the reference.

@@ -68,9 +68,6 @@ func TestExecuteContextProgress(t *testing.T) {
 	if calls != want || maxDone != want {
 		t.Fatalf("progress calls = %d (max done %d), want %d", calls, maxDone, want)
 	}
-	if f := (Progress{Done: want, Total: want}).Fraction(); f != 1 {
-		t.Errorf("Fraction at completion = %g, want 1", f)
-	}
 }
 
 // TestExecuteContextCancel verifies a cancelled context stops the sweep

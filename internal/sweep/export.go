@@ -1,12 +1,6 @@
 package sweep
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"refrint/internal/stats"
-)
+import "refrint/internal/stats"
 
 // This file provides a machine-readable export of a sweep, so results can be
 // archived, diffed between runs, or plotted outside the tool.
@@ -119,33 +113,4 @@ func (r *Results) exportRun(run Run, normalize bool) ExportRun {
 		}
 	}
 	return e
-}
-
-// WriteJSON writes the export as indented JSON.
-func (r *Results) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.Export()); err != nil {
-		return fmt.Errorf("sweep: encoding results: %w", err)
-	}
-	return nil
-}
-
-// LoadJSON reads an export previously written by WriteJSON.
-func LoadJSON(rd io.Reader) (Export, error) {
-	var out Export
-	if err := json.NewDecoder(rd).Decode(&out); err != nil {
-		return Export{}, fmt.Errorf("sweep: decoding results: %w", err)
-	}
-	return out, nil
-}
-
-// Find returns the exported run for one (app, policy, retention) triple.
-func (e Export) Find(app, policy string, retentionUS float64) (ExportRun, bool) {
-	for _, run := range e.Runs {
-		if run.App == app && run.Policy == policy && run.RetentionUS == retentionUS {
-			return run, true
-		}
-	}
-	return ExportRun{}, false
 }

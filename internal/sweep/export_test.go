@@ -1,11 +1,10 @@
 package sweep
 
 import (
-	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
-
-	"refrint/internal/config"
 )
 
 func TestExportAndJSONRoundTrip(t *testing.T) {
@@ -43,32 +42,18 @@ func TestExportAndJSONRoundTrip(t *testing.T) {
 	}
 
 	// JSON round trip.
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"norm_memory_energy\"") {
-		t.Error("JSON output missing expected field names")
-	}
-	loaded, err := LoadJSON(&buf)
+	payload, err := json.Marshal(exp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Runs) != len(exp.Runs) {
-		t.Errorf("round trip lost runs: %d vs %d", len(loaded.Runs), len(exp.Runs))
+	if !strings.Contains(string(payload), "\"norm_memory_energy\"") {
+		t.Error("JSON output missing expected field names")
 	}
-
-	// Find locates a specific run.
-	if _, ok := loaded.Find("FFT", "R.WB(32,32)", config.Retention50us); !ok {
-		t.Error("Find failed to locate an existing run")
+	var loaded Export
+	if err := json.Unmarshal(payload, &loaded); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := loaded.Find("FFT", "R.WB(32,32)", 999); ok {
-		t.Error("Find located a non-existent run")
-	}
-}
-
-func TestLoadJSONRejectsGarbage(t *testing.T) {
-	if _, err := LoadJSON(strings.NewReader("{not json")); err == nil {
-		t.Error("garbage input should fail to decode")
+	if !reflect.DeepEqual(loaded, exp) {
+		t.Errorf("round trip changed the export:\n got  %+v\n want %+v", loaded, exp)
 	}
 }

@@ -78,15 +78,15 @@ func TestGoldenExport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatalf("write export: %v", err)
-	}
-	compareGolden(t, "export_quick.json", buf.Bytes())
-
-	// The golden bytes must round-trip through the loader.
-	loaded, err := LoadJSON(bytes.NewReader(buf.Bytes()))
+	payload, err := json.MarshalIndent(res.Export(), "", "  ")
 	if err != nil {
+		t.Fatalf("marshal export: %v", err)
+	}
+	compareGolden(t, "export_quick.json", append(payload, '\n'))
+
+	// The golden bytes must decode back into an Export.
+	var loaded Export
+	if err := json.Unmarshal(payload, &loaded); err != nil {
 		t.Fatalf("re-load export: %v", err)
 	}
 	if len(loaded.Runs) != res.Options.Size() {

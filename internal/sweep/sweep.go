@@ -224,14 +224,6 @@ type Progress struct {
 	Total int
 }
 
-// Fraction returns completion in [0, 1].
-func (p Progress) Fraction() float64 {
-	if p.Total == 0 {
-		return 0
-	}
-	return float64(p.Done) / float64(p.Total)
-}
-
 // Cell is one simulation of a sweep: an application at a point, with the
 // canonical key that identifies its result across sweeps.
 type Cell struct {
@@ -525,32 +517,6 @@ func (r *Results) AppsByClass() map[workload.Class][]string {
 	for _, apps := range out {
 		sort.Strings(apps)
 	}
-	return out
-}
-
-// PointsAt returns the sweep's points for one retention time, in figure
-// order.
-func (r *Results) PointsAt(retentionUS float64) []Point {
-	var out []Point
-	for _, p := range r.Points {
-		if p.RetentionUS == retentionUS {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// RetentionTimes returns the retention times present in the sweep, ascending.
-func (r *Results) RetentionTimes() []float64 {
-	seen := map[float64]bool{}
-	var out []float64
-	for _, p := range r.Points {
-		if !seen[p.RetentionUS] {
-			seen[p.RetentionUS] = true
-			out = append(out, p.RetentionUS)
-		}
-	}
-	sort.Float64s(out)
 	return out
 }
 

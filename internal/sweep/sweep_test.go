@@ -225,19 +225,6 @@ func TestTable61RowsPresent(t *testing.T) {
 	}
 }
 
-func TestPointsAtAndRetentionTimes(t *testing.T) {
-	res := runTiny(t)
-	if got := res.RetentionTimes(); len(got) != 1 || got[0] != config.Retention50us {
-		t.Errorf("RetentionTimes = %v", got)
-	}
-	if got := res.PointsAt(config.Retention50us); len(got) != 4 {
-		t.Errorf("PointsAt(50) = %d points", len(got))
-	}
-	if got := res.PointsAt(999); len(got) != 0 {
-		t.Errorf("PointsAt(999) = %d points, want 0", len(got))
-	}
-}
-
 func TestLookup(t *testing.T) {
 	res := runTiny(t)
 	if _, ok := res.Lookup("FFT", Point{Policy: config.SRAMBaseline}); !ok {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"refrint/internal/config"
 )
@@ -211,17 +210,4 @@ func ForConfig(p Params, cfg config.Config) Params {
 		return p.Scale(config.ScaleFactor())
 	}
 	return p
-}
-
-// ByClass returns the application names grouped by their paper class
-// (Table 6.1), each group sorted alphabetically.
-func ByClass() map[Class][]string {
-	out := make(map[Class][]string)
-	for name, p := range Apps() {
-		out[p.PaperClass] = append(out[p.PaperClass], name)
-	}
-	for _, names := range out {
-		sort.Strings(names)
-	}
-	return out
 }

@@ -133,20 +133,8 @@ func (g *Generator) Reset(p Params, cfg config.Config, thread int, seed int64) {
 // Params returns the generator's parameters.
 func (g *Generator) Params() Params { return g.params }
 
-// Issued returns how many references have been generated so far.
-func (g *Generator) Issued() int64 { return g.issued }
-
 // Done reports whether the thread has issued its full quota of references.
 func (g *Generator) Done() bool { return g.issued >= g.params.MemOpsPerThread }
-
-// Remaining returns the number of references the thread has yet to issue.
-func (g *Generator) Remaining() int64 {
-	r := g.params.MemOpsPerThread - g.issued
-	if r < 0 {
-		return 0
-	}
-	return r
-}
 
 // remember adds a line to the thread's working window, over its oldest
 // line once the window is full.
@@ -286,9 +274,4 @@ func (a *App) Done() bool {
 		}
 	}
 	return true
-}
-
-// TotalMemOps returns the total number of references the run will issue.
-func (a *App) TotalMemOps() int64 {
-	return a.p.MemOpsPerThread * int64(len(a.gens))
 }

@@ -76,10 +76,12 @@ func TestClassifyPreservedUnderScaling(t *testing.T) {
 }
 
 func TestByClass(t *testing.T) {
-	groups := ByClass()
-	if len(groups[Class1]) != 4 || len(groups[Class2]) != 4 || len(groups[Class3]) != 3 {
-		t.Errorf("class sizes = %d/%d/%d, want 4/4/3",
-			len(groups[Class1]), len(groups[Class2]), len(groups[Class3]))
+	sizes := map[Class]int{}
+	for _, p := range Apps() {
+		sizes[p.PaperClass]++
+	}
+	if sizes[Class1] != 4 || sizes[Class2] != 4 || sizes[Class3] != 3 {
+		t.Errorf("class sizes = %d/%d/%d, want 4/4/3", sizes[Class1], sizes[Class2], sizes[Class3])
 	}
 }
 
@@ -167,7 +169,7 @@ func TestGeneratorQuota(t *testing.T) {
 	if count != p.MemOpsPerThread {
 		t.Errorf("issued %d references, want %d", count, p.MemOpsPerThread)
 	}
-	if !g.Done() || g.Remaining() != 0 {
+	if !g.Done() {
 		t.Error("generator should be done")
 	}
 	if _, ok := g.Next(); ok {
@@ -282,9 +284,6 @@ func TestAppBundle(t *testing.T) {
 	}
 	if app.Done() {
 		t.Error("fresh app should not be done")
-	}
-	if app.TotalMemOps() != p.MemOpsPerThread*int64(cfg.Cores) {
-		t.Errorf("TotalMemOps = %d", app.TotalMemOps())
 	}
 	if app.Params().Name != "LU" {
 		t.Error("Params should round-trip")
