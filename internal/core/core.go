@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"refrint/internal/cache"
 	"refrint/internal/config"
@@ -78,6 +79,19 @@ type Bank struct {
 	charged []int64
 	counts  []int32
 
+	// The watch of the WB(n,m) budgets a Valid bank does not enforce, off
+	// (empty) unless WatchBudgets turns it on.  watch[f] is twice the
+	// refreshes frame f received since its last demand charge, plus 1 if the
+	// line was dirty at that charge; watchMax[d] is the largest such word
+	// seen before a refresh, for d = 0 (clean) and d = 1 (dirty), or -1.
+	// watchDecayed records a probe that a WB bank would have found decayed.
+	// watchPeriodic marks a watching Periodic bank, which scans each line of
+	// a group and whose decay test drops nothing.
+	watch         []int32
+	watchMax      [2]int32
+	watchDecayed  bool
+	watchPeriodic bool
+
 	// Per-group occupancy for Periodic sweeps (empty for other banks):
 	// groupValid[g] and groupDirty[g] count the valid and dirty (Modified)
 	// lines in sweep group g, so advancePeriodic skips empty groups entirely
@@ -98,7 +112,7 @@ type Bank struct {
 	nextFire      int64
 	// mayDecay is false when the policy structurally recharges every line
 	// within its retention period (Periodic All/Valid), letting Probe skip
-	// the decay test; such banks keep no charge times.
+	// the decay test; such banks keep no charge times unless they watch.
 	mayDecay bool
 
 	hooks Hooks
@@ -149,6 +163,7 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 		groupDirty: b.groupDirty[:0],
 		charged:    b.charged[:0],
 		counts:     b.counts[:0],
+		watch:      b.watch[:0],
 		hooks:      b.hooks,
 		st:         st,
 		ctr:        st.Level(level),
@@ -189,6 +204,79 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 		if policy.Data == config.WBData {
 			b.counts = zeroed(b.counts, b.arr.NumLines())
 		}
+	}
+}
+
+// WatchBudgets makes a refreshable Valid bank watch the WB(n,m) budgets it
+// does not enforce, so that Watch can tell which WB(n,m) bank, run on the
+// same accesses, would have computed exactly what this bank did.  Call it
+// after Reset, before the bank's first access; the next Reset turns the
+// watch off.  It reports whether the bank watches: other banks do not.
+//
+// A WB(n,m) bank acts like a Valid bank until some line is due for a
+// refresh with no budget left.  The watch keeps, per frame, what the budget
+// depends on (the refreshes since the last demand charge, and whether the
+// line was dirty at that charge) and reads nothing else.  A Refrint bank
+// runs exactly as before.  A Periodic Valid bank otherwise sweeps a group
+// from its occupancy count and never decays, while a WB bank scans each
+// line and may decay, so a watching Periodic bank scans each line, keeps
+// charge times, and runs the WB bank's decay test on every probe, dropping
+// nothing.
+func (b *Bank) WatchBudgets() bool {
+	if !b.refreshable || b.policy.Data != config.ValidData {
+		return false
+	}
+	b.watch = zeroed(b.watch, b.arr.NumLines())
+	b.watchMax = [2]int32{-1, -1}
+	if b.policy.Time == config.PeriodicTime {
+		b.charged = zeroed(b.charged, b.arr.NumLines())
+		b.mayDecay = true
+		b.watchPeriodic = true
+	}
+	return true
+}
+
+// Watch is what watching Valid banks saw of the WB(n,m) budgets.
+type Watch struct {
+	// Dirty and Clean are the most refreshes a line had already received
+	// since its last demand charge when it came due for another, for lines
+	// dirty and clean at that charge, or -1 where no such line came due.
+	// WB(n,m) refreshes a line only while that number is below its budget.
+	Dirty, Clean int32
+	// Decayed records a probe that would have found the line decayed in a
+	// WB bank, which exhausts every budget.
+	Decayed bool
+}
+
+// Spares reports whether WB(n,m) never runs out of budget on the watched
+// accesses, and so computes exactly what the watched Valid banks did.  The
+// budgets compare as the int32 counts a WB bank keeps.
+func (w Watch) Spares(n, m int) bool {
+	return !w.Decayed && w.Dirty < int32(n) && w.Clean < int32(m)
+}
+
+// Merge returns the watch of w's banks and o's together.
+func (w Watch) Merge(o Watch) Watch {
+	return Watch{Dirty: max(w.Dirty, o.Dirty), Clean: max(w.Clean, o.Clean), Decayed: w.Decayed || o.Decayed}
+}
+
+// Watch returns what the bank's watch saw (see WatchBudgets).  A bank that
+// does not watch knows of no budget that holds.
+func (b *Bank) Watch() Watch {
+	if len(b.watch) == 0 {
+		return Watch{Dirty: math.MaxInt32, Clean: math.MaxInt32}
+	}
+	return Watch{Dirty: b.watchMax[1] >> 1, Clean: b.watchMax[0] >> 1, Decayed: b.watchDecayed}
+}
+
+// watchRefresh records a refresh of frame f on a watching bank.
+//
+//refrint:alloc-free
+func (b *Bank) watchRefresh(f cache.Frame) {
+	v := b.watch[f]
+	b.watch[f] = v + 2
+	if v > b.watchMax[v&1] {
+		b.watchMax[v&1] = v
 	}
 }
 
@@ -275,11 +363,18 @@ func (b *Bank) chargedAt(f cache.Frame) int64 {
 }
 
 // resetCount re-arms the WB(n,m) budget of a frame after a normal access,
-// following Figure 4.1: dirty lines get n, clean lines get m.
+// following Figure 4.1: dirty lines get n, clean lines get m.  A watching
+// bank restarts the frame's watch word from the same Dirty(f).
 //
 //refrint:alloc-free
 func (b *Bank) resetCount(f cache.Frame) {
 	if len(b.counts) == 0 {
+		if len(b.watch) != 0 {
+			b.watch[f] = 0
+			if b.arr.Dirty(f) {
+				b.watch[f] = 1
+			}
+		}
 		return
 	}
 	if b.arr.Dirty(f) {
@@ -299,6 +394,13 @@ func (b *Bank) Probe(addr mem.LineAddr, now int64) (cache.Frame, bool) {
 		return cache.NoFrame, false
 	}
 	if b.mayDecay && b.ret.Decayed(b.chargedAt(f), now) {
+		if b.watchPeriodic {
+			// A WB bank would lose the line here; a Periodic Valid bank
+			// does not.  (A Refrint WB bank decays exactly as its Valid
+			// bank does.)
+			b.watchDecayed = true
+			return f, true
+		}
 		// Data lost.  Dirty data that decays silently would be a correctness
 		// bug in a real system; the policies are designed never to let that
 		// happen, and the counter lets tests assert it.
@@ -479,6 +581,7 @@ func (b *Bank) advanceRefrint(now int64) {
 	nodes := w.nodes
 	states, counts := b.arr.States(), b.counts
 	data := b.policy.Data
+	watching := len(b.watch) != 0
 	sentry := b.ret.SentryCycles
 	shift := w.granShift
 	nowBucket := now >> shift
@@ -526,6 +629,8 @@ func (b *Bank) advanceRefrint(now int64) {
 					data == config.WBData && counts[f] >= 1:
 					if data == config.WBData {
 						counts[f]--
+					} else if watching {
+						b.watchRefresh(cache.Frame(f))
 					}
 					refreshes++
 				case !b.applyDataPolicy(cache.Frame(f), at):
@@ -606,7 +711,7 @@ func (b *Bank) sweepGroup(group int, cycle int64) {
 	// Only the counters matter, and those follow from the occupancy count —
 	// the whole sweep is O(1) regardless of group size.  Probe skips the
 	// decay check on these banks for the same reason (see mayDecay).
-	if b.policy.Data == config.AllData || b.policy.Data == config.ValidData {
+	if !b.watchPeriodic && (b.policy.Data == config.AllData || b.policy.Data == config.ValidData) {
 		refreshed := int64(valid)
 		if b.policy.RefreshesInvalid() {
 			refreshed = int64(end - start) // the All policy counts every frame
@@ -615,11 +720,12 @@ func (b *Bank) sweepGroup(group int, cycle int64) {
 		b.st.PolicyRefreshes += refreshed
 		return
 	}
-	// Dirty and WB sweeps make per-line decisions; invalid frames need no
-	// work (only the All policy, handled above, refreshes them).  `valid`
-	// is the occupancy at sweep start; the policy may invalidate the line
-	// under scan, but never other unvisited lines of this bank, so counting
-	// visited-valid lines against the snapshot is exact.
+	// Dirty and WB sweeps, and watching Valid sweeps, make per-line
+	// decisions; invalid frames need no work (only the All policy, handled
+	// above, refreshes them).  `valid` is the occupancy at sweep start; the
+	// policy may invalidate the line under scan, but never other unvisited
+	// lines of this bank, so counting visited-valid lines against the
+	// snapshot is exact.
 	if valid == 0 {
 		return
 	}
@@ -644,6 +750,9 @@ func (b *Bank) applyDataPolicy(f cache.Frame, at int64) (recharged bool) {
 	switch b.policy.Data {
 	case config.AllData, config.ValidData:
 		// Only valid lines reach this point; always refresh.
+		if len(b.watch) != 0 {
+			b.watchRefresh(f)
+		}
 		b.refreshLine(f, at)
 		return true
 

@@ -175,6 +175,30 @@ func privatePolicy(l3 config.Policy) config.Policy {
 	}
 }
 
+// WatchBudgets turns on the WB(n,m) budget watch
+// (core.(*Bank).WatchBudgets) in the L3 banks of a cell whose policy is
+// Valid, and reports whether it did.  The private levels run Valid under
+// every WB policy too, so the L3 is where a WB(n,m) run can first differ.
+// Call it after Reset and before the run; Watch reads the verdict.
+func (s *System) WatchBudgets() bool {
+	watching := false
+	for _, tile := range s.tiles {
+		watching = tile.L3.WatchBudgets()
+	}
+	return watching
+}
+
+// Watch returns what the L3 banks' budget watch saw (see WatchBudgets):
+// after a completed run, Watch().Spares(n, m) reports whether WB(n,m) gives
+// this run's Result.
+func (s *System) Watch() core.Watch {
+	w := core.Watch{Dirty: -1, Clean: -1}
+	for _, tile := range s.tiles {
+		w = w.Merge(tile.L3.Watch())
+	}
+	return w
+}
+
 // Config returns the system configuration.
 func (s *System) Config() config.Config { return s.cfg }
 

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"refrint/internal/config"
+	"refrint/internal/core"
 	"refrint/internal/faults"
 	"refrint/internal/sim"
 	"refrint/internal/workload"
@@ -288,6 +289,18 @@ func Assemble(opts Options, runs []Run) *Results {
 // ExecuteContext runs the sweep described by the options on a pool of
 // Options.Workers goroutines, honouring cancellation and reporting progress.
 //
+// Each run is simulated once.  A family is the cells of one application,
+// retention time and time policy, and its Valid cell leads it: the pool
+// claims the leaders first, then the cells of no family, then the
+// followers.  A leader simulates with the WB(n,m) budget watch on
+// (sim.(*System).WatchBudgets).  A follower takes its leader's Result,
+// relabelled, when that run computes the follower's too: R.all always does,
+// since sentries arm only on valid lines, and WB(n,m) does when the watch
+// shows that no line ran out of budget.  A follower whose leader has not
+// finished, failed or was served by CellLookup simulates as RunCell does; no
+// worker waits for another.  A reused cell still passes RunCell's fault
+// points, CellLookup and CellPut, and counts in progress.
+//
 // When ctx is cancelled, or a cell fails, the pool stops starting new
 // simulations and returns ctx.Err() (or the first cell error).  On
 // cancellation the running simulations stop within a few thousand
@@ -299,16 +312,27 @@ func Assemble(opts Options, runs []Run) *Results {
 // at that instant, but calls from different workers may be observed out of
 // order.  The callback must be safe for concurrent use and return quickly.
 func ExecuteContext(ctx context.Context, opts Options, progress func(Progress)) (*Results, error) {
+	res, _, err := execute(ctx, opts, progress, claimOrder)
+	return res, err
+}
+
+// execute is ExecuteContext with the claim order given by order, which
+// permutes the indices of cells.  It also returns how many cells reused a
+// leader's Result.
+func execute(ctx context.Context, opts Options, progress func(Progress), order func(cells []Cell, fams []*family) []int) (*Results, int, error) {
 	if err := opts.CheckEffort(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	opts = opts.normalise()
 	cells := Cells(opts)
+	fams := families(cells)
+	claims := order(cells, fams)
 	runs := make([]Run, len(cells))
 	var (
 		wg       sync.WaitGroup
-		next     atomic.Int64 // index of the next cell to claim
+		next     atomic.Int64 // index in claims of the next cell to claim
 		done     atomic.Int64
+		reused   atomic.Int64
 		failed   atomic.Bool
 		errOnce  sync.Once
 		firstErr error
@@ -318,17 +342,21 @@ func ExecuteContext(ctx context.Context, opts Options, progress func(Progress)) 
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil && !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
+				k := int(next.Add(1)) - 1
+				if k >= len(claims) {
 					return
 				}
-				run, err := RunCell(ctx, opts, cells[i])
+				i := claims[k]
+				run, copied, err := runCell(ctx, opts, cells[i], fams[i])
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)
 					return
 				}
 				runs[i] = run
+				if copied {
+					reused.Add(1)
+				}
 				if progress != nil {
 					progress(Progress{Done: int(done.Add(1)), Total: len(cells)})
 				}
@@ -337,12 +365,96 @@ func ExecuteContext(ctx context.Context, opts Options, progress func(Progress)) 
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return nil, 0, firstErr
 	}
-	return Assemble(opts, runs), nil
+	return Assemble(opts, runs), int(reused.Load()), nil
+}
+
+// family is the cells of one application, retention time and time policy
+// that share their Valid cell's run (see ExecuteContext).
+type family struct {
+	lead atomic.Pointer[lead] // nil until the Valid cell has simulated
+}
+
+// lead is the outcome of a family's Valid cell.
+type lead struct {
+	result sim.Result // read only: a follower takes a copy
+	watch  core.Watch
+}
+
+// leads reports whether a cell of a family at policy p is its leader.
+func leads(p config.Policy) bool { return p.Data == config.ValidData }
+
+// families returns each cell's family, or nil for a cell outside every
+// family: a baseline, a Dirty or Periodic All cell, or one whose family has
+// no Valid cell.
+func families(cells []Cell) []*family {
+	type id struct {
+		app       string
+		retention float64
+		time      config.TimePolicy
+	}
+	idOf := func(c Cell) id { return id{c.App, c.Point.RetentionUS, c.Point.Policy.Time} }
+	byID := make(map[id]*family)
+	for _, c := range cells {
+		if !c.Point.IsBaseline() && leads(c.Point.Policy) {
+			byID[idOf(c)] = new(family)
+		}
+	}
+	fams := make([]*family, len(cells))
+	for i, c := range cells {
+		p := c.Point.Policy
+		if leads(p) || p.Data == config.WBData || p.Time == config.RefrintTime && p.Data == config.AllData {
+			fams[i] = byID[idOf(c)]
+		}
+	}
+	return fams
+}
+
+// claimOrder lists the cells' indices leaders first, then the cells of no
+// family, then the followers, each group in enumeration order.
+func claimOrder(cells []Cell, fams []*family) []int {
+	rank := func(i int) int {
+		switch {
+		case fams[i] == nil:
+			return 1
+		case leads(cells[i].Point.Policy):
+			return 0
+		default:
+			return 2
+		}
+	}
+	order := make([]int, 0, len(cells))
+	for r := range 3 {
+		for i := range cells {
+			if rank(i) == r {
+				order = append(order, i)
+			}
+		}
+	}
+	return order
+}
+
+// reuse returns the Result a follower at policy p takes from its family's
+// leader, or false when it must simulate: the leader has no published run
+// yet, or its run may differ from p's.
+func (f *family) reuse(p config.Policy) (sim.Result, bool) {
+	l := f.lead.Load()
+	if l == nil {
+		return sim.Result{}, false
+	}
+	// R.all is R.valid: sentries arm only on valid lines.  WB(n,m) is
+	// Valid until some line is due for a refresh with no budget left.
+	if !(p.Data == config.AllData || p.Data == config.WBData && l.watch.Spares(p.N, p.M)) {
+		return sim.Result{}, false
+	}
+	res := l.result
+	res.Policy = p.String()
+	res.Stats = res.Stats.Clone()
+	return res, true
 }
 
 // PanicError is what a panicking simulation cell is converted into: the
@@ -374,20 +486,38 @@ func (e *PanicError) Error() string {
 //
 // When ctx is cancelled with the cause ErrYield while the cell simulates,
 // RunCell returns a *Parked error that holds the half-run simulation.
-func RunCell(ctx context.Context, opts Options, c Cell) (run Run, err error) {
+func RunCell(ctx context.Context, opts Options, c Cell) (Run, error) {
+	run, _, err := runCell(ctx, opts, c, nil)
+	return run, err
+}
+
+// runCell is RunCell for a cell of family fam (nil: none).  A leader
+// publishes its run to fam; a follower takes its leader's Result when fam
+// offers it, and reports that with copied.
+func runCell(ctx context.Context, opts Options, c Cell, fam *family) (run Run, copied bool, err error) {
 	defer contain(c, &run, &err)
 	if err := faults.CheckCtx(ctx, faults.ExecLatency); err != nil {
-		return Run{}, err
+		return Run{}, false, err
 	}
 	if err := faults.CheckCtx(ctx, faults.SimRun); err != nil {
-		return Run{}, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
+		return Run{}, false, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
 	}
 	if opts.CellLookup != nil {
 		if res, ok := opts.CellLookup(c.Key); ok {
-			return Run{App: c.App, Point: c.Point, Result: res}, nil
+			return Run{App: c.App, Point: c.Point, Result: res}, false, nil
 		}
 	}
-	return runOne(ctx, opts.normalise(), c)
+	if fam != nil && !leads(c.Point.Policy) {
+		if res, ok := fam.reuse(c.Point.Policy); ok {
+			if opts.CellPut != nil {
+				opts.CellPut(c.Key, res)
+			}
+			return Run{App: c.App, Point: c.Point, Result: res}, true, nil
+		}
+		fam = nil // simulate as RunCell does
+	}
+	run, err = runOne(ctx, opts.normalise(), c, fam)
+	return run, false, err
 }
 
 // contain is RunCell's and Resume's deferred panic guard: it converts a
@@ -426,12 +556,13 @@ func (p *Parked) Error() string {
 // ctx that yields again returns another *Parked.  Call it at most once.
 func (p *Parked) Resume(ctx context.Context) (run Run, err error) {
 	defer contain(p.cell, &run, &err)
-	return simulate(ctx, p.opts, p.cell, p.system)
+	return simulate(ctx, p.opts, p.cell, p.system, nil)
 }
 
 // runOne executes one cell's simulation on an idle System, stopping early
-// with ctx.Err() when ctx is cancelled.
-func runOne(ctx context.Context, opts Options, c Cell) (Run, error) {
+// with ctx.Err() when ctx is cancelled.  A non-nil led is the family the
+// cell leads: the run watches the WB(n,m) budgets and is published to it.
+func runOne(ctx context.Context, opts Options, c Cell, led *family) (Run, error) {
 	params, err := workload.Get(c.App)
 	if err != nil {
 		return Run{}, err
@@ -445,24 +576,35 @@ func runOne(ctx context.Context, opts Options, c Cell) (Run, error) {
 		idle.put(system)
 		return Run{}, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
 	}
-	return simulate(ctx, opts, c, system)
+	if led != nil && !system.WatchBudgets() {
+		led = nil
+	}
+	return simulate(ctx, opts, c, system, led)
 }
 
 // simulate runs or resumes system's simulation of cell c.  A run that
-// finishes is offered to CellPut; one whose ctx yields is parked with its
-// System.  Otherwise the System goes back to idle: a cancelled System is as
-// reusable as a finished one, since Reset re-initialises all of it.  One
-// that panicked is not returned.
-func simulate(ctx context.Context, opts Options, c Cell, system *sim.System) (Run, error) {
+// finishes is published to led, when that is non-nil, and offered to
+// CellPut; one whose ctx yields is parked with its System.  Otherwise the
+// System goes back to idle: a cancelled System is as reusable as a finished
+// one, since Reset re-initialises all of it.  One that panicked is not
+// returned.
+func simulate(ctx context.Context, opts Options, c Cell, system *sim.System, led *family) (Run, error) {
 	result, err := system.RunContext(ctx)
 	if err != nil && errors.Is(context.Cause(ctx), ErrYield) {
 		return Run{}, &Parked{opts: opts, cell: c, system: system}
+	}
+	var watch core.Watch
+	if led != nil {
+		watch = system.Watch() // read before another cell resets system
 	}
 	idle.put(system)
 	if err != nil {
 		return Run{}, err
 	}
 	result.RetentionUS = c.Point.RetentionUS // report the paper-scale retention
+	if led != nil {
+		led.lead.Store(&lead{result: result, watch: watch})
+	}
 	if opts.CellPut != nil {
 		opts.CellPut(c.Key, result)
 	}

@@ -1,13 +1,16 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"refrint/internal/config"
+	"refrint/internal/sim"
 	"refrint/internal/stats"
 	"refrint/internal/sweep"
 )
@@ -134,23 +137,24 @@ func TestSRAMNeverRefreshesOrDecays(t *testing.T) {
 // data policies are the same computation: sentries are armed only on valid
 // lines, so no invalid line ever raises an interrupt to be refreshed.  Every
 // counter, the energy and the execution time agree in each (application,
-// retention) pair.
+// retention) pair.  Both cells are simulated alone, since the sweep hands
+// R.all the R.valid run.
 func TestRefrintAllIsRefrintValid(t *testing.T) {
-	res, err := quickSweep()
-	if err != nil {
-		t.Fatalf("quick sweep: %v", err)
-	}
+	runs := alone(t, func(c sweep.Cell) bool {
+		return c.Point.Policy.Time == config.RefrintTime &&
+			(c.Point.Policy.Data == config.AllData || c.Point.Policy.Data == config.ValidData)
+	})
+	opts := sweep.QuickOptions()
 	rAll := config.Policy{Time: config.RefrintTime, Data: config.AllData}
 	pairs := 0
-	for _, ret := range res.Options.RetentionTimesUS {
-		for _, app := range res.Options.Apps {
-			all, okAll := res.Lookup(app, sweep.Point{RetentionUS: ret, Policy: rAll})
-			valid, okValid := res.Lookup(app, sweep.Point{RetentionUS: ret, Policy: config.RefrintValid})
+	for _, ret := range opts.RetentionTimesUS {
+		for _, app := range opts.Apps {
+			a, okAll := runs[cellID{app, sweep.Point{RetentionUS: ret, Policy: rAll}}]
+			v, okValid := runs[cellID{app, sweep.Point{RetentionUS: ret, Policy: config.RefrintValid}}]
 			if !okAll || !okValid {
 				t.Fatalf("%s@%gus: R.all or R.valid missing from the sweep", app, ret)
 			}
-			a, v := all.Result, valid.Result
-			if !reflect.DeepEqual(a.Stats, v.Stats) || a.Energy != v.Energy || a.Cycles != v.Cycles {
+			if !sameRun(a, v) {
 				t.Errorf("%s@%gus: R.all differs from R.valid:\n all   %v, %d cycles\n valid %v, %d cycles",
 					app, ret, a.Energy, a.Cycles, v.Energy, v.Cycles)
 			}
@@ -160,4 +164,62 @@ func TestRefrintAllIsRefrintValid(t *testing.T) {
 	if pairs != 9 {
 		t.Errorf("compared %d (app, retention) pairs, want 9", pairs)
 	}
+}
+
+// sameRun reports whether two runs agree in every counter, the energy and
+// the execution time.
+func sameRun(a, b sim.Result) bool {
+	return reflect.DeepEqual(a.Stats, b.Stats) && a.Energy == b.Energy && a.Cycles == b.Cycles
+}
+
+// cellID names a cell of the quick sweep.
+type cellID struct {
+	app   string
+	point sweep.Point
+}
+
+// alone simulates each cell of the quick sweep at seed 1 that keep selects
+// on its own, through sweep.RunCell, on GOMAXPROCS goroutines.
+func alone(t *testing.T, keep func(sweep.Cell) bool) map[cellID]sim.Result {
+	t.Helper()
+	opts := sweep.QuickOptions()
+	var cells []sweep.Cell
+	for _, c := range sweep.Cells(opts) {
+		if keep(c) {
+			cells = append(cells, c)
+		}
+	}
+	runs := make([]sweep.Run, len(cells))
+	errs := make([]error, len(cells))
+	parallel(len(cells), func(i int) {
+		runs[i], errs[i] = sweep.RunCell(context.Background(), opts, cells[i])
+	})
+	out := make(map[cellID]sim.Result, len(cells))
+	for i, c := range cells {
+		if errs[i] != nil {
+			t.Fatalf("%s %s: %v", c.App, c.Point.Key(), errs[i])
+		}
+		out[cellID{c.App, c.Point}] = runs[i].Result
+	}
+	return out
+}
+
+// parallel calls f(0), ..., f(n-1) on GOMAXPROCS goroutines.
+func parallel(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				f(i)
+			}
+		}()
+	}
+	for i := range n {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 }

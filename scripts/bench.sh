@@ -8,12 +8,12 @@ set -eu
 
 out="${1:-}"
 count="${BENCH_COUNT:-5}"
-pattern="${BENCH_PATTERN:-BenchmarkRun|BenchmarkAccessSteadyState|BenchmarkProbe|BenchmarkSentryInterruptProcessing|BenchmarkSentryDrainScaledL3|BenchmarkPeriodicSweepProcessing|BenchmarkDemandTouch|BenchmarkSubmitDequeue|BenchmarkHistogramObserve|BenchmarkGeneratorNext|BenchmarkAppReset}"
+pattern="${BENCH_PATTERN:-BenchmarkRun|BenchmarkAccessSteadyState|BenchmarkProbe|BenchmarkSentryInterruptProcessing|BenchmarkSentryDrainScaledL3|BenchmarkPeriodicSweepProcessing|BenchmarkDemandTouch|BenchmarkSubmitDequeue|BenchmarkHistogramObserve|BenchmarkGeneratorNext|BenchmarkAppReset|BenchmarkQuickSweep}"
 
 run() {
     go test -run '^$' -bench "$pattern" -benchmem -count "$count" \
         ./internal/cache ./internal/sim ./internal/core ./internal/sched ./internal/server \
-        ./internal/workload
+        ./internal/workload ./internal/sweep
 }
 
 # No pipe around `run`: POSIX sh has no pipefail, and `run | tee` would
