@@ -129,11 +129,11 @@ func BenchmarkFigure61LevelEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		results := benchSweep(b, []float64{Retention50us})
 		bars := results.Figure61()
-		if bar, ok := sweep.FindLevel(bars, "P.all", Retention50us); ok {
-			pAll = bar.Total()
+		if bar, ok := sweep.Find(bars, "P.all", Retention50us); ok {
+			pAll = bar.Total
 		}
-		if bar, ok := sweep.FindLevel(bars, "R.WB(32,32)", Retention50us); ok {
-			rWB = bar.Total()
+		if bar, ok := sweep.Find(bars, "R.WB(32,32)", Retention50us); ok {
+			rWB = bar.Total
 		}
 	}
 	b.ReportMetric(pAll, "P.all_mem_vs_SRAM")
@@ -152,10 +152,10 @@ func BenchmarkFigure62ComponentEnergy(b *testing.B) {
 			if class != "all" {
 				continue
 			}
-			if bar, ok := sweep.FindComponent(bars, "P.all", Retention50us); ok {
+			if bar, ok := sweep.Find(bars, "P.all", Retention50us); ok {
 				pAllRefresh = bar.Refresh
 			}
-			if bar, ok := sweep.FindComponent(bars, "R.WB(32,32)", Retention50us); ok {
+			if bar, ok := sweep.Find(bars, "R.WB(32,32)", Retention50us); ok {
 				rWBRefresh = bar.Refresh
 			}
 		}
@@ -173,10 +173,10 @@ func BenchmarkFigure63TotalEnergy(b *testing.B) {
 		results := benchSweep(b, []float64{Retention50us})
 		_ = results.Figure63("class1")
 		bars := results.Figure63("all")
-		if bar, ok := sweep.FindScalar(bars, "P.all", Retention50us); ok {
+		if bar, ok := sweep.Find(bars, "P.all", Retention50us); ok {
 			pAll = bar.Value
 		}
-		if bar, ok := sweep.FindScalar(bars, "R.WB(32,32)", Retention50us); ok {
+		if bar, ok := sweep.Find(bars, "R.WB(32,32)", Retention50us); ok {
 			rWB = bar.Value
 		}
 	}
@@ -193,10 +193,10 @@ func BenchmarkFigure64ExecutionTime(b *testing.B) {
 		results := benchSweep(b, []float64{Retention50us})
 		_ = results.Figure64("class1")
 		bars := results.Figure64("all")
-		if bar, ok := sweep.FindScalar(bars, "P.all", Retention50us); ok {
+		if bar, ok := sweep.Find(bars, "P.all", Retention50us); ok {
 			pAll = bar.Value
 		}
-		if bar, ok := sweep.FindScalar(bars, "R.WB(32,32)", Retention50us); ok {
+		if bar, ok := sweep.Find(bars, "R.WB(32,32)", Retention50us); ok {
 			rWB = bar.Value
 		}
 	}
@@ -219,10 +219,10 @@ func BenchmarkRetentionSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		bars := results.Figure62("all")
-		if bar, ok := sweep.FindComponent(bars, "R.valid", Retention50us); ok {
+		if bar, ok := sweep.Find(bars, "R.valid", Retention50us); ok {
 			r50 = bar.Refresh
 		}
-		if bar, ok := sweep.FindComponent(bars, "R.valid", Retention200us); ok {
+		if bar, ok := sweep.Find(bars, "R.valid", Retention200us); ok {
 			r200 = bar.Refresh
 		}
 	}

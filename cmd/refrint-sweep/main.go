@@ -133,22 +133,22 @@ func printHeadline(results *sweep.Results) {
 	mem := results.Figure61()
 	tot := results.Figure63("all")
 	times := results.Figure64("all")
-	pAll, ok1 := sweep.FindLevel(mem, "P.all", config.Retention50us)
-	rWB, ok2 := sweep.FindLevel(mem, "R.WB(32,32)", config.Retention50us)
+	pAll, ok1 := sweep.Find(mem, "P.all", config.Retention50us)
+	rWB, ok2 := sweep.Find(mem, "R.WB(32,32)", config.Retention50us)
 	if !ok1 || !ok2 {
 		return
 	}
-	pAllT, _ := sweep.FindScalar(times, "P.all", config.Retention50us)
-	rWBT, _ := sweep.FindScalar(times, "R.WB(32,32)", config.Retention50us)
-	pAllE, _ := sweep.FindScalar(tot, "P.all", config.Retention50us)
-	rWBE, _ := sweep.FindScalar(tot, "R.WB(32,32)", config.Retention50us)
+	pAllT, _ := sweep.Find(times, "P.all", config.Retention50us)
+	rWBT, _ := sweep.Find(times, "R.WB(32,32)", config.Retention50us)
+	pAllE, _ := sweep.Find(tot, "P.all", config.Retention50us)
+	rWBE, _ := sweep.Find(tot, "R.WB(32,32)", config.Retention50us)
 
 	fmt.Println("Headline comparison at 50us (paper: P.all 50% memory / 72% system energy, 18% slowdown;")
 	fmt.Println("                             R.WB(32,32) 36% memory / 61% system energy, 2% slowdown)")
 	fmt.Printf("  P.all        : %.0f%% memory energy, %.0f%% system energy, %.0f%% slowdown\n",
-		100*pAll.Total(), 100*pAllE.Value, 100*(pAllT.Value-1))
+		100*pAll.Total, 100*pAllE.Value, 100*(pAllT.Value-1))
 	fmt.Printf("  R.WB(32,32)  : %.0f%% memory energy, %.0f%% system energy, %.0f%% slowdown\n",
-		100*rWB.Total(), 100*rWBE.Value, 100*(rWBT.Value-1))
+		100*rWB.Total, 100*rWBE.Value, 100*(rWBT.Value-1))
 }
 
 func emitCSV(results *sweep.Results, which, selector string) {

@@ -86,12 +86,6 @@ func (c *Cache) Config() config.CacheConfig { return c.cfg }
 // NumLines returns the number of line frames in the bank.
 func (c *Cache) NumLines() int { return len(c.tags) }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // setOf maps a line address to its set index within this bank.  Banked
 // caches skip the bank-select bits via the configuration's IndexShift so
 // that all sets of the bank are usable.
@@ -150,12 +144,6 @@ func (c *Cache) Dirty(f Frame) bool { return c.states[f] == mem.Modified }
 //
 //refrint:alloc-free
 func (c *Cache) States() []mem.State { return c.states }
-
-// LRU returns a frame's replacement stamp, which is also the cycle of its
-// last normal access (tests and the reference model).
-//
-//refrint:alloc-free
-func (c *Cache) LRU(f Frame) int64 { return c.lru[f] }
 
 // Line materializes a copy of the frame's metadata as a mem.Line value —
 // the vocabulary type victim copies and the invariant checker speak.

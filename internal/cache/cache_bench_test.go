@@ -54,7 +54,7 @@ func BenchmarkProbeHit(b *testing.B) {
 func BenchmarkProbeWays(b *testing.B) {
 	for _, ways := range []int{4, 8, 16} {
 		c := New(waysConfig(ways))
-		sets := c.Sets()
+		sets := c.sets
 		// Fill every set completely so hit probes scan realistic sets and
 		// miss probes are tag mismatches, not empty-set scans.
 		for s := 0; s < sets; s++ {

@@ -27,8 +27,8 @@ func TestNewGeometry(t *testing.T) {
 	if c.NumLines() != 64 {
 		t.Errorf("NumLines = %d, want 64", c.NumLines())
 	}
-	if c.Sets() != 16 || c.Ways() != 4 {
-		t.Errorf("sets/ways = %d/%d, want 16/4", c.Sets(), c.Ways())
+	if c.sets != 16 || c.ways != 4 {
+		t.Errorf("sets/ways = %d/%d, want 16/4", c.sets, c.ways)
 	}
 	if c.ValidCount() != 0 || c.DirtyCount() != 0 {
 		t.Error("new cache should be empty")
@@ -72,11 +72,11 @@ func TestInsertAndProbe(t *testing.T) {
 func TestTouchUpdatesRecencyAndRefresh(t *testing.T) {
 	c := New(smallConfig())
 	f, _, _ := c.Insert(0x10, mem.Shared, 5)
-	if c.LRU(f) != 5 {
+	if c.lru[f] != 5 {
 		t.Errorf("Insert should touch the line: %+v", c.Line(f))
 	}
 	c.Touch(f, 42)
-	if c.LRU(f) != 42 {
+	if c.lru[f] != 42 {
 		t.Errorf("Touch did not update stamps: %+v", c.Line(f))
 	}
 }
@@ -84,7 +84,7 @@ func TestTouchUpdatesRecencyAndRefresh(t *testing.T) {
 func TestLRUReplacement(t *testing.T) {
 	cfg := smallConfig()
 	c := New(cfg)
-	sets := c.Sets()
+	sets := c.sets
 	// Fill one set completely: addresses that differ by `sets` map to the
 	// same set.
 	base := mem.LineAddr(3)
@@ -122,7 +122,7 @@ func TestLRUReplacement(t *testing.T) {
 func TestVictimPrefersInvalidFrame(t *testing.T) {
 	c := New(smallConfig())
 	c.Insert(0x1, mem.Modified, 1)
-	v := c.Victim(0x1 + mem.LineAddr(c.Sets())) // same set, different tag
+	v := c.Victim(0x1 + mem.LineAddr(c.sets)) // same set, different tag
 	if c.Valid(v) {
 		t.Error("victim should be an invalid frame while the set has free ways")
 	}
@@ -158,8 +158,8 @@ func TestFrameHandleIsFlatIndex(t *testing.T) {
 	}
 	// The frame's set is recoverable from the flat index: it must lie in
 	// the set its address maps to.
-	if want := c.setOf(0x5); idx/c.Ways() != want {
-		t.Errorf("frame %d lies in set %d, want %d", f, idx/c.Ways(), want)
+	if want := c.setOf(0x5); idx/c.ways != want {
+		t.Errorf("frame %d lies in set %d, want %d", f, idx/c.ways, want)
 	}
 	if got := c.Line(f); got.Tag != 0x5 || got.State != mem.Exclusive {
 		t.Errorf("Line(f) = %+v", got)
@@ -232,14 +232,14 @@ func TestInclusionNeverExceedsCapacityProperty(t *testing.T) {
 
 func TestSameSetMappingProperty(t *testing.T) {
 	c := New(smallConfig())
-	sets := c.Sets()
+	sets := c.sets
 	// Property: addresses congruent modulo the set count compete for the
 	// same set, so inserting ways+1 of them always evicts exactly one.
 	f := func(baseRaw uint16) bool {
 		cc := New(smallConfig())
 		base := mem.LineAddr(baseRaw % uint16(sets))
 		evictions := 0
-		for w := 0; w <= cc.Ways(); w++ {
+		for w := 0; w <= cc.ways; w++ {
 			_, _, ev := cc.Insert(base+mem.LineAddr(w*sets), mem.Exclusive, int64(w))
 			if ev {
 				evictions++

@@ -224,8 +224,8 @@ func (c CellConfig) SentryRetention() int64 {
 
 // MaxSentryRetentionCycles bounds the sentry retention of an eDRAM cell.
 // A Refrint bank sizes its timing wheel to the sentry period, one bucket
-// per 64 cycles (event.RingBuckets), so the bound keeps the ring at 2^16
-// buckets (512 KB per bank) or fewer.  At 1 GHz it is 4 ms, 20x the paper's longest retention.
+// per 64 cycles (see the core package's sentry wheel), so the bound keeps
+// the ring at 2^16 buckets (512 KB per bank) or fewer.  At 1 GHz it is 4 ms, 20x the paper's longest retention.
 const MaxSentryRetentionCycles = 4_000_000
 
 // Validate reports configuration errors.

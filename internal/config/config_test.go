@@ -3,8 +3,6 @@ package config
 import (
 	"strings"
 	"testing"
-
-	"refrint/internal/event"
 )
 
 func TestFullSizeValidates(t *testing.T) {
@@ -184,14 +182,6 @@ func TestCellConfigValidateErrors(t *testing.T) {
 	}
 }
 
-// TestMaxSentryRetentionRingBound checks the bound holds a Refrint bank's
-// sentry wheel, sized to the sentry retention, at 2^16 buckets or fewer.
-func TestMaxSentryRetentionRingBound(t *testing.T) {
-	if got := event.RingBuckets(event.SentryBucketCycles, MaxSentryRetentionCycles); got > 1<<16 {
-		t.Errorf("a sentry retention of %d cycles needs %d wheel buckets, want at most %d", MaxSentryRetentionCycles, got, 1<<16)
-	}
-}
-
 func TestPolicyStrings(t *testing.T) {
 	tests := []struct {
 		p    Policy
@@ -255,32 +245,26 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
-func TestSweepMatchesTable54(t *testing.T) {
-	points := Sweep()
-	if len(points) != 43 {
-		t.Fatalf("sweep has %d combinations, want 43 (Table 5.4)", len(points))
-	}
-	if !points[0].IsBaseline() {
-		t.Error("first sweep point should be the SRAM baseline")
-	}
-	if points[0].Label() != "SRAM" {
-		t.Errorf("baseline label = %q", points[0].Label())
-	}
-	// 14 policies per retention time.
-	perRetention := map[float64]int{}
-	for _, p := range points[1:] {
-		perRetention[p.RetentionUS]++
-		if p.IsBaseline() {
-			t.Errorf("non-baseline point %v marked as baseline", p)
+// TestWBBudgetsFitInt32 checks that a WB budget past the int32 counts a
+// bank keeps is rejected by the parser and by Validate, rather than wrapping
+// (R.WB(4294967297,1) once ran as WB(1,1)).
+func TestWBBudgetsFitInt32(t *testing.T) {
+	for _, label := range []string{"R.WB(4294967297,1)", "R.WB(2147483648,1)", "P.WB(1,2147483648)"} {
+		if p, err := ParsePolicyLabel(label); err == nil {
+			t.Errorf("ParsePolicyLabel(%q) = %v, want an error", label, p)
 		}
 	}
-	for _, ret := range RetentionTimesUS() {
-		if perRetention[ret] != 14 {
-			t.Errorf("retention %v us has %d policies, want 14", ret, perRetention[ret])
+	for _, p := range []Policy{RefrintWB(1<<32+1, 1), RefrintWB(1<<31, 1), PeriodicWB(1, 1<<31)} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want an error", p)
 		}
 	}
-	if got := SweepSize(); got != 43 {
-		t.Errorf("SweepSize() = %d, want 43", got)
+	widest := RefrintWB(1<<31-1, 1<<31-1)
+	if err := widest.Validate(); err != nil {
+		t.Errorf("Validate(%+v): %v", widest, err)
+	}
+	if p, err := ParsePolicyLabel(widest.String()); err != nil || p != widest {
+		t.Errorf("ParsePolicyLabel(%q) = %v, %v; want %v", widest.String(), p, err, widest)
 	}
 }
 

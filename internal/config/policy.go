@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -167,12 +168,12 @@ func ParsePolicyLabel(label string) (Policy, error) {
 		if len(parts) != 2 {
 			return Policy{}, fmt.Errorf("config: malformed WB policy %q", label)
 		}
-		n, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-		m, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
+		n, err1 := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 32)
+		m, err2 := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 32)
 		if err1 != nil || err2 != nil || n < 0 || m < 0 {
-			return Policy{}, fmt.Errorf("config: malformed WB budgets in %q", label)
+			return Policy{}, fmt.Errorf("config: malformed WB budgets in %q (each must be an integer in [0, %d])", label, math.MaxInt32)
 		}
-		return WB(timePolicy, n, m), nil
+		return WB(timePolicy, int(n), int(m)), nil
 	}
 	return Policy{}, fmt.Errorf("config: unknown data policy in %q", label)
 }
@@ -208,10 +209,9 @@ func (p Policy) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown data policy %d", p.Data)
 	}
-	if p.Data == WBData {
-		if p.N < 0 || p.M < 0 {
-			return fmt.Errorf("config: WB(n,m) budgets must be non-negative, got (%d,%d)", p.N, p.M)
-		}
+	// A bank keeps its budgets as int32 counts.
+	if p.Data == WBData && (p.N < 0 || p.M < 0 || p.N > math.MaxInt32 || p.M > math.MaxInt32) {
+		return fmt.Errorf("config: WB(n,m) budgets must lie in [0, %d], got (%d,%d)", math.MaxInt32, p.N, p.M)
 	}
 	return nil
 }

@@ -4,25 +4,6 @@ package config
 // two time-based policies, seven data-based policies, plus the full-SRAM
 // baseline — 43 combinations per application.
 
-// SweepPoint is one (retention, policy) combination of the sweep, or the
-// SRAM baseline (for which RetentionUS is zero).
-type SweepPoint struct {
-	RetentionUS float64
-	Policy      Policy
-}
-
-// IsBaseline reports whether the point is the full-SRAM baseline.
-func (p SweepPoint) IsBaseline() bool { return p.Policy.Time == NoRefresh }
-
-// Label returns the figure label of the point, e.g. "R.WB(32,32)@50us" or
-// "SRAM".
-func (p SweepPoint) Label() string {
-	if p.IsBaseline() {
-		return "SRAM"
-	}
-	return p.Policy.String()
-}
-
 // RetentionTimesUS returns the three retention times of Table 5.4 in
 // microseconds.
 func RetentionTimesUS() []float64 {
@@ -60,19 +41,3 @@ func SweepPolicies() []Policy {
 	}
 	return out
 }
-
-// Sweep returns the full Table 5.4 sweep: the SRAM baseline followed by
-// 3 retention times x 14 policies = 43 points.
-func Sweep() []SweepPoint {
-	points := []SweepPoint{{Policy: SRAMBaseline}}
-	for _, ret := range RetentionTimesUS() {
-		for _, p := range SweepPolicies() {
-			points = append(points, SweepPoint{RetentionUS: ret, Policy: p})
-		}
-	}
-	return points
-}
-
-// SweepSize returns the number of combinations in Table 5.4 including the
-// baseline (43 in the paper).
-func SweepSize() int { return len(Sweep()) }

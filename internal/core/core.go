@@ -31,7 +31,6 @@ import (
 	"refrint/internal/cache"
 	"refrint/internal/config"
 	"refrint/internal/edram"
-	"refrint/internal/event"
 	"refrint/internal/mem"
 	"refrint/internal/stats"
 )
@@ -56,7 +55,6 @@ type Bank struct {
 	cacheCfg config.CacheConfig
 	cell     config.CellConfig
 	policy   config.Policy
-	level    stats.Level
 
 	arr   *cache.Cache
 	ret   edram.Retention
@@ -93,16 +91,16 @@ type Bank struct {
 	watchPeriodic bool
 
 	// Per-group occupancy for Periodic sweeps (empty for other banks):
-	// groupValid[g] and groupDirty[g] count the valid and dirty (Modified)
-	// lines in sweep group g, so advancePeriodic skips empty groups entirely
-	// and stops scanning a group once every valid line has been visited.
-	// Only the simulator's bookkeeping is skipped; the modelled port
-	// blocking of a sweep is charged regardless of occupancy.
+	// groupValid[g] counts the valid lines in sweep group g, so
+	// advancePeriodic skips empty groups entirely and stops scanning a group
+	// once every valid line has been visited.  Only the simulator's
+	// bookkeeping is skipped; the modelled port blocking of a sweep is
+	// charged regardless of occupancy.
 	groupValid    []int32
-	groupDirty    []int32
 	linesPerGroup int
 
-	// Hot-path precomputation: refreshable caches Refreshable(); for
+	// Hot-path precomputation: refreshable says the bank is eDRAM under a
+	// refresh policy; for
 	// Periodic banks sweepInterval/blockCycles mirror the schedule and
 	// nextFire is the cycle of the next group firing, giving AdvanceTo an
 	// O(1) "nothing due" test without touching the schedule arithmetic.
@@ -154,13 +152,11 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 		cacheCfg:   cacheCfg,
 		cell:       cell,
 		policy:     policy,
-		level:      level,
 		arr:        arr,
 		ret:        edram.NewRetention(cell),
 		wheel:      wheel,
 		deferred:   b.deferred[:0],
 		groupValid: b.groupValid[:0],
-		groupDirty: b.groupDirty[:0],
 		charged:    b.charged[:0],
 		counts:     b.counts[:0],
 		watch:      b.watch[:0],
@@ -185,14 +181,13 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 			// escape hatch for port-backlogged deadlines) a rare event.
 			b.sentries = true
 			if b.wheel == nil {
-				b.wheel = newFrameWheel(event.SentryBucketCycles, b.arr.NumLines(), b.ret.SentryCycles)
+				b.wheel = newFrameWheel(sentryBucketCycles, b.arr.NumLines(), b.ret.SentryCycles)
 			} else {
 				b.wheel.Reset(b.ret.SentryCycles)
 			}
 		case config.PeriodicTime:
 			b.linesPerGroup = b.sched.LinesPerGroup()
 			b.groupValid = zeroed(b.groupValid, b.sched.Groups)
-			b.groupDirty = zeroed(b.groupDirty, b.sched.Groups)
 			// Mirrors GroupAt: firing k happens at (k+1)*(Period/Groups).
 			b.sweepInterval = b.sched.Period / int64(b.sched.Groups)
 			b.blockCycles = b.sched.BlockCycles()
@@ -249,8 +244,9 @@ type Watch struct {
 }
 
 // Spares reports whether WB(n,m) never runs out of budget on the watched
-// accesses, and so computes exactly what the watched Valid banks did.  The
-// budgets compare as the int32 counts a WB bank keeps.
+// accesses, and so computes exactly what the watched Valid banks did.  A
+// valid policy's budgets fit the int32 counts a WB bank keeps
+// (config.Policy.Validate), so the conversion is exact.
 func (w Watch) Spares(n, m int) bool {
 	return !w.Decayed && w.Dirty < int32(n) && w.Clean < int32(m)
 }
@@ -300,28 +296,9 @@ func (b *Bank) noteValid(f cache.Frame, delta int32) {
 	}
 }
 
-// noteDirty adjusts the dirty-line count of frame f's sweep group.
-//
-//refrint:alloc-free
-func (b *Bank) noteDirty(f cache.Frame, delta int32) {
-	if len(b.groupDirty) != 0 {
-		b.groupDirty[int(f)/b.linesPerGroup] += delta
-	}
-}
-
 // Cache exposes the underlying array (tests and the hierarchy use it for
 // probes that must not disturb refresh state).
 func (b *Bank) Cache() *cache.Cache { return b.arr }
-
-// Policy returns the refresh policy the bank runs.
-func (b *Bank) Policy() config.Policy { return b.policy }
-
-// Level returns the stats level this bank reports under.
-func (b *Bank) Level() stats.Level { return b.level }
-
-// Refreshable reports whether the bank is built from eDRAM and therefore
-// needs refresh.
-func (b *Bank) Refreshable() bool { return b.refreshable }
 
 // counters returns the stats counters for this bank's level.
 func (b *Bank) counters() *stats.LevelCounters { return b.ctr }
@@ -413,12 +390,7 @@ func (b *Bank) Probe(addr mem.LineAddr, now int64) (cache.Frame, bool) {
 		// (an L2 decay writeback probes the home L3, whose sweep may send an
 		// inclusion invalidation right back); only account the line once.
 		if b.arr.Valid(f) {
-			if len(b.groupValid) != 0 {
-				b.noteValid(f, -1)
-				if b.arr.Dirty(f) {
-					b.noteDirty(f, -1)
-				}
-			}
+			b.noteValid(f, -1)
 			b.arr.Reset(f)
 		}
 		return cache.NoFrame, false
@@ -441,17 +413,8 @@ func (b *Bank) Touch(f cache.Frame, now int64) {
 func (b *Bank) Insert(addr mem.LineAddr, state mem.State, now int64) (f cache.Frame, victim mem.Line, evicted bool) {
 	b.AdvanceTo(now)
 	f, victim, evicted = b.arr.Insert(addr, state, now)
-	if len(b.groupValid) != 0 {
-		if evicted {
-			if victim.Dirty() {
-				b.noteDirty(f, -1)
-			}
-		} else {
-			b.noteValid(f, 1)
-		}
-		if b.arr.Dirty(f) {
-			b.noteDirty(f, 1)
-		}
+	if !evicted {
+		b.noteValid(f, 1)
 	}
 	b.resetCount(f)
 	b.recharge(f, now)
@@ -473,18 +436,8 @@ func (b *Bank) Insert(addr mem.LineAddr, state mem.State, now int64) (f cache.Fr
 //
 //refrint:alloc-free
 func (b *Bank) SetState(f cache.Frame, state mem.State) {
-	old := b.arr.State(f)
-	if len(b.groupValid) != 0 && old != state {
-		if !old.Valid() && state.Valid() {
-			b.noteValid(f, 1)
-		}
-		if old.Dirty() != state.Dirty() {
-			if state.Dirty() {
-				b.noteDirty(f, 1)
-			} else {
-				b.noteDirty(f, -1)
-			}
-		}
+	if len(b.groupValid) != 0 && !b.arr.State(f).Valid() && state.Valid() {
+		b.noteValid(f, 1)
 	}
 	b.arr.SetState(f, state)
 }
@@ -503,12 +456,7 @@ func (b *Bank) Invalidate(addr mem.LineAddr) (mem.Line, bool) {
 		return mem.Line{}, false
 	}
 	old := b.arr.Line(f)
-	if len(b.groupValid) != 0 {
-		b.noteValid(f, -1)
-		if old.Dirty() {
-			b.noteDirty(f, -1)
-		}
-	}
+	b.noteValid(f, -1)
 	b.arr.Reset(f)
 	b.counters().Invalidations++
 	return old, true
@@ -804,7 +752,6 @@ func (b *Bank) writebackLine(f cache.Frame, at int64) {
 	if b.hooks.Writeback != nil {
 		b.hooks.Writeback(b.arr.Tag(f), at)
 	}
-	b.noteDirty(f, -1)
 	b.arr.SetState(f, mem.Exclusive) // valid clean
 	b.counts[f] = int32(b.policy.M)
 	// The writeback read the line and rewrote it: the cells are recharged
@@ -827,9 +774,6 @@ func (b *Bank) invalidateLine(f cache.Frame, at int64) {
 	// through a re-entrant inclusion invalidation; account the line once.
 	if b.arr.Valid(f) {
 		b.noteValid(f, -1)
-		if b.arr.Dirty(f) {
-			b.noteDirty(f, -1)
-		}
 		b.arr.Reset(f)
 	}
 }
@@ -843,18 +787,7 @@ func (b *Bank) Drain(endCycle int64) {
 // FlushCount invalidates every line and returns how many were dirty (the
 // end-of-run writeback charge).
 func (b *Bank) FlushCount() int64 {
-	var n int64
-	if len(b.groupDirty) != 0 {
-		n = int64(b.DirtyLines())
-		for i := range b.groupValid {
-			b.groupValid[i] = 0
-		}
-		for i := range b.groupDirty {
-			b.groupDirty[i] = 0
-		}
-		b.arr.FlushCount() // zeroes the array; counted above
-		return n
-	}
+	clear(b.groupValid)
 	return b.arr.FlushCount()
 }
 
@@ -867,18 +800,6 @@ func (b *Bank) ValidLines() int {
 	}
 	n := 0
 	for _, v := range b.groupValid {
-		n += int(v)
-	}
-	return n
-}
-
-// DirtyLines is ValidLines for dirty (Modified) lines.
-func (b *Bank) DirtyLines() int {
-	if len(b.groupDirty) == 0 {
-		return b.arr.DirtyCount()
-	}
-	n := 0
-	for _, v := range b.groupDirty {
 		n += int(v)
 	}
 	return n

@@ -68,7 +68,7 @@ func newTestBank(t *testing.T, cell config.CellConfig, policy config.Policy) (*B
 
 func TestSRAMBankNeverRefreshes(t *testing.T) {
 	b, st, _ := newTestBank(t, sramCell(), config.SRAMBaseline)
-	if b.Refreshable() {
+	if b.refreshable {
 		t.Fatal("SRAM bank must not be refreshable")
 	}
 	b.Insert(0x1, mem.Modified, 0)
@@ -309,7 +309,7 @@ func TestInvalidLinesRaiseNoInterrupts(t *testing.T) {
 func TestReplacedFrameDoesNotInheritStaleDeadline(t *testing.T) {
 	cfg := testBankConfig()
 	b, st, _ := newTestBank(t, testCell(), config.RefrintValid)
-	sets := b.Cache().Sets()
+	sets := cfg.Sets()
 	// Fill one set completely, then insert one more line to force a
 	// replacement.  The replaced frame's old sentry entry must not cause a
 	// premature or duplicate refresh of the new occupant.
@@ -357,8 +357,8 @@ func TestFlushReturnsDirtyLines(t *testing.T) {
 		if n := b.FlushCount(); n != 1 {
 			t.Errorf("%v: FlushCount = %d, want the single dirty line", policy, n)
 		}
-		if b.ValidLines() != 0 || b.DirtyLines() != 0 {
-			t.Errorf("%v: %d valid, %d dirty after the flush", policy, b.ValidLines(), b.DirtyLines())
+		if b.ValidLines() != 0 || b.Cache().DirtyCount() != 0 {
+			t.Errorf("%v: %d valid, %d dirty after the flush", policy, b.ValidLines(), b.Cache().DirtyCount())
 		}
 		b.Insert(0x3, mem.Modified, 1)
 		if n := b.FlushCount(); n != 1 {
@@ -456,7 +456,7 @@ func TestRefrintRefreshCountTracksResidentLines(t *testing.T) {
 	// the number of refreshes equals the number of resident valid lines.
 	b, st, _ := newTestBank(t, testCell(), config.RefrintValid)
 	for i := 0; i < 10; i++ {
-		b.Insert(mem.LineAddr(i*b.Cache().Sets()+i%b.Cache().Sets()), mem.Exclusive, 0)
+		b.Insert(mem.LineAddr(i*b.cacheCfg.Sets()+i%b.cacheCfg.Sets()), mem.Exclusive, 0)
 	}
 	valid := b.Cache().ValidCount()
 	b.AdvanceTo(9_100)

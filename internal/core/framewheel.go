@@ -1,7 +1,5 @@
 package core
 
-import "refrint/internal/event"
-
 // frameWheel is the timing wheel that holds the sentry deadline of every
 // line frame of a Refrint bank.  It is specialised for the refresh
 // machinery's access pattern: deadlines are keyed by a dense id space (cache
@@ -43,6 +41,30 @@ const (
 	unlinked = int32(-2)
 )
 
+// sentryBucketCycles is the bucket width, in cycles, of a bank's sentry
+// wheel.
+const sentryBucketCycles = 64
+
+// defaultRingBuckets is the ring size used when no horizon is given.
+const defaultRingBuckets = 64
+
+// ringBuckets returns the number of buckets a wheel with buckets of
+// `granularity` cycles needs so that a deadline `horizon` cycles beyond the
+// earliest pending one fits without growing the ring: horizon/granularity+2
+// (the earliest deadline's bucket may be partly past, and the last one
+// partly ahead), rounded up to a power of two so a bucket's slot is a mask,
+// and never fewer than defaultRingBuckets.
+func ringBuckets(granularity, horizon int64) int64 {
+	buckets := int64(defaultRingBuckets)
+	if horizon > 0 && granularity > 0 {
+		need := horizon/granularity + 2
+		for buckets < need {
+			buckets <<= 1
+		}
+	}
+	return buckets
+}
+
 // newFrameWheel returns a wheel for ids 0..ids-1 whose ring covers at least
 // `horizon` cycles beyond the earliest pending deadline.  Scheduling past
 // the covered window grows the ring (a rare, amortised event); sizing the
@@ -74,7 +96,7 @@ func newFrameWheel(granularity int64, ids int, horizon int64) *frameWheel {
 // horizon, is kept.  Ring size never changes which deadlines a drain finds
 // due or their order, so a reset wheel behaves as a fresh one.
 func (w *frameWheel) Reset(horizon int64) {
-	buckets := event.RingBuckets(w.granularity, horizon)
+	buckets := ringBuckets(w.granularity, horizon)
 	if int64(len(w.head)) < buckets {
 		w.head = make([]int32, buckets)
 		w.tail = make([]int32, buckets)

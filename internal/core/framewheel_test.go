@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"refrint/internal/event"
+	"refrint/internal/config"
 )
 
 // The TestWheel* cases pin the timing-wheel contract (ordering, max-limited
@@ -311,8 +311,8 @@ func TestWheelOverflowBeyondRing(t *testing.T) {
 	if w.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", w.Len())
 	}
-	if len(w.head) <= event.DefaultRingBuckets {
-		t.Fatalf("ring has %d buckets, want it grown past %d", len(w.head), event.DefaultRingBuckets)
+	if len(w.head) <= defaultRingBuckets {
+		t.Fatalf("ring has %d buckets, want it grown past %d", len(w.head), defaultRingBuckets)
 	}
 	if d, ok := w.NextDeadline(); !ok || d != 5 {
 		t.Fatalf("NextDeadline = %d,%v, want 5,true", d, ok)
@@ -373,6 +373,43 @@ func TestWheelPopDueIntoReuse(t *testing.T) {
 	}
 	if w.Len() != 0 {
 		t.Errorf("Len = %d, want 0", w.Len())
+	}
+}
+
+// TestRingBucketsSizing checks ringBuckets covers the requested span with a
+// power-of-two ring, and falls back to defaultRingBuckets without one.
+func TestRingBucketsSizing(t *testing.T) {
+	tests := []struct {
+		granularity, horizon int64
+		want                 int64
+	}{
+		{64, 0, defaultRingBuckets},
+		{64, -1, defaultRingBuckets},
+		{64, 64 * 62, defaultRingBuckets},
+		{64, 64 * 63, 128},
+		{64, 33_616, 1024},
+		{1, 33_616, 1 << 16},
+		{sentryBucketCycles, 4_000_000, 1 << 16},
+	}
+	for _, tt := range tests {
+		got := ringBuckets(tt.granularity, tt.horizon)
+		if got != tt.want {
+			t.Errorf("ringBuckets(%d, %d) = %d, want %d", tt.granularity, tt.horizon, got, tt.want)
+		}
+		if got&(got-1) != 0 {
+			t.Errorf("ringBuckets(%d, %d) = %d, not a power of two", tt.granularity, tt.horizon, got)
+		}
+		if tt.horizon > 0 && got < tt.horizon/tt.granularity+2 {
+			t.Errorf("ring of %d buckets cannot cover a %d-cycle horizon", got, tt.horizon)
+		}
+	}
+}
+
+// TestMaxSentryRetentionRingBound checks config.MaxSentryRetentionCycles
+// keeps a Refrint bank's sentry ring at no more than 2^16 buckets.
+func TestMaxSentryRetentionRingBound(t *testing.T) {
+	if got := ringBuckets(sentryBucketCycles, config.MaxSentryRetentionCycles); got > 1<<16 {
+		t.Errorf("a sentry retention of %d cycles needs %d wheel buckets, want at most %d", config.MaxSentryRetentionCycles, got, 1<<16)
 	}
 }
 

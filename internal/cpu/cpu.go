@@ -17,7 +17,6 @@ import (
 
 // Core tracks the local time of one processor core.
 type Core struct {
-	id  int
 	cfg config.CoreConfig
 
 	// now is the core-local clock (cycle at which the next instruction can
@@ -29,23 +28,20 @@ type Core struct {
 	stallCycles  int64
 }
 
-// New creates a core with the given id.
-func New(id int, cfg config.CoreConfig) *Core {
-	c := &Core{id: id}
+// New creates a core.
+func New(cfg config.CoreConfig) *Core {
+	c := new(Core)
 	c.Reset(cfg)
 	return c
 }
 
-// Reset returns the core to the state New leaves it in, keeping its id.
+// Reset returns the core to the state New leaves it in.
 func (c *Core) Reset(cfg config.CoreConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("cpu: invalid config: %v", err))
 	}
-	*c = Core{id: c.id, cfg: cfg}
+	*c = Core{cfg: cfg}
 }
-
-// ID returns the core's identifier (also its tile on the torus).
-func (c *Core) ID() int { return c.id }
 
 // Now returns the core-local clock.
 func (c *Core) Now() int64 { return c.now }
@@ -93,14 +89,4 @@ func (c *Core) CompleteMemOp(doneAt int64) int64 {
 	c.now += stall + 1
 	c.stallCycles += stall
 	return c.now
-}
-
-// AdvanceTo moves the core-local clock forward to at least `cycle`
-// (used when an external condition, such as a blocked cache bank, delays
-// the core).  Moving backwards is a no-op.
-func (c *Core) AdvanceTo(cycle int64) {
-	if cycle > c.now {
-		c.stallCycles += cycle - c.now
-		c.now = cycle
-	}
 }

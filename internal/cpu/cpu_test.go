@@ -17,14 +17,11 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 			t.Error("New with invalid config should panic")
 		}
 	}()
-	New(0, config.CoreConfig{IssueWidth: 0})
+	New(config.CoreConfig{IssueWidth: 0})
 }
 
 func TestComputeDualIssue(t *testing.T) {
-	c := New(3, coreCfg())
-	if c.ID() != 3 {
-		t.Errorf("ID = %d", c.ID())
-	}
+	c := New(coreCfg())
 	c.Compute(10) // 10 instructions at issue width 2 = 5 cycles
 	if c.Now() != 5 {
 		t.Errorf("Now = %d, want 5", c.Now())
@@ -44,7 +41,7 @@ func TestComputeDualIssue(t *testing.T) {
 }
 
 func TestCompleteMemOpHit(t *testing.T) {
-	c := New(0, coreCfg())
+	c := New(coreCfg())
 	c.Compute(2) // now = 1
 	// A 1-cycle hit returning at now+1 is fully hidden by the overlap window;
 	// the instruction still takes its issue slot.
@@ -61,7 +58,7 @@ func TestCompleteMemOpHit(t *testing.T) {
 }
 
 func TestCompleteMemOpMissStalls(t *testing.T) {
-	c := New(0, coreCfg())
+	c := New(coreCfg())
 	// A 50-cycle miss: 8 cycles hidden, 42 stall + 1 issue slot.
 	now := c.CompleteMemOp(50)
 	if now != 43 {
@@ -73,7 +70,7 @@ func TestCompleteMemOpMissStalls(t *testing.T) {
 }
 
 func TestCompleteMemOpPastCompletion(t *testing.T) {
-	c := New(0, coreCfg())
+	c := New(coreCfg())
 	c.Compute(200) // now = 100
 	// Data that was already available (doneAt < now) costs only the slot.
 	now := c.CompleteMemOp(50)
@@ -85,23 +82,11 @@ func TestCompleteMemOpPastCompletion(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	c := New(0, coreCfg())
-	c.AdvanceTo(100)
-	if c.Now() != 100 || c.StallCycles() != 100 {
-		t.Errorf("AdvanceTo: now=%d stalls=%d", c.Now(), c.StallCycles())
-	}
-	c.AdvanceTo(50) // backwards: no-op
-	if c.Now() != 100 {
-		t.Error("AdvanceTo must not move time backwards")
-	}
-}
-
 func TestTimeMonotoneProperty(t *testing.T) {
 	// Property: the local clock never decreases regardless of the request
 	// sequence, and instruction counts equal the sum of what was fed in.
 	f := func(ops []uint16) bool {
-		c := New(0, coreCfg())
+		c := New(coreCfg())
 		var last int64
 		var wantInstr int64
 		for i, op := range ops {
@@ -129,7 +114,7 @@ func TestTimeMonotoneProperty(t *testing.T) {
 
 func TestStallNeverExceedsLatencyProperty(t *testing.T) {
 	f := func(lat uint16) bool {
-		c := New(0, coreCfg())
+		c := New(coreCfg())
 		c.CompleteMemOp(int64(lat))
 		return c.StallCycles() <= int64(lat)
 	}

@@ -50,9 +50,6 @@ func (d *DRAM) Access(now int64) (done int64) {
 	return start + d.cfg.AccessTime
 }
 
-// Accesses returns the number of accesses served.
-func (d *DRAM) Accesses() int64 { return d.accesses }
-
 // StallCycles returns the total cycles requests waited for a busy channel.
 func (d *DRAM) StallCycles() int64 { return d.stallAcc }
 

@@ -35,8 +35,8 @@ func TestSingleAccessLatency(t *testing.T) {
 	if done := d.Access(100); done != 140 {
 		t.Errorf("Access(100) done at %d, want 140", done)
 	}
-	if d.Accesses() != 1 {
-		t.Errorf("Accesses = %d, want 1", d.Accesses())
+	if d.accesses != 1 {
+		t.Errorf("Accesses = %d, want 1", d.accesses)
 	}
 	if d.StallCycles() != 0 {
 		t.Errorf("StallCycles = %d, want 0", d.StallCycles())
@@ -86,7 +86,7 @@ func TestLatencyLowerBoundProperty(t *testing.T) {
 				return false
 			}
 		}
-		return d.Accesses() == int64(len(gaps))
+		return d.accesses == int64(len(gaps))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -99,7 +99,7 @@ func TestReset(t *testing.T) {
 		d.Access(0)
 	}
 	d.Reset()
-	if d.Accesses() != 0 || d.StallCycles() != 0 {
+	if d.accesses != 0 || d.StallCycles() != 0 {
 		t.Error("Reset should clear counters")
 	}
 	if done := d.Access(0); done != 40 {

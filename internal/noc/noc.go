@@ -42,9 +42,6 @@ func New(cfg config.NoCConfig) *Torus {
 // Config returns the network configuration.
 func (t *Torus) Config() config.NoCConfig { return t.cfg }
 
-// Nodes returns the number of tiles on the network.
-func (t *Torus) Nodes() int { return t.cfg.Nodes() }
-
 // coords returns the (x, y) position of a node id.
 func (t *Torus) coords(node int) (x, y int) {
 	return node % t.cfg.Width, node / t.cfg.Width

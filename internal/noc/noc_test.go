@@ -20,12 +20,6 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 	New(config.NoCConfig{Width: 0, Height: 4, HopLatency: 1, LinkWidth: 8})
 }
 
-func TestNodes(t *testing.T) {
-	if torus4x4().Nodes() != 16 {
-		t.Errorf("Nodes = %d, want 16", torus4x4().Nodes())
-	}
-}
-
 func TestHopsLocal(t *testing.T) {
 	n := torus4x4()
 	for i := 0; i < 16; i++ {

@@ -90,7 +90,7 @@ func Table54() string {
 		labels = append(labels, strings.TrimPrefix(p.String(), "R."))
 	}
 	fmt.Fprintf(&b, "  Data policies   : %s\n", strings.Join(labels, ", "))
-	fmt.Fprintf(&b, "  Combinations    : %d (plus the full-SRAM baseline)\n", config.SweepSize()-1)
+	fmt.Fprintf(&b, "  Combinations    : %d (plus the full-SRAM baseline)\n", len(config.RetentionTimesUS())*len(config.SweepPolicies()))
 	return b.String()
 }
 
@@ -120,7 +120,7 @@ func Figure61(bars []sweep.LevelEnergyBar) string {
 	b.WriteString("  retention  policy        L1      L2      L3      DRAM    total\n")
 	for _, bar := range bars {
 		fmt.Fprintf(&b, "  %6gus   %-12s %6.3f  %6.3f  %6.3f  %6.3f  %6.3f\n",
-			bar.Point.RetentionUS, bar.Point.Label(), bar.L1, bar.L2, bar.L3, bar.DRAM, bar.Total())
+			bar.Point.RetentionUS, bar.Point.Label(), bar.L1, bar.L2, bar.L3, bar.DRAM, bar.Total)
 	}
 	return b.String()
 }
@@ -133,7 +133,7 @@ func Figure62(selector string, bars []sweep.ComponentEnergyBar) string {
 	b.WriteString("  retention  policy        dynamic leakage refresh DRAM    total\n")
 	for _, bar := range bars {
 		fmt.Fprintf(&b, "  %6gus   %-12s %6.3f  %6.3f  %6.3f  %6.3f  %6.3f\n",
-			bar.Point.RetentionUS, bar.Point.Label(), bar.Dynamic, bar.Leakage, bar.Refresh, bar.DRAM, bar.Total())
+			bar.Point.RetentionUS, bar.Point.Label(), bar.Dynamic, bar.Leakage, bar.Refresh, bar.DRAM, bar.Total)
 	}
 	return b.String()
 }
@@ -170,7 +170,7 @@ func Figure61CSV(bars []sweep.LevelEnergyBar) string {
 			fmt.Sprintf("%g", bar.Point.RetentionUS), bar.Point.Label(),
 			fmt.Sprintf("%.4f", bar.L1), fmt.Sprintf("%.4f", bar.L2),
 			fmt.Sprintf("%.4f", bar.L3), fmt.Sprintf("%.4f", bar.DRAM),
-			fmt.Sprintf("%.4f", bar.Total()),
+			fmt.Sprintf("%.4f", bar.Total),
 		})
 	}
 	return CSV([]string{"retention_us", "policy", "L1", "L2", "L3", "DRAM", "total"}, rows)
@@ -184,7 +184,7 @@ func Figure62CSV(bars []sweep.ComponentEnergyBar) string {
 			fmt.Sprintf("%g", bar.Point.RetentionUS), bar.Point.Label(),
 			fmt.Sprintf("%.4f", bar.Dynamic), fmt.Sprintf("%.4f", bar.Leakage),
 			fmt.Sprintf("%.4f", bar.Refresh), fmt.Sprintf("%.4f", bar.DRAM),
-			fmt.Sprintf("%.4f", bar.Total()),
+			fmt.Sprintf("%.4f", bar.Total),
 		})
 	}
 	return CSV([]string{"retention_us", "policy", "dynamic", "leakage", "refresh", "DRAM", "total"}, rows)

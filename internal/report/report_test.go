@@ -68,13 +68,13 @@ func samplePoint() sweep.Point {
 }
 
 func TestFigureRenderers(t *testing.T) {
-	lvl := []sweep.LevelEnergyBar{{Point: samplePoint(), L1: 0.05, L2: 0.1, L3: 0.2, DRAM: 0.1}}
+	lvl := []sweep.LevelEnergyBar{{Point: samplePoint(), L1: 0.05, L2: 0.1, L3: 0.2, DRAM: 0.1, Total: 0.45}}
 	out := Figure61(lvl)
 	if !strings.Contains(out, "R.WB(32,32)") || !strings.Contains(out, "0.450") {
 		t.Errorf("Figure 6.1 rendering wrong:\n%s", out)
 	}
 
-	comp := []sweep.ComponentEnergyBar{{Point: samplePoint(), Dynamic: 0.1, Leakage: 0.2, Refresh: 0.05, DRAM: 0.1}}
+	comp := []sweep.ComponentEnergyBar{{Point: samplePoint(), Dynamic: 0.1, Leakage: 0.2, Refresh: 0.05, DRAM: 0.1, Total: 0.45}}
 	out = Figure62("class1", comp)
 	if !strings.Contains(out, "class1") || !strings.Contains(out, "0.450") {
 		t.Errorf("Figure 6.2 rendering wrong:\n%s", out)
@@ -88,7 +88,7 @@ func TestFigureRenderers(t *testing.T) {
 }
 
 func TestCSVRenderers(t *testing.T) {
-	lvl := []sweep.LevelEnergyBar{{Point: samplePoint(), L1: 0.05, L2: 0.1, L3: 0.2, DRAM: 0.1}}
+	lvl := []sweep.LevelEnergyBar{{Point: samplePoint(), L1: 0.05, L2: 0.1, L3: 0.2, DRAM: 0.1, Total: 0.45}}
 	csv := Figure61CSV(lvl)
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 2 {
@@ -101,7 +101,7 @@ func TestCSVRenderers(t *testing.T) {
 		t.Errorf("CSV row wrong: %q", lines[1])
 	}
 
-	comp := []sweep.ComponentEnergyBar{{Point: samplePoint(), Dynamic: 0.1, Leakage: 0.2, Refresh: 0.05, DRAM: 0.1}}
+	comp := []sweep.ComponentEnergyBar{{Point: samplePoint(), Dynamic: 0.1, Leakage: 0.2, Refresh: 0.05, DRAM: 0.1, Total: 0.45}}
 	if got := Figure62CSV(comp); !strings.Contains(got, "refresh") || !strings.Contains(got, "0.0500") {
 		t.Errorf("Figure 6.2 CSV wrong:\n%s", got)
 	}

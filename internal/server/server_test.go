@@ -154,7 +154,7 @@ func TestJobLifecycle(t *testing.T) {
 	if figs.SweepKey != view.Key {
 		t.Errorf("figures sweep_key = %q, want job key %q", figs.SweepKey, view.Key)
 	}
-	if len(figs.Figure61) != 1 || figs.Figure61[0].Policy != "R.valid" || figs.Figure61[0].RetentionUS != 50 {
+	if len(figs.Figure61) != 1 || figs.Figure61[0].Label() != "R.valid" || figs.Figure61[0].RetentionUS != 50 {
 		t.Errorf("figure61 = %+v, want one R.valid@50us bar", figs.Figure61)
 	}
 	if figs.Figure61[0].Total <= 0 {

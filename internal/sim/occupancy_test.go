@@ -9,7 +9,7 @@ import (
 )
 
 // TestGroupOccupancyCountersStayExact runs full simulations under every
-// periodic policy and cross-checks each bank's incremental valid/dirty
+// periodic policy and cross-checks each bank's incremental valid-line
 // occupancy counters (which advancePeriodic relies on to skip sweep work)
 // against a ground-truth scan of the array.  A desync here silently changes
 // refresh counts and therefore the golden energy series.
@@ -25,9 +25,6 @@ func TestGroupOccupancyCountersStayExact(t *testing.T) {
 		t.Helper()
 		if got, want := b.ValidLines(), b.Cache().ValidCount(); got != want {
 			t.Errorf("tile %d %s: tracked %d valid lines, ground truth %d", tile, label, got, want)
-		}
-		if got, want := b.DirtyLines(), b.Cache().DirtyCount(); got != want {
-			t.Errorf("tile %d %s: tracked %d dirty lines, ground truth %d", tile, label, got, want)
 		}
 	}
 	for _, p := range policies {
@@ -51,7 +48,7 @@ func TestGroupOccupancyCountersStayExact(t *testing.T) {
 	}
 }
 
-// TestSRAMBankOccupancyAccessors covers the scan fallback of the accessors
+// TestSRAMBankOccupancyAccessors covers the scan fallback of ValidLines
 // (SRAM banks track no group counters).
 func TestSRAMBankOccupancyAccessors(t *testing.T) {
 	s, err := New(scaledSRAM(), quickParams(), 1)
@@ -61,8 +58,8 @@ func TestSRAMBankOccupancyAccessors(t *testing.T) {
 	s.cfg.EndOfRunFlush = false
 	s.Run()
 	b := s.tiles[0].L2
-	if b.ValidLines() != b.Cache().ValidCount() || b.DirtyLines() != b.Cache().DirtyCount() {
-		t.Error("fallback accessors disagree with the array scan")
+	if b.ValidLines() != b.Cache().ValidCount() {
+		t.Error("fallback accessor disagrees with the array scan")
 	}
 	if b.ValidLines() == 0 {
 		t.Error("a completed run should leave resident lines")

@@ -104,10 +104,10 @@ func resetResult(t testing.TB, s *System, c resetCell) Result {
 // the pending sentry deadlines and valid and dirty lines, per tile the
 // directory's entries and the core's clock, and the counters.
 func observable(s *System) []any {
-	out := []any{*s.Stats()}
+	out := []any{*s.st}
 	for _, tile := range s.tiles {
 		for _, b := range []*core.Bank{tile.IL1, tile.DL1, tile.L2, tile.L3} {
-			out = append(out, b.PendingRefreshWork(), b.ValidLines(), b.DirtyLines(), b.Cache().ValidCount())
+			out = append(out, b.PendingRefreshWork(), b.ValidLines(), b.Cache().DirtyCount(), b.Cache().ValidCount())
 		}
 		out = append(out, tile.Dir.Entries(), tile.Core.Now(), tile.Core.MemOps())
 	}
@@ -198,7 +198,7 @@ func TestResetKeepsEarlierResult(t *testing.T) {
 	if !reflect.DeepEqual(*res.Stats, want) {
 		t.Fatalf("first Result.Stats changed after a second run:\n got %+v\nwant %+v", *res.Stats, want)
 	}
-	if res.Stats == s.Stats() {
+	if res.Stats == s.st {
 		t.Fatal("Result.Stats aliases the System's live counters")
 	}
 }

@@ -141,7 +141,7 @@ func (s *System) Reset(cfg config.Config, app workload.Params, seed int64) error
 			// the tile index, so they stay valid across resets.
 			l1 := s.l1Hooks(i)
 			s.tiles[i] = &Tile{
-				Core: cpu.New(i, cfg.Core),
+				Core: cpu.New(cfg.Core),
 				Dir:  coherence.New(cfg.Cores),
 				IL1:  core.NewBank(cfg.IL1, cfg.Cell, s.l1l2Policy, stats.IL1, s.st, l1),
 				DL1:  core.NewBank(cfg.DL1, cfg.Cell, s.l1l2Policy, stats.DL1, s.st, l1),
@@ -202,15 +202,9 @@ func (s *System) Watch() core.Watch {
 // Config returns the system configuration.
 func (s *System) Config() config.Config { return s.cfg }
 
-// Stats returns the counters accumulated so far.
-func (s *System) Stats() *stats.Stats { return s.st }
-
 // Workload returns the application parameters actually simulated (after any
 // preset scaling).
 func (s *System) Workload() workload.Params { return s.app.Params() }
-
-// Tile returns tile i (exported for white-box integration tests).
-func (s *System) Tile(i int) *Tile { return s.tiles[i] }
 
 // bankOf returns the L3 bank index a line maps to (line interleaving).
 func (s *System) bankOf(addr mem.LineAddr) int {

@@ -12,45 +12,34 @@ import (
 // application set, which is how the paper reports every figure.
 
 // LevelEnergyBar is one bar of Figure 6.1: memory-hierarchy energy split by
-// level, normalized to the full-SRAM memory-hierarchy energy.
+// level, normalized to the full-SRAM memory-hierarchy energy.  Like every
+// figure datum, it is its own JSON wire form.
 type LevelEnergyBar struct {
-	Point Point
-	L1    float64 // IL1 + DL1
-	L2    float64
-	L3    float64
-	DRAM  float64
+	Point
+	L1    float64 `json:"l1"` // IL1 + DL1
+	L2    float64 `json:"l2"`
+	L3    float64 `json:"l3"`
+	DRAM  float64 `json:"dram"`
+	Total float64 `json:"total"` // the bar height, L1+L2+L3+DRAM
 }
-
-// Total returns the bar height.
-func (b LevelEnergyBar) Total() float64 { return b.L1 + b.L2 + b.L3 + b.DRAM }
 
 // ComponentEnergyBar is one bar of Figure 6.2: on-chip dynamic, leakage and
 // refresh energy plus DRAM energy, normalized to the full-SRAM
 // memory-hierarchy energy.
 type ComponentEnergyBar struct {
-	Point   Point
-	Dynamic float64
-	Leakage float64
-	Refresh float64
-	DRAM    float64
+	Point
+	Dynamic float64 `json:"dynamic"`
+	Leakage float64 `json:"leakage"`
+	Refresh float64 `json:"refresh"`
+	DRAM    float64 `json:"dram"`
+	Total   float64 `json:"total"` // the bar height, Dynamic+Leakage+Refresh+DRAM
 }
-
-// Total returns the bar height.
-func (b ComponentEnergyBar) Total() float64 { return b.Dynamic + b.Leakage + b.Refresh + b.DRAM }
 
 // ScalarBar is one bar of Figures 6.3 (total energy) and 6.4 (execution
 // time): a single normalized value.
 type ScalarBar struct {
-	Point Point
-	Value float64
-}
-
-// FigureSeries is the data for one plot: one bar per (retention, policy).
-type FigureSeries struct {
-	// Name identifies the plot ("class1", "class2", "class3" or "all").
-	Name string
-	// Apps are the applications averaged into the series.
-	Apps []string
+	Point
+	Value float64 `json:"value"`
 }
 
 // appsFor resolves a series selector to application names.
@@ -69,43 +58,11 @@ func (r *Results) appsFor(selector string) []string {
 	}
 }
 
-// averageOver computes the mean of metric(run)/metric(baseline of same app)
-// over the given applications at one sweep point.
-func (r *Results) averageOver(apps []string, pt Point, metric func(sim.Result) float64) float64 {
-	if len(apps) == 0 {
-		return 0
-	}
-	var sum float64
-	var n int
-	for _, app := range apps {
-		run, ok := r.Lookup(app, pt)
-		if !ok {
-			continue
-		}
-		base, ok := r.Baselines[app]
-		if !ok {
-			continue
-		}
-		denom := metric(base.Result)
-		if denom == 0 {
-			continue
-		}
-		sum += metric(run.Result) / denom
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// averageRatioOver is like averageOver but lets the numerator and the
-// denominator use different metrics (e.g. refresh energy over baseline
-// memory energy, as Figure 6.2 stacks components of the normalized total).
+// averageRatioOver computes the mean of num(run)/denom(baseline of same
+// app) over the given applications at one sweep point.  The two metrics
+// differ where a figure stacks components of a normalized total (e.g.
+// refresh energy over baseline memory energy in Figure 6.2).
 func (r *Results) averageRatioOver(apps []string, pt Point, num, denom func(sim.Result) float64) float64 {
-	if len(apps) == 0 {
-		return 0
-	}
 	var sum float64
 	var n int
 	for _, app := range apps {
@@ -137,20 +94,20 @@ func memoryEnergy(res sim.Result) float64 { return res.Energy.MemoryHierarchy() 
 // over all applications in the sweep), one per point, ordered by retention
 // time then policy.
 func (r *Results) Figure61() []LevelEnergyBar {
-	apps := r.Options.Apps
 	var bars []LevelEnergyBar
 	for _, pt := range r.Points {
-		bars = append(bars, LevelEnergyBar{
+		share := func(part func(sim.Result) float64) float64 {
+			return r.averageRatioOver(r.Options.Apps, pt, part, memoryEnergy)
+		}
+		bar := LevelEnergyBar{
 			Point: pt,
-			L1: r.averageRatioOver(apps, pt,
-				func(res sim.Result) float64 { return res.Energy.IL1 + res.Energy.DL1 }, memoryEnergy),
-			L2: r.averageRatioOver(apps, pt,
-				func(res sim.Result) float64 { return res.Energy.L2 }, memoryEnergy),
-			L3: r.averageRatioOver(apps, pt,
-				func(res sim.Result) float64 { return res.Energy.L3 }, memoryEnergy),
-			DRAM: r.averageRatioOver(apps, pt,
-				func(res sim.Result) float64 { return res.Energy.DRAM }, memoryEnergy),
-		})
+			L1:    share(func(res sim.Result) float64 { return res.Energy.IL1 + res.Energy.DL1 }),
+			L2:    share(func(res sim.Result) float64 { return res.Energy.L2 }),
+			L3:    share(func(res sim.Result) float64 { return res.Energy.L3 }),
+			DRAM:  share(func(res sim.Result) float64 { return res.Energy.DRAM }),
+		}
+		bar.Total = bar.L1 + bar.L2 + bar.L3 + bar.DRAM
+		bars = append(bars, bar)
 	}
 	return bars
 }
@@ -162,17 +119,18 @@ func (r *Results) Figure62(selector string) []ComponentEnergyBar {
 	apps := r.appsFor(selector)
 	var bars []ComponentEnergyBar
 	for _, pt := range r.Points {
-		bars = append(bars, ComponentEnergyBar{
-			Point: pt,
-			Dynamic: r.averageRatioOver(apps, pt,
-				func(res sim.Result) float64 { return res.Energy.Dynamic }, memoryEnergy),
-			Leakage: r.averageRatioOver(apps, pt,
-				func(res sim.Result) float64 { return res.Energy.Leakage }, memoryEnergy),
-			Refresh: r.averageRatioOver(apps, pt,
-				func(res sim.Result) float64 { return res.Energy.Refresh }, memoryEnergy),
-			DRAM: r.averageRatioOver(apps, pt,
-				func(res sim.Result) float64 { return res.Energy.DRAM }, memoryEnergy),
-		})
+		share := func(part func(sim.Result) float64) float64 {
+			return r.averageRatioOver(apps, pt, part, memoryEnergy)
+		}
+		bar := ComponentEnergyBar{
+			Point:   pt,
+			Dynamic: share(func(res sim.Result) float64 { return res.Energy.Dynamic }),
+			Leakage: share(func(res sim.Result) float64 { return res.Energy.Leakage }),
+			Refresh: share(func(res sim.Result) float64 { return res.Energy.Refresh }),
+			DRAM:    share(func(res sim.Result) float64 { return res.Energy.DRAM }),
+		}
+		bar.Total = bar.Dynamic + bar.Leakage + bar.Refresh + bar.DRAM
+		bars = append(bars, bar)
 	}
 	return bars
 }
@@ -181,27 +139,22 @@ func (r *Results) Figure62(selector string) []ComponentEnergyBar {
 // energy (cores + caches + network + DRAM) normalized to the full-SRAM
 // system energy.
 func (r *Results) Figure63(selector string) []ScalarBar {
-	apps := r.appsFor(selector)
-	var bars []ScalarBar
-	for _, pt := range r.Points {
-		bars = append(bars, ScalarBar{
-			Point: pt,
-			Value: r.averageOver(apps, pt, func(res sim.Result) float64 { return res.Energy.Total() }),
-		})
-	}
-	return bars
+	return r.scalarBars(selector, func(res sim.Result) float64 { return res.Energy.Total() })
 }
 
 // Figure64 returns the bars of Figure 6.4 for one series: execution time
 // normalized to the full-SRAM execution time.
 func (r *Results) Figure64(selector string) []ScalarBar {
+	return r.scalarBars(selector, func(res sim.Result) float64 { return float64(res.Cycles) })
+}
+
+// scalarBars returns one bar per point: metric normalized to the same
+// metric of each application's SRAM baseline, averaged over the series.
+func (r *Results) scalarBars(selector string, metric func(sim.Result) float64) []ScalarBar {
 	apps := r.appsFor(selector)
 	var bars []ScalarBar
 	for _, pt := range r.Points {
-		bars = append(bars, ScalarBar{
-			Point: pt,
-			Value: r.averageOver(apps, pt, func(res sim.Result) float64 { return float64(res.Cycles) }),
-		})
+		bars = append(bars, ScalarBar{Point: pt, Value: r.averageRatioOver(apps, pt, metric, metric)})
 	}
 	return bars
 }
@@ -209,13 +162,13 @@ func (r *Results) Figure64(selector string) []ScalarBar {
 // Table61Row is one row of Table 6.1 (application binning), augmented with
 // the measured characteristics that justify the bin.
 type Table61Row struct {
-	App            string
-	Class          workload.Class
-	FootprintRatio float64 // footprint / LLC capacity
-	Visibility     float64
-	L3MissRate     float64 // measured on the SRAM baseline
-	L2Writebacks   int64   // measured on the SRAM baseline (visibility proxy)
-	DRAMAccesses   int64   // measured on the SRAM baseline (footprint proxy)
+	App            string         `json:"app"`
+	Class          workload.Class `json:"class"`
+	FootprintRatio float64        `json:"footprint_ratio"` // footprint / LLC capacity
+	Visibility     float64        `json:"visibility"`
+	L3MissRate     float64        `json:"l3_miss_rate"`  // measured on the SRAM baseline
+	L2Writebacks   int64          `json:"l2_writebacks"` // measured on the SRAM baseline (visibility proxy)
+	DRAMAccesses   int64          `json:"dram_accesses"` // measured on the SRAM baseline (footprint proxy)
 }
 
 // Table61 reproduces the application binning of Table 6.1, using the
@@ -246,34 +199,18 @@ func (r *Results) Table61() []Table61Row {
 	return rows
 }
 
-// Find returns the bar for a given policy label and retention time from a
-// ScalarBar series (helper for tests, reports and the headline-claims
-// check).
-func FindScalar(bars []ScalarBar, label string, retentionUS float64) (ScalarBar, bool) {
-	for _, b := range bars {
-		if b.Point.Label() == label && b.Point.RetentionUS == retentionUS {
-			return b, true
-		}
-	}
-	return ScalarBar{}, false
-}
+// point returns the point itself, so that Find can read the Point every
+// bar embeds.
+func (p Point) point() Point { return p }
 
-// FindComponent is FindScalar for ComponentEnergyBar series.
-func FindComponent(bars []ComponentEnergyBar, label string, retentionUS float64) (ComponentEnergyBar, bool) {
+// Find returns the bar of a figure series at a policy label and retention
+// time (for reports, tests and the headline-claims check).
+func Find[B interface{ point() Point }](bars []B, label string, retentionUS float64) (B, bool) {
 	for _, b := range bars {
-		if b.Point.Label() == label && b.Point.RetentionUS == retentionUS {
+		if pt := b.point(); pt.Label() == label && pt.RetentionUS == retentionUS {
 			return b, true
 		}
 	}
-	return ComponentEnergyBar{}, false
-}
-
-// FindLevel is FindScalar for LevelEnergyBar series.
-func FindLevel(bars []LevelEnergyBar, label string, retentionUS float64) (LevelEnergyBar, bool) {
-	for _, b := range bars {
-		if b.Point.Label() == label && b.Point.RetentionUS == retentionUS {
-			return b, true
-		}
-	}
-	return LevelEnergyBar{}, false
+	var zero B
+	return zero, false
 }

@@ -1,59 +1,9 @@
 package sweep
 
-// This file is the machine-readable form of the evaluation chapter: the
-// figure series of Figures 6.1-6.4 and the binning of Table 6.1 as plain
-// JSON-taggable structs, consumed by the HTTP API (GET /v1/sweeps/{id}/figures)
-// and by the golden-file tests that pin the series down.
-
-// FigurePoint identifies one bar of a figure in serialized form: the policy
-// by its paper label and the retention time in microseconds (zero for the
-// SRAM baseline).
-type FigurePoint struct {
-	Policy      string  `json:"policy"`
-	RetentionUS float64 `json:"retention_us"`
-}
-
-// figurePoint converts an internal Point to its serialized form.
-func figurePoint(p Point) FigurePoint {
-	return FigurePoint{Policy: p.Label(), RetentionUS: p.RetentionUS}
-}
-
-// LevelEnergyJSON is one bar of Figure 6.1 in serialized form.
-type LevelEnergyJSON struct {
-	FigurePoint
-	L1    float64 `json:"l1"`
-	L2    float64 `json:"l2"`
-	L3    float64 `json:"l3"`
-	DRAM  float64 `json:"dram"`
-	Total float64 `json:"total"`
-}
-
-// ComponentEnergyJSON is one bar of Figure 6.2 in serialized form.
-type ComponentEnergyJSON struct {
-	FigurePoint
-	Dynamic float64 `json:"dynamic"`
-	Leakage float64 `json:"leakage"`
-	Refresh float64 `json:"refresh"`
-	DRAM    float64 `json:"dram"`
-	Total   float64 `json:"total"`
-}
-
-// ScalarJSON is one bar of Figure 6.3 or 6.4 in serialized form.
-type ScalarJSON struct {
-	FigurePoint
-	Value float64 `json:"value"`
-}
-
-// Table61JSON is one row of Table 6.1 in serialized form.
-type Table61JSON struct {
-	App            string  `json:"app"`
-	Class          string  `json:"class"`
-	FootprintRatio float64 `json:"footprint_ratio"`
-	Visibility     float64 `json:"visibility"`
-	L3MissRate     float64 `json:"l3_miss_rate"`
-	L2Writebacks   int64   `json:"l2_writebacks"`
-	DRAMAccesses   int64   `json:"dram_accesses"`
-}
+// This file is the machine-readable form of the evaluation chapter: Table
+// 6.1 and the figure series of Figures 6.1-6.4, consumed by the HTTP API
+// (GET /v1/sweeps/{id}/figures) and by the golden-file tests that pin the
+// series down.  The rows and bars are their own wire form.
 
 // FigureSelectors are the application selections the paper breaks Figures
 // 6.2-6.4 down by.
@@ -63,15 +13,15 @@ var FigureSelectors = []string{"class1", "class2", "class3", "all"}
 // Table 6.1 plus every figure series, keyed by selector where the paper
 // splits a figure by application class.
 type FiguresExport struct {
-	SweepKey string                           `json:"sweep_key"`
-	Preset   string                           `json:"preset"`
-	Seed     int64                            `json:"seed"`
-	Apps     []string                         `json:"apps"`
-	Table61  []Table61JSON                    `json:"table61"`
-	Figure61 []LevelEnergyJSON                `json:"figure61"`
-	Figure62 map[string][]ComponentEnergyJSON `json:"figure62"`
-	Figure63 map[string][]ScalarJSON          `json:"figure63"`
-	Figure64 map[string][]ScalarJSON          `json:"figure64"`
+	SweepKey string                          `json:"sweep_key"`
+	Preset   string                          `json:"preset"`
+	Seed     int64                           `json:"seed"`
+	Apps     []string                        `json:"apps"`
+	Table61  []Table61Row                    `json:"table61"`
+	Figure61 []LevelEnergyBar                `json:"figure61"`
+	Figure62 map[string][]ComponentEnergyBar `json:"figure62"`
+	Figure63 map[string][]ScalarBar          `json:"figure63"`
+	Figure64 map[string][]ScalarBar          `json:"figure64"`
 }
 
 // FiguresExport collects every figure series and Table 6.1 into the
@@ -82,47 +32,16 @@ func (r *Results) FiguresExport() FiguresExport {
 		Preset:   r.Options.Base.Name,
 		Seed:     r.Options.Seed,
 		Apps:     append([]string(nil), r.Options.Apps...),
-		Figure62: make(map[string][]ComponentEnergyJSON),
-		Figure63: make(map[string][]ScalarJSON),
-		Figure64: make(map[string][]ScalarJSON),
-	}
-	for _, row := range r.Table61() {
-		out.Table61 = append(out.Table61, Table61JSON{
-			App:            row.App,
-			Class:          row.Class.String(),
-			FootprintRatio: row.FootprintRatio,
-			Visibility:     row.Visibility,
-			L3MissRate:     row.L3MissRate,
-			L2Writebacks:   row.L2Writebacks,
-			DRAMAccesses:   row.DRAMAccesses,
-		})
-	}
-	for _, bar := range r.Figure61() {
-		out.Figure61 = append(out.Figure61, LevelEnergyJSON{
-			FigurePoint: figurePoint(bar.Point),
-			L1:          bar.L1, L2: bar.L2, L3: bar.L3, DRAM: bar.DRAM,
-			Total: bar.Total(),
-		})
+		Table61:  r.Table61(),
+		Figure61: r.Figure61(),
+		Figure62: make(map[string][]ComponentEnergyBar),
+		Figure63: make(map[string][]ScalarBar),
+		Figure64: make(map[string][]ScalarBar),
 	}
 	for _, sel := range FigureSelectors {
-		for _, bar := range r.Figure62(sel) {
-			out.Figure62[sel] = append(out.Figure62[sel], ComponentEnergyJSON{
-				FigurePoint: figurePoint(bar.Point),
-				Dynamic:     bar.Dynamic, Leakage: bar.Leakage,
-				Refresh: bar.Refresh, DRAM: bar.DRAM,
-				Total: bar.Total(),
-			})
-		}
-		for _, bar := range r.Figure63(sel) {
-			out.Figure63[sel] = append(out.Figure63[sel], ScalarJSON{
-				FigurePoint: figurePoint(bar.Point), Value: bar.Value,
-			})
-		}
-		for _, bar := range r.Figure64(sel) {
-			out.Figure64[sel] = append(out.Figure64[sel], ScalarJSON{
-				FigurePoint: figurePoint(bar.Point), Value: bar.Value,
-			})
-		}
+		out.Figure62[sel] = r.Figure62(sel)
+		out.Figure63[sel] = r.Figure63(sel)
+		out.Figure64[sel] = r.Figure64(sel)
 	}
 	return out
 }

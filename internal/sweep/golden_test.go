@@ -71,6 +71,29 @@ func TestGoldenFigures(t *testing.T) {
 	compareGolden(t, "figures_quick.json", append(payload, '\n'))
 }
 
+// TestFiguresWireRoundTrip decodes the golden figures payload and encodes
+// it again with the same indent: the bytes must not change, so every figure
+// datum, the text forms of workload.Class and Point's policy included, reads
+// back exactly what it wrote.
+func TestFiguresWireRoundTrip(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "figures_quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var figs FiguresExport
+	if err := json.Unmarshal(want, &figs); err != nil {
+		t.Fatalf("decode figures: %v", err)
+	}
+	got, err := json.MarshalIndent(figs, "", "  ")
+	if err != nil {
+		t.Fatalf("encode figures: %v", err)
+	}
+	if got = append(got, '\n'); !bytes.Equal(got, want) {
+		t.Errorf("figures payload changed on a round trip (%d vs %d bytes), first divergence near byte %d",
+			len(got), len(want), firstDiff(got, want))
+	}
+}
+
 // TestGoldenExport pins the raw per-run export (cycles, energy breakdown,
 // activity counters) of the same sweep.
 func TestGoldenExport(t *testing.T) {

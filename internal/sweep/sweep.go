@@ -160,10 +160,11 @@ func (o Options) Key() string {
 }
 
 // Point identifies one cell of the sweep: a policy at a retention time (or
-// the SRAM baseline when RetentionUS is zero).
+// the SRAM baseline when RetentionUS is zero).  Its JSON form names the
+// policy by its paper label.
 type Point struct {
-	RetentionUS float64
-	Policy      config.Policy
+	Policy      config.Policy `json:"policy"`
+	RetentionUS float64       `json:"retention_us"`
 }
 
 // IsBaseline reports whether the point is the SRAM baseline.

@@ -69,6 +69,36 @@ func TestPointLabelsAndKeys(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesTable54 checks one application's cells of the default
+// sweep against Table 5.4: the SRAM baseline first, then 3 retention times
+// x 14 policies, 43 combinations in all.
+func TestSweepMatchesTable54(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Apps = opts.Apps[:1]
+	cells := Cells(opts)
+	if len(cells) != 43 {
+		t.Fatalf("sweep has %d combinations, want 43 (Table 5.4)", len(cells))
+	}
+	if !cells[0].Point.IsBaseline() {
+		t.Error("first sweep point should be the SRAM baseline")
+	}
+	if cells[0].Point.Label() != "SRAM" {
+		t.Errorf("baseline label = %q", cells[0].Point.Label())
+	}
+	perRetention := map[float64]int{}
+	for _, c := range cells[1:] {
+		perRetention[c.Point.RetentionUS]++
+		if c.Point.IsBaseline() {
+			t.Errorf("non-baseline point %v marked as baseline", c.Point)
+		}
+	}
+	for _, ret := range config.RetentionTimesUS() {
+		if perRetention[ret] != 14 {
+			t.Errorf("retention %v us has %d policies, want 14", ret, perRetention[ret])
+		}
+	}
+}
+
 func TestDefaultAndQuickOptions(t *testing.T) {
 	d := DefaultOptions()
 	if len(d.Apps) != 11 || len(d.Policies) != 14 || len(d.RetentionTimesUS) != 3 {
@@ -101,11 +131,11 @@ func TestNormalizedEnergyBelowOne(t *testing.T) {
 	res := runTiny(t)
 	bars := res.Figure61()
 	for _, b := range bars {
-		if b.Total() <= 0 {
+		if b.Total <= 0 {
 			t.Errorf("%s: empty bar", b.Point.Key())
 		}
-		if b.Total() >= 1.0 {
-			t.Errorf("%s: normalized memory energy %.2f >= 1 (should beat SRAM)", b.Point.Key(), b.Total())
+		if b.Total >= 1.0 {
+			t.Errorf("%s: normalized memory energy %.2f >= 1 (should beat SRAM)", b.Point.Key(), b.Total)
 		}
 	}
 }
@@ -120,7 +150,7 @@ func TestFigure61And62Consistent(t *testing.T) {
 		t.Fatalf("series lengths differ: %d vs %d", len(byLevel), len(byComponent))
 	}
 	for i := range byLevel {
-		a, b := byLevel[i].Total(), byComponent[i].Total()
+		a, b := byLevel[i].Total, byComponent[i].Total
 		if diff := a - b; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("%s: level total %.6f != component total %.6f", byLevel[i].Point.Key(), a, b)
 		}
@@ -132,18 +162,18 @@ func TestRefrintWBBeatsPeriodicAll(t *testing.T) {
 	// energy, and execution-time penalty of R.WB(32,32) below P.all.
 	res := runTiny(t)
 	mem := res.Figure61()
-	pAll, ok1 := FindLevel(mem, "P.all", config.Retention50us)
-	rWB, ok2 := FindLevel(mem, "R.WB(32,32)", config.Retention50us)
+	pAll, ok1 := Find(mem, "P.all", config.Retention50us)
+	rWB, ok2 := Find(mem, "R.WB(32,32)", config.Retention50us)
 	if !ok1 || !ok2 {
 		t.Fatal("missing sweep points")
 	}
-	if rWB.Total() >= pAll.Total() {
-		t.Errorf("R.WB(32,32) memory energy %.3f should be below P.all %.3f", rWB.Total(), pAll.Total())
+	if rWB.Total >= pAll.Total {
+		t.Errorf("R.WB(32,32) memory energy %.3f should be below P.all %.3f", rWB.Total, pAll.Total)
 	}
 
 	times := res.Figure64("all")
-	pAllT, _ := FindScalar(times, "P.all", config.Retention50us)
-	rWBT, _ := FindScalar(times, "R.WB(32,32)", config.Retention50us)
+	pAllT, _ := Find(times, "P.all", config.Retention50us)
+	rWBT, _ := Find(times, "R.WB(32,32)", config.Retention50us)
 	if rWBT.Value >= pAllT.Value {
 		t.Errorf("R.WB(32,32) slowdown %.3f should be below P.all %.3f", rWBT.Value, pAllT.Value)
 	}
@@ -159,9 +189,9 @@ func TestFigure63TotalAboveMemoryFraction(t *testing.T) {
 	mem := res.Figure61()
 	tot := res.Figure63("all")
 	for i := range mem {
-		if tot[i].Value <= mem[i].Total() {
+		if tot[i].Value <= mem[i].Total {
 			t.Errorf("%s: normalized total %.3f should exceed normalized memory %.3f",
-				mem[i].Point.Key(), tot[i].Value, mem[i].Total())
+				mem[i].Point.Key(), tot[i].Value, mem[i].Total)
 		}
 		if tot[i].Value >= 1.0 {
 			t.Errorf("%s: normalized total %.3f should still be below 1", tot[i].Point.Key(), tot[i].Value)
@@ -243,14 +273,14 @@ func TestLookup(t *testing.T) {
 }
 
 func TestFindHelpersMissing(t *testing.T) {
-	if _, ok := FindScalar(nil, "x", 1); ok {
-		t.Error("FindScalar on empty series should miss")
+	if _, ok := Find([]ScalarBar(nil), "x", 1); ok {
+		t.Error("Find on an empty ScalarBar series should miss")
 	}
-	if _, ok := FindComponent(nil, "x", 1); ok {
-		t.Error("FindComponent on empty series should miss")
+	if _, ok := Find([]ComponentEnergyBar(nil), "x", 1); ok {
+		t.Error("Find on an empty ComponentEnergyBar series should miss")
 	}
-	if _, ok := FindLevel(nil, "x", 1); ok {
-		t.Error("FindLevel on empty series should miss")
+	if _, ok := Find([]LevelEnergyBar(nil), "x", 1); ok {
+		t.Error("Find on an empty LevelEnergyBar series should miss")
 	}
 }
 

@@ -130,9 +130,6 @@ func (g *Generator) Reset(p Params, cfg config.Config, thread int, seed int64) {
 	g.src.seed(seed ^ int64(thread)*0x5851F42D4C957F2D)
 }
 
-// Params returns the generator's parameters.
-func (g *Generator) Params() Params { return g.params }
-
 // Done reports whether the thread has issued its full quota of references.
 func (g *Generator) Done() bool { return g.issued >= g.params.MemOpsPerThread }
 
@@ -265,13 +262,3 @@ func (a *App) Threads() int { return len(a.gens) }
 
 // Params returns the application parameters.
 func (a *App) Params() Params { return a.p }
-
-// Done reports whether every thread has finished.
-func (a *App) Done() bool {
-	for _, g := range a.gens {
-		if !g.Done() {
-			return false
-		}
-	}
-	return true
-}

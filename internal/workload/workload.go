@@ -59,6 +59,20 @@ func (c Class) String() string {
 	}
 }
 
+// MarshalText encodes the class as its Table 6.1 name, e.g. "Class 1".
+func (c Class) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText parses a Table 6.1 name, inverting MarshalText.
+func (c *Class) UnmarshalText(text []byte) error {
+	for _, k := range []Class{ClassUnknown, Class1, Class2, Class3} {
+		if string(text) == k.String() {
+			*c = k
+			return nil
+		}
+	}
+	return fmt.Errorf("workload: unknown class %q", text)
+}
+
 // Params is the statistical description of one application.
 type Params struct {
 	// Name of the benchmark (Table 5.3).

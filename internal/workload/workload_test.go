@@ -92,6 +92,21 @@ func TestClassString(t *testing.T) {
 	if ClassUnknown.String() != "Unknown" {
 		t.Error("unknown class string wrong")
 	}
+	// The text form is the name, and it decodes back.
+	for _, c := range []Class{ClassUnknown, Class1, Class2, Class3} {
+		text, err := c.MarshalText()
+		if err != nil || string(text) != c.String() {
+			t.Fatalf("%v: MarshalText = %q, %v", c, text, err)
+		}
+		var got Class
+		if err := got.UnmarshalText(text); err != nil || got != c {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, got, err, c)
+		}
+	}
+	var c Class
+	if err := c.UnmarshalText([]byte("Class 4")); err == nil {
+		t.Error(`UnmarshalText("Class 4") accepted an unknown class`)
+	}
 }
 
 func TestParamsValidateErrors(t *testing.T) {
@@ -282,8 +297,8 @@ func TestAppBundle(t *testing.T) {
 	if app.Threads() != cfg.Cores {
 		t.Errorf("Threads = %d, want %d", app.Threads(), cfg.Cores)
 	}
-	if app.Done() {
-		t.Error("fresh app should not be done")
+	if app.Thread(0).Done() {
+		t.Error("a fresh app's threads should not be done")
 	}
 	if app.Params().Name != "LU" {
 		t.Error("Params should round-trip")

@@ -16,7 +16,7 @@ func FuzzParsePolicy(f *testing.F) {
 		"R.all", "R.valid", "R.dirty",
 		"P.WB(4,4)", "R.WB(32,32)", "r.wb(1,0)", "R.WB( 8 , 2 )",
 		"", "P.", "R.", "Q.all", "R.WB", "R.WB(", "R.WB(1)", "R.WB(1,2,3)",
-		"R.WB(-1,2)", "R.WB(a,b)", "R.WB(999999999999999999999,1)",
+		"R.WB(-1,2)", "R.WB(a,b)", "R.WB(999999999999999999999,1)", "R.WB(2147483648,1)",
 		"P.ALL", "R.Valid", "P.wb(0,0)", "SRAM.all", "R..valid",
 	}
 	for _, s := range seeds {

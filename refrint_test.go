@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"refrint/internal/config"
+	"refrint/internal/sweep"
 )
 
 func TestApplicationsList(t *testing.T) {
@@ -185,18 +186,18 @@ func TestHeadlineClaims(t *testing.T) {
 	times := results.Figure64("all")
 
 	get := func(label string) (memE, totE, timeR float64) {
-		m, ok1 := findLevel(mem, label)
-		s, ok2 := findScalar(total, label)
-		x, ok3 := findScalar(times, label)
+		m, ok1 := sweep.Find(mem, label, Retention50us)
+		s, ok2 := sweep.Find(total, label, Retention50us)
+		x, ok3 := sweep.Find(times, label, Retention50us)
 		if !ok1 || !ok2 || !ok3 {
 			t.Fatalf("missing sweep point %q", label)
 		}
-		return m.Total(), s.Value, x.Value
+		return m.Total, s.Value, x.Value
 	}
 	pAllMem, pAllTot, pAllTime := get("P.all")
 	rWBMem, rWBTot, rWBTime := get("R.WB(32,32)")
 	rValidMem, _, rValidTime := get("R.valid")
-	pValidTime, ok := findScalar(times, "P.valid")
+	pValidTime, ok := sweep.Find(times, "P.valid", Retention50us)
 	if !ok {
 		t.Fatal("missing P.valid")
 	}
@@ -236,43 +237,14 @@ func TestHeadlineClaims(t *testing.T) {
 	// Claim 6: in the remaining eDRAM energy, the refresh contribution of
 	// R.WB(32,32) is small (paper: "negligible").
 	comp := results.Figure62("all")
-	rWBComp, ok := findComponent(comp, "R.WB(32,32)")
+	rWBComp, ok := sweep.Find(comp, "R.WB(32,32)", Retention50us)
 	if !ok {
 		t.Fatal("missing component bar")
 	}
-	if rWBComp.Refresh > 0.5*rWBComp.Total() {
-		t.Errorf("R.WB(32,32) refresh fraction %.2f of its energy is not small", rWBComp.Refresh/rWBComp.Total())
+	if rWBComp.Refresh > 0.5*rWBComp.Total {
+		t.Errorf("R.WB(32,32) refresh fraction %.2f of its energy is not small", rWBComp.Refresh/rWBComp.Total)
 	}
 	_ = rValidMem
-}
-
-// findLevel/findScalar/findComponent are tiny wrappers that fix the retention
-// time at 50us.
-func findLevel(bars []LevelEnergyBar, label string) (LevelEnergyBar, bool) {
-	for _, b := range bars {
-		if b.Point.Label() == label && b.Point.RetentionUS == Retention50us {
-			return b, true
-		}
-	}
-	return LevelEnergyBar{}, false
-}
-
-func findScalar(bars []ScalarBar, label string) (ScalarBar, bool) {
-	for _, b := range bars {
-		if b.Point.Label() == label && b.Point.RetentionUS == Retention50us {
-			return b, true
-		}
-	}
-	return ScalarBar{}, false
-}
-
-func findComponent(bars []ComponentEnergyBar, label string) (ComponentEnergyBar, bool) {
-	for _, b := range bars {
-		if b.Point.Label() == label && b.Point.RetentionUS == Retention50us {
-			return b, true
-		}
-	}
-	return ComponentEnergyBar{}, false
 }
 
 func TestRetentionTrend(t *testing.T) {
@@ -292,7 +264,7 @@ func TestRetentionTrend(t *testing.T) {
 	comp := results.Figure62("all")
 	var prev float64 = -1
 	for _, ret := range []float64{Retention50us, Retention100us, Retention200us} {
-		bar, ok := FindComponentAt(comp, "R.valid", ret)
+		bar, ok := sweep.Find(comp, "R.valid", ret)
 		if !ok {
 			t.Fatalf("missing R.valid at %v", ret)
 		}
@@ -301,14 +273,4 @@ func TestRetentionTrend(t *testing.T) {
 		}
 		prev = bar.Refresh
 	}
-}
-
-// FindComponentAt searches a component series at an explicit retention time.
-func FindComponentAt(bars []ComponentEnergyBar, label string, retentionUS float64) (ComponentEnergyBar, bool) {
-	for _, b := range bars {
-		if b.Point.Label() == label && b.Point.RetentionUS == retentionUS {
-			return b, true
-		}
-	}
-	return ComponentEnergyBar{}, false
 }
