@@ -141,3 +141,49 @@ func BenchmarkResubmitSameLifetime(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServiceBackgroundRound runs the benchmark's background round
+// (three overlapping two-application sweeps at 50 µs, effort 0.1: 45
+// distinct cells) on a fresh in-process server with 2 workers, and reports
+// the distinct cells computed per second and how many of them reused a
+// Valid run.  Each round starts from an empty store, outside the timer.
+func BenchmarkServiceBackgroundRound(b *testing.B) {
+	body, err := json.Marshal(backgroundBatch(1, 0.1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cells, reused float64
+	var elapsed time.Duration
+	for range b.N {
+		b.StopTimer()
+		s := New(Config{Workers: 2})
+		b.StartTimer()
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/batches", strings.NewReader(string(body))))
+		var view BatchView
+		if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || rec.Code != 202 {
+			b.Fatalf("POST /v1/batches: status %d, body %q", rec.Code, rec.Body.String())
+		}
+		for deadline := start.Add(time.Minute); view.State != StateDone; time.Sleep(time.Millisecond) {
+			if view.State.Terminal() || time.Now().After(deadline) {
+				b.Fatalf("background round ended %s", view.State)
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/batches/"+view.ID, nil))
+			if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+				b.Fatal(err)
+			}
+		}
+		elapsed += time.Since(start)
+		b.StopTimer()
+		s.mu.Lock()
+		reused = float64(s.cellReuses)
+		s.mu.Unlock()
+		cells = float64(s.store.Stats().CellMisses)
+		s.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.N)*cells/elapsed.Seconds(), "cells/s")
+	b.ReportMetric(reused, "reused_cells")
+}

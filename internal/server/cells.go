@@ -37,6 +37,13 @@ import (
 // from the in-flight table when it reaches done, after a fresh result has
 // been stored — so at every instant a cell is either in flight or (store
 // budget permitting) stored, and no cell is simulated twice.
+//
+// Nor is a refresh trajectory: a follower (an R.all or WB(n,m) cell, see
+// sweep.CellKey.Leader) created while its family's Valid cell is in flight
+// keeps a pointer to that leader.  When the leader has finished by the time
+// a worker takes the follower, and sweep.Reuse says its run computes the
+// follower's too, the follower takes that Result instead of simulating.
+// Every other follower simulates; no worker waits for a leader.
 
 // cellState is the lifecycle state of an in-flight cell.
 type cellState uint8
@@ -77,6 +84,12 @@ type cell struct {
 	parked   *sweep.Parked
 
 	waiters []waiter
+
+	// leader is the in-flight cell of this follower's family leader when
+	// the follower was created, or nil; run is a done cell's result, which
+	// its followers may take (sweep.Reuse).
+	leader *cell
+	run    sweep.Run
 }
 
 // waiter is one job waiting on a cell, with the cell's index in the job's
@@ -88,15 +101,16 @@ type waiter struct {
 
 // attachCellsLocked enrols a fresh job on its sweep's cells.  Cells already
 // in flight are joined, promoting them to the job's class when it is more
-// urgent; the others are created and left for probeStore — which the
-// admitting handler must call after releasing the mutex.  Caller holds the
-// server mutex.
+// urgent; the others are created in sweep.ClaimOrder, leaders first, and
+// left for probeStore — which the admitting handler must call after
+// releasing the mutex.  Caller holds the server mutex.
 func (s *Server) attachCellsLocked(j *Job) {
 	cells := sweep.Cells(j.opts)
 	j.cells = make([]*cell, len(cells))
 	j.runs = make([]sweep.Run, len(cells))
 	j.pending = len(cells)
-	for i, sc := range cells {
+	for _, i := range sweep.ClaimOrder(cells) {
+		sc := cells[i]
 		if c, ok := s.cells[sc.Key]; ok {
 			s.inflightJoins++
 			c.waiters = append(c.waiters, waiter{j: j, i: i})
@@ -117,6 +131,9 @@ func (s *Server) attachCellsLocked(j *Job) {
 			ctx:     ctx,
 			cancel:  cancel,
 			waiters: []waiter{{j: j, i: i}},
+		}
+		if k, ok := sc.Key.Leader(); ok {
+			c.leader = s.cells[k]
 		}
 		s.cells[sc.Key] = c
 		j.cells[i] = c
@@ -254,10 +271,21 @@ func (s *Server) runCell(c *cell) {
 	// runs to the end of its slice unpreempted.
 	c.turn = s.urgentQueuedLocked(class) > 0
 	parked := s.takeParkedLocked(c)
+	var lead sweep.Run
+	if c.leader != nil {
+		lead = c.leader.run
+	}
 	s.running = append(s.running, c)
 	s.mu.Unlock()
 
-	run, err := s.executeGuarded(ctx, c, class, parked)
+	var run sweep.Run
+	var err error
+	res, reused := sweep.Reuse(lead, c.sc)
+	if reused {
+		run = sweep.Run{App: c.sc.App, Point: c.sc.Point, Result: res}
+	} else {
+		run, err = s.executeGuarded(ctx, c, class, parked)
+	}
 	yield(nil)
 	// Persist before leaving the in-flight table, so a sweep arriving in
 	// between finds the cell in one place or the other.  Blob writes happen
@@ -268,6 +296,9 @@ func (s *Server) runCell(c *cell) {
 		}
 	}
 	s.mu.Lock()
+	if reused {
+		s.cellReuses++
+	}
 	yielded := s.stopRunningLocked(c)
 	var p *sweep.Parked
 	if errors.As(err, &p) {
@@ -348,6 +379,9 @@ func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*Job {
 	}
 	c.cancel()
 	s.takeParkedLocked(c)
+	if err == nil {
+		c.run = run
+	}
 	var pe *sweep.PanicError
 	if errors.As(err, &pe) {
 		// A panic contained inside the simulation: account and log it once

@@ -164,7 +164,9 @@ func TestOverlappingSweepsSimulateEachCellOnce(t *testing.T) {
 // sweep of many held cells, an interactive job runs at once — the running
 // background cell yields its worker — instead of after the whole
 // background sweep, or even after the one cell.  The held cell goes back to
-// the front of its queue; this Execute cannot park, so it starts over.
+// the front of its queue; this Execute cannot park, so it starts over.  The
+// background R.all cell takes the finished R.valid run instead of
+// simulating (sweep.Reuse).
 func TestInteractiveWaitsAtMostOneCell(t *testing.T) {
 	sim := newCellSim(100)
 	h := newHarness(t, Config{Workers: 1, Execute: sim.fn})
@@ -195,8 +197,11 @@ func TestInteractiveWaitsAtMostOneCell(t *testing.T) {
 	close(sim.release)
 	h.waitState(bg.ID, StateDone)
 	sims := sim.simulations()
-	if len(sims) != 8 {
-		t.Fatalf("simulated %d distinct cells, want 8", len(sims))
+	if len(sims) != 7 {
+		t.Fatalf("simulated %d distinct cells, want 7 of the 8 (R.all reuses R.valid)", len(sims))
+	}
+	if got := h.schedMetric("refrint_cell_reuses_total"); got != 1 {
+		t.Errorf("refrint_cell_reuses_total = %g, want 1 (R.all)", got)
 	}
 	for k, n := range sims {
 		want := 1
@@ -253,7 +258,7 @@ func TestDeadlineDropsUnsharedQueuedCells(t *testing.T) {
 	doomed.Policies = []string{"R.valid", "R.dirty", "R.all"}
 	doomed.TimeoutMS = 300
 	dv, _ := h.submit(doomed)
-	<-sim.started // the baseline holds the worker; the deadline runs from here
+	<-sim.started // R.valid, created first as R.all's leader, holds the worker; the deadline runs from here
 
 	survivor := tinyRequest(11) // shares the baseline and R.valid
 	sv, _ := h.submit(survivor)
@@ -263,7 +268,7 @@ func TestDeadlineDropsUnsharedQueuedCells(t *testing.T) {
 		t.Fatalf("doomed job = reason %q error %q, want the deadline", failed.Reason, failed.Error)
 	}
 	if got := metricValue(t, h.metricsText(), "refrint_queue_depth"); got != 1 {
-		t.Fatalf("queued cells after the deadline = %g, want 1 (only the shared R.valid)", got)
+		t.Fatalf("queued cells after the deadline = %g, want 1 (only the shared baseline)", got)
 	}
 
 	close(sim.release)

@@ -45,6 +45,7 @@ type metricsSnapshot struct {
 	sweepHits     int64
 	sweepMisses   int64
 	inflightJoins int64
+	cellReuses    int64
 	queuedSweeps  [sched.NumClasses]int
 	panics        map[string]int64
 	jobTimeouts   [sched.NumClasses]int64
@@ -63,6 +64,7 @@ func (s *Server) snapshotMetricsLocked() metricsSnapshot {
 		sweepHits:     s.sweepCacheHits,
 		sweepMisses:   s.sweepCacheMisses,
 		inflightJoins: s.inflightJoins,
+		cellReuses:    s.cellReuses,
 		queuedSweeps:  s.queuedSweeps,
 		panics:        make(map[string]int64, len(s.panicsTotal)),
 		jobTimeouts:   s.jobTimeouts,
@@ -162,6 +164,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	counter("refrint_sweep_cache_hits_total", "Submissions answered immediately from stored cells.", snap.sweepHits)
 	counter("refrint_sweep_cache_misses_total", "Submissions admitted as live jobs (not served from stored cells).", snap.sweepMisses)
 	counter("refrint_cell_inflight_joins_total", "Job cells that joined a simulation already in flight instead of running their own (identical submissions included).", snap.inflightJoins)
+	counter("refrint_cell_reuses_total", "Simulation cells (R.all and WB(n,m)) served from their family's Valid run instead of simulating.", snap.cellReuses)
 
 	// The known recovery sites are always exposed (zero included) so
 	// dashboards can rate() them from the first scrape; any further site

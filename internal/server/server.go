@@ -27,7 +27,11 @@ import (
 // more (or the server closes), and with the cause sweep.ErrYield when the
 // cell is preempted: sweep.RunCell then returns a *sweep.Parked, which the
 // server resumes later, while an implementation that returns ctx's error
-// instead is run again from the start.
+// instead is run again from the start.  An R.all or WB(n,m) cell whose
+// finished Valid leader's Run computes its result too (sweep.Reuse) takes
+// that Result without reaching Execute.  A Run that Execute builds itself,
+// rather than one sweep.RunCell returned, carries no budget watch, so the
+// followers of its cell all run.
 type ExecuteFunc func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error)
 
 // Config tunes the service.  The zero value is usable.
@@ -214,6 +218,7 @@ type Server struct {
 	sweepCacheHits   int64 // submissions answered done from stored cells
 	sweepCacheMisses int64 // submissions admitted as live jobs
 	inflightJoins    int64 // job cells that joined a cell already in flight
+	cellReuses       int64 // followers served from their leader's run (cells.go)
 	simsCompleted    int64 // simulations delivered to jobs (cell hits included)
 	// panicsTotal counts recovered panics by site: "sim" (inside a sweep
 	// cell), "exec" (the Execute wrapper) and "sched" (scheduler

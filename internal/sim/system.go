@@ -57,6 +57,9 @@ type System struct {
 	// Reset clears it.
 	heap    coreHeap
 	started bool
+	// watching reports that WatchBudgets turned the L3 budget watch on
+	// since the last Reset.
+	watching bool
 
 	// l1l2Policy is the refresh policy private caches run: the paper always
 	// runs L1 and L2 with the Valid data policy and applies the swept data
@@ -101,6 +104,7 @@ func (s *System) Reset(cfg config.Config, app workload.Params, seed int64) error
 	s.cfg = cfg
 	s.geom = cfg.Geometry()
 	s.started = false
+	s.watching = false
 	if s.st == nil || len(s.st.PerCoreCycles) != cfg.Cores {
 		s.st = stats.New(cfg.Cores)
 	} else {
@@ -181,22 +185,25 @@ func privatePolicy(l3 config.Policy) config.Policy {
 // every WB policy too, so the L3 is where a WB(n,m) run can first differ.
 // Call it after Reset and before the run; Watch reads the verdict.
 func (s *System) WatchBudgets() bool {
-	watching := false
+	s.watching = false
 	for _, tile := range s.tiles {
-		watching = tile.L3.WatchBudgets()
+		s.watching = tile.L3.WatchBudgets()
 	}
-	return watching
+	return s.watching
 }
 
-// Watch returns what the L3 banks' budget watch saw (see WatchBudgets):
-// after a completed run, Watch().Spares(n, m) reports whether WB(n,m) gives
-// this run's Result.
-func (s *System) Watch() core.Watch {
+// Watch returns what the L3 banks' budget watch saw (see WatchBudgets), and
+// whether they watched: after a completed run that watched,
+// Spares(n, m) of the watch reports whether WB(n,m) gives this run's Result.
+func (s *System) Watch() (core.Watch, bool) {
+	if !s.watching {
+		return core.Watch{}, false
+	}
 	w := core.Watch{Dirty: -1, Clean: -1}
 	for _, tile := range s.tiles {
 		w = w.Merge(tile.L3.Watch())
 	}
-	return w
+	return w, true
 }
 
 // Config returns the system configuration.

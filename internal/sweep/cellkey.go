@@ -34,6 +34,19 @@ type CellKey struct {
 // cryptographic collision).
 func (k CellKey) Hash() string { return config.HashJSON(k) }
 
+// Leader returns the key of the cell whose run k's cell may take (see
+// Reuse): the same cell under the Valid data policy of its time policy.  It
+// is defined for the cells that can compute a Valid run, R.all and
+// WB(n,m), and reports false for every other cell, the Valid ones included.
+func (k CellKey) Leader() (CellKey, bool) {
+	p := k.Policy
+	if p.Data != config.WBData && (p.Time != config.RefrintTime || p.Data != config.AllData) {
+		return CellKey{}, false
+	}
+	k.Policy = config.Policy{Time: p.Time, Data: config.ValidData}
+	return k, true
+}
+
 // CellKey returns the canonical key of one cell of this sweep.  Defaults are
 // applied first, so the key is independent of which zero fields the caller
 // left implicit, and Workers never enters the key.

@@ -48,8 +48,8 @@ func aloneRuns(t testing.TB, opts Options) []Run {
 
 // reversed claims the cells in the reverse of ExecuteContext's order, so
 // every follower is claimed before its leader.
-func reversed(cells []Cell, fams []*family) []int {
-	order := claimOrder(cells, fams)
+func reversed(cells []Cell) []int {
+	order := ClaimOrder(cells)
 	slices.Reverse(order)
 	return order
 }
@@ -70,7 +70,7 @@ func TestReuseMatchesRunCell(t *testing.T) {
 	type variant struct {
 		name    string
 		workers int
-		order   func([]Cell, []*family) []int
+		order   func([]Cell) []int
 	}
 	quick, seeds := QuickOptions(), []int64{1, 7}
 	if raceDetector {
@@ -80,9 +80,9 @@ func TestReuseMatchesRunCell(t *testing.T) {
 		opts := quick
 		opts.Seed = seed
 		want := aloneRuns(t, opts)
-		variants := []variant{{"workers=2", 2, claimOrder}, {"reversed", 2, reversed}}
+		variants := []variant{{"workers=2", 2, ClaimOrder}, {"reversed", 2, reversed}}
 		if seed == 1 {
-			variants = append(variants, variant{"workers=1", 1, claimOrder}, variant{"workers=7", 7, claimOrder})
+			variants = append(variants, variant{"workers=1", 1, ClaimOrder}, variant{"workers=7", 7, ClaimOrder})
 		}
 		for _, v := range variants {
 			opts.Workers = v.workers
@@ -143,7 +143,7 @@ func TestReusedCellPassesHooks(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		progressReports++
-	}, claimOrder)
+	}, ClaimOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func BenchmarkQuickSweep(b *testing.B) {
 	start := time.Now()
 	for range b.N {
 		var err error
-		if _, reused, err = execute(context.Background(), opts, nil, claimOrder); err != nil {
+		if _, reused, err = execute(context.Background(), opts, nil, ClaimOrder); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -201,6 +201,10 @@ type Run struct {
 	App    string
 	Point  Point
 	Result sim.Result
+	// watch is the WB(n,m) budget watch of a Valid cell this package
+	// simulated, and nil in every other Run: one built elsewhere or read
+	// back from a store spares no follower (see Reuse).
+	watch *core.Watch
 }
 
 // Results holds every run of a sweep, indexed for the figure generators.
@@ -291,16 +295,13 @@ func Assemble(opts Options, runs []Run) *Results {
 // Options.Workers goroutines, honouring cancellation and reporting progress.
 //
 // Each run is simulated once.  A family is the cells of one application,
-// retention time and time policy, and its Valid cell leads it: the pool
-// claims the leaders first, then the cells of no family, then the
-// followers.  A leader simulates with the WB(n,m) budget watch on
-// (sim.(*System).WatchBudgets).  A follower takes its leader's Result,
-// relabelled, when that run computes the follower's too: R.all always does,
-// since sentries arm only on valid lines, and WB(n,m) does when the watch
-// shows that no line ran out of budget.  A follower whose leader has not
-// finished, failed or was served by CellLookup simulates as RunCell does; no
-// worker waits for another.  A reused cell still passes RunCell's fault
-// points, CellLookup and CellPut, and counts in progress.
+// retention time and time policy, and its Valid cell leads it; the other
+// members are the cells whose CellKey.Leader names it.  The pool claims the
+// cells in ClaimOrder, leaders first.  A follower takes its leader's Result
+// when Reuse says that run computes the follower's too.  A follower whose
+// leader has not finished, failed or was served by CellLookup simulates as
+// RunCell does; no worker waits for another.  A reused cell still passes
+// RunCell's fault points, CellLookup and CellPut, and counts in progress.
 //
 // When ctx is cancelled, or a cell fails, the pool stops starting new
 // simulations and returns ctx.Err() (or the first cell error).  On
@@ -313,21 +314,21 @@ func Assemble(opts Options, runs []Run) *Results {
 // at that instant, but calls from different workers may be observed out of
 // order.  The callback must be safe for concurrent use and return quickly.
 func ExecuteContext(ctx context.Context, opts Options, progress func(Progress)) (*Results, error) {
-	res, _, err := execute(ctx, opts, progress, claimOrder)
+	res, _, err := execute(ctx, opts, progress, ClaimOrder)
 	return res, err
 }
 
 // execute is ExecuteContext with the claim order given by order, which
 // permutes the indices of cells.  It also returns how many cells reused a
 // leader's Result.
-func execute(ctx context.Context, opts Options, progress func(Progress), order func(cells []Cell, fams []*family) []int) (*Results, int, error) {
+func execute(ctx context.Context, opts Options, progress func(Progress), order func([]Cell) []int) (*Results, int, error) {
 	if err := opts.CheckEffort(); err != nil {
 		return nil, 0, err
 	}
 	opts = opts.normalise()
 	cells := Cells(opts)
 	fams := families(cells)
-	claims := order(cells, fams)
+	claims := order(cells)
 	runs := make([]Run, len(cells))
 	var (
 		wg       sync.WaitGroup
@@ -374,53 +375,54 @@ func execute(ctx context.Context, opts Options, progress func(Progress), order f
 	return Assemble(opts, runs), int(reused.Load()), nil
 }
 
-// family is the cells of one application, retention time and time policy
-// that share their Valid cell's run (see ExecuteContext).
+// family is the cells that share their Valid cell's run (see
+// ExecuteContext).
 type family struct {
-	lead atomic.Pointer[lead] // nil until the Valid cell has simulated
+	lead atomic.Pointer[Run] // nil until the Valid cell has simulated
 }
 
-// lead is the outcome of a family's Valid cell.
-type lead struct {
-	result sim.Result // read only: a follower takes a copy
-	watch  core.Watch
-}
-
-// leads reports whether a cell of a family at policy p is its leader.
+// leads reports whether a cell at policy p leads its family.
 func leads(p config.Policy) bool { return p.Data == config.ValidData }
 
 // families returns each cell's family, or nil for a cell outside every
-// family: a baseline, a Dirty or Periodic All cell, or one whose family has
-// no Valid cell.
+// family: a baseline, a Dirty or Periodic All cell, or a follower whose
+// leader is not among cells.
 func families(cells []Cell) []*family {
-	type id struct {
-		app       string
-		retention float64
-		time      config.TimePolicy
-	}
-	idOf := func(c Cell) id { return id{c.App, c.Point.RetentionUS, c.Point.Policy.Time} }
-	byID := make(map[id]*family)
+	byLeader := make(map[CellKey]*family)
 	for _, c := range cells {
-		if !c.Point.IsBaseline() && leads(c.Point.Policy) {
-			byID[idOf(c)] = new(family)
+		if leads(c.Point.Policy) {
+			byLeader[c.Key] = new(family)
 		}
 	}
 	fams := make([]*family, len(cells))
 	for i, c := range cells {
-		p := c.Point.Policy
-		if leads(p) || p.Data == config.WBData || p.Time == config.RefrintTime && p.Data == config.AllData {
-			fams[i] = byID[idOf(c)]
+		if leads(c.Point.Policy) {
+			fams[i] = byLeader[c.Key]
+		} else if k, ok := c.Key.Leader(); ok {
+			fams[i] = byLeader[k]
 		}
 	}
 	return fams
 }
 
-// claimOrder lists the cells' indices leaders first, then the cells of no
-// family, then the followers, each group in enumeration order.
-func claimOrder(cells []Cell, fams []*family) []int {
+// ClaimOrder lists the indices of cells in the order that lets followers
+// reuse their leaders' runs: first the Valid cells that some cell in cells
+// follows (see CellKey.Leader), last those followers, and every other cell
+// in between, each group in the order of cells.  A sweep without followers
+// keeps its order.
+// ExecuteContext claims a sweep's cells in this order, and the sweep
+// service creates a job's cells in it.
+func ClaimOrder(cells []Cell) []int {
+	fams := families(cells)
+	followed := make(map[*family]bool)
+	for i, c := range cells {
+		if fams[i] != nil && !leads(c.Point.Policy) {
+			followed[fams[i]] = true
+		}
+	}
 	rank := func(i int) int {
 		switch {
-		case fams[i] == nil:
+		case !followed[fams[i]]:
 			return 1
 		case leads(cells[i].Point.Policy):
 			return 0
@@ -439,21 +441,23 @@ func claimOrder(cells []Cell, fams []*family) []int {
 	return order
 }
 
-// reuse returns the Result a follower at policy p takes from its family's
-// leader, or false when it must simulate: the leader has no published run
-// yet, or its run may differ from p's.
-func (f *family) reuse(p config.Policy) (sim.Result, bool) {
-	l := f.lead.Load()
-	if l == nil {
+// Reuse returns the Result that the follower cell c takes from lead, which
+// must be the Run of the cell whose key is c.Key.Leader(), or false when c
+// must simulate.  R.all is R.valid, since sentries arm only on valid lines.
+// WB(n,m) is Valid until some line is due for a refresh with no budget
+// left, which lead's budget watch shows.  A lead this package did not
+// simulate (the zero Run, or one read back from a store) carries no watch
+// and spares nothing.  The Result is relabelled with c's policy and has its
+// own Stats.
+func Reuse(lead Run, c Cell) (sim.Result, bool) {
+	if _, ok := c.Key.Leader(); !ok || lead.watch == nil {
 		return sim.Result{}, false
 	}
-	// R.all is R.valid: sentries arm only on valid lines.  WB(n,m) is
-	// Valid until some line is due for a refresh with no budget left.
-	if !(p.Data == config.AllData || p.Data == config.WBData && l.watch.Spares(p.N, p.M)) {
+	if p := c.Point.Policy; p.Data == config.WBData && !lead.watch.Spares(p.N, p.M) {
 		return sim.Result{}, false
 	}
-	res := l.result
-	res.Policy = p.String()
+	res := lead.Result
+	res.Policy = c.Point.Policy.String()
 	res.Stats = res.Stats.Clone()
 	return res, true
 }
@@ -493,8 +497,8 @@ func RunCell(ctx context.Context, opts Options, c Cell) (Run, error) {
 }
 
 // runCell is RunCell for a cell of family fam (nil: none).  A leader
-// publishes its run to fam; a follower takes its leader's Result when fam
-// offers it, and reports that with copied.
+// publishes its run to fam; a follower takes its leader's Result when Reuse
+// allows, and reports that with copied.
 func runCell(ctx context.Context, opts Options, c Cell, fam *family) (run Run, copied bool, err error) {
 	defer contain(c, &run, &err)
 	if err := faults.CheckCtx(ctx, faults.ExecLatency); err != nil {
@@ -508,17 +512,28 @@ func runCell(ctx context.Context, opts Options, c Cell, fam *family) (run Run, c
 			return Run{App: c.App, Point: c.Point, Result: res}, false, nil
 		}
 	}
-	if fam != nil && !leads(c.Point.Policy) {
-		if res, ok := fam.reuse(c.Point.Policy); ok {
+	if lead := fam.leader(); lead != nil {
+		if res, ok := Reuse(*lead, c); ok {
 			if opts.CellPut != nil {
 				opts.CellPut(c.Key, res)
 			}
 			return Run{App: c.App, Point: c.Point, Result: res}, true, nil
 		}
-		fam = nil // simulate as RunCell does
 	}
-	run, err = runOne(ctx, opts.normalise(), c, fam)
+	run, err = runOne(ctx, opts.normalise(), c)
+	if err == nil && fam != nil && leads(c.Point.Policy) {
+		fam.lead.Store(&run)
+	}
 	return run, false, err
+}
+
+// leader returns the published run of f's leader, or nil: none yet, or no
+// family.
+func (f *family) leader() *Run {
+	if f == nil {
+		return nil
+	}
+	return f.lead.Load()
 }
 
 // contain is RunCell's and Resume's deferred panic guard: it converts a
@@ -557,13 +572,14 @@ func (p *Parked) Error() string {
 // ctx that yields again returns another *Parked.  Call it at most once.
 func (p *Parked) Resume(ctx context.Context) (run Run, err error) {
 	defer contain(p.cell, &run, &err)
-	return simulate(ctx, p.opts, p.cell, p.system, nil)
+	return simulate(ctx, p.opts, p.cell, p.system)
 }
 
 // runOne executes one cell's simulation on an idle System, stopping early
-// with ctx.Err() when ctx is cancelled.  A non-nil led is the family the
-// cell leads: the run watches the WB(n,m) budgets and is published to it.
-func runOne(ctx context.Context, opts Options, c Cell, led *family) (Run, error) {
+// with ctx.Err() when ctx is cancelled.  A Valid cell watches the WB(n,m)
+// budgets (sim.(*System).WatchBudgets), so that its Run can serve its
+// followers (Reuse).
+func runOne(ctx context.Context, opts Options, c Cell) (Run, error) {
 	params, err := workload.Get(c.App)
 	if err != nil {
 		return Run{}, err
@@ -577,39 +593,35 @@ func runOne(ctx context.Context, opts Options, c Cell, led *family) (Run, error)
 		idle.put(system)
 		return Run{}, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
 	}
-	if led != nil && !system.WatchBudgets() {
-		led = nil
-	}
-	return simulate(ctx, opts, c, system, led)
+	system.WatchBudgets()
+	return simulate(ctx, opts, c, system)
 }
 
 // simulate runs or resumes system's simulation of cell c.  A run that
-// finishes is published to led, when that is non-nil, and offered to
-// CellPut; one whose ctx yields is parked with its System.  Otherwise the
-// System goes back to idle: a cancelled System is as reusable as a finished
-// one, since Reset re-initialises all of it.  One that panicked is not
-// returned.
-func simulate(ctx context.Context, opts Options, c Cell, system *sim.System, led *family) (Run, error) {
+// finishes is offered to CellPut, and carries the budget watch when the
+// System watched; one whose ctx yields is parked with its System.
+// Otherwise the System goes back to idle: a cancelled System is as reusable
+// as a finished one, since Reset re-initialises all of it.  One that
+// panicked is not returned.
+func simulate(ctx context.Context, opts Options, c Cell, system *sim.System) (Run, error) {
 	result, err := system.RunContext(ctx)
 	if err != nil && errors.Is(context.Cause(ctx), ErrYield) {
 		return Run{}, &Parked{opts: opts, cell: c, system: system}
 	}
-	var watch core.Watch
-	if led != nil {
-		watch = system.Watch() // read before another cell resets system
-	}
+	watch, watched := system.Watch() // read before another cell resets system
 	idle.put(system)
 	if err != nil {
 		return Run{}, err
 	}
 	result.RetentionUS = c.Point.RetentionUS // report the paper-scale retention
-	if led != nil {
-		led.lead.Store(&lead{result: result, watch: watch})
-	}
 	if opts.CellPut != nil {
 		opts.CellPut(c.Key, result)
 	}
-	return Run{App: c.App, Point: c.Point, Result: result}, nil
+	run := Run{App: c.App, Point: c.Point, Result: result}
+	if watched {
+		run.watch = &watch
+	}
+	return run, nil
 }
 
 // idle is the free list of simulators that runOne resets instead of

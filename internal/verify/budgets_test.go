@@ -94,7 +94,8 @@ func simulateWatched(opts sweep.Options, c sweep.Cell) (watched, error) {
 	}
 	s.WatchBudgets()
 	res := s.Run()
-	return watched{res, s.Watch()}, nil
+	w, _ := s.Watch()
+	return watched{res, w}, nil
 }
 
 // TestWBPolicyActionsMonotoneInBudget checks that a larger WB(n,m) budget

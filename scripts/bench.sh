@@ -8,7 +8,7 @@ set -eu
 
 out="${1:-}"
 count="${BENCH_COUNT:-5}"
-pattern="${BENCH_PATTERN:-BenchmarkRun|BenchmarkAccessSteadyState|BenchmarkProbe|BenchmarkSentryInterruptProcessing|BenchmarkSentryDrainScaledL3|BenchmarkPeriodicSweepProcessing|BenchmarkDemandTouch|BenchmarkSubmitDequeue|BenchmarkHistogramObserve|BenchmarkGeneratorNext|BenchmarkAppReset|BenchmarkQuickSweep}"
+pattern="${BENCH_PATTERN:-BenchmarkRun|BenchmarkAccessSteadyState|BenchmarkProbe|BenchmarkSentryInterruptProcessing|BenchmarkSentryDrainScaledL3|BenchmarkPeriodicSweepProcessing|BenchmarkDemandTouch|BenchmarkSubmitDequeue|BenchmarkHistogramObserve|BenchmarkGeneratorNext|BenchmarkAppReset|BenchmarkQuickSweep|BenchmarkServiceBackgroundRound}"
 
 run() {
     go test -run '^$' -bench "$pattern" -benchmem -count "$count" \
