@@ -107,10 +107,9 @@ type Config struct {
 	// OnDequeue, when set, is invoked by the worker that popped an item,
 	// after the scheduler mutex is released and before run executes it,
 	// with the class the item was dequeued from and the time it spent
-	// queued in that class (the clock restarts on Promote and aging, like
-	// the WaitSum accounting).  This surfaces the queue-phase timestamps to
-	// the owner for tracing and latency histograms; callbacks may take
-	// their own locks.
+	// queued in that class (the clock restarts on Promote and aging).
+	// This surfaces the queue-phase timestamps to the owner for tracing
+	// and latency histograms; callbacks may take their own locks.
 	OnDequeue func(payload any, class Class, wait time.Duration)
 	// Now is the clock used for scheduling-latency accounting (default
 	// time.Now; injectable for tests).
@@ -220,7 +219,6 @@ type Scheduler struct {
 	cqFree  []*clientQueue // free list of recycled client FIFOs
 	wg      sync.WaitGroup
 
-	waitSum   [NumClasses]time.Duration
 	waitCount [NumClasses]int64
 	aged      [NumClasses][NumClasses]int64 // [from][to] queue-wait promotions
 }
@@ -307,11 +305,10 @@ func (s *Scheduler) Cancel(h Handle) bool {
 }
 
 // Promote moves a still-queued item to another class (in either direction),
-// into the same client's FIFO there.  The item's wait so far is charged to
-// the class it is leaving and its clock restarts, so per-class latency
-// metrics reflect time actually spent in each class.  It returns the handle
-// now identifying the item and reports false when the item is no longer
-// queued.
+// into the same client's FIFO there.  The item's wait clock restarts, so the
+// wait OnDequeue reports is the time it spent in the class it is dequeued
+// from.  It returns the handle now identifying the item and reports false
+// when the item is no longer queued.
 func (s *Scheduler) Promote(h Handle, to Class) (Handle, bool) {
 	if to < 0 || to >= NumClasses {
 		return h, false
@@ -326,15 +323,13 @@ func (s *Scheduler) Promote(h Handle, to Class) (Handle, bool) {
 		return h, true
 	}
 	// Capture before cancelLocked: edge-trimming may recycle it.
-	payload, client, at, from := it.payload, it.client, it.at, it.class
+	payload, client := it.payload, it.client
 	s.cancelLocked(it)
-	now := s.cfg.Now()
-	s.waitSum[from] += now.Sub(at)
 	nit := s.newItemLocked()
 	nit.payload = payload
 	nit.client = client
 	nit.class = to
-	nit.at = now
+	nit.at = s.cfg.Now()
 	nit.state = itemQueued
 	s.enqueueLocked(nit, false)
 	return Handle{it: nit, gen: nit.gen}, true
@@ -431,10 +426,7 @@ type Stats struct {
 	Workers, Busy int
 	// Queued counts live queued items per class.
 	Queued [NumClasses]int
-	// WaitSum and WaitCount accumulate queue-wait latency per class.
-	// WaitCount counts dequeues; WaitSum also includes the time promoted
-	// items spent in a class before Promote moved them out of it.
-	WaitSum   [NumClasses]time.Duration
+	// WaitCount counts dequeues per class.
 	WaitCount [NumClasses]int64
 	// Aged counts queue-wait aging promotions, indexed [from][to].
 	Aged [NumClasses][NumClasses]int64
@@ -448,7 +440,6 @@ func (s *Scheduler) Stats() Stats {
 		Workers:   s.cfg.Workers,
 		Busy:      s.busy,
 		Queued:    s.queued,
-		WaitSum:   s.waitSum,
 		WaitCount: s.waitCount,
 		Aged:      s.aged,
 	}
@@ -635,7 +626,6 @@ func (s *Scheduler) takeLocked() *item {
 	it.state = itemTaken
 	s.busy++
 	it.wait = s.cfg.Now().Sub(it.at)
-	s.waitSum[it.class] += it.wait
 	s.waitCount[it.class]++
 	return it
 }
@@ -749,10 +739,9 @@ func (s *Scheduler) ageClientLocked(cq *classQueue, q *clientQueue, from, to Cla
 		}
 		q.popFront()
 		s.queued[from]--
-		// Like Promote: the wait so far is charged to the class being left
-		// and the clock restarts, so per-class latency stays truthful and a
-		// second hop needs another full AgeAfter.
-		s.waitSum[from] += now.Sub(it.at)
+		// Like Promote: the clock restarts, so the wait OnDequeue reports is
+		// the time spent in the new class and a second hop needs another
+		// full AgeAfter.
 		it.at = now
 		it.class = to
 		s.enqueueLocked(it, false)

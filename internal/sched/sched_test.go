@@ -281,11 +281,14 @@ func TestPromote(t *testing.T) {
 }
 
 // TestPromoteWaitAttribution pins the latency accounting across a
-// promotion: wait accrued in the original class is charged there, and the
-// new class only sees post-promotion wait.
+// promotion: the wait OnDequeue reports is the time spent in the class the
+// item was dequeued from, after the promotion restarted its clock.
 func TestPromoteWaitAttribution(t *testing.T) {
 	now := time.Unix(0, 0)
-	s := New(Config{Workers: 1, Now: func() time.Time { return now }})
+	var gotClass Class
+	var gotWait time.Duration
+	s := New(Config{Workers: 1, Now: func() time.Time { return now },
+		OnDequeue: func(_ any, class Class, wait time.Duration) { gotClass, gotWait = class, wait }})
 	h, ok := s.Submit("tenant", Background, "x")
 	if !ok {
 		t.Fatal("submit rejected")
@@ -296,13 +299,14 @@ func TestPromoteWaitAttribution(t *testing.T) {
 	}
 	now = now.Add(1 * time.Second)
 	it := s.tryNext()
+	s.dispatchGuarded(func(any) {}, it)
 	s.done(it)
-	st := s.Stats()
-	if st.WaitSum[Background] != 10*time.Second || st.WaitCount[Background] != 0 {
-		t.Fatalf("background wait = %v/%d, want 10s/0 (pre-promotion time)", st.WaitSum[Background], st.WaitCount[Background])
+	if gotClass != Interactive || gotWait != 1*time.Second {
+		t.Fatalf("OnDequeue wait = %v in %v, want 1s in interactive (post-promotion only)", gotWait, gotClass)
 	}
-	if st.WaitSum[Interactive] != 1*time.Second || st.WaitCount[Interactive] != 1 {
-		t.Fatalf("interactive wait = %v/%d, want 1s/1 (post-promotion only)", st.WaitSum[Interactive], st.WaitCount[Interactive])
+	st := s.Stats()
+	if st.WaitCount[Background] != 0 || st.WaitCount[Interactive] != 1 {
+		t.Fatalf("dequeues = %d background, %d interactive; want 0 and 1", st.WaitCount[Background], st.WaitCount[Interactive])
 	}
 }
 
@@ -336,21 +340,22 @@ func TestCloseDrainsQueued(t *testing.T) {
 	}
 }
 
-// TestWaitLatencyAccounting verifies the scheduling-latency counters using
-// an injected clock.
+// TestWaitLatencyAccounting verifies the queue wait OnDequeue reports and
+// the dequeue count, using an injected clock.
 func TestWaitLatencyAccounting(t *testing.T) {
 	now := time.Unix(0, 0)
-	s := New(Config{Workers: 1, Now: func() time.Time { return now }})
+	var gotWait time.Duration
+	s := New(Config{Workers: 1, Now: func() time.Time { return now },
+		OnDequeue: func(_ any, _ Class, wait time.Duration) { gotWait = wait }})
 	if _, ok := s.Submit("tenant", Interactive, "x"); !ok {
 		t.Fatal("submit rejected")
 	}
 	now = now.Add(250 * time.Millisecond)
 	it := s.tryNext()
+	s.dispatchGuarded(func(any) {}, it)
 	s.done(it)
-	st := s.Stats()
-	if st.WaitCount[Interactive] != 1 || st.WaitSum[Interactive] != 250*time.Millisecond {
-		t.Fatalf("wait accounting = count %v sum %v, want 1 / 250ms",
-			st.WaitCount[Interactive], st.WaitSum[Interactive])
+	if st := s.Stats(); st.WaitCount[Interactive] != 1 || gotWait != 250*time.Millisecond {
+		t.Fatalf("wait accounting = count %v wait %v, want 1 / 250ms", st.WaitCount[Interactive], gotWait)
 	}
 }
 

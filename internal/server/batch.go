@@ -2,14 +2,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"refrint"
 	"refrint/internal/sched"
-	"refrint/internal/sweep"
 )
 
 // Batch groups the jobs of one atomic multi-sweep submission behind a single
@@ -178,153 +177,75 @@ func (b *Batch) snapshotLocked() BatchView {
 	return v
 }
 
-// handleSubmitBatch implements POST /v1/batches.  Admission is atomic: every
-// request is validated and the admission capacity for all its jobs is
-// checked before any job is created, so a batch either lands whole or
-// leaves no trace (no half-admitted campaigns to clean up).
+// handleSubmitBatch implements POST /v1/batches: every request is planned
+// first, and the plan is admitted whole or not at all (see admit), so a
+// batch either lands whole or leaves no trace (no half-admitted campaigns
+// to clean up).
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	received := time.Now()
-	reqID := requestTraceID(r)
+	received, reqID := time.Now(), requestTraceID(r)
 	w.Header().Set("X-Request-Id", reqID)
 	var breq BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	if !decodeBody(w, r, 8<<20, &breq) {
 		return
 	}
-	if len(breq.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, "batch needs at least one request")
-		return
-	}
-	if err := validateClient(breq.Client); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defClass, err := classFor(breq.Priority, sched.Batch)
+	class, plan, err := s.planBatch(breq, reqID, received)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	type planned struct {
-		req     refrint.SweepRequest
-		opts    sweep.Options
-		key     string
-		class   sched.Class
-		timeout time.Duration
-	}
-	plan := make([]planned, 0, len(breq.Requests))
-	for i, sub := range breq.Requests {
-		if sub.Client == "" {
-			sub.Client = breq.Client
-		}
-		if err := validateClient(sub.Client); err != nil {
-			writeError(w, http.StatusBadRequest, "requests[%d]: %v", i, err)
-			return
-		}
-		class, err := classFor(sub.Priority, defClass)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "requests[%d]: %v", i, err)
-			return
-		}
-		opts, err := sub.Options()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "requests[%d]: %v", i, err)
-			return
-		}
-		// The server cap applies per member, exactly like a lone submission.
-		plan = append(plan, planned{req: sub, opts: opts, key: opts.Key(), class: class,
-			timeout: s.effectiveTimeout(sub.TimeoutMS)})
-	}
-	// All members validated together; each gets its own trace keyed off the
-	// request's trace ID so one batch submission fans out as reqID.0,
-	// reqID.1, ... in logs and trace timelines.
-	validated := time.Now()
-	// One token per request, charged to each request's effective client,
-	// all-or-nothing across the batch.  The charge lands here, at submission
-	// time — members served from stored cells still count; this is a
-	// submission-rate limit — but every path below that turns the whole
-	// batch away with 503 refunds `charged`, so a capacity-rejected batch
-	// burns nobody's tokens.
-	var charged map[string]int
-	if s.quota != nil {
-		charged = make(map[string]int, 1)
-		for _, p := range plan {
-			charged[p.req.Client]++
-		}
-		if ok, denied, wait := s.quota.allowBatch(charged); !ok {
-			w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(wait)))
-			writeError(w, http.StatusTooManyRequests,
-				"client %q is over its submission rate, retry later", denied)
-			return
-		}
-	}
-	// Read the members whose cells are all stored outside the lock, like
-	// handleSubmit, once per distinct key: they are born done and consume
-	// no queue capacity.
-	stored := make(map[string]*refrint.SweepResults, len(plan))
-	for _, p := range plan {
-		if _, seen := stored[p.key]; !seen {
-			res, _ := s.storedResults(p.opts)
-			stored[p.key] = res
-			if res != nil {
-				s.recordSweep(p.key, p.opts, int(p.class))
-			}
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed || s.draining {
-		retryAfter := s.drainRetryAfter
-		s.mu.Unlock()
-		s.quota.refund(charged)
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprint(retryAfter))
-		}
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+	var view BatchView
+	//refrint:allow lockcheck -- admit calls render in the hold of the server mutex that admits the jobs
+	if !s.admit(w, plan, func() { view = s.createBatchLocked(breq.Client, class, plan) }) {
 		return
 	}
-	// Check capacity for every member at once: each one not born done holds
-	// one slot of its own class, duplicates included.  The check and the
-	// submits run under one hold of s.mu, which every change to the
-	// admission counts (cells starting, aging) also takes, so every member
-	// fits.
-	var need [sched.NumClasses]int
-	for _, p := range plan {
-		if stored[p.key] == nil {
-			need[p.class]++
-		}
+	s.logf("batch %s: %d jobs (%s)", view.ID, len(view.Jobs), view.Priority)
+	status := http.StatusAccepted
+	if view.State == StateDone {
+		status = http.StatusOK // every member was served from stored cells
 	}
-	for class, n := range need {
-		// Skip classes the batch does not touch: a full class must not
-		// veto batches that need nothing from it.
-		if n == 0 {
-			continue
-		}
-		if free := s.cfg.ClassQueueDepth[class] - s.queuedSweeps[class]; n > free {
-			s.mu.Unlock()
-			s.quota.refund(charged)
-			w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(sched.Class(class))))
-			writeError(w, http.StatusServiceUnavailable,
-				"%s queue has %d free slots, batch needs %d; retry later",
-				sched.Class(class), free, n)
-			return
-		}
-	}
+	w.Header().Set("Location", "/v1/batches/"+view.ID)
+	writeJSON(w, status, view)
+}
 
+// planBatch resolves the batch's default class (batch when it names no
+// priority) and plans every request, each defaulting to the batch's client
+// and class.  Member i's trace ID is reqID.i, so one batch fans out as
+// reqID.0, reqID.1, ... in logs and traces.  Every error is answered 400.
+func (s *Server) planBatch(breq BatchRequest, reqID string, received time.Time) (sched.Class, []*Job, error) {
+	if len(breq.Requests) == 0 {
+		return 0, nil, errors.New("batch needs at least one request")
+	}
+	if err := validateClient(breq.Client); err != nil {
+		return 0, nil, err
+	}
+	defClass, err := classFor(breq.Priority, sched.Batch)
+	if err != nil {
+		return 0, nil, err
+	}
+	plan := make([]*Job, len(breq.Requests))
+	for i, req := range breq.Requests {
+		if req.Client == "" {
+			req.Client = breq.Client
+		}
+		if plan[i], err = s.planJob(req, defClass, fmt.Sprintf("%s.%d", reqID, i), received); err != nil {
+			return 0, nil, fmt.Errorf("requests[%d]: %w", i, err)
+		}
+	}
+	return defClass, plan, nil
+}
+
+// createBatchLocked groups a batch's freshly admitted jobs behind one
+// handle of the batch's client and default class, announces it, bounds the
+// batch history and returns the view.  Caller holds the server mutex.
+func (s *Server) createBatchLocked(client string, class sched.Class, jobs []*Job) BatchView {
 	s.nextBatchID++
 	b := &Batch{
 		id:        fmt.Sprintf("batch-%06d", s.nextBatchID),
-		class:     defClass,
-		client:    breq.Client,
+		class:     class,
+		client:    client,
 		createdAt: time.Now(),
 	}
-	for i, p := range plan {
-		tr := trace{id: fmt.Sprintf("%s.%d", reqID, i)}
-		tr.mark(phaseReceived, received)
-		tr.mark(phaseValidated, validated)
-		job := s.submitJobLocked(p.req, p.opts, p.key, p.class, p.timeout, tr, stored[p.key])
+	for _, job := range jobs {
 		if !job.state.Terminal() {
 			job.batch = b // its later transitions publish on the batch topic too
 		}
@@ -343,17 +264,27 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			s.bus.publish(string(view.State), batchTopic(b.id), b.client, b.class, int64(view.Progress.Done), view)
 		}
 	}
-	s.evictBatchesLocked()
-	s.mu.Unlock()
-	s.probeStore()
-	s.logf("batch %s: %d jobs (%s)", b.id, len(view.Jobs), view.Priority)
-
-	status := http.StatusAccepted
-	if view.State == StateDone {
-		status = http.StatusOK // every member was served from stored cells
+	// Freeze every terminal member — batches must not pin result-bearing
+	// jobs past the job history's bound even when nobody polls them — then
+	// forget the oldest batches beyond the history bound whose members are
+	// all frozen.
+	for _, id := range s.batchOrder {
+		members := s.batches[id].members
+		for i := range members {
+			if m := &members[i]; m.job != nil && m.job.state.Terminal() {
+				m.freezeLocked()
+			}
+		}
 	}
-	w.Header().Set("Location", "/v1/batches/"+view.ID)
-	writeJSON(w, status, view)
+	s.batchOrder = evictOldest(s.batchOrder, s.cfg.BatchHistory, s.batches, func(old *Batch) bool {
+		for i := range old.members {
+			if old.members[i].job != nil {
+				return false
+			}
+		}
+		return true
+	})
+	return view
 }
 
 // handleGetBatch implements GET /v1/batches/{id}: aggregated poll.
@@ -392,41 +323,4 @@ func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 	view := b.snapshotLocked()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, view)
-}
-
-// evictBatchesLocked freezes every terminal member — batches must not pin
-// result-bearing jobs past the job history's bound even when nobody polls
-// them, so freezing runs on every batch submission, not only under history
-// pressure — then forgets the oldest terminal batches beyond the history
-// bound.  Live batches are never evicted.  Caller holds the server mutex.
-func (s *Server) evictBatchesLocked() {
-	terminal := make(map[string]bool, len(s.batchOrder))
-	for _, id := range s.batchOrder {
-		b := s.batches[id]
-		done := true
-		for i := range b.members {
-			m := &b.members[i]
-			if m.job != nil && m.job.state.Terminal() {
-				m.freezeLocked()
-			}
-			if m.job != nil {
-				done = false
-			}
-		}
-		terminal[id] = done
-	}
-	excess := len(s.batchOrder) - s.cfg.BatchHistory
-	if excess <= 0 {
-		return
-	}
-	kept := s.batchOrder[:0]
-	for _, id := range s.batchOrder {
-		if excess > 0 && terminal[id] {
-			delete(s.batches, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.batchOrder = kept
 }

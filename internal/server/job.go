@@ -18,9 +18,12 @@
 // background — and an optional client label for fair-share dequeue between
 // tenants.  Because workers take one cell at a time, an interactive sweep
 // waits for at most one running cell per worker, never for a whole
-// background sweep.  Admission has one rule: every queued job holds one
-// slot of its class until one of its cells starts (HTTP 503 when the class
-// is full), and cancelling a queued job frees its slot immediately.
+// background sweep.  Admission has one rule, and one path for both POST
+// /v1/sweeps and POST /v1/batches (admit): a lone sweep is a plan of one
+// job, a batch a plan of one job per request, and a plan is admitted whole
+// or not at all.  Every queued job holds one slot of its class until one
+// of its cells starts (HTTP 503 when the class is full), and cancelling a
+// queued job frees its slot immediately.
 //
 // Job lifecycle:
 //
@@ -186,7 +189,7 @@ func (j *Job) snapshot() JobView {
 		CacheHit:  j.cacheHit,
 		Progress:  progressView(j.done, j.total, j.state),
 		Reason:    j.reason,
-		Phases:    j.phaseSummary(time.Now()),
+		Phases:    j.traceView(time.Now()).phaseSummary(),
 		Request:   j.request,
 		CreatedAt: j.createdAt,
 	}

@@ -181,7 +181,7 @@ type Server struct {
 	// queuedSweeps, nextID, nextBatchID, closed, running, parked, yields,
 	// the metrics counters, simRate and every mutable Job/Batch/cell field.
 	// Every scheduler mutation (Submit, Requeue, Cancel, Promote) happens
-	// under mu too, which is what makes the batch endpoint's
+	// under mu too, which is what makes admission's
 	// capacity-check-then-submit atomic; lock order is always s.mu ->
 	// sched's internal mutex.
 	mu         sync.Mutex
@@ -359,10 +359,9 @@ func (s *Server) Close() {
 // stop routing here — while everything already admitted keeps running.
 // Idempotent; Close still does the hard stop afterwards.
 func (s *Server) BeginDrain(expect time.Duration) {
-	secs := max(int(math.Ceil(expect.Seconds())), 1)
 	s.mu.Lock()
 	s.draining = true
-	s.drainRetryAfter = secs
+	s.drainRetryAfter = retryAfterSeconds(expect)
 	s.mu.Unlock()
 	s.logf("server: draining, in-flight work has %v to finish", expect)
 }
@@ -538,7 +537,7 @@ func (s *Server) logTerminalLocked(j *Job, now time.Time) {
 	v := j.traceView(now)
 	s.jobLogger(j).Info("job "+string(j.state),
 		"total_seconds", v.TotalSeconds,
-		"phases", j.phaseSummary(now))
+		"phases", v.phaseSummary())
 }
 
 // --- HTTP handlers ---
@@ -584,105 +583,157 @@ func classFor(label string, def sched.Class) (sched.Class, error) {
 	return sched.ParseClass(label)
 }
 
-// handleSubmit implements POST /v1/sweeps: parse the request, serve it from
-// its stored cells when they are all there, and otherwise admit a job on
-// its cells.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	tr := trace{id: requestTraceID(r)}
-	tr.mark(phaseReceived, time.Now())
-	w.Header().Set("X-Request-Id", tr.id)
-	var req refrint.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
-	}
+// planJob resolves one wire request into a planned member of a
+// submission: a job not yet admitted, with its client label, its class (def
+// when the request names none), its options and their key, its effective
+// timeout, and a trace stamped traceID that opens at received.  A lone POST
+// /v1/sweeps is a plan of one, a POST /v1/batches a plan of one per request.
+// Every error is the client's, answered 400.
+func (s *Server) planJob(req refrint.SweepRequest, def sched.Class, traceID string, received time.Time) (*Job, error) {
 	if err := validateClient(req.Client); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	class, err := classFor(req.Priority, sched.Interactive)
+	class, err := classFor(req.Priority, def)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
 	opts, err := req.Options()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	tr.mark(phaseValidated, time.Now())
-	if ok, wait := s.quota.allow(req.Client, 1); !ok {
+	j := &Job{request: req, opts: opts, key: opts.Key(), class: class, total: opts.Size(),
+		timeout: s.effectiveTimeout(req.TimeoutMS), trace: trace{id: traceID}}
+	j.trace.mark(phaseReceived, received)
+	return j, nil
+}
+
+// decodeBody decodes a JSON body of at most limit bytes into v, rejecting
+// unknown fields, and reports whether it did; if not, it has answered 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// admit admits a plan whole or not at all.  It charges each job's client a
+// token, all-or-nothing (429), and reads the stored results once per key
+// outside the mutex: those jobs are born done and need no queue capacity.
+// Under one hold of the server mutex, which every change to the admission
+// counts also takes, it then refuses the plan (see refusalLocked) or admits
+// every job and calls render, still holding the mutex.  A 503 refunds the
+// charge, so a client honouring its Retry-After does not come back to a
+// drained bucket.  admit reports whether it admitted the plan; if not, it
+// has answered.
+func (s *Server) admit(w http.ResponseWriter, plan []*Job, render func()) bool {
+	validated := time.Now()
+	charge := make(map[string]int, 1)
+	for _, j := range plan {
+		j.trace.mark(phaseValidated, validated)
+		charge[j.request.Client]++
+	}
+	if ok, denied, wait := s.quota.charge(charge); !ok {
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(wait)))
 		writeError(w, http.StatusTooManyRequests,
-			"client %q is over its submission rate, retry later", req.Client)
-		return
+			"client %q is over its submission rate, retry later", denied)
+		return false
 	}
-	key := opts.Key()
-	stored, _ := s.storedResults(opts)
-	if stored != nil {
-		// Born done: leave the manifest like any job that ends done, before
-		// the job is observable.
-		s.recordSweep(key, opts, int(class))
+	stored := make(map[string]*refrint.SweepResults, len(plan))
+	for _, j := range plan {
+		if _, seen := stored[j.key]; !seen {
+			stored[j.key] = s.storedResults(j.opts)
+			if stored[j.key] != nil {
+				// Born done: leave the manifest like any job that ends done,
+				// before the job is observable.
+				s.recordSweep(j.key, j.opts, int(j.class))
+			}
+		}
 	}
 
 	s.mu.Lock()
-	if s.closed || s.draining {
-		retryAfter := s.drainRetryAfter
+	refusal, retryAfter := s.refusalLocked(plan, stored)
+	if refusal != "" {
 		s.mu.Unlock()
-		s.quota.refund(map[string]int{req.Client: 1})
+		s.quota.refund(charge)
 		if retryAfter > 0 {
 			w.Header().Set("Retry-After", fmt.Sprint(retryAfter))
 		}
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
+		writeError(w, http.StatusServiceUnavailable, "%s", refusal)
+		return false
 	}
-	if stored == nil && s.queuedSweeps[class] >= s.cfg.ClassQueueDepth[class] {
-		s.mu.Unlock()
-		// A capacity rejection gives the token back: the client honoring the
-		// Retry-After below must not come back to a drained bucket.
-		s.quota.refund(map[string]int{req.Client: 1})
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint(class)))
-		writeError(w, http.StatusServiceUnavailable, "%s queue is full, retry later", class)
-		return
+	for _, j := range plan {
+		s.submitJobLocked(j, stored[j.key])
 	}
-	job := s.submitJobLocked(req, opts, key, class, s.effectiveTimeout(req.TimeoutMS), tr, stored)
-	status := http.StatusAccepted
-	if job.cacheHit {
-		status = http.StatusOK
-	}
-	view := job.snapshot()
+	render()
 	s.mu.Unlock()
 	s.probeStore()
+	return true
+}
 
+// refusalLocked says why admission turns a plan away with 503, with a
+// Retry-After hint in seconds (0 for none), or "" to admit it.  Caller holds
+// the server mutex.
+func (s *Server) refusalLocked(plan []*Job, stored map[string]*refrint.SweepResults) (string, int) {
+	if s.closed || s.draining {
+		return "server is shutting down", s.drainRetryAfter
+	}
+	var need [sched.NumClasses]int
+	for _, j := range plan {
+		if stored[j.key] == nil {
+			need[j.class]++
+		}
+	}
+	for class, n := range need {
+		// A full class must not veto a plan that needs nothing from it.
+		if free := s.cfg.ClassQueueDepth[class] - s.queuedSweeps[class]; n > 0 && n > free {
+			return fmt.Sprintf("%s queue has %d free slots, batch needs %d; retry later", sched.Class(class), free, n),
+				s.retryAfterHint(sched.Class(class))
+		}
+	}
+	return "", 0
+}
+
+// handleSubmit implements POST /v1/sweeps: the request is admitted as a plan
+// of one, served from its stored cells when they are all there and
+// otherwise queued on its cells.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	received, reqID := time.Now(), requestTraceID(r)
+	w.Header().Set("X-Request-Id", reqID)
+	var req refrint.SweepRequest
+	if !decodeBody(w, r, 1<<20, &req) {
+		return
+	}
+	job, err := s.planJob(req, sched.Interactive, reqID, received)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	var view JobView
+	if !s.admit(w, []*Job{job}, func() { view = job.snapshot() }) {
+		return
+	}
+	status := http.StatusAccepted
+	if view.CacheHit {
+		status = http.StatusOK
+	}
 	w.Header().Set("Location", "/v1/sweeps/"+view.ID)
 	writeJSON(w, status, view)
 }
 
-// submitJobLocked creates one job for a resolved request: born done from
-// stored (the results storedResults read, nil on a miss), or admitted on
-// its cells (see attachCellsLocked; the caller runs probeStore after
-// unlocking).  An admitted job holds one slot of its class until one of
-// its cells starts; a job born done takes none.  timeout bounds the job's
-// wall time from its start (0 = none).  The caller has checked the class
-// has room and holds the server mutex; both POST /v1/sweeps and POST
-// /v1/batches funnel through here, which keeps every scheduler mutation
-// serialized under it.
-func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, key string, class sched.Class, timeout time.Duration, tr trace, stored *refrint.SweepResults) *Job {
+// submitJobLocked admits one planned job: born done from stored (the
+// results storedResults read, nil on a miss), or queued on its cells (see
+// attachCellsLocked; admit runs probeStore after unlocking).  A queued job
+// holds one slot of its class until one of its cells starts; a job born
+// done takes none.  Caller holds the server mutex, which keeps every
+// scheduler mutation serialized under it.
+func (s *Server) submitJobLocked(job *Job, stored *refrint.SweepResults) {
 	s.nextID++
-	job := &Job{
-		id:        fmt.Sprintf("job-%06d", s.nextID),
-		key:       key,
-		request:   req,
-		opts:      opts,
-		class:     class,
-		state:     StateQueued,
-		createdAt: time.Now(),
-		trace:     tr,
-		timeout:   timeout,
-		total:     opts.Size(),
-	}
+	job.id = fmt.Sprintf("job-%06d", s.nextID)
+	job.state = StateQueued
+	job.createdAt = time.Now()
 	job.trace.mark(phaseAdmitted, job.createdAt)
 
 	if stored != nil {
@@ -700,14 +751,16 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 	} else {
 		s.sweepCacheMisses++
 		job.trace.mark(phaseQueued, job.createdAt)
-		s.queuedSweeps[class]++
-		s.logf("sweep %s: queued %s (%d sims)", key, class, job.total)
+		s.queuedSweeps[job.class]++
+		s.logf("sweep %s: queued %s (%d sims)", job.key, job.class, job.total)
 		s.attachCellsLocked(job)
 	}
 	s.jobLogger(job).Debug("job admitted", "state", string(job.state))
 	s.jobs[job.id] = job
 	s.jobOrder = append(s.jobOrder, job.id)
-	s.evictJobsLocked()
+	// Forget the oldest terminal jobs beyond the history bound, releasing
+	// their references to their results.
+	s.jobOrder = evictOldest(s.jobOrder, s.cfg.JobHistory, s.jobs, func(j *Job) bool { return j.state.Terminal() })
 	// Announce the newborn job (and, for a cache hit, its immediate
 	// completion) to firehose subscribers; nobody can be subscribed to the
 	// job's own topic before its id is returned.
@@ -715,20 +768,19 @@ func (s *Server) submitJobLocked(req refrint.SweepRequest, opts sweep.Options, k
 	if job.state.Terminal() {
 		s.publishJobLocked(job, string(job.state))
 	}
-	return job
 }
 
 // storedResults serves a sweep from the store when every one of its cells
 // is there: it checks them all with Contains, then reads them and
 // assembles the Results.  Any miss (a cell evicted between the check and
-// the read included) reports false; the caller then goes through
+// the read included) returns nil; the caller then goes through
 // admission, where stored cells still complete from the store as they are
 // probed.  It runs WITHOUT the server mutex: the store may read disk.
-func (s *Server) storedResults(opts sweep.Options) (*refrint.SweepResults, bool) {
+func (s *Server) storedResults(opts sweep.Options) *refrint.SweepResults {
 	cells := sweep.Cells(opts)
 	for _, c := range cells {
 		if !s.store.Contains(store.KindCell, c.Key.Hash()) {
-			return nil, false
+			return nil
 		}
 	}
 	// Read on one goroutine per P: a cold read is a file read and two JSON
@@ -753,29 +805,29 @@ func (s *Server) storedResults(opts sweep.Options) (*refrint.SweepResults, bool)
 	}
 	wg.Wait()
 	if missed.Load() {
-		return nil, false
+		return nil
 	}
-	return sweep.Assemble(opts, runs), true
+	return sweep.Assemble(opts, runs)
 }
 
-// evictJobsLocked forgets the oldest terminal jobs beyond the history
-// bound, releasing their references to their results.
-// Live jobs are never evicted.  Caller holds the server mutex.
-func (s *Server) evictJobsLocked() {
-	excess := len(s.jobOrder) - s.cfg.JobHistory
+// evictOldest forgets, oldest first, the entries of order beyond bound
+// that finished reports terminal, deleting them from m, and returns the
+// order left.  Live entries are never evicted.
+func evictOldest[V any](order []string, bound int, m map[string]V, finished func(V) bool) []string {
+	excess := len(order) - bound
 	if excess <= 0 {
-		return
+		return order
 	}
-	kept := s.jobOrder[:0]
-	for _, id := range s.jobOrder {
-		if excess > 0 && s.jobs[id].state.Terminal() {
-			delete(s.jobs, id)
+	kept := order[:0]
+	for _, id := range order {
+		if excess > 0 && finished(m[id]) {
+			delete(m, id)
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
-	s.jobOrder = kept
+	return kept
 }
 
 // lookupJob resolves {id} for the per-job handlers.
@@ -877,7 +929,7 @@ func (s *Server) completedResults(w http.ResponseWriter, r *http.Request) (*refr
 		}
 		var m store.Manifest
 		if s.store.Get(store.KindSweep, id, &m) {
-			if res, ok := s.storedResults(m.Options); ok {
+			if res := s.storedResults(m.Options); res != nil {
 				return res, true
 			}
 		}

@@ -139,22 +139,14 @@ func (j *Job) traceView(now time.Time) TraceView {
 }
 
 // phaseSummary renders the compact phase-duration map embedded in job views
-// and terminal log lines: phase name to seconds spent in it, with the same
-// until-next-mark accounting as traceView.  Caller holds the server mutex.
-func (j *Job) phaseSummary(now time.Time) map[string]float64 {
-	marks := j.trace.marks
-	if len(marks) == 0 {
+// and terminal log lines: the timeline's span durations summed by phase.
+func (v TraceView) phaseSummary() map[string]float64 {
+	if len(v.Spans) == 0 {
 		return nil
 	}
-	out := make(map[string]float64, len(marks))
-	for i, m := range marks {
-		end := m.at
-		if i+1 < len(marks) {
-			end = marks[i+1].at
-		} else if !j.state.Terminal() && now.After(m.at) {
-			end = now
-		}
-		out[m.phase] += end.Sub(m.at).Seconds()
+	out := make(map[string]float64, len(v.Spans))
+	for _, sp := range v.Spans {
+		out[sp.Phase] += sp.Seconds
 	}
 	return out
 }

@@ -267,9 +267,10 @@ func Cells(opts Options) []Cell {
 	return cells
 }
 
-// Assemble indexes the runs of a sweep's cells into Results.  runs holds one
-// Run per cell of Cells(opts), in any order; the Results do not depend on
-// the order in which the cells completed.
+// Assemble indexes the runs of a sweep's cells into Results.  runs[i] is the
+// Run of Cells(opts)[i] and is filed under that cell's application and
+// point, whatever labels it carries itself; the Results do not depend on the
+// order in which the cells completed.
 func Assemble(opts Options, runs []Run) *Results {
 	opts = opts.normalise()
 	res := &Results{
@@ -281,11 +282,13 @@ func Assemble(opts Options, runs []Run) *Results {
 	for _, pt := range res.Points {
 		res.Runs[pt.Key()] = make(map[string]Run)
 	}
-	for _, run := range runs {
-		if run.Point.IsBaseline() {
-			res.Baselines[run.App] = run
+	for i, c := range Cells(opts) {
+		run := runs[i]
+		run.App, run.Point = c.App, c.Point
+		if c.Point.IsBaseline() {
+			res.Baselines[c.App] = run
 		} else {
-			res.Runs[run.Point.Key()][run.App] = run
+			res.Runs[c.Point.Key()][c.App] = run
 		}
 	}
 	return res
