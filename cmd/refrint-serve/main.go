@@ -139,7 +139,6 @@ func main() {
 		eventBuffer    = flag.Int("event-buffer", 64, "events buffered per SSE subscriber; progress coalesces (latest wins) so slow consumers never block execution")
 		clientRate     = flag.Float64("client-rate", 0, "per-client submission rate limit in requests/second (0 = no limit); over-quota submissions get 429 with Retry-After")
 		clientBurst    = flag.Int("client-burst", 0, "per-client submission burst with -client-rate (0 = ceil(client-rate))")
-		ageAfter       = flag.Duration("age-after", 0, "age a queued sweep one priority class up after waiting this long (0 = never), so interactive floods cannot starve background work forever")
 		jobTimeout     = flag.Duration("job-timeout", 0, "fail any sweep execution that outlives this wall-clock bound (0 = none); a request's timeout_ms may only lower it")
 		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM/SIGINT, how long in-flight sweeps get to finish before the hard stop")
 		faultSpec      = flag.String("fault-spec", "", "inject faults for chaos testing, e.g. 'store.put:error:0.5,sim.run:panic:0.01' (point:mode[:arg][:rate], comma-separated; NEVER set in production)")
@@ -197,7 +196,6 @@ func main() {
 		EventBuffer:     *eventBuffer,
 		ClientRate:      *clientRate,
 		ClientBurst:     *clientBurst,
-		AgeAfter:        *ageAfter,
 		JobTimeout:      *jobTimeout,
 		Store:           st,
 		Logger:          logger,

@@ -87,9 +87,6 @@ func (c CacheConfig) Sets() int {
 
 // LinesPerBank returns the number of lines held by one bank.
 func (c CacheConfig) LinesPerBank() int {
-	if c.Banks <= 0 {
-		return c.SizeBytes / c.LineSize
-	}
 	return c.SizeBytes / c.LineSize
 }
 

@@ -27,6 +27,7 @@
 //	store.get:corrupt:0.1        a tenth of store reads find a corrupt blob
 //	sim.run:panic:1              every simulation panics
 //	exec.latency:latency:2s      every simulation takes 2s longer
+//	job.complete:panic           every job panics as its results are assembled
 //	store.put:error:1,sim.run:latency:10ms:0.1
 //
 // The injector is process-global and deliberately crude: it exists to
@@ -54,6 +55,7 @@ const (
 	StoreGet    = "store.get"    // persistent-store blob reads
 	SimRun      = "sim.run"      // one simulation cell, inside the recover guard
 	ExecLatency = "exec.latency" // extra latency per simulation cell
+	JobComplete = "job.complete" // one job's assembly and manifest write, inside the recover guard
 )
 
 // ErrInjected is the error returned by error-mode injection.  Callers that

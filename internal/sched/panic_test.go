@@ -95,50 +95,3 @@ func TestWorkerSurvivesPanicWithoutHook(t *testing.T) {
 		t.Fatal("worker did not survive the unhooked panic")
 	}
 }
-
-// TestAgingTickerSurvivesPanickingOnAge verifies a panicking OnAge callback
-// reaches OnPanic and the ticker keeps scanning afterwards.
-func TestAgingTickerSurvivesPanickingOnAge(t *testing.T) {
-	panicked := make(chan struct{}, 8)
-	block := make(chan struct{})
-	s := New(Config{
-		Workers:  1,
-		AgeAfter: 5 * time.Millisecond,
-		OnAge:    func(payload any, from, to Class) { panic("aging callback bug") },
-		OnPanic:  func(payload, recovered any, stack []byte) { panicked <- struct{}{} },
-	})
-	s.Start(func(payload any) {
-		if payload == "blocker" {
-			<-block
-		}
-	})
-	defer s.Close()
-	defer close(block)
-
-	// Park the lone worker on a blocking item so queued work can age instead
-	// of being dequeued immediately.
-	if _, ok := s.Submit("c", Interactive, "blocker"); !ok {
-		t.Fatal("Submit(blocker) rejected")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Busy == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the blocker")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	if _, ok := s.Submit("c", Background, "ages"); !ok {
-		t.Fatal("Submit rejected")
-	}
-	// The item ages twice (Background into Batch, then Batch into
-	// Interactive); each hop's OnAge panics and each panic must reach
-	// OnPanic — the second event proves the ticker survived the first.
-	for i := 0; i < 2; i++ {
-		select {
-		case <-panicked:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("aging ticker died after OnAge panic (saw %d of 2 events)", i)
-		}
-	}
-}

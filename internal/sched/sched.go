@@ -85,20 +85,8 @@ type Config struct {
 	// Weights are the weighted-round-robin dequeue shares per class
 	// (default DefaultWeights; minimum 1 each).
 	Weights [NumClasses]int
-	// AgeAfter, where positive, turns on queue-wait aging: an item queued
-	// longer than AgeAfter ages one class up (Background into Batch, Batch
-	// into Interactive) in place — same client FIFO slot in the target
-	// class, same Handle — so sustained urgent floods cannot starve queued
-	// low-priority work forever.  Aging restarts the item's wait clock, so a
-	// second hop needs another full AgeAfter.  Start's ticker scans every
-	// AgeAfter/4, clamped to [10ms, 1s]; tests drive scans through AgeOnce.
-	AgeAfter time.Duration
-	// OnAge, when set, is invoked once per aged item — outside the
-	// scheduler mutex, so callbacks may call back into the scheduler or
-	// take their own locks.
-	OnAge func(payload any, from, to Class)
 	// OnPanic, when set, receives every panic recovered from a run
-	// callback, an OnDequeue hook or an aging-scan callback.  Worker goroutines always recover: a
+	// callback or an OnDequeue hook.  Worker goroutines always recover: a
 	// panicking callback loses its item, never the worker (and with it the
 	// process).  With OnPanic unset the recovered value is discarded, so
 	// owners that need the signal (the server logs it and fails the job)
@@ -107,7 +95,7 @@ type Config struct {
 	// OnDequeue, when set, is invoked by the worker that popped an item,
 	// after the scheduler mutex is released and before run executes it,
 	// with the class the item was dequeued from and the time it spent
-	// queued in that class (the clock restarts on Promote and aging).
+	// queued in that class (the clock restarts on Promote).
 	// This surfaces the queue-phase timestamps to the owner for tracing
 	// and latency histograms; callbacks may take their own locks.
 	OnDequeue func(payload any, class Class, wait time.Duration)
@@ -214,13 +202,11 @@ type Scheduler struct {
 	queued  [NumClasses]int // live (not cancelled) queued items per class
 	busy    int             // workers currently running an item
 	closed  bool
-	quit    chan struct{}  // closed by Close; stops the aging ticker
 	free    *item          // free list of recycled items
 	cqFree  []*clientQueue // free list of recycled client FIFOs
 	wg      sync.WaitGroup
 
 	waitCount [NumClasses]int64
-	aged      [NumClasses][NumClasses]int64 // [from][to] queue-wait promotions
 }
 
 // New builds a scheduler.  Call Start to spawn the workers (tests drive the
@@ -237,7 +223,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Scheduler{cfg: cfg, credits: cfg.Weights, quit: make(chan struct{})}
+	s := &Scheduler{cfg: cfg, credits: cfg.Weights}
 	s.cond = sync.NewCond(&s.mu)
 	for c := range s.classes {
 		s.classes[c].clients = make(map[string]*clientQueue)
@@ -258,9 +244,8 @@ func (s *Scheduler) Submit(client string, class Class, payload any) (Handle, boo
 // (the sweep service's preempted cell): payload goes to the front of its
 // client's FIFO in class, and that client to the round-robin cursor, so it
 // is the next item taken from the class.  Its wait clock starts afresh, so
-// its second queue wait is accounted like the first.  Cancel, Promote and
-// aging work on it as on a submitted item; because its clock is younger
-// than those of the items queued behind it, they age only once it has.
+// its second queue wait is accounted like the first.  Cancel and Promote
+// work on it as on a submitted item.
 func (s *Scheduler) Requeue(client string, class Class, payload any) (Handle, bool) {
 	return s.add(client, class, payload, true)
 }
@@ -338,8 +323,7 @@ func (s *Scheduler) Promote(h Handle, to Class) (Handle, bool) {
 // Start spawns the worker goroutines; run is invoked once per dequeued
 // payload, behind a recover guard (see Config.OnPanic) so a panicking
 // callback can never kill a worker.  Items submitted before Start simply
-// wait.  With AgeAfter set it also spawns the aging ticker, which stops when
-// Close is called.
+// wait.
 func (s *Scheduler) Start(run func(payload any)) {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -352,25 +336,6 @@ func (s *Scheduler) Start(run func(payload any)) {
 				}
 				s.dispatchGuarded(run, it)
 				s.done(it)
-			}
-		}()
-	}
-	if s.cfg.AgeAfter > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			// The aging scan calls the external OnAge hook; guard it like
-			// run so a buggy callback cannot kill the ticker goroutine.
-			age := func(any) { s.AgeOnce() }
-			t := time.NewTicker(min(max(s.cfg.AgeAfter/4, 10*time.Millisecond), time.Second))
-			defer t.Stop()
-			for {
-				select {
-				case <-s.quit:
-					return
-				case <-t.C:
-					s.runGuarded(age, nil)
-				}
 			}
 		}()
 	}
@@ -392,28 +357,12 @@ func (s *Scheduler) dispatchGuarded(run func(payload any), it *item) {
 	run(it.payload)
 }
 
-// runGuarded invokes run(payload) with panic containment: a recovered panic
-// is handed to Config.OnPanic (when set) with the panicking goroutine's
-// stack, and the caller's goroutine survives.  Deliberately not a closure
-// over any loop body — callers on hot paths stay allocation-free.
-func (s *Scheduler) runGuarded(run func(payload any), payload any) {
-	defer func() {
-		if r := recover(); r != nil && s.cfg.OnPanic != nil {
-			s.cfg.OnPanic(payload, r, debug.Stack())
-		}
-	}()
-	run(payload)
-}
-
 // Close rejects further submissions, lets the workers drain every queued
 // item (each still passes through run, which observes its cancelled context)
 // and waits for them to exit.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.quit)
-	}
+	s.closed = true
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	s.wg.Wait()
@@ -428,8 +377,6 @@ type Stats struct {
 	Queued [NumClasses]int
 	// WaitCount counts dequeues per class.
 	WaitCount [NumClasses]int64
-	// Aged counts queue-wait aging promotions, indexed [from][to].
-	Aged [NumClasses][NumClasses]int64
 }
 
 // Stats returns a snapshot of the scheduler's counters.
@@ -441,7 +388,6 @@ func (s *Scheduler) Stats() Stats {
 		Busy:      s.busy,
 		Queued:    s.queued,
 		WaitCount: s.waitCount,
-		Aged:      s.aged,
 	}
 }
 
@@ -664,92 +610,4 @@ func (s *Scheduler) done(it *item) {
 	s.busy--
 	s.releaseLocked(it)
 	s.mu.Unlock()
-}
-
-// --- queue-wait aging ---
-
-// agedItem records one aging promotion for the post-scan OnAge callbacks.
-type agedItem struct {
-	payload  any
-	from, to Class
-}
-
-// AgeOnce runs one aging scan: every item queued longer than AgeAfter moves
-// one class up (Background into Batch, Batch into Interactive), in place —
-// same item, so outstanding Handles stay valid; same client FIFO in the
-// target class, so the client keeps its fair-share slot.  It returns how
-// many items aged, and is a no-op unless Config.AgeAfter is positive.  Start
-// runs this on a ticker; tests call it directly.
-func (s *Scheduler) AgeOnce() int {
-	if s.cfg.AgeAfter <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	aged := s.ageScanLocked(s.cfg.Now())
-	s.mu.Unlock()
-	if s.cfg.OnAge != nil {
-		for _, a := range aged {
-			s.cfg.OnAge(a.payload, a.from, a.to)
-		}
-	}
-	return len(aged)
-}
-
-// ageScanLocked finds and promotes every overdue queued item.  Batch ages
-// before Background, so an item cannot double-hop within one scan even
-// though its clock restarts on every hop.  Within one client FIFO items sit
-// in non-decreasing submit-time order (pushes append, and aged arrivals get
-// a fresh clock), so each scan stops at the first young front — aging
-// preserves the client's FIFO order in the target class.
-func (s *Scheduler) ageScanLocked(now time.Time) []agedItem {
-	var out []agedItem
-	for _, hop := range [...][2]Class{{Batch, Interactive}, {Background, Batch}} {
-		from, to := hop[0], hop[1]
-		if s.queued[from] == 0 {
-			continue
-		}
-		cq := &s.classes[from]
-		for ci := 0; ci < len(cq.ring); {
-			q := cq.ring[ci]
-			s.ageClientLocked(cq, q, from, to, now, &out)
-			// ageClientLocked retires a drained q from the ring; only
-			// advance while the slot still holds it.
-			if ci < len(cq.ring) && cq.ring[ci] == q {
-				ci++
-			}
-		}
-	}
-	return out
-}
-
-// ageClientLocked moves q's overdue front items (oldest first) from class
-// from to class to, stopping at the first item still young enough.  It
-// retires q when the move drains it.
-func (s *Scheduler) ageClientLocked(cq *classQueue, q *clientQueue, from, to Class, now time.Time, out *[]agedItem) {
-	for {
-		for q.n > 0 && q.front().state == itemCancelled {
-			s.releaseLocked(q.popFront())
-		}
-		if q.n == 0 {
-			break
-		}
-		it := q.front()
-		if now.Sub(it.at) < s.cfg.AgeAfter {
-			break
-		}
-		q.popFront()
-		s.queued[from]--
-		// Like Promote: the clock restarts, so the wait OnDequeue reports is
-		// the time spent in the new class and a second hop needs another
-		// full AgeAfter.
-		it.at = now
-		it.class = to
-		s.enqueueLocked(it, false)
-		s.aged[from][to]++
-		*out = append(*out, agedItem{payload: it.payload, from: from, to: to})
-	}
-	if q.n == 0 {
-		s.unringLocked(cq, q)
-		s.retireClientLocked(cq, q)
-	}
 }

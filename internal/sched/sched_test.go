@@ -379,7 +379,7 @@ func TestParseClass(t *testing.T) {
 // back is the next one taken from its class, ahead of its own client's
 // queue and of other clients the round-robin cursor would serve first,
 // whether or not its client still has items queued.  Its queued handle
-// cancels and promotes like a submitted item's, and it ages.
+// cancels and promotes like a submitted item's.
 func TestRequeueIsNextFromClass(t *testing.T) {
 	s := New(Config{Workers: 1})
 	for _, sub := range []struct{ client, name string }{
@@ -435,15 +435,4 @@ func TestRequeueIsNextFromClass(t *testing.T) {
 		t.Fatalf("queued after cancel and promote = %v, want [1 0 0]", st.Queued)
 	}
 	drainPayloads(s)
-
-	now := time.Unix(0, 0)
-	aging := New(Config{Workers: 1, AgeAfter: time.Second, Now: func() time.Time { return now }})
-	aging.Requeue("a", Background, "old")
-	now = now.Add(2 * time.Second)
-	if n := aging.AgeOnce(); n != 1 {
-		t.Fatalf("aged %d requeued items, want 1", n)
-	}
-	if st := aging.Stats(); st.Queued != [NumClasses]int{0, 1, 0} {
-		t.Fatalf("queued after aging = %v, want [0 1 0]", st.Queued)
-	}
 }

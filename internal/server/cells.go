@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"refrint/internal/faults"
 	"refrint/internal/sched"
 	"refrint/internal/store"
 	"refrint/internal/sweep"
@@ -442,12 +443,30 @@ func (s *Server) completeJobs(done []*Job) {
 		j.trace.mark(phasePersisting, time.Now())
 		rank := int(j.class)
 		s.mu.Unlock()
-		res := sweep.Assemble(j.opts, runs)
-		s.recordSweep(j.key, j.opts, rank)
+		res, err := s.assembleGuarded(j, runs, rank)
 		s.mu.Lock()
-		s.finishLocked(j, res, nil)
+		s.finishLocked(j, res, err)
 		s.mu.Unlock()
 	}
+}
+
+// assembleGuarded assembles a job's results and records its manifest behind
+// a recover guard: a panic there fails this job alone, with reason "panic",
+// and the caller goes on to the next job.  The guard must be here: the
+// scheduler's guard sees only the cell, which is already done.
+func (s *Server) assembleGuarded(j *Job, runs []sweep.Run, rank int) (res *sweep.Results, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.recordPanic("complete", r, debug.Stack())
+			res, err = nil, fmt.Errorf("job completion panicked: %v: %w", r, errPanicked)
+		}
+	}()
+	if err := faults.Check(faults.JobComplete); err != nil {
+		return nil, err
+	}
+	res = sweep.Assemble(j.opts, runs)
+	s.recordSweep(j.key, j.opts, rank)
+	return res, nil
 }
 
 // recordSweep writes the manifest of a sweep whose job ended done, which
@@ -553,45 +572,6 @@ func (s *Server) reclassCellLocked(c *cell) {
 		if h, ok := s.sched.Promote(c.handle, want); ok {
 			c.handle, c.class = h, want
 			s.preemptLocked()
-		}
-	}
-}
-
-// ageCellLocked follows a scheduler aging promotion of one queued cell: the
-// cell's class, and every waiting job less urgent than it, move up — with
-// the job's admission slot and its other queued cells — so a sweep ages as
-// a whole.  It makes no room check: holding an aged job back from a full
-// class would bring back the starvation aging exists to prevent, so aging
-// may take a class past its ClassQueueDepth.  Caller holds the server
-// mutex.
-func (s *Server) ageCellLocked(c *cell, to sched.Class) {
-	if c.state != cellQueued || to >= c.class {
-		return
-	}
-	c.class = to
-	for _, w := range c.waiters {
-		j := w.j
-		if j.state.Terminal() || to >= j.class {
-			continue
-		}
-		if j.state == StateQueued {
-			s.queuedSweeps[j.class]--
-			s.queuedSweeps[to]++
-		}
-		// Job views, published events and firehose ?class= filters report
-		// where the work actually runs.
-		j.class = to
-		s.reclassCellsLocked(j)
-	}
-	s.preemptLocked()
-}
-
-// reclassCellsLocked re-derives the class of each of a job's waiting cells
-// after the job's class changed.  Caller holds the server mutex.
-func (s *Server) reclassCellsLocked(j *Job) {
-	for _, c := range j.cells {
-		if c != nil {
-			s.reclassCellLocked(c)
 		}
 	}
 }

@@ -322,3 +322,48 @@ func TestChaosStoreGetCorruption(t *testing.T) {
 		t.Errorf("resubmit after recompute: status %d, cache_hit %v; want 200 from re-persisted cells", status, final.CacheHit)
 	}
 }
+
+// TestChaosJobCompletePanic verifies a panic while completing a job ends
+// that job, not the service: two jobs waiting on the same last cell both
+// fail with reason "panic" (counted at site "complete") instead of staying
+// running, and with injection off the same sweep completes.
+func TestChaosJobCompletePanic(t *testing.T) {
+	sim := newCellSim(7)
+	h := newHarness(t, Config{Execute: sim.fn, Workers: 1})
+	first, status := h.submit(tinyRequest(7))
+	if status != http.StatusAccepted {
+		t.Fatalf("POST status = %d, want %d", status, http.StatusAccepted)
+	}
+	<-sim.started
+	second, status := h.submit(tinyRequest(7)) // joins the same cells
+	if status != http.StatusAccepted {
+		t.Fatalf("second POST status = %d, want %d", status, http.StatusAccepted)
+	}
+	enableFaults(t, "job.complete:panic:1")
+	close(sim.release)
+
+	for _, id := range []string{first.ID, second.ID} {
+		if failed := h.waitState(id, StateFailed); failed.Reason != "panic" {
+			t.Errorf("job %s reason = %q, want %q", id, failed.Reason, "panic")
+		}
+	}
+	if got := metricValue(t, h.metricsText(), `refrint_panics_total{site="complete"}`); got != 2 {
+		t.Errorf(`refrint_panics_total{site="complete"} = %g, want 2`, got)
+	}
+	var list struct {
+		Jobs []JobView `json:"jobs"`
+	}
+	h.do("GET", "/v1/sweeps", nil, &list)
+	for _, j := range list.Jobs {
+		if !j.State.Terminal() {
+			t.Errorf("job %s is %s after its last cell", j.ID, j.State)
+		}
+	}
+
+	faults.Disable()
+	again, status := h.submit(tinyRequest(7))
+	if status != http.StatusOK && status != http.StatusAccepted {
+		t.Fatalf("resubmit status = %d", status)
+	}
+	h.waitState(again.ID, StateDone)
+}

@@ -86,9 +86,8 @@ type Job struct {
 	key     string
 	request refrint.SweepRequest
 	opts    sweep.Options
-	// class is the job's scheduling class: the one it was submitted with,
-	// or a more urgent one its cells aged into.  A queued job holds one
-	// admission slot of this class (Server.queuedSweeps).
+	// class is the job's scheduling class, fixed at admission.  A queued
+	// job holds one admission slot of this class (Server.queuedSweeps).
 	class sched.Class
 	trace trace // lifecycle timeline + request trace ID (trace.go)
 

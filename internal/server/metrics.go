@@ -141,11 +141,6 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	writeHistogramFamily(b, "refrint_http_request_seconds",
 		"HTTP request latency, by route pattern and status code.",
 		s.httpMetrics.series())
-	fmt.Fprintf(b, "# HELP refrint_sched_aged_total Queued cells aged into a more urgent class after waiting past the age threshold.\n# TYPE refrint_sched_aged_total counter\n")
-	for to := sched.Class(0); to < sched.NumClasses-1; to++ {
-		from := to + 1
-		fmt.Fprintf(b, "refrint_sched_aged_total{from=%q,to=%q} %d\n", from.String(), to.String(), sst.Aged[from][to])
-	}
 	fmt.Fprintf(b, "# HELP refrint_cell_preemptions_total Running cells preempted for a more urgent queued cell and requeued to resume, by the class of the preempted cell.\n# TYPE refrint_cell_preemptions_total counter\n")
 	for c := sched.Class(0); c < sched.NumClasses; c++ {
 		fmt.Fprintf(b, "refrint_cell_preemptions_total{class=%q} %d\n", c.String(), snap.preemptions[c])
@@ -170,14 +165,14 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	// dashboards can rate() them from the first scrape; any further site
 	// that ever recorded a panic is appended after.
 	fmt.Fprintf(b, "# HELP refrint_panics_total Panics recovered without killing the process, by recovery site.\n# TYPE refrint_panics_total counter\n")
-	known := []string{"exec", "sched", "sim"}
+	known := []string{"complete", "exec", "sched", "sim"}
 	for _, site := range known {
 		fmt.Fprintf(b, "refrint_panics_total{site=%q} %d\n", site, snap.panics[site])
 	}
 	extra := make([]string, 0, len(snap.panics))
 	for site := range snap.panics {
 		switch site {
-		case "exec", "sched", "sim":
+		case "complete", "exec", "sched", "sim":
 		default:
 			extra = append(extra, site)
 		}

@@ -219,13 +219,13 @@ func (q *clientQuota) boundLocked() {
 	if excess <= 0 {
 		return
 	}
-	type aged struct {
+	type lastSeen struct {
 		client string
 		last   time.Time
 	}
-	all := make([]aged, 0, len(q.buckets))
+	all := make([]lastSeen, 0, len(q.buckets))
 	for c, b := range q.buckets {
-		all = append(all, aged{c, b.last})
+		all = append(all, lastSeen{c, b.last})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].last.Before(all[j].last) })
 	for _, a := range all[:min(excess+quotaMaxClients/8, len(all))] {

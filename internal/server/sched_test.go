@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -364,48 +365,50 @@ func TestCancelUrgentJobDemotesSharedCells(t *testing.T) {
 }
 
 // TestClassDepthIsolation verifies per-class bounds: filling the background
-// queue must not reject interactive submissions.
+// queue must not reject interactive submissions, and no class ever holds
+// more queued sweeps than its bound.
 func TestClassDepthIsolation(t *testing.T) {
 	exec := newBlockingExec()
+	bounds := [sched.NumClasses]int{2, 2, 1}
 	h := newHarness(t, Config{
 		Workers:         1,
-		ClassQueueDepth: [sched.NumClasses]int{2, 2, 1},
+		ClassQueueDepth: bounds,
 		Execute:         exec.fn,
 	})
+	submit := func(seed int64, priority string, want int) {
+		t.Helper()
+		req := tinyRequest(seed)
+		req.Priority = priority
+		if _, status := h.submit(req); status != want {
+			t.Fatalf("%s seed %d: status %d, want %d", priority, seed, status, want)
+		}
+		for c := sched.Class(0); c < sched.NumClasses; c++ {
+			name := fmt.Sprintf("refrint_sweeps_queued{class=%q}", c.String())
+			if v := h.schedMetric(name); v > float64(bounds[c]) {
+				t.Fatalf("%s = %g, past its bound %d", name, v, bounds[c])
+			}
+		}
+	}
 
-	h.submit(tinyRequest(40))
+	submit(40, "interactive", http.StatusAccepted)
 	<-exec.started
-
-	bg := tinyRequest(41)
-	bg.Priority = "background"
-	if _, status := h.submit(bg); status != http.StatusAccepted {
-		t.Fatalf("background fill: status %d", status)
-	}
-	over := tinyRequest(42)
-	over.Priority = "background"
-	if _, status := h.submit(over); status != http.StatusServiceUnavailable {
-		t.Fatalf("background overflow: status %d, want 503", status)
-	}
-	inter := tinyRequest(43)
-	inter.Priority = "interactive"
-	if _, status := h.submit(inter); status != http.StatusAccepted {
-		t.Fatalf("interactive beside a full background queue: status %d, want 202", status)
-	}
+	submit(41, "background", http.StatusAccepted)
+	submit(42, "background", http.StatusServiceUnavailable)
+	submit(43, "interactive", http.StatusAccepted)
+	submit(44, "interactive", http.StatusAccepted)
+	submit(45, "interactive", http.StatusServiceUnavailable)
 	close(exec.release)
 }
 
-// TestAgingMayExceedClassBound pins a deliberate gap in admission control:
-// aging moves a queued sweep into a more urgent class even when that class
-// is at its ClassQueueDepth bound.  Holding the hop back until the class
-// had room would let a steady stream of urgent submissions starve the aged
-// sweep, which is what aging exists to prevent.  Admission still enforces
-// the bound: a new submission to the over-full class is refused.
-func TestAgingMayExceedClassBound(t *testing.T) {
+// TestJobClassFixedAtAdmission verifies that a queued sweep keeps the class
+// it was admitted to while a more urgent class sits at its bound: nothing
+// moves it up, so the urgent class never holds more queued sweeps than
+// ClassQueueDepth allows, and the sweep still runs once the worker frees.
+func TestJobClassFixedAtAdmission(t *testing.T) {
 	exec := newBlockingExec()
 	h := newHarness(t, Config{
 		Workers:         1,
 		ClassQueueDepth: [sched.NumClasses]int{1, 4, 4},
-		AgeAfter:        20 * time.Millisecond,
 		Execute:         exec.fn,
 	})
 
@@ -421,25 +424,23 @@ func TestAgingMayExceedClassBound(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("batch submit: status %d, want 202", status)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for h.schedMetric(`refrint_sweeps_queued{class="interactive"}`) != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("the batch sweep never aged into the full interactive class")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if v := h.schedMetric(`refrint_sweeps_queued{class="batch"}`); v != 0 {
-		t.Fatalf("batch queued sweeps = %v after aging, want 0", v)
-	}
-	if p := h.getJob(bview.ID).Priority; p != "interactive" {
-		t.Fatalf("aged job reports priority %q, want interactive", p)
-	}
 	if _, status := h.submit(tinyRequest(4)); status != http.StatusServiceUnavailable {
 		t.Fatalf("interactive submit past the bound: status %d, want 503", status)
 	}
 
+	if v := h.schedMetric(`refrint_sweeps_queued{class="interactive"}`); v != 1 {
+		t.Fatalf("interactive queued sweeps = %v, want 1 (its bound)", v)
+	}
+	if v := h.schedMetric(`refrint_sweeps_queued{class="batch"}`); v != 1 {
+		t.Fatalf("batch queued sweeps = %v, want 1", v)
+	}
+	if p := h.getJob(bview.ID).Priority; p != "batch" {
+		t.Fatalf("queued job reports priority %q, want batch", p)
+	}
+
 	close(exec.release)
-	h.waitState(bview.ID, StateDone)
+	if p := h.waitState(bview.ID, StateDone).Priority; p != "batch" {
+		t.Fatalf("finished job reports priority %q, want batch", p)
+	}
 	h.waitState(pin.ID, StateDone)
 }

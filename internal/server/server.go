@@ -56,8 +56,6 @@ type Config struct {
 	QueueDepth int
 	// ClassQueueDepth, where positive, bounds the queued jobs of one
 	// priority class (indexed by sched.Class) instead of Workers*QueueDepth.
-	// A queued job that ages into a class is not held back by that class's
-	// bound, so aging can take a class past it.
 	ClassQueueDepth [sched.NumClasses]int
 	// ClassWeights are the weighted-fair dequeue shares per priority class
 	// (default sched.DefaultWeights, 16/4/1): with every class backlogged,
@@ -90,13 +88,6 @@ type Config struct {
 	// ceil(ClientRate), minimum 1).  Batches larger than the burst can
 	// never be admitted for a rate-limited client.
 	ClientBurst int
-	// AgeAfter, where positive, turns on queue-wait aging in the scheduler:
-	// a cell queued longer than AgeAfter ages one class up (background
-	// into batch, batch into interactive) without losing its client
-	// fair-share slot, taking its sweep's other cells along, so interactive
-	// floods cannot starve queued low-priority work forever.  The default
-	// (0) disables aging.
-	AgeAfter time.Duration
 	// JobTimeout, where positive, bounds each job's wall time from its
 	// first cell starting: one that outlives it turns terminal failed with a
 	// deadline-exceeded reason, and its cells no other job waits on leave
@@ -193,7 +184,8 @@ type Server struct {
 	// simulated, by key (cells.go).  probes holds the fresh cells awaiting
 	// their store lookup.  queuedSweeps counts, per class, the admitted
 	// jobs none of whose cells has started: what the per-class admission
-	// bounds (Config.ClassQueueDepth) limit.
+	// bounds (Config.ClassQueueDepth) limit.  A job's class never changes,
+	// so queuedSweeps[c] never exceeds the bound of class c.
 	cells        map[sweep.CellKey]*cell
 	probes       []*cell
 	queuedSweeps [sched.NumClasses]int
@@ -221,10 +213,10 @@ type Server struct {
 	cellReuses       int64 // followers served from their leader's run (cells.go)
 	simsCompleted    int64 // simulations delivered to jobs (cell hits included)
 	// panicsTotal counts recovered panics by site: "sim" (inside a sweep
-	// cell), "exec" (the Execute wrapper) and "sched" (scheduler
-	// callbacks).  Every recovery is also logged with its stack.
-	// jobTimeouts counts jobs that hit their deadline, by class.  Both
-	// guarded by mu.
+	// cell), "exec" (the Execute wrapper), "sched" (scheduler callbacks)
+	// and "complete" (a job's assembly and manifest write).  Every
+	// recovery is also logged with its stack.  jobTimeouts counts jobs that
+	// hit their deadline, by class.  Both guarded by mu.
 	panicsTotal map[string]int64
 	jobTimeouts [sched.NumClasses]int64
 	// preemptions counts running cells preempted for a more urgent one, by
@@ -272,19 +264,8 @@ func New(cfg Config) *Server {
 	// The scheduler queues cells, not jobs: admission is bounded per class
 	// in queued jobs (queuedSweeps), before any cell reaches it.
 	s.sched = sched.New(sched.Config{
-		Workers:  cfg.Workers,
-		Weights:  cfg.ClassWeights,
-		AgeAfter: cfg.AgeAfter,
-		// Keep the server's view of an aged cell — and of its jobs — in
-		// sync.  The callback runs outside the scheduler mutex, so taking s.mu
-		// here respects the s.mu -> sched lock order.
-		OnAge: func(payload any, from, to sched.Class) {
-			c := payload.(*cell)
-			s.mu.Lock()
-			s.ageCellLocked(c, to)
-			s.mu.Unlock()
-			s.logf("cell %s/%s: aged %s -> %s after queue wait", c.sc.App, c.sc.Point.Key(), from, to)
-		},
+		Workers: cfg.Workers,
+		Weights: cfg.ClassWeights,
 		// OnDequeue runs on the worker goroutine with no scheduler lock
 		// held: it feeds the per-class queue-wait histogram.
 		OnDequeue: func(payload any, class sched.Class, wait time.Duration) {

@@ -12,6 +12,7 @@ import (
 
 	"refrint"
 	"refrint/internal/sched"
+	"refrint/internal/sweep"
 )
 
 // labeledMetric extracts one labelled sample (e.g. `name{class="batch"}`)
@@ -311,29 +312,52 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	_ = running
 }
 
-// TestAgingLiftsBackgroundUnderLoad is the aging acceptance test: with the
-// only worker pinned by an interactive sweep and more interactive work
-// queued, a background sweep ages hop by hop into the interactive class —
-// visible in refrint_sched_aged_total — and completes once the worker frees,
-// instead of starving behind the interactive flood.
-func TestAgingLiftsBackgroundUnderLoad(t *testing.T) {
-	exec := newBlockingExec()
-	h := newHarness(t, Config{
-		Workers:  1,
-		AgeAfter: 25 * time.Millisecond,
-		Execute:  exec.fn,
-	})
-
-	pin, _ := h.submit(tinyRequest(1))
-	<-exec.started // the worker is now occupied
-
-	// Sustained interactive load: more interactive sweeps queued ahead.
-	for seed := int64(2); seed <= 4; seed++ {
-		if _, status := h.submit(tinyRequest(seed)); status != http.StatusAccepted {
-			t.Fatalf("interactive seed %d: status %d", seed, status)
-		}
+// TestBackgroundFinishesUnderInteractiveFlood pins the anti-starvation
+// guarantee of the weighted round-robin at the default 16/4/1 weights: with
+// interactive cells queued on the only worker for the whole test, a
+// background sweep still reaches done, each of its cells taken on its
+// class's turn after at most 16 interactive cells, and an interactive sweep
+// arriving during a turn does not preempt it.
+func TestBackgroundFinishesUnderInteractiveFlood(t *testing.T) {
+	const first, bgSeed = 1000, 50
+	turn := sched.DefaultWeights[sched.Interactive] // interactive cells per background turn
+	backlog := turn + 1                             // two-cell sweeps: enough for both turns
+	seeds := []int64{bgSeed}                        // every cell is held until released
+	// The interactive sweeps: the first, the backlog and one per turn.
+	for seed := int64(first); seed < first+int64(backlog)+3; seed++ {
+		seeds = append(seeds, seed)
 	}
-	bgReq := tinyRequest(50)
+	sim := newCellSim(seeds...)
+	h := newHarness(t, Config{
+		Workers:         1,
+		ClassQueueDepth: [sched.NumClasses]int{2 * backlog, 0, 0},
+		Execute:         sim.fn,
+	})
+	next := int64(first)
+	interactive := func() {
+		t.Helper()
+		if _, status := h.submit(tinyRequest(next)); status != http.StatusAccepted {
+			t.Fatalf("interactive seed %d: status %d", next, status)
+		}
+		next++
+	}
+	awaitStart := func() sweep.CellKey {
+		t.Helper()
+		select {
+		case k := <-sim.started:
+			return k
+		case <-time.After(30 * time.Second):
+			t.Fatal("no cell started")
+		}
+		return sweep.CellKey{}
+	}
+
+	interactive()
+	k := awaitStart() // the worker holds the first interactive cell
+	for range backlog {
+		interactive()
+	}
+	bgReq := tinyRequest(bgSeed)
 	bgReq.Priority = "background"
 	bgReq.Client = "nightly"
 	bg, status := h.submit(bgReq)
@@ -341,35 +365,25 @@ func TestAgingLiftsBackgroundUnderLoad(t *testing.T) {
 		t.Fatalf("background submit: status %d", status)
 	}
 
-	// Two full age periods lift it background -> batch -> interactive.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		text := h.metricsText()
-		hop1 := labeledMetric(t, text, `refrint_sched_aged_total{from="background",to="batch"}`)
-		hop2 := labeledMetric(t, text, `refrint_sched_aged_total{from="batch",to="interactive"}`)
-		if hop1 >= 1 && hop2 >= 1 {
-			break
+	served := 0 // interactive cells started while the background job waits
+	for h.getJob(bg.ID).State != StateDone {
+		if k.Seed == bgSeed {
+			interactive()
+			time.Sleep(20 * time.Millisecond) // a yield would land well within this
+		} else if served++; served > 2*turn {
+			t.Fatalf("background job %q after %d interactive cells, want done after at most %d",
+				h.getJob(bg.ID).State, served, 2*turn)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("aging counters never moved: hop1=%g hop2=%g", hop1, hop2)
+		if d := h.schedMetric(`refrint_sched_queue_depth{class="interactive"}`); d == 0 {
+			t.Fatal("the interactive backlog drained")
 		}
-		time.Sleep(5 * time.Millisecond)
+		sim.release <- struct{}{}
+		k = awaitStart()
 	}
-
-	// The aged cell's jobs follow it: job views must report the
-	// effective (aged) class, not the submitted one.  Poll briefly — the
-	// OnAge callback lands just after the scheduler counter moves.
-	deadline = time.Now().Add(10 * time.Second)
-	for h.getJob(bg.ID).Priority != "interactive" {
-		if time.Now().After(deadline) {
-			t.Fatalf("aged job still reports priority %q, want interactive", h.getJob(bg.ID).Priority)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := h.preemptions(sched.Background); got != 0 {
+		t.Errorf("background preemptions = %g, want 0 during its round-robin turns", got)
 	}
-
-	close(exec.release)
-	h.waitState(bg.ID, StateDone)
-	h.waitState(pin.ID, StateDone)
+	close(sim.release)
 }
 
 // TestFirehoseFilters verifies GET /v1/events?client=&class=: a filtered

@@ -3,8 +3,9 @@
 # asserts the containment story end to end — a panicking simulation fails
 # only its job (reason "panic", healthz stays ok), a dead disk degrades the
 # store without failing sweeps, and timeout_ms fails a job with a deadline
-# reason while the worker lives on.  CI runs this next to the SSE and metrics
-# smokes; locally: scripts/chaos-smoke.sh
+# reason while the worker lives on; a panic while completing a job fails it,
+# and no job is left queued or running.  CI runs this next to the SSE and
+# metrics smokes; locally: scripts/chaos-smoke.sh
 set -eu
 
 port="${CHAOS_SMOKE_PORT:-18084}"
@@ -100,4 +101,18 @@ id=$(submit) && [ -n "$id" ] || fail "no follow-up job id after timeout"
 wait_state "$id" done
 stop
 
-echo "chaos-smoke: OK (panic contained, store degraded gracefully, deadline enforced)"
+# --- Phase 4: job completion panics; the job fails, nothing is stranded. ---
+boot -fault-spec 'job.complete:panic'
+id=$(submit) && [ -n "$id" ] || fail "no job id (completion phase)"
+wait_state "$id" failed
+curl -s "$base/v1/sweeps/$id" | grep -q '"reason": *"panic"' \
+    || fail "job whose completion panicked missing reason=panic"
+curl -s "$base/metrics" | grep '^refrint_panics_total{site="complete"}' | grep -qv ' 0$' \
+    || fail "refrint_panics_total{site=complete} not incremented"
+# Every job the last scenario admitted has ended: none is queued or running.
+if curl -s "$base/v1/sweeps" | grep -Eq '"state": *"(queued|running)"'; then
+    fail "a job is still queued or running after the last scenario"
+fi
+stop
+
+echo "chaos-smoke: OK (panics contained, store degraded gracefully, deadline enforced, no job stranded)"

@@ -7,8 +7,8 @@
 #   - X-Request-Id round-trips into the job's trace;
 #   - the cell accounting is exact: with a store attached, a 3-cell sweep
 #     costs exactly 3 cell misses, and the in-flight join counter exists;
-#   - -workers sets the pool size, and the retired work-stealing counter is
-#     gone from /metrics;
+#   - -workers sets the pool size, and the retired work-stealing and
+#     queue-wait aging counters are gone from /metrics;
 #   - GOMAXPROCS exceeds the simulation workers by at least one (when the
 #     environment does not set it);
 #   - pprof/expvar answer on -debug-addr and are NOT on the public listener;
@@ -122,7 +122,7 @@ grep -q '^# TYPE refrint_cell_inflight_joins_total counter$' "$tmp/metrics.txt" 
 misses=$(sed -n 's/^refrint_cell_cache_misses_total \([0-9]*\)$/\1/p' "$tmp/metrics.txt")
 [ "$misses" = "3" ] || fail "refrint_cell_cache_misses_total = '$misses' after one 3-cell sweep, want 3" "$tmp/metrics.txt"
 
-# --- worker pool: -workers sizes it, and it has no steal counter -----------
+# --- worker pool: -workers sizes it, with no steal or aging counter --------
 # Preemption is visible: a counter per class of the preempted cell and the
 # parked gauge, both zero after one uncontended sweep.
 for class in interactive batch background; do
@@ -137,6 +137,9 @@ grep -q '^refrint_sched_workers 2$' "$tmp/metrics.txt" \
     || fail "refrint_sched_workers is not 2 under -workers 2" "$tmp/metrics.txt"
 if grep -q 'refrint_sched_steal' "$tmp/metrics.txt"; then
     fail "the retired work-stealing counter is still exported" "$tmp/metrics.txt"
+fi
+if grep -q 'refrint_sched_aged_total' "$tmp/metrics.txt"; then
+    fail "the retired queue-wait aging counter is still exported" "$tmp/metrics.txt"
 fi
 
 # --- spare P: more Go scheduler slots than simulation workers ---------------
