@@ -42,14 +42,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// The named injection points wired through the codebase.  A spec may name
-// any string, but only these are consulted.
+// The named injection points wired through the codebase, and the only ones
+// a spec may name.
 const (
 	StorePut    = "store.put"    // persistent-store blob writes
 	StoreGet    = "store.get"    // persistent-store blob reads
@@ -57,6 +58,9 @@ const (
 	ExecLatency = "exec.latency" // extra latency per simulation cell
 	JobComplete = "job.complete" // one job's assembly and manifest write, inside the recover guard
 )
+
+// points is every injection point, in the order Parse's error lists them.
+var points = []string{StorePut, StoreGet, SimRun, ExecLatency, JobComplete}
 
 // ErrInjected is the error returned by error-mode injection.  Callers that
 // must distinguish injected failures from real ones (the store's quarantine
@@ -81,6 +85,9 @@ const (
 	modeLatency
 )
 
+// rateModes are the modes whose only argument is a rate.
+var rateModes = map[string]mode{"error": modeError, "corrupt": modeCorrupt, "panic": modePanic}
+
 // rule is one activated injection point.
 type rule struct {
 	mode    mode
@@ -94,7 +101,8 @@ type Injector struct {
 }
 
 // Parse builds an Injector from a spec string.  An empty spec returns
-// (nil, nil): nothing to inject.
+// (nil, nil): nothing to inject.  A point outside the named injection points
+// is an error, so a typo cannot leave injection silently inert.
 func Parse(spec string) (*Injector, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -111,15 +119,16 @@ func Parse(spec string) (*Injector, error) {
 			return nil, fmt.Errorf("faults: rule %q: want point:mode[:arg][:rate]", part)
 		}
 		point := strings.TrimSpace(fields[0])
-		if point == "" {
-			return nil, fmt.Errorf("faults: rule %q: empty point", part)
+		if !slices.Contains(points, point) {
+			return nil, fmt.Errorf("faults: rule %q: unknown point %q (want one of %s)", part, point, strings.Join(points, ", "))
 		}
 		r := rule{rate: 1}
-		switch strings.TrimSpace(fields[1]) {
-		case "error":
-			r.mode = modeError
+		name := strings.TrimSpace(fields[1])
+		switch m, ok := rateModes[name]; {
+		case ok:
+			r.mode = m
 			if len(fields) > 3 {
-				return nil, fmt.Errorf("faults: rule %q: error takes at most a rate", part)
+				return nil, fmt.Errorf("faults: rule %q: %s takes at most a rate", part, name)
 			}
 			if len(fields) == 3 {
 				rate, err := parseRate(fields[2])
@@ -128,31 +137,7 @@ func Parse(spec string) (*Injector, error) {
 				}
 				r.rate = rate
 			}
-		case "corrupt":
-			r.mode = modeCorrupt
-			if len(fields) > 3 {
-				return nil, fmt.Errorf("faults: rule %q: corrupt takes at most a rate", part)
-			}
-			if len(fields) == 3 {
-				rate, err := parseRate(fields[2])
-				if err != nil {
-					return nil, fmt.Errorf("faults: rule %q: %v", part, err)
-				}
-				r.rate = rate
-			}
-		case "panic":
-			r.mode = modePanic
-			if len(fields) > 3 {
-				return nil, fmt.Errorf("faults: rule %q: panic takes at most a rate", part)
-			}
-			if len(fields) == 3 {
-				rate, err := parseRate(fields[2])
-				if err != nil {
-					return nil, fmt.Errorf("faults: rule %q: %v", part, err)
-				}
-				r.rate = rate
-			}
-		case "latency":
+		case name == "latency":
 			r.mode = modeLatency
 			if len(fields) < 3 || len(fields) > 4 {
 				return nil, fmt.Errorf("faults: rule %q: latency wants a duration and an optional rate", part)

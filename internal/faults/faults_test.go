@@ -32,6 +32,8 @@ func TestParseErrors(t *testing.T) {
 		"sim.run:latency:-5ms",       // negative duration
 		"sim.run:latency:5ms:7",      // rate out of range
 		"sim.run:latency:5ms:0.5:oh", // too many args
+		"sim.rn:panic",               // unknown point
+		"store.pt:error",             // unknown point
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {

@@ -12,60 +12,21 @@ import (
 )
 
 // Batch groups the jobs of one atomic multi-sweep submission behind a single
-// handle.  Live members are held as Job pointers so aggregation keeps
-// working even after individual jobs age out of the pollable history; a
-// member that reaches a terminal state is frozen into its JobView and the
-// pointer dropped, so batches never pin result-bearing jobs beyond the job
-// history's own bound.  The server mutex guards all of it.
+// handle.  It holds its jobs, so aggregation keeps working after they age
+// out of the pollable history; a job the history forgets releases its
+// results (see submitJobLocked), so a batch pins none.  The server mutex
+// guards all of it.
 type Batch struct {
 	id        string
 	class     sched.Class
 	client    string
-	members   []batchMember
+	jobs      []*Job
 	createdAt time.Time
 
-	// lastState is the batch state the event bus last published; a member's
+	// lastState is the batch state the event bus last published; a job's
 	// change publishes a state event only when it moves the aggregate off
 	// it (see Server.publishBatchLocked).
 	lastState State
-}
-
-// batchMember is one job of a batch: live (job != nil) or frozen
-// (view/trace).
-type batchMember struct {
-	job   *Job
-	view  JobView
-	trace TraceView
-}
-
-// freezeLocked pins the member's terminal view and trace and drops the Job
-// pointer.  Caller holds the server mutex and has checked the job is
-// terminal.
-func (m *batchMember) freezeLocked() {
-	m.view = m.job.snapshot()
-	m.trace = m.job.traceView(m.job.endedAt)
-	m.job = nil
-}
-
-// memberViewLocked returns the member's current view, freezing it on the first
-// sight of a terminal state.  Caller holds the server mutex.
-func (m *batchMember) memberViewLocked() JobView {
-	if m.job != nil {
-		if v := m.job.snapshot(); !v.State.Terminal() {
-			return v
-		}
-		m.freezeLocked()
-	}
-	return m.view
-}
-
-// memberTrace returns the member's lifecycle timeline, live or frozen.
-// Caller holds the server mutex.
-func (m *batchMember) memberTrace(now time.Time) TraceView {
-	if m.job != nil {
-		return m.job.traceView(now)
-	}
-	return m.trace
 }
 
 // BatchRequest is the JSON body of POST /v1/batches: N sweep requests
@@ -141,17 +102,11 @@ func (t *batchTally) state() State {
 }
 
 // tallyLocked is the batch's aggregate state and summed progress, read off
-// its members without rendering (or freezing) them.  Caller holds the server
-// mutex.
+// its jobs without rendering them.  Caller holds the server mutex.
 func (b *Batch) tallyLocked() (st State, done, total int) {
 	var t batchTally
-	for i := range b.members {
-		m := &b.members[i]
-		if j := m.job; j != nil {
-			t.add(j.state, j.done, j.total)
-		} else {
-			t.add(m.view.State, m.view.Progress.Done, m.view.Progress.Total)
-		}
+	for _, j := range b.jobs {
+		t.add(j.state, j.done, j.total)
 	}
 	return t.state(), t.done, t.total
 }
@@ -165,15 +120,13 @@ func (b *Batch) snapshotLocked() BatchView {
 		Counts:    make(map[string]int, 5),
 		CreatedAt: b.createdAt,
 	}
-	var t batchTally
-	for i := range b.members {
-		jv := b.members[i].memberViewLocked()
-		v.Jobs = append(v.Jobs, jv)
-		v.Counts[string(jv.State)]++
-		t.add(jv.State, jv.Progress.Done, jv.Progress.Total)
+	for _, j := range b.jobs {
+		v.Jobs = append(v.Jobs, j.snapshot())
+		v.Counts[string(j.state)]++
 	}
-	v.State = t.state()
-	v.Progress = progressView(t.done, t.total, v.State)
+	var done, total int
+	v.State, done, total = b.tallyLocked()
+	v.Progress = progressView(done, total, v.State)
 	return v
 }
 
@@ -243,13 +196,13 @@ func (s *Server) createBatchLocked(client string, class sched.Class, jobs []*Job
 		id:        fmt.Sprintf("batch-%06d", s.nextBatchID),
 		class:     class,
 		client:    client,
+		jobs:      jobs,
 		createdAt: time.Now(),
 	}
 	for _, job := range jobs {
 		if !job.state.Terminal() {
 			job.batch = b // its later transitions publish on the batch topic too
 		}
-		b.members = append(b.members, batchMember{job: job})
 	}
 	s.batches[b.id] = b
 	s.batchOrder = append(s.batchOrder, b.id)
@@ -264,21 +217,11 @@ func (s *Server) createBatchLocked(client string, class sched.Class, jobs []*Job
 			s.bus.publish(string(view.State), batchTopic(b.id), b.client, b.class, int64(view.Progress.Done), view)
 		}
 	}
-	// Freeze every terminal member — batches must not pin result-bearing
-	// jobs past the job history's bound even when nobody polls them — then
-	// forget the oldest batches beyond the history bound whose members are
-	// all frozen.
-	for _, id := range s.batchOrder {
-		members := s.batches[id].members
-		for i := range members {
-			if m := &members[i]; m.job != nil && m.job.state.Terminal() {
-				m.freezeLocked()
-			}
-		}
-	}
+	// Forget the oldest batches beyond the history bound whose jobs are all
+	// terminal.
 	s.batchOrder = evictOldest(s.batchOrder, s.cfg.BatchHistory, s.batches, func(old *Batch) bool {
-		for i := range old.members {
-			if old.members[i].job != nil {
+		for _, j := range old.jobs {
+			if !j.state.Terminal() {
 				return false
 			}
 		}
@@ -315,10 +258,8 @@ func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no batch %q", id)
 		return
 	}
-	for i := range b.members {
-		if j := b.members[i].job; j != nil {
-			s.finishLocked(j, nil, context.Canceled)
-		}
+	for _, j := range b.jobs {
+		s.finishLocked(j, nil, context.Canceled)
 	}
 	view := b.snapshotLocked()
 	s.mu.Unlock()

@@ -415,26 +415,27 @@ func TestBatchServedFromStoreAfterRestart(t *testing.T) {
 	}
 }
 
-// TestBatchFreezesTerminalMembers verifies batches do not pin results: once
-// a member is terminal and observed, the batch drops its Job pointer (and
-// with it the entry -> results chain), while aggregation keeps answering
-// even after the jobs age out of the pollable history.
-func TestBatchFreezesTerminalMembers(t *testing.T) {
+// TestBatchKeepsNoEvictedResults verifies batches do not pin results: a
+// member job the job history forgets drops its results, while the batch
+// still aggregates and traces it.  That holds for a batch nobody polls, with
+// no later batch submission needed.
+func TestBatchKeepsNoEvictedResults(t *testing.T) {
 	h := newHarness(t, Config{JobHistory: 1})
+	// heldResults reports whether each job of a batch still holds results.
+	heldResults := func(id string) []bool {
+		h.srv.mu.Lock()
+		defer h.srv.mu.Unlock()
+		var held []bool
+		for _, j := range h.srv.batches[id].jobs {
+			held = append(held, j.res != nil)
+		}
+		return held
+	}
 
 	view, _ := h.submitBatch(BatchRequest{
 		Requests: []refrint.SweepRequest{tinyRequest(1), tinyRequest(2)},
 	})
 	done := h.waitBatchState(view.ID, StateDone)
-
-	h.srv.mu.Lock()
-	b := h.srv.batches[view.ID]
-	for i := range b.members {
-		if b.members[i].job != nil {
-			t.Errorf("member %d still holds its Job pointer after terminal snapshot", i)
-		}
-	}
-	h.srv.mu.Unlock()
 
 	// Age the member jobs out of the history; the batch still aggregates.
 	last, _ := h.submit(tinyRequest(3))
@@ -442,24 +443,37 @@ func TestBatchFreezesTerminalMembers(t *testing.T) {
 	if resp := h.do("GET", "/v1/sweeps/"+done.Jobs[0].ID, nil, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("member job survived JobHistory=1 eviction: status %d", resp.StatusCode)
 	}
+	for i, held := range heldResults(view.ID) {
+		if held {
+			t.Errorf("evicted member %d still holds its results", i)
+		}
+	}
 	after := h.getBatch(view.ID)
 	if after.State != StateDone || after.Counts[string(StateDone)] != 2 {
 		t.Fatalf("batch after member eviction = state %q counts %v, want done:2", after.State, after.Counts)
 	}
+	var btv BatchTraceView
+	h.do("GET", "/v1/batches/"+view.ID+"/trace", nil, &btv)
+	if len(btv.Traces) != 2 {
+		t.Fatalf("batch trace after member eviction has %d members, want 2", len(btv.Traces))
+	}
+	for _, tr := range btv.Traces {
+		checkTimeline(t, tr, true)
+	}
 
-	// A fire-and-forget batch nobody polls also freezes: the next batch
-	// submission sweeps terminal members of every pollable batch.
+	// A batch nobody polls: its member drops its results once a plain
+	// submission pushes it out of the history.
 	unpolled, _ := h.submitBatch(BatchRequest{
 		Requests: []refrint.SweepRequest{tinyRequest(4)},
 	})
 	h.waitState(unpolled.Jobs[0].ID, StateDone) // poll the job, not the batch
-	h.submitBatch(BatchRequest{Requests: []refrint.SweepRequest{tinyRequest(5)}})
-	h.srv.mu.Lock()
-	ub := h.srv.batches[unpolled.ID]
-	frozen := ub.members[0].job == nil
-	h.srv.mu.Unlock()
-	if !frozen {
-		t.Fatal("terminal member of an unpolled batch still holds its Job pointer after the next batch submission")
+	if held := heldResults(unpolled.ID); !held[0] {
+		t.Fatal("member in the history lost its results")
+	}
+	next, _ := h.submit(tinyRequest(5))
+	h.waitState(next.ID, StateDone)
+	if held := heldResults(unpolled.ID); held[0] {
+		t.Fatal("member of an unpolled batch still holds its results after leaving the history")
 	}
 }
 

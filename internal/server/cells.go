@@ -292,7 +292,7 @@ func (s *Server) runCell(c *cell) {
 	// between finds the cell in one place or the other.  Blob writes happen
 	// outside the mutex, like every store call.
 	if err == nil {
-		if perr := s.store.PutCell(c.sc.Key, int(class), run.Result); perr != nil {
+		if perr := s.store.PutCell(c.sc.Key, run.Result); perr != nil {
 			s.logf("store: persisting cell %s: %v", c.sc.Key.Hash(), perr)
 		}
 	}
@@ -441,9 +441,8 @@ func (s *Server) completeJobs(done []*Job) {
 		}
 		runs := j.runs
 		j.trace.mark(phasePersisting, time.Now())
-		rank := int(j.class)
 		s.mu.Unlock()
-		res, err := s.assembleGuarded(j, runs, rank)
+		res, err := s.assembleGuarded(j, runs)
 		s.mu.Lock()
 		s.finishLocked(j, res, err)
 		s.mu.Unlock()
@@ -454,7 +453,7 @@ func (s *Server) completeJobs(done []*Job) {
 // a recover guard: a panic there fails this job alone, with reason "panic",
 // and the caller goes on to the next job.  The guard must be here: the
 // scheduler's guard sees only the cell, which is already done.
-func (s *Server) assembleGuarded(j *Job, runs []sweep.Run, rank int) (res *sweep.Results, err error) {
+func (s *Server) assembleGuarded(j *Job, runs []sweep.Run) (res *sweep.Results, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.recordPanic("complete", r, debug.Stack())
@@ -465,18 +464,18 @@ func (s *Server) assembleGuarded(j *Job, runs []sweep.Run, rank int) (res *sweep
 		return nil, err
 	}
 	res = sweep.Assemble(j.opts, runs)
-	s.recordSweep(j.key, j.opts, rank)
+	s.recordSweep(j.key, j.opts)
 	return res, nil
 }
 
 // recordSweep writes the manifest of a sweep whose job ended done, which
 // lets GET /v1/sweeps/{key}/... find the sweep's cells, unless the store
 // already holds it.  Called WITHOUT the server mutex.
-func (s *Server) recordSweep(key string, opts sweep.Options, rank int) {
+func (s *Server) recordSweep(key string, opts sweep.Options) {
 	if s.store.Contains(store.KindSweep, key) {
 		return
 	}
-	if err := s.store.PutRanked(store.KindSweep, key, rank, store.Manifest{Options: opts}); err != nil {
+	if err := s.store.Put(store.KindSweep, key, store.Manifest{Options: opts}); err != nil {
 		s.logf("store: persisting sweep manifest %s: %v", key, err)
 	}
 }

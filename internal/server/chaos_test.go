@@ -1,15 +1,20 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"refrint"
 	"refrint/internal/faults"
 	"refrint/internal/store"
+	"refrint/internal/sweep"
 )
 
 // Chaos suite: drives the fault-injection harness (internal/faults) through
@@ -366,4 +371,86 @@ func TestChaosJobCompletePanic(t *testing.T) {
 		t.Fatalf("resubmit status = %d", status)
 	}
 	h.waitState(again.ID, StateDone)
+}
+
+// syncBuffer is a log sink safe for the server's concurrent writers.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) lines(t *testing.T) []map[string]any {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(b.buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestOneTerminalLogLinePerJob verifies a job's terminal transition logs
+// one info line, the structured one: it carries the trace ID and, for a
+// failed job, the error.  A job is matched by its id attribute or by its
+// sweep key in the message, so a second, unstructured line would count.
+func TestOneTerminalLogLinePerJob(t *testing.T) {
+	var logs syncBuffer
+	exec := func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error) {
+		if opts.Seed == 2 { // held until cancelled
+			<-ctx.Done()
+			return sweep.Run{}, ctx.Err()
+		}
+		return sweep.RunCell(ctx, opts, c)
+	}
+	h := newHarness(t, Config{Execute: exec, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+
+	enableFaults(t, "sim.run:error")
+	failedView, _ := h.submit(tinyRequest(1))
+	h.waitState(failedView.ID, StateFailed)
+	faults.Disable()
+
+	cancelView, _ := h.submit(tinyRequest(2))
+	h.waitState(cancelView.ID, StateRunning)
+	h.do("DELETE", "/v1/sweeps/"+cancelView.ID, nil, nil)
+	h.waitState(cancelView.ID, StateCancelled)
+
+	for _, tc := range []struct {
+		view      JobView
+		state     State
+		wantError bool
+	}{
+		{failedView, StateFailed, true},
+		{cancelView, StateCancelled, false},
+	} {
+		var terminal []map[string]any
+		for _, rec := range logs.lines(t) {
+			msg, _ := rec["msg"].(string)
+			mine := rec["job"] == tc.view.ID || strings.Contains(msg, tc.view.Key)
+			if rec["level"] == "INFO" && mine && strings.Contains(msg, string(tc.state)) {
+				terminal = append(terminal, rec)
+			}
+		}
+		if len(terminal) != 1 {
+			t.Errorf("job %s: %d info lines at %s, want 1: %v", tc.view.ID, len(terminal), tc.state, terminal)
+			continue
+		}
+		rec := terminal[0]
+		if rec["trace_id"] != tc.view.TraceID {
+			t.Errorf("job %s: terminal line trace_id = %v, want %q", tc.view.ID, rec["trace_id"], tc.view.TraceID)
+		}
+		if errText, _ := rec["error"].(string); tc.wantError && !strings.Contains(errText, "injected fault") {
+			t.Errorf("job %s: terminal line error = %q, want the injected fault", tc.view.ID, errText)
+		}
+	}
 }

@@ -212,10 +212,6 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	gauge("refrint_store_bytes", "Bytes currently held by the store.", ss.Bytes)
 	counter("refrint_store_quarantined_total", "Blobs quarantined after failing verification.", ss.Quarantined)
 	counter("refrint_store_evictions_total", "Blobs evicted by the LRU byte budget.", ss.Evictions)
-	fmt.Fprintf(b, "# HELP refrint_store_evictions_rank_total Blobs evicted by the LRU byte budget, by retention rank (0 = most retained).\n# TYPE refrint_store_evictions_rank_total counter\n")
-	for rank, n := range ss.EvictionsByRank {
-		fmt.Fprintf(b, "refrint_store_evictions_rank_total{rank=\"%d\"} %d\n", rank, n)
-	}
 	degraded := 0
 	if ss.Degraded {
 		degraded = 1

@@ -384,3 +384,69 @@ func TestMetricsWithoutStore(t *testing.T) {
 		t.Errorf("default store has directory %q, want memory-only", h.srv.store.Dir())
 	}
 }
+
+// TestRetentionFollowsUseNotClass verifies the store keeps what was used
+// most recently, whoever first computed it.  A background batch computes
+// sweep A after an interactive sweep B; an interactive resubmission of A is
+// served from A's cells, which touches them; then a third sweep C pushes
+// the store past its budget by B's size.  B's cells go, and A is still
+// served from the store.  The budget is calibrated on a first pass of the
+// same scenario over an unbounded store.
+func TestRetentionFollowsUseNotClass(t *testing.T) {
+	reqB, reqA, reqC := tinyRequest(1), tinyRequest(2), tinyRequest(3)
+	// scenario runs the steps on st and returns the store's bytes after B
+	// and the answer to A's last resubmission.
+	scenario := func(st *store.Store) (afterB int64, last JobView, status int) {
+		h := newHarness(t, Config{Store: st})
+		b, _ := h.submit(reqB)
+		h.waitState(b.ID, StateDone)
+		afterB = st.Stats().Bytes
+
+		bv, _ := h.submitBatch(BatchRequest{Priority: "background", Requests: []refrint.SweepRequest{reqA}})
+		h.waitBatchState(bv.ID, StateDone)
+		if v, status := h.submit(reqA); status != http.StatusOK || !v.CacheHit {
+			t.Fatalf("interactive resubmission of A: status %d cache_hit %v, want 200 cache hit", status, v.CacheHit)
+		}
+		if n := st.Stats().Evictions; n != 0 {
+			t.Fatalf("%d evictions before C, want 0", n)
+		}
+
+		c, _ := h.submit(reqC)
+		h.waitState(c.ID, StateDone)
+		last, status = h.submit(reqA)
+		return afterB, last, status
+	}
+
+	probe, err := store.Open("", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterB, _, _ := scenario(probe)
+	// A tenth of B's bytes of slack covers the few bytes by which the three
+	// sweeps' blobs differ in size, and is far less than one of B's cells.
+	budget := probe.Stats().Bytes - afterB + afterB/10
+
+	st, err := store.Open("", store.Options{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, last, status := scenario(st)
+	if status != http.StatusOK || !last.CacheHit {
+		t.Errorf("resubmission of A after byte pressure: status %d cache_hit %v, want 200 cache hit", status, last.CacheHit)
+	}
+	for _, r := range []struct {
+		name string
+		req  refrint.SweepRequest
+		kept bool
+	}{{"B", reqB, false}, {"A", reqA, true}, {"C", reqC, true}} {
+		opts, err := r.req.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range sweep.Cells(opts) {
+			if got := st.Contains(store.KindCell, c.Key.Hash()); got != r.kept {
+				t.Errorf("sweep %s cell %s stored = %v, want %v", r.name, c.Key.Hash(), got, r.kept)
+			}
+		}
+	}
+}

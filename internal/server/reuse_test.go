@@ -228,7 +228,7 @@ func TestServiceReuseNeedsAWatchedLeader(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.PutCell(c.Key, 0, run.Result); err != nil {
+			if err := st.PutCell(c.Key, run.Result); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -469,18 +469,15 @@ func (s *Server) finishLocked(j *Job, res *refrint.SweepResults, err error) {
 	case err == nil:
 		j.state = StateDone
 		j.res = res
-		s.logf("sweep %s: done", j.key)
 	case errors.Is(err, context.DeadlineExceeded):
 		j.state = StateFailed
 		j.err = fmt.Errorf("deadline exceeded after %v", j.timeout)
 		j.reason = reasonDeadline
 		s.jobTimeouts[j.class]++
 		j.trace.mark(phaseDeadline, now)
-		s.logf("sweep %s: failed: deadline exceeded after %v", j.key, j.timeout)
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 		j.err = context.Canceled
-		s.logf("sweep %s: cancelled", j.key)
 	default:
 		j.state = StateFailed
 		j.err = err
@@ -488,7 +485,6 @@ func (s *Server) finishLocked(j *Job, res *refrint.SweepResults, err error) {
 		if errors.As(err, &pe) || errors.Is(err, errPanicked) {
 			j.reason = reasonPanic // counted and logged where it was recovered
 		}
-		s.logf("sweep %s: failed: %v", j.key, err)
 	}
 	if j.state != StateDone {
 		s.abortJobLocked(j)
@@ -511,14 +507,19 @@ const (
 	reasonDeadline = "deadline exceeded"
 )
 
-// logTerminalLocked emits the structured terminal log line for one job,
-// carrying the phase-duration breakdown of its whole lifecycle.  Caller
-// holds the server mutex.
+// logTerminalLocked emits the one log line of a job's terminal transition,
+// carrying the phase-duration breakdown of its whole lifecycle and, when
+// set, its error and failure reason.  Caller holds the server mutex.
 func (s *Server) logTerminalLocked(j *Job, now time.Time) {
 	v := j.traceView(now)
-	s.jobLogger(j).Info("job "+string(j.state),
-		"total_seconds", v.TotalSeconds,
-		"phases", v.phaseSummary())
+	args := []any{"total_seconds", v.TotalSeconds, "phases", v.phaseSummary()}
+	if j.err != nil {
+		args = append(args, "error", j.err.Error())
+	}
+	if j.reason != "" {
+		args = append(args, "reason", j.reason)
+	}
+	s.jobLogger(j).Info("job "+string(j.state), args...)
 }
 
 // --- HTTP handlers ---
@@ -629,7 +630,7 @@ func (s *Server) admit(w http.ResponseWriter, plan []*Job, render func()) bool {
 			if stored[j.key] != nil {
 				// Born done: leave the manifest like any job that ends done,
 				// before the job is observable.
-				s.recordSweep(j.key, j.opts, int(j.class))
+				s.recordSweep(j.key, j.opts)
 			}
 		}
 	}
@@ -739,9 +740,15 @@ func (s *Server) submitJobLocked(job *Job, stored *refrint.SweepResults) {
 	s.jobLogger(job).Debug("job admitted", "state", string(job.state))
 	s.jobs[job.id] = job
 	s.jobOrder = append(s.jobOrder, job.id)
-	// Forget the oldest terminal jobs beyond the history bound, releasing
-	// their references to their results.
-	s.jobOrder = evictOldest(s.jobOrder, s.cfg.JobHistory, s.jobs, func(j *Job) bool { return j.state.Terminal() })
+	// Forget the oldest terminal jobs beyond the history bound.  A batch may
+	// still hold a forgotten job, so it drops its results here.
+	s.jobOrder = evictOldest(s.jobOrder, s.cfg.JobHistory, s.jobs, func(j *Job) bool {
+		if !j.state.Terminal() {
+			return false
+		}
+		j.res = nil
+		return true
+	})
 	// Announce the newborn job (and, for a cache hit, its immediate
 	// completion) to firehose subscribers; nobody can be subscribed to the
 	// job's own topic before its id is returned.
@@ -793,7 +800,9 @@ func (s *Server) storedResults(opts sweep.Options) *refrint.SweepResults {
 
 // evictOldest forgets, oldest first, the entries of order beyond bound
 // that finished reports terminal, deleting them from m, and returns the
-// order left.  Live entries are never evicted.
+// order left.  Live entries are never evicted.  finished is asked only
+// while entries are beyond the bound, and each entry it reports terminal
+// is forgotten, so it may release what that entry holds.
 func evictOldest[V any](order []string, bound int, m map[string]V, finished func(V) bool) []string {
 	excess := len(order) - bound
 	if excess <= 0 {

@@ -175,8 +175,8 @@ func (s *Server) handleBatchTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	v := BatchTraceView{ID: b.id, State: b.snapshotLocked().State}
-	for i := range b.members {
-		v.Traces = append(v.Traces, b.members[i].memberTrace(now))
+	for _, j := range b.jobs {
+		v.Traces = append(v.Traces, j.traceView(now))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, v)

@@ -191,7 +191,7 @@ func TestTraceRequestID(t *testing.T) {
 
 // TestBatchTrace covers the aggregated endpoint: every member carries its
 // own timeline under a shared request ID with per-member suffixes, and the
-// timelines survive member freezing.
+// timelines survive a later batch submission.
 func TestBatchTrace(t *testing.T) {
 	h := newHarness(t, Config{})
 	var bv BatchView
@@ -203,8 +203,7 @@ func TestBatchTrace(t *testing.T) {
 		t.Fatal("batch response has no X-Request-Id")
 	}
 	h.waitBatchState(bv.ID, StateDone)
-	// Freeze terminal members by forcing the eviction sweep that runs on the
-	// next batch submission.
+	// A later batch submission runs the batch-history eviction.
 	h.do("POST", "/v1/batches", BatchRequest{Requests: []refrint.SweepRequest{tinyRequest(7)}}, nil)
 
 	var btv BatchTraceView

@@ -380,8 +380,9 @@ func TestCorruptGetQuarantines(t *testing.T) {
 
 // TestDegradedStoreIndexesAbsorbedPuts verifies a degraded disk store keeps
 // what it absorbs in its index: counted in Stats, served by Get wherever
-// Contains reports it, capped at maxAbsorbed entries, and evicted by rank,
-// so an urgent (rank-0) result outlives a flood of background ones.
+// Contains reports it, capped at maxAbsorbed entries, and evicted least
+// recently used first, so an absorbed put that is read outlives a flood of
+// colder ones.
 func TestDegradedStoreIndexesAbsorbedPuts(t *testing.T) {
 	s := open(t, t.TempDir(), fastOptions())
 	inj, err := faults.Parse("store.put:error")
@@ -391,26 +392,30 @@ func TestDegradedStoreIndexesAbsorbedPuts(t *testing.T) {
 	faults.Enable(inj)
 	t.Cleanup(faults.Disable)
 
-	// DegradeAfter=2: key(0) fails, and the rank-0 put of key(1) crosses
-	// the threshold and is absorbed.
+	// DegradeAfter=2: key(0) fails, and the put of key(1) crosses the
+	// threshold and is absorbed.
 	s.Put(KindCell, key(0), testPayload(0))
-	if err := s.PutRanked(KindCell, key(1), 0, testPayload(1)); err != nil {
+	if err := s.Put(KindCell, key(1), testPayload(1)); err != nil {
 		t.Fatalf("threshold-crossing put: %v", err)
 	}
 	if deg, _ := s.Degraded(); !deg {
 		t.Fatal("store did not degrade")
 	}
 	const n = 300
+	var got payload
 	for i := 2; i < n; i++ {
-		if err := s.PutRanked(KindCell, key(i), 2, testPayload(i)); err != nil {
+		if err := s.Put(KindCell, key(i), testPayload(i)); err != nil {
 			t.Fatalf("absorbed put %d: %v", i, err)
+		}
+		// Reading key(1) keeps it the most recently used but one.
+		if !s.Get(KindCell, key(1), &got) {
+			t.Fatalf("touched absorbed put evicted after put %d", i)
 		}
 	}
 
 	if st := s.Stats(); st.Entries != maxAbsorbed || st.Bytes <= 0 || st.DegradedPuts != n-1 {
 		t.Errorf("stats = %+v, want %d entries, positive bytes and %d degraded puts", st, maxAbsorbed, n-1)
 	}
-	var got payload
 	held := 0
 	for i := 0; i < n; i++ {
 		if !s.Contains(KindCell, key(i)) {
@@ -425,10 +430,10 @@ func TestDegradedStoreIndexesAbsorbedPuts(t *testing.T) {
 		t.Errorf("Contains reports %d keys, want %d", held, maxAbsorbed)
 	}
 	if !s.Contains(KindCell, key(1)) {
-		t.Error("the rank-0 absorbed put was evicted before rank-2 ones")
+		t.Error("the touched absorbed put was evicted before colder ones")
 	}
 	if !s.Contains(KindCell, key(n-1)) || s.Contains(KindCell, key(2)) {
-		t.Error("rank-2 absorbed puts were not evicted least recently used first")
+		t.Error("absorbed puts were not evicted least recently used first")
 	}
 }
 
@@ -469,7 +474,7 @@ func TestDegradedConcurrentPutsAndGets(t *testing.T) {
 					faults.Disable()
 				}
 				if i%2 == 0 {
-					if err := s.PutRanked(KindCell, key(k), w%NumRanks, testPayload(k)); err != nil {
+					if err := s.Put(KindCell, key(k), testPayload(k)); err != nil {
 						t.Errorf("worker %d: Put: %v", w, err)
 						return
 					}

@@ -23,10 +23,8 @@
 // (a memory-only store's puts, and the puts a degraded disk store absorbs).
 //
 // The footprint is bounded by an LRU-bytes budget: when a put pushes the
-// total past the budget, blobs are deleted until it fits — highest eviction
-// rank first (PutRanked; the sweep service maps scheduling classes to ranks
-// so interactive-class results outlive background ones), least recently
-// used within a rank.
+// total past the budget, the least recently used blobs are deleted until it
+// fits.
 //
 // The store is safe for concurrent use by multiple goroutines of one
 // process.  It does not coordinate between processes: run one server per
@@ -79,12 +77,6 @@ type Manifest struct {
 }
 
 func (k Kind) valid() bool { return k == KindSweep || k == KindCell }
-
-// NumRanks is how many eviction ranks the store tracks counters for.  Ranks
-// are small non-negative integers; higher ranks evict first.  Rank 0 (the
-// plain Put default, and what blobs written before ranks existed load as) is
-// the most retained.
-const NumRanks = 3
 
 // Options tunes a Store.  The zero value is usable.
 type Options struct {
@@ -153,11 +145,8 @@ type Stats struct {
 	CellMisses  int64
 	// Quarantined counts blobs moved aside after failing verification.
 	Quarantined int64
-	// Evictions counts blobs deleted by the LRU-bytes budget;
-	// EvictionsByRank splits them by eviction rank (ranks beyond NumRanks-1
-	// fold into the last bucket).
-	Evictions       int64
-	EvictionsByRank [NumRanks]int64
+	// Evictions counts blobs deleted by the LRU-bytes budget.
+	Evictions int64
 	// Degraded reports memory-only mode: enough consecutive puts failed that
 	// the store stopped touching the disk (DegradedCause holds the last
 	// write error).  Reads still serve every absorbed put and every blob
@@ -186,13 +175,12 @@ type entry struct {
 	key    string
 	bytes  int64
 	access int64  // logical LRU clock; higher = more recent
-	rank   int    // eviction rank; higher ranks evict first
 	raw    []byte // the payload when held in memory (nil for a blob on disk)
 }
 
 // maxAbsorbed bounds how many entries a disk store holds in memory (puts
 // absorbed while degraded): its byte budget is a disk budget, not a memory
-// one.  Past it, the highest-rank, least recently used absorbed entry goes.
+// one.  Past it, the least recently used absorbed entry goes.
 const maxAbsorbed = 128
 
 // Store is a result store.  Open one with Open; it must not be copied.
@@ -287,28 +275,17 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Put persists payload under (kind, key) at rank 0 (most retained).  See
-// PutRanked.
-func (s *Store) Put(kind Kind, key string, payload any) error {
-	return s.PutRanked(kind, key, 0, payload)
-}
-
-// PutRanked persists payload under (kind, key), replacing any previous blob,
-// and evicts blobs if the byte budget is exceeded — highest rank first,
-// least recently used within a rank, so low-rank (urgent-class) results
-// outlive high-rank ones under byte pressure regardless of recency.  The key
-// must be non-empty and path-safe (content hashes are).  The file write
+// Put persists payload under (kind, key), replacing any previous blob, and
+// evicts the least recently used blobs if the byte budget is exceeded.  The
+// key must be non-empty and path-safe (content hashes are).  The file write
 // happens outside the store mutex; concurrent puts of one key are safe
 // because keys are content-addressed — both writers carry identical bytes.
-func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
+func (s *Store) Put(kind Kind, key string, payload any) error {
 	if !kind.valid() {
 		return fmt.Errorf("store: unknown kind %q", kind)
 	}
 	if err := validKey(key); err != nil {
 		return err
-	}
-	if rank < 0 {
-		rank = 0
 	}
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -317,7 +294,7 @@ func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
 	s.mu.Lock()
 	if s.dir == "" || s.degraded {
 		defer s.mu.Unlock()
-		s.holdLocked(kind, key, rank, raw)
+		s.holdLocked(kind, key, raw)
 		return nil
 	}
 	s.mu.Unlock()
@@ -333,13 +310,13 @@ func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
 		return fmt.Errorf("store: encoding envelope %s/%s: %w", kind, key, err)
 	}
 	if err := s.writeBlob(kind, key, blob); err != nil {
-		return s.putFailed(kind, key, rank, raw, err)
+		return s.putFailed(kind, key, raw, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails = 0
-	s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(blob)), rank: rank})
+	s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(blob))})
 	return s.maybeWriteIndexLocked()
 }
 
@@ -347,7 +324,7 @@ func (s *Store) PutRanked(kind Kind, key string, rank int, payload any) error {
 // store, and a put a degraded disk store absorbs.  An absorbed put of a key
 // already in a blob keeps the blob (keys are content-addressed, so the
 // bytes agree) and only counts as a use.
-func (s *Store) holdLocked(kind Kind, key string, rank int, raw []byte) {
+func (s *Store) holdLocked(kind Kind, key string, raw []byte) {
 	if s.dir != "" {
 		s.stats.DegradedPuts++
 		ck := compositeKey(kind, key)
@@ -356,7 +333,7 @@ func (s *Store) holdLocked(kind Kind, key string, rank int, raw []byte) {
 			return
 		}
 	}
-	s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(raw)), rank: rank, raw: raw})
+	s.indexLocked(&entry{kind: kind, key: key, bytes: int64(len(raw)), raw: raw})
 }
 
 // indexLocked records a freshly put entry as the most recently used,
@@ -411,7 +388,7 @@ func (s *Store) writeAttempt(path string, blob []byte) error {
 // absorbed into the index and reported as success, exactly as if it had
 // arrived a moment later.  Below the threshold the error goes back to the
 // caller.
-func (s *Store) putFailed(kind Kind, key string, rank int, raw []byte, err error) error {
+func (s *Store) putFailed(kind Kind, key string, raw []byte, err error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails++
@@ -419,7 +396,7 @@ func (s *Store) putFailed(kind Kind, key string, rank int, raw []byte, err error
 		s.enterDegradedLocked(err)
 	}
 	if s.degraded {
-		s.holdLocked(kind, key, rank, raw)
+		s.holdLocked(kind, key, raw)
 		return nil
 	}
 	return fmt.Errorf("store: writing %s/%s: %w", kind, key, err)
@@ -591,22 +568,21 @@ func (s *Store) GetCell(k sweep.CellKey) (sim.Result, bool) {
 	return sim.Result{}, false
 }
 
-// PutCell persists one freshly computed simulation cell at the given
-// eviction rank.
-func (s *Store) PutCell(k sweep.CellKey, rank int, res sim.Result) error {
-	return s.PutRanked(KindCell, k.Hash(), rank, sweep.CellResult{Key: k, Result: res})
+// PutCell persists one freshly computed simulation cell.
+func (s *Store) PutCell(k sweep.CellKey, res sim.Result) error {
+	return s.Put(KindCell, k.Hash(), sweep.CellResult{Key: k, Result: res})
 }
 
 // CellHooks returns the sweep cell-cache hooks backed by this store, ready
 // to install as sweep.Options.CellLookup and CellPut: lookups read (and
-// verify) persisted cells, puts persist fresh ones at rank 0, and put errors
+// verify) persisted cells, puts persist fresh ones, and put errors
 // are reported to logf (nil for silent) rather than failing the sweep.
 func (s *Store) CellHooks(logf func(format string, args ...any)) (lookup func(sweep.CellKey) (sim.Result, bool), put func(sweep.CellKey, sim.Result)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	put = func(k sweep.CellKey, res sim.Result) {
-		if err := s.PutCell(k, 0, res); err != nil {
+		if err := s.PutCell(k, res); err != nil {
 			logf("store: persisting cell %s: %v", k.Hash(), err)
 		}
 	}
@@ -719,8 +695,7 @@ func (s *Store) dropLocked(e *entry) {
 
 // evictLocked deletes entries until the byte budget is met, and a disk
 // store's absorbed entries until at most maxAbsorbed remain: the victim is
-// the highest-rank entry (background-class results go first), least
-// recently used within that rank — among absorbed entries only, when their
+// the least recently used entry — among absorbed entries only, when their
 // cap is what is exceeded.  The entry named by keep (the one just put) is
 // evicted last, so a single oversized blob still persists.
 func (s *Store) evictLocked(keep string) {
@@ -734,8 +709,7 @@ func (s *Store) evictLocked(keep string) {
 			if ck == keep || (overHeld && e.raw == nil) {
 				continue
 			}
-			if victim == nil || e.rank > victim.rank ||
-				(e.rank == victim.rank && e.access < victim.access) {
+			if victim == nil || e.access < victim.access {
 				victim = e
 			}
 		}
@@ -750,8 +724,7 @@ func (s *Store) evictLocked(keep string) {
 		}
 		s.dropLocked(victim)
 		s.stats.Evictions++
-		s.stats.EvictionsByRank[min(victim.rank, NumRanks-1)]++
-		s.opt.Logf("store: evicted %s/%s (rank %d, %d bytes)", victim.kind, victim.key, victim.rank, victim.bytes)
+		s.opt.Logf("store: evicted %s/%s (%d bytes)", victim.kind, victim.key, victim.bytes)
 	}
 	// Deleted files leave the on-disk index stale until the next batched
 	// write (reconcile-on-open heals a crash in that window); rewriting it
@@ -857,9 +830,6 @@ type indexEntry struct {
 	Key    string `json:"key"`
 	Bytes  int64  `json:"bytes"`
 	Access int64  `json:"access"`
-	// Rank is the eviction rank (omitted for rank 0, so indexes written
-	// before ranks existed load as most-retained).
-	Rank int `json:"rank,omitempty"`
 }
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, versionDir, "index.json") }
@@ -889,7 +859,7 @@ func (s *Store) writeIndexLocked() error {
 		if e.raw != nil {
 			continue
 		}
-		idx.Entries = append(idx.Entries, indexEntry{Kind: e.kind, Key: e.key, Bytes: e.bytes, Access: e.access, Rank: e.rank})
+		idx.Entries = append(idx.Entries, indexEntry{Kind: e.kind, Key: e.key, Bytes: e.bytes, Access: e.access})
 	}
 	sort.Slice(idx.Entries, func(i, j int) bool {
 		if idx.Entries[i].Kind != idx.Entries[j].Kind {
@@ -915,13 +885,13 @@ func (s *Store) writeIndexLocked() error {
 // eviction), index entries whose file vanished are dropped, and sizes are
 // refreshed from the filesystem.
 func (s *Store) loadIndex() error {
-	recorded := make(map[string]indexEntry)
+	recorded := make(map[string]int64) // composite key -> access
 	if data, err := os.ReadFile(s.indexPath()); err == nil {
 		var idx indexFile
 		if err := json.Unmarshal(data, &idx); err == nil && idx.Version == Version {
 			s.clock = idx.Clock
 			for _, e := range idx.Entries {
-				recorded[compositeKey(e.Kind, e.Key)] = e
+				recorded[compositeKey(e.Kind, e.Key)] = e.Access
 			}
 		} else if err != nil {
 			s.opt.Logf("store: index unreadable, rebuilding: %v", err)
@@ -945,11 +915,7 @@ func (s *Store) loadIndex() error {
 				return nil // vanished mid-walk; skip
 			}
 			ck := compositeKey(kind, key)
-			e := &entry{kind: kind, key: key, bytes: info.Size()}
-			if rec, ok := recorded[ck]; ok {
-				e.access = rec.Access
-				e.rank = max(rec.Rank, 0)
-			}
+			e := &entry{kind: kind, key: key, bytes: info.Size(), access: recorded[ck]}
 			s.entries[ck] = e
 			s.bytes += e.bytes
 			return nil

@@ -215,58 +215,74 @@ func TestQuarantineSparesReplacedEntry(t *testing.T) {
 	}
 }
 
+// TestEvictionUnderByteBudget pins LRU eviction, on disk and in a
+// memory-only store: past the byte budget the least recently used blobs go,
+// and a read protects a blob however old its put.
 func TestEvictionUnderByteBudget(t *testing.T) {
-	dir := t.TempDir()
-	// Measure one blob's size, then budget for about three.
-	probe := open(t, t.TempDir(), Options{})
-	if err := probe.Put(KindCell, key(0), testPayload(0)); err != nil {
-		t.Fatal(err)
-	}
-	blobBytes := probe.Stats().Bytes
-	if blobBytes <= 0 {
-		t.Fatal("probe blob has no size")
-	}
+	for _, mode := range []struct {
+		name string
+		dir  func() string
+	}{
+		{"disk", t.TempDir},
+		{"memory", func() string { return "" }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := mode.dir()
+			// Measure one blob's size, then budget for about three.
+			probe := open(t, mode.dir(), Options{})
+			if err := probe.Put(KindCell, key(0), testPayload(0)); err != nil {
+				t.Fatal(err)
+			}
+			blobBytes := probe.Stats().Bytes
+			if blobBytes <= 0 {
+				t.Fatal("probe blob has no size")
+			}
 
-	s := open(t, dir, Options{MaxBytes: 3*blobBytes + blobBytes/2})
-	for i := 0; i < 10; i++ {
-		if err := s.Put(KindCell, key(i), testPayload(i)); err != nil {
-			t.Fatalf("Put %d: %v", i, err)
-		}
-	}
-	st := s.Stats()
-	if st.Bytes > 3*blobBytes+blobBytes/2 {
-		t.Errorf("store holds %d bytes, budget %d", st.Bytes, 3*blobBytes+blobBytes/2)
-	}
-	if st.Evictions == 0 {
-		t.Error("no evictions recorded under a tight budget")
-	}
-	// The most recent keys survive; the oldest are gone from disk too.
-	var got payload
-	if !s.Get(KindCell, key(9), &got) {
-		t.Error("most recent key evicted")
-	}
-	if s.Get(KindCell, key(0), &got) {
-		t.Error("oldest key survived a 3-blob budget over 10 puts")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "v1", "cells", key(0)[:2], key(0)+".json")); !os.IsNotExist(err) {
-		t.Errorf("evicted blob still on disk (err %v)", err)
-	}
+			s := open(t, dir, Options{MaxBytes: 3*blobBytes + blobBytes/2})
+			for i := 0; i < 10; i++ {
+				if err := s.Put(KindCell, key(i), testPayload(i)); err != nil {
+					t.Fatalf("Put %d: %v", i, err)
+				}
+			}
+			st := s.Stats()
+			if st.Bytes > 3*blobBytes+blobBytes/2 {
+				t.Errorf("store holds %d bytes, budget %d", st.Bytes, 3*blobBytes+blobBytes/2)
+			}
+			if st.Evictions == 0 {
+				t.Error("no evictions recorded under a tight budget")
+			}
+			// The most recent keys survive; the oldest are gone, from disk too.
+			var got payload
+			if !s.Get(KindCell, key(9), &got) {
+				t.Error("most recent key evicted")
+			}
+			if s.Get(KindCell, key(0), &got) {
+				t.Error("oldest key survived a 3-blob budget over 10 puts")
+			}
+			if dir != "" {
+				if _, err := os.Stat(filepath.Join(dir, "v1", "cells", key(0)[:2], key(0)+".json")); !os.IsNotExist(err) {
+					t.Errorf("evicted blob still on disk (err %v)", err)
+				}
+			}
 
-	// LRU, not FIFO: touching the oldest survivor protects it, so the next
-	// evictions take the colder (though later-inserted) keys instead.
-	if !s.Get(KindCell, key(7), &got) {
-		t.Fatal("key 7 unexpectedly evicted")
-	}
-	for i := 20; i < 22; i++ {
-		if err := s.Put(KindCell, key(i), testPayload(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !s.Get(KindCell, key(7), &got) {
-		t.Error("recently touched key evicted before colder ones")
-	}
-	if s.Get(KindCell, key(8), &got) {
-		t.Error("cold key survived while the budget was exceeded")
+			// LRU, not FIFO: touching the oldest survivor protects it, so the
+			// next evictions take the colder (though later-inserted) keys
+			// instead.
+			if !s.Get(KindCell, key(7), &got) {
+				t.Fatal("key 7 unexpectedly evicted")
+			}
+			for i := 20; i < 22; i++ {
+				if err := s.Put(KindCell, key(i), testPayload(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !s.Get(KindCell, key(7), &got) {
+				t.Error("recently touched key evicted before colder ones")
+			}
+			if s.Get(KindCell, key(8), &got) {
+				t.Error("cold key survived while the budget was exceeded")
+			}
+		})
 	}
 }
 
@@ -377,68 +393,6 @@ func TestIndexIsValidJSON(t *testing.T) {
 	}
 }
 
-// TestRankedEviction pins priority-aware eviction, on disk and in a
-// memory-only store: under byte pressure, high-rank (background-class)
-// blobs evict before low-rank (interactive) ones regardless of recency, LRU
-// within a rank, and the by-rank counters record who went.
-func TestRankedEviction(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		dir  func() string
-	}{
-		{"disk", t.TempDir},
-		{"memory", func() string { return "" }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			probe := open(t, mode.dir(), Options{})
-			if err := probe.Put(KindCell, key(0), testPayload(0)); err != nil {
-				t.Fatal(err)
-			}
-			blobBytes := probe.Stats().Bytes
-
-			s := open(t, mode.dir(), Options{MaxBytes: 3*blobBytes + blobBytes/2})
-			// The interactive blob is the OLDEST — pure LRU would evict it first.
-			if err := s.PutRanked(KindCell, key(1), 0, testPayload(1)); err != nil {
-				t.Fatal(err)
-			}
-			for i := 2; i <= 5; i++ {
-				if err := s.PutRanked(KindCell, key(i), 2, testPayload(i)); err != nil {
-					t.Fatalf("Put %d: %v", i, err)
-				}
-			}
-			var got payload
-			if !s.Get(KindCell, key(1), &got) {
-				t.Error("old interactive-rank blob evicted while background-rank blobs remained")
-			}
-			if s.Get(KindCell, key(2), &got) {
-				t.Error("oldest background-rank blob survived byte pressure")
-			}
-			st := s.Stats()
-			if st.Evictions == 0 || st.EvictionsByRank[2] != st.Evictions {
-				t.Errorf("evictions = %d, by rank = %v; want all charged to rank 2", st.Evictions, st.EvictionsByRank)
-			}
-			if st.EvictionsByRank[0] != 0 {
-				t.Errorf("rank-0 evictions = %d, want 0", st.EvictionsByRank[0])
-			}
-
-			// Within one rank, LRU still applies: touch the older surviving
-			// rank-2 blob and the next put evicts the colder one.
-			if !s.Get(KindCell, key(4), &got) {
-				t.Fatal("key 4 unexpectedly evicted")
-			}
-			if err := s.PutRanked(KindCell, key(6), 2, testPayload(6)); err != nil {
-				t.Fatal(err)
-			}
-			if !s.Get(KindCell, key(4), &got) {
-				t.Error("recently touched rank-2 blob evicted before colder sibling")
-			}
-			if s.Get(KindCell, key(5), &got) {
-				t.Error("cold rank-2 blob survived while the budget was exceeded")
-			}
-		})
-	}
-}
-
 // TestMemoryOnly verifies a store opened without a directory serves what
 // it was given from memory, holds more entries than a disk store absorbs
 // while degraded, and leaves no file behind.
@@ -475,38 +429,95 @@ func TestMemoryOnly(t *testing.T) {
 	}
 }
 
-// TestRankSurvivesRestart verifies ranks round-trip through the index: a
-// reopened store still evicts high-rank blobs first.
-func TestRankSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
+// TestAccessOrderSurvivesRestart verifies the LRU order round-trips
+// through the index: a reopened store evicts the colder blob first, even
+// when it was put later.  An index written with per-entry "rank" fields, as
+// stores that ranked their entries wrote it, loads with every entry and its
+// access order; the field is ignored.
+func TestAccessOrderSurvivesRestart(t *testing.T) {
 	probe := open(t, t.TempDir(), Options{})
 	if err := probe.Put(KindCell, key(0), testPayload(0)); err != nil {
 		t.Fatal(err)
 	}
 	blobBytes := probe.Stats().Bytes
 
-	s1 := open(t, dir, Options{MaxBytes: 100 * blobBytes})
-	if err := s1.PutRanked(KindCell, key(1), 0, testPayload(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.PutRanked(KindCell, key(2), 2, testPayload(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
+	// reopenAndPut reopens dir with room for two blobs, puts a third, and
+	// checks that the warm key stayed and the cold one went.
+	reopenAndPut := func(t *testing.T, dir string, warm, cold int) {
+		t.Helper()
+		s := open(t, dir, Options{MaxBytes: 2*blobBytes + blobBytes/2})
+		if st := s.Stats(); st.Entries != 2 {
+			t.Fatalf("reopened store holds %d entries, want 2", st.Entries)
+		}
+		// Opening does not evict; the next put triggers the budget check.
+		if err := s.Put(KindCell, key(3), testPayload(3)); err != nil {
+			t.Fatal(err)
+		}
+		var got payload
+		if !s.Get(KindCell, key(warm), &got) {
+			t.Errorf("key %d, the more recently used, evicted after restart", warm)
+		}
+		if s.Get(KindCell, key(cold), &got) {
+			t.Errorf("key %d, the colder, survived after restart under byte pressure", cold)
+		}
 	}
 
-	s2 := open(t, dir, Options{MaxBytes: 2*blobBytes + blobBytes/2})
-	// Opening does not evict; the next put triggers the budget check and the
-	// rank-2 blob must go first even though the rank-0 one is older.
-	if err := s2.PutRanked(KindCell, key(3), 1, testPayload(3)); err != nil {
-		t.Fatal(err)
-	}
-	var got payload
-	if !s2.Get(KindCell, key(1), &got) {
-		t.Error("rank-0 blob evicted after restart while a rank-2 blob remained")
-	}
-	if s2.Get(KindCell, key(2), &got) {
-		t.Error("rank-2 blob survived after restart under byte pressure")
-	}
+	t.Run("touched", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir, Options{MaxBytes: 100 * blobBytes})
+		for i := 1; i <= 2; i++ {
+			if err := s.Put(KindCell, key(i), testPayload(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got payload
+		if !s.Get(KindCell, key(1), &got) { // key 1 is now the warmer
+			t.Fatal("key 1 not served")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopenAndPut(t, dir, 1, 2)
+	})
+
+	t.Run("legacy_index", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir, Options{MaxBytes: 100 * blobBytes})
+		for i := 1; i <= 2; i++ {
+			if err := s.Put(KindCell, key(i), testPayload(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Rewrite the index as a ranked store left it: key 1 is the warmer
+		// but carries the rank that was evicted first.
+		var idx map[string]any
+		path := filepath.Join(dir, "v1", "index.json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &idx); err != nil {
+			t.Fatal(err)
+		}
+		for _, raw := range idx["entries"].([]any) {
+			e := raw.(map[string]any)
+			switch e["key"] {
+			case key(1):
+				e["access"], e["rank"] = 20, 2
+			case key(2):
+				e["access"], e["rank"] = 10, 1
+			}
+		}
+		idx["clock"] = 20
+		if data, err = json.Marshal(idx); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopenAndPut(t, dir, 1, 2)
+	})
 }

@@ -229,6 +229,7 @@ type SweepRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Workers bounds concurrent simulations within the sweep (0 = NumCPU).
 	// It never affects results, only speed, and is excluded from Key().
+	// refrint-serve ignores it: the server runs every cell on its one pool.
 	Workers int `json:"workers,omitempty"`
 	// Priority requests a scheduling class from refrint-serve:
 	// "interactive" (the default for POST /v1/sweeps), "batch" (the default

@@ -7,8 +7,8 @@
 #   - X-Request-Id round-trips into the job's trace;
 #   - the cell accounting is exact: with a store attached, a 3-cell sweep
 #     costs exactly 3 cell misses, and the in-flight join counter exists;
-#   - -workers sets the pool size, and the retired work-stealing and
-#     queue-wait aging counters are gone from /metrics;
+#   - -workers sets the pool size, and the retired work-stealing,
+#     queue-wait aging and by-rank eviction counters are gone from /metrics;
 #   - GOMAXPROCS exceeds the simulation workers by at least one (when the
 #     environment does not set it);
 #   - pprof/expvar answer on -debug-addr and are NOT on the public listener;
@@ -140,6 +140,9 @@ if grep -q 'refrint_sched_steal' "$tmp/metrics.txt"; then
 fi
 if grep -q 'refrint_sched_aged_total' "$tmp/metrics.txt"; then
     fail "the retired queue-wait aging counter is still exported" "$tmp/metrics.txt"
+fi
+if grep -q 'refrint_store_evictions_rank_total' "$tmp/metrics.txt"; then
+    fail "the retired by-rank eviction counter is still exported" "$tmp/metrics.txt"
 fi
 
 # --- spare P: more Go scheduler slots than simulation workers ---------------
