@@ -136,7 +136,6 @@ func main() {
 		dataDir        = flag.String("data-dir", "", "persist the store (simulation cells and completed-sweep manifests) under this directory; restarts serve completed sweeps without re-running them (default: memory only)")
 		storeMaxBytes  = flag.Int64("store-max-bytes", 1<<30, "LRU byte budget of the cell store, on disk with -data-dir or in memory without")
 		eventHeartbeat = flag.Duration("event-heartbeat", 15*time.Second, "keepalive comment interval on SSE /events streams")
-		eventBuffer    = flag.Int("event-buffer", 64, "events buffered per SSE subscriber; progress coalesces (latest wins) so slow consumers never block execution")
 		clientRate     = flag.Float64("client-rate", 0, "per-client submission rate limit in requests/second (0 = no limit); over-quota submissions get 429 with Retry-After")
 		clientBurst    = flag.Int("client-burst", 0, "per-client submission burst with -client-rate (0 = ceil(client-rate))")
 		jobTimeout     = flag.Duration("job-timeout", 0, "fail any sweep execution that outlives this wall-clock bound (0 = none); a request's timeout_ms may only lower it")
@@ -193,7 +192,6 @@ func main() {
 		JobHistory:      *jobHistory,
 		BatchHistory:    *batchHistory,
 		EventHeartbeat:  *eventHeartbeat,
-		EventBuffer:     *eventBuffer,
 		ClientRate:      *clientRate,
 		ClientBurst:     *clientBurst,
 		JobTimeout:      *jobTimeout,

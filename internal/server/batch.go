@@ -23,9 +23,9 @@ type Batch struct {
 	jobs      []*Job
 	createdAt time.Time
 
-	// lastState is the batch state the event bus last published; a job's
-	// change publishes a state event only when it moves the aggregate off
-	// it (see Server.publishBatchLocked).
+	// lastState is the aggregate state of the batch's last state event; a
+	// job's change publishes a state event only when it moves the aggregate
+	// off it (see Server.publishBatchLocked).
 	lastState State
 }
 
@@ -130,6 +130,10 @@ func (b *Batch) snapshotLocked() BatchView {
 	return v
 }
 
+// viewLocked is snapshotLocked as an event payload.  Caller holds the server
+// mutex.
+func (b *Batch) viewLocked() any { return b.snapshotLocked() }
+
 // handleSubmitBatch implements POST /v1/batches: every request is planned
 // first, and the plan is admitted whole or not at all (see admit), so a
 // batch either lands whole or leaves no trace (no half-admitted campaigns
@@ -211,11 +215,10 @@ func (s *Server) createBatchLocked(client string, class sched.Class, jobs []*Job
 	// is announced to firehose subscribers, with an immediate terminal for a
 	// batch born done off stored cells.
 	b.lastState = view.State
-	if s.bus.hasTopic(batchTopic(b.id)) {
-		s.bus.publish(eventState, batchTopic(b.id), b.client, b.class, int64(view.Progress.Done), view)
-		if view.State.Terminal() {
-			s.bus.publish(string(view.State), batchTopic(b.id), b.client, b.class, int64(view.Progress.Done), view)
-		}
+	payload := func() any { return view }
+	s.bus.publish(eventState, batchTopic(b.id), b.client, b.class, payload)
+	if view.State.Terminal() {
+		s.bus.publish(string(view.State), batchTopic(b.id), b.client, b.class, payload)
 	}
 	// Forget the oldest batches beyond the history bound whose jobs are all
 	// terminal.

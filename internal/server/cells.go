@@ -417,8 +417,8 @@ func (s *Server) cellDoneLocked(c *cell, run sweep.Run, err error) []*Job {
 		j.done++
 		s.simsCompleted++
 		s.simRate.Add(1)
-		s.bus.publish(eventProgress, jobTopic(j.id), j.request.Client, j.class, int64(j.done), progressEvent{
-			ID: j.id, Kind: "sweep", State: j.state, Progress: progressView(j.done, j.total, j.state),
+		s.bus.publish(eventProgress, jobTopic(j.id), j.request.Client, j.class, func() any {
+			return progressEvent{ID: j.id, Kind: "sweep", State: j.state, Progress: progressView(j.done, j.total, j.state)}
 		})
 		s.publishBatchLocked(j.batch, true)
 		if j.pending == 0 {
@@ -491,7 +491,6 @@ func (s *Server) startJobLocked(j *Job, now time.Time) {
 	j.state = StateRunning
 	s.queuedSweeps[j.class]--
 	j.startedAt = now
-	j.trace.mark(phaseDequeued, now)
 	j.trace.mark(phaseExecuting, now)
 	s.publishJobLocked(j, eventState)
 	s.publishBatchLocked(j.batch, false)

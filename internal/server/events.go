@@ -33,13 +33,20 @@ import (
 // closure — a terminal job replays its terminal event immediately and the
 // stream ends.  Last-Event-ID is ignored.
 //
-// Publishers never block on subscribers: each subscriber owns a bounded
-// queue in which progress events coalesce (latest wins), so a slow consumer
-// costs O(buffer) memory and loses only intermediate progress.  A per-topic
-// stream never sheds its state or terminal events (it holds at most a
-// handful); an extremely backlogged firehose evicts oldest-first — progress
-// before state, terminals only as a last resort.  Event IDs are
-// monotonic within one server process.
+// Delivery order is publish order.  A per-topic stream subscribes and takes
+// its snapshot in one hold of the server mutex, so every event it receives
+// was published after the snapshot; and a subscriber's queue only reorders
+// by coalescing progress (a newer value replaces an older one in place) and
+// only loses events to overflow, so the progress a stream delivers never
+// runs backwards.
+//
+// Publishers never block on subscribers: each subscriber owns a queue of at
+// most eventBuffer events in which progress events coalesce (latest wins),
+// so a slow consumer costs bounded memory and loses only intermediate
+// progress.  A per-topic stream never sheds its state or terminal events (it
+// holds at most a handful); an extremely backlogged firehose evicts
+// oldest-first — progress before state, terminals only as a last resort.
+// Event IDs are monotonic within one server process.
 
 // Event names beyond the terminal ones (which reuse the State strings).
 const (
@@ -53,10 +60,6 @@ type Event struct {
 	Name  string // "state", "progress", "done", "failed", "cancelled"
 	Topic string
 	Data  []byte // marshalled JSON payload
-	// done is the progress ordinal (simulations completed) carried by
-	// progress and snapshot events; writers use it to keep the delivered
-	// progress sequence monotonic even across queue coalescing.
-	done int64
 	// client and class identify the tenant and scheduling class behind the
 	// event, so filtered firehose subscribers match without unmarshalling.
 	client string
@@ -80,6 +83,9 @@ type progressEvent struct {
 
 func jobTopic(id string) string   { return "job:" + id }
 func batchTopic(id string) string { return "batch:" + id }
+
+// eventBuffer bounds each SSE subscriber's pending-event queue.
+const eventBuffer = 64
 
 // noClassFilter marks a firehose subscriber without a class filter.
 const noClassFilter = sched.Class(-1)
@@ -122,7 +128,7 @@ func (sub *subscriber) matches(ev Event) bool {
 // full the oldest expendable event is evicted — progress first, then state,
 // terminal events only as a last resort (a per-topic stream holds at most
 // one, but a stalled firehose reader can accumulate them).
-func (sub *subscriber) push(ev Event, buffer int) {
+func (sub *subscriber) push(ev Event) {
 	sub.mu.Lock()
 	coalesced := false
 	if ev.Name == eventProgress {
@@ -137,7 +143,7 @@ func (sub *subscriber) push(ev Event, buffer int) {
 	}
 	if !coalesced {
 		sub.queue = append(sub.queue, ev)
-		if len(sub.queue) > buffer {
+		if len(sub.queue) > eventBuffer {
 			drop := -1
 			for i, q := range sub.queue {
 				if q.Name == eventProgress {
@@ -175,8 +181,6 @@ func (sub *subscriber) drain(buf []Event) []Event {
 // leaf in the lock order: the server publishes while holding s.mu, so the
 // bus must never call back into the server.
 type eventBus struct {
-	buffer int // per-subscriber queue bound
-
 	mu        sync.Mutex
 	subs      map[*subscriber]struct{}
 	seq       int64
@@ -185,11 +189,8 @@ type eventBus struct {
 	dropped   int64 // accumulated from departed subscribers
 }
 
-func newEventBus(buffer int) *eventBus {
-	return &eventBus{
-		buffer: buffer,
-		subs:   make(map[*subscriber]struct{}),
-	}
+func newEventBus() *eventBus {
+	return &eventBus{subs: make(map[*subscriber]struct{})}
 }
 
 // subscribe attaches a new subscriber to one topic ("" = firehose).  It
@@ -232,37 +233,27 @@ func (b *eventBus) unsubscribe(sub *subscriber) {
 	b.mu.Unlock()
 }
 
-// publish fans one event out to every matching subscriber.  The payload is
-// marshalled at most once, and not at all when nobody is listening.
-func (b *eventBus) publish(name, topic, client string, class sched.Class, done int64, payload any) {
+// publish fans one event out to every matching subscriber.  payload builds
+// the event's data: it is called at most once, and only when a subscriber
+// matches, so nobody listening costs no view.
+func (b *eventBus) publish(name, topic, client string, class sched.Class, payload func() any) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	probe := Event{Name: name, Topic: topic, client: client, class: class}
-	matched := false
-	for sub := range b.subs {
-		if sub.matches(probe) {
-			matched = true
-			break
+	ev := Event{Name: name, Topic: topic, client: client, class: class}
+	for sub := range b.subs { // empty once the bus is closed
+		if !sub.matches(ev) {
+			continue
 		}
-	}
-	if !matched {
-		return
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return // payloads are the server's own view structs; cannot fail
-	}
-	b.seq++
-	b.published++
-	ev := probe
-	ev.ID, ev.Data, ev.done = b.seq, data, done
-	for sub := range b.subs {
-		if sub.matches(ev) {
-			sub.push(ev, b.buffer)
+		if ev.Data == nil {
+			data, err := json.Marshal(payload())
+			if err != nil {
+				return // payloads are the server's own view structs; cannot fail
+			}
+			b.seq++
+			b.published++
+			ev.ID, ev.Data = b.seq, data
 		}
+		sub.push(ev)
 	}
 }
 
@@ -273,23 +264,6 @@ func (b *eventBus) nextID() int64 {
 	defer b.mu.Unlock()
 	b.seq++
 	return b.seq
-}
-
-// hasTopic reports whether any subscriber would receive events on topic —
-// one of its own streams, or the firehose.  Publishers use it to skip
-// building a view nobody would receive.
-func (b *eventBus) hasTopic(topic string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return false
-	}
-	for sub := range b.subs {
-		if sub.topic == "" || sub.topic == topic {
-			return true
-		}
-	}
-	return false
 }
 
 // stats returns subscriber count and cumulative published/dropped counters.
@@ -325,12 +299,10 @@ func (b *eventBus) close() {
 
 // --- SSE wire format ---
 
-// sseWriter writes one text/event-stream response, keeping each topic's
-// delivered progress monotonic.
+// sseWriter writes one text/event-stream response.
 type sseWriter struct {
-	w    http.ResponseWriter
-	rc   *http.ResponseController
-	seen map[string]int64 // topic -> highest progress ordinal written
+	w  http.ResponseWriter
+	rc *http.ResponseController
 }
 
 func startSSE(w http.ResponseWriter) *sseWriter {
@@ -339,7 +311,7 @@ func startSSE(w http.ResponseWriter) *sseWriter {
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
 	w.WriteHeader(http.StatusOK)
-	sw := &sseWriter{w: w, rc: http.NewResponseController(w), seen: make(map[string]int64)}
+	sw := &sseWriter{w: w, rc: http.NewResponseController(w)}
 	// Streams outlive any server write deadline; best-effort, some
 	// ResponseWriters (httptest recorders) do not support deadlines.
 	_ = sw.rc.SetWriteDeadline(time.Time{})
@@ -347,28 +319,8 @@ func startSSE(w http.ResponseWriter) *sseWriter {
 }
 
 // event writes one event into the response buffer; the caller flushes it
-// (returning from the handler flushes too).  Progress that would run
-// backwards — a coalesced queue can deliver around a snapshot — is silently
-// skipped.
+// (returning from the handler flushes too).
 func (sw *sseWriter) event(ev Event) error {
-	switch {
-	case ev.Name == eventProgress:
-		if last, ok := sw.seen[ev.Topic]; ok && ev.done <= last {
-			return nil
-		}
-		sw.seen[ev.Topic] = ev.done
-	case ev.terminal():
-		// The topic is over — no later progress can arrive for it — so its
-		// ordinal is dropped: a long-lived firehose must not accumulate one
-		// map entry per job ever streamed.
-		delete(sw.seen, ev.Topic)
-	default:
-		if cur, ok := sw.seen[ev.Topic]; !ok || ev.done > cur {
-			// State events carry progress too; later queued progress
-			// events must not run backwards past them.
-			sw.seen[ev.Topic] = ev.done
-		}
-	}
 	_, err := fmt.Fprintf(sw.w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Name, ev.Data)
 	return err
 }
@@ -391,38 +343,38 @@ func mustJSON(v any) []byte {
 
 // --- HTTP handlers ---
 
-// streamTopic serves one per-topic SSE stream: subscribe first (so no
-// transition can fall between subscription and snapshot; the writer's
-// monotonicity filter absorbs the overlap), send the connect-time "state"
-// snapshot, replay the terminal event immediately for a finished topic —
-// late and reconnecting subscribers still get closure — and otherwise pump
-// live events until the stream ends.  snapshot runs under the server mutex
-// and reports ok=false when the entity vanished (history eviction) between
-// the caller's existence check and the subscription.
-func (s *Server) streamTopic(w http.ResponseWriter, r *http.Request, topic, kind, id string, snapshot func() (view any, st State, done int, ok bool)) {
-	sub, ok := s.bus.subscribe(topic)
-	if !ok {
+// streamTopic serves one per-topic SSE stream of kind "job" or "batch"
+// (topics are "<kind>:<id>").  It subscribes and renders the connect-time
+// "state" snapshot in one hold of the server mutex, so the stream carries
+// exactly the events published after its snapshot; then it replays the
+// terminal event immediately for a finished topic — late and reconnecting
+// subscribers still get closure — and otherwise pumps live events until the
+// stream ends.
+func (s *Server) streamTopic(w http.ResponseWriter, r *http.Request, kind string) {
+	id := r.PathValue("id")
+	topic := kind + ":" + id
+	s.mu.Lock()
+	sub, open := s.bus.subscribe(topic)
+	view, st, found := s.topicViewLocked(kind, id)
+	snapID := s.bus.nextID()
+	s.mu.Unlock()
+	if !open {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	defer s.bus.unsubscribe(sub)
-
-	view, st, done, ok := snapshot()
-	if !ok {
+	if !found {
 		writeError(w, http.StatusNotFound, "no %s %q", kind, id)
 		return
 	}
 
 	sw := startSSE(w)
-	state := Event{
-		ID: s.bus.nextID(), Name: eventState, Topic: topic,
-		Data: mustJSON(view), done: int64(done),
-	}
-	if sw.event(state) != nil {
+	data := mustJSON(view)
+	if sw.event(Event{ID: snapID, Name: eventState, Topic: topic, Data: data}) != nil {
 		return
 	}
 	if st.Terminal() {
-		_ = sw.event(Event{ID: s.bus.nextID(), Name: string(st), Topic: topic, Data: state.Data})
+		_ = sw.event(Event{ID: s.bus.nextID(), Name: string(st), Topic: topic, Data: data})
 		return
 	}
 	if sw.rc.Flush() != nil {
@@ -431,34 +383,29 @@ func (s *Server) streamTopic(w http.ResponseWriter, r *http.Request, topic, kind
 	s.streamLoop(r, sub, sw)
 }
 
+// topicViewLocked renders the job or batch (kind "job" or "batch") a
+// per-topic stream follows and reports its state, or found=false when there
+// is none.  Caller holds the server mutex.
+func (s *Server) topicViewLocked(kind, id string) (view any, st State, found bool) {
+	if j, ok := s.jobs[id]; ok && kind == "job" {
+		v := j.snapshot()
+		return v, v.State, true
+	}
+	if b, ok := s.batches[id]; ok && kind == "batch" {
+		v := b.snapshotLocked()
+		return v, v.State, true
+	}
+	return nil, "", false
+}
+
 // handleJobEvents implements GET /v1/sweeps/{id}/events.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.streamTopic(w, r, jobTopic(id), "job", id, func() (any, State, int, bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		job, ok := s.jobs[id]
-		if !ok {
-			return nil, "", 0, false
-		}
-		v := job.snapshot()
-		return v, v.State, v.Progress.Done, true
-	})
+	s.streamTopic(w, r, "job")
 }
 
 // handleBatchEvents implements GET /v1/batches/{id}/events.
 func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.streamTopic(w, r, batchTopic(id), "batch", id, func() (any, State, int, bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		b, ok := s.batches[id]
-		if !ok {
-			return nil, "", 0, false
-		}
-		v := b.snapshotLocked()
-		return v, v.State, v.Progress.Done, true
-	})
+	s.streamTopic(w, r, "batch")
 }
 
 // handleFirehose implements GET /v1/events: every event of every job and

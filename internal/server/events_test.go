@@ -495,31 +495,34 @@ func TestProgressPublishedPerCell(t *testing.T) {
 // drains holds a bounded queue in which the latest progress wins and
 // terminal events survive.
 func TestSlowSubscriberCoalescing(t *testing.T) {
-	const buffer = 4
-	b := newEventBus(buffer)
+	b := newEventBus()
 	sub, ok := b.subscribe("job:x")
 	if !ok {
 		t.Fatal("subscribe failed on open bus")
 	}
-	b.publish(eventState, "job:x", "", sched.Interactive, 0, map[string]int{"s": 0})
+	b.publish(eventState, "job:x", "", sched.Interactive, func() any { return map[string]int{"done": 0} })
 	for i := 1; i <= 100; i++ {
-		b.publish(eventProgress, "job:x", "", sched.Interactive, int64(i), map[string]int{"done": i})
+		b.publish(eventProgress, "job:x", "", sched.Interactive, func() any { return map[string]int{"done": i} })
 	}
-	b.publish(string(StateDone), "job:x", "", sched.Interactive, 100, map[string]int{"done": 100})
+	b.publish(string(StateDone), "job:x", "", sched.Interactive, func() any { return map[string]int{"done": 100} })
 
 	sub.mu.Lock()
 	depth := len(sub.queue)
 	sub.mu.Unlock()
-	if depth > buffer {
-		t.Fatalf("queue grew to %d, want <= %d", depth, buffer)
+	if depth > eventBuffer {
+		t.Fatalf("queue grew to %d, want <= %d", depth, eventBuffer)
 	}
 	events := sub.drain(nil)
-	var lastProgress int64 = -1
+	lastProgress := -1
 	sawTerminal := false
 	for _, ev := range events {
 		switch ev.Name {
 		case eventProgress:
-			lastProgress = ev.done
+			var p struct{ Done int }
+			if err := json.Unmarshal(ev.Data, &p); err != nil {
+				t.Fatalf("progress data %q: %v", ev.Data, err)
+			}
+			lastProgress = p.Done
 		case string(StateDone):
 			sawTerminal = true
 		}
@@ -538,11 +541,117 @@ func TestSlowSubscriberCoalescing(t *testing.T) {
 	if _, ok := b.subscribe("job:y"); ok {
 		t.Fatal("subscribe succeeded on closed bus")
 	}
-	b.publish(eventProgress, "job:x", "", sched.Interactive, 101, nil) // must be a no-op, not a panic
+	b.publish(eventProgress, "job:x", "", sched.Interactive, nil) // must be a no-op, not a panic
 	select {
 	case <-sub.quit:
 	default:
 		t.Fatal("close did not tear the subscriber down")
+	}
+}
+
+// TestBusDeliversInPublishOrder drives one firehose and two per-topic
+// subscribers past eventBuffer with interleaved topics and never drains
+// them.  Coalescing and overflow skip events but never deliver one ahead of
+// an older one, so on every topic no progress or terminal event carries
+// less progress than an event delivered before it (a state event may:
+// coalescing moves newer progress ahead of it), and every terminal event
+// survives.
+func TestBusDeliversInPublishOrder(t *testing.T) {
+	b := newEventBus()
+	topics := []string{"job:a", "job:b", "job:c"}
+	subs := map[string]*subscriber{}
+	for _, topic := range []string{"", "job:a", "job:b"} {
+		sub, ok := b.subscribe(topic)
+		if !ok {
+			t.Fatal("subscribe failed on open bus")
+		}
+		subs[topic] = sub
+	}
+	const steps = 3 * eventBuffer // a state event every third step overflows even a per-topic queue
+	for i := 1; i <= steps; i++ {
+		name := eventProgress
+		if i%3 == 0 {
+			name = eventState
+		}
+		for _, topic := range topics {
+			b.publish(name, topic, "", sched.Batch, func() any { return map[string]int{"done": i} })
+		}
+	}
+	for _, topic := range topics {
+		b.publish(string(StateDone), topic, "", sched.Batch, func() any { return map[string]int{"done": steps} })
+	}
+
+	for topic, sub := range subs {
+		events := sub.drain(nil)
+		if len(events) > eventBuffer {
+			t.Errorf("subscriber %q: %d events queued, want <= %d", topic, len(events), eventBuffer)
+		}
+		high := map[string]int{} // topic -> most progress delivered so far
+		terminal := map[string]bool{}
+		for _, ev := range events {
+			var p struct{ Done int }
+			if err := json.Unmarshal(ev.Data, &p); err != nil {
+				t.Fatalf("event data %q: %v", ev.Data, err)
+			}
+			if ev.Name != eventState && p.Done < high[ev.Topic] {
+				t.Errorf("subscriber %q: %s event of %s carries %d after %d", topic, ev.Name, ev.Topic, p.Done, high[ev.Topic])
+			}
+			high[ev.Topic] = max(high[ev.Topic], p.Done)
+			terminal[ev.Topic] = terminal[ev.Topic] || ev.terminal()
+		}
+		for _, want := range topics {
+			if (topic == "" || topic == want) && !terminal[want] {
+				t.Errorf("subscriber %q: terminal event of %s dropped", topic, want)
+			}
+		}
+	}
+}
+
+// TestSSESnapshotOrdersStream opens job streams while the jobs' cells
+// complete: each stream is opened as one more cell is let through.  A
+// stream subscribes and takes its snapshot in one hold of the server mutex,
+// so its first event is the snapshot, every later progress event reports
+// more cells than the snapshot and the events before it, and no later
+// event reports fewer.
+func TestSSESnapshotOrdersStream(t *testing.T) {
+	exec := newSteppedExec()
+	h := newHarness(t, sseConfig(exec.fn))
+	quit := make(chan struct{}) // frees the stepping goroutines of a failed test
+	t.Cleanup(func() { close(quit) })
+	for round := range 10 {
+		view, _ := h.submit(steppedRequest(int64(700 + round)))
+		var streams []*sseStream
+		for range 5 {
+			go func() {
+				select {
+				case exec.step <- struct{}{}:
+				case <-quit:
+				}
+			}()
+			streams = append(streams, h.openSSE("/v1/sweeps/"+view.ID+"/events", ""))
+		}
+		for i, st := range streams {
+			first, ok := st.next()
+			if !ok || first.name != "state" {
+				t.Fatalf("round %d stream %d: first event = %+v (ok=%v), want state", round, i, first, ok)
+			}
+			_, p := first.progressPayload(t)
+			last := p.Done
+			for {
+				ev, ok := st.next()
+				if !ok {
+					break
+				}
+				_, p := ev.progressPayload(t)
+				if p.Done < last || (ev.name == "progress" && p.Done == last) {
+					t.Fatalf("round %d stream %d: %s event reports %d cells after %d", round, i, ev.name, p.Done, last)
+				}
+				last = p.Done
+			}
+			if last != 5 {
+				t.Fatalf("round %d stream %d: ended at %d cells, want 5", round, i, last)
+			}
+		}
 	}
 }
 

@@ -450,3 +450,42 @@ func TestRetentionFollowsUseNotClass(t *testing.T) {
 		}
 	}
 }
+
+// TestBornDoneKeepsManifest: a sweep served born done off stored cells uses
+// its manifest as well as its cells, so byte pressure evicts colder entries
+// before it.  Sweeps A and C, a born-done resubmission of A, then sweep B
+// run on a memory-only store one byte short of what the four leave behind:
+// one entry goes, and A's figures are still served by its key.
+func TestBornDoneKeepsManifest(t *testing.T) {
+	reqA, reqC, reqB := tinyRequest(1), tinyRequest(3), tinyRequest(2)
+	scenario := func(st *store.Store) *harness {
+		h := newHarness(t, Config{Store: st})
+		for _, req := range []refrint.SweepRequest{reqA, reqC} {
+			v, _ := h.submit(req)
+			h.waitState(v.ID, StateDone)
+		}
+		if v, status := h.submit(reqA); status != http.StatusOK || !v.CacheHit {
+			t.Fatalf("resubmission of A: status %d cache_hit %v, want 200 cache hit", status, v.CacheHit)
+		}
+		b, _ := h.submit(reqB)
+		h.waitState(b.ID, StateDone)
+		return h
+	}
+
+	probe, err := store.Open("", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario(probe)
+	st, err := store.Open("", store.Options{MaxBytes: probe.Stats().Bytes - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := scenario(st)
+	if n := st.Stats().Evictions; n != 1 {
+		t.Fatalf("%d evictions, want 1", n)
+	}
+	if _, status := h.getText("/v1/sweeps/" + mustKey(t, reqA) + "/figures"); status != http.StatusOK {
+		t.Errorf("figures of A by key after byte pressure: status %d, want 200", status)
+	}
+}

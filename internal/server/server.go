@@ -70,11 +70,6 @@ type Config struct {
 	// BatchHistory bounds how many finished batches remain pollable
 	// (default 256), like JobHistory for /v1/batches handles.
 	BatchHistory int
-	// EventBuffer bounds each SSE subscriber's pending-event queue
-	// (default 64).  Progress events coalesce (latest wins) and overflow
-	// drops intermediate events, so a slow subscriber never blocks
-	// execution and never grows memory without bound.
-	EventBuffer int
 	// EventHeartbeat is the keepalive comment interval on SSE streams
 	// (default 15s), so idle connections survive proxies.
 	EventHeartbeat time.Duration
@@ -136,9 +131,6 @@ func (c Config) withDefaults() Config {
 		if c.ClassQueueDepth[class] <= 0 {
 			c.ClassQueueDepth[class] = c.Workers * c.QueueDepth
 		}
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 64
 	}
 	if c.EventHeartbeat <= 0 {
 		c.EventHeartbeat = 15 * time.Second
@@ -245,7 +237,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		mux:         http.NewServeMux(),
-		bus:         newEventBus(cfg.EventBuffer),
+		bus:         newEventBus(),
 		store:       cfg.Store,
 		jobs:        make(map[string]*Job),
 		cells:       make(map[sweep.CellKey]*cell),
@@ -412,38 +404,31 @@ func (s *Server) recordPanic(site string, recovered any, stack []byte) {
 // publishJobLocked emits a named event carrying the job's full view.
 // Caller holds the server mutex.
 func (s *Server) publishJobLocked(j *Job, name string) {
-	if !s.bus.hasTopic(jobTopic(j.id)) {
-		return
-	}
-	view := j.snapshot()
-	s.bus.publish(name, jobTopic(j.id), j.request.Client, j.class, int64(view.Progress.Done), view)
+	s.bus.publish(name, jobTopic(j.id), j.request.Client, j.class, func() any { return j.snapshot() })
 }
 
 // publishBatchLocked publishes a member job's change on its batch's topic
 // (a no-op for a job outside any batch): when the batch's aggregate state
 // moved since it was last published, the full view as a state or terminal
-// event; otherwise, with progress set, a slim progress event.  With no
-// audience for the topic it does nothing, leaving lastState stale so the
-// next change after somebody subscribes publishes the state again.  Caller
-// holds the server mutex.
+// event; otherwise, with progress set, a slim progress event.  Caller holds
+// the server mutex.
 func (s *Server) publishBatchLocked(b *Batch, progress bool) {
-	if b == nil || !s.bus.hasTopic(batchTopic(b.id)) {
+	if b == nil {
 		return
 	}
 	st, done, total := b.tallyLocked()
 	if st != b.lastState {
-		view := b.snapshotLocked()
+		b.lastState = st
 		name := eventState
-		if view.State.Terminal() {
-			name = string(view.State)
+		if st.Terminal() {
+			name = string(st)
 		}
-		b.lastState = view.State
-		s.bus.publish(name, batchTopic(b.id), b.client, b.class, int64(done), view)
+		s.bus.publish(name, batchTopic(b.id), b.client, b.class, b.viewLocked)
 		return
 	}
 	if progress {
-		s.bus.publish(eventProgress, batchTopic(b.id), b.client, b.class, int64(done), progressEvent{
-			ID: b.id, Kind: "batch", State: st, Progress: progressView(done, total, st),
+		s.bus.publish(eventProgress, batchTopic(b.id), b.client, b.class, func() any {
+			return progressEvent{ID: b.id, Kind: "batch", State: st, Progress: progressView(done, total, st)}
 		})
 	}
 }

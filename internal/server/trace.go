@@ -19,13 +19,13 @@ import (
 // duration), so the durations always sum exactly to the traced wall time.
 // The straight-line path is
 //
-//	received -> validated -> admitted -> queued -> dequeued -> executing
-//	         -> persisting -> done
+//	received -> validated -> admitted -> queued -> executing -> persisting
+//	         -> done
 //
 // with shortcuts where the pipeline skips work: a submission whose cells are
 // all stored marks cache-hit and goes straight to done, and a job cancelled
 // while queued jumps from queued to cancelled.  A job that joins a cell
-// already running is dequeued the moment it is queued.
+// already running executes the moment it is queued.
 
 // Lifecycle phase names, in pipeline order.  Terminal marks reuse the job
 // State strings ("done", "failed", "cancelled").
@@ -34,7 +34,6 @@ const (
 	phaseValidated  = "validated"         // body decoded, labels/options resolved
 	phaseAdmitted   = "admitted"          // past quota and capacity; job exists
 	phaseQueued     = "queued"            // waiting in a scheduler queue
-	phaseDequeued   = "dequeued"          // the sweep's first cell popped by a worker
 	phaseExecuting  = "executing"         // simulations running
 	phasePersisting = "persisting"        // completed sweep's manifest being written to the store
 	phaseCacheHit   = "cache-hit"         // answered from stored cells

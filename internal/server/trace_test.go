@@ -79,7 +79,7 @@ func TestTraceExecutedJob(t *testing.T) {
 		t.Fatalf("trace_id drifted: trace says %q, job view said %q", tr.TraceID, view.TraceID)
 	}
 	got := strings.Join(phases(tr), ",")
-	for _, phase := range []string{phaseReceived, phaseValidated, phaseAdmitted, phaseQueued, phaseDequeued, phaseExecuting, string(StateDone)} {
+	for _, phase := range []string{phaseReceived, phaseValidated, phaseAdmitted, phaseQueued, phaseExecuting, string(StateDone)} {
 		if !strings.Contains(got+",", phase+",") {
 			t.Errorf("executed job timeline %q missing phase %q", got, phase)
 		}

@@ -590,11 +590,14 @@ func (s *Store) CellHooks(logf func(format string, args ...any)) (lookup func(sw
 }
 
 // Contains reports whether Get would find an entry under (kind, key),
-// without reading or verifying it.
+// without reading or verifying it.  A hit counts as a use of the entry, like
+// a Get: the LRU budget evicts it after every colder one.
 func (s *Store) Contains(kind Kind, key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[compositeKey(kind, key)]
+	ck := compositeKey(kind, key)
+	s.touchLocked(ck)
+	_, ok := s.entries[ck]
 	return ok
 }
 

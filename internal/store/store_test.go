@@ -286,6 +286,50 @@ func TestEvictionUnderByteBudget(t *testing.T) {
 	}
 }
 
+// TestContainsCountsAsUse checks that a hit of Contains is a use for the LRU
+// budget: of two entries, the older one read only with Contains outlives the
+// newer one nobody read.
+func TestContainsCountsAsUse(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		dir  func() string
+	}{
+		{"disk", t.TempDir},
+		{"memory", func() string { return "" }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			probe := open(t, mode.dir(), Options{})
+			if err := probe.Put(KindSweep, key(0), testPayload(0)); err != nil {
+				t.Fatal(err)
+			}
+			blobBytes := probe.Stats().Bytes
+
+			// Room for two blobs: the third put evicts one of the first two.
+			s := open(t, mode.dir(), Options{MaxBytes: 2*blobBytes + blobBytes/2})
+			for i := 1; i <= 2; i++ {
+				if err := s.Put(KindSweep, key(i), testPayload(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !s.Contains(KindSweep, key(1)) {
+				t.Fatal("Contains missed a fresh entry")
+			}
+			if err := s.Put(KindSweep, key(3), testPayload(3)); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.Stats().Evictions; n != 1 {
+				t.Fatalf("%d evictions, want 1", n)
+			}
+			if !s.Contains(KindSweep, key(1)) {
+				t.Error("entry read with Contains evicted before a colder one")
+			}
+			if s.Contains(KindSweep, key(2)) {
+				t.Error("colder entry survived while the budget was exceeded")
+			}
+		})
+	}
+}
+
 // TestOversizedBlobStillPersists verifies a single blob larger than the
 // budget is kept (the store never evicts its way to uselessness).
 func TestOversizedBlobStillPersists(t *testing.T) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # SSE smoke test: boots a real refrint-serve, runs a tiny sweep, and asserts
 # the /events streams behave end to end — state event, terminal event, stream
-# close, terminal-snapshot replay on reconnect, and a live firehose.  Then it
+# close, terminal-snapshot replay on reconnect, a live firehose, and progress
+# that never runs backwards on any topic of either stream.  Then it
 # restarts the server on the same port and checks a firehose reconnecting
 # with a Last-Event-ID from the old process still sees a new job end.  CI
 # runs this next to the fuzz and bench smokes; locally: scripts/sse-smoke.sh
@@ -26,6 +27,21 @@ fail() {
     [ -f "$2" ] && { echo "--- $2 ---" >&2; cat "$2" >&2; }
     [ -f "$tmp/serve.log" ] && { echo "--- serve.log ---" >&2; cat "$tmp/serve.log" >&2; }
     exit 1
+}
+
+# check_progress_order fails if the "done" values of one topic's progress
+# events in an SSE transcript ever decrease.
+check_progress_order() {
+    awk '
+        /^event: / { ev = substr($0, 8) }
+        /^data: / && ev == "progress" {
+            id = $0; sub(/.*"id":"/, "", id); sub(/".*/, "", id)
+            d = $0; sub(/.*"done":/, "", d); sub(/[^0-9].*/, "", d)
+            if ((id in last) && d + 0 < last[id]) { printf "%s: done %d after %d\n", id, d, last[id]; bad = 1 }
+            last[id] = d + 0
+        }
+        END { exit bad }
+    ' "$1" >"$tmp/order.txt" || fail "progress ran backwards: $(cat "$tmp/order.txt")" "$1"
 }
 
 # start_server boots refrint-serve and waits until it answers /healthz.
@@ -60,6 +76,7 @@ grep -q '^event: state' "$tmp/events.txt" || fail "missing state event" "$tmp/ev
 grep -q '^event: done'  "$tmp/events.txt" || fail "missing terminal done event" "$tmp/events.txt"
 n=$(grep -c '^event: \(done\|failed\|cancelled\)' "$tmp/events.txt")
 [ "$n" -eq 1 ] || fail "want exactly 1 terminal event, got $n" "$tmp/events.txt"
+check_progress_order "$tmp/events.txt"
 
 # Reconnecting after the job finished still gets closure (snapshot replay).
 curl -sN --max-time 30 -H 'Last-Event-ID: 1' "$base/v1/sweeps/$id/events" >"$tmp/replay.txt" \
@@ -70,6 +87,7 @@ grep -q '^event: done' "$tmp/replay.txt" || fail "replay missing terminal event"
 kill "$fhpid" 2>/dev/null || true
 wait "$fhpid" 2>/dev/null || true
 grep -q '^event: done' "$tmp/firehose.txt" || fail "firehose missed the job's terminal event" "$tmp/firehose.txt"
+check_progress_order "$tmp/firehose.txt"
 
 # Restart on the same port.  Event IDs restart with the process, so a
 # dashboard reconnecting with the last ID it saw before the restart must
