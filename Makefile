@@ -20,8 +20,8 @@ vet:
 	$(GO) vet ./...
 
 # Project-native static analysis (internal/analysis): the *Locked contract,
-# //refrint:alloc-free pins, /metrics naming/registration, and atomic-field
-# discipline.  Blocking in CI; run before sending a change.
+# //refrint:alloc-free pins and /metrics naming/registration.  Blocking in
+# CI; run before sending a change.
 lint:
 	$(GO) build -o bin/refrint-lint ./cmd/refrint-lint
 	$(GO) vet -vettool=$(CURDIR)/bin/refrint-lint ./...

@@ -1,11 +1,10 @@
-// refrint-lint is the project's static-analysis suite: four custom
+// refrint-lint is the project's static-analysis suite: three custom
 // analyzers (see internal/analysis/...) that machine-check invariants the
 // codebase otherwise only enforces by convention or at runtime —
 //
 //	lockcheck   — *Locked functions are called under the mutex and never block
 //	allocfree   — //refrint:alloc-free hot paths contain no allocating constructs
 //	metricname  — /metrics families are well-named and HELP/TYPE registered
-//	atomicfield — fields touched via sync/atomic are never accessed bare
 //
 // The binary speaks the go vet -vettool protocol, so the go command does
 // the package loading and drives it exactly like go vet's own checks:
@@ -19,7 +18,6 @@ package main
 
 import (
 	"refrint/internal/analysis/allocfree"
-	"refrint/internal/analysis/atomicfield"
 	"refrint/internal/analysis/lint"
 	"refrint/internal/analysis/lockcheck"
 	"refrint/internal/analysis/metricname"
@@ -30,6 +28,5 @@ func main() {
 		lockcheck.Analyzer,
 		allocfree.Analyzer,
 		metricname.Analyzer,
-		atomicfield.Analyzer,
 	)
 }

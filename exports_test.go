@@ -35,7 +35,6 @@ var interfaceMethods = map[string]bool{
 // methods.
 var testOracles = map[string]string{
 	"edram.PeriodicSchedule.GroupAt":        "closed form of the Periodic firing order that core's sweep arithmetic reproduces",
-	"edram.PeriodicSchedule.FiringsUpTo":    "closed form of the number of Periodic group firings by a cycle",
 	"edram.Retention.SentryFired":           "closed form of when a line's sentry bit interrupts",
 	"edram.Retention.GuardBand":             "the retention margin between a sentry interrupt and cell decay",
 	"sim.System.CheckInvariants":            "structural invariants of a whole chip: inclusion, directory and occupancy",

@@ -145,6 +145,19 @@ func (s PeriodicSchedule) FiringsUpTo(now int64) int64 {
 	return now / interval
 }
 
+// FramesUpTo returns how many frames the firings due at or before cycle
+// `now` sweep, in O(1): each full round of Groups firings sweeps all Lines
+// once, and the r firings of a partial round sweep groups 0..r-1, of which
+// only the last group of the bank may be short.
+func (s PeriodicSchedule) FramesUpTo(now int64) int64 {
+	if s.Groups <= 0 {
+		return 0
+	}
+	k, groups := s.FiringsUpTo(now), int64(s.Groups)
+	lines := int64(s.Lines)
+	return k/groups*lines + min(k%groups*int64(s.LinesPerGroup()), lines)
+}
+
 // GroupRange returns the [start, end) flat line-index range of a group.
 func (s PeriodicSchedule) GroupRange(group int) (start, end int) {
 	per := s.LinesPerGroup()

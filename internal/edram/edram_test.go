@@ -182,3 +182,54 @@ func TestStaggeringSpreadsFirings(t *testing.T) {
 		t.Errorf("firing spacing = %d, want 12500", c1-c0)
 	}
 }
+
+// framesByFiring is the oracle of FramesUpTo: the sizes of the groups of
+// every firing due by now, added one firing at a time.
+func framesByFiring(s PeriodicSchedule, now int64) int64 {
+	var frames int64
+	for k := range s.FiringsUpTo(now) {
+		g, _ := s.GroupAt(k)
+		start, end := s.GroupRange(g)
+		frames += int64(end - start)
+	}
+	return frames
+}
+
+func TestPeriodicScheduleFramesUpTo(t *testing.T) {
+	r := Retention{CellCycles: 3000, SentryCycles: 2000}
+	uneven := NewPeriodicSchedule(r, 3, 10) // groups of 4, 4 and 2 lines, firings every 1000
+	sparse := NewPeriodicSchedule(r, 4, 3)  // more groups than lines: the last group is empty
+	for _, tc := range []struct {
+		name string
+		s    PeriodicSchedule
+		now  int64
+		want int64
+	}{
+		{"before the first firing", uneven, 999, 0},
+		{"on the first firing", uneven, 1000, 4},
+		{"between firings", uneven, 2999, 8},
+		{"on the short last group", uneven, 3000, 10},
+		{"one round and one group", uneven, 4000, 14},
+		{"two rounds and the short group pending", uneven, 8999, 28},
+		{"more groups than lines, partial round", sparse, 2250, 3},
+		{"more groups than lines, on the empty group", sparse, 3000, 3},
+		{"more groups than lines, second round", sparse, 3750, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.s.FramesUpTo(tc.now); got != tc.want {
+				t.Errorf("FramesUpTo(%d) = %d, want %d", tc.now, got, tc.want)
+			}
+			if got := framesByFiring(tc.s, tc.now); got != tc.want {
+				t.Errorf("the firing loop gives %d frames by %d, want %d", got, tc.now, tc.want)
+			}
+		})
+	}
+	// And at every cycle of several rounds, for several group counts.
+	for _, s := range []PeriodicSchedule{uneven, sparse, NewPeriodicSchedule(r, 4, 1000), NewPeriodicSchedule(r, 0, 7)} {
+		for now := int64(0); now <= 4*r.CellCycles; now += 50 {
+			if got, want := s.FramesUpTo(now), framesByFiring(s, now); got != want {
+				t.Fatalf("%+v: FramesUpTo(%d) = %d, the firing loop gives %d", s, now, got, want)
+			}
+		}
+	}
+}

@@ -39,12 +39,15 @@ import (
 // been stored — so at every instant a cell is either in flight or (store
 // budget permitting) stored, and no cell is simulated twice.
 //
-// Nor is a refresh trajectory: a follower (an R.all or WB(n,m) cell, see
-// sweep.CellKey.Leader) created while its family's Valid cell is in flight
-// keeps a pointer to that leader.  When the leader has finished by the time
-// a worker takes the follower, and sweep.Reuse says its run computes the
-// follower's too, the follower takes that Result instead of simulating.
-// Every other follower simulates; no worker waits for a leader.
+// Nor is a refresh trajectory: a follower (an R.all, P.all or WB(n,m) cell,
+// see sweep.CellKey.Leader) created while its family's Valid cell is in
+// flight keeps a pointer to that leader.  When the leader has finished by
+// the time a worker takes the follower, and sweep.Reuse says its run
+// computes the follower's too, the follower takes that Result instead of
+// simulating.  A leader served from the store counts as finished: its
+// R.all and P.all followers take its Result, and its WB(n,m) followers,
+// which need the budget watch of a leader simulated here, simulate.  Every
+// other follower simulates; no worker waits for a leader.
 
 // cellState is the lifecycle state of an in-flight cell.
 type cellState uint8
@@ -281,7 +284,7 @@ func (s *Server) runCell(c *cell) {
 
 	var run sweep.Run
 	var err error
-	res, reused := sweep.Reuse(lead, c.sc)
+	res, reused := sweep.Reuse(c.opts, lead, c.sc)
 	if reused {
 		run = sweep.Run{App: c.sc.App, Point: c.sc.Point, Result: res}
 	} else {

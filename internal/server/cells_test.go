@@ -165,8 +165,8 @@ func TestOverlappingSweepsSimulateEachCellOnce(t *testing.T) {
 // background cell yields its worker — instead of after the whole
 // background sweep, or even after the one cell.  The held cell goes back to
 // the front of its queue; this Execute cannot park, so it starts over.  The
-// background R.all cell takes the finished R.valid run instead of
-// simulating (sweep.Reuse).
+// background R.all and P.all cells take the finished R.valid and P.valid
+// runs instead of simulating (sweep.Reuse).
 func TestInteractiveWaitsAtMostOneCell(t *testing.T) {
 	sim := newCellSim(100)
 	h := newHarness(t, Config{Workers: 1, Execute: sim.fn})
@@ -197,11 +197,11 @@ func TestInteractiveWaitsAtMostOneCell(t *testing.T) {
 	close(sim.release)
 	h.waitState(bg.ID, StateDone)
 	sims := sim.simulations()
-	if len(sims) != 7 {
-		t.Fatalf("simulated %d distinct cells, want 7 of the 8 (R.all reuses R.valid)", len(sims))
+	if len(sims) != 6 {
+		t.Fatalf("simulated %d distinct cells, want 6 of the 8 (R.all reuses R.valid, P.all P.valid)", len(sims))
 	}
-	if got := h.schedMetric("refrint_cell_reuses_total"); got != 1 {
-		t.Errorf("refrint_cell_reuses_total = %g, want 1 (R.all)", got)
+	if got := h.schedMetric("refrint_cell_reuses_total"); got != 2 {
+		t.Errorf("refrint_cell_reuses_total = %g, want 2 (R.all and P.all)", got)
 	}
 	for k, n := range sims {
 		want := 1

@@ -159,7 +159,7 @@ func (s *Server) renderMetrics(b *strings.Builder, snap metricsSnapshot) {
 	counter("refrint_sweep_cache_hits_total", "Submissions answered immediately from stored cells.", snap.sweepHits)
 	counter("refrint_sweep_cache_misses_total", "Submissions admitted as live jobs (not served from stored cells).", snap.sweepMisses)
 	counter("refrint_cell_inflight_joins_total", "Job cells that joined a simulation already in flight instead of running their own (identical submissions included).", snap.inflightJoins)
-	counter("refrint_cell_reuses_total", "Simulation cells (R.all and WB(n,m)) served from their family's Valid run instead of simulating.", snap.cellReuses)
+	counter("refrint_cell_reuses_total", "Simulation cells (R.all, P.all and WB(n,m)) served from their family's Valid run instead of simulating.", snap.cellReuses)
 
 	// The known recovery sites are always exposed (zero included) so
 	// dashboards can rate() them from the first scrape; any further site

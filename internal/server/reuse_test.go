@@ -205,17 +205,20 @@ func TestServiceReuseSurvivesParking(t *testing.T) {
 }
 
 // TestServiceReuseNeedsAWatchedLeader checks the two cases in which a
-// follower must simulate although its leader is done: the leader was served
-// from the store, which keeps no budget watch, or a custom Execute returned
-// a Run built afresh, which has none.
+// WB(n,m) follower must simulate although its leader is done: the leader
+// was served from the store, which keeps no budget watch, or a custom
+// Execute returned a Run built afresh, which has none.  The R.all and P.all
+// followers of the same leaders follow from any finished Valid run, so in
+// both cases they take its Result instead of simulating.
 func TestServiceReuseNeedsAWatchedLeader(t *testing.T) {
 	req := tinyRequest(34)
-	req.Policies = []string{"P.valid", "P.WB(32,32)", "R.valid", "R.all", "R.WB(32,32)"}
+	req.Policies = []string{"P.valid", "P.all", "P.WB(32,32)", "R.valid", "R.all", "R.WB(32,32)"}
 	opts, err := req.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := sweep.Cells(opts)
+	static := func(p config.Policy) bool { return p.Time != config.NoRefresh && p.Data == config.AllData }
 
 	t.Run("stored leader", func(t *testing.T) {
 		st := openStore(t, t.TempDir())
@@ -237,27 +240,43 @@ func TestServiceReuseNeedsAWatchedLeader(t *testing.T) {
 		view, _ := h.submit(req)
 		h.waitState(view.ID, StateDone)
 		assertResultsMatchLibrary(t, h, view.ID, req)
-		assertSimulatedOnce(t, sim, len(cells)-2)
-		if got := h.schedMetric("refrint_cell_reuses_total"); got != 0 {
-			t.Errorf("refrint_cell_reuses_total = %g with stored leaders, want 0", got)
+		assertSimulatedOnce(t, sim, len(cells)-4) // the baseline and the WB cells
+		for k := range sim.simulations() {
+			if static(k.Policy) {
+				t.Errorf("%s simulated, though its Valid leader was stored", k.Policy)
+			}
+		}
+		if got := h.schedMetric("refrint_cell_reuses_total"); got != 2 {
+			t.Errorf("refrint_cell_reuses_total = %g with stored leaders, want 2 (R.all and P.all)", got)
 		}
 	})
 
 	t.Run("stub execute", func(t *testing.T) {
-		var calls atomic.Int64
+		var mu sync.Mutex
+		ran := make(map[config.Policy]int)
 		h := newHarness(t, Config{Workers: 1, Execute: func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error) {
-			calls.Add(1)
+			mu.Lock()
+			ran[c.Point.Policy]++
+			mu.Unlock()
 			run, err := sweep.RunCell(ctx, opts, c)
 			return sweep.Run{App: run.App, Point: run.Point, Result: run.Result}, err
 		}})
 		view, _ := h.submit(req)
 		h.waitState(view.ID, StateDone)
 		assertResultsMatchLibrary(t, h, view.ID, req)
-		if got := calls.Load(); got != int64(len(cells)) {
-			t.Errorf("Execute ran %d cells, want all %d", got, len(cells))
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range cells {
+			want := 1
+			if static(c.Point.Policy) {
+				want = 0
+			}
+			if ran[c.Point.Policy] != want {
+				t.Errorf("Execute ran %s %d times, want %d", c.Point.Key(), ran[c.Point.Policy], want)
+			}
 		}
-		if got := h.schedMetric("refrint_cell_reuses_total"); got != 0 {
-			t.Errorf("refrint_cell_reuses_total = %g with a stub Execute, want 0", got)
+		if got := h.schedMetric("refrint_cell_reuses_total"); got != 2 {
+			t.Errorf("refrint_cell_reuses_total = %g with a stub Execute, want 2 (R.all and P.all)", got)
 		}
 	})
 }

@@ -27,11 +27,12 @@ import (
 // more (or the server closes), and with the cause sweep.ErrYield when the
 // cell is preempted: sweep.RunCell then returns a *sweep.Parked, which the
 // server resumes later, while an implementation that returns ctx's error
-// instead is run again from the start.  An R.all or WB(n,m) cell whose
-// finished Valid leader's Run computes its result too (sweep.Reuse) takes
-// that Result without reaching Execute.  A Run that Execute builds itself,
-// rather than one sweep.RunCell returned, carries no budget watch, so the
-// followers of its cell all run.
+// instead is run again from the start.  An R.all, P.all or WB(n,m) cell
+// whose finished Valid leader's Run computes its result too (sweep.Reuse)
+// takes that Result without reaching Execute.  A Run that Execute builds
+// itself, rather than one sweep.RunCell returned, carries no budget watch,
+// so the WB(n,m) followers of its cell run; its R.all and P.all followers
+// take its Result when it has Stats.
 type ExecuteFunc func(ctx context.Context, opts sweep.Options, c sweep.Cell) (sweep.Run, error)
 
 // Config tunes the service.  The zero value is usable.

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 
+	"refrint/internal/config"
+	"refrint/internal/edram"
 	"refrint/internal/energy"
 	"refrint/internal/stats"
 )
@@ -204,9 +206,6 @@ func (s *System) finish() Result {
 		}
 	}
 
-	model := energy.NewModel(energy.NewParameters(s.cfg))
-	breakdown := model.Compute(s.st)
-
 	retention := 0.0
 	if s.cfg.Cell.Refreshable() {
 		retention = float64(s.cfg.Cell.RetentionCycles) / float64(s.cfg.FreqMHz)
@@ -216,7 +215,43 @@ func (s *System) finish() Result {
 		Policy:      s.cfg.Policy.String(),
 		RetentionUS: retention,
 		Stats:       s.st.Clone(), // the next Reset zeroes s.st in place
-		Energy:      breakdown,
+		Energy:      price(s.cfg, s.st),
 		Cycles:      end,
 	}
+}
+
+// price computes the energy of a run's counters on a chip configured by
+// cfg.
+func price(cfg config.Config, st *stats.Stats) energy.Breakdown {
+	return energy.NewModel(energy.NewParameters(cfg)).Compute(st)
+}
+
+// PeriodicAllFrom returns the Result of a P.all cell, whose configuration is
+// cfg, from the Result of the P.valid run of the same application, seed and
+// chip.  The two runs differ only in what a group sweep counts
+// (core.(*Bank).sweepGroup): P.all refreshes every frame of the group and
+// P.valid its valid lines.  Both block the bank port for the same cycles,
+// neither decays or drops a line, and privatePolicy gives every level the
+// L3's data policy, so every access, miss and cycle agrees.  Each level's
+// refreshes are therefore its banks × the frames its schedule sweeps by
+// the end of the run; PolicyRefreshes moves by the same amount, the energy
+// is priced again, and every other counter is valid's.
+func PeriodicAllFrom(cfg config.Config, valid Result) Result {
+	st := valid.Stats.Clone()
+	ret := edram.NewRetention(cfg.Cell)
+	levels := [...]config.CacheConfig{stats.IL1: cfg.IL1, stats.DL1: cfg.DL1, stats.L2: cfg.L2, stats.L3: cfg.L3}
+	for level, cache := range levels {
+		// Every tile has one bank of each level (the L3 is one bank per
+		// node, which config.Validate checks).
+		sched := edram.NewPeriodicSchedule(ret, cache.SubArrays, cache.Sets()*cache.Ways)
+		all := int64(cfg.Cores) * sched.FramesUpTo(st.Cycles)
+		c := st.Level(stats.Level(level))
+		st.PolicyRefreshes += all - c.Refreshes
+		c.Refreshes = all
+	}
+	res := valid
+	res.Policy = cfg.Policy.String()
+	res.Stats = st
+	res.Energy = price(cfg, st)
+	return res
 }

@@ -36,11 +36,12 @@ func (k CellKey) Hash() string { return config.HashJSON(k) }
 
 // Leader returns the key of the cell whose run k's cell may take (see
 // Reuse): the same cell under the Valid data policy of its time policy.  It
-// is defined for the cells that can compute a Valid run, R.all and
-// WB(n,m), and reports false for every other cell, the Valid ones included.
+// is defined for the cells whose Result follows from a Valid run, R.all,
+// P.all and WB(n,m), and reports false for every other cell, the Valid ones
+// and the SRAM baseline included.
 func (k CellKey) Leader() (CellKey, bool) {
 	p := k.Policy
-	if p.Data != config.WBData && (p.Time != config.RefrintTime || p.Data != config.AllData) {
+	if p.Time == config.NoRefresh || (p.Data != config.WBData && p.Data != config.AllData) {
 		return CellKey{}, false
 	}
 	k.Policy = config.Policy{Time: p.Time, Data: config.ValidData}

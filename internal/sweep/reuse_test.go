@@ -96,6 +96,10 @@ func TestReuseMatchesRunCell(t *testing.T) {
 				t.Errorf("seed %d %s: %d cells reused a leader claimed after them", seed, v.name, reused)
 			case v.name != "reversed" && reused == 0:
 				t.Errorf("seed %d %s: no cell reused a Valid run", seed, v.name)
+			case seed == 1 && v.name == "workers=1" && !raceDetector && reused != 62:
+				// One worker finishes every leader before it claims a
+				// follower, so the count depends only on the leaders' runs.
+				t.Errorf("seed 1 %s: %d cells reused a Valid run, want 62 (44 WB(n,m), 9 R.all and 9 P.all)", v.name, reused)
 			}
 			seen := make(map[*stats.Stats]string)
 			for _, w := range want {
@@ -114,6 +118,44 @@ func TestReuseMatchesRunCell(t *testing.T) {
 				}
 				seen[got.Result.Stats] = name
 			}
+		}
+	}
+}
+
+// TestLookedUpLeaderServesStaticFollowers serves only the Valid cells from
+// CellLookup: their R.all and P.all followers take the looked-up Result
+// instead of simulating, the WB(n,m) followers, which need the budget watch
+// of a leader simulated here, simulate, and every Result equals RunCell's
+// alone.
+func TestLookedUpLeaderServesStaticFollowers(t *testing.T) {
+	opts := tinyOptions()
+	opts.Workers = 1
+	opts.Policies = []config.Policy{
+		config.RefrintValid, {Time: config.RefrintTime, Data: config.AllData},
+		config.PeriodicValid, config.PeriodicAll, config.RefrintWB(32, 32),
+	}
+	want := aloneRuns(t, opts)
+	stored := make(map[CellKey]sim.Result)
+	for i, c := range Cells(opts) {
+		if leads(c.Point.Policy) {
+			stored[c.Key] = want[i].Result
+		}
+	}
+	opts.CellLookup = func(k CellKey) (sim.Result, bool) {
+		res, ok := stored[k]
+		return res, ok
+	}
+	res, reused, err := execute(context.Background(), opts, nil, ClaimOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := 2 * len(opts.Apps); reused != n {
+		t.Errorf("%d cells reused a looked-up Valid run, want %d (R.all and P.all)", reused, n)
+	}
+	for _, w := range want {
+		got, ok := res.Lookup(w.App, w.Point)
+		if !ok || !reflect.DeepEqual(got.Result, w.Result) {
+			t.Errorf("%s %s differs from RunCell alone", w.App, w.Point.Key())
 		}
 	}
 }

@@ -203,7 +203,7 @@ type Run struct {
 	Result sim.Result
 	// watch is the WB(n,m) budget watch of a Valid cell this package
 	// simulated, and nil in every other Run: one built elsewhere or read
-	// back from a store spares no follower (see Reuse).
+	// back from a store spares no WB(n,m) follower (see Reuse).
 	watch *core.Watch
 }
 
@@ -301,8 +301,10 @@ func Assemble(opts Options, runs []Run) *Results {
 // retention time and time policy, and its Valid cell leads it; the other
 // members are the cells whose CellKey.Leader names it.  The pool claims the
 // cells in ClaimOrder, leaders first.  A follower takes its leader's Result
-// when Reuse says that run computes the follower's too.  A follower whose
-// leader has not finished, failed or was served by CellLookup simulates as
+// when Reuse says that run computes the follower's too: an R.all or P.all
+// follower whenever its leader has finished, by simulating or from
+// CellLookup, and a WB(n,m) follower when its leader simulated here and its
+// budget watch spares the follower.  Every other follower simulates as
 // RunCell does; no worker waits for another.  A reused cell still passes
 // RunCell's fault points, CellLookup and CellPut, and counts in progress.
 //
@@ -388,8 +390,8 @@ type family struct {
 func leads(p config.Policy) bool { return p.Data == config.ValidData }
 
 // families returns each cell's family, or nil for a cell outside every
-// family: a baseline, a Dirty or Periodic All cell, or a follower whose
-// leader is not among cells.
+// family: a baseline, a Dirty cell, or a follower whose leader is not among
+// cells.
 func families(cells []Cell) []*family {
 	byLeader := make(map[CellKey]*family)
 	for _, c := range cells {
@@ -410,9 +412,9 @@ func families(cells []Cell) []*family {
 
 // ClaimOrder lists the indices of cells in the order that lets followers
 // reuse their leaders' runs: first the Valid cells that some cell in cells
-// follows (see CellKey.Leader), last those followers, and every other cell
-// in between, each group in the order of cells.  A sweep without followers
-// keeps its order.
+// follows (see CellKey.Leader), last those followers (R.all, P.all and
+// WB(n,m)), and every other cell in between, each group in the order of
+// cells.  A sweep without followers keeps its order.
 // ExecuteContext claims a sweep's cells in this order, and the sweep
 // service creates a job's cells in it.
 func ClaimOrder(cells []Cell) []int {
@@ -444,23 +446,29 @@ func ClaimOrder(cells []Cell) []int {
 	return order
 }
 
-// Reuse returns the Result that the follower cell c takes from lead, which
-// must be the Run of the cell whose key is c.Key.Leader(), or false when c
-// must simulate.  R.all is R.valid, since sentries arm only on valid lines.
-// WB(n,m) is Valid until some line is due for a refresh with no budget
-// left, which lead's budget watch shows.  A lead this package did not
-// simulate (the zero Run, or one read back from a store) carries no watch
-// and spares nothing.  The Result is relabelled with c's policy and has its
-// own Stats.
-func Reuse(lead Run, c Cell) (sim.Result, bool) {
-	if _, ok := c.Key.Leader(); !ok || lead.watch == nil {
+// Reuse returns the Result that the follower cell c of the sweep opts takes
+// from lead, which must be the Run of the cell whose key is c.Key.Leader(),
+// or false when c must simulate.  R.all and P.all follow from any finished
+// lead, by construction: R.all is R.valid, since sentries arm only on valid
+// lines, and P.all is P.valid with each level's refreshes counted in closed
+// form (sim.PeriodicAllFrom).  WB(n,m) is Valid until some line is due for a
+// refresh with no budget left, which lead's budget watch shows; a lead this
+// package did not simulate (one read back from a store) carries no watch
+// and spares no WB(n,m) cell.  The zero Run spares nothing.  The Result is
+// labelled with c's policy and has its own Stats.
+func Reuse(opts Options, lead Run, c Cell) (sim.Result, bool) {
+	if _, ok := c.Key.Leader(); !ok || lead.Result.Stats == nil {
 		return sim.Result{}, false
 	}
-	if p := c.Point.Policy; p.Data == config.WBData && !lead.watch.Spares(p.N, p.M) {
+	p := c.Point.Policy
+	switch {
+	case p.Data == config.WBData && (lead.watch == nil || !lead.watch.Spares(p.N, p.M)):
 		return sim.Result{}, false
+	case p == config.PeriodicAll:
+		return sim.PeriodicAllFrom(c.Point.Config(opts.normalise().Base), lead.Result), true
 	}
 	res := lead.Result
-	res.Policy = c.Point.Policy.String()
+	res.Policy = p.String()
 	res.Stats = res.Stats.Clone()
 	return res, true
 }
@@ -500,8 +508,9 @@ func RunCell(ctx context.Context, opts Options, c Cell) (Run, error) {
 }
 
 // runCell is RunCell for a cell of family fam (nil: none).  A leader
-// publishes its run to fam; a follower takes its leader's Result when Reuse
-// allows, and reports that with copied.
+// publishes its run to fam, whether CellLookup served or it simulated; a
+// follower takes its leader's Result when Reuse allows, and reports that
+// with copied.
 func runCell(ctx context.Context, opts Options, c Cell, fam *family) (run Run, copied bool, err error) {
 	defer contain(c, &run, &err)
 	if err := faults.CheckCtx(ctx, faults.ExecLatency); err != nil {
@@ -512,11 +521,13 @@ func runCell(ctx context.Context, opts Options, c Cell, fam *family) (run Run, c
 	}
 	if opts.CellLookup != nil {
 		if res, ok := opts.CellLookup(c.Key); ok {
-			return Run{App: c.App, Point: c.Point, Result: res}, false, nil
+			run = Run{App: c.App, Point: c.Point, Result: res}
+			fam.publish(c, run)
+			return run, false, nil
 		}
 	}
 	if lead := fam.leader(); lead != nil {
-		if res, ok := Reuse(*lead, c); ok {
+		if res, ok := Reuse(opts, *lead, c); ok {
 			if opts.CellPut != nil {
 				opts.CellPut(c.Key, res)
 			}
@@ -524,10 +535,18 @@ func runCell(ctx context.Context, opts Options, c Cell, fam *family) (run Run, c
 		}
 	}
 	run, err = runOne(ctx, opts.normalise(), c)
-	if err == nil && fam != nil && leads(c.Point.Policy) {
-		fam.lead.Store(&run)
+	if err == nil {
+		fam.publish(c, run)
 	}
 	return run, false, err
+}
+
+// publish makes run its family's leader when c, the cell it is the run of,
+// leads f.  A nil f publishes nothing.
+func (f *family) publish(c Cell, run Run) {
+	if f != nil && leads(c.Point.Policy) {
+		f.lead.Store(&run)
+	}
 }
 
 // leader returns the published run of f's leader, or nil: none yet, or no

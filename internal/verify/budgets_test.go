@@ -140,48 +140,37 @@ func TestWBPolicyActionsMonotoneInBudget(t *testing.T) {
 // level against its closed form: each bank refreshes every frame of the
 // group of each firing due by the end of the run, so a level refreshes
 // banks × the sum, over firings k < FiringsUpTo(Cycles), of the size of
-// GroupRange(GroupAt(k)).
+// GroupRange(GroupAt(k)).  The P.all cells are simulated alone, since the
+// sweep derives them from P.valid through edram's O(1) form of this sum.
 func TestPeriodicAllRefreshesClosedForm(t *testing.T) {
-	res, err := quickSweep()
-	if err != nil {
-		t.Fatalf("quick sweep: %v", err)
-	}
-	pAll := config.PeriodicAll
+	runs := alone(t, func(c sweep.Cell) bool { return c.Point.Policy == config.PeriodicAll })
+	base := sweep.QuickOptions().Base
 	pairs := 0
-	for _, pt := range res.Points {
-		if pt.Policy != pAll {
-			continue
-		}
-		cfg := pt.Config(res.Options.Base)
+	for id, res := range runs {
+		cfg := id.point.Config(base)
 		ret := edram.NewRetention(cfg.Cell)
-		for _, app := range res.Options.Apps {
-			run, ok := res.Lookup(app, pt)
-			if !ok {
-				t.Fatalf("%s %s missing from the sweep", app, pt.Key())
+		for _, lv := range []struct {
+			level stats.Level
+			cache config.CacheConfig
+			banks int
+		}{
+			{stats.IL1, cfg.IL1, cfg.Cores},
+			{stats.DL1, cfg.DL1, cfg.Cores},
+			{stats.L2, cfg.L2, cfg.Cores},
+			{stats.L3, cfg.L3, cfg.L3.Banks},
+		} {
+			sched := edram.NewPeriodicSchedule(ret, lv.cache.SubArrays, lv.cache.Sets()*lv.cache.Ways)
+			var perBank int64
+			for k := range sched.FiringsUpTo(res.Cycles) {
+				group, _ := sched.GroupAt(k)
+				start, end := sched.GroupRange(group)
+				perBank += int64(end - start)
 			}
-			for _, lv := range []struct {
-				level stats.Level
-				cache config.CacheConfig
-				banks int
-			}{
-				{stats.IL1, cfg.IL1, cfg.Cores},
-				{stats.DL1, cfg.DL1, cfg.Cores},
-				{stats.L2, cfg.L2, cfg.Cores},
-				{stats.L3, cfg.L3, cfg.L3.Banks},
-			} {
-				sched := edram.NewPeriodicSchedule(ret, lv.cache.SubArrays, lv.cache.Sets()*lv.cache.Ways)
-				var perBank int64
-				for k := range sched.FiringsUpTo(run.Result.Cycles) {
-					group, _ := sched.GroupAt(k)
-					start, end := sched.GroupRange(group)
-					perBank += int64(end - start)
-				}
-				want := int64(lv.banks) * perBank
-				if got := run.Result.Stats.Levels[lv.level].Refreshes; got != want {
-					t.Errorf("%s %s %v: %d refreshes, closed form %d", app, pt.Key(), lv.level, got, want)
-				}
-				pairs++
+			want := int64(lv.banks) * perBank
+			if got := res.Stats.Levels[lv.level].Refreshes; got != want {
+				t.Errorf("%s %s %v: %d refreshes, closed form %d", id.app, id.point.Key(), lv.level, got, want)
 			}
+			pairs++
 		}
 	}
 	if pairs != 36 {

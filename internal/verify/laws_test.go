@@ -166,6 +166,40 @@ func TestRefrintAllIsRefrintValid(t *testing.T) {
 	}
 }
 
+// TestPeriodicAllIsPeriodicValid checks the identity the sweep derives
+// P.all from: P.all is P.valid with each level's refreshes counted in closed
+// form (sim.PeriodicAllFrom).  In each (application, retention) pair, P.all
+// derived from P.valid agrees with P.all in every counter, the energy, the
+// execution time and the label.  Both cells are simulated alone, since the
+// sweep hands P.all the derived run.
+func TestPeriodicAllIsPeriodicValid(t *testing.T) {
+	runs := alone(t, func(c sweep.Cell) bool {
+		return c.Point.Policy == config.PeriodicAll || c.Point.Policy == config.PeriodicValid
+	})
+	opts := sweep.QuickOptions()
+	pairs := 0
+	for _, ret := range opts.RetentionTimesUS {
+		for _, app := range opts.Apps {
+			all := sweep.Point{RetentionUS: ret, Policy: config.PeriodicAll}
+			a, okAll := runs[cellID{app, all}]
+			v, okValid := runs[cellID{app, sweep.Point{RetentionUS: ret, Policy: config.PeriodicValid}}]
+			if !okAll || !okValid {
+				t.Fatalf("%s@%gus: P.all or P.valid missing from the sweep", app, ret)
+			}
+			d := sim.PeriodicAllFrom(all.Config(opts.Base), v)
+			if !sameRun(d, a) || d.Policy != a.Policy {
+				t.Errorf("%s@%gus: P.all derived from P.valid differs from P.all:\n derived %s %v, %d cycles, %d refreshes\n P.all   %s %v, %d cycles, %d refreshes",
+					app, ret, d.Policy, d.Energy, d.Cycles, d.Stats.TotalOnChipRefreshes(),
+					a.Policy, a.Energy, a.Cycles, a.Stats.TotalOnChipRefreshes())
+			}
+			pairs++
+		}
+	}
+	if pairs != 9 {
+		t.Errorf("compared %d (app, retention) pairs, want 9", pairs)
+	}
+}
+
 // sameRun reports whether two runs agree in every counter, the energy and
 // the execution time.
 func sameRun(a, b sim.Result) bool {
