@@ -19,8 +19,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Project-native static analysis (internal/analysis): the *Locked contract,
-# //refrint:alloc-free pins and /metrics naming/registration.  Blocking in
+# Project-native static analysis (internal/analysis): the *Locked contract
+# (lockcheck) and the //refrint:alloc-free pins (allocfree).  Blocking in
 # CI; run before sending a change.
 lint:
 	$(GO) build -o bin/refrint-lint ./cmd/refrint-lint

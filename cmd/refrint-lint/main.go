@@ -1,10 +1,13 @@
-// refrint-lint is the project's static-analysis suite: three custom
+// refrint-lint is the project's static-analysis suite: two custom
 // analyzers (see internal/analysis/...) that machine-check invariants the
-// codebase otherwise only enforces by convention or at runtime —
+// codebase otherwise only enforces by convention —
 //
 //	lockcheck   — *Locked functions are called under the mutex and never block
 //	allocfree   — //refrint:alloc-free hot paths contain no allocating constructs
-//	metricname  — /metrics families are well-named and HELP/TYPE registered
+//
+// The /metrics contract (refrint_ names, HELP and TYPE on every family) is
+// checked by internal/server's TestMetricsExpositionLint instead, against
+// both a populated scrape and the renderer's source.
 //
 // The binary speaks the go vet -vettool protocol, so the go command does
 // the package loading and drives it exactly like go vet's own checks:
@@ -20,13 +23,11 @@ import (
 	"refrint/internal/analysis/allocfree"
 	"refrint/internal/analysis/lint"
 	"refrint/internal/analysis/lockcheck"
-	"refrint/internal/analysis/metricname"
 )
 
 func main() {
 	lint.Main(
 		lockcheck.Analyzer,
 		allocfree.Analyzer,
-		metricname.Analyzer,
 	)
 }

@@ -22,7 +22,7 @@ var (
 )
 
 // TestVetTool builds refrint-lint and drives it through `go vet -vettool`
-// over a module holding the three analyzers' fixture packages: every
+// over a module holding the two analyzers' fixture packages: every
 // `// want` line must be reported at its line with a matching message and
 // the run must fail, while a clean package must pass.
 func TestVetTool(t *testing.T) {
@@ -43,7 +43,7 @@ func TestVetTool(t *testing.T) {
 	writeFile(t, filepath.Join(mod, "go.mod"), "module fixtures\n\ngo 1.23\n")
 	writeFile(t, filepath.Join(mod, "clean", "clean.go"), "package clean\n\nfunc Add(a, b int) int { return a + b }\n")
 	wants := map[string][]*regexp.Regexp{} // "pkg/file.go:line" -> expected messages
-	for _, a := range []string{"allocfree", "lockcheck", "metricname"} {
+	for _, a := range []string{"allocfree", "lockcheck"} {
 		src := filepath.Join("..", "..", "internal", "analysis", a, "testdata", "src", "a")
 		files, err := filepath.Glob(filepath.Join(src, "*.go"))
 		if err != nil || len(files) == 0 {

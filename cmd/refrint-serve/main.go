@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -110,6 +111,15 @@ func parseClassTriple(flagName, s string) ([sched.NumClasses]int, error) {
 	return out, nil
 }
 
+// checkClientRate rejects a -client-rate that is NaN, infinite or negative;
+// 0 leaves quotas off.
+func checkClientRate(rate float64) error {
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+		return fmt.Errorf("-client-rate: want a finite rate of at least 0 (0 = no limit), got %v", rate)
+	}
+	return nil
+}
+
 // gomaxprocsFor returns the GOMAXPROCS to run with, given the current
 // value, whether the GOMAXPROCS environment variable set it, and the number
 // of simulation workers.  Each worker keeps a P busy while it simulates, so
@@ -163,6 +173,10 @@ func main() {
 	}
 	weights, err := parseClassTriple("class-weights", *classWeights)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "refrint-serve:", err)
+		os.Exit(2)
+	}
+	if err := checkClientRate(*clientRate); err != nil {
 		fmt.Fprintln(os.Stderr, "refrint-serve:", err)
 		os.Exit(2)
 	}

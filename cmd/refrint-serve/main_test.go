@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -37,5 +38,18 @@ func TestGomaxprocsFor(t *testing.T) {
 					tc.current, tc.fromEnv, workers, procs, tooFew, tc.wantProcs, tc.wantTooFew)
 			}
 		})
+	}
+}
+
+func TestCheckClientRate(t *testing.T) {
+	for _, rate := range []float64{0, 0.001, 1, 1000} {
+		if err := checkClientRate(rate); err != nil {
+			t.Errorf("checkClientRate(%v) = %v, want nil", rate, err)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if err := checkClientRate(rate); err == nil {
+			t.Errorf("checkClientRate(%v) = nil, want an error", rate)
+		}
 	}
 }

@@ -26,7 +26,7 @@
 //	store.put:error:0.5          half of store writes fail
 //	store.get:corrupt:0.1        a tenth of store reads find a corrupt blob
 //	sim.run:panic:1              every simulation panics
-//	exec.latency:latency:2s      every simulation takes 2s longer
+//	sim.run:latency:2s           every simulation takes 2s longer
 //	job.complete:panic           every job panics as its results are assembled
 //	store.put:error:1,sim.run:latency:10ms:0.1
 //
@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strconv"
@@ -55,12 +56,11 @@ const (
 	StorePut    = "store.put"    // persistent-store blob writes
 	StoreGet    = "store.get"    // persistent-store blob reads
 	SimRun      = "sim.run"      // one simulation cell, inside the recover guard
-	ExecLatency = "exec.latency" // extra latency per simulation cell
 	JobComplete = "job.complete" // one job's assembly and manifest write, inside the recover guard
 )
 
 // points is every injection point, in the order Parse's error lists them.
-var points = []string{StorePut, StoreGet, SimRun, ExecLatency, JobComplete}
+var points = []string{StorePut, StoreGet, SimRun, JobComplete}
 
 // ErrInjected is the error returned by error-mode injection.  Callers that
 // must distinguish injected failures from real ones (the store's quarantine
@@ -162,9 +162,12 @@ func Parse(spec string) (*Injector, error) {
 	return inj, nil
 }
 
+// parseRate parses a trigger rate in [0, 1].  NaN is rejected explicitly:
+// every comparison with it is false, so it would pass the range test and
+// then fire on every check.
 func parseRate(s string) (float64, error) {
 	rate, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || rate < 0 || rate > 1 {
+	if err != nil || math.IsNaN(rate) || rate < 0 || rate > 1 {
 		return 0, fmt.Errorf("bad rate %q (want 0..1)", s)
 	}
 	return rate, nil

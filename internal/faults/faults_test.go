@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -32,6 +33,8 @@ func TestParseErrors(t *testing.T) {
 		"sim.run:latency:-5ms",       // negative duration
 		"sim.run:latency:5ms:7",      // rate out of range
 		"sim.run:latency:5ms:0.5:oh", // too many args
+		"store.put:error:NaN",        // NaN rate
+		"store.put:latency:1ms:NaN",  // NaN rate
 		"sim.rn:panic",               // unknown point
 		"store.pt:error",             // unknown point
 	}
@@ -39,6 +42,15 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", spec)
 		}
+	}
+}
+
+// TestParseRetiredPoint pins that exec.latency, folded into sim.run (whose
+// latency mode covers it), is an unknown point rather than an alias.
+func TestParseRetiredPoint(t *testing.T) {
+	_, err := Parse("exec.latency:latency:1ms")
+	if err == nil || !strings.Contains(err.Error(), `unknown point "exec.latency"`) {
+		t.Fatalf("Parse(exec.latency) = %v, want the unknown-point error", err)
 	}
 }
 
@@ -141,7 +153,7 @@ func TestPartialRateFiresSometimes(t *testing.T) {
 }
 
 func TestLatencyMode(t *testing.T) {
-	inj, err := Parse("exec.latency:latency:30ms")
+	inj, err := Parse("sim.run:latency:30ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +161,7 @@ func TestLatencyMode(t *testing.T) {
 	t.Cleanup(Disable)
 
 	start := time.Now()
-	if err := Check(ExecLatency); err != nil {
+	if err := Check(SimRun); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
@@ -158,7 +170,7 @@ func TestLatencyMode(t *testing.T) {
 }
 
 func TestLatencyRespectsContext(t *testing.T) {
-	inj, err := Parse("exec.latency:latency:10s")
+	inj, err := Parse("sim.run:latency:10s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +180,7 @@ func TestLatencyRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = CheckCtx(ctx, ExecLatency)
+	err = CheckCtx(ctx, SimRun)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("CheckCtx = %v, want DeadlineExceeded", err)
 	}

@@ -268,7 +268,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 // real sweep: the sweep still completes, just slower.
 func TestChaosExecLatencyInjection(t *testing.T) {
 	h := newHarness(t, Config{})
-	enableFaults(t, "exec.latency:latency:5ms")
+	enableFaults(t, "sim.run:latency:5ms")
 	view, status := h.submit(tinyRequest(1))
 	if status != http.StatusAccepted {
 		t.Fatalf("POST status = %d, want %d", status, http.StatusAccepted)

@@ -2,7 +2,13 @@ package server
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"maps"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,10 +21,15 @@ import (
 // emits Prometheus text format without a client library, so nothing else
 // guards the format as metrics are added; this test parses a fully-populated
 // exposition line by line and enforces the structural rules scrapers rely
-// on.
+// on.  It is the one check of the /metrics contract (scripts/metrics-smoke.sh
+// repeats parts of it against a real binary): every family is named
+// refrint_[a-z0-9_]* and has both a HELP and a TYPE line.  So that a family
+// the populated server never renders cannot escape, it also reads the
+// package's source and requires every refrint_ name in a string literal to
+// be a family of the scrape.
 
 var (
-	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	metricNameRe = regexp.MustCompile(`^refrint_[a-z0-9_]*$`)
 	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 	// sampleRe splits a sample line into name, optional {labels}, value.
 	// Label values may contain braces (route="GET /v1/sweeps/{id}"), so the
@@ -97,6 +108,9 @@ func TestMetricsExpositionLint(t *testing.T) {
 				continue
 			}
 			name, kind := fields[0], fields[1]
+			if !metricNameRe.MatchString(name) {
+				t.Errorf("line %d: TYPE for invalid metric name %q", i+1, name)
+			}
 			if kind != "counter" && kind != "gauge" && kind != "histogram" {
 				t.Errorf("line %d: unknown TYPE %q for %q", i+1, kind, name)
 			}
@@ -204,6 +218,88 @@ func TestMetricsExpositionLint(t *testing.T) {
 			t.Errorf("family %q TYPE = %q, want histogram", f, typed[f])
 		}
 	}
+
+	// Every name the renderer's source spells is a family of this scrape,
+	// so a family rendered only under a condition this server never met
+	// fails here instead of reaching a scraper undeclared.
+	source, tests := literalMetricNames(t)
+	if len(source) == 0 {
+		t.Fatal("no refrint_ name in the package's non-test string literals")
+	}
+	for _, n := range slices.Sorted(maps.Keys(source)) {
+		if _, ok := typed[n]; !ok || !help[n] {
+			t.Errorf("%s: %q is not a family of the populated scrape with HELP and TYPE", source[n], n)
+		}
+	}
+	// Names the tests spell must be well-formed too, or an assertion can
+	// pass against a name the renderer could never legally emit.
+	for _, n := range slices.Sorted(maps.Keys(tests)) {
+		if !metricNameRe.MatchString(n) {
+			t.Errorf("%s: metric name %q does not match %s", tests[n], n, metricNameRe)
+		}
+	}
+}
+
+// literalMetricNames parses the package's Go files and returns every
+// refrint_ name token in a string literal, with the position of its first
+// literal: those of the non-test files and those of the test files apart.
+func literalMetricNames(t *testing.T) (source, tests map[string]string) {
+	t.Helper()
+	paths, err := filepath.Glob("*.go")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no Go files in the package directory: %v", err)
+	}
+	source, tests = map[string]string{}, map[string]string{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := source
+		if strings.HasSuffix(path, "_test.go") {
+			names = tests
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			text, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatalf("%s: %v", fset.Position(lit.Pos()), err)
+			}
+			for {
+				i := strings.Index(text, "refrint_")
+				if i < 0 {
+					break
+				}
+				name := nameToken(text[i:])
+				if _, ok := names[name]; !ok {
+					names[name] = fset.Position(lit.Pos()).String()
+				}
+				text = text[i+len(name):]
+			}
+			return true
+		})
+	}
+	return source, tests
+}
+
+// nameToken returns the metric-name token at the start of s.  Hyphens and
+// upper case are taken in on purpose: neither is legal in a name, so
+// "refrint_sims-per-second" must be read whole to be rejected, not cut at
+// the dash into a name that looks valid.
+func nameToken(s string) string {
+	i := 0
+	for i < len(s) {
+		c := s[i]
+		if c != '_' && c != '-' && (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') && (c < '0' || c > '9') {
+			break
+		}
+		i++
+	}
+	return s[:i]
 }
 
 // TestMetricsHistogramCumulative re-parses the exposition's histogram

@@ -83,9 +83,11 @@ type clientQuota struct {
 	total     int64            // all 429s, including labels folded to _other
 }
 
-// newClientQuota builds a quota tracker; rate <= 0 returns nil (disabled).
+// newClientQuota builds a quota tracker.  A rate that is not a positive
+// finite number returns nil (disabled): a NaN rate would otherwise build a
+// bucket that never empties, since no comparison with NaN is true.
 func newClientQuota(rate float64, burst int, now func() time.Time) *clientQuota {
-	if rate <= 0 {
+	if !(rate > 0) || math.IsInf(rate, 1) {
 		return nil
 	}
 	if burst <= 0 {

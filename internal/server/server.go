@@ -74,11 +74,12 @@ type Config struct {
 	// EventHeartbeat is the keepalive comment interval on SSE streams
 	// (default 15s), so idle connections survive proxies.
 	EventHeartbeat time.Duration
-	// ClientRate, where positive, rate-limits submissions per client label:
-	// each client's token bucket refills at ClientRate tokens/second, a
-	// sweep submission costs one token and a batch costs one per request.
-	// Over-quota submissions get HTTP 429 with a Retry-After hint.  The
-	// default (0) disables quotas.
+	// ClientRate, where positive and finite, rate-limits submissions per
+	// client label: each client's token bucket refills at ClientRate
+	// tokens/second, a sweep submission costs one token and a batch costs
+	// one per request.  Over-quota submissions get HTTP 429 with a
+	// Retry-After hint.  The default (0) disables quotas, and so does any
+	// other rate that is not a positive finite number.
 	ClientRate float64
 	// ClientBurst is the token-bucket capacity per client (default
 	// ceil(ClientRate), minimum 1).  Batches larger than the burst can

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -244,8 +245,10 @@ func TestQuotaFakeClock(t *testing.T) {
 		t.Fatalf("throttle stats = %v total %d, want a:3 total 3", byClient, total)
 	}
 
-	if nq := newClientQuota(0, 0, nil); nq != nil {
-		t.Fatal("rate 0 should disable the quota (nil)")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if nq := newClientQuota(rate, 0, nil); nq != nil {
+			t.Fatalf("rate %v should disable the quota (nil)", rate)
+		}
 	}
 	var off *clientQuota
 	if ok, _, _ := off.charge(map[string]int{"x": 100}); !ok {

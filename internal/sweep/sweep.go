@@ -513,9 +513,6 @@ func RunCell(ctx context.Context, opts Options, c Cell) (Run, error) {
 // with copied.
 func runCell(ctx context.Context, opts Options, c Cell, fam *family) (run Run, copied bool, err error) {
 	defer contain(c, &run, &err)
-	if err := faults.CheckCtx(ctx, faults.ExecLatency); err != nil {
-		return Run{}, false, err
-	}
 	if err := faults.CheckCtx(ctx, faults.SimRun); err != nil {
 		return Run{}, false, fmt.Errorf("sweep: %s %s: %w", c.App, c.Point.Key(), err)
 	}
