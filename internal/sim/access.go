@@ -13,13 +13,13 @@ import (
 // completion cycle; every state, coherence, inclusion and refresh side
 // effect is applied immediately.
 
-// access resolves one reference issued by core `tileID` at cycle `now` and
-// returns the cycle at which the data is available to the core.
+// access resolves one reference of type typ to line, issued by core
+// `tileID` at cycle `now`, and returns the cycle at which the data is
+// available to the core.
 //
 //refrint:alloc-free
-func (s *System) access(tileID int, a mem.Access, now int64) int64 {
-	line := s.geom.LineOf(a.Addr)
-	switch a.Type {
+func (s *System) access(tileID int, line mem.LineAddr, typ mem.AccessType, now int64) int64 {
+	switch typ {
 	case mem.InstrFetch:
 		return s.accessRead(tileID, line, now, true)
 	case mem.Read:

@@ -40,7 +40,7 @@ func steadyDriver(t testing.TB, cfg config.Config) func() {
 			}
 			tile := s.tiles[tileID]
 			tile.Core.Compute(a.Gap)
-			done := s.access(tileID, a, tile.Core.Now())
+			done := s.access(tileID, s.geom.LineOf(a.Addr), a.Type, tile.Core.Now())
 			tile.Core.CompleteMemOp(done)
 		}
 	}

@@ -127,7 +127,7 @@ func runPartly(t testing.TB, s *System, n int) {
 		}
 		tile := s.tiles[tileID]
 		tile.Core.Compute(a.Gap)
-		tile.Core.CompleteMemOp(s.access(tileID, a, tile.Core.Now()))
+		tile.Core.CompleteMemOp(s.access(tileID, s.geom.LineOf(a.Addr), a.Type, tile.Core.Now()))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -102,9 +102,9 @@ func (s *System) Run() Result {
 
 // RunContext runs the application until it completes, returning the
 // result, or until ctx is cancelled, returning ctx.Err().  The context is
-// checked at the start of every call and then every cancelPollRefs
-// references; a context that can never be cancelled (nil Done) is never
-// checked.
+// checked at the start of every call (Err) and then every cancelPollRefs
+// references (Done); a context that can never be cancelled (nil Done) is
+// never checked.
 //
 // A run stopped by its context is suspended, not abandoned: the System
 // keeps its core queue and every cache, core and counter, and the next
@@ -117,8 +117,16 @@ func (s *System) Run() Result {
 // resolves that reference atomically through the hierarchy.  Processing
 // cores in local-time order keeps the interleaving of references from
 // different cores consistent with their timing, which is what the refresh
-// policies and the coherence protocol observe.
+// policies and the coherence protocol observe.  The references come from
+// the System's feed (feed.go), whose producer goroutine draws them for the
+// length of the call.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
+	done := ctx.Done()
+	if done != nil {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+	}
 	if !s.started {
 		h := s.heap[:0]
 		for i := range s.tiles {
@@ -129,9 +137,11 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		s.started = true
 	}
 	h := s.heap
+	f := &s.feed
+	go f.produce()
+	defer f.stop()
 
-	done := ctx.Done()
-	poll := 1
+	poll := cancelPollRefs
 	for len(h) > 0 {
 		if done != nil {
 			if poll--; poll == 0 {
@@ -145,17 +155,15 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 		entry := h.pop()
-		tile := s.tiles[entry.tile]
-		gen := s.app.Thread(entry.tile)
-
-		a, ok := gen.Next()
+		r, ok := f.next(entry.tile)
 		if !ok {
 			continue
 		}
+		tile := s.tiles[entry.tile]
 		// Non-memory instructions preceding the reference.
-		tile.Core.Compute(a.Gap)
+		tile.Core.Compute(int64(r.gap))
 		issueAt := tile.Core.Now()
-		doneAt := s.access(entry.tile, a, issueAt)
+		doneAt := s.access(entry.tile, r.line, r.typ, issueAt)
 		tile.Core.CompleteMemOp(doneAt)
 
 		h.push(coreEntry{tile: entry.tile, time: tile.Core.Now()})
@@ -188,11 +196,14 @@ func (s *System) finish() Result {
 		tile.L3.Drain(end)
 	}
 
-	// Instructions and memory operations.
+	// Instructions and memory operations, assigned so that finishing a
+	// completed run again gives the same Result.
+	var instructions, memOps int64
 	for _, tile := range s.tiles {
-		s.st.Instructions += tile.Core.Instructions()
-		s.st.MemOps += tile.Core.MemOps()
+		instructions += tile.Core.Instructions()
+		memOps += tile.Core.MemOps()
 	}
+	s.st.Instructions, s.st.MemOps = instructions, memOps
 
 	// End-of-run flush: all dirty on-chip data is written back to DRAM
 	// (Section 6: "we assume that at the end of the simulation all dirty

@@ -57,6 +57,8 @@ type System struct {
 	// Reset clears it.
 	heap    coreHeap
 	started bool
+	// feed delivers the application's references to the run loop.
+	feed feed
 	// watching reports that WatchBudgets turned the L3 budget watch on
 	// since the last Reset.
 	watching bool
@@ -115,6 +117,7 @@ func (s *System) Reset(cfg config.Config, app workload.Params, seed int64) error
 	} else {
 		s.app.Reset(params, cfg, seed)
 	}
+	s.feed.reset(s.app, s.geom)
 	if s.net == nil || s.net.Config() != cfg.NoC {
 		s.net = noc.New(cfg.NoC)
 	}

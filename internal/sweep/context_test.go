@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,4 +207,69 @@ func TestRunCellYieldParksAndResumes(t *testing.T) {
 	if _, err := RunCell(ctx, opts, c); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunCell(cancelled) error = %v, want context.Canceled", err)
 	}
+}
+
+// yieldAtPoll is a context cancelled with ErrYield whose Err reports nil
+// on every other call, starting with the first.  A simulation reads Err
+// once at the start of each slice and once when it stops, so each slice
+// under it runs to its first poll point and parks there.
+type yieldAtPoll struct {
+	context.Context
+	calls int
+}
+
+func (c *yieldAtPoll) Err() error {
+	if c.calls++; c.calls%2 == 1 {
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// TestParkedCellLeavesNoGoroutine checks that a cell's reference producer
+// lives only while its simulation runs: a cell parked mid-run, a System
+// back on the idle list and a resumed cell leave no goroutine behind.
+func TestParkedCellLeavesNoGoroutine(t *testing.T) {
+	opts := smallOptions(19)
+	c := Cells(opts)[1] // R.valid at 50 us
+	want, err := RunCell(context.Background(), opts, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	settle := func(after string) {
+		t.Helper()
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines live, want at most %d", after, runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
+		}
+	}
+
+	yield, cancel := context.WithCancelCause(context.Background())
+	cancel(ErrYield)
+	_, err = RunCell(&yieldAtPoll{Context: yield}, opts, c)
+	var p *Parked
+	if !errors.As(err, &p) {
+		t.Fatalf("RunCell error = %v, want a *Parked", err)
+	}
+	settle("a park mid-run")
+	type out struct {
+		run Run
+		err error
+	}
+	ch := make(chan out)
+	go func() {
+		run, err := p.Resume(context.Background())
+		ch <- out{run, err}
+	}()
+	o := <-ch
+	if o.err != nil {
+		t.Fatalf("Resume: %v", o.err)
+	}
+	if !reflect.DeepEqual(o.run, want) {
+		t.Fatalf("cell parked mid-run and resumed on another goroutine differs from an uninterrupted run:\n got %+v\nwant %+v", o.run, want)
+	}
+	settle("a resumed cell")
 }

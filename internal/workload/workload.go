@@ -166,6 +166,12 @@ func (p Params) Validate() error {
 	if p.CodeLines <= 0 {
 		return fmt.Errorf("workload %s: code lines must be positive", p.Name)
 	}
+	// The generator draws a window slot, a code line and a compute gap
+	// through math/rand's Int31n, whose bound must be below 2^31; this
+	// also keeps every compute gap below 2^32.
+	if p.WorkingWindow >= math.MaxInt32 || p.CodeLines >= math.MaxInt32 || p.ComputePerMemOp >= math.MaxInt32 {
+		return fmt.Errorf("workload %s: working window, code lines and compute per memop must be below 2^31-1", p.Name)
+	}
 	return nil
 }
 

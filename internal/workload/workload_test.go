@@ -122,6 +122,9 @@ func TestParamsValidateErrors(t *testing.T) {
 		func(p *Params) { p.MemOpsPerThread = 0 },
 		func(p *Params) { p.InstrFetchFraction = 1.0 },
 		func(p *Params) { p.CodeLines = 0 },
+		func(p *Params) { p.ComputePerMemOp = math.MaxInt32 },
+		func(p *Params) { p.CodeLines = math.MaxInt32 },
+		func(p *Params) { p.WorkingWindow = math.MaxInt32 },
 		func(p *Params) { p.SharedFraction = math.NaN() },
 		func(p *Params) { p.WriteFraction = math.NaN() },
 		func(p *Params) { p.Locality = math.NaN() },
