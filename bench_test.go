@@ -1,6 +1,6 @@
 package refrint
 
-// This file is the benchmark harness required by DESIGN.md: one benchmark
+// This file is the repository's benchmark harness: one benchmark
 // per table and figure of the paper's evaluation chapter, each of which
 // regenerates the corresponding data series and reports the headline values
 // as custom benchmark metrics (so `go test -bench` output doubles as a
@@ -299,8 +299,9 @@ func BenchmarkAblationSentryGuardBand(b *testing.B) {
 }
 
 // BenchmarkAblationWBBudget sweeps the WB(n,m) budget (the knob of
-// Table 5.4) on one Class 1 application and reports the refresh counts, the
-// design-choice trade-off DESIGN.md calls out.
+// Table 5.4) on one Class 1 application and reports the refresh counts: a
+// larger budget refreshes a line more often before writing it back or
+// letting it go.
 func BenchmarkAblationWBBudget(b *testing.B) {
 	budgets := []int{4, 32}
 	counts := map[int]int64{}

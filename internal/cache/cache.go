@@ -57,8 +57,10 @@ type Cache struct {
 	lru []int64
 }
 
-// New builds an empty cache bank from its configuration.
-func New(cfg config.CacheConfig) *Cache {
+// New returns an empty cache bank of the given configuration.  It returns
+// the bank by value so that the refresh bank (package core) can hold its
+// array in place.
+func New(cfg config.CacheConfig) Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("cache: invalid config: %v", err))
 	}
@@ -68,7 +70,7 @@ func New(cfg config.CacheConfig) *Cache {
 		mask = sets - 1
 	}
 	n := sets * cfg.Ways
-	return &Cache{
+	return Cache{
 		cfg:     cfg,
 		sets:    sets,
 		ways:    cfg.Ways,

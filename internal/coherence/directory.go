@@ -137,8 +137,9 @@ type Action struct {
 // the table, and InvalidateLine's backward-shift deletion relocates entries
 // even without an insert.  Every caller must finish with an entry before
 // the next directory call.
+//
+// The zero Directory is ready for Reset, which gives it its table.
 type Directory struct {
-	cores int
 	keys  []mem.LineAddr
 	vals  []Entry
 	used  []bool
@@ -152,16 +153,6 @@ type Directory struct {
 
 // dirInitialSlots is the starting table size (a power of two).
 const dirInitialSlots = 256
-
-// New builds an empty directory for a bank shared by `cores` cores.
-func New(cores int) *Directory {
-	return &Directory{
-		cores: cores,
-		keys:  make([]mem.LineAddr, dirInitialSlots),
-		vals:  make([]Entry, dirInitialSlots),
-		used:  make([]bool, dirInitialSlots),
-	}
-}
 
 // dirHash finalises a line address into a well-mixed slot hash
 // (the splitmix64 finaliser).
@@ -271,10 +262,16 @@ func (d *Directory) Lookup(addr mem.LineAddr) *Entry {
 	return nil
 }
 
-// Reset forgets every line and zeroes the counters, leaving the directory
-// as New left it except that a table grown by an earlier run keeps its
-// size: nothing iterates the table, so its size cannot change any Action.
+// Reset forgets every line and zeroes the counters.  A table grown by an
+// earlier run keeps its size: nothing iterates the table, so its size
+// cannot change any Action.  A zero Directory gets a table of
+// dirInitialSlots.
 func (d *Directory) Reset() {
+	if len(d.keys) == 0 {
+		d.keys = make([]mem.LineAddr, dirInitialSlots)
+		d.vals = make([]Entry, dirInitialSlots)
+		d.used = make([]bool, dirInitialSlots)
+	}
 	clear(d.used)
 	d.count = 0
 	d.invalidationsSent = 0

@@ -9,6 +9,14 @@ import (
 	"refrint/internal/mem"
 )
 
+// newDirectory returns a zero Directory after Reset, as the simulator
+// builds one.
+func newDirectory() *Directory {
+	d := new(Directory)
+	d.Reset()
+	return d
+}
+
 func TestDirStateString(t *testing.T) {
 	if Uncached.String() != "U" || SharedClean.String() != "S" || OwnedModified.String() != "M" {
 		t.Error("DirState strings wrong")
@@ -19,7 +27,7 @@ func TestDirStateString(t *testing.T) {
 }
 
 func TestReadFromUncached(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	act := d.Read(0x10, 3)
 	if !act.Invalidates.Empty() || act.DowngradeCore != -1 || act.DirtyForward {
 		t.Errorf("read of uncached line should need no coherence work: %+v", act)
@@ -31,7 +39,7 @@ func TestReadFromUncached(t *testing.T) {
 }
 
 func TestMultipleReaders(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Read(0x10, 1)
 	d.Read(0x10, 2)
 	act := d.Read(0x10, 5)
@@ -48,7 +56,7 @@ func TestMultipleReaders(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Read(0x20, 0)
 	d.Read(0x20, 1)
 	d.Read(0x20, 2)
@@ -72,7 +80,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestReadOfModifiedLineDowngradesOwner(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Write(0x30, 4)
 	act := d.Read(0x30, 7)
 	if act.DowngradeCore != 4 {
@@ -94,7 +102,7 @@ func TestReadOfModifiedLineDowngradesOwner(t *testing.T) {
 }
 
 func TestOwnerReadAndWriteAreSilent(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Write(0x40, 2)
 	if act := d.Read(0x40, 2); act.DowngradeCore != -1 || act.DirtyForward {
 		t.Errorf("owner read should be silent: %+v", act)
@@ -109,7 +117,7 @@ func TestOwnerReadAndWriteAreSilent(t *testing.T) {
 }
 
 func TestWriteAfterModifiedByOther(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Write(0x50, 0)
 	act := d.Write(0x50, 9)
 	if act.Invalidates.Len() != 1 || !act.Invalidates.Contains(0) {
@@ -125,7 +133,7 @@ func TestWriteAfterModifiedByOther(t *testing.T) {
 }
 
 func TestSharerEvicted(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Read(0x60, 1)
 	d.Read(0x60, 2)
 	d.SharerEvicted(0x60, 1)
@@ -142,7 +150,7 @@ func TestSharerEvicted(t *testing.T) {
 }
 
 func TestSharerWroteBack(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Write(0x70, 3)
 	d.SharerWroteBack(0x70, 3)
 	e := d.Lookup(0x70)
@@ -162,7 +170,7 @@ func TestSharerWroteBack(t *testing.T) {
 }
 
 func TestInvalidateLineInclusive(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Read(0x90, 1)
 	d.Read(0x90, 2)
 	act := d.InvalidateLine(0x90)
@@ -189,7 +197,7 @@ func TestInvalidateLineInclusive(t *testing.T) {
 }
 
 func TestHasUpperCopiesAndOwnedDirtyAbove(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	if d.HasUpperCopies(0x1) || d.OwnedDirtyAbove(0x1) {
 		t.Error("empty directory should report no copies")
 	}
@@ -204,7 +212,7 @@ func TestHasUpperCopiesAndOwnedDirtyAbove(t *testing.T) {
 }
 
 func TestEntriesCount(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	d.Read(1, 0)
 	d.Read(2, 0)
 	d.Write(3, 1)
@@ -219,7 +227,7 @@ func TestDirectoryInvariantsProperty(t *testing.T) {
 	//     owner, and (2) a line in SharedClean state has no owner.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := New(16)
+		d := newDirectory()
 		addrs := []mem.LineAddr{1, 2, 3, 4}
 		for i := 0; i < 500; i++ {
 			addr := addrs[rng.Intn(len(addrs))]
@@ -291,7 +299,7 @@ func dirScript(d *Directory, rng *rand.Rand, lines int) []any {
 // TestDirectoryResetMatchesFresh pins that a directory whose table grew and
 // is then reset forgets everything and answers exactly as a fresh one.
 func TestDirectoryResetMatchesFresh(t *testing.T) {
-	d := New(16)
+	d := newDirectory()
 	dirScript(d, rand.New(rand.NewSource(1)), 4096)
 	if len(d.keys) <= dirInitialSlots {
 		t.Fatalf("table did not grow: %d slots", len(d.keys))
@@ -304,7 +312,7 @@ func TestDirectoryResetMatchesFresh(t *testing.T) {
 		t.Fatal("Reset kept the message counters")
 	}
 	got := dirScript(d, rand.New(rand.NewSource(2)), 300)
-	want := dirScript(New(16), rand.New(rand.NewSource(2)), 300)
+	want := dirScript(newDirectory(), rand.New(rand.NewSource(2)), 300)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("a reset directory's actions differ from a fresh directory's")
 	}

@@ -27,6 +27,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"refrint/internal/cache"
 	"refrint/internal/config"
@@ -50,20 +51,31 @@ type Hooks struct {
 	Invalidate func(addr mem.LineAddr, wasDirty bool, now int64)
 }
 
-// Bank is one refresh-managed cache bank.
+// Bank is one refresh-managed cache bank.  The zero Bank is ready for
+// Reset.  The simulator holds its banks by value, and a Bank must not be
+// copied: a copy would fork the bank's clock, port and refresh state from
+// the arrays both copies share.
 type Bank struct {
+	// A zero-size copy guard: `go vet` (copylocks) rejects a copy of a
+	// struct that holds a sync.Mutex.
+	_ [0]sync.Mutex
+
+	// Hooks connect the bank's refresh policy to the rest of the
+	// hierarchy.  Reset keeps them.
+	Hooks Hooks
+
 	cacheCfg config.CacheConfig
 	cell     config.CellConfig
 	policy   config.Policy
 
-	arr   *cache.Cache
+	arr   cache.Cache
 	ret   edram.Retention
 	sched edram.PeriodicSchedule
 	// wheel holds the pending sentry-decay deadline of each line frame
 	// (in use only when sentries is set).  The wheel keeps exactly one live
 	// deadline per frame — rescheduling moves the frame's node — so
 	// draining never sees stale entries and scheduling never allocates.
-	wheel    *frameWheel
+	wheel    frameWheel
 	sentries bool // refreshable Refrint bank: wheel is live
 	// deferred is advanceRefrint's reusable buffer of the frames whose
 	// relinks it must hold back to the end of a pass.
@@ -112,10 +124,13 @@ type Bank struct {
 	// within its retention period (Periodic All/Valid), letting Probe skip
 	// the decay test; such banks keep no charge times unless they watch.
 	mayDecay bool
+	// frameState says the bank keeps per-frame refresh state (a live
+	// wheel, charge times, budgets or a watch) that a demand charge
+	// updates; Touch and Insert skip that update on every other bank.
+	frameState bool
 
-	hooks Hooks
-	st    *stats.Stats
-	ctr   *stats.LevelCounters // st.Level(level), hoisted off the hot path
+	st  *stats.Stats
+	ctr *stats.LevelCounters // st.Level(level), hoisted off the hot path
 
 	// portBusyUntil is the cycle up to which the bank's port is occupied by
 	// refresh work.  Demand accesses arriving earlier wait.
@@ -123,32 +138,27 @@ type Bank struct {
 	// periodicFired counts how many group firings have been processed.
 	periodicFired int64
 	// clock is the bank-local time up to which refresh work has been
-	// processed.
+	// processed.  Only a refreshable bank advances it.
 	clock int64
 }
 
-// NewBank builds a refresh-managed bank.
-func NewBank(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.Policy, level stats.Level, st *stats.Stats, hooks Hooks) *Bank {
-	b := &Bank{hooks: hooks}
-	b.Reset(cacheCfg, cell, policy, level, st)
-	return b
-}
-
-// Reset re-initialises the bank in place exactly as NewBank would, keeping
-// its hooks.  The cache array is cleared rather than rebuilt when its
-// geometry is unchanged.  A wheel, group counters or per-frame refresh state
-// that the new policy does not use stay attached, idle, for a later reset.
+// Reset makes b an empty bank of the given geometry, cell and policy,
+// counting into st's counters for level, and keeps its Hooks.  The cache
+// array is cleared rather than rebuilt when its geometry is unchanged.  A
+// wheel, group counters or per-frame refresh state that the new policy does
+// not use stay attached, idle, for a later reset.
 func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.Policy, level stats.Level, st *stats.Stats) {
 	if err := policy.Validate(); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
 	arr, wheel := b.arr, b.wheel
-	if arr == nil || arr.Config() != cacheCfg {
-		arr, wheel = cache.New(cacheCfg), nil
+	if arr.Config() != cacheCfg {
+		arr, wheel = cache.New(cacheCfg), frameWheel{}
 	} else {
 		arr.Clear()
 	}
 	*b = Bank{
+		Hooks:      b.Hooks,
 		cacheCfg:   cacheCfg,
 		cell:       cell,
 		policy:     policy,
@@ -160,7 +170,6 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 		charged:    b.charged[:0],
 		counts:     b.counts[:0],
 		watch:      b.watch[:0],
-		hooks:      b.hooks,
 		st:         st,
 		ctr:        st.Level(level),
 	}
@@ -180,8 +189,8 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 			// point, so a horizon-sized ring makes ring growth (the wheel's
 			// escape hatch for port-backlogged deadlines) a rare event.
 			b.sentries = true
-			if b.wheel == nil {
-				b.wheel = newFrameWheel(sentryBucketCycles, b.arr.NumLines(), b.ret.SentryCycles)
+			if len(b.wheel.nodes) == 0 {
+				b.wheel.init(sentryBucketCycles, b.arr.NumLines(), b.ret.SentryCycles)
 			} else {
 				b.wheel.Reset(b.ret.SentryCycles)
 			}
@@ -200,6 +209,12 @@ func (b *Bank) Reset(cacheCfg config.CacheConfig, cell config.CellConfig, policy
 			b.counts = zeroed(b.counts, b.arr.NumLines())
 		}
 	}
+	b.noteFrameState()
+}
+
+// noteFrameState sets frameState from the per-frame state the bank keeps.
+func (b *Bank) noteFrameState() {
+	b.frameState = b.sentries || len(b.charged) != 0 || len(b.counts) != 0 || len(b.watch) != 0
 }
 
 // WatchBudgets makes a refreshable Valid bank watch the WB(n,m) budgets it
@@ -228,6 +243,7 @@ func (b *Bank) WatchBudgets() bool {
 		b.mayDecay = true
 		b.watchPeriodic = true
 	}
+	b.noteFrameState()
 	return true
 }
 
@@ -298,7 +314,7 @@ func (b *Bank) noteValid(f cache.Frame, delta int32) {
 
 // Cache exposes the underlying array (tests and the hierarchy use it for
 // probes that must not disturb refresh state).
-func (b *Bank) Cache() *cache.Cache { return b.arr }
+func (b *Bank) Cache() *cache.Cache { return &b.arr }
 
 // counters returns the stats counters for this bank's level.
 func (b *Bank) counters() *stats.LevelCounters { return b.ctr }
@@ -367,10 +383,16 @@ func (b *Bank) resetCount(f cache.Frame) {
 func (b *Bank) Probe(addr mem.LineAddr, now int64) (cache.Frame, bool) {
 	b.AdvanceTo(now)
 	f, ok := b.arr.Probe(addr)
-	if !ok {
-		return cache.NoFrame, false
+	if ok && b.mayDecay {
+		return b.probeDecay(f, now)
 	}
-	if b.mayDecay && b.ret.Decayed(b.chargedAt(f), now) {
+	return f, ok
+}
+
+// probeDecay finishes a Probe that found frame f on a bank whose lines may
+// decay.
+func (b *Bank) probeDecay(f cache.Frame, now int64) (cache.Frame, bool) {
+	if b.ret.Decayed(b.chargedAt(f), now) {
 		if b.watchPeriodic {
 			// A WB bank would lose the line here; a Periodic Valid bank
 			// does not.  (A Refrint WB bank decays exactly as its Valid
@@ -383,8 +405,8 @@ func (b *Bank) Probe(addr mem.LineAddr, now int64) (cache.Frame, bool) {
 		// happen, and the counter lets tests assert it.
 		b.counters().Decays++
 		wasDirty := b.arr.Dirty(f)
-		if b.hooks.Invalidate != nil {
-			b.hooks.Invalidate(b.arr.Tag(f), wasDirty, now)
+		if b.Hooks.Invalidate != nil {
+			b.Hooks.Invalidate(b.arr.Tag(f), wasDirty, now)
 		}
 		// The hook can re-enter this bank and invalidate the frame itself
 		// (an L2 decay writeback probes the home L3, whose sweep may send an
@@ -404,6 +426,16 @@ func (b *Bank) Probe(addr mem.LineAddr, now int64) (cache.Frame, bool) {
 //refrint:alloc-free
 func (b *Bank) Touch(f cache.Frame, now int64) {
 	b.arr.Touch(f, now)
+	if b.frameState {
+		b.charge(f, now)
+	}
+}
+
+// charge records a demand charge of frame f at cycle `now` in the bank's
+// per-frame refresh state.
+//
+//refrint:alloc-free
+func (b *Bank) charge(f cache.Frame, now int64) {
 	b.resetCount(f)
 	b.recharge(f, now)
 }
@@ -416,8 +448,9 @@ func (b *Bank) Insert(addr mem.LineAddr, state mem.State, now int64) (f cache.Fr
 	if !evicted {
 		b.noteValid(f, 1)
 	}
-	b.resetCount(f)
-	b.recharge(f, now)
+	if b.frameState {
+		b.charge(f, now)
+	}
 	b.counters().Fills++
 	if evicted {
 		b.counters().Evictions++
@@ -484,21 +517,24 @@ func (b *Bank) Dirty(f cache.Frame) bool { return b.arr.Dirty(f) }
 
 // AdvanceTo processes all refresh work with deadlines at or before `now`.
 // It is idempotent and monotone: calling it with an earlier time is a no-op.
-// The common case — the clock moves but nothing is due yet — is O(1).
+// The common case — the clock moves but nothing is due yet — is O(1).  A
+// bank that never refreshes has no refresh work, and keeps no clock.
 func (b *Bank) AdvanceTo(now int64) {
-	if now <= b.clock {
-		return
+	if b.refreshable && now > b.clock {
+		b.advance(now)
 	}
-	if b.refreshable {
-		switch b.policy.Time {
-		case config.RefrintTime:
-			if b.wheel.MaybeDue(now) {
-				b.advanceRefrint(now)
-			}
-		case config.PeriodicTime:
-			if now >= b.nextFire {
-				b.advancePeriodic(now)
-			}
+}
+
+// advance moves a refreshable bank's clock forward to `now`.
+func (b *Bank) advance(now int64) {
+	switch b.policy.Time {
+	case config.RefrintTime:
+		if b.wheel.MaybeDue(now) {
+			b.advanceRefrint(now)
+		}
+	case config.PeriodicTime:
+		if now >= b.nextFire {
+			b.advancePeriodic(now)
 		}
 	}
 	b.clock = now
@@ -525,7 +561,7 @@ func (b *Bank) AdvanceTo(now int64) {
 //
 //refrint:alloc-free
 func (b *Bank) advanceRefrint(now int64) {
-	w := b.wheel
+	w := &b.wheel
 	nodes := w.nodes
 	states, counts := b.arr.States(), b.counts
 	data := b.policy.Data
@@ -749,8 +785,8 @@ func (b *Bank) refreshLine(f cache.Frame, at int64) {
 func (b *Bank) writebackLine(f cache.Frame, at int64) {
 	b.counters().Writebacks++
 	b.st.PolicyWritebacks++
-	if b.hooks.Writeback != nil {
-		b.hooks.Writeback(b.arr.Tag(f), at)
+	if b.Hooks.Writeback != nil {
+		b.Hooks.Writeback(b.arr.Tag(f), at)
 	}
 	b.arr.SetState(f, mem.Exclusive) // valid clean
 	b.counts[f] = int32(b.policy.M)
@@ -767,8 +803,8 @@ func (b *Bank) writebackLine(f cache.Frame, at int64) {
 func (b *Bank) invalidateLine(f cache.Frame, at int64) {
 	b.counters().Invalidations++
 	b.st.PolicyInvalidates++
-	if b.hooks.Invalidate != nil {
-		b.hooks.Invalidate(b.arr.Tag(f), b.arr.Dirty(f), at)
+	if b.Hooks.Invalidate != nil {
+		b.Hooks.Invalidate(b.arr.Tag(f), b.arr.Dirty(f), at)
 	}
 	// As in the decay path, the hook may already have invalidated the frame
 	// through a re-entrant inclusion invalidation; account the line once.

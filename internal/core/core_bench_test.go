@@ -20,7 +20,7 @@ func benchBank(policy config.Policy) (*Bank, *stats.Stats) {
 		SentryGuardCycles: 16_384,
 	}
 	st := stats.New(1)
-	return NewBank(cfg, cell, policy, stats.L3, st, Hooks{}), st
+	return newBank(cfg, cell, policy, stats.L3, st, Hooks{}), st
 }
 
 // BenchmarkSentryInterruptProcessing measures the Refrint path: one full
@@ -54,7 +54,7 @@ func BenchmarkSentryDrainScaledL3(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := config.AsEDRAM(config.Scaled(), tc.policy, config.ScaledRetentionUS(config.Retention50us))
 			st := stats.New(1)
-			bank := NewBank(cfg.L3, cfg.Cell, tc.policy, stats.L3, st, Hooks{})
+			bank := newBank(cfg.L3, cfg.Cell, tc.policy, stats.L3, st, Hooks{})
 			lines := bank.Cache().NumLines()
 			frames := make([]cache.Frame, lines)
 			for i := range frames {

@@ -58,11 +58,19 @@ func (h *hookLog) hooks() Hooks {
 	}
 }
 
+// newBank returns a zero Bank with the given hooks after Reset, as the
+// simulator builds the banks it holds.
+func newBank(cacheCfg config.CacheConfig, cell config.CellConfig, policy config.Policy, level stats.Level, st *stats.Stats, hooks Hooks) *Bank {
+	b := &Bank{Hooks: hooks}
+	b.Reset(cacheCfg, cell, policy, level, st)
+	return b
+}
+
 func newTestBank(t *testing.T, cell config.CellConfig, policy config.Policy) (*Bank, *stats.Stats, *hookLog) {
 	t.Helper()
 	st := stats.New(1)
 	h := &hookLog{}
-	b := NewBank(testBankConfig(), cell, policy, stats.L3, st, h.hooks())
+	b := newBank(testBankConfig(), cell, policy, stats.L3, st, h.hooks())
 	return b, st, h
 }
 
@@ -331,7 +339,7 @@ func TestDecayDetectedOnProbe(t *testing.T) {
 	// intervening AdvanceTo: the probe must treat it as decayed.
 	st := stats.New(1)
 	h := &hookLog{}
-	b := NewBank(testBankConfig(), testCell(), config.RefrintDirty, stats.L3, st, h.hooks())
+	b := newBank(testBankConfig(), testCell(), config.RefrintDirty, stats.L3, st, h.hooks())
 	b.Insert(0x1, mem.Exclusive, 0)
 	// Advance only to just before the sentry deadline so the policy has not
 	// yet had the chance to invalidate it, then jump past cell retention.
@@ -413,18 +421,18 @@ func TestRefreshStallOnlyWhenPortBusy(t *testing.T) {
 	}
 }
 
-func TestNewBankPanicsOnBadPolicy(t *testing.T) {
+func TestResetPanicsOnBadPolicy(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("invalid policy should panic")
 		}
 	}()
-	NewBank(testBankConfig(), testCell(), config.Policy{Time: config.TimePolicy(9)}, stats.L3, stats.New(1), Hooks{})
+	newBank(testBankConfig(), testCell(), config.Policy{Time: config.TimePolicy(9)}, stats.L3, stats.New(1), Hooks{})
 }
 
 func TestNilHooksAreSafe(t *testing.T) {
 	st := stats.New(1)
-	b := NewBank(testBankConfig(), testCell(), config.RefrintWB(0, 0), stats.L3, st, Hooks{})
+	b := newBank(testBankConfig(), testCell(), config.RefrintWB(0, 0), stats.L3, st, Hooks{})
 	b.Insert(0x1, mem.Modified, 0)
 	// With n=m=0 the first interrupt writes back immediately and the second
 	// invalidates; both hooks are nil and must not panic.

@@ -112,7 +112,7 @@ func newDrainPair(policy config.Policy, sentry int64) *drainPair {
 				}
 			},
 		}
-		p.banks[i] = NewBank(drainBankConfig(), cell, policy, stats.L3, p.stats[i], hooks)
+		p.banks[i] = newBank(drainBankConfig(), cell, policy, stats.L3, p.stats[i], hooks)
 	}
 	return p
 }
@@ -168,7 +168,7 @@ func (p *drainPair) diff() string {
 			return fmt.Sprintf("frame %d: deadline %d (%v), want %d (%v)", i, gd, gok, wd, wok)
 		}
 	}
-	if got, want := wheelOrder(a.wheel), wheelOrder(r.wheel); !reflect.DeepEqual(got, want) {
+	if got, want := wheelOrder(&a.wheel), wheelOrder(&r.wheel); !reflect.DeepEqual(got, want) {
 		return fmt.Sprintf("wheel order differs:\n got  %v\n want %v", got, want)
 	}
 	return ""

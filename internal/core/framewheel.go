@@ -65,12 +65,12 @@ func ringBuckets(granularity, horizon int64) int64 {
 	return buckets
 }
 
-// newFrameWheel returns a wheel for ids 0..ids-1 whose ring covers at least
+// init makes w an empty wheel for ids 0..ids-1 whose ring covers at least
 // `horizon` cycles beyond the earliest pending deadline.  Scheduling past
 // the covered window grows the ring (a rare, amortised event); sizing the
 // horizon to the caller's maximum schedule-ahead distance avoids it.  The
 // granularity is rounded up to a power of two so bucketing is a shift.
-func newFrameWheel(granularity int64, ids int, horizon int64) *frameWheel {
+func (w *frameWheel) init(granularity int64, ids int, horizon int64) {
 	if granularity <= 0 {
 		granularity = 1
 	}
@@ -81,17 +81,16 @@ func newFrameWheel(granularity int64, ids int, horizon int64) *frameWheel {
 	for g := granularity; g > 1; g >>= 1 {
 		shift++
 	}
-	w := &frameWheel{
+	*w = frameWheel{
 		granShift:   shift,
 		granularity: granularity,
 		nodes:       make([]frameNode, ids),
 	}
 	w.Reset(horizon)
-	return w
 }
 
 // Reset empties the wheel and sizes its ring for `horizon` exactly as
-// newFrameWheel would, without allocating when the ring it already has is
+// init would, without allocating when the ring it already has is
 // large enough: a ring grown by an earlier run, or sized for a longer
 // horizon, is kept.  Ring size never changes which deadlines a drain finds
 // due or their order, so a reset wheel behaves as a fresh one.

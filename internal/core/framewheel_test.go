@@ -15,6 +15,13 @@ import (
 // two-phase reference drain below, which TestSentryDrainMatchesReference
 // also uses as the oracle for Bank.advanceRefrint.
 
+// newFrameWheel returns a wheel built by init.
+func newFrameWheel(granularity int64, ids int, horizon int64) *frameWheel {
+	w := new(frameWheel)
+	w.init(granularity, ids, horizon)
+	return w
+}
+
 // wheelEntry is one due deadline returned by PopDueInto.
 type wheelEntry struct {
 	Cycle int64 // the deadline

@@ -91,7 +91,7 @@ func TestWBOrderBetweenCharges(t *testing.T) {
 				for seed := int64(1); seed <= 25; seed++ {
 					var events []wbEvent
 					st := stats.New(1)
-					b := NewBank(testBankConfig(), testCell(), policy, stats.L3, st, Hooks{
+					b := newBank(testBankConfig(), testCell(), policy, stats.L3, st, Hooks{
 						Writeback: func(_ mem.LineAddr, now int64) { events = append(events, wbEvent{kind: 'W', at: now}) },
 						Invalidate: func(_ mem.LineAddr, wasDirty bool, now int64) {
 							if wasDirty {

@@ -3,10 +3,10 @@
 // The paper simulates dual-issue out-of-order MIPS32 cores in SESC.  This
 // reproduction approximates each core as a dual-issue in-order engine with a
 // bounded miss-overlap window (a configurable number of miss cycles hidden
-// under independent work), which is the documented substitution of DESIGN.md
-// section 4.6.  Because every reported result is normalized to the same core
-// model running on the full-SRAM hierarchy, the policy ratios the paper
-// reports are preserved even though absolute IPC differs.
+// under independent work) in place of SESC's out-of-order pipeline.
+// Because every reported result is normalized to the same core model
+// running on the full-SRAM hierarchy, the policy ratios the paper reports
+// are preserved even though absolute IPC differs.
 package cpu
 
 import (
@@ -28,14 +28,8 @@ type Core struct {
 	stallCycles  int64
 }
 
-// New creates a core.
-func New(cfg config.CoreConfig) *Core {
-	c := new(Core)
-	c.Reset(cfg)
-	return c
-}
-
-// Reset returns the core to the state New leaves it in.
+// Reset makes c a core at cycle 0 that has retired nothing.  The zero Core
+// is ready for Reset, which the simulator calls on a core it holds by value.
 func (c *Core) Reset(cfg config.CoreConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("cpu: invalid config: %v", err))

@@ -11,17 +11,24 @@ func coreCfg() config.CoreConfig {
 	return config.CoreConfig{IssueWidth: 2, MissOverlap: 8}
 }
 
-func TestNewPanicsOnInvalidConfig(t *testing.T) {
+// newCore returns a zero Core reset to cfg, as the simulator builds one.
+func newCore(cfg config.CoreConfig) *Core {
+	c := new(Core)
+	c.Reset(cfg)
+	return c
+}
+
+func TestResetPanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("New with invalid config should panic")
+			t.Error("Reset with invalid config should panic")
 		}
 	}()
-	New(config.CoreConfig{IssueWidth: 0})
+	newCore(config.CoreConfig{IssueWidth: 0})
 }
 
 func TestComputeDualIssue(t *testing.T) {
-	c := New(coreCfg())
+	c := newCore(coreCfg())
 	c.Compute(10) // 10 instructions at issue width 2 = 5 cycles
 	if c.Now() != 5 {
 		t.Errorf("Now = %d, want 5", c.Now())
@@ -41,7 +48,7 @@ func TestComputeDualIssue(t *testing.T) {
 }
 
 func TestCompleteMemOpHit(t *testing.T) {
-	c := New(coreCfg())
+	c := newCore(coreCfg())
 	c.Compute(2) // now = 1
 	// A 1-cycle hit returning at now+1 is fully hidden by the overlap window;
 	// the instruction still takes its issue slot.
@@ -58,7 +65,7 @@ func TestCompleteMemOpHit(t *testing.T) {
 }
 
 func TestCompleteMemOpMissStalls(t *testing.T) {
-	c := New(coreCfg())
+	c := newCore(coreCfg())
 	// A 50-cycle miss: 8 cycles hidden, 42 stall + 1 issue slot.
 	now := c.CompleteMemOp(50)
 	if now != 43 {
@@ -70,7 +77,7 @@ func TestCompleteMemOpMissStalls(t *testing.T) {
 }
 
 func TestCompleteMemOpPastCompletion(t *testing.T) {
-	c := New(coreCfg())
+	c := newCore(coreCfg())
 	c.Compute(200) // now = 100
 	// Data that was already available (doneAt < now) costs only the slot.
 	now := c.CompleteMemOp(50)
@@ -86,7 +93,7 @@ func TestTimeMonotoneProperty(t *testing.T) {
 	// Property: the local clock never decreases regardless of the request
 	// sequence, and instruction counts equal the sum of what was fed in.
 	f := func(ops []uint16) bool {
-		c := New(coreCfg())
+		c := newCore(coreCfg())
 		var last int64
 		var wantInstr int64
 		for i, op := range ops {
@@ -114,7 +121,7 @@ func TestTimeMonotoneProperty(t *testing.T) {
 
 func TestStallNeverExceedsLatencyProperty(t *testing.T) {
 	f := func(lat uint16) bool {
-		c := New(coreCfg())
+		c := newCore(coreCfg())
 		c.CompleteMemOp(int64(lat))
 		return c.StallCycles() <= int64(lat)
 	}

@@ -50,7 +50,7 @@ func TestParametersLevelOrdering(t *testing.T) {
 func TestScaledParametersIdenticalToFullSize(t *testing.T) {
 	// The Scaled preset is a time-compressed stand-in for the full-size
 	// machine, so per-event energies and leakage powers must be identical
-	// (DESIGN.md section 4.7).
+	// (see NewParameters).
 	full := NewParameters(config.FullSize())
 	scaled := NewParameters(config.Scaled())
 	if scaled != full {

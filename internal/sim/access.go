@@ -13,37 +13,19 @@ import (
 // completion cycle; every state, coherence, inclusion and refresh side
 // effect is applied immediately.
 
-// access resolves one reference of type typ to line, issued by core
-// `tileID` at cycle `now`, and returns the cycle at which the data is
-// available to the core.
-//
-//refrint:alloc-free
-func (s *System) access(tileID int, line mem.LineAddr, typ mem.AccessType, now int64) int64 {
-	switch typ {
-	case mem.InstrFetch:
-		return s.accessRead(tileID, line, now, true)
-	case mem.Read:
-		return s.accessRead(tileID, line, now, false)
-	case mem.Write:
-		return s.accessWrite(tileID, line, now)
-	default:
-		return now
-	}
-}
-
 // l1For returns the L1 bank a reference uses.
 func (t *Tile) l1For(ifetch bool) (*core.Bank, stats.Level) {
 	if ifetch {
-		return t.IL1, stats.IL1
+		return &t.IL1, stats.IL1
 	}
-	return t.DL1, stats.DL1
+	return &t.DL1, stats.DL1
 }
 
 // accessRead handles loads and instruction fetches.
 //
 //refrint:alloc-free
 func (s *System) accessRead(tileID int, line mem.LineAddr, now int64, ifetch bool) int64 {
-	tile := s.tiles[tileID]
+	tile := &s.tiles[tileID]
 	l1, l1Level := tile.l1For(ifetch)
 
 	// L1 lookup.
@@ -86,7 +68,7 @@ func (s *System) accessRead(tileID int, line mem.LineAddr, now int64, ifetch boo
 //
 //refrint:alloc-free
 func (s *System) accessWrite(tileID int, line mem.LineAddr, now int64) int64 {
-	tile := s.tiles[tileID]
+	tile := &s.tiles[tileID]
 
 	// DL1 lookup.
 	t := tile.DL1.PortStart(now) + s.dl1Time
@@ -130,7 +112,7 @@ func (s *System) accessWrite(tileID int, line mem.LineAddr, now int64) int64 {
 
 	// Write-allocate into the DL1 so subsequent loads hit.
 	if !dl1Hit {
-		s.fillL1(tile, tile.DL1, line, t)
+		s.fillL1(tile, &tile.DL1, line, t)
 	}
 	return t
 }
@@ -152,7 +134,7 @@ func (s *System) fillL1(tile *Tile, l1 *core.Bank, line mem.LineAddr, now int64)
 // the victim from the tile's L1s and the directory is told this core no
 // longer holds it.
 func (s *System) fillL2(tileID int, line mem.LineAddr, state mem.State, now int64) {
-	tile := s.tiles[tileID]
+	tile := &s.tiles[tileID]
 	_, victim, evicted := tile.L2.Insert(line, state, now)
 	if !evicted {
 		return
@@ -161,7 +143,7 @@ func (s *System) fillL2(tileID int, line mem.LineAddr, state mem.State, now int6
 	// Inclusion: the victim leaves the whole private hierarchy.
 	tile.IL1.Invalidate(vaddr)
 	tile.DL1.Invalidate(vaddr)
-	home := s.tiles[s.bankOf(vaddr)]
+	home := &s.tiles[s.bankOf(vaddr)]
 	if victim.Dirty() {
 		s.writebackToL3(tileID, vaddr, now)
 		home.Dir.SharerWroteBack(vaddr, tileID)
@@ -176,7 +158,7 @@ func (s *System) fillL2(tileID int, line mem.LineAddr, state mem.State, now int6
 // requester's L2 should install the line with.
 func (s *System) readFromL3(tileID int, line mem.LineAddr, now int64, write bool) (int64, mem.State) {
 	bank := s.bankOf(line)
-	home := s.tiles[bank]
+	home := &s.tiles[bank]
 
 	// Request message to the home bank, then the bank access itself (which
 	// may have to wait for refresh activity on the bank port).
@@ -222,7 +204,7 @@ func (s *System) readFromL3(tileID int, line mem.LineAddr, now int64, write bool
 // the directory invalidates every other sharer and grants ownership.
 func (s *System) upgradeAtL3(tileID int, line mem.LineAddr, now int64) int64 {
 	bank := s.bankOf(line)
-	home := s.tiles[bank]
+	home := &s.tiles[bank]
 	t := now + s.nocSend(tileID, bank, ctrlMsgBytes)
 	t = home.L3.PortStart(t) + s.l3Time
 	s.countRead(stats.L3)
@@ -255,7 +237,7 @@ func (s *System) installInL3(home *Tile, bank int, line mem.LineAddr, now int64)
 		for cs := act.Invalidates; !cs.Empty(); {
 			var sharer int
 			sharer, cs = cs.Pop()
-			t := s.tiles[sharer]
+			t := &s.tiles[sharer]
 			l2Old, hadL2 := t.L2.Invalidate(vaddr)
 			t.IL1.Invalidate(vaddr)
 			t.DL1.Invalidate(vaddr)
@@ -289,7 +271,7 @@ func (s *System) applyCoherence(bank, requester int, line mem.LineAddr, act cohe
 			continue
 		}
 		rt := s.nocSend(bank, sharer, ctrlMsgBytes)
-		tile := s.tiles[sharer]
+		tile := &s.tiles[sharer]
 		l2Old, hadL2 := tile.L2.Invalidate(line)
 		tile.IL1.Invalidate(line)
 		tile.DL1.Invalidate(line)
@@ -313,7 +295,7 @@ func (s *System) applyCoherence(bank, requester int, line mem.LineAddr, act cohe
 	if act.DowngradeCore >= 0 && act.DowngradeCore != requester {
 		owner := act.DowngradeCore
 		rt := s.nocSend(bank, owner, ctrlMsgBytes)
-		tile := s.tiles[owner]
+		tile := &s.tiles[owner]
 		wasDirty := false
 		if l2, ok := tile.L2.Peek(line); ok {
 			wasDirty = tile.L2.Dirty(l2)

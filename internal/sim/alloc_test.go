@@ -38,7 +38,7 @@ func steadyDriver(t testing.TB, cfg config.Config) func() {
 			if !ok {
 				t.Fatal("steady-state generator exhausted")
 			}
-			tile := s.tiles[tileID]
+			tile := &s.tiles[tileID]
 			tile.Core.Compute(a.Gap)
 			done := s.access(tileID, s.geom.LineOf(a.Addr), a.Type, tile.Core.Now())
 			tile.Core.CompleteMemOp(done)
@@ -132,6 +132,33 @@ func TestWarmResetRunAllocs(t *testing.T) {
 			run() // warm: build the chip, grow the directory and wheel
 			if got := testing.AllocsPerRun(3, run); got != want {
 				t.Errorf("warm Reset+Run allocates %v objects, want %v (the Stats copy)", got, want)
+			}
+		})
+	}
+}
+
+// TestNewAllocs bounds the allocations of building a chip.  New builds
+// every tile's core, banks, cache arrays, sentry wheels and directory in
+// place, inside the tiles slice; only the slices behind them, the hooks,
+// the feed, the generators and the counters are allocated.
+func TestNewAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		c    resetCell
+		want float64
+	}{
+		{resetCell{app: "FFT", policy: config.SRAMBaseline, seed: 1, effort: 1}, 385},
+		{resetCell{app: "FFT", policy: config.RefrintValid, retentionUS: 50, seed: 1, effort: 1}, 576},
+		{resetCell{app: "FFT", policy: config.PeriodicValid, retentionUS: 50, seed: 1, effort: 1}, 448},
+	} {
+		t.Run(tc.c.policy.String(), func(t *testing.T) {
+			cfg, params := tc.c.config(), tc.c.params(t)
+			got := testing.AllocsPerRun(5, func() {
+				if _, err := New(cfg, params, tc.c.seed); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > tc.want {
+				t.Errorf("New allocates %v objects, want at most %v", got, tc.want)
 			}
 		})
 	}

@@ -146,20 +146,6 @@ func (f *feed) run() {
 	}
 }
 
-// next returns core's next reference, or false once the core has issued
-// its whole stream.
-//
-//refrint:alloc-free
-func (f *feed) next(core int) (record, bool) {
-	c := &f.cursors[core]
-	if c.pos == len(c.recs) && !f.advance(c, core) {
-		return record{}, false
-	}
-	r := c.recs[c.pos]
-	c.pos++
-	return r, true
-}
-
 // advance hands c's read chunk back to the producer and takes core's next
 // filled chunk, waiting for it if need be.  It returns false when the
 // chunk read was the core's last.

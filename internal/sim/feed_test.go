@@ -11,9 +11,28 @@ import (
 	"refrint/internal/config"
 	"refrint/internal/core"
 	"refrint/internal/mem"
-	"refrint/internal/stats"
 	"refrint/internal/workload"
 )
+
+// access resolves one reference as the run loop does: a write through
+// accessWrite, a load or an instruction fetch through accessRead.
+func (s *System) access(tileID int, line mem.LineAddr, typ mem.AccessType, now int64) int64 {
+	if typ == mem.Write {
+		return s.accessWrite(tileID, line, now)
+	}
+	return s.accessRead(tileID, line, now, typ == mem.InstrFetch)
+}
+
+// pop removes and returns the entry the run loop pops.
+func (h *coreHeap) pop() coreEntry {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	e := old[n]
+	*h = old[:n]
+	return e
+}
 
 // runInline is the run loop as it was before the feed: it pulls every
 // reference from Generator.Next on the run loop's own goroutine.  s must
@@ -30,7 +49,7 @@ func runInline(s *System) Result {
 		if !ok {
 			continue
 		}
-		tile := s.tiles[entry.tile]
+		tile := &s.tiles[entry.tile]
 		tile.Core.Compute(a.Gap)
 		doneAt := s.access(entry.tile, s.geom.LineOf(a.Addr), a.Type, tile.Core.Now())
 		tile.Core.CompleteMemOp(doneAt)
@@ -228,11 +247,11 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 	if err := s.Reset(c.config(), c.params(t), c.seed); err != nil {
 		t.Fatal(err)
 	}
-	cfg, tile := s.cfg, s.tiles[0]
-	l3 := tile.L3
-	tile.L3 = core.NewBank(cfg.L3, cfg.Cell, cfg.Policy, stats.L3, s.st, core.Hooks{
+	l3 := &s.tiles[0].L3
+	hooks := l3.Hooks
+	l3.Hooks = core.Hooks{
 		Invalidate: func(mem.LineAddr, bool, int64) { panic(errHook) },
-	})
+	}
 	func() {
 		defer func() {
 			if r := recover(); r != errHook {
@@ -242,7 +261,7 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		s.Run()
 	}()
 	settleGoroutines(t, base, "a panic in a bank hook")
-	tile.L3 = l3
+	l3.Hooks = hooks
 	if got := resetResult(t, s, c); !reflect.DeepEqual(got, want) {
 		t.Fatalf("run after a panicked run and Reset differs from a fresh run:\n got %+v\nwant %+v", got, want)
 	}

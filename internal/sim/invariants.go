@@ -32,12 +32,13 @@ import (
 //
 // It returns the first violation found, or nil.
 func (s *System) CheckInvariants() error {
-	for tileID, tile := range s.tiles {
+	for tileID := range s.tiles {
+		tile := &s.tiles[tileID]
 		// 4. L1 lines are never dirty.
 		for _, l1 := range []struct {
 			name string
 			bank *core.Bank
-		}{{"IL1", tile.IL1}, {"DL1", tile.DL1}} {
+		}{{"IL1", &tile.IL1}, {"DL1", &tile.DL1}} {
 			for _, line := range validLines(l1.bank) {
 				if line.Dirty() {
 					return fmt.Errorf("tile %d: %s line %#x is dirty", tileID, l1.name, line.Tag)
@@ -50,9 +51,9 @@ func (s *System) CheckInvariants() error {
 		}
 
 		// 1b. L2 subset of the home L3; 2/3: directory agreement.
-		for _, line := range validLines(tile.L2) {
+		for _, line := range validLines(&tile.L2) {
 			addr := line.Tag
-			home := s.tiles[s.bankOf(addr)]
+			home := &s.tiles[s.bankOf(addr)]
 			if _, ok := home.L3.Peek(addr); !ok {
 				return fmt.Errorf("tile %d: L2 line %#x not present in home L3 bank %d (inclusion)",
 					tileID, addr, s.bankOf(addr))
@@ -73,8 +74,9 @@ func (s *System) CheckInvariants() error {
 
 	// 2 (converse) and 3: every directory entry's sharers really hold the
 	// line, and at most one of them holds it Modified.
-	for bankID, tile := range s.tiles {
-		for _, line := range validLines(tile.L3) {
+	for bankID := range s.tiles {
+		tile := &s.tiles[bankID]
+		for _, line := range validLines(&tile.L3) {
 			entry := tile.Dir.Lookup(line.Tag)
 			if entry == nil {
 				continue // no private copies; nothing to cross-check

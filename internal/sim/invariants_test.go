@@ -70,7 +70,7 @@ func TestCheckInvariantsDetectsViolations(t *testing.T) {
 
 	// Break inclusion on purpose: drop a line from an L2 while its L1 and
 	// the directory still reference it.
-	tile := s.tiles[0]
+	tile := &s.tiles[0]
 	var victim mem.LineAddr
 	found := false
 	dl1 := tile.DL1.Cache()
@@ -102,7 +102,7 @@ func TestCheckInvariantsDetectsDirtyL1(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	tile := s.tiles[3]
+	tile := &s.tiles[3]
 	frame := cache.NoFrame
 	dl1 := tile.DL1.Cache()
 	dl1.ForEachValid(func(f cache.Frame) {

@@ -38,11 +38,12 @@ func TestGroupOccupancyCountersStayExact(t *testing.T) {
 			// organically-reached state, not the all-empty one.
 			s.cfg.EndOfRunFlush = false
 			s.Run()
-			for i, tile := range s.tiles {
-				check(t, "IL1", i, tile.IL1)
-				check(t, "DL1", i, tile.DL1)
-				check(t, "L2", i, tile.L2)
-				check(t, "L3", i, tile.L3)
+			for i := range s.tiles {
+				tile := &s.tiles[i]
+				check(t, "IL1", i, &tile.IL1)
+				check(t, "DL1", i, &tile.DL1)
+				check(t, "L2", i, &tile.L2)
+				check(t, "L3", i, &tile.L3)
 			}
 		})
 	}
@@ -57,7 +58,7 @@ func TestSRAMBankOccupancyAccessors(t *testing.T) {
 	}
 	s.cfg.EndOfRunFlush = false
 	s.Run()
-	b := s.tiles[0].L2
+	b := &s.tiles[0].L2
 	if b.ValidLines() != b.Cache().ValidCount() {
 		t.Error("fallback accessor disagrees with the array scan")
 	}

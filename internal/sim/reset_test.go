@@ -105,8 +105,9 @@ func resetResult(t testing.TB, s *System, c resetCell) Result {
 // directory's entries and the core's clock, and the counters.
 func observable(s *System) []any {
 	out := []any{*s.st}
-	for _, tile := range s.tiles {
-		for _, b := range []*core.Bank{tile.IL1, tile.DL1, tile.L2, tile.L3} {
+	for i := range s.tiles {
+		tile := &s.tiles[i]
+		for _, b := range []*core.Bank{&tile.IL1, &tile.DL1, &tile.L2, &tile.L3} {
 			out = append(out, b.PendingRefreshWork(), b.ValidLines(), b.Cache().DirtyCount(), b.Cache().ValidCount())
 		}
 		out = append(out, tile.Dir.Entries(), tile.Core.Now(), tile.Core.MemOps())
@@ -125,7 +126,7 @@ func runPartly(t testing.TB, s *System, n int) {
 		if !ok {
 			continue
 		}
-		tile := s.tiles[tileID]
+		tile := &s.tiles[tileID]
 		tile.Core.Compute(a.Gap)
 		tile.Core.CompleteMemOp(s.access(tileID, s.geom.LineOf(a.Addr), a.Type, tile.Core.Now()))
 	}

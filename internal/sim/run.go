@@ -6,6 +6,7 @@ import (
 	"refrint/internal/config"
 	"refrint/internal/edram"
 	"refrint/internal/energy"
+	"refrint/internal/mem"
 	"refrint/internal/stats"
 )
 
@@ -47,16 +48,6 @@ func (h coreHeap) init() {
 func (h *coreHeap) push(e coreEntry) {
 	*h = append(*h, e)
 	h.up(len(*h) - 1)
-}
-
-func (h *coreHeap) pop() coreEntry {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	e := old[n]
-	*h = old[:n]
-	return e
 }
 
 func (h coreHeap) up(j int) {
@@ -120,6 +111,8 @@ func (s *System) Run() Result {
 // policies and the coherence protocol observe.  The references come from
 // the System's feed (feed.go), whose producer goroutine draws them for the
 // length of the call.
+//
+//refrint:alloc-free
 func (s *System) RunContext(ctx context.Context) (Result, error) {
 	done := ctx.Done()
 	if done != nil {
@@ -130,6 +123,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	if !s.started {
 		h := s.heap[:0]
 		for i := range s.tiles {
+			//refrint:allow allocfree -- grows only when the core count does; a warm Reset reuses the heap
 			h = append(h, coreEntry{tile: i, time: 0})
 		}
 		h.init()
@@ -138,6 +132,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	}
 	h := s.heap
 	f := &s.feed
+	//refrint:allow allocfree -- produce is bound once, so the go statement allocates no closure
 	go f.produce()
 	defer f.stop()
 
@@ -154,19 +149,36 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 				}
 			}
 		}
-		entry := h.pop()
-		r, ok := f.next(entry.tile)
-		if !ok {
-			continue
+		// Pop the core with the smallest local clock: container/heap's
+		// Pop, swap and down, written out.
+		n := len(h) - 1
+		h[0], h[n] = h[n], h[0]
+		h.down(0, n)
+		id := h[n].tile
+		h = h[:n]
+
+		// Its next reference, from the chunk its cursor reads; only the
+		// hand-off to the next chunk is a call.
+		c := &f.cursors[id]
+		if c.pos == len(c.recs) && !f.advance(c, id) {
+			continue // the core has issued its whole stream
 		}
-		tile := s.tiles[entry.tile]
+		r := c.recs[c.pos]
+		c.pos++
+
+		tile := &s.tiles[id]
 		// Non-memory instructions preceding the reference.
 		tile.Core.Compute(int64(r.gap))
 		issueAt := tile.Core.Now()
-		doneAt := s.access(entry.tile, r.line, r.typ, issueAt)
+		var doneAt int64
+		if r.typ == mem.Write {
+			doneAt = s.accessWrite(id, r.line, issueAt)
+		} else {
+			doneAt = s.accessRead(id, r.line, issueAt, r.typ == mem.InstrFetch)
+		}
 		tile.Core.CompleteMemOp(doneAt)
 
-		h.push(coreEntry{tile: entry.tile, time: tile.Core.Now()})
+		h.push(coreEntry{tile: id, time: tile.Core.Now()})
 	}
 	s.heap = h
 	s.started = false
@@ -179,8 +191,8 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 func (s *System) finish() Result {
 	// Execution time = slowest core.
 	var end int64
-	for i, tile := range s.tiles {
-		c := tile.Core.Now()
+	for i := range s.tiles {
+		c := s.tiles[i].Core.Now()
 		s.st.PerCoreCycles[i] = c
 		if c > end {
 			end = c
@@ -189,7 +201,8 @@ func (s *System) finish() Result {
 	s.st.Cycles = end
 
 	// Refresh activity continues until the last core finishes.
-	for _, tile := range s.tiles {
+	for i := range s.tiles {
+		tile := &s.tiles[i]
 		tile.IL1.Drain(end)
 		tile.DL1.Drain(end)
 		tile.L2.Drain(end)
@@ -199,9 +212,9 @@ func (s *System) finish() Result {
 	// Instructions and memory operations, assigned so that finishing a
 	// completed run again gives the same Result.
 	var instructions, memOps int64
-	for _, tile := range s.tiles {
-		instructions += tile.Core.Instructions()
-		memOps += tile.Core.MemOps()
+	for i := range s.tiles {
+		instructions += s.tiles[i].Core.Instructions()
+		memOps += s.tiles[i].Core.MemOps()
 	}
 	s.st.Instructions, s.st.MemOps = instructions, memOps
 
@@ -209,7 +222,8 @@ func (s *System) finish() Result {
 	// (Section 6: "we assume that at the end of the simulation all dirty
 	// data will be written back to main memory").
 	if s.cfg.EndOfRunFlush {
-		for _, tile := range s.tiles {
+		for i := range s.tiles {
+			tile := &s.tiles[i]
 			s.st.FlushWritebacks += tile.L2.FlushCount()
 			s.st.FlushWritebacks += tile.L3.FlushCount()
 			tile.IL1.FlushCount()

@@ -12,8 +12,8 @@ import (
 // issuedRefs sums the memory references the cores have issued so far.
 func issuedRefs(s *System) int64 {
 	var n int64
-	for _, tile := range s.tiles {
-		n += tile.Core.MemOps()
+	for i := range s.tiles {
+		n += s.tiles[i].Core.MemOps()
 	}
 	return n
 }

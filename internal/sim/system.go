@@ -4,15 +4,16 @@
 // — and runs one application through it, producing the counters package
 // stats defines and the energy breakdown package energy computes from them.
 //
-// The memory model is transaction-atomic (DESIGN.md section 4.1): each
-// memory reference is resolved through the hierarchy in one pass, with
-// latencies accumulated from per-level access times, NoC hops, DRAM channel
-// contention and refresh-induced port blocking, and with all coherence and
-// inclusion side effects applied at resolution time.
+// The memory model is transaction-atomic: each memory reference is resolved
+// through the hierarchy in one pass, with latencies accumulated from
+// per-level access times, NoC hops, DRAM channel contention and
+// refresh-induced port blocking, and with all coherence and inclusion side
+// effects applied at resolution time.
 package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"refrint/internal/coherence"
 	"refrint/internal/config"
@@ -32,21 +33,25 @@ const (
 )
 
 // Tile is one node of the chip: a core, its private caches and one bank of
-// the shared L3.
+// the shared L3.  A System holds its tiles, and a tile its parts, by value,
+// so a reference reaches a bank's arrays through no pointer but the tiles
+// slice.  A Tile must not be copied: a copy would fork its banks' clocks
+// and ports from the arrays both copies share.
 type Tile struct {
-	Core *cpu.Core
-	IL1  *core.Bank
-	DL1  *core.Bank
-	L2   *core.Bank
-	L3   *core.Bank // the L3 bank co-located with this tile
-	Dir  *coherence.Directory
+	_    [0]sync.Mutex // a zero-size copy guard for `go vet`, as in core.Bank
+	Core cpu.Core
+	IL1  core.Bank
+	DL1  core.Bank
+	L2   core.Bank
+	L3   core.Bank // the L3 bank co-located with this tile
+	Dir  coherence.Directory
 }
 
 // System is the complete simulated chip running one application.
 type System struct {
 	cfg   config.Config
 	app   *workload.App
-	tiles []*Tile
+	tiles []Tile
 	net   *noc.Torus
 	mem   *dram.DRAM
 	geom  mem.LineGeometry
@@ -140,23 +145,19 @@ func (s *System) Reset(cfg config.Config, app workload.Params, seed int64) error
 	}
 
 	if len(s.tiles) != cfg.Cores {
-		s.tiles = make([]*Tile, cfg.Cores)
-	}
-	for i, tile := range s.tiles {
-		if tile == nil {
-			// The hooks are built once per tile: they capture only s and
-			// the tile index, so they stay valid across resets.
+		s.tiles = make([]Tile, cfg.Cores)
+		// The hooks are built once per tile: they capture only s and the
+		// tile index, so they stay valid across resets.
+		for i := range s.tiles {
+			tile := &s.tiles[i]
 			l1 := s.l1Hooks(i)
-			s.tiles[i] = &Tile{
-				Core: cpu.New(cfg.Core),
-				Dir:  coherence.New(cfg.Cores),
-				IL1:  core.NewBank(cfg.IL1, cfg.Cell, s.l1l2Policy, stats.IL1, s.st, l1),
-				DL1:  core.NewBank(cfg.DL1, cfg.Cell, s.l1l2Policy, stats.DL1, s.st, l1),
-				L2:   core.NewBank(cfg.L2, cfg.Cell, s.l1l2Policy, stats.L2, s.st, s.l2Hooks(i)),
-				L3:   core.NewBank(cfg.L3, cfg.Cell, cfg.Policy, stats.L3, s.st, s.l3Hooks(i)),
-			}
-			continue
+			tile.IL1.Hooks, tile.DL1.Hooks = l1, l1
+			tile.L2.Hooks = s.l2Hooks(i)
+			tile.L3.Hooks = s.l3Hooks(i)
 		}
+	}
+	for i := range s.tiles {
+		tile := &s.tiles[i]
 		tile.Core.Reset(cfg.Core)
 		tile.Dir.Reset()
 		tile.IL1.Reset(cfg.IL1, cfg.Cell, s.l1l2Policy, stats.IL1, s.st)
@@ -189,8 +190,8 @@ func privatePolicy(l3 config.Policy) config.Policy {
 // Call it after Reset and before the run; Watch reads the verdict.
 func (s *System) WatchBudgets() bool {
 	s.watching = false
-	for _, tile := range s.tiles {
-		s.watching = tile.L3.WatchBudgets()
+	for i := range s.tiles {
+		s.watching = s.tiles[i].L3.WatchBudgets()
 	}
 	return s.watching
 }
@@ -203,8 +204,8 @@ func (s *System) Watch() (core.Watch, bool) {
 		return core.Watch{}, false
 	}
 	w := core.Watch{Dirty: -1, Clean: -1}
-	for _, tile := range s.tiles {
-		w = w.Merge(tile.L3.Watch())
+	for i := range s.tiles {
+		w = w.Merge(s.tiles[i].L3.Watch())
 	}
 	return w, true
 }
@@ -290,10 +291,10 @@ func (s *System) l2Hooks(tileID int) core.Hooks {
 			s.writebackToL3(tileID, addr, now)
 		},
 		Invalidate: func(addr mem.LineAddr, wasDirty bool, now int64) {
-			tile := s.tiles[tileID]
+			tile := &s.tiles[tileID]
 			tile.IL1.Invalidate(addr)
 			tile.DL1.Invalidate(addr)
-			home := s.tiles[s.bankOf(addr)]
+			home := &s.tiles[s.bankOf(addr)]
 			if wasDirty {
 				// Dirty data must reach the L3 before the copy disappears.
 				s.writebackToL3(tileID, addr, now)
@@ -314,12 +315,12 @@ func (s *System) l3Hooks(bankTile int) core.Hooks {
 			s.dramAccess(now, true)
 		},
 		Invalidate: func(addr mem.LineAddr, wasDirty bool, now int64) {
-			home := s.tiles[bankTile]
+			home := &s.tiles[bankTile]
 			act := home.Dir.InvalidateLine(addr)
 			for cs := act.Invalidates; !cs.Empty(); {
 				var sharer int
 				sharer, cs = cs.Pop()
-				t := s.tiles[sharer]
+				t := &s.tiles[sharer]
 				l2Old, hadL2 := t.L2.Invalidate(addr)
 				t.IL1.Invalidate(addr)
 				t.DL1.Invalidate(addr)
@@ -342,7 +343,7 @@ func (s *System) l3Hooks(bankTile int) core.Hooks {
 
 // writebackToL2 pushes a (rare) L1 policy writeback into the tile's L2.
 func (s *System) writebackToL2(tileID int, addr mem.LineAddr, now int64) {
-	tile := s.tiles[tileID]
+	tile := &s.tiles[tileID]
 	if l, ok := tile.L2.Probe(addr, now); ok {
 		tile.L2.SetState(l, mem.Modified)
 		tile.L2.Touch(l, now)
@@ -355,7 +356,7 @@ func (s *System) writebackToL2(tileID int, addr mem.LineAddr, now int64) {
 // writebacks).  The L3 copy becomes dirty with respect to DRAM.
 func (s *System) writebackToL3(tileID int, addr mem.LineAddr, now int64) {
 	bank := s.bankOf(addr)
-	home := s.tiles[bank]
+	home := &s.tiles[bank]
 	s.nocSend(tileID, bank, dataMsgBytes)
 	s.st.Level(stats.L2).Writebacks++
 	if l, ok := home.L3.Probe(addr, now); ok {
