@@ -45,7 +45,6 @@ var testOracles = map[string]string{
 	"store.Store.Dir":                       "tells a memory-only store from one on disk, and locates the disk tree for the store tests",
 	"linttest.Run":                          "the analyzer fixture harness; the analyzers' own tests are its callers by design",
 	"core.Bank.PendingRefreshWork":          "the number of armed sentries, which tests check against the valid lines",
-	"cache.Cache.IndexOf":                   "checks that a frame handle is the flat index refresh schedules by",
 	"coherence.Directory.InvalidationsSent": "the directory's own message counter, cross-checked against its transitions",
 	"coherence.Directory.DowngradesSent":    "the directory's own message counter, cross-checked against its transitions",
 	"coherence.Directory.DirtyForwards":     "the directory's own message counter, cross-checked against its transitions",

@@ -17,8 +17,7 @@
 // per way), and touches the other arrays only for the single matching
 // frame.  Callers address lines through
 // integer Frame handles; the flat index a frame handle carries IS the value
-// the refresh machinery schedules by, so the old pointer->index translation
-// (IndexOf) is now the identity function.
+// the refresh machinery schedules by.
 package cache
 
 import (
@@ -100,13 +99,6 @@ func (c *Cache) setOf(addr mem.LineAddr) int {
 	}
 	return int(idx % uint64(c.sets))
 }
-
-// IndexOf returns the flat index of a frame handle.  It is the identity
-// function — the handle IS the index — and survives only so call sites read
-// as "give me the schedulable index of this frame".
-//
-//refrint:alloc-free
-func (c *Cache) IndexOf(f Frame) int { return int(f) }
 
 // --- Per-frame accessors ---------------------------------------------------
 //

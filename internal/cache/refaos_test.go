@@ -208,7 +208,7 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 		if got, want := soa.Line(f), *l; got != want {
 			t.Fatalf("seed %d %s: frame %d = %+v, reference = %+v", seed, op, f, got, want)
 		}
-		if got, want := soa.IndexOf(f), aos.indexOf(l); got != want {
+		if got, want := int(f), aos.indexOf(l); got != want {
 			t.Fatalf("seed %d %s: frame index %d, reference index %d", seed, op, got, want)
 		}
 	}
@@ -232,7 +232,7 @@ func runDifferentialSequence(t *testing.T, cfg config.CacheConfig, seed int64) {
 			// Cross-check the victim choice before inserting.
 			vf := soa.Victim(addr)
 			vl := aos.victim(addr)
-			if got, want := soa.IndexOf(vf), aos.indexOf(vl); got != want {
+			if got, want := int(vf), aos.indexOf(vl); got != want {
 				t.Fatalf("seed %d step %d: Victim(%#x) frame %d, reference %d", seed, step, addr, got, want)
 			}
 			st := stateFor(rng)

@@ -562,24 +562,25 @@ func (b *Bank) advance(now int64) {
 //refrint:alloc-free
 func (b *Bank) advanceRefrint(now int64) {
 	w := &b.wheel
-	nodes := w.nodes
 	states, counts := b.arr.States(), b.counts
 	data := b.policy.Data
 	watching := len(b.watch) != 0
 	sentry := b.ret.SentryCycles
 	shift := w.granShift
 	nowBucket := now >> shift
+	base := int32(w.ids)
 	var irqs, refreshes int64
 	for {
-		head, tail, mask := w.head, w.tail, w.mask
-		windowEnd := w.next + int64(len(head))
+		// A deferred Schedule may have grown the ring, reallocating nodes.
+		nodes, mask := w.nodes, w.mask
+		windowEnd := w.next + mask + 1
 		stop := min(nowBucket, windowEnd-1)
 		deferred := b.deferred[:0]
 		dueAgain := false
 		for bk := w.next; bk <= stop && w.count > 0; bk++ {
-			slot := bk & mask
+			sent := base + int32(bk&mask)
 			blocked := false
-			for id := head[slot]; id != noNode; {
+			for id := nodes[sent].next; id != sent; {
 				n := &nodes[id]
 				next := n.next
 				if n.deadline > now {
@@ -587,17 +588,9 @@ func (b *Bank) advanceRefrint(now int64) {
 					id = next
 					continue
 				}
-				if n.prev == noNode {
-					head[slot] = next
-				} else {
-					nodes[n.prev].next = next
-				}
-				if next == noNode {
-					tail[slot] = n.prev
-				} else {
-					nodes[next].prev = n.prev
-				}
-				n.next, n.prev = noNode, unlinked
+				nodes[n.prev].next = next
+				nodes[next].prev = n.prev
+				n.prev = unlinked
 				w.count--
 				f := id
 				id = next
@@ -629,22 +622,19 @@ func (b *Bank) advanceRefrint(now int64) {
 					dueAgain = dueAgain || d <= now
 					continue
 				}
-				s := nb & mask
-				n.prev = tail[s]
-				if n.prev == noNode {
-					head[s] = f
-				} else {
-					nodes[n.prev].next = f
-				}
-				tail[s] = f
+				s := base + int32(nb&mask)
+				last := nodes[s].prev
+				n.next, n.prev = s, last
+				nodes[last].next = f
+				nodes[s].prev = f
 				w.count++
 			}
-			if !blocked && head[slot] == noNode {
+			if !blocked && nodes[sent].next == sent {
 				w.next = bk + 1
 			}
 		}
 		for _, f := range deferred {
-			w.Schedule(nodes[f].deadline, int(f))
+			w.Schedule(w.nodes[f].deadline, int(f))
 		}
 		b.deferred = deferred
 		if !dueAgain {

@@ -128,8 +128,9 @@ func (p *drainPair) advance(now int64) {
 // them: bucket by bucket, each bucket's list in order.
 func wheelOrder(w *frameWheel) []wheelEntry {
 	var out []wheelEntry
-	for b := w.next; b < w.next+int64(len(w.head)); b++ {
-		for id := w.head[b&w.mask]; id != noNode; id = w.nodes[id].next {
+	for b := w.next; b <= w.next+w.mask; b++ {
+		sent := w.sentinel(b)
+		for id := w.nodes[sent].next; id != sent; id = w.nodes[id].next {
 			out = append(out, wheelEntry{Cycle: w.nodes[id].deadline, ID: int64(id)})
 		}
 	}

@@ -14,32 +14,34 @@ package core
 // order their ids were (re)scheduled into it.  The drain,
 // Bank.advanceRefrint, walks the bucket lists itself and compares each
 // node's exact deadline with now, so coarse buckets never fire a sentry
-// early.  Every node lies in the ring window [next, next+len(head)), so no
+// early.  Every node lies in the ring window [next, next+mask+1), so no
 // two buckets holding nodes share a slot.
+//
+// Each bucket list is circular through a sentinel node of its own: nodes
+// holds the ids frame nodes and then one sentinel per ring slot, node
+// ids+slot, whose next and prev are the list's first and last node (itself
+// when the bucket is empty).  Linking or unlinking a node therefore never
+// tests for a list end.
 type frameWheel struct {
 	granShift   uint  // log2(granularity)
 	granularity int64 // power of two
+	ids         int   // frame nodes; nodes[ids+slot] is slot's sentinel
 	nodes       []frameNode
-	head        []int32 // head[slot] is the first node of the bucket's list, -1 if empty
-	tail        []int32
-	mask        int64
+	mask        int64 // ring slots - 1
 	next        int64 // earliest bucket that may contain nodes
 	count       int
 }
 
-// frameNode is the intrusive list node of one id: 16 bytes, since every
-// line frame of every refreshable bank has one.
+// frameNode is the intrusive list node of one id or one slot's sentinel:
+// 16 bytes, since every line frame of every refreshable bank has one.
 type frameNode struct {
-	// next and prev are the neighbouring ids in the bucket list, noNode at
-	// the ends; prev is unlinked while id has no deadline pending.
+	// next and prev are the neighbouring nodes in the circular bucket
+	// list; prev is unlinked while id has no deadline pending.
 	next, prev int32
 	deadline   int64
 }
 
-const (
-	noNode   = int32(-1)
-	unlinked = int32(-2)
-)
+const unlinked = int32(-1)
 
 // sentryBucketCycles is the bucket width, in cycles, of a bank's sentry
 // wheel.
@@ -84,7 +86,7 @@ func (w *frameWheel) init(granularity int64, ids int, horizon int64) {
 	*w = frameWheel{
 		granShift:   shift,
 		granularity: granularity,
-		nodes:       make([]frameNode, ids),
+		ids:         ids,
 	}
 	w.Reset(horizon)
 }
@@ -95,21 +97,23 @@ func (w *frameWheel) init(granularity int64, ids int, horizon int64) {
 // horizon, is kept.  Ring size never changes which deadlines a drain finds
 // due or their order, so a reset wheel behaves as a fresh one.
 func (w *frameWheel) Reset(horizon int64) {
-	buckets := ringBuckets(w.granularity, horizon)
-	if int64(len(w.head)) < buckets {
-		w.head = make([]int32, buckets)
-		w.tail = make([]int32, buckets)
+	if buckets := ringBuckets(w.granularity, horizon); int64(len(w.nodes)-w.ids) < buckets {
+		w.nodes = make([]frameNode, int64(w.ids)+buckets)
 		w.mask = buckets - 1
 	}
-	for i := range w.head {
-		w.head[i] = noNode
-		w.tail[i] = noNode
+	for i := range w.nodes[:w.ids] {
+		w.nodes[i] = frameNode{prev: unlinked}
 	}
-	for i := range w.nodes {
-		w.nodes[i] = frameNode{next: noNode, prev: unlinked}
-	}
+	w.clearSentinels()
 	w.next = 0
 	w.count = 0
+}
+
+// clearSentinels empties every bucket list.
+func (w *frameWheel) clearSentinels() {
+	for s := w.ids; s < len(w.nodes); s++ {
+		w.nodes[s] = frameNode{next: int32(s), prev: int32(s)}
+	}
 }
 
 // Len returns the number of pending deadlines.
@@ -124,8 +128,7 @@ func (w *frameWheel) MaybeDue(now int64) bool {
 
 // Schedule registers (or moves) the deadline of id.
 func (w *frameWheel) Schedule(cycle int64, id int) {
-	n := &w.nodes[id]
-	if n.prev != unlinked {
+	if n := &w.nodes[id]; n.prev != unlinked {
 		if n.deadline == cycle {
 			return
 		}
@@ -138,45 +141,33 @@ func (w *frameWheel) Schedule(cycle int64, id int) {
 	case b < w.next:
 		w.rebase(b)
 	}
-	if b >= w.next+int64(len(w.head)) {
+	if b > w.next+w.mask {
 		w.grow(b)
 	}
-	slot := b & w.mask
-	n.deadline = cycle
-	n.next = noNode
-	n.prev = w.tail[slot]
-	if n.prev == noNode {
-		w.head[slot] = int32(id)
-	} else {
-		w.nodes[n.prev].next = int32(id)
-	}
-	w.tail[slot] = int32(id)
+	// rebase and grow may reallocate nodes.
+	nodes := w.nodes
+	sent := int32(w.ids) + int32(b&w.mask)
+	last := nodes[sent].prev
+	nodes[id] = frameNode{next: sent, prev: last, deadline: cycle}
+	nodes[last].next = int32(id)
+	nodes[sent].prev = int32(id)
 	w.count++
 }
 
 // unlink removes a linked node from its bucket list.
 func (w *frameWheel) unlink(id int32) {
 	n := &w.nodes[id]
-	slot := (n.deadline >> w.granShift) & w.mask
-	if n.prev == noNode {
-		w.head[slot] = n.next
-	} else {
-		w.nodes[n.prev].next = n.next
-	}
-	if n.next == noNode {
-		w.tail[slot] = n.prev
-	} else {
-		w.nodes[n.next].prev = n.prev
-	}
-	n.next, n.prev = noNode, unlinked
+	w.nodes[n.prev].next = n.next
+	w.nodes[n.next].prev = n.prev
+	n.prev = unlinked
 	w.count--
 }
 
 // maxBucket returns the largest bucket holding a node (count must be > 0).
 func (w *frameWheel) maxBucket() int64 {
 	max := int64(-1 << 62)
-	for id := range w.nodes {
-		n := &w.nodes[id]
+	for i := range w.nodes[:w.ids] {
+		n := &w.nodes[i]
 		if n.prev != unlinked {
 			if b := n.deadline >> w.granShift; b > max {
 				max = b
@@ -190,7 +181,7 @@ func (w *frameWheel) maxBucket() int64 {
 // pending one was scheduled), growing the ring if the pending span no longer
 // fits.  Rare: the refresh machinery only schedules forward.
 func (w *frameWheel) rebase(b int64) {
-	if span := w.maxBucket() - b + 1; span > int64(len(w.head)) {
+	if span := w.maxBucket() - b + 1; span > w.mask+1 {
 		w.rebuild(b, span)
 	}
 	w.next = b
@@ -203,37 +194,30 @@ func (w *frameWheel) grow(b int64) {
 
 // rebuild re-links every node into a ring of at least minSpan buckets
 // starting at windowStart, preserving bucket order and within-bucket order.
+// It reallocates nodes, keeping every frame node's deadline.
 func (w *frameWheel) rebuild(windowStart, minSpan int64) {
-	buckets := int64(len(w.head))
+	buckets := w.mask + 1
 	for buckets < minSpan {
 		buckets <<= 1
 	}
-	oldHead := w.head
-	oldMask := w.mask
-	oldNext := w.next
-	oldCount := w.count
-	w.head = make([]int32, buckets)
-	w.tail = make([]int32, buckets)
+	old, oldMask, oldNext, oldCount := w.nodes, w.mask, w.next, w.count
+	w.nodes = make([]frameNode, int64(w.ids)+buckets)
 	w.mask = buckets - 1
-	for i := range w.head {
-		w.head[i] = noNode
-		w.tail[i] = noNode
+	for i := range w.nodes[:w.ids] {
+		w.nodes[i] = frameNode{prev: unlinked, deadline: old[i].deadline}
 	}
+	w.clearSentinels()
 	w.next = windowStart
 	w.count = 0
 	if oldCount == 0 {
 		return
 	}
 	// Walk the old ring in bucket order, relinking each list into the new
-	// ring.  Old window: [oldNext, oldNext+len(oldHead)).
-	for b := oldNext; b < oldNext+int64(len(oldHead)); b++ {
-		id := oldHead[b&oldMask]
-		for id != noNode {
-			n := &w.nodes[id]
-			nextID := n.next
-			n.next, n.prev = noNode, unlinked
-			w.Schedule(n.deadline, int(id))
-			id = nextID
+	// ring.  Old window: [oldNext, oldNext+oldMask+1).
+	for b := oldNext; b <= oldNext+oldMask; b++ {
+		sent := int32(w.ids) + int32(b&oldMask)
+		for id := old[sent].next; id != sent; id = old[id].next {
+			w.Schedule(old[id].deadline, int(id))
 		}
 	}
 }

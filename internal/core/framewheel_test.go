@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -38,16 +39,16 @@ func (w *frameWheel) PopDueInto(now int64, max int, dst []wheelEntry) []wheelEnt
 	}
 	popped := 0
 	nowBucket := now >> w.granShift
-	windowEnd := w.next + int64(len(w.head))
+	windowEnd := w.next + w.mask + 1
 	stop := nowBucket
 	if stop >= windowEnd {
 		stop = windowEnd - 1 // nodes only exist inside the window
 	}
 	blocked := false // a not-yet-due node pins w.next at its bucket
 	for b := w.next; b <= stop && w.count > 0; b++ {
-		slot := b & w.mask
-		id := w.head[slot]
-		for id != noNode {
+		sent := w.sentinel(b)
+		id := w.nodes[sent].next
+		for id != sent {
 			n := &w.nodes[id]
 			nextID := n.next
 			if n.deadline <= now {
@@ -62,7 +63,7 @@ func (w *frameWheel) PopDueInto(now int64, max int, dst []wheelEntry) []wheelEnt
 			}
 			id = nextID
 		}
-		if !blocked && w.head[slot] == noNode {
+		if !blocked && w.nodes[sent].next == sent {
 			w.next = b + 1
 		}
 		if blocked {
@@ -72,19 +73,28 @@ func (w *frameWheel) PopDueInto(now int64, max int, dst []wheelEntry) []wheelEnt
 	return dst
 }
 
+// sentinel returns the sentinel node of bucket b's list.
+func (w *frameWheel) sentinel(b int64) int32 {
+	return int32(w.ids) + int32(b&w.mask)
+}
+
+// buckets returns the number of ring slots.
+func (w *frameWheel) buckets() int { return int(w.mask + 1) }
+
 // NextDeadline returns the earliest pending deadline and true, or (0, false)
 // if the wheel is empty.  The scan is bounded by the ring size.
 func (w *frameWheel) NextDeadline() (int64, bool) {
 	if w.count == 0 {
 		return 0, false
 	}
-	for b := w.next; b < w.next+int64(len(w.head)); b++ {
-		id := w.head[b&w.mask]
-		if id == noNode {
+	for b := w.next; b <= w.next+w.mask; b++ {
+		sent := w.sentinel(b)
+		id := w.nodes[sent].next
+		if id == sent {
 			continue
 		}
 		min := w.nodes[id].deadline
-		for id = w.nodes[id].next; id != noNode; id = w.nodes[id].next {
+		for id = w.nodes[id].next; id != sent; id = w.nodes[id].next {
 			if d := w.nodes[id].deadline; d < min {
 				min = d
 			}
@@ -92,6 +102,51 @@ func (w *frameWheel) NextDeadline() (int64, bool) {
 		return min, true
 	}
 	return 0, false
+}
+
+// checkLinks returns a description of the first broken link invariant of
+// w, or "": every slot's list is circular through its sentinel and agrees
+// in both directions, every linked node's bucket maps to its slot and lies
+// in the ring window, the linked nodes number count, and every frame node
+// on no list is unlinked.
+func (w *frameWheel) checkLinks() string {
+	if len(w.nodes) != w.ids+w.buckets() || w.buckets()&(w.buckets()-1) != 0 {
+		return fmt.Sprintf("%d nodes for %d ids and %d slots", len(w.nodes), w.ids, w.buckets())
+	}
+	onList := make([]bool, w.ids)
+	linked := 0
+	for slot := 0; slot < w.buckets(); slot++ {
+		sent := int32(w.ids + slot)
+		prev := sent
+		for id := w.nodes[sent].next; id != sent; id = w.nodes[id].next {
+			if id < 0 || int(id) >= w.ids || onList[id] {
+				return fmt.Sprintf("slot %d: list reaches node %d again or outside the frames", slot, id)
+			}
+			n := &w.nodes[id]
+			if n.prev != prev {
+				return fmt.Sprintf("slot %d: node %d has prev %d, want %d", slot, id, n.prev, prev)
+			}
+			b := n.deadline >> w.granShift
+			if b&w.mask != int64(slot) || b < w.next || b > w.next+w.mask {
+				return fmt.Sprintf("slot %d: node %d in bucket %d, window [%d, %d]", slot, id, b, w.next, w.next+w.mask)
+			}
+			onList[id] = true
+			linked++
+			prev = id
+		}
+		if w.nodes[sent].prev != prev {
+			return fmt.Sprintf("slot %d: sentinel prev %d, want the last node %d", slot, w.nodes[sent].prev, prev)
+		}
+	}
+	if linked != w.count {
+		return fmt.Sprintf("%d nodes linked, count %d", linked, w.count)
+	}
+	for id, on := range onList {
+		if !on && w.nodes[id].prev != unlinked {
+			return fmt.Sprintf("node %d is on no list but has prev %d", id, w.nodes[id].prev)
+		}
+	}
+	return ""
 }
 
 // Cancel removes the pending deadline of id, if any.
@@ -318,8 +373,8 @@ func TestWheelOverflowBeyondRing(t *testing.T) {
 	if w.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", w.Len())
 	}
-	if len(w.head) <= defaultRingBuckets {
-		t.Fatalf("ring has %d buckets, want it grown past %d", len(w.head), defaultRingBuckets)
+	if w.buckets() <= defaultRingBuckets {
+		t.Fatalf("ring has %d buckets, want it grown past %d", w.buckets(), defaultRingBuckets)
 	}
 	if d, ok := w.NextDeadline(); !ok || d != 5 {
 		t.Fatalf("NextDeadline = %d,%v, want 5,true", d, ok)
@@ -424,14 +479,14 @@ func TestMaxSentryRetentionRingBound(t *testing.T) {
 // scheduling a horizon ahead of a pending deadline does not grow the ring.
 func TestWheelHorizonSizing(t *testing.T) {
 	w := newFrameWheel(64, 2, 33_616)
-	buckets := len(w.head)
+	buckets := w.buckets()
 	if buckets < 33_616/64+2 {
 		t.Errorf("ring %d buckets cannot cover a 33616-cycle horizon", buckets)
 	}
 	w.Schedule(100, 0)
 	w.Schedule(100+33_616, 1)
-	if len(w.head) != buckets {
-		t.Errorf("horizon-sized wheel grew from %d to %d buckets", buckets, len(w.head))
+	if w.buckets() != buckets {
+		t.Errorf("horizon-sized wheel grew from %d to %d buckets", buckets, w.buckets())
 	}
 }
 
@@ -497,6 +552,10 @@ func TestFrameWheelRandomizedAgainstReference(t *testing.T) {
 					}
 				}
 			}
+			if msg := w.checkLinks(); msg != "" {
+				t.Errorf("seed %d step %d: %s", seed, step, msg)
+				return false
+			}
 			if !agrees(w, model, now) {
 				return false
 			}
@@ -520,7 +579,7 @@ func agrees(w *frameWheel, model map[int]int64, now int64) bool {
 		return false
 	}
 	earliest, pending := int64(0), false
-	for id := range w.nodes {
+	for id := range w.nodes[:w.ids] {
 		d, ok := w.Deadline(id)
 		if md, in := model[id]; ok != in || (ok && d != md) {
 			return false
@@ -544,7 +603,8 @@ func agrees(w *frameWheel, model map[int]int64, now int64) bool {
 // from time `from`, with some deadlines far past the ring so it grows, and
 // returns every drain's output in order.  Deadlines may still be pending
 // when it returns.
-func wheelScript(w *frameWheel, rng *rand.Rand, ids int, from, horizon int64) [][]wheelEntry {
+func wheelScript(t *testing.T, w *frameWheel, rng *rand.Rand, ids int, from, horizon int64) [][]wheelEntry {
+	t.Helper()
 	var out [][]wheelEntry
 	now := from
 	for step := 0; step < 400; step++ {
@@ -561,6 +621,9 @@ func wheelScript(w *frameWheel, rng *rand.Rand, ids int, from, horizon int64) []
 			now += rng.Int63n(horizon / 2)
 			out = append(out, w.PopDueInto(now, -1, nil))
 		}
+		if msg := w.checkLinks(); msg != "" {
+			t.Fatalf("step %d: %s", step, msg)
+		}
 	}
 	return out
 }
@@ -572,11 +635,11 @@ func TestFrameWheelResetMatchesFresh(t *testing.T) {
 	for _, horizons := range [][2]int64{{4096, 4096}, {16384, 2048}, {2048, 16384}} {
 		rng := rand.New(rand.NewSource(horizons[0] ^ horizons[1]))
 		w := newFrameWheel(gran, ids, horizons[0])
-		built := len(w.head)
-		wheelScript(w, rng, ids, 1000, horizons[0])
-		if len(w.head) <= built || w.Len() == 0 {
+		built := w.buckets()
+		wheelScript(t, w, rng, ids, 1000, horizons[0])
+		if w.buckets() <= built || w.Len() == 0 {
 			t.Fatalf("horizon %d: the first script left %d pending in a ring of %d (built %d); want growth and pending deadlines",
-				horizons[0], w.Len(), len(w.head), built)
+				horizons[0], w.Len(), w.buckets(), built)
 		}
 		w.Reset(horizons[1])
 		if w.Len() != 0 {
@@ -584,8 +647,8 @@ func TestFrameWheelResetMatchesFresh(t *testing.T) {
 		}
 		fresh := newFrameWheel(gran, ids, horizons[1])
 		seed := rng.Int63()
-		got := wheelScript(w, rand.New(rand.NewSource(seed)), ids, 0, horizons[1])
-		want := wheelScript(fresh, rand.New(rand.NewSource(seed)), ids, 0, horizons[1])
+		got := wheelScript(t, w, rand.New(rand.NewSource(seed)), ids, 0, horizons[1])
+		want := wheelScript(t, fresh, rand.New(rand.NewSource(seed)), ids, 0, horizons[1])
 		got = append(got, w.PopDueInto(1<<40, -1, nil))
 		want = append(want, fresh.PopDueInto(1<<40, -1, nil))
 		if !reflect.DeepEqual(got, want) {

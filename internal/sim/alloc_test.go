@@ -147,7 +147,7 @@ func TestNewAllocs(t *testing.T) {
 		want float64
 	}{
 		{resetCell{app: "FFT", policy: config.SRAMBaseline, seed: 1, effort: 1}, 385},
-		{resetCell{app: "FFT", policy: config.RefrintValid, retentionUS: 50, seed: 1, effort: 1}, 576},
+		{resetCell{app: "FFT", policy: config.RefrintValid, retentionUS: 50, seed: 1, effort: 1}, 448},
 		{resetCell{app: "FFT", policy: config.PeriodicValid, retentionUS: 50, seed: 1, effort: 1}, 448},
 	} {
 		t.Run(tc.c.policy.String(), func(t *testing.T) {

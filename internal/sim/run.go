@@ -31,10 +31,10 @@ type coreEntry struct {
 // coreHeap is a typed binary min-heap over coreEntry, ordered by time.  It
 // replaces container/heap on the run loop's hottest edge: the stdlib API
 // boxes every pushed and popped entry through `any`, which costs one heap
-// allocation per simulated memory operation.  The sift routines mirror
-// container/heap's up/down exactly (same comparisons, same swap order), so
-// the pop order — including how ties between equal local clocks resolve —
-// is bit-identical to the previous implementation and the golden figure
+// allocation per simulated memory operation.  The sift routines make
+// container/heap's comparisons in its order (TestCoreHeapMatchesContainerHeap),
+// so the pop order — including how ties between equal local clocks resolve
+// — is bit-identical to the previous implementation and the golden figure
 // series are unchanged.
 type coreHeap []coreEntry
 
@@ -61,23 +61,32 @@ func (h coreHeap) up(j int) {
 	}
 }
 
-func (h coreHeap) down(i0, n int) {
-	i := i0
+// down sifts h[i] down within h[:n].  It moves a hole instead of swapping
+// and writes the sifted entry once, at the end.  Which child is earlier is
+// unpredictable, so the right child is chosen, when strictly earlier, by
+// the sign bit of the difference of the two clocks: core clocks are
+// non-negative, so the difference cannot overflow.  The stop test stays a
+// branch, which the host predicts well: a sift usually stops within a
+// level or two.
+func (h coreHeap) down(i, n int) {
+	e := h[i]
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1 // left child
+		if j+1 >= n {
+			if j < n && h[j].time < e.time { // a lone left child
+				h[i] = h[j]
+				i = j
+			}
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].time < h[j1].time {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if h[j].time >= h[i].time {
+		j += int(uint64(h[j+1].time-h[j].time) >> 63)
+		if h[j].time >= e.time {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = e
 }
 
 // cancelPollRefs is how many references RunContext issues between two
